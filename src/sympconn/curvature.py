@@ -254,15 +254,21 @@ def ew_split(r4: TensorFieldCurve, r2: TensorFieldCurve, sdata: SymplecticData):
     return e, w
 
 
+def ricci_type_verdict(w: TensorFieldCurve):
+    """(flag, first failing order or None, nonzero witness or None) read
+    off the trace-free part W of the curvature."""
+    for k, t in enumerate(w.orders):
+        if not t.is_zero():
+            return False, k, t.first_nonzero_witness()
+    return True, None, None
+
+
 def is_ricci_type(conn: ConnectionCurve):
     """(flag, first failing order or None, nonzero witness or None)."""
     r4 = curvature_curve(conn)
     r2 = ricci_curve(conn)
     _, w = ew_split(r4, r2, conn.sdata)
-    for k, t in enumerate(w.orders):
-        if not t.is_zero():
-            return False, k, t.first_nonzero_witness()
-    return True, None, None
+    return ricci_type_verdict(w)
 
 
 def bianchi_check(conn: ConnectionCurve):
@@ -495,8 +501,13 @@ def curvature_bundle(conn: ConnectionCurve) -> CurvatureBundle:
     return CurvatureBundle(r4, r2, e, w, u, b, residuals)
 
 
-def require_ricci_type(conn: ConnectionCurve):
-    ok, order, witness = is_ricci_type(conn)
+def require_ricci_type(conn: ConnectionCurve, bundle: CurvatureBundle | None = None):
+    """Raise PreconditionError unless the curve is of Ricci type; with a
+    bundle of the same curve, its W is read instead of recomputing R."""
+    if bundle is None:
+        ok, order, witness = is_ricci_type(conn)
+    else:
+        ok, order, witness = ricci_type_verdict(bundle.W)
     if not ok:
         raise PreconditionError(
             f"curve is not of Ricci type: first failing order {order}, witness {witness}"

@@ -5,6 +5,21 @@ B^(k): R^{2n} -> sp(2n, R) whose lowered cubes omega(B(e_a) e_b, e_c) are
 fully symmetric.  The central executable fact: if the Ricci-type identity
 holds order by order and 2n >= 4, then the curvature vanishes and
 B^t(X) B^t(Y) = 0 (any violation is an implementation bug, not data).
+
+Every identity about products of structure maps is read off one table per
+order, StructureMapCurve.products(k):
+
+    P_k[a, b] = sum_{p+q=k} B^(p)(e_a) B^(q)(e_b),
+
+kept sparse (nonzero entries only; the matrices are almost all zero) and
+cached on the curve.  From it come
+  - validity, A^t(X) A^t(Y) = 0: P_k is empty (moduli.validity_check,
+    euclidean.validity_check_cubes);
+  - the curvature, R^(k)(e_a, e_b) = P_k[a, b] - P_k[b, a];
+  - rho^(k) = sum_{i,b} (X_i)_b P_k[i, b] over the omega-dual basis X_i;
+  - the left side of the Ricci-type identity for (e_a, e_b, e_c), column c
+    of 2(n+1) P_k[a, b];
+  - the flatness theorem's R = 0 and B^t(X) B^t(Y) = 0.
 """
 
 from __future__ import annotations
@@ -14,7 +29,7 @@ from itertools import product
 from .curvature import ConnectionCurve
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
 from .fourier import SymplecticData, TensorField
-from .linalg import commutator, is_zero_matrix, mat_add, mat_mul, mat_vec, zeros
+from .linalg import is_zero_matrix
 from .rationals import Fraction
 
 
@@ -62,7 +77,7 @@ def cube_scale(cube, s):
 class StructureMapCurve:
     """Per-order constant fully symmetric lowered cubes B-bar^(0..K)."""
 
-    __slots__ = ("sdata", "cap", "cubes", "_mats")
+    __slots__ = ("sdata", "cap", "cubes", "_mats", "_products")
 
     def __init__(self, sdata: SymplecticData, cap, cubes, validate=True):
         cubes = [_as_cube(sdata.dim, c) for c in cubes]
@@ -78,6 +93,7 @@ class StructureMapCurve:
         self.cap = cap
         self.cubes = cubes
         self._mats = None
+        self._products = None
 
     @classmethod
     def zero(cls, sdata, cap):
@@ -87,36 +103,70 @@ class StructureMapCurve:
     def dim(self):
         return self.sdata.dim
 
+    def _rows(self, k):
+        """Per basis direction a the nonzero rows {p: {b: entry}} of the
+        matrix of B^(k)(e_a): (B(e_a))^p_b = sum_c omega^{cp} cube[a][b][c]."""
+        dim = self.dim
+        hi = self.sdata.omega_hi
+        out = []
+        for plane in self.cubes[k]:
+            acc = {}
+            for b, line in enumerate(plane):
+                for c, v in enumerate(line):
+                    if v:
+                        for p in range(dim):
+                            if hi[c][p]:
+                                acc[(p, b)] = acc.get((p, b), 0) + hi[c][p] * v
+            rows = {}
+            for (p, b), v in acc.items():
+                if v:
+                    rows.setdefault(p, {})[b] = v
+            out.append(rows)
+        return out
+
     def matrices(self, k):
-        """Per basis direction a the matrix of B^(k)(e_a):
-        (B(e_a))^p_b = sum_c omega^{cp} cube[a][b][c]."""
+        """Per basis direction a the dense matrix of B^(k)(e_a)."""
         if self._mats is None:
             self._mats = [None] * (self.cap + 1)
         if self._mats[k] is None:
             dim = self.dim
-            hi = self.sdata.omega_hi
             mats = []
-            for a in range(dim):
+            for rows in self._rows(k):
                 m = [[Fraction(0)] * dim for _ in range(dim)]
-                for b in range(dim):
-                    for c in range(dim):
-                        v = self.cubes[k][a][b][c]
-                        if v:
-                            for p in range(dim):
-                                if hi[c][p]:
-                                    m[p][b] += hi[c][p] * v
-                mats.append(tuple(tuple(row) for row in m))
+                for p, row in rows.items():
+                    for b, v in row.items():
+                        m[p][b] = v
+                mats.append(tuple(tuple(line) for line in m))
             self._mats[k] = mats
         return self._mats[k]
 
-    def apply(self, k, x):
-        """Matrix of B^(k)(X) for a rational vector X."""
-        dim = self.dim
-        acc = zeros(dim)
-        for a, xa in enumerate(x):
-            if xa:
-                acc = mat_add(acc, tuple(tuple(xa * e for e in row) for row in self.matrices(k)[a]))
-        return acc
+    def products(self, k):
+        """The order-k product table P_k[a, b] = sum_{p+q=k} B^(p)(e_a) B^(q)(e_b).
+
+        Sparse: {(a, b): {(i, j): entry}} with nonzero entries only; a pair
+        whose sum vanishes has no key.  Built from the sparse rows of
+        B^(0..k)(e_a) and cached on the curve.
+        """
+        if self._products is None:
+            self._products = [None] * (self.cap + 1)
+        if self._products[k] is None:
+            rows = [self._rows(p) for p in range(k + 1)]
+            table = {}
+            for a, b in product(range(self.dim), repeat=2):
+                acc = {}
+                for p in range(k + 1):
+                    right = rows[k - p][b]
+                    if not right:
+                        continue
+                    for i, row in rows[p][a].items():
+                        for l, v in row.items():
+                            for j, w in right.get(l, {}).items():
+                                acc[(i, j)] = acc.get((i, j), 0) + v * w
+                acc = {ij: v for ij, v in acc.items() if v}
+                if acc:
+                    table[(a, b)] = acc
+            self._products[k] = table
+        return self._products[k]
 
     def is_zero(self):
         return all(cube_is_zero(c) for c in self.cubes)
@@ -152,82 +202,99 @@ def rank_one_cube(sdata: SymplecticData, v):
     )
 
 
+def _dense(dim, entries):
+    """The 2n x 2n matrix with the given sparse {(i, j): value} entries."""
+    m = [[Fraction(0)] * dim for _ in range(dim)]
+    for (i, j), v in entries.items():
+        m[i][j] += v
+    return tuple(tuple(row) for row in m)
+
+
 def invariant_curvature(B: StructureMapCurve):
-    """Per-order curvature endomorphisms R^(k)(e_a, e_b) as matrices,
-    keyed (a, b); the commutator sum over p + q = k."""
+    """Per-order curvature endomorphisms R^(k)(e_a, e_b) as matrices, keyed
+    (a, b): the commutator sum over p + q = k, which is P_k[a, b] - P_k[b, a]."""
     dim = B.dim
     out = []
     for k in range(B.cap + 1):
+        table = B.products(k)
         order = {}
-        for a in range(dim):
-            for b in range(dim):
-                acc = zeros(dim)
-                for p in range(k + 1):
-                    acc = mat_add(
-                        acc, commutator(B.matrices(p)[a], B.matrices(k - p)[b])
-                    )
-                order[(a, b)] = acc
+        for a, b in product(range(dim), repeat=2):
+            diff = dict(table.get((a, b), {}))
+            for ij, v in table.get((b, a), {}).items():
+                diff[ij] = diff.get(ij, 0) - v
+            order[(a, b)] = _dense(dim, diff)
         out.append(order)
     return out
 
 
-def rho_curve(B: StructureMapCurve, dual_pair=None):
+def rho_curve(B: StructureMapCurve):
     """rho^(k) = sum_{p+q=k} sum_i B^(p)(X^i) B^(q)(X_i) as matrices.
 
-    The default dual pair is X^i = e_i with X_i solved from
-    omega(X^i, X_j) = delta^i_j; the result is basis independent.
+    The dual pair is X^i = e_i with X_i solved from omega(X^i, X_j) =
+    delta^i_j (the result is basis independent), so rho^(k) is
+    sum_{i,b} (X_i)_b P_k[i, b].
     """
     dim = B.dim
-    if dual_pair is None:
-        upper = [tuple(Fraction(1) if p == i else Fraction(0) for p in range(dim)) for i in range(dim)]
-        lower = B.sdata.dual_basis()
-    else:
-        upper, lower = dual_pair
+    lower = B.sdata.dual_basis()
     out = []
     for k in range(B.cap + 1):
-        acc = zeros(dim)
-        for p in range(k + 1):
-            for i in range(dim):
-                acc = mat_add(acc, mat_mul(B.apply(p, upper[i]), B.apply(k - p, lower[i])))
-        out.append(acc)
+        acc = {}
+        for (i, b), entries in B.products(k).items():
+            x = lower[i][b]
+            if x:
+                for ij, v in entries.items():
+                    acc[ij] = acc.get(ij, 0) + x * v
+        out.append(_dense(dim, acc))
+    return out
+
+
+def _ricci_rhs(lo, rho):
+    """The four-term right-hand side of the Ricci-type identity for every
+    basis triple (X, Y, Z) = (e_a, e_b, e_c), sparse:
+    {(a, b, c): {i: value}} for
+    omega(X,Y) rho Z + omega(X, rho Y) Z + omega(X,Z) rho Y + omega(X, rho Z) Y.
+    """
+    dim = len(rho)
+    if is_zero_matrix(rho):
+        return {}
+    cols = [{i: rho[i][c] for i in range(dim) if rho[i][c]} for c in range(dim)]
+    # sigma[a][c] = omega(e_a, rho e_c)
+    sigma = [
+        [sum(lo[a][p] * rho[p][c] for p in range(dim)) for c in range(dim)]
+        for a in range(dim)
+    ]
+    out = {}
+    for a, b, c in product(range(dim), repeat=3):
+        vec = {}
+        for w, col in ((lo[a][b], cols[c]), (lo[a][c], cols[b])):
+            if w:
+                for i, v in col.items():
+                    vec[i] = vec.get(i, 0) + w * v
+        for w, i in ((sigma[a][b], c), (sigma[a][c], b)):
+            if w:
+                vec[i] = vec.get(i, 0) + w
+        vec = {i: v for i, v in vec.items() if v}
+        if vec:
+            out[(a, b, c)] = vec
     return out
 
 
 def invariant_ricci_type_check(B: StructureMapCurve):
     """(flag, witness) for the order-by-order constant Ricci-type identity:
     sum_{p+q=k} 2(n+1) B^(p)(X) B^(q)(Y) Z equals the four-term omega/rho
-    combination, over all basis triples."""
+    combination, over all basis triples.  The left side for (a, b, c) is
+    column c of 2(n+1) P_k[a, b]; the witness is the least failing triple."""
     sdata = B.sdata
-    dim, n = B.dim, sdata.n
-    lo = sdata.omega_lo
-    rho = rho_curve(B)
-    for k in range(B.cap + 1):
-        rho_k = rho[k]
-        for a in range(dim):
-            x = tuple(Fraction(1) if p == a else Fraction(0) for p in range(dim))
-            rho_x = mat_vec(rho_k, x)
-            for b in range(dim):
-                lhs_ab = zeros(dim)
-                for p in range(k + 1):
-                    lhs_ab = mat_add(
-                        lhs_ab, mat_mul(B.matrices(p)[a], B.matrices(k - p)[b])
-                    )
-                y = tuple(Fraction(1) if p == b else Fraction(0) for p in range(dim))
-                rho_y = mat_vec(rho_k, y)
-                for c in range(dim):
-                    z = tuple(Fraction(1) if p == c else Fraction(0) for p in range(dim))
-                    lhs = tuple(2 * (n + 1) * e for e in mat_vec(lhs_ab, z))
-                    rho_z = mat_vec(rho_k, z)
-                    w_xy = lo[a][b]
-                    w_xrhoy = sum(lo[a][p] * rho_y[p] for p in range(dim))
-                    w_xz = lo[a][c]
-                    w_xrhoz = sum(lo[a][p] * rho_z[p] for p in range(dim))
-                    rhs = tuple(
-                        w_xy * rho_z[i] + w_xrhoy * z[i] + w_xz * rho_y[i] + w_xrhoz * y[i]
-                        for i in range(dim)
-                    )
-                    if lhs != rhs:
-                        return False, {"order": k, "triple": (a, b, c)}
+    n = sdata.n
+    for k, rho_k in enumerate(rho_curve(B)):
+        lhs = {}
+        for (a, b), entries in B.products(k).items():
+            for (i, c), v in entries.items():
+                lhs.setdefault((a, b, c), {})[i] = 2 * (n + 1) * v
+        rhs = _ricci_rhs(sdata.omega_lo, rho_k)
+        bad = [t for t in lhs.keys() | rhs.keys() if lhs.get(t) != rhs.get(t)]
+        if bad:
+            return False, {"order": k, "triple": min(bad)}
     return True, None
 
 
@@ -242,24 +309,26 @@ def flatness_theorem_check(B: StructureMapCurve):
     if not ok:
         raise PreconditionError(f"input is not Ricci type: {witness}")
     dim = B.dim
+    tables = [B.products(k) for k in range(B.cap + 1)]
     report = {"curvature_zero": [], "bb_zero": []}
-    for k, order in enumerate(invariant_curvature(B)):
-        bad = [key for key, m in order.items() if not is_zero_matrix(m)]
+    for k, table in enumerate(tables):
+        # R^(k)(e_a, e_b) = P_k[a, b] - P_k[b, a]
+        bad = [
+            (a, b)
+            for a, b in product(range(dim), repeat=2)
+            if table.get((a, b)) != table.get((b, a))
+        ]
         report["curvature_zero"].append(not bad)
         if bad:
             raise InternalInconsistency(
                 f"invariant Ricci-type curve has nonzero curvature at order {k}, pair {bad[0]}"
             )
-    for k in range(B.cap + 1):
-        for a in range(dim):
-            for b in range(dim):
-                acc = zeros(dim)
-                for p in range(k + 1):
-                    acc = mat_add(acc, mat_mul(B.matrices(p)[a], B.matrices(k - p)[b]))
-                if not is_zero_matrix(acc):
-                    raise InternalInconsistency(
-                        f"B^t(X)B^t(Y) != 0 at order {k}, pair ({a}, {b})"
-                    )
+    for k, table in enumerate(tables):
+        if table:
+            a, b = min(table)
+            raise InternalInconsistency(
+                f"B^t(X)B^t(Y) != 0 at order {k}, pair ({a}, {b})"
+            )
         report["bb_zero"].append(True)
     report["ok"] = True
     return report

@@ -23,11 +23,6 @@ def identity(n):
     )
 
 
-def zeros(n, m=None):
-    m = n if m is None else m
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def transpose(a):
     return tuple(zip(*a))
 
@@ -43,14 +38,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 def mat_neg(a):
@@ -108,10 +95,6 @@ def rank(rows):
         if r == len(rows):
             break
     return r
-
-
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def all_indices(dim, rank_):

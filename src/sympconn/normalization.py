@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .curvature import (
     ConnectionCurve,
+    CurvatureBundle,
     curvature_bundle,
     curvature_curve,
     require_ricci_type,
@@ -104,10 +105,9 @@ def _grad3(u: FourierScalar, dim) -> TensorField:
     return TensorField(dim, 3, comp, symmetry_tag="fully_symmetric", _validated=True)
 
 
-def _assert_order_invariant(conn: ConnectionCurve, k):
+def _assert_order_invariant(bundle: CurvatureBundle, k):
     """The order-k Ricci data (r, u, b) of a Ricci-type curve whose lower
     orders are invariant must itself be invariant; a violation is a bug."""
-    bundle = curvature_bundle(conn)
     for label, curve in (("r", bundle.r), ("u", bundle.u), ("b", bundle.b)):
         if not curve[k].is_constant():
             raise InternalInconsistency(
@@ -127,8 +127,9 @@ def recurrence_step(conn: ConnectionCurve, k):
     for p in range(1, k):
         if not conn.abar[p].is_constant():
             raise PreconditionError(f"order {p} must already be invariant")
-    require_ricci_type(conn)
-    _assert_order_invariant(conn, k)
+    bundle = curvature_bundle(conn)
+    require_ricci_type(conn, bundle)
+    _assert_order_invariant(bundle, k)
     split = potential_split(conn.abar[k])
     f_k = -split.potential
     if f_k.is_zero():

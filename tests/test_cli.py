@@ -124,6 +124,20 @@ def test_equiv_verdicts(tmp_path, capsys):
                                           for i in range(4)]
 
 
+@pytest.mark.parametrize("bound, message", [
+    ("-1", "word search bound must be >= 0"),
+    ("1000000000", "exceeds the ceiling of 10000 words"),
+])
+def test_equiv_rejects_bad_bound_exit_2(tmp_path, capsys, bound, message):
+    a = rank_one_ladder(SD, 2, seed=5)
+    pa = tmp_path / "a.json"
+    dump_path(a, pa)
+    code, out, err = run(capsys, "equiv", str(pa), str(pa), "--bound", bound)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_equiv_distinct_exit_1(tmp_path, capsys):
     from fractions import Fraction
 

@@ -14,8 +14,10 @@ from sympconn.invariant import (
     invariant_curvature,
     invariant_ricci_type_check,
     rank_one_cube,
+    rho_curve,
     zero_cube,
 )
+from sympconn.euclidean import validity_check_cubes
 from sympconn.linalg import mat_mul
 from sympconn.moduli import validity_check
 
@@ -97,3 +99,124 @@ def test_embed_round_trip():
     ok, _, _ = is_ricci_type(conn)
     assert ok
     assert from_connection_curve(conn) == curve
+
+
+def invalid_ladder(sd, i):
+    """Rank-one cubes on e_i at orders 1 and 3 and on e_{n+i} at order 2:
+    omega(e_i, e_{n+i}) = 1, so the cross term B1 B2 + B2 B1 is nonzero and
+    validity first fails at order 3."""
+    dim, n = sd.dim, sd.n
+    cubes = [zero_cube(dim)] + [
+        rank_one_cube(sd, e_vec(dim, j)) for j in (i, n + i, i)
+    ]
+    return StructureMapCurve(sd, 3, cubes)
+
+
+def random_symmetric_ladder(sd, cap, seed):
+    """Fully symmetric cubes with random rational entries: no nilpotency,
+    so the product table has entries at every order, some cancelling."""
+    import random
+
+    rng = random.Random(seed)
+    dim = sd.dim
+    cubes = [zero_cube(dim)]
+    for _ in range(cap):
+        cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        for a in range(dim):
+            for b in range(a, dim):
+                for c in range(b, dim):
+                    if rng.random() < 0.3:
+                        v = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                        for x, y, z in {(a, b, c), (a, c, b), (b, a, c),
+                                        (b, c, a), (c, a, b), (c, b, a)}:
+                            cube[x][y][z] = v
+        cubes.append(cube)
+    return StructureMapCurve(sd, cap, cubes)
+
+
+def dense_products(curve, k):
+    """Reference definition of the product table: the dense matrices
+    sum_{p+q=k} B^(p)(e_a) B^(q)(e_b), keyed (a, b)."""
+    dim = curve.dim
+    out = {}
+    for a in range(dim):
+        for b in range(dim):
+            acc = [[Fraction(0)] * dim for _ in range(dim)]
+            for p in range(k + 1):
+                m = mat_mul(curve.matrices(p)[a], curve.matrices(k - p)[b])
+                for i in range(dim):
+                    for j in range(dim):
+                        acc[i][j] += m[i][j]
+            out[(a, b)] = acc
+    return out
+
+
+def product_table_cases():
+    for dim in (4, 6, 8):
+        sd = SymplecticData.standard(dim)
+        yield f"rank_one.{dim}", rank_one_ladder(sd, 3, seed=dim)
+        yield f"sum.{dim}", validated_sum_ladder(sd, 3, seed=dim)
+        yield f"invalid.{dim}", invalid_ladder(sd, sd.n - 1)
+    yield "random.4", random_symmetric_ladder(SymplecticData.standard(4), 3, seed=1)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in product_table_cases()])
+def test_product_table_matches_dense_definition(label):
+    curve = dict(product_table_cases())[label]
+    for k in range(curve.cap + 1):
+        table = curve.products(k)
+        dense = dense_products(curve, k)
+        want = {}
+        for key, m in dense.items():
+            entries = {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+            if entries:
+                want[key] = entries
+        assert table == want, (label, k)
+        assert all(entries for entries in table.values())
+        assert curve.products(k) is table  # cached
+    if label.startswith("invalid"):
+        assert curve.products(3) and not curve.products(2)
+
+
+# Witnesses as the dense implementation reported them, per dimension, for
+# invalid_ladder(sd, n - 1): (validity pair, Ricci-type triple).
+INVALID_WITNESSES = {
+    4: ((1, 3), (0, 1, 2)),
+    6: ((2, 5), (0, 2, 3)),
+    8: ((3, 7), (0, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(INVALID_WITNESSES))
+def test_invalid_ladder_witnesses_are_pinned(dim):
+    sd = SymplecticData.standard(dim)
+    curve = invalid_ladder(sd, sd.n - 1)
+    pair, triple = INVALID_WITNESSES[dim]
+    assert validity_check(curve) == (
+        False, {"identity": "A(X)A(Y) = 0", "order": 3, "pair": pair}
+    )
+    assert invariant_ricci_type_check(curve) == (False, {"order": 3, "triple": triple})
+    with pytest.raises(PreconditionError) as exc:
+        validity_check_cubes(curve)
+    assert str(exc.value) == f"A^t(X) A^t(Y) != 0 at order 3, pair {pair}"
+    with pytest.raises(PreconditionError) as exc:
+        flatness_theorem_check(curve)
+    assert str(exc.value) == (
+        f"input is not Ricci type: {{'order': 3, 'triple': {triple}}}"
+    )
+
+
+def test_random_ladder_witnesses_are_pinned():
+    """A non-nilpotent ladder fails at order 2 with rho^(2) nonzero, so the
+    Ricci-type check compares against a nonzero right-hand side; the
+    witnesses are those the dense implementation reported."""
+    curve = random_symmetric_ladder(SymplecticData.standard(4), 3, seed=1)
+    assert [any(any(row) for row in m) for m in rho_curve(curve)] == [
+        False, False, True, False
+    ]
+    assert validity_check(curve) == (
+        False, {"identity": "A(X)A(Y) = 0", "order": 2, "pair": (0, 0)}
+    )
+    assert invariant_ricci_type_check(curve) == (
+        False, {"order": 2, "triple": (0, 0, 0)}
+    )

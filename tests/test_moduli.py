@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from sympconn.errors import PreconditionError
+from sympconn import moduli
+from sympconn.errors import ConfigurationError, PreconditionError
 from sympconn.fourier import SymplecticData
 from sympconn.generate import rank_one_ladder, validated_sum_ladder
 from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
@@ -79,7 +80,7 @@ def test_plant_and_recover():
     assert sp_action(verdict.witness, a) == sp_action(planted, a)
 
 
-def test_rank_distinct_pair():
+def rank_distinct_pair():
     def e_vec(i):
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(4))
 
@@ -90,6 +91,11 @@ def test_rank_distinct_pair():
         for a in range(4)
     ]
     two = StructureMapCurve(SD, 1, [zero_cube(4), two_cube])
+    return one, two
+
+
+def test_rank_distinct_pair():
+    one, two = rank_distinct_pair()
     verdict = equivalence_semidecide(ModuliClassQuery(one, two, 2))
     assert verdict.kind == "distinct"
     assert verdict.separating["order"] == 1
@@ -131,3 +137,45 @@ def test_invalid_curve_rejected():
 def test_descend_check():
     conn = descend_check(validated_sum_ladder(SD, 2, seed=11))
     assert conn.is_invariant()
+
+
+def _must_not_run(*args):
+    raise AssertionError("the word search ran although it must not")
+
+
+def test_negative_bound_rejected(monkeypatch):
+    monkeypatch.setattr(moduli, "sp_action", _must_not_run)
+    a = rank_one_ladder(SD, 2, seed=4)
+    with pytest.raises(ConfigurationError, match=">= 0, got -1"):
+        equivalence_semidecide(ModuliClassQuery(a, a, -1))
+
+
+def test_huge_bound_hits_word_ceiling_before_any_action(monkeypatch):
+    """10**9 would mean ~12**(10**9) words; the breadth-first enumeration
+    stops once it holds MAX_SEARCH_WORDS matrices (during length 5 at dim
+    4) and no curve is moved."""
+    monkeypatch.setattr(moduli, "sp_action", _must_not_run)
+    a = rank_one_ladder(SD, 2, seed=4)
+    with pytest.raises(ConfigurationError) as exc:
+        equivalence_semidecide(ModuliClassQuery(a, a, 10**9))
+    assert str(exc.value) == (
+        f"word search bound {10**9} exceeds the ceiling of "
+        f"{moduli.MAX_SEARCH_WORDS} words (reached at word length 5)"
+    )
+
+
+def test_word_ceiling_is_checked_while_enumerating(monkeypatch):
+    gens = sp_generators(SD)
+    assert len(moduli._words_up_to(gens, 4, 3)) == 756 < moduli.MAX_SEARCH_WORDS
+    monkeypatch.setattr(moduli, "MAX_SEARCH_WORDS", 100)
+    assert len(moduli._words_up_to(gens, 4, 1)) == 13
+    with pytest.raises(ConfigurationError, match="ceiling of 100 words .*length 2"):
+        moduli._words_up_to(gens, 4, 3)
+
+
+def test_huge_bound_keeps_the_distinct_verdict(monkeypatch):
+    """Cheap invariants decide before any word is enumerated."""
+    monkeypatch.setattr(moduli, "_words_up_to", _must_not_run)
+    one, two = rank_distinct_pair()
+    verdict = equivalence_semidecide(ModuliClassQuery(one, two, 10**9))
+    assert verdict.kind == "distinct"
