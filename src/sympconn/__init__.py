@@ -6,5 +6,3 @@ deformation parameter.
 """
 
 __version__ = "0.1.0"
-
-from ._kernel import BACKEND as KERNEL_BACKEND  # noqa: F401

@@ -1,24 +1,1 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
-
-Set SYMPCONN_PURE=1 to force the pure backend (used by the benchmark and to
-cross-check the two implementations).
-"""
-
-import os
-
-if os.environ.get("SYMPCONN_PURE"):
-    from .pure import (  # noqa: F401
-        dict_add, dict_neg, dict_scale, dict_convolve, dict_derivative, dict_shift,
-    )
-    BACKEND = "pure"
-else:
-    try:
-        from ._fast import (  # noqa: F401
-            dict_add, dict_neg, dict_scale, dict_convolve, dict_derivative, dict_shift,
-        )
-        BACKEND = "cython"
-    except ImportError:
-        from .pure import (  # noqa: F401
-            dict_add, dict_neg, dict_scale, dict_convolve, dict_derivative, dict_shift,
-        )
-        BACKEND = "pure"
+"""Sparse mode-dictionary kernels behind `fourier.FourierScalar` (see `pure`)."""

@@ -1,9 +1,8 @@
-"""Pure-Python reference kernels for sparse Fourier coefficient maps.
+"""Pure-Python kernels for sparse Fourier coefficient maps.
 
 A coefficient map is a dict from mode tuples (length 2n, ints) to nonzero
 GaussianRationals.  These loops dominate the runtime of every tensor
-operation; the compiled twin in ``_fast.pyx`` implements the identical
-contract and must produce identical dicts.
+operation.
 """
 
 from ..rationals import GaussianRational

@@ -47,7 +47,7 @@ class _Acc:
 class ConnectionCurve:
     """Flat base plus a truncated series of symmetric 3-tensor differences."""
 
-    __slots__ = ("sdata", "cap", "abar", "_mixed")
+    __slots__ = ("sdata", "cap", "abar", "_mixed", "_curvature")
 
     def __init__(self, sdata: SymplecticData, cap, abar, validate=True):
         abar = list(abar)
@@ -72,6 +72,7 @@ class ConnectionCurve:
         self.cap = cap
         self.abar = abar
         self._mixed = None
+        self._curvature = None
 
     @classmethod
     def flat(cls, sdata, cap):
@@ -89,6 +90,13 @@ class ConnectionCurve:
         if self._mixed is None:
             self._mixed = [raise_last(t, self.sdata) for t in self.abar]
         return self._mixed
+
+    @property
+    def curvature(self):
+        """The lowered curvature curve, `curvature_curve` computed once."""
+        if self._curvature is None:
+            self._curvature = curvature_curve(self)
+        return self._curvature
 
     def abar_curve(self):
         return TensorFieldCurve(self.cap, self.abar)
@@ -265,7 +273,7 @@ def ricci_type_verdict(w: TensorFieldCurve):
 
 def is_ricci_type(conn: ConnectionCurve):
     """(flag, first failing order or None, nonzero witness or None)."""
-    r4 = curvature_curve(conn)
+    r4 = conn.curvature
     r2 = ricci_curve(conn)
     _, w = ew_split(r4, r2, conn.sdata)
     return ricci_type_verdict(w)
@@ -276,7 +284,7 @@ def bianchi_check(conn: ConnectionCurve):
 
     Returns {"first": [bool per order], "second": [...], "ok": bool}.
     """
-    r4 = curvature_curve(conn)
+    r4 = conn.curvature
     first = []
     for t in r4.orders:
         acc = _Acc()
@@ -487,7 +495,7 @@ class CurvatureBundle:
 
 def curvature_bundle(conn: ConnectionCurve) -> CurvatureBundle:
     """Compute R, r, E, W; u and b too when the curve is of Ricci type."""
-    r4 = curvature_curve(conn)
+    r4 = conn.curvature
     r2 = ricci_curve(conn)
     e, w = ew_split(r4, r2, conn.sdata)
     if w.is_zero():

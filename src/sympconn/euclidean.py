@@ -9,7 +9,9 @@ flows are exact polynomial objects.
 Formal symplectomorphism curves of R^{2n} are represented as in the torus
 module: an affine part sigma(x) = C x + d (C rational symplectic here, not
 necessarily integral) composed with exp of a generator ladder, acting on
-polynomials as operators.
+polynomials as operators.  The exponentials, brackets and normal ordering
+are the truncated Lie-series calculus of `series`, applied to
+`PolyVectorField`, whose test functions are the coordinates x^a.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
 from .invariant import StructureMapCurve, cube_is_symmetric
 from .linalg import is_zero_matrix, mat_mul
 from .rationals import Fraction
+from .series import VectorField, exp_ad, exp_apply, lie_action, merge_exponentials
 
 
 class Poly:
@@ -128,6 +131,10 @@ class Poly:
     def is_constant(self):
         return all(not any(e) for e in self.coeffs)
 
+    def is_real(self):
+        """Always true: the coefficients are rational."""
+        return True
+
     def constant_part(self):
         return self.coeffs.get((0,) * self.dim, Fraction(0))
 
@@ -176,76 +183,24 @@ class PolyMap:
         return f"PolyMap(dim={self.dim}, deg={max(c.degree() for c in self.comps)})"
 
 
-class PolyVectorField:
-    """Polynomial vector field; acts on Poly as a derivation."""
+class PolyVectorField(VectorField):
+    """Polynomial vector field; acts on Poly as a derivation.
 
-    __slots__ = ("dim", "comps")
+    Its test functions are the coordinates x^a, which generate the
+    polynomial algebra; a field Z maps x^a to Z^a.
+    """
 
-    def __init__(self, comps):
-        comps = tuple(comps)
-        dim = comps[0].dim
-        if len(comps) != dim or any(c.dim != dim for c in comps):
-            raise ConfigurationError("field needs one component per coordinate")
-        self.dim = dim
-        self.comps = comps
+    __slots__ = ()
 
-    @classmethod
-    def zero(cls, dim):
-        z = Poly.zero(dim)
-        return cls([z] * dim)
+    scalar = Poly
 
-    @classmethod
-    def constant(cls, dim, vector):
-        return cls([Poly.constant(dim, v) for v in vector])
+    @staticmethod
+    def test_function(dim, a):
+        return Poly.variable(dim, a)
 
-    def __add__(self, other):
-        return PolyVectorField([a + b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return PolyVectorField([-c for c in self.comps])
-
-    def scale(self, s):
-        return PolyVectorField([c.scale(s) for c in self.comps])
-
-    def apply(self, p: Poly) -> Poly:
-        out = Poly.zero(self.dim)
-        for a, xa in enumerate(self.comps):
-            if not xa.is_zero():
-                out = out + xa * p.derivative(a)
-        return out
-
-    def bracket(self, other):
-        return PolyVectorField(
-            [self.apply(yc) - other.apply(xc) for xc, yc in zip(self.comps, other.comps)]
-        )
-
-    def is_symplectic(self, sdata):
-        """d(i(X)omega) = 0 with the constant form omega."""
-        dim = self.dim
-        lo = sdata.omega_lo
-        alpha = []
-        for b in range(dim):
-            ab = Poly.zero(dim)
-            for a in range(dim):
-                if lo[a][b]:
-                    ab = ab + self.comps[a].scale(lo[a][b])
-            alpha.append(ab)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                if not (alpha[b].derivative(a) - alpha[a].derivative(b)).is_zero():
-                    return False
-        return True
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.comps)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyVectorField):
-            return NotImplemented
-        return self.comps == other.comps
-
-    def __repr__(self):
-        return f"PolyVectorField(dim={self.dim})"
+    @staticmethod
+    def component_from_mismatch(dim, a, diff):
+        return diff
 
 
 # -- the closed-form symplectomorphism psi^A ------------------------------------
@@ -374,7 +329,7 @@ def psi_A_connection_check(sdata, cube):
             eb = PolyVectorField.constant(dim, [1 if i == b else 0 for i in range(dim)])
             yb = pushforward(bwd, fwd, eb)
             # nabla^0_{X} Y = directional derivative
-            deriv = PolyVectorField([xa.apply(c) for c in yb.comps])
+            deriv = xa.derive(yb)
             moved = pushforward(fwd, bwd, deriv)
             want = PolyVectorField.constant(dim, [mats[a][p][b] for p in range(dim)])
             if moved != want:
@@ -427,65 +382,12 @@ def validity_check_cubes(b_curve: StructureMapCurve):
             )
 
 
-# -- operator calculus on polynomial curves --------------------------------------
-
-
-def _poly_field_on_curve(gens, fcurve, cap):
-    dim = fcurve[0].dim
-    out = []
-    for k in range(cap + 1):
-        acc = Poly.zero(dim)
-        for s in range(1, k + 1):
-            if not gens[s].is_zero() and not fcurve[k - s].is_zero():
-                acc = acc + gens[s].apply(fcurve[k - s])
-        out.append(acc)
-    return out
-
-
-def exp_apply_poly(gens, fcurve, cap):
-    out = list(fcurve)
-    term = list(fcurve)
-    for j in range(1, cap + 1):
-        term = _poly_field_on_curve(gens, term, cap)
-        term = [g.scale(Fraction(1, j)) for g in term]
-        if all(g.is_zero() for g in term):
-            break
-        out = [a + b for a, b in zip(out, term)]
-    return out
-
-
-def _poly_ad_on_curve(gens, ycurve, cap):
-    dim = ycurve[0].dim
-    out = []
-    for k in range(cap + 1):
-        acc = PolyVectorField.zero(dim)
-        for s in range(1, k + 1):
-            if not gens[s].is_zero() and not ycurve[k - s].is_zero():
-                acc = acc + gens[s].bracket(ycurve[k - s])
-        out.append(acc)
-    return out
-
-
-def exp_ad_poly(gens, ycurve, cap):
-    out = list(ycurve)
-    term = list(ycurve)
-    for j in range(1, cap + 1):
-        term = _poly_ad_on_curve(gens, term, cap)
-        term = [g.scale(Fraction(1, j)) for g in term]
-        if all(g.is_zero() for g in term):
-            break
-        out = [a + b for a, b in zip(out, term)]
-    return out
-
-
 def flow_coordinate_maps(gens, cap):
     """The formal flow as a curve of PolyMaps: order-k coefficient of
     exp(X_t) applied to the coordinate functions."""
     dim = gens[0].dim
     curves = [
-        exp_apply_poly(
-            gens, [Poly.variable(dim, p)] + [Poly.zero(dim)] * cap, cap
-        )
+        exp_apply(gens, [Poly.variable(dim, p)] + [Poly.zero(dim)] * cap)
         for p in range(dim)
     ]
     return [PolyMap([curves[p][k] for p in range(dim)]) for k in range(cap + 1)]
@@ -505,7 +407,7 @@ def act_on_poly_connection(gens, cap, sdata, gamma):
     back = []
     for a in range(dim):
         e = PolyVectorField.constant(dim, [1 if i == a else 0 for i in range(dim)])
-        back.append(exp_ad_poly(gens, [e] + [zero] * cap, cap))
+        back.append(exp_ad(gens, [e] + [zero] * cap))
     out = [dict() for _ in range(cap + 1)]
     for a in range(dim):
         xa = back[a]
@@ -516,9 +418,7 @@ def act_on_poly_connection(gens, cap, sdata, gamma):
                 acc = PolyVectorField.zero(dim)
                 for s in range(k + 1):
                     if not xa[s].is_zero():
-                        acc = acc + PolyVectorField(
-                            [xa[s].apply(c) for c in yb[k - s].comps]
-                        )
+                        acc = acc + xa[s].derive(yb[k - s])
                 for s in range(1, k + 1):
                     gam = gamma[s]
                     if not gam:
@@ -534,7 +434,7 @@ def act_on_poly_connection(gens, cap, sdata, gamma):
                                     [gc * w for gc in gpq.comps]
                                 )
                 deriv.append(acc)
-            forward = exp_ad_poly(neg, deriv, cap)
+            forward = exp_ad(neg, deriv)
             for k in range(cap + 1):
                 if not forward[k].is_zero():
                     out[k][(a, b)] = forward[k]
@@ -563,40 +463,13 @@ def psi_At_connection_check(b_curve: StructureMapCurve):
     zero = PolyVectorField.zero(dim)
     for a in range(dim):
         e = PolyVectorField.constant(dim, [1 if i == a else 0 for i in range(dim)])
-        once = _poly_ad_on_curve(gens, [e] + [zero] * cap, cap)
-        twice = _poly_ad_on_curve(gens, once, cap)
+        once = lie_action(VectorField.bracket, gens, [e] + [zero] * cap)
+        twice = lie_action(VectorField.bracket, gens, once)
         if not all(f.is_zero() for f in twice):
             raise InternalInconsistency("(ad X_{A^t})^2 != 0 on a constant field")
     acted = act_on_poly_connection(gens, cap, sdata, [dict() for _ in range(cap + 1)])
     want = invariant_gamma(b_curve)
     return acted == want
-
-
-def merge_poly_exponentials(sdata, cap, gens_a, gens_b):
-    """Z with exp(Z) = exp(A) exp(B), extracted on coordinate functions:
-    the order-k mismatch on x^a is exactly Z^(k)a."""
-    dim = sdata.dim
-    tests = [
-        [Poly.variable(dim, a)] + [Poly.zero(dim)] * cap for a in range(dim)
-    ]
-    targets = [
-        exp_apply_poly(gens_a, exp_apply_poly(gens_b, f, cap), cap) for f in tests
-    ]
-    z = [PolyVectorField.zero(dim) for _ in range(cap + 1)]
-    for k in range(1, cap + 1):
-        comps = []
-        for a in range(dim):
-            cur = exp_apply_poly(z, tests[a], cap)
-            comps.append(targets[a][k] - cur[k])
-        z[k] = PolyVectorField(comps)
-        if not z[k].is_symplectic(sdata):
-            raise InternalInconsistency(
-                f"merged polynomial generator at order {k} is not symplectic"
-            )
-    for f, target in zip(tests, targets):
-        if exp_apply_poly(z, f, cap) != target:
-            raise InternalInconsistency("polynomial normal ordering failed")
-    return z
 
 
 def equivalence_Rn(a_curve: StructureMapCurve, b_curve: StructureMapCurve):
@@ -613,7 +486,7 @@ def equivalence_Rn(a_curve: StructureMapCurve, b_curve: StructureMapCurve):
     neg_a = [-g for g in gens_a]
     # Pullbacks compose contravariantly: the map psi_{B^t} o psi_{-A^t} has
     # pullback exp(-X_{A^t}) exp(X_{B^t}), which is what gets merged.
-    merged = merge_poly_exponentials(sdata, cap, neg_a, gens_b)
+    merged = merge_exponentials(sdata, neg_a, gens_b)
     acted = act_on_poly_connection(merged, cap, sdata, invariant_gamma(a_curve))
     if acted != invariant_gamma(b_curve):
         raise InternalInconsistency(

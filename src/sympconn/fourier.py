@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from math import factorial
 
-from . import _kernel as K
+from ._kernel import pure as K
 from .errors import ConfigurationError, InputError
 from .linalg import identity, inverse, is_zero_matrix, mat_mul, mat_neg, matrix, transpose
 from .rationals import Fraction, GaussianRational, GR_ONE
@@ -122,17 +122,22 @@ class FourierScalar:
 
     @classmethod
     def cosine(cls, dim, mode, amplitude=1):
-        """amplitude * cos(m.x)."""
-        a = Fraction(amplitude) / 2
+        """amplitude * cos(m.x); the zero mode gives the constant amplitude."""
         mode = tuple(mode)
+        if not any(mode):
+            return cls.constant(dim, Fraction(amplitude))
+        a = Fraction(amplitude) / 2
         neg = tuple(-x for x in mode)
         return cls(dim, {mode: GaussianRational(a), neg: GaussianRational(a)})
 
     @classmethod
     def sine(cls, dim, mode, amplitude=1):
-        """amplitude * sin(m.x) = amplitude (e^{imx} - e^{-imx}) / 2i."""
-        a = Fraction(amplitude) / 2
+        """amplitude * sin(m.x) = amplitude (e^{imx} - e^{-imx}) / 2i; the
+        zero mode gives 0."""
         mode = tuple(mode)
+        if not any(mode):
+            return cls.zero(dim)
+        a = Fraction(amplitude) / 2
         neg = tuple(-x for x in mode)
         return cls(dim, {mode: GaussianRational(0, -a), neg: GaussianRational(0, a)})
 

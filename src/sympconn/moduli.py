@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .curvature import ConnectionCurve, curvature_curve, require_ricci_type
+from .curvature import ConnectionCurve, require_ricci_type
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
 from .fourier import SymplecticData
 from .invariant import StructureMapCurve, embed_invariant
@@ -270,6 +270,6 @@ def descend_check(b_curve: StructureMapCurve) -> ConnectionCurve:
     require_valid(b_curve)
     conn = embed_invariant(b_curve)
     require_ricci_type(conn)
-    if not all(t.is_zero() for t in curvature_curve(conn).orders):
+    if not all(t.is_zero() for t in conn.curvature.orders):
         raise InternalInconsistency("valid structure map embeds to a curved curve")
     return conn

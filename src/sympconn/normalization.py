@@ -16,7 +16,6 @@ from .curvature import (
     ConnectionCurve,
     CurvatureBundle,
     curvature_bundle,
-    curvature_curve,
     require_ricci_type,
 )
 from .errors import InternalInconsistency, NotExactCube, PreconditionError
@@ -192,7 +191,7 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     flatness_theorem_check(flat)
     if act_on_connection(witness, conn) != embed_invariant(flat):
         raise InternalInconsistency("witness does not conjugate the input to the flat curve")
-    if not all(t.is_zero() for t in curvature_curve(conn).orders):
+    if not all(t.is_zero() for t in conn.curvature.orders):
         raise InternalInconsistency(
             "input of a successful normalization must itself be flat"
         )

@@ -1,110 +1,201 @@
-"""Truncated formal power series in the deformation parameter t.
+"""Vector fields and the truncated Lie-series calculus in the parameter t.
 
-Coefficients may be any objects supporting +, -, and (for products) *.
-Every binary operation checks that both operands carry the same cap; there
-is no implicit re-capping.
+One construction serves both function algebras of the package: trigonometric
+polynomials on the torus (`symplecto.FourierVectorField`) and polynomials on
+R^(2n) (`euclidean.PolyVectorField`).  A field type names its scalar type and
+supplies two coordinate hooks; everything else lives here.
+
+Curves are plain lists of length cap + 1 indexed by t-order.  A generator
+ladder gens[0..cap] always has gens[0] = 0, so every exponential below is an
+exact finite sum: the j-th power of X_t has valuation >= j and vanishes past
+the cap.
 """
 
 from __future__ import annotations
 
-from math import factorial
-
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, InternalInconsistency
 from .rationals import Fraction
 
 
-class TruncatedSeries:
-    """c0 + c1 t + ... + cK t^K with all arithmetic truncated at t^K."""
+class VectorField:
+    """Contravariant vector field whose components are `scalar` objects.
 
-    __slots__ = ("cap", "coeffs")
+    A subclass sets `scalar` (with `zero`, `constant`, `derivative`, `+`,
+    `*`, `scale`, `is_zero`, `is_real` and `is_constant`) and the two
+    coordinate hooks `merge_exponentials` solves with:
 
-    def __init__(self, cap, coeffs):
-        if cap < 0:
-            raise ConfigurationError("order cap must be >= 0")
-        coeffs = list(coeffs)
-        if len(coeffs) != cap + 1:
-            raise ConfigurationError(
-                f"need {cap + 1} coefficients for cap {cap}, got {len(coeffs)}"
-            )
-        self.cap = cap
-        self.coeffs = coeffs
+    - `test_function(dim, a)`: a scalar f_a; the f_a generate the function
+      algebra, so two truncated automorphisms equal on every f_a are equal;
+    - `component_from_mismatch(dim, a, diff)`: Z^a from diff = Z(f_a).
+    """
+
+    __slots__ = ("dim", "comps")
+
+    scalar = None
+
+    def __init__(self, comps):
+        comps = tuple(comps)
+        if not comps:
+            raise ConfigurationError("vector field needs at least one component")
+        dim = comps[0].dim
+        if len(comps) != dim or any(c.dim != dim for c in comps):
+            raise ConfigurationError("vector field needs one component per coordinate")
+        self.dim = dim
+        self.comps = comps
 
     @classmethod
-    def constant(cls, cap, value, zero):
-        return cls(cap, [value] + [zero] * cap)
+    def zero(cls, dim):
+        z = cls.scalar.zero(dim)
+        return cls([z] * dim)
 
-    def _check(self, other):
-        if self.cap != other.cap:
-            raise ConfigurationError(
-                f"series cap mismatch: {self.cap} vs {other.cap}"
-            )
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
+    @classmethod
+    def constant(cls, dim, vector):
+        return cls([cls.scalar.constant(dim, Fraction(v)) for v in vector])
 
     def __add__(self, other):
-        self._check(other)
-        return TruncatedSeries(
-            self.cap, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        if self.dim != other.dim:
+            raise ConfigurationError("vector field dim mismatch")
+        return type(self)([a + b for a, b in zip(self.comps, other.comps)])
 
     def __sub__(self, other):
-        self._check(other)
-        return TruncatedSeries(
-            self.cap, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self + (-other)
 
     def __neg__(self):
-        return TruncatedSeries(self.cap, [-a for a in self.coeffs])
+        return type(self)([-c for c in self.comps])
 
-    def __mul__(self, other):
-        """Cauchy product, truncated at the cap."""
-        self._check(other)
-        out = []
-        for k in range(self.cap + 1):
-            acc = None
-            for p in range(k + 1):
-                term = self.coeffs[p] * other.coeffs[k - p]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return TruncatedSeries(self.cap, out)
+    def scale(self, s):
+        return type(self)([c.scale(s) for c in self.comps])
+
+    def apply(self, f):
+        """The derivation X(f) = sum_a X^a df/dx^a."""
+        out = self.scalar.zero(self.dim)
+        for a, xa in enumerate(self.comps):
+            if not xa.is_zero():
+                out = out + xa * f.derivative(a)
+        return out
+
+    def derive(self, other):
+        """The flat derivative of a field, (X(Y^c))_c."""
+        return type(self)([self.apply(c) for c in other.comps])
+
+    def bracket(self, other):
+        """[X, Y]^c = X(Y^c) - Y(X^c)."""
+        return self.derive(other) - other.derive(self)
+
+    def is_symplectic(self, sdata):
+        """d(i(X)omega) = 0 for the constant form omega."""
+        dim = self.dim
+        lo = sdata.omega_lo
+        alpha = []
+        for b in range(dim):
+            ab = self.scalar.zero(dim)
+            for a in range(dim):
+                if lo[a][b]:
+                    ab = ab + self.comps[a].scale(lo[a][b])
+            alpha.append(ab)
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                if not (alpha[b].derivative(a) - alpha[a].derivative(b)).is_zero():
+                    return False
+        return True
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.comps)
+
+    def is_real(self):
+        return all(c.is_real() for c in self.comps)
+
+    def is_constant(self):
+        return all(c.is_constant() for c in self.comps)
 
     def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.cap == other.cap and self.coeffs == other.coeffs
+        return self.comps == other.comps
 
     def __hash__(self):
-        return hash((self.cap, tuple(self.coeffs)))
+        return hash(self.comps)
 
     def __repr__(self):
-        return f"TruncatedSeries(cap={self.cap}, {self.coeffs!r})"
-
-    def restrict(self, new_cap):
-        """Forget orders above new_cap (explicit; never done implicitly)."""
-        if new_cap > self.cap:
-            raise ConfigurationError("cannot extend a truncated series")
-        return TruncatedSeries(new_cap, self.coeffs[: new_cap + 1])
-
-    def shift(self, k, zero):
-        """Multiply by t^k, truncating at the cap."""
-        return TruncatedSeries(
-            self.cap, ([zero] * k + self.coeffs)[: self.cap + 1]
-        )
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
-def series_exp(x: TruncatedSeries, one, zero, is_zero=lambda c: not c):
-    """exp of a series with no constant term: sum_{j<=K} x^j / j!.
+# -- truncated exponentials -----------------------------------------------------
 
-    Requires a commutative-enough coefficient algebra with unit `one`.
-    The sum is finite because x has t-valuation >= 1.
-    """
-    if not is_zero(x.coeffs[0]):
-        raise PreconditionError("series_exp requires zero constant term")
-    acc = TruncatedSeries.constant(x.cap, one, zero)
-    power = acc
-    for j in range(1, x.cap + 1):
-        power = power * x
-        inv = Fraction(1, factorial(j))
-        acc = acc + TruncatedSeries(x.cap, [c * inv for c in power.coeffs])
-    return acc
+
+def lie_action(op, gens, curve):
+    """X_t acting on a curve per order: sum_{s=1..k} op(X^(s), Y^(k-s))."""
+    zero = type(curve[0]).zero(curve[0].dim)
+    out = []
+    for k in range(len(curve)):
+        acc = zero
+        for s in range(1, k + 1):
+            if not gens[s].is_zero() and not curve[k - s].is_zero():
+                acc = acc + op(gens[s], curve[k - s])
+        out.append(acc)
+    return out
+
+
+def _truncated_exp(op, gens, curve):
+    out = list(curve)
+    term = list(curve)
+    for j in range(1, len(curve)):
+        term = [g.scale(Fraction(1, j)) for g in lie_action(op, gens, term)]
+        if all(g.is_zero() for g in term):
+            break
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
+def exp_apply(gens, fcurve):
+    """exp(X_t) applied to a scalar curve."""
+    return _truncated_exp(VectorField.apply, gens, fcurve)
+
+
+def exp_ad(gens, ycurve):
+    """exp(ad X_t) Y for a vector-field curve Y."""
+    return _truncated_exp(VectorField.bracket, gens, ycurve)
+
+
+# -- normal ordering -------------------------------------------------------------
+
+
+def coordinate_tests(field, dim, cap):
+    """The test functions f_a of a field type, as scalar curves."""
+    zero = field.scalar.zero(dim)
+    return [[field.test_function(dim, a)] + [zero] * cap for a in range(dim)]
+
+
+def order_from_mismatch(field, targets, currents, k):
+    """The order-k field Z^(k) with Z^(k)(f_a) = targets[a][k] - currents[a][k].
+
+    When currents = exp(Z_t) f_a with Z known below order k, this mismatch is
+    exactly Z^(k) f_a: every other contribution at order k is already in
+    currents."""
+    dim = len(targets)
+    return field([
+        field.component_from_mismatch(dim, a, targets[a][k] - currents[a][k])
+        for a in range(dim)
+    ])
+
+
+def merge_exponentials(sdata, gens_a, gens_b):
+    """The generator ladder Z with exp(Z_t) = exp(A_t) exp(B_t) through the
+    cap, solved order by order on the coordinate test functions (no BCH
+    series needed)."""
+    field = type(gens_a[0])
+    dim, cap = gens_a[0].dim, len(gens_a) - 1
+    tests = coordinate_tests(field, dim, cap)
+    targets = [exp_apply(gens_a, exp_apply(gens_b, f)) for f in tests]
+    z = [field.zero(dim)] * (cap + 1)
+    for k in range(1, cap + 1):
+        currents = [exp_apply(z, f) for f in tests]
+        z[k] = order_from_mismatch(field, targets, currents, k)
+        if not z[k].is_real() or not z[k].is_symplectic(sdata):
+            raise InternalInconsistency(
+                f"merged generator at order {k} is not a real symplectic field"
+            )
+    for f, target in zip(tests, targets):
+        if exp_apply(z, f) != target:
+            raise InternalInconsistency("normal ordering failed verification")
+    return z

@@ -5,7 +5,10 @@ sigma(x) = C x + 2 pi d is an affine symplectic lattice map and
 X_t = sum_{k>=1} t^k X^(k) is a formal curve of symplectic vector fields.
 All operators act on scalar curves; actions on vector fields and
 connections are operator conjugation, so functoriality
-act(psi o phi, T) = act(psi, act(phi, T)) holds by construction.
+act(psi o phi, T) = act(psi, act(phi, T)) holds by construction.  The
+exponentials, brackets and normal ordering are the truncated Lie-series
+calculus of `series`, applied to `FourierVectorField`, whose test functions
+are the characters e^{i x^a}.
 
 Translations are rational fractions of the full period.  A pullback is
 representable exactly iff every phase e^{2 pi i m.d} lands in the Gaussian
@@ -26,6 +29,14 @@ from .fourier import FourierScalar, SymplecticData, TensorField
 from .linalg import identity as mat_identity
 from .linalg import inverse, mat_vec
 from .rationals import Fraction, GaussianRational
+from .series import (
+    VectorField,
+    coordinate_tests,
+    exp_ad,
+    exp_apply,
+    merge_exponentials,
+    order_from_mismatch,
+)
 
 _MINUS_I = GaussianRational(0, -1)
 _PHASES = {
@@ -46,94 +57,26 @@ def _phase(q: Fraction) -> GaussianRational:
     return ph
 
 
-class FourierVectorField:
-    """Contravariant vector field with FourierScalar components."""
+class FourierVectorField(VectorField):
+    """Vector field with FourierScalar components.
 
-    __slots__ = ("dim", "comps")
+    Its test functions are e^{i x^a}.  Two truncated algebra automorphisms
+    that agree on them agree, by conjugation, on e^{-i x^a} and hence on
+    every trigonometric polynomial.  A field Z maps e^{i x^a} to
+    i Z^a e^{i x^a}, so Z^a = -i e^{-i x^a} Z(e^{i x^a}).
+    """
 
-    def __init__(self, comps):
-        comps = tuple(comps)
-        if not comps:
-            raise ConfigurationError("vector field needs at least one component")
-        dim = comps[0].dim
-        if any(c.dim != dim for c in comps) or len(comps) != dim:
-            raise ConfigurationError("component count must equal the torus dimension")
-        self.dim = dim
-        self.comps = comps
+    __slots__ = ()
 
-    @classmethod
-    def zero(cls, dim):
-        z = FourierScalar.zero(dim)
-        return cls([z] * dim)
+    scalar = FourierScalar
 
-    @classmethod
-    def constant(cls, dim, vector):
-        return cls([FourierScalar.constant(dim, Fraction(v)) for v in vector])
+    @staticmethod
+    def test_function(dim, a):
+        return FourierScalar.single_mode(dim, tuple(1 if i == a else 0 for i in range(dim)))
 
-    def __add__(self, other):
-        if self.dim != other.dim:
-            raise ConfigurationError("vector field dim mismatch")
-        return FourierVectorField([a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FourierVectorField([-c for c in self.comps])
-
-    def scale(self, s):
-        return FourierVectorField([c.scale(s) for c in self.comps])
-
-    def apply(self, f: FourierScalar) -> FourierScalar:
-        """The derivation X(f) = sum_a X^a df/dx^a."""
-        out = FourierScalar.zero(self.dim)
-        for a, xa in enumerate(self.comps):
-            if xa:
-                out = out + xa * f.derivative(a)
-        return out
-
-    def bracket(self, other: "FourierVectorField") -> "FourierVectorField":
-        """[X, Y]^c = X(Y^c) - Y(X^c)."""
-        return FourierVectorField(
-            [self.apply(yc) - other.apply(xc) for xc, yc in zip(self.comps, other.comps)]
-        )
-
-    def is_symplectic(self, sdata: SymplecticData):
-        """d(i(X)omega) = 0, componentwise in modes."""
-        dim = self.dim
-        lo = sdata.omega_lo
-        alpha = []
-        for b in range(dim):
-            ab = FourierScalar.zero(dim)
-            for a in range(dim):
-                if lo[a][b]:
-                    ab = ab + self.comps[a].scale(lo[a][b])
-            alpha.append(ab)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                if not (alpha[b].derivative(a) - alpha[a].derivative(b)).is_zero():
-                    return False
-        return True
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.comps)
-
-    def is_real(self):
-        return all(c.is_real() for c in self.comps)
-
-    def is_constant(self):
-        return all(c.is_constant() for c in self.comps)
-
-    def __eq__(self, other):
-        if not isinstance(other, FourierVectorField):
-            return NotImplemented
-        return self.comps == other.comps
-
-    def __hash__(self):
-        return hash(self.comps)
-
-    def __repr__(self):
-        return f"FourierVectorField(dim={self.dim})"
+    @staticmethod
+    def component_from_mismatch(dim, a, diff):
+        return diff.shift_mode(tuple(-1 if i == a else 0 for i in range(dim))).scale(_MINUS_I)
 
 
 def hamiltonian_field(sdata: SymplecticData, f: FourierScalar) -> FourierVectorField:
@@ -200,71 +143,6 @@ def conj_affine(c_mat, c_inv, d, x: FourierVectorField) -> FourierVectorField:
                 cb = cb + pulled[a].scale(c_inv[b][a])
         comps.append(cb)
     return FourierVectorField(comps)
-
-
-# -- truncated operator calculus on curves ------------------------------------
-#
-# Scalar curves and vector-field curves are plain lists of length cap + 1,
-# indexed by t-order.  All generator ladders gens[0..cap] have gens[0] = 0,
-# so every exponential truncates after cap applications.
-
-
-def _scalar_curve_zero(dim, cap):
-    z = FourierScalar.zero(dim)
-    return [z] * (cap + 1)
-
-
-def _field_on_scalar_curve(gens, fcurve, cap):
-    """X_t applied to a scalar curve, per order."""
-    dim = gens[1].dim if cap >= 1 else fcurve[0].dim
-    out = []
-    for k in range(cap + 1):
-        acc = FourierScalar.zero(dim)
-        for s in range(1, k + 1):
-            if not gens[s].is_zero() and not fcurve[k - s].is_zero():
-                acc = acc + gens[s].apply(fcurve[k - s])
-        out.append(acc)
-    return out
-
-
-def exp_apply_scalar(gens, fcurve, cap):
-    """exp(X_t) applied to a scalar curve; exact since val(X_t) >= 1."""
-    out = list(fcurve)
-    term = list(fcurve)
-    for j in range(1, cap + 1):
-        term = _field_on_scalar_curve(gens, term, cap)
-        term = [g.scale(Fraction(1, j)) for g in term]
-        if all(g.is_zero() for g in term):
-            break
-        out = [a + b for a, b in zip(out, term)]
-    return out
-
-
-def _ad_on_field_curve(gens, ycurve, cap):
-    """(ad X_t) Y per order: sum over s + u = k of [X^(s), Y^(u)]."""
-    dim = ycurve[0].dim
-    out = []
-    for k in range(cap + 1):
-        acc = FourierVectorField.zero(dim)
-        for s in range(1, k + 1):
-            if not gens[s].is_zero() and not ycurve[k - s].is_zero():
-                acc = acc + gens[s].bracket(ycurve[k - s])
-        out.append(acc)
-    return out
-
-
-def exp_ad_field(gens, ycurve, cap):
-    """exp(ad X_t) Y truncated at the cap; nested brackets of valuation
-    beyond the cap never contribute."""
-    out = list(ycurve)
-    term = list(ycurve)
-    for j in range(1, cap + 1):
-        term = _ad_on_field_curve(gens, term, cap)
-        term = [g.scale(Fraction(1, j)) for g in term]
-        if all(g.is_zero() for g in term):
-            break
-        out = [a + b for a, b in zip(out, term)]
-    return out
 
 
 # -- the curve type ------------------------------------------------------------
@@ -383,7 +261,7 @@ class SymplectoCurve:
     # -- operator action on scalars ---------------------------------------------
 
     def apply_to_scalar_curve(self, fcurve):
-        exp_part = exp_apply_scalar(self.gens, fcurve, self.cap)
+        exp_part = exp_apply(self.gens, fcurve)
         return [affine_pullback_scalar(self.c_mat, self.d, g) for g in exp_part]
 
     def apply_to_scalar(self, f: FourierScalar):
@@ -408,7 +286,7 @@ def act_on_vector_field(psi: SymplectoCurve, ycurve):
     cap = psi.cap
     if len(ycurve) != cap + 1:
         raise PreconditionError("vector-field curve cap mismatch")
-    moved = exp_ad_field(psi.gens, list(ycurve), cap)
+    moved = exp_ad(psi.gens, list(ycurve))
     return [conj_affine(psi.c_mat, psi.c_inv, psi.d, y) for y in moved]
 
 
@@ -446,8 +324,7 @@ def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionC
                     xs = xa[s]
                     if xs.is_zero():
                         continue
-                    comps = [xs.apply(c) for c in yb[k - s].comps]
-                    acc = acc + FourierVectorField(comps)
+                    acc = acc + xs.derive(yb[k - s])
                 for s in range(1, k + 1):
                     gamma = mixed[s]
                     if gamma.is_zero():
@@ -497,56 +374,6 @@ def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionC
 # -- normal ordering -----------------------------------------------------------
 
 
-def _test_scalars(dim, cap):
-    """The generators e^{i x^a} of the function algebra, as scalar curves.
-
-    Two truncated algebra automorphisms that agree on these (and hence, by
-    conjugation, on e^{-i x^a}) agree everywhere, since every trigonometric
-    polynomial is a Gaussian-rational combination of their products.
-    """
-    out = []
-    zero = FourierScalar.zero(dim)
-    for a in range(dim):
-        mode = tuple(1 if i == a else 0 for i in range(dim))
-        out.append([FourierScalar.single_mode(dim, mode)] + [zero] * cap)
-    return out
-
-
-def _extract_order(dim, targets, currents, k):
-    """Solve exp(Z)|_k = target on the test scalars for the order-k field.
-
-    At order k the mismatch on f_a = e^{i x^a} is exactly Z^(k) f_a =
-    i Z^(k)a f_a, so Z^(k)a = -i e^{-i x^a} (target - current)."""
-    comps = []
-    for a in range(dim):
-        mode = tuple(-1 if i == a else 0 for i in range(dim))
-        diff = targets[a][k] - currents[a][k]
-        comps.append((diff.shift_mode(mode)).scale(_MINUS_I))
-    return FourierVectorField(comps)
-
-
-def merge_exponentials(sdata, cap, gens_a, gens_b):
-    """The generator ladder Z with exp(Z_t) = exp(A_t) exp(B_t) through the
-    cap, found order by order on test scalars (no BCH series needed)."""
-    dim = sdata.dim
-    tests = _test_scalars(dim, cap)
-    targets = [
-        exp_apply_scalar(gens_a, exp_apply_scalar(gens_b, f, cap), cap) for f in tests
-    ]
-    z = [FourierVectorField.zero(dim) for _ in range(cap + 1)]
-    for k in range(1, cap + 1):
-        currents = [exp_apply_scalar(z, f, cap) for f in tests]
-        z[k] = _extract_order(dim, targets, currents, k)
-        if not z[k].is_real() or not z[k].is_symplectic(sdata):
-            raise InternalInconsistency(
-                f"merged generator at order {k} is not a real symplectic field"
-            )
-    for f, target in zip(tests, targets):
-        if exp_apply_scalar(z, f, cap) != target:
-            raise InternalInconsistency("normal ordering failed verification")
-    return z
-
-
 def compose(psi: SymplectoCurve, phi: SymplectoCurve) -> SymplectoCurve:
     """Operator composition psi o phi, re-normal-ordered to sigma^* o exp Z_t.
 
@@ -571,7 +398,7 @@ def compose(psi: SymplectoCurve, phi: SymplectoCurve) -> SymplectoCurve:
         else g
         for g in psi.gens
     ]
-    z = merge_exponentials(sdata, cap, moved, phi.gens)
+    z = merge_exponentials(sdata, moved, phi.gens)
     return SymplectoCurve(sdata, cap, c_new, d_new, z)
 
 
@@ -590,17 +417,17 @@ def factorize(psi: SymplectoCurve):
     if not psi.has_identity_affine_part():
         raise PreconditionError("factorization requires the identity affine part")
     sdata, cap, dim = psi.sdata, psi.cap, psi.dim
-    tests = _test_scalars(dim, cap)
-    targets = [exp_apply_scalar(psi.gens, f, cap) for f in tests]
+    tests = coordinate_tests(FourierVectorField, dim, cap)
+    targets = [exp_apply(psi.gens, f) for f in tests]
     factors = []
     for k in range(1, cap + 1):
         currents = []
         for f in tests:
             cur = f
             for gens_j in reversed(factors):
-                cur = exp_apply_scalar(gens_j, cur, cap)
+                cur = exp_apply(gens_j, cur)
             currents.append(cur)
-        yk = _extract_order(dim, targets, currents, k)
+        yk = order_from_mismatch(FourierVectorField, targets, currents, k)
         if not yk.is_real() or not yk.is_symplectic(sdata):
             raise InternalInconsistency(
                 f"factor at order {k} is not a real symplectic field"
@@ -610,7 +437,7 @@ def factorize(psi: SymplectoCurve):
         factors.append(gens_k)
     recomposed = factors[0]
     for gens_k in factors[1:]:
-        recomposed = merge_exponentials(sdata, cap, recomposed, gens_k)
+        recomposed = merge_exponentials(sdata, recomposed, gens_k)
     if recomposed != psi.gens:
         raise InternalInconsistency("factorization failed re-composition")
     return [

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from sympconn.fourier import (
     lower_last,
     raise_last,
 )
+from sympconn.generate import random_symmetric_field
 from sympconn.rationals import GaussianRational
 
 DIM = 4
@@ -55,6 +57,24 @@ def test_reality_is_preserved(f):
     assert (f * f).is_real()
     assert f.derivative(0).is_real()
     assert f.conjugate() == f
+
+
+def test_zero_mode_cosine_and_sine():
+    zero = (0,) * DIM
+    assert FourierScalar.cosine(DIM, zero, Fraction(3, 2)) == FourierScalar.constant(
+        DIM, Fraction(3, 2)
+    )
+    assert FourierScalar.sine(DIM, zero, Fraction(3, 2)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "seed, constant",
+    [(65, Fraction(0)), (412, Fraction(3, 4))],  # draw sin(0.x) and (3/4) cos(0.x)
+)
+def test_random_symmetric_field_with_zero_mode_is_real(seed, constant):
+    field = random_symmetric_field(random.Random(seed), DIM)
+    assert field.is_real() and field.is_fully_symmetric()
+    assert field.get((0, 1, 2)).constant_part() == GaussianRational(constant)
 
 
 def test_partials_commute():

@@ -1,18 +1,10 @@
-"""The compiled kernel and the pure-Python fallback must agree exactly."""
+"""The sparse mode-dictionary kernels."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from sympconn._kernel import BACKEND
 from sympconn._kernel import pure
 from sympconn.rationals import GaussianRational
-
-try:
-    from sympconn._kernel import _fast
-except ImportError:
-    _fast = None
 
 
 def random_dict(rng, entries=6, dim=4):
@@ -24,39 +16,6 @@ def random_dict(rng, entries=6, dim=4):
             Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
         )
     return {m: c for m, c in out.items() if not c.is_zero()}
-
-
-@pytest.mark.skipif(_fast is None, reason="compiled kernel unavailable")
-def test_backends_agree_on_all_primitives():
-    rng = random.Random(0)
-    for _ in range(20):
-        a = random_dict(rng)
-        b = random_dict(rng)
-        assert pure.dict_add(a, b) == _fast.dict_add(a, b)
-        assert pure.dict_neg(a) == _fast.dict_neg(a)
-        assert pure.dict_convolve(a, b) == _fast.dict_convolve(a, b)
-        s = GaussianRational(Fraction(2, 3), Fraction(-1, 5))
-        assert pure.dict_scale(a, s) == _fast.dict_scale(a, s)
-        for axis in range(4):
-            assert pure.dict_derivative(a, axis) == _fast.dict_derivative(a, axis)
-        assert pure.dict_shift(a, (1, 0, -1, 0)) == _fast.dict_shift(a, (1, 0, -1, 0))
-
-
-def test_backend_selection_reports():
-    assert BACKEND in ("pure", "cython")
-
-
-def test_pure_env_forces_fallback():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, SYMPCONN_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from sympconn._kernel import BACKEND; print(BACKEND)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "pure"
 
 
 def test_pure_convolution_is_commutative_and_sparse():
