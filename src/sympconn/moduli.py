@@ -11,7 +11,8 @@ bounded word search over a fixed generator set, with an explicit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 
 from .curvature import ConnectionCurve, require_ricci_type
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
@@ -234,9 +235,12 @@ class EquivalenceVerdict:
 def equivalence_semidecide(query: ModuliClassQuery) -> EquivalenceVerdict:
     """Cheap invariants first, then a bounded Sp(2n, Z) word search.
 
-    A bound exhaustion is an honest third verdict: the curves may still be
-    equivalent through a longer word.  A negative bound, or one whose words
-    number more than MAX_SEARCH_WORDS, raises ConfigurationError.
+    All words up to the bound are enumerated first; they are then tried one
+    word length at a time, and the search stops after the first length that
+    holds a witness.  A bound exhaustion is an honest third verdict: the
+    curves may still be equivalent through a longer word.  A negative bound,
+    or one whose words number more than MAX_SEARCH_WORDS, raises
+    ConfigurationError before any word is tried.
     """
     a, b = query.a, query.b
     if query.search_bound < 0:
@@ -257,10 +261,12 @@ def equivalence_semidecide(query: ModuliClassQuery) -> EquivalenceVerdict:
         )
     gens = sp_generators(a.sdata)
     words = _words_up_to(gens, a.dim, query.search_bound)
-    witnesses = [(depth, m) for m, depth in words.items() if sp_action(m, a) == b]
-    if witnesses:
-        # shortest word first, then lexicographically least, for determinism
-        return EquivalenceVerdict("equivalent", witness=min(witnesses)[1])
+    # words come in breadth-first order, so groupby yields one group per length
+    for _, group in groupby(words.items(), key=itemgetter(1)):
+        witnesses = [m for m, _ in group if sp_action(m, a) == b]
+        if witnesses:
+            # the lexicographically least shortest witness, for determinism
+            return EquivalenceVerdict("equivalent", witness=min(witnesses))
     return EquivalenceVerdict("no_witness_within_bound", bound=query.search_bound)
 
 

@@ -435,6 +435,8 @@ def factorize(psi: SymplectoCurve):
         gens_k = [FourierVectorField.zero(dim) for _ in range(cap + 1)]
         gens_k[k] = yk
         factors.append(gens_k)
+    if not factors:
+        return []
     recomposed = factors[0]
     for gens_k in factors[1:]:
         recomposed = merge_exponentials(sdata, recomposed, gens_k)

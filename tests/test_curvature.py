@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from sympconn import curvature
 from sympconn.curvature import (
     bianchi_check,
+    covariant_derivative,
     curvature_bundle,
     curvature_curve,
     ew_split,
@@ -15,7 +17,7 @@ from sympconn.curvature import (
     ricci_from_curvature,
 )
 from sympconn.errors import PreconditionError
-from sympconn.fourier import FourierScalar, SymplecticData
+from sympconn.fourier import FourierScalar, SymplecticData, TensorField, TensorFieldCurve
 from sympconn.generate import (
     conjugated_flat_fixture,
     gradient_curve,
@@ -57,6 +59,105 @@ def test_ew_reconstruction_and_trace_free_w():
 def test_bianchi_identities():
     for seed in range(3):
         assert bianchi_check(random_connection_curve(seed + 40, dim=4, cap=2))["ok"]
+
+
+def _sum_vanishes(terms):
+    acc = {}
+    for idx, f in terms:
+        acc[idx] = acc[idx] + f if idx in acc else f
+    return all(f.is_zero() for f in acc.values())
+
+
+def reference_bianchi(conn):
+    """Both identities from their defining sums, over every index: the cyclic
+    sum of R_{abcd} over (a, b, c), and the cyclic sum over (e, a, b) of the
+    full rank-5 covariant derivative (nabla_e R)_{abcd}."""
+    r4 = conn.curvature
+    first = [
+        _sum_vanishes(
+            (key, f)
+            for (a, b, c, d), f in t.components.items()
+            for key in ((a, b, c, d), (c, a, b, d), (b, c, a, d))
+        )
+        for t in r4.orders
+    ]
+    second = [
+        _sum_vanishes(
+            (key, f)
+            for (e, a, b, c, d), f in t.components.items()
+            for key in ((e, a, b, c, d), (b, e, a, c, d), (a, b, e, c, d))
+        )
+        for t in covariant_derivative(conn, r4).orders
+    ]
+    return {"first": first, "second": second, "ok": all(first) and all(second)}
+
+
+BIANCHI_CURVES = [
+    ("dim4-cap2-seed0", lambda: random_connection_curve(0, dim=4, cap=2)),
+    ("dim4-cap2-seed21", lambda: random_connection_curve(21, dim=4, cap=2)),
+    ("dim4-cap3-seed1", lambda: random_connection_curve(1, dim=4, cap=3)),
+    ("dim4-cap3-seed65", lambda: random_connection_curve(65, dim=4, cap=3)),
+    ("dim6-cap2-seed2", lambda: random_connection_curve(2, dim=6, cap=2)),
+    ("conjugated-flat-4", lambda: conjugated_flat_fixture(4)[2]),
+    ("conjugated-flat-dim6", lambda: conjugated_flat_fixture(6, dim=6, cap=2)[2]),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in BIANCHI_CURVES],
+                         ids=[name for name, _ in BIANCHI_CURVES])
+def test_bianchi_check_matches_the_full_sums(make):
+    conn = make()
+    report = bianchi_check(conn)
+    assert report == reference_bianchi(conn)
+    assert report["ok"]
+
+
+def _perturb_curvature(conn, order, entries):
+    """Add entries {index: scalar} to the cached curvature at one order."""
+    r4 = conn.curvature
+    delta = TensorField(conn.dim, 4, entries)
+    assert delta.is_curvature_type()
+    orders = list(r4.orders)
+    orders[order] = orders[order] + delta
+    conn._curvature = TensorFieldCurve(conn.cap, orders)
+
+
+@pytest.mark.parametrize("cd", [(2, 2), (0, 0)])
+def test_bianchi_check_flags_a_curvature_that_is_not_closed(cd):
+    """cos(x^3 + x^4) on R_{12cd} and its antisymmetric partner has
+    d_3 R_{12cd} != 0, so d^nabla R fails at the order it was put in.  On
+    R_{1211} the first identity still holds."""
+    conn = random_connection_curve(0, dim=4, cap=3)
+    f = FourierScalar.cosine(4, (0, 0, 1, 1))
+    _perturb_curvature(conn, 2, {(0, 1) + cd: f, (1, 0) + cd: -f})
+    report = bianchi_check(conn)
+    assert report == reference_bianchi(conn)
+    assert report["second"][:3] == [True, True, False]
+    assert not report["ok"]
+    if cd == (0, 0):
+        assert report["first"] == [True] * 4
+
+
+def test_bianchi_check_flags_a_curvature_without_the_cyclic_symmetry():
+    """A constant on R_{1234} and its symmetry partners breaks the first
+    identity: the cyclic sum over (1, 2, 3) is R_{1234}."""
+    conn = random_connection_curve(21, dim=4, cap=2)
+    one = FourierScalar.constant(4, 1)
+    _perturb_curvature(conn, 1, {
+        (0, 1, 2, 3): one, (1, 0, 2, 3): -one, (0, 1, 3, 2): one, (1, 0, 3, 2): -one,
+    })
+    report = bianchi_check(conn)
+    assert report == reference_bianchi(conn)
+    assert report["first"] == [True, False, True]
+    assert not report["ok"]
+
+
+def test_bianchi_check_builds_no_covariant_derivative(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("bianchi_check called covariant_derivative")
+
+    monkeypatch.setattr(curvature, "covariant_derivative", forbidden)
+    assert bianchi_check(random_connection_curve(40, dim=4, cap=2))["ok"]
 
 
 def test_flat_curve_has_zero_curvature():

@@ -153,7 +153,7 @@ def test_negative_bound_rejected(monkeypatch):
 def test_huge_bound_hits_word_ceiling_before_any_action(monkeypatch):
     """10**9 would mean ~12**(10**9) words; the breadth-first enumeration
     stops once it holds MAX_SEARCH_WORDS matrices (during length 5 at dim
-    4) and no curve is moved."""
+    4) and no curve is moved, although a == b has the length-0 witness."""
     monkeypatch.setattr(moduli, "sp_action", _must_not_run)
     a = rank_one_ladder(SD, 2, seed=4)
     with pytest.raises(ConfigurationError) as exc:
@@ -179,3 +179,37 @@ def test_huge_bound_keeps_the_distinct_verdict(monkeypatch):
     one, two = rank_distinct_pair()
     verdict = equivalence_semidecide(ModuliClassQuery(one, two, 10**9))
     assert verdict.kind == "distinct"
+
+
+def _depth_one_pair():
+    a = rank_one_ladder(SD, 2, seed=5)
+    moves = [sp_action(g, a) for g in sp_generators(SD)]
+    return a, next(b for b in moves if b != a)
+
+
+def test_search_returns_the_exhaustive_minimum():
+    """Stopping at the first length with a witness gives the witness the
+    exhaustive search picks: the least (length, matrix) over all words."""
+    a, b = _depth_one_pair()
+    words = moduli._words_up_to(sp_generators(SD), 4, 3)
+    exhaustive = min((depth, m) for m, depth in words.items() if sp_action(m, a) == b)
+    assert exhaustive[0] == 1
+    verdict = equivalence_semidecide(ModuliClassQuery(a, b, 3))
+    assert verdict.kind == "equivalent"
+    assert verdict.witness == exhaustive[1]
+
+
+def test_search_tries_no_word_longer_than_the_witness(monkeypatch):
+    a, b = _depth_one_pair()
+    words = moduli._words_up_to(sp_generators(SD), 4, 3)
+    tried = []
+
+    def counting(m, curve):
+        tried.append(m)
+        return sp_action(m, curve)
+
+    monkeypatch.setattr(moduli, "sp_action", counting)
+    verdict = equivalence_semidecide(ModuliClassQuery(a, b, 3))
+    assert words[verdict.witness] == 1
+    assert max(words[m] for m in tried) == 1
+    assert len(tried) == sum(1 for depth in words.values() if depth <= 1) == 13

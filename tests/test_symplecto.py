@@ -131,6 +131,10 @@ def test_factorize_requires_identity_affine_part():
         factorize(sigma)
 
 
+def test_factorize_at_cap_zero_has_no_factors():
+    assert factorize(SymplectoCurve.identity(SD, 0)) == []
+
+
 def test_act_on_vector_field_respects_composition():
     from sympconn.symplecto import FourierVectorField
 
