@@ -2,10 +2,23 @@
 
 A coefficient map is a dict from mode tuples (length 2n, ints) to nonzero
 GaussianRationals.  These loops dominate the runtime of every tensor
-operation.
+operation.  `accumulate` is the one in-place sparse sum for maps of any
+values with `+` and `is_zero` (tensor components, Christoffel symbols).
 """
 
 from ..rationals import GaussianRational
+
+
+def accumulate(acc, key, value):
+    """acc[key] += value in place; zero values and cancelled entries are dropped."""
+    if value.is_zero():
+        return
+    cur = acc.get(key)
+    s = value if cur is None else cur + value
+    if s.is_zero():
+        del acc[key]
+    else:
+        acc[key] = s
 
 
 def dict_add(a, b):
@@ -17,6 +30,22 @@ def dict_add(a, b):
             out[m] = c
         else:
             s = cur + c
+            if s.is_zero():
+                del out[m]
+            else:
+                out[m] = s
+    return out
+
+
+def dict_sub(a, b):
+    """Mode-wise difference, keys in the order of dict_add(a, dict_neg(b))."""
+    out = dict(a)
+    for m, c in b.items():
+        cur = out.get(m)
+        if cur is None:
+            out[m] = -c
+        else:
+            s = cur - c
             if s.is_zero():
                 del out[m]
             else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._kernel.pure import accumulate
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
 from .fourier import (
     FourierScalar,
@@ -20,28 +21,6 @@ from .fourier import (
     raise_last,
 )
 from .rationals import Fraction
-
-
-class _Acc:
-    """Sparse accumulator for tensor components."""
-
-    __slots__ = ("d",)
-
-    def __init__(self):
-        self.d = {}
-
-    def add(self, idx, f):
-        if f.is_zero():
-            return
-        cur = self.d.get(idx)
-        s = f if cur is None else cur + f
-        if s.is_zero():
-            self.d.pop(idx, None)
-        else:
-            self.d[idx] = s
-
-    def tensor(self, dim, rank, tag="none"):
-        return TensorField(dim, rank, self.d, tag, _validated=True)
 
 
 class ConnectionCurve:
@@ -98,9 +77,6 @@ class ConnectionCurve:
             self._curvature = curvature_curve(self)
         return self._curvature
 
-    def abar_curve(self):
-        return TensorFieldCurve(self.cap, self.abar)
-
     def is_invariant(self):
         return all(t.is_constant() for t in self.abar)
 
@@ -129,12 +105,12 @@ def covariant_derivative(conn: ConnectionCurve, t_curve: TensorFieldCurve) -> Te
     mixed = conn.mixed
     out = []
     for k in range(conn.cap + 1):
-        acc = _Acc()
+        acc = {}
         for idx, f in t_curve[k].components.items():
             for a in range(dim):
                 d = f.derivative(a)
                 if not d.is_zero():
-                    acc.add((a,) + idx, d)
+                    accumulate(acc, (a,) + idx, d)
         for s in range(1, k + 1):
             m = mixed[s]
             base = t_curve[k - s]
@@ -144,8 +120,8 @@ def covariant_derivative(conn: ConnectionCurve, t_curve: TensorFieldCurve) -> Te
                 for idx, f in base.components.items():
                     for j, bj in enumerate(idx):
                         if bj == p:
-                            acc.add((a,) + idx[:j] + (b,) + idx[j + 1 :], -(g * f))
-        out.append(acc.tensor(dim, rank + 1))
+                            accumulate(acc, (a,) + idx[:j] + (b,) + idx[j + 1 :], -(g * f))
+        out.append(TensorField(dim, rank + 1, acc, _validated=True))
     return TensorFieldCurve(conn.cap, out)
 
 
@@ -155,14 +131,14 @@ def curvature_mixed(conn: ConnectionCurve) -> TensorFieldCurve:
     mixed = conn.mixed
     out = []
     for k in range(conn.cap + 1):
-        acc = _Acc()
+        acc = {}
         # derivative part, antisymmetrized in the first two slots
         for (b, c, p), f in mixed[k].components.items():
             for a in range(dim):
                 d = f.derivative(a)
                 if not d.is_zero():
-                    acc.add((a, b, c, p), d)
-                    acc.add((b, a, c, p), -d)
+                    accumulate(acc, (a, b, c, p), d)
+                    accumulate(acc, (b, a, c, p), -d)
         # commutator part [A^(s)(X), A^(s')(Y)]
         for s in range(1, k):
             m1, m2 = mixed[s], mixed[k - s]
@@ -170,9 +146,9 @@ def curvature_mixed(conn: ConnectionCurve) -> TensorFieldCurve:
                 for (b, c, q2), g2 in m2.components.items():
                     if q2 == q:
                         prod = g1 * g2
-                        acc.add((a, b, c, p), prod)
-                        acc.add((b, a, c, p), -prod)
-        out.append(acc.tensor(dim, 4))
+                        accumulate(acc, (a, b, c, p), prod)
+                        accumulate(acc, (b, a, c, p), -prod)
+        out.append(TensorField(dim, 4, acc, _validated=True))
     return TensorFieldCurve(conn.cap, out)
 
 
@@ -200,19 +176,19 @@ def ricci_curve(conn: ConnectionCurve) -> TensorFieldCurve:
     mixed = conn.mixed
     out = []
     for k in range(conn.cap + 1):
-        acc = _Acc()
+        acc = {}
         for (a, b, q), f in mixed[k].components.items():
             d = f.derivative(q)
             if not d.is_zero():
-                acc.add((a, b), -d)
+                accumulate(acc, (a, b), -d)
         for s in range(1, k):
             m1, m2 = mixed[s], mixed[k - s]
             # Trace A(X) A(Y) = sum_{p,q} A^p_{Xq} A^q_{Yp}
             for (a, q, p), g1 in m1.components.items():
                 for (b, p2, q2), g2 in m2.components.items():
                     if p2 == p and q2 == q:
-                        acc.add((a, b), g1 * g2)
-        out.append(acc.tensor(dim, 2))
+                        accumulate(acc, (a, b), g1 * g2)
+        out.append(TensorField(dim, 2, acc, _validated=True))
     return TensorFieldCurve(conn.cap, out)
 
 
@@ -221,12 +197,12 @@ def ricci_from_curvature(r4: TensorFieldCurve, sdata: SymplecticData) -> TensorF
     hi = sdata.omega_hi
     out = []
     for t in r4.orders:
-        acc = _Acc()
+        acc = {}
         for (a, q, b, d), f in t.components.items():
             w = hi[d][q]
             if w:
-                acc.add((a, b), f.scale(w))
-        out.append(acc.tensor(sdata.dim, 2))
+                accumulate(acc, (a, b), f.scale(w))
+        out.append(TensorField(sdata.dim, 2, acc, _validated=True))
     return TensorFieldCurve(r4.cap, out)
 
 
@@ -239,17 +215,17 @@ def ricci_part(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
     factors = {c for _, _, w in entries for c in (2 * w, w, -w)}
     out = []
     for t in r2.orders:
-        acc = _Acc()
+        acc = {}
         for (x, y), f in t.components.items():
             # each distinct multiple of the component is scaled once
             g = {c: f.scale(pref * c) for c in factors}
             for a, b, w in entries:
-                acc.add((a, b, x, y), g[2 * w])   # 2 w(a,b) r(c,d)
-                acc.add((a, x, b, y), g[w])       # w(a,c) r(b,d)
-                acc.add((a, x, y, b), g[w])       # w(a,d) r(b,c)
-                acc.add((x, a, b, y), g[-w])      # -w(b,c) r(a,d)
-                acc.add((x, a, y, b), g[-w])      # -w(b,d) r(a,c)
-        out.append(acc.tensor(dim, 4, "curvature_type"))
+                accumulate(acc, (a, b, x, y), g[2 * w])   # 2 w(a,b) r(c,d)
+                accumulate(acc, (a, x, b, y), g[w])       # w(a,c) r(b,d)
+                accumulate(acc, (a, x, y, b), g[w])       # w(a,d) r(b,c)
+                accumulate(acc, (x, a, b, y), g[-w])      # -w(b,c) r(a,d)
+                accumulate(acc, (x, a, y, b), g[-w])      # -w(b,d) r(a,c)
+        out.append(TensorField(dim, 4, acc, "curvature_type", _validated=True))
     return TensorFieldCurve(r2.cap, out)
 
 
@@ -332,22 +308,22 @@ def bianchi_check(conn: ConnectionCurve):
         by_upper.append(groups)
     first = []
     for t in r4.orders:
-        acc = _Acc()
+        acc = {}
         for (x, y, c, d), f in t.components.items():
             hit = triples[(x, y)].get(c) if x < y else None
             if hit is not None:
                 tri, odd = hit
-                acc.add(tri + (d,), -f if odd else f)
-        first.append(not acc.d)
+                accumulate(acc, tri + (d,), -f if odd else f)
+        first.append(not acc)
     second = []
     for k in range(conn.cap + 1):
-        acc = _Acc()
+        acc = {}
         for (x, y, c, d), f in r4[k].components.items():
             if x < y and c <= d:
                 for z, (tri, odd) in triples[(x, y)].items():
                     dz = f.derivative(z)
                     if not dz.is_zero():
-                        acc.add(tri + (c, d), -dz if odd else dz)
+                        accumulate(acc, tri + (c, d), -dz if odd else dz)
         for s in range(1, k + 1):
             groups = by_upper[s]
             for (x, y, q, d), f in r4[k - s].components.items():
@@ -364,8 +340,8 @@ def bianchi_check(conn: ConnectionCurve):
                     u = g * f
                     if c == d:
                         u = u + u
-                    acc.add(tri + ((c, d) if c < d else (d, c)), u if odd else -u)
-        second.append(not acc.d)
+                    accumulate(acc, tri + ((c, d) if c < d else (d, c)), u if odd else -u)
+        second.append(not acc)
     ok = all(first) and all(second)
     return {"first": first, "second": second, "ok": ok}
 
@@ -385,26 +361,26 @@ def _rho_curve(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
     hi = sdata.omega_hi
     out = []
     for t in r2.orders:
-        acc = _Acc()
+        acc = {}
         for (a, b), f in t.components.items():
             for q in range(sdata.dim):
                 w = hi[q][a]
                 if w:
-                    acc.add((q, b), f.scale(w))
-        out.append(acc.tensor(sdata.dim, 2))
+                    accumulate(acc, (q, b), f.scale(w))
+        out.append(TensorField(sdata.dim, 2, acc, _validated=True))
     return TensorFieldCurve(r2.cap, out)
 
 
 def _endo_square(rho: TensorFieldCurve) -> TensorFieldCurve:
     out = []
     for k in range(rho.cap + 1):
-        acc = _Acc()
+        acc = {}
         for s in range(k + 1):
             for (p, q), f in rho[s].components.items():
                 for (q2, b), g in rho[k - s].components.items():
                     if q2 == q:
-                        acc.add((p, b), f * g)
-        out.append(acc.tensor(rho.dim, 2))
+                        accumulate(acc, (p, b), f * g)
+        out.append(TensorField(rho.dim, 2, acc, _validated=True))
     return TensorFieldCurve(rho.cap, out)
 
 
@@ -416,8 +392,9 @@ def _endo_trace(t: TensorField) -> FourierScalar:
     return acc
 
 
-def extract_u_b(conn: ConnectionCurve):
-    """Solve for the 1-form and function curves of a Ricci-type curve.
+def extract_u_b(conn: ConnectionCurve, r2: TensorFieldCurve | None = None):
+    """Solve for the 1-form and function curves of a Ricci-type curve; r2 is
+    its `ricci_curve`, computed here unless the caller has it.
 
     The contraction constants below are derived once from the defining
     equations (with sum_q omega^{pq} omega_{ql} = delta and
@@ -432,17 +409,18 @@ def extract_u_b(conn: ConnectionCurve):
     hi, lo = sdata.omega_hi, sdata.omega_lo
     cap = conn.cap
 
-    r2 = ricci_curve(conn)
+    if r2 is None:
+        r2 = ricci_curve(conn)
     dr = covariant_derivative(conn, r2)
 
     u_orders = []
     for t in dr.orders:
-        acc = _Acc()
+        acc = {}
         for (a, b, c), f in t.components.items():
             w = hi[a][b]
             if w:
-                acc.add((c,), f.scale(-w))
-        u_orders.append(acc.tensor(dim, 1))
+                accumulate(acc, (c,), f.scale(-w))
+        u_orders.append(TensorField(dim, 1, acc, _validated=True))
     u = TensorFieldCurve(cap, u_orders)
 
     du = covariant_derivative(conn, u)
@@ -465,46 +443,46 @@ def extract_u_b(conn: ConnectionCurve):
     # residual of (nabla r) equation
     res1 = []
     for k in range(cap + 1):
-        acc = _Acc()
+        acc = {}
         for idx, f in dr[k].components.items():
-            acc.add(idx, f)
+            accumulate(acc, idx, f)
         for (c,), f in u[k].components.items():
             g = f.scale(Fraction(-1, 2 * n + 1))
             for a in range(dim):
                 for bb in range(dim):
                     w = lo[a][bb]
                     if w:
-                        acc.add((a, bb, c), g.scale(w))
-                        acc.add((a, c, bb), g.scale(w))
-        res1.append(acc.tensor(dim, 3))
+                        accumulate(acc, (a, bb, c), g.scale(w))
+                        accumulate(acc, (a, c, bb), g.scale(w))
+        res1.append(TensorField(dim, 3, acc, _validated=True))
 
     # residual of (nabla u) equation
     res2 = []
     for k in range(cap + 1):
-        acc = _Acc()
+        acc = {}
         for idx, f in du[k].components.items():
-            acc.add(idx, f)
+            accumulate(acc, idx, f)
         for (p, bcol), f in rho2[k].components.items():
             for a in range(dim):
                 w = lo[a][p]
                 if w:
-                    acc.add((a, bcol), f.scale(w * cconst))
+                    accumulate(acc, (a, bcol), f.scale(w * cconst))
         b_k = b[k].get(())
         if not b_k.is_zero():
             for a in range(dim):
                 for bb in range(dim):
                     w = lo[a][bb]
                     if w:
-                        acc.add((a, bb), b_k.scale(-w))
-        res2.append(acc.tensor(dim, 2))
+                        accumulate(acc, (a, bb), b_k.scale(-w))
+        res2.append(TensorField(dim, 2, acc, _validated=True))
 
     # residual of the differential-of-b equation
     res3 = []
     for k in range(cap + 1):
-        acc = _Acc()
+        acc = {}
         b_k = b[k].get(())
         for a in range(dim):
-            acc.add((a,), b_k.derivative(a))
+            accumulate(acc, (a,), b_k.derivative(a))
         for s in range(k + 1):
             ubar = {}
             for (c,), f in u[s].components.items():
@@ -516,8 +494,8 @@ def extract_u_b(conn: ConnectionCurve):
             for (p, a), f in r2[k - s].components.items():
                 g = ubar.get(p)
                 if g is not None:
-                    acc.add((a,), (g * f).scale(Fraction(-1, 1 + n)))
-        res3.append(acc.tensor(dim, 1))
+                    accumulate(acc, (a,), (g * f).scale(Fraction(-1, 1 + n)))
+        res3.append(TensorField(dim, 1, acc, _validated=True))
 
     residuals = {
         "ricci_derivative": [t.is_zero() for t in res1],
@@ -526,22 +504,6 @@ def extract_u_b(conn: ConnectionCurve):
     }
     residuals["ok"] = all(all(v) for v in residuals.values() if isinstance(v, list))
     return u, b, residuals
-
-
-def scalar_invariant_curve(conn: ConnectionCurve) -> TensorFieldCurve:
-    """b^t + (2n+1)/(4(1+n)) Tr (rho^t)^2, spatially constant per order
-    on Ricci-type curves."""
-    sdata = conn.sdata
-    n = sdata.n
-    u, b, _ = extract_u_b(conn)
-    r2 = ricci_curve(conn)
-    rho2 = _endo_square(_rho_curve(r2, sdata))
-    coef = Fraction(2 * n + 1, 4 * (1 + n))
-    out = []
-    for k in range(conn.cap + 1):
-        s = b[k].get(()) + _endo_trace(rho2[k]).scale(coef)
-        out.append(TensorField(sdata.dim, 0, {(): s}, _validated=True))
-    return TensorFieldCurve(conn.cap, out)
 
 
 @dataclass
@@ -563,7 +525,7 @@ def curvature_bundle(conn: ConnectionCurve) -> CurvatureBundle:
     r2 = ricci_curve(conn)
     e, w = ew_split(r4, r2, conn.sdata)
     if w.is_zero():
-        u, b, residuals = extract_u_b(conn)
+        u, b, residuals = extract_u_b(conn, r2)
         if not residuals["ok"]:
             raise InternalInconsistency(
                 "u/b residuals nonzero on a Ricci-type curve"

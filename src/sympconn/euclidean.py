@@ -26,7 +26,13 @@ from .errors import (
 from .invariant import StructureMapCurve, cube_is_symmetric
 from .linalg import is_zero_matrix, mat_mul
 from .rationals import Fraction
-from .series import VectorField, exp_ad, exp_apply, lie_action, merge_exponentials
+from .series import (
+    VectorField,
+    exp_apply,
+    exp_lie_connection,
+    lie_action,
+    merge_exponentials,
+)
 
 
 class Poly:
@@ -394,50 +400,34 @@ def flow_coordinate_maps(gens, cap):
 
 
 def act_on_poly_connection(gens, cap, sdata, gamma):
-    """Basis transport of a connection curve on R^{2n} by the flow of X_t.
+    """The flow of X_t acting on a connection curve on R^{2n}.
 
     Geometric pushforward convention: for the map psi = exp-flow of X_t,
     psi . Y = exp(ad(-X_t)) Y (so that psi^A . X = X - A(.)X holds as
-    stated), hence the backward transport of the basis uses +X_t.
-    gamma[k][(a, b)] is the PolyVectorField nabla^(k)_{e_a} e_b (order 0
-    omitted, i.e. treated as the flat directional derivative)."""
+    stated), hence psi . nabla = exp(L_{-X_t}) nabla, computed by
+    `series.exp_lie_connection`.  gamma[k][(a, b)] is the PolyVectorField
+    nabla^(k)_{e_a} e_b (order 0 omitted, i.e. treated as the flat
+    directional derivative); the result has the same shape."""
     dim = sdata.dim
-    neg = [-g for g in gens]
-    zero = PolyVectorField.zero(dim)
-    back = []
-    for a in range(dim):
-        e = PolyVectorField.constant(dim, [1 if i == a else 0 for i in range(dim)])
-        back.append(exp_ad(gens, [e] + [zero] * cap))
-    out = [dict() for _ in range(cap + 1)]
-    for a in range(dim):
-        xa = back[a]
-        for b in range(dim):
-            yb = back[b]
-            deriv = []
-            for k in range(cap + 1):
-                acc = PolyVectorField.zero(dim)
-                for s in range(k + 1):
-                    if not xa[s].is_zero():
-                        acc = acc + xa[s].derive(yb[k - s])
-                for s in range(1, k + 1):
-                    gam = gamma[s]
-                    if not gam:
-                        continue
-                    for u in range(k - s + 1):
-                        xu, yv = xa[u], yb[k - s - u]
-                        if xu.is_zero() or yv.is_zero():
-                            continue
-                        for (p, q), gpq in gam.items():
-                            w = xu.comps[p] * yv.comps[q]
-                            if not w.is_zero():
-                                acc = acc + PolyVectorField(
-                                    [gc * w for gc in gpq.comps]
-                                )
-                deriv.append(acc)
-            forward = exp_ad(neg, deriv)
-            for k in range(cap + 1):
-                if not forward[k].is_zero():
-                    out[k][(a, b)] = forward[k]
+    symbols = [{}] + [
+        {
+            (a, b, p): c
+            for (a, b), field in order.items()
+            for p, c in enumerate(field.comps)
+            if not c.is_zero()
+        }
+        for order in gamma[1 : cap + 1]
+    ]
+    moved = exp_lie_connection([-g for g in gens], symbols)
+    zero = Poly.zero(dim)
+    out = []
+    for order in moved:
+        fields = {}
+        for a, b in product(range(dim), repeat=2):
+            field = PolyVectorField([order.get((a, b, p), zero) for p in range(dim)])
+            if not field.is_zero():
+                fields[(a, b)] = field
+        out.append(fields)
     return out
 
 

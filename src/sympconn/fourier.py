@@ -12,11 +12,10 @@ Indices are 0-based internally; serialized files use 1-based indices.
 from __future__ import annotations
 
 from itertools import permutations, product
-from math import factorial
 
 from ._kernel import pure as K
-from .errors import ConfigurationError, InputError
-from .linalg import identity, inverse, is_zero_matrix, mat_mul, mat_neg, matrix, transpose
+from .errors import ConfigurationError
+from .linalg import inverse, mat_mul, mat_neg, matrix, transpose
 from .rationals import Fraction, GaussianRational, GR_ONE
 
 
@@ -113,14 +112,6 @@ class FourierScalar:
         return cls(dim, {(0,) * dim: value})
 
     @classmethod
-    def from_modes(cls, dim, coeffs):
-        """Public constructor for real fields; checks the reality constraint."""
-        f = cls(dim, coeffs)
-        if not f.is_real():
-            raise InputError("coefficients violate reality: c(-m) != conj(c(m))")
-        return f
-
-    @classmethod
     def cosine(cls, dim, mode, amplitude=1):
         """amplitude * cos(m.x); the zero mode gives the constant amplitude."""
         mode = tuple(mode)
@@ -157,7 +148,8 @@ class FourierScalar:
         return FourierScalar(self.dim, K.dict_add(self.coeffs, other.coeffs), _validated=True)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return FourierScalar(self.dim, K.dict_sub(self.coeffs, other.coeffs), _validated=True)
 
     def __neg__(self):
         return FourierScalar(self.dim, K.dict_neg(self.coeffs), _validated=True)
@@ -244,7 +236,8 @@ class TensorField:
     """Sparse covariant tensor field with FourierScalar components.
 
     symmetry_tag is advisory metadata ('none', 'fully_symmetric',
-    'curvature_type'); `check_symmetry` verifies it exactly.
+    'curvature_type'); `is_fully_symmetric` and `is_curvature_type` verify
+    it exactly.
     """
 
     __slots__ = ("dim", "rank", "components", "symmetry_tag")
@@ -305,7 +298,15 @@ class TensorField:
         return TensorField(self.dim, self.rank, comps, self._tag_after(other), _validated=True)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        comps = dict(self.components)
+        for idx, f in other.components.items():
+            s = comps[idx] - f if idx in comps else -f
+            if s.is_zero():
+                comps.pop(idx, None)
+            else:
+                comps[idx] = s
+        return TensorField(self.dim, self.rank, comps, self._tag_after(other), _validated=True)
 
     def __neg__(self):
         return TensorField(
@@ -317,22 +318,6 @@ class TensorField:
     def scale(self, c):
         comps = {i: f.scale(c) for i, f in self.components.items()}
         return TensorField(self.dim, self.rank, comps, self.symmetry_tag, _validated=True)
-
-    def mul_scalar(self, g: FourierScalar):
-        comps = {i: f * g for i, f in self.components.items()}
-        return TensorField(self.dim, self.rank, comps, "none", _validated=True)
-
-    def outer(self, other):
-        """Tensor product, indices of self first."""
-        if self.dim != other.dim:
-            raise ConfigurationError("tensor dim mismatch")
-        comps = {}
-        for i1, f1 in self.components.items():
-            for i2, f2 in other.components.items():
-                p = f1 * f2
-                if not p.is_zero():
-                    comps[i1 + i2] = p
-        return TensorField(self.dim, self.rank + other.rank, comps, "none", _validated=True)
 
     def partial(self, axis):
         """Same-rank flat derivative of every component."""
@@ -352,70 +337,6 @@ class TensorField:
                 if not d.is_zero():
                     comps[(a,) + idx] = d
         return TensorField(self.dim, self.rank + 1, comps, "none", _validated=True)
-
-    def contract_omega_hi(self, sdata: SymplecticData, pos1, pos2):
-        """Contract two covariant slots with omega^{ab} (a at pos1, b at pos2)."""
-        if pos1 == pos2 or not (0 <= pos1 < self.rank and 0 <= pos2 < self.rank):
-            raise ConfigurationError("bad contraction positions")
-        hi = sdata.omega_hi
-        comps = {}
-        for idx, f in self.components.items():
-            w = hi[idx[pos1]][idx[pos2]]
-            if not w:
-                continue
-            lo, hi_ = sorted((pos1, pos2))
-            out = idx[:lo] + idx[lo + 1 : hi_] + idx[hi_ + 1 :]
-            g = f.scale(w)
-            cur = comps.get(out)
-            s = g if cur is None else cur + g
-            if s.is_zero():
-                comps.pop(out, None)
-            else:
-                comps[out] = s
-        return TensorField(self.dim, self.rank - 2, comps, "none", _validated=True)
-
-    def symmetrize(self):
-        """Full symmetrization (projection; exact rational average)."""
-        inv = Fraction(1, factorial(self.rank))
-        acc = {}
-        for idx, f in self.components.items():
-            g = f.scale(inv)
-            for perm in permutations(idx):
-                cur = acc.get(perm)
-                s = g if cur is None else cur + g
-                if s.is_zero():
-                    acc.pop(perm, None)
-                else:
-                    acc[perm] = s
-        return TensorField(self.dim, self.rank, acc, "fully_symmetric", _validated=True)
-
-    def antisymmetrize_pair(self, pos1, pos2):
-        """(T - T with pos1<->pos2 swapped) / 2."""
-        half = Fraction(1, 2)
-        acc = {}
-
-        def put(idx, g):
-            cur = acc.get(idx)
-            s = g if cur is None else cur + g
-            if s.is_zero():
-                acc.pop(idx, None)
-            else:
-                acc[idx] = s
-
-        for idx, f in self.components.items():
-            put(idx, f.scale(half))
-            swapped = list(idx)
-            swapped[pos1], swapped[pos2] = swapped[pos2], swapped[pos1]
-            put(tuple(swapped), f.scale(-half))
-        return TensorField(self.dim, self.rank, acc, "none", _validated=True)
-
-    def transpose_slots(self, perm):
-        """Reindex: new component at idx is old component at idx permuted by perm."""
-        comps = {}
-        for idx, f in self.components.items():
-            new = tuple(idx[p] for p in perm)
-            comps[new] = f
-        return TensorField(self.dim, self.rank, comps, "none", _validated=True)
 
     # -- predicates ----------------------------------------------------------
 
@@ -444,13 +365,6 @@ class TensorField:
                 return False
             if self.get((a, b, d, c)) != f:
                 return False
-        return True
-
-    def check_symmetry(self):
-        if self.symmetry_tag == "fully_symmetric":
-            return self.is_fully_symmetric()
-        if self.symmetry_tag == "curvature_type":
-            return self.is_curvature_type()
         return True
 
     def __eq__(self, other):
@@ -491,14 +405,7 @@ def raise_last(t: TensorField, sdata: SymplecticData) -> TensorField:
             w = hi[c][p]
             if not w:
                 continue
-            key = idx[:-1] + (p,)
-            g = f.scale(w)
-            cur = comps.get(key)
-            s = g if cur is None else cur + g
-            if s.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = s
+            K.accumulate(comps, idx[:-1] + (p,), f.scale(w))
     return TensorField(t.dim, t.rank, comps, "none", _validated=True)
 
 
@@ -512,14 +419,7 @@ def lower_last(t: TensorField, sdata: SymplecticData) -> TensorField:
             w = lo[p][c]
             if not w:
                 continue
-            key = idx[:-1] + (c,)
-            g = f.scale(w)
-            cur = comps.get(key)
-            s = g if cur is None else cur + g
-            if s.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = s
+            K.accumulate(comps, idx[:-1] + (c,), f.scale(w))
     return TensorField(t.dim, t.rank, comps, "none", _validated=True)
 
 

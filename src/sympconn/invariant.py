@@ -60,20 +60,6 @@ def cube_is_zero(cube):
     return all(not x for plane in cube for row in plane for x in row)
 
 
-def cube_add(c1, c2):
-    return tuple(
-        tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(p1, p2))
-        for p1, p2 in zip(c1, c2)
-    )
-
-
-def cube_scale(cube, s):
-    s = Fraction(s)
-    return tuple(
-        tuple(tuple(s * x for x in row) for row in plane) for plane in cube
-    )
-
-
 class StructureMapCurve:
     """Per-order constant fully symmetric lowered cubes B-bar^(0..K)."""
 

@@ -6,8 +6,6 @@ Matrices are immutable tuples of tuples of Fraction.  Sizes here are tiny
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import ConfigurationError
 from .rationals import Fraction
 
@@ -42,11 +40,6 @@ def mat_vec(a, v):
 
 def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(a, c):
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def trace(a):
@@ -95,7 +88,3 @@ def rank(rows):
         if r == len(rows):
             break
     return r
-
-
-def all_indices(dim, rank_):
-    return product(range(dim), repeat=rank_)

@@ -44,9 +44,11 @@ def potential_split(s: TensorField) -> PotentialSplit:
     """Split a fully symmetric rank-3 field into grad^3(U) + constant.
 
     For each nonzero mode m, the candidate is read off one component with
-    m_b != 0 via S_bbb(m) = (i m_b)^3 U^(m), then all (2n)^3 component
-    equations at that mode are verified exactly.  Failure raises
-    NotExactCube with the offending mode and component.
+    m_b != 0 via S_bbb(m) = (i m_b)^3 U^(m), then the component equations at
+    that mode are verified exactly on p <= q <= r.  S is checked fully
+    symmetric first and so is grad^3(U), so these cover every component,
+    and the lexicographically first failing triple is a sorted one.
+    Failure raises NotExactCube with the offending mode and component.
     """
     if s.rank != 3 or not s.is_fully_symmetric():
         raise PreconditionError("potential_split needs a fully symmetric rank-3 field")
@@ -63,8 +65,8 @@ def potential_split(s: TensorField) -> PotentialSplit:
         # (i m_b)^3 = -i m_b^3
         u_hat = s_bbb / (_I_CUBED * (m[b] ** 3))
         for p in range(dim):
-            for q in range(dim):
-                for r in range(dim):
+            for q in range(p, dim):
+                for r in range(q, dim):
                     want = u_hat * (_I_CUBED * (m[p] * m[q] * m[r]))
                     if s.get((p, q, r)).coeff(m) != want:
                         raise NotExactCube(m, (p, q, r))

@@ -13,6 +13,7 @@ the cap.
 
 from __future__ import annotations
 
+from ._kernel.pure import accumulate
 from .errors import ConfigurationError, InternalInconsistency
 from .rationals import Fraction
 
@@ -21,7 +22,7 @@ class VectorField:
     """Contravariant vector field whose components are `scalar` objects.
 
     A subclass sets `scalar` (with `zero`, `constant`, `derivative`, `+`,
-    `*`, `scale`, `is_zero`, `is_real` and `is_constant`) and the two
+    `-`, `*`, `scale`, `is_zero`, `is_real` and `is_constant`) and the two
     coordinate hooks `merge_exponentials` solves with:
 
     - `test_function(dim, a)`: a scalar f_a; the f_a generate the function
@@ -58,7 +59,9 @@ class VectorField:
         return type(self)([a + b for a, b in zip(self.comps, other.comps)])
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.dim != other.dim:
+            raise ConfigurationError("vector field dim mismatch")
+        return type(self)([a - b for a, b in zip(self.comps, other.comps)])
 
     def __neg__(self):
         return type(self)([-c for c in self.comps])
@@ -155,6 +158,91 @@ def exp_apply(gens, fcurve):
 def exp_ad(gens, ycurve):
     """exp(ad X_t) Y for a vector-field curve Y."""
     return _truncated_exp(VectorField.bracket, gens, ycurve)
+
+
+# -- the action on connections -----------------------------------------------------
+
+
+class _LieData:
+    """The first and second flat derivatives of one generator X:
+    into[q] = [(r, d_r X^q)], outof[r] = [(q, -d_r X^q)] and
+    hessian = {(a, b, p): d_a d_b X^p}, all without zero entries."""
+
+    __slots__ = ("field", "into", "outof", "hessian")
+
+    def __init__(self, x: VectorField):
+        dim = x.dim
+        self.field = x
+        self.into = [[] for _ in range(dim)]
+        self.outof = [[] for _ in range(dim)]
+        self.hessian = {}
+        for q, xq in enumerate(x.comps):
+            for r in range(dim):
+                d = xq.derivative(r)
+                if d.is_zero():
+                    continue
+                self.into[q].append((r, d))
+                self.outof[r].append((q, -d))
+                for a in range(dim):
+                    accumulate(self.hessian, (a, r, q), d.derivative(a))
+
+    def lie(self, gamma, acc):
+        """acc += L_X gamma for a (1,2) tensor gamma = {(a, b, p): G^p_ab}:
+        (L_X G)^p_ab = X(G^p_ab) - G^q_ab d_q X^p + G^p_qb d_a X^q
+        + G^p_aq d_b X^q."""
+        for (a, b, p), g in gamma.items():
+            accumulate(acc, (a, b, p), self.field.apply(g))
+            for r, d in self.outof[p]:
+                accumulate(acc, (a, b, r), g * d)
+            for r, d in self.into[a]:
+                accumulate(acc, (r, b, p), g * d)
+            for r, d in self.into[b]:
+                accumulate(acc, (a, r, p), g * d)
+
+
+def exp_lie_connection(gens, gamma):
+    """exp(L_{X_t}) acting on the connection curve d + Gamma_t.
+
+    gamma[k] = {(a, b, p): Gamma^(k)p_ab}, the Christoffel symbols of order
+    k with nabla_{e_a} e_b = sum_p Gamma^p_ab e_p; the result has the same
+    shape.  On connections L_X is the affine derivation
+      L_X (d + Gamma) = d d X + L_X Gamma,
+    with (d d X)^p_ab = d_a d_b X^p, so
+      exp(L_X) Gamma = Gamma + sum_{j>=1} (1/j!) L_X^(j-1) (d d X + L_X Gamma).
+    Every term is graded in t and the j-th has valuation >= j, so the sum is
+    exact at the cap.  Every component (a, b, p) is computed; symmetry in
+    (a, b) is a property of the result, not an assumption.
+    """
+    data = [None] + [
+        None if g.is_zero() else _LieData(g) for g in gens[1:]
+    ]
+
+    def lie(curve):
+        out = []
+        for k in range(len(curve)):
+            acc = {}
+            for s in range(1, k + 1):
+                if data[s] is not None and curve[k - s]:
+                    data[s].lie(curve[k - s], acc)
+            out.append(acc)
+        return out
+
+    term = lie(gamma)
+    for k, d in enumerate(data):
+        if d is not None:
+            for idx, f in d.hessian.items():
+                accumulate(term[k], idx, f)
+    out = [dict(order) for order in gamma]
+    for j in range(1, len(gamma)):
+        if j > 1:
+            inv = Fraction(1, j)
+            term = [{idx: f.scale(inv) for idx, f in order.items()} for order in lie(term)]
+        if not any(term):
+            break
+        for order, add in zip(out, term):
+            for idx, f in add.items():
+                accumulate(order, idx, f)
+    return out
 
 
 # -- normal ordering -------------------------------------------------------------

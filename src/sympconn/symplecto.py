@@ -18,6 +18,7 @@ NonRepresentablePhase.
 
 from __future__ import annotations
 
+from ._kernel.pure import accumulate
 from .curvature import ConnectionCurve
 from .errors import (
     ConfigurationError,
@@ -25,7 +26,7 @@ from .errors import (
     NonRepresentablePhase,
     PreconditionError,
 )
-from .fourier import FourierScalar, SymplecticData, TensorField
+from .fourier import FourierScalar, SymplecticData, TensorField, lower_last
 from .linalg import identity as mat_identity
 from .linalg import inverse, mat_vec
 from .rationals import Fraction, GaussianRational
@@ -34,6 +35,7 @@ from .series import (
     coordinate_tests,
     exp_ad,
     exp_apply,
+    exp_lie_connection,
     merge_exponentials,
     order_from_mismatch,
 )
@@ -143,6 +145,22 @@ def conj_affine(c_mat, c_inv, d, x: FourierVectorField) -> FourierVectorField:
                 cb = cb + pulled[a].scale(c_inv[b][a])
         comps.append(cb)
     return FourierVectorField(comps)
+
+
+def affine_pullback_tensor(c_mat, d, t: TensorField) -> TensorField:
+    """sigma^* T for a covariant tensor:
+    (sigma^* T)_{a1..ar}(x) = sum C^{b1}_{a1} .. C^{br}_{ar} T_{b1..br}(C x + 2 pi d)."""
+    dim = t.dim
+    rows = [[(a, c) for a, c in enumerate(row) if c] for row in c_mat]
+    out = {}
+    for idx, f in t.components.items():
+        g = affine_pullback_scalar(c_mat, d, f)
+        terms = [((), 1)]
+        for b in idx:
+            terms = [(new + (a,), w * c) for new, w in terms for a, c in rows[b]]
+        for new, w in terms:
+            accumulate(out, new, g if w == 1 else g.scale(w))
+    return TensorField(dim, t.rank, out, _validated=True)
 
 
 # -- the curve type ------------------------------------------------------------
@@ -264,11 +282,6 @@ class SymplectoCurve:
         exp_part = exp_apply(self.gens, fcurve)
         return [affine_pullback_scalar(self.c_mat, self.d, g) for g in exp_part]
 
-    def apply_to_scalar(self, f: FourierScalar):
-        fcurve = [f] + [FourierScalar.zero(self.dim)] * self.cap
-        return self.apply_to_scalar_curve(fcurve)
-
-
 def invert(psi: SymplectoCurve) -> SymplectoCurve:
     """psi^{-1} = tau^* o exp(Ad_{sigma^*}(-X_t)) with tau = sigma^{-1}."""
     gens = [
@@ -291,67 +304,25 @@ def act_on_vector_field(psi: SymplectoCurve, ycurve):
 
 
 def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionCurve:
-    """Basis transport: (psi . nabla)_{e_a} e_b = psi.(nabla_{psi^{-1}.e_a}
-    (psi^{-1}.e_b)), lowered with omega.
+    """psi . nabla = sigma^*(exp(L_{X_t}) nabla) for psi = sigma^* o exp X_t.
 
-    The output is verified fully symmetric and flat at order 0; a failure is
-    fatal because it would mean the action left the space of symplectic
-    connection curves.
+    The exponential is `series.exp_lie_connection` on the mixed tensors
+    A^p_ab; its result is lowered with omega and, unless sigma is the
+    identity, pulled back through sigma as a covariant tensor (C is
+    symplectic, so lowering and pulling back commute).  The output is
+    verified fully symmetric and flat at order 0; a failure is fatal because
+    it would mean the action left the space of symplectic connection curves.
     """
     sdata, cap, dim = conn.sdata, conn.cap, conn.dim
     if psi.cap != cap or psi.dim != dim:
         raise PreconditionError("symplectomorphism and connection caps must match")
-    inv = invert(psi)
-    zero_field = FourierVectorField.zero(dim)
-    basis_back = []
-    for a in range(dim):
-        const = FourierVectorField.constant(
-            dim, [Fraction(1) if p == a else Fraction(0) for p in range(dim)]
-        )
-        basis_back.append(act_on_vector_field(inv, [const] + [zero_field] * cap))
-    mixed = conn.mixed
-    lo = sdata.omega_lo
-    new_components = [dict() for _ in range(cap + 1)]
-    for a in range(dim):
-        xa = basis_back[a]
-        for b in range(dim):
-            yb = basis_back[b]
-            # nabla^t_{X} Y per order, as a vector-field curve
-            deriv = []
-            for k in range(cap + 1):
-                acc = FourierVectorField.zero(dim)
-                for s in range(k + 1):
-                    xs = xa[s]
-                    if xs.is_zero():
-                        continue
-                    acc = acc + xs.derive(yb[k - s])
-                for s in range(1, k + 1):
-                    gamma = mixed[s]
-                    if gamma.is_zero():
-                        continue
-                    for u in range(k - s + 1):
-                        xu, yv = xa[u], yb[k - s - u]
-                        if xu.is_zero() or yv.is_zero():
-                            continue
-                        comps = [FourierScalar.zero(dim) for _ in range(dim)]
-                        for (p, q, c), g in gamma.components.items():
-                            term = g * xu.comps[p] * yv.comps[q]
-                            if term:
-                                comps[c] = comps[c] + term
-                        acc = acc + FourierVectorField(comps)
-                deriv.append(acc)
-            forward = act_on_vector_field(psi, deriv)
-            for k in range(cap + 1):
-                for c in range(dim):
-                    val = FourierScalar.zero(dim)
-                    for p in range(dim):
-                        if lo[p][c] and forward[k].comps[p]:
-                            val = val + forward[k].comps[p].scale(lo[p][c])
-                    if val:
-                        new_components[k][(a, b, c)] = val
+    moved = exp_lie_connection(psi.gens, [m.components for m in conn.mixed])
+    affine = not psi.has_identity_affine_part()
     abar = []
-    for k, comp in enumerate(new_components):
-        t = TensorField(dim, 3, comp, symmetry_tag="none", _validated=True)
+    for k, comp in enumerate(moved):
+        t = lower_last(TensorField(dim, 3, comp, _validated=True), sdata)
+        if affine:
+            t = affine_pullback_tensor(psi.c_mat, psi.d, t)
         if k == 0:
             if not t.is_zero():
                 raise InternalInconsistency(
@@ -365,9 +336,8 @@ def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionC
             )
         if not t.is_real():
             raise InternalInconsistency(f"acted connection lost reality at order {k}")
-        abar.append(
-            TensorField(dim, 3, comp, symmetry_tag="fully_symmetric", _validated=True)
-        )
+        t.symmetry_tag = "fully_symmetric"
+        abar.append(t)
     return ConnectionCurve(sdata, cap, abar, validate=False)
 
 

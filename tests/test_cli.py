@@ -197,3 +197,40 @@ def test_corrupted_file_exit_2(tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "check", "no-such-file.json")
     assert code == 2
+
+
+def test_act_with_affine_part_is_deterministic(tmp_path, capsys):
+    """`act` with a witness sigma^* o psi_f(t), where sigma(x) = C x + 2 pi d
+    has C = S T (two Sp(4, Z) generators) and d = (1/4, 0, 1/2, 0): two runs
+    give byte-identical stdout and files, and the output is pinned by its
+    sha256."""
+    import hashlib
+    from fractions import Fraction
+
+    from sympconn.fourier import FourierScalar
+    from sympconn.symplecto import SymplectoCurve, compose
+
+    g = sp_generators(SD)
+    c = [[sum(g[0][i][k] * g[2][k][j] for k in range(4)) for j in range(4)]
+         for i in range(4)]
+    sigma = SymplectoCurve.affine(SD, 3, c, (Fraction(1, 4), 0, Fraction(1, 2), 0))
+    step = SymplectoCurve.from_hamiltonian(
+        SD, 3, FourierScalar.sine(4, (1, 1, 0, 0)), 1, Fraction(2, 3)
+    )
+    wit_p = tmp_path / "wit.json"
+    dump_path(compose(sigma, step), wit_p)
+    moved_p = write_moved(tmp_path)
+    outs, files = [], []
+    for i in range(2):
+        code, out, _ = run(capsys, "act", str(wit_p), str(moved_p))
+        assert code == 0
+        outs.append(out)
+        acted_p = tmp_path / f"acted{i}.json"
+        code, _, _ = run(capsys, "act", str(wit_p), str(moved_p), "--out", str(acted_p))
+        assert code == 0
+        files.append(acted_p.read_bytes())
+    assert outs[0] == outs[1]
+    assert files[0] == files[1] == outs[0].encode()
+    assert hashlib.sha256(files[0]).hexdigest() == (
+        "ae3430639c1137efc9edc6ab7e1dd8165d2c2ff1e49f101de6c22ded129ea16f"
+    )

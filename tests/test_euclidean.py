@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
+
+import sympconn.euclidean as euclidean
 
 from sympconn.errors import PreconditionError
 from sympconn.euclidean import (
     Poly,
     PolySymplecto,
     PolyVectorField,
+    act_on_poly_connection,
     equivalence_Rn,
     psi_A,
     psi_A_connection_check,
@@ -21,6 +25,7 @@ from sympconn.euclidean import (
 from sympconn.fourier import SymplecticData
 from sympconn.generate import rank_one_ladder, validated_sum_ladder
 from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
+from sympconn.series import exp_ad, merge_exponentials
 
 SD = SymplecticData.standard(4)
 
@@ -138,3 +143,124 @@ def test_stabilizer_detects_moving_curve():
     verdict, order = stabilizer_check(psi)
     assert verdict == "moves"
     assert order == 1
+
+
+# -- the basis transport, kept as a test-only reference ---------------------------
+
+
+def reference_act_on_poly_connection(gens, cap, sdata, gamma):
+    """The former implementation, by basis transport: the basis moves back
+    through exp(ad X_t), nabla_X Y is formed per order, and the result moves
+    forward through exp(ad(-X_t))."""
+    dim = sdata.dim
+    neg = [-g for g in gens]
+    zero = PolyVectorField.zero(dim)
+    back = [
+        exp_ad(gens, [PolyVectorField.constant(dim, [int(i == a) for i in range(dim)])]
+               + [zero] * cap)
+        for a in range(dim)
+    ]
+    out = [dict() for _ in range(cap + 1)]
+    for a in range(dim):
+        xa = back[a]
+        for b in range(dim):
+            yb = back[b]
+            deriv = []
+            for k in range(cap + 1):
+                acc = PolyVectorField.zero(dim)
+                for s in range(k + 1):
+                    acc = acc + xa[s].derive(yb[k - s])
+                for s in range(1, k + 1):
+                    for u in range(k - s + 1):
+                        xu, yv = xa[u], yb[k - s - u]
+                        for (p, q), gpq in gamma[s].items():
+                            w = xu.comps[p] * yv.comps[q]
+                            acc = acc + PolyVectorField([gc * w for gc in gpq.comps])
+                deriv.append(acc)
+            forward = exp_ad(neg, deriv)
+            for k in range(cap + 1):
+                if not forward[k].is_zero():
+                    out[k][(a, b)] = forward[k]
+    return out
+
+
+def random_poly(rng, dim, terms=2, degree=2):
+    out = {}
+    for _ in range(terms):
+        e = [0] * dim
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(dim)] += 1
+        out[tuple(e)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Poly(dim, out)
+
+
+def random_poly_gamma(rng, dim, cap):
+    """Random Christoffel data {(a, b): Gamma(e_a, e_b)}, symmetric in (a, b)."""
+    gamma = [dict()]
+    for _ in range(cap):
+        order = {}
+        for _ in range(2):
+            a, b = sorted(rng.randrange(dim) for _ in range(2))
+            field = PolyVectorField([random_poly(rng, dim, 1, 1) for _ in range(dim)])
+            order[(a, b)] = order[(b, a)] = field
+        gamma.append(order)
+    return gamma
+
+
+def poly_hamiltonian_ladder(rng, sdata, cap, steps):
+    """The merged generator ladder of `steps` Hamiltonian steps at the orders
+    1, 2, ... (cycling through 1..cap), with random cubic Hamiltonians."""
+    dim = sdata.dim
+    hi = sdata.omega_hi
+    ladder = [PolyVectorField.zero(dim)] * (cap + 1)
+    for i in range(steps):
+        h = Poly.zero(dim)
+        while h.degree() < 2:
+            h = random_poly(rng, dim, 2, 3)
+        field = PolyVectorField([
+            sum((h.derivative(b).scale(hi[b][c]) for b in range(dim) if hi[b][c]),
+                Poly.zero(dim))
+            for c in range(dim)
+        ])
+        step = [PolyVectorField.zero(dim)] * (cap + 1)
+        step[1 + i % cap] = field
+        ladder = merge_exponentials(sdata, step, ladder)
+    return ladder
+
+
+@pytest.mark.parametrize("dim, cap, steps, seed", [
+    (4, 2, 2, 1), (4, 2, 3, 2), (4, 3, 2, 3), (4, 3, 3, 4),
+    (6, 2, 2, 5), (6, 2, 3, 6), (6, 3, 2, 7),
+])
+def test_poly_action_matches_basis_transport(dim, cap, steps, seed):
+    rng = random.Random(seed)
+    sdata = SymplecticData.standard(dim)
+    gamma = random_poly_gamma(rng, dim, cap)
+    gens = poly_hamiltonian_ladder(rng, sdata, cap, steps)
+    acted = act_on_poly_connection(gens, cap, sdata, gamma)
+    assert acted != gamma
+    assert acted == reference_act_on_poly_connection(gens, cap, sdata, gamma)
+
+
+def test_poly_action_matches_basis_transport_in_every_caller(monkeypatch):
+    """psi_At_connection_check, equivalence_Rn and both stabilizer_check
+    verdicts, with every action compared against the reference."""
+    original = euclidean.act_on_poly_connection
+    seen = []
+
+    def compared(gens, cap, sdata, gamma):
+        acted = original(gens, cap, sdata, gamma)
+        assert acted == reference_act_on_poly_connection(gens, cap, sdata, gamma)
+        seen.append(acted)
+        return acted
+
+    monkeypatch.setattr(euclidean, "act_on_poly_connection", compared)
+    for seed in range(2):
+        assert psi_At_connection_check(rank_one_ladder(SD, 3, seed=seed))
+    equivalence_Rn(rank_one_ladder(SD, 3, seed=1), validated_sum_ladder(SD, 3, seed=5))
+    sd6 = SymplecticData.standard(6)
+    equivalence_Rn(rank_one_ladder(sd6, 2, seed=2), validated_sum_ladder(sd6, 2, seed=3))
+    test_stabilizer_affine_curve()
+    test_stabilizer_detects_moving_curve()
+    assert len(seen) == 6
+    assert any(any(order) for acted in seen for order in acted)

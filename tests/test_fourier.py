@@ -131,3 +131,24 @@ def test_scale_by_gaussian():
     f = FourierScalar.single_mode(DIM, (1, 0, 0, 0))
     i = GaussianRational(0, 1)
     assert f.scale(i).coeff((1, 0, 0, 0)) == i
+
+
+def test_subtraction_matches_adding_the_negation_key_for_key():
+    """FourierScalar, TensorField and vector-field subtraction build no
+    negated copy but keep the keys of s + (-t) in the same order."""
+    from sympconn.symplecto import FourierVectorField
+
+    rng = random.Random(7)
+    for _ in range(5):
+        s = random_symmetric_field(rng, 4, triples=3)
+        t = random_symmetric_field(rng, 4, triples=3)
+        t = t + TensorField(4, 3, dict(list(s.components.items())[:3]), _validated=True)
+        diff, want = s - t, s + (-t)
+        assert list(diff.components) == list(want.components)
+        for idx, f in diff.components.items():
+            assert list(f.coeffs.items()) == list(want.components[idx].coeffs.items())
+        assert diff.symmetry_tag == want.symmetry_tag
+        x = FourierVectorField([s.get((0, 0, i)) for i in range(4)])
+        y = FourierVectorField([t.get((0, 0, i)) for i in range(4)])
+        assert x - y == x + (-y)
+        assert (x - x).is_zero()

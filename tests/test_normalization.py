@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from sympconn.normalization import (
     potential_split,
     recurrence_step,
 )
+from sympconn.rationals import GaussianRational
 from sympconn.symplecto import act_on_connection
 
 SD = SymplecticData.standard(4)
@@ -96,3 +98,41 @@ def test_recurrence_step_requires_settled_lower_orders():
         pytest.skip("fixture already invariant at order 1")
     with pytest.raises(PreconditionError):
         recurrence_step(moved, 2)
+
+
+def reference_first_defect(s):
+    """(mode, component) of the first failing exact-cube equation over all
+    (2n)^3 components, or None: the former full check of potential_split."""
+    dim = s.dim
+    modes = sorted({m for f in s.components.values() for m in f.coeffs if any(m)})
+    for m in modes:
+        b = next(i for i, mi in enumerate(m) if mi)
+        u_hat = s.get((b, b, b)).coeff(m) / (GaussianRational(0, -1) * (m[b] ** 3))
+        for idx in product(range(dim), repeat=3):
+            want = u_hat * (GaussianRational(0, -1) * (m[idx[0]] * m[idx[1]] * m[idx[2]]))
+            if s.get(idx).coeff(m) != want:
+                return m, idx
+    return None
+
+
+def test_potential_split_reports_the_first_defect_of_the_full_check():
+    """Only p <= q <= r is checked, yet the reported (mode, component) is the
+    one the check over all components finds first."""
+    import random
+
+    from sympconn.generate import random_symmetric_field
+
+    rng = random.Random(3)
+    defects = 0
+    for _ in range(12):
+        s = random_symmetric_field(rng, 4, max_modes=2, mode_bound=1, triples=3)
+        s = s + gradient_curve(SD, 1, COS1, 1).abar[1]
+        want = reference_first_defect(s)
+        if want is None:
+            potential_split(s)
+            continue
+        defects += 1
+        with pytest.raises(NotExactCube) as err:
+            potential_split(s)
+        assert (err.value.mode, err.value.idx) == want
+    assert defects

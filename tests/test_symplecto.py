@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from sympconn.curvature import curvature_curve
 from sympconn.errors import NonRepresentablePhase, PreconditionError
-from sympconn.fourier import FourierScalar, SymplecticData
-from sympconn.generate import rank_one_ladder
+from sympconn.fourier import FourierScalar, SymplecticData, TensorField
+from sympconn.generate import rank_one_ladder, random_connection_curve, random_real_scalar
 from sympconn.invariant import embed_invariant
+from sympconn.moduli import sp_generators
 from sympconn.symplecto import (
+    FourierVectorField,
     SymplectoCurve,
     act_on_connection,
     act_on_vector_field,
@@ -147,3 +150,151 @@ def test_act_on_vector_field_respects_composition():
     lhs = act_on_vector_field(compose(psi, phi), ycurve)
     rhs = act_on_vector_field(psi, act_on_vector_field(phi, ycurve))
     assert lhs == rhs
+
+
+# -- the basis transport, kept as a test-only reference ---------------------------
+
+
+def reference_act_on_connection(psi, conn):
+    """The former implementation, by basis transport:
+    (psi . nabla)_{e_a} e_b = psi.(nabla_{psi^{-1}.e_a}(psi^{-1}.e_b)),
+    with every field moved through exp(ad X_t) and the affine part, lowered
+    with omega.  Returns the lowered tensors per order."""
+    sdata, cap, dim = conn.sdata, conn.cap, conn.dim
+    inv = invert(psi)
+    zero_field = FourierVectorField.zero(dim)
+    basis_back = []
+    for a in range(dim):
+        const = FourierVectorField.constant(dim, [int(p == a) for p in range(dim)])
+        basis_back.append(act_on_vector_field(inv, [const] + [zero_field] * cap))
+    mixed = conn.mixed
+    lo = sdata.omega_lo
+    out = [dict() for _ in range(cap + 1)]
+    for a in range(dim):
+        xa = basis_back[a]
+        for b in range(dim):
+            yb = basis_back[b]
+            deriv = []
+            for k in range(cap + 1):
+                acc = FourierVectorField.zero(dim)
+                for s in range(k + 1):
+                    acc = acc + xa[s].derive(yb[k - s])
+                for s in range(1, k + 1):
+                    for u in range(k - s + 1):
+                        xu, yv = xa[u], yb[k - s - u]
+                        comps = [FourierScalar.zero(dim) for _ in range(dim)]
+                        for (p, q, c), g in mixed[s].components.items():
+                            comps[c] = comps[c] + g * xu.comps[p] * yv.comps[q]
+                        acc = acc + FourierVectorField(comps)
+                deriv.append(acc)
+            forward = act_on_vector_field(psi, deriv)
+            for k in range(cap + 1):
+                for c in range(dim):
+                    val = FourierScalar.zero(dim)
+                    for p in range(dim):
+                        val = val + forward[k].comps[p].scale(lo[p][c])
+                    if val:
+                        out[k][(a, b, c)] = val
+    return [TensorField(dim, 3, comp) for comp in out]
+
+
+def hamiltonian_witness(rng, sdata, cap, steps):
+    """A composition of `steps` Hamiltonian steps psi_f(c t^k) at the orders
+    k = 1, 2, ... (cycling through 1..cap), with random real non-constant f
+    and coefficients c; an order-1 step makes every power of L_X count."""
+    psi = SymplectoCurve.identity(sdata, cap)
+    for i in range(steps):
+        f = FourierScalar.zero(sdata.dim)
+        while f.is_constant():
+            f = random_real_scalar(rng, sdata.dim, max_modes=2, mode_bound=1)
+        coeff = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        step = SymplectoCurve.from_hamiltonian(sdata, cap, f, 1 + i % cap, coeff)
+        psi = compose(step, psi)
+    return psi
+
+
+def sp_word(sdata, indices):
+    """The product of the `sp_generators` with the given indices."""
+    gens = sp_generators(sdata)
+    dim = sdata.dim
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for i in indices:
+        m = [[sum(m[r][k] * gens[i][k][c] for k in range(dim)) for c in range(dim)]
+             for r in range(dim)]
+    return m
+
+
+@pytest.mark.parametrize("dim, cap, steps, seed", [
+    (4, 2, 2, 1), (4, 2, 3, 2), (4, 3, 2, 3), (4, 3, 3, 4),
+    (6, 2, 2, 5), (6, 2, 3, 6), (6, 3, 2, 7),
+])
+def test_action_matches_basis_transport_on_random_curves(dim, cap, steps, seed):
+    rng = random.Random(seed)
+    sdata = SymplecticData.standard(dim)
+    conn = random_connection_curve(rng, dim=dim, cap=cap, max_modes=2, mode_bound=1)
+    psi = hamiltonian_witness(rng, sdata, cap, steps)
+    assert not psi.is_identity()
+    moved = act_on_connection(psi, conn)
+    assert moved.abar == reference_act_on_connection(psi, conn)
+
+
+@pytest.mark.parametrize("dim, word, d, seed", [
+    (4, (0,), (Fraction(1, 4), 0, 0, 0), 1),
+    (4, (1, 0, 2), (Fraction(1, 2), Fraction(3, 4), 0, Fraction(1, 4)), 2),
+    (4, (3,), (0, 0, 0, 0), 3),
+    (6, (0, 4), (0, Fraction(1, 4), 0, Fraction(1, 2), 0, 0), 4),
+])
+def test_action_with_affine_part_matches_basis_transport(dim, word, d, seed):
+    """sigma(x) = C x + 2 pi d with C a word in the Sp(2n, Z) generators and
+    m.d in (1/4)Z, before, after and inside a Hamiltonian witness."""
+    rng = random.Random(seed)
+    sdata = SymplecticData.standard(dim)
+    cap = 2
+    c_mat = sp_word(sdata, word)
+    assert c_mat != [[int(i == j) for j in range(dim)] for i in range(dim)]
+    conn = random_connection_curve(rng, dim=dim, cap=cap, max_modes=2, mode_bound=1)
+    ham = hamiltonian_witness(rng, sdata, cap, 2)
+    sigma = SymplectoCurve.affine(sdata, cap, c_mat, d)
+    for psi in (
+        sigma,
+        compose(sigma, ham),
+        compose(ham, sigma),
+        SymplectoCurve(sdata, cap, c_mat, d, ham.gens),
+    ):
+        assert not psi.has_identity_affine_part()
+        assert act_on_connection(psi, conn).abar == reference_act_on_connection(psi, conn)
+
+
+def test_action_with_affine_part_is_functorial():
+    flat = embed_invariant(rank_one_ladder(SD, CAP, seed=4))
+    sigma = SymplectoCurve.affine(SD, CAP, sp_word(SD, (0, 2)), (Fraction(1, 4), 0, 0, 0))
+    psi = SymplectoCurve.from_hamiltonian(SD, CAP, SIN12, 1)
+    lhs = act_on_connection(compose(sigma, psi), flat)
+    rhs = act_on_connection(sigma, act_on_connection(psi, flat))
+    assert lhs.abar == rhs.abar
+    back = act_on_connection(invert(compose(sigma, psi)), lhs)
+    assert back.abar == flat.abar
+
+
+def test_action_makes_no_basis_transport(monkeypatch):
+    """act_on_connection runs no exp(ad X_t); the counter does see the
+    reference transport."""
+    import sympconn.series
+    import sympconn.symplecto
+
+    calls = []
+    original = sympconn.series.exp_ad
+
+    def counting_exp_ad(gens, ycurve):
+        calls.append(1)
+        return original(gens, ycurve)
+
+    monkeypatch.setattr(sympconn.series, "exp_ad", counting_exp_ad)
+    monkeypatch.setattr(sympconn.symplecto, "exp_ad", counting_exp_ad)
+    flat = embed_invariant(rank_one_ladder(SD, CAP, seed=3))
+    sigma = SymplectoCurve.affine(SD, CAP, sp_word(SD, (0,)), (Fraction(1, 2), 0, 0, 0))
+    psi = compose(sigma, SymplectoCurve.from_hamiltonian(SD, CAP, COS1, 1))
+    moved = act_on_connection(psi, flat)
+    assert calls == []
+    assert moved.abar == reference_act_on_connection(psi, flat)
+    assert calls
