@@ -6,8 +6,6 @@ operation.  `accumulate` is the one in-place sparse sum for maps of any
 values with `+` and `is_zero` (tensor components, Christoffel symbols).
 """
 
-from ..rationals import GaussianRational
-
 
 def accumulate(acc, key, value):
     """acc[key] += value in place; zero values and cancelled entries are dropped."""
@@ -58,10 +56,8 @@ def dict_neg(a):
 
 
 def dict_scale(a, c):
-    """Scale by a GaussianRational (or plain rational) factor."""
-    if not isinstance(c, GaussianRational):
-        c = GaussianRational(c)
-    if c.is_zero():
+    """Scale by a GaussianRational, int or Fraction factor."""
+    if not c:
         return {}
     return {m: v * c for m, v in a.items()}
 

@@ -18,7 +18,13 @@ import tempfile
 import time
 
 from . import __version__
-from .curvature import ConnectionCurve, bianchi_check, curvature_bundle
+from .curvature import (
+    MAX_CURVE_WORK,
+    ConnectionCurve,
+    bianchi_check,
+    curvature_bundle,
+    curve_work,
+)
 from .errors import (
     ConfigurationError,
     InputError,
@@ -61,6 +67,22 @@ def _load(path, want=None):
             f"{path}: expected a {want.__name__}, found {type(value).__name__}"
         )
     return value
+
+
+def _require_within_ceiling(path, conn):
+    """Refuse a connection curve whose curvature is too much work (exit 2)."""
+    work = curve_work(conn)
+    if work > MAX_CURVE_WORK:
+        raise InputError(
+            f"{path}: estimated work {work} exceeds the ceiling of {MAX_CURVE_WORK} "
+            "coefficient products (sum over k of nnz(A^(s)) nnz(A^(s')), s + s' = k)"
+        )
+
+
+def _load_connection(path):
+    conn = _load(path, ConnectionCurve)
+    _require_within_ceiling(path, conn)
+    return conn
 
 
 def _write_atomic(path, text):
@@ -108,6 +130,7 @@ def cmd_check(args):
         return EXIT_PASS if ok else EXIT_NEGATIVE
     if not isinstance(value, ConnectionCurve):
         raise InputError(f"{args.input}: check expects a curve file")
+    _require_within_ceiling(args.input, value)
     bundle = curvature_bundle(value)
     bianchi = bianchi_check(value)
     w_orders = [t.is_zero() for t in bundle.W.orders]
@@ -135,7 +158,7 @@ def cmd_check(args):
 
 
 def cmd_normalize(args):
-    conn = _load(args.input, ConnectionCurve)
+    conn = _load_connection(args.input)
     result = normalize_curve(conn)
     if args.out:
         _write_atomic(args.out, dumps(result.flat_curve))
@@ -232,7 +255,7 @@ def cmd_equiv(args):
 
 def cmd_act(args):
     psi = _load(args.psi, SymplectoCurve)
-    conn = _load(args.input, ConnectionCurve)
+    conn = _load_connection(args.input)
     moved = act_on_connection(psi, conn)
     text = dumps(moved)
     if args.out:

@@ -93,6 +93,24 @@ class ConnectionCurve:
         return f"ConnectionCurve(dim={self.dim}, cap={self.cap})"
 
 
+# Ceiling on `curve_work` for a curve the command line reads.  Random curves
+# on T^4 (three modes per order) reach it at cap 22; at cap 21 (187548)
+# `curvature_bundle` + `bianchi_check` take 3.6 s on a 2-vCPU VM, at cap 48
+# (863061) 50 s.  Curves whose terms share few modes cost less per unit: an
+# acted T^6 cap-3 curve at 1248192 takes 2.3 s.  The benchmark's inputs and
+# the curves the tests give the command line stay below 4000.
+MAX_CURVE_WORK = 200_000
+
+
+def curve_work(conn: ConnectionCurve) -> int:
+    """Sum over k <= cap of nnz(A^(s)) nnz(A^(s')) over s + s' = k, where nnz
+    counts the Fourier terms of all components: the coefficient products of
+    the order-k Gamma.Gamma terms of the curvature.  Cheap, and known before
+    any curvature is computed."""
+    nnz = [sum(len(f.coeffs) for f in t.components.values()) for t in conn.abar]
+    return sum(nnz[s] * nnz[k - s] for k in range(conn.cap + 1) for s in range(k + 1))
+
+
 def covariant_derivative(conn: ConnectionCurve, t_curve: TensorFieldCurve) -> TensorFieldCurve:
     """Covariant derivative of a covariant tensor curve; new slot first.
 

@@ -264,8 +264,12 @@ def psi_A(sdata, cube) -> PolyMap:
 
 def psi_A_pushforward_constant(sdata, cube, x):
     """psi^A . X = X - A(.)X for a constant vector X (valid by nilpotency)."""
-    mats = cube_endomorphisms(sdata, cube)
-    dim = sdata.dim
+    return _pushforward_constant(cube_endomorphisms(sdata, cube), x)
+
+
+def _pushforward_constant(mats, x):
+    """psi^A . X from the matrices A(e_a) of the cube."""
+    dim = len(mats)
     x = tuple(Fraction(v) for v in x)
     comps = []
     for p in range(dim):
@@ -284,14 +288,13 @@ def psi_A_symplectic_check(sdata, cube):
     """Omega(psi^A . X, psi^A . Y) = Omega(X, Y) on the constant basis."""
     dim = sdata.dim
     lo = sdata.omega_lo
-    for a in range(dim):
-        xa = psi_A_pushforward_constant(
-            sdata, cube, [1 if i == a else 0 for i in range(dim)]
-        )
-        for b in range(dim):
-            yb = psi_A_pushforward_constant(
-                sdata, cube, [1 if i == b else 0 for i in range(dim)]
-            )
+    mats = cube_endomorphisms(sdata, cube)
+    pushed = [
+        _pushforward_constant(mats, [1 if i == a else 0 for i in range(dim)])
+        for a in range(dim)
+    ]
+    for a, xa in enumerate(pushed):
+        for b, yb in enumerate(pushed):
             pairing = Poly.zero(dim)
             for p in range(dim):
                 for q in range(dim):
@@ -328,12 +331,11 @@ def psi_A_connection_check(sdata, cube):
     bwd = psi_A(sdata, [[[-Fraction(cube[a][b][c]) for c in range(dim)] for b in range(dim)] for a in range(dim)])
     if not fwd.compose(bwd).is_identity() or not bwd.compose(fwd).is_identity():
         raise InternalInconsistency("psi^{-A} is not the inverse of psi^A")
-    for a in range(dim):
-        ea = PolyVectorField.constant(dim, [1 if i == a else 0 for i in range(dim)])
-        xa = pushforward(bwd, fwd, ea)
-        for b in range(dim):
-            eb = PolyVectorField.constant(dim, [1 if i == b else 0 for i in range(dim)])
-            yb = pushforward(bwd, fwd, eb)
+    basis = [PolyVectorField.constant(dim, [1 if i == a else 0 for i in range(dim)])
+             for a in range(dim)]
+    pushed = [pushforward(bwd, fwd, e) for e in basis]
+    for a, xa in enumerate(pushed):
+        for b, yb in enumerate(pushed):
             # nabla^0_{X} Y = directional derivative
             deriv = xa.derive(yb)
             moved = pushforward(fwd, bwd, deriv)

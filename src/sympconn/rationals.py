@@ -5,12 +5,24 @@ gcd-reduced form with positive denominator, exactly the invariants we need).
 This module adds string (de)serialization helpers and the Gaussian rational
 type used for Fourier coefficients, where the imaginary unit enters through
 mode-wise differentiation.
+
+A `GaussianRational` is stored fraction-free as three ints ``(p, q, d)``
+meaning ``(p + i q) / d``, with ``d > 0`` and ``gcd(p, q, d) == 1``; zero
+is ``(0, 0, 1)``.  This form is canonical, so equality is equality of the
+triples.  Each ``+ - * /`` computes the unreduced triple with integer
+arithmetic and normalizes it with one three-argument ``math.gcd`` (none
+when the denominator is 1); negation, conjugation and multiplication by i
+keep the invariant without one.  Integers and Fractions mix in directly,
+without a temporary Gaussian rational.  ``re`` and ``im`` are read-only
+Fractions, built on demand for serialization and the few real-valued
+readers.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
@@ -26,8 +38,10 @@ def rational_from_str(s: str) -> Fraction:
     s = s.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"bad rational literal {s!r}")
+    # the literal is checked: split it rather than parse it again as a string
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError as exc:
         raise ValueError(f"bad rational literal {s!r}") from exc
 
@@ -37,67 +51,179 @@ def rational_to_str(q: Fraction) -> str:
     return str(q)
 
 
-class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+_new = object.__new__
 
-    __slots__ = ("re", "im")
+
+def _make(p, q, d):
+    """A GaussianRational from a triple that is already canonical."""
+    z = _new(GaussianRational)
+    z.p = p
+    z.q = q
+    z.d = d
+    return z
+
+
+def _reduced(p, q, d):
+    """A GaussianRational from any triple with d > 0."""
+    g = gcd(p, q, d)
+    if g != 1:
+        return _make(p // g, q // g, d // g)
+    return _make(p, q, d)
+
+
+def _lift(x):
+    """An int or Fraction operand as a triple (p, 0, d); None for any other
+    type, so the operator can return NotImplemented."""
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+class GaussianRational:
+    """A complex number (p + i q) / d with exact rational real and imaginary
+    parts; see the module docstring for the invariant."""
+
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.p, self.q, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        rd, idn = re.denominator, im.denominator
+        if rd == idn:
+            self.p, self.q, self.d = re.numerator, im.numerator, rd
+            return
+        # over the lcm of two reduced denominators, gcd(p, q, d) is 1
+        d = rd // gcd(rd, idn) * idn
+        self.p, self.q, self.d = re.numerator * (d // rd), im.numerator * (d // idn), d
+
+    @property
+    def re(self):
+        return Fraction(self.p, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.q, self.d)
 
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is GaussianRational:
+            op, oq, od = other.p, other.q, other.d
+        else:
+            t = _lift(other)
+            if t is None:
+                return NotImplemented
+            op, oq, od = t
+        d = self.d
+        if d == od:
+            p, q = self.p + op, self.q + oq
+            if d == 1:
+                return _make(p, q, 1)
+        else:
+            p, q, d = self.p * od + op * d, self.q * od + oq * d, d * od
+        return _reduced(p, q, d)
+
+    def __radd__(self, other):
+        return self + other
 
     def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is GaussianRational:
+            op, oq, od = other.p, other.q, other.d
+        else:
+            t = _lift(other)
+            if t is None:
+                return NotImplemented
+            op, oq, od = t
+        d = self.d
+        if d == od:
+            p, q = self.p - op, self.q - oq
+            if d == 1:
+                return _make(p, q, 1)
+        else:
+            p, q, d = self.p * od - op * d, self.q * od - oq * d, d * od
+        return _reduced(p, q, d)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return GaussianRational(self.re * other, self.im * other)
+        if type(other) is GaussianRational:
+            a, b, c, e = self.p, self.q, other.p, other.q
+            p, q, d = a * c - b * e, a * e + b * c, self.d * other.d
+            if d == 1:
+                return _make(p, q, 1)
+            return _reduced(p, q, d)
+        if type(other) is int:
+            # gcd(p k, q k, d) = gcd(k, d), because gcd(p, q) is prime to d
+            d = self.d
+            g = gcd(other, d) if d != 1 else 1
+            if g != 1:
+                other //= g
+                d //= g
+            return _make(self.p * other, self.q * other, d)
+        t = _lift(other)
+        if t is None:
+            return NotImplemented
+        op, _, od = t
+        return _reduced(self.p * op, self.q * op, self.d * od)
 
     def __rmul__(self, other):
-        return self.__mul__(other)
+        return self * other
 
     def __truediv__(self, other):
-        if not isinstance(other, GaussianRational):
-            return GaussianRational(self.re / other, self.im / other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / n, -other.im / n)
+        if type(other) is GaussianRational:
+            c, e = other.p, other.q
+            n = c * c + e * e
+            if not n:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            # (a + i b) / d * od / (c + i e) = (a + i b)(c - i e) od / (d n)
+            a, b, od = self.p, self.q, other.d
+            return _reduced((a * c + b * e) * od, (b * c - a * e) * od, self.d * n)
+        t = _lift(other)
+        if t is None:
+            return NotImplemented
+        op, _, od = t
+        if not op:
+            raise ZeroDivisionError("division of a Gaussian rational by zero")
+        if op < 0:
+            op, od = -op, -od
+        return _reduced(self.p * od, self.q * od, self.d * op)
+
+    def __rtruediv__(self, other):
+        t = _lift(other)
+        if t is None:
+            return NotImplemented
+        return _make(*t) / self
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _make(self.p, -self.q, self.d)
 
     def times_i(self):
         """Multiplication by i."""
-        return GaussianRational(-self.im, self.re)
+        return _make(-self.q, self.p, self.d)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
-        return not self.re and not self.im
+        return not self.p and not self.q
 
     def is_real(self):
-        return not self.im
+        return not self.q
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.p or self.q)
 
     def __eq__(self, other):
-        if not isinstance(other, GaussianRational):
+        if type(other) is not GaussianRational:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))

@@ -234,3 +234,91 @@ def test_act_with_affine_part_is_deterministic(tmp_path, capsys):
     assert hashlib.sha256(files[0]).hexdigest() == (
         "ae3430639c1137efc9edc6ab7e1dd8165d2c2ff1e49f101de6c22ded129ea16f"
     )
+
+
+# sha256 of the stdout and files of `check` and `normalize`, taken before
+# Gaussian rationals were stored as int triples: (command, input) -> (exit
+# code, stdout, {written file: sha256}).
+PINNED_OUTPUTS = {
+    ("check", "moved.json"): (
+        0, "721f79374a9e55f5e792ad49fe9315d8fed8689fb95d9c2b3648501e25561a44", {}),
+    ("normalize", "moved.json"): (
+        0, "cc06e3119e1e6016cf9a753dc10c4c4f1e03a994325f0ae3fee2c1ca5e81d2be",
+        {"flat.json": "2f0b25376bb80b09067b6b9048167ac382ae02bfb929a7d3668af25a250b790b",
+         "wit.json": "396341c16115fd59ae4dfa3f82d03d59c7affcea2c96346753b3ed03f8620d66"}),
+    ("check", "random.json"): (
+        1, "dfab32439aca0d3bd20db4880d79565a9afe47de32acae1278c2689a4bcf4827", {}),
+    ("normalize", "random.json"): (
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
+}
+
+
+def test_check_and_normalize_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    """`check` and `normalize` on a conjugated T^4 fixture (seed 1, cap 3) and
+    a random cap-3 curve (seed 7) give the same bytes as before the change of
+    coefficient representation.  Relative paths keep stdout independent of
+    the temporary directory."""
+    import hashlib
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    monkeypatch.chdir(tmp_path)
+    _, _, moved = conjugated_flat_fixture(1, dim=4, cap=3)
+    dump_path(moved, "moved.json")
+    run(capsys, "generate", "--kind", "random", "--dim", "4", "--order", "3",
+        "--seed", "7", "--out", "random.json")
+    assert sha((tmp_path / "moved.json").read_bytes()) == (
+        "1f28416d696ccd32628cc2e8dae81c3fbc542d4eba07201483d387854dfd9a19")
+    assert sha((tmp_path / "random.json").read_bytes()) == (
+        "cea9fd27e5f17e5dd4db69592cfaad7066ae57f61ab635a53a9c6029fa590fb9")
+    for (command, name), (want_code, want_out, want_files) in PINNED_OUTPUTS.items():
+        extra = ["--out", "flat.json", "--witness", "wit.json"] if command == "normalize" else []
+        code, out, _ = run(capsys, command, name, *extra)
+        assert code == want_code
+        assert sha(out.encode()) == want_out
+        written = {f: sha((tmp_path / f).read_bytes())
+                   for f in ("flat.json", "wit.json") if (tmp_path / f).exists()}
+        assert written == want_files
+        for f in written:
+            (tmp_path / f).unlink()
+
+
+def test_oversized_curve_is_refused_exit_2(tmp_path, monkeypatch, capsys):
+    """A random T^4 curve at cap 22 has curve_work 205716, just past the
+    ceiling of 200000: check, normalize and act refuse it with exit 2 before
+    computing any curvature."""
+    from sympconn import curvature
+    from sympconn.symplecto import SymplectoCurve
+
+    p = tmp_path / "big.json"
+    run(capsys, "generate", "--kind", "random", "--dim", "4", "--order", "22",
+        "--seed", "7", "--out", str(p))
+    conn = load_path(p)
+    assert curvature.curve_work(conn) == 205716 > curvature.MAX_CURVE_WORK == 200_000
+
+    def no_curvature(*args):
+        raise AssertionError("curvature computed past the ceiling")
+
+    monkeypatch.setattr(curvature, "curvature_curve", no_curvature)
+    wit_p = tmp_path / "wit.json"
+    dump_path(SymplectoCurve.identity(SD, 22), wit_p)
+    for argv in (["check", str(p)], ["normalize", str(p)], ["act", str(wit_p), str(p)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the ceiling of 200000 coefficient products" in err
+
+
+def test_curve_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
+    """The ceiling is inclusive: a curve whose work equals it is checked."""
+    from sympconn import cli, curvature
+
+    p = write_moved(tmp_path)
+    work = curvature.curve_work(load_path(p))
+    assert work == 147
+    monkeypatch.setattr(cli, "MAX_CURVE_WORK", work)
+    assert run(capsys, "check", str(p))[0] == 0
+    monkeypatch.setattr(cli, "MAX_CURVE_WORK", work - 1)
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 2 and f"estimated work {work} exceeds the ceiling of {work - 1}" in err

@@ -264,3 +264,74 @@ def test_poly_action_matches_basis_transport_in_every_caller(monkeypatch):
     test_stabilizer_detects_moving_curve()
     assert len(seen) == 6
     assert any(any(order) for acted in seen for order in acted)
+
+
+def reference_psi_A_symplectic_check(sdata, cube):
+    """The per-pair form: one psi_A_pushforward_constant per basis vector and
+    per pair, as the check was first written."""
+    dim = sdata.dim
+    lo = sdata.omega_lo
+    for a in range(dim):
+        xa = euclidean.psi_A_pushforward_constant(sdata, cube, [int(i == a) for i in range(dim)])
+        for b in range(dim):
+            yb = euclidean.psi_A_pushforward_constant(sdata, cube, [int(i == b) for i in range(dim)])
+            pairing = Poly.zero(dim)
+            for p in range(dim):
+                for q in range(dim):
+                    if lo[p][q]:
+                        pairing = pairing + (xa.comps[p] * yb.comps[q]).scale(lo[p][q])
+            if pairing != Poly.constant(dim, lo[a][b]):
+                return False
+    return True
+
+
+def random_symmetric_cube(rng, dim):
+    cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a, dim):
+            for c in range(b, dim):
+                if rng.random() < 0.3:
+                    v = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                    for i, j, k in {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
+                        cube[i][j][k] = v
+    return cube
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_psi_A_symplectic_check_matches_per_pair_reference(dim):
+    """Same verdicts as the per-pair form on valid ladder cubes (True) and on
+    random symmetric, mostly non-nilpotent cubes (mostly False)."""
+    sd = SymplecticData.standard(dim)
+    rng = random.Random(dim)
+    cubes = [c for seed in range(3) for c in rank_one_ladder(sd, 2, seed=seed).cubes[1:]]
+    cubes += [c for c in validated_sum_ladder(sd, 2, seed=5).cubes[1:]]
+    cubes += [random_symmetric_cube(rng, dim) for _ in range(8)]
+    verdicts = [psi_A_symplectic_check(sd, c) for c in cubes]
+    assert verdicts == [reference_psi_A_symplectic_check(sd, c) for c in cubes]
+    assert True in verdicts and False in verdicts
+
+
+def test_psi_A_checks_push_each_basis_vector_once(monkeypatch):
+    """The symplectic check builds the cube's matrices once; the connection
+    check pushes each basis vector through psi^{-A} once (dim pushforwards,
+    then dim^2 for the covariant derivatives) and still checks nilpotency for
+    both psi^A and psi^{-A}."""
+    counts = {}
+
+    def counting(name):
+        original = getattr(euclidean, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(euclidean, name, wrapper)
+
+    for name in ("cube_endomorphisms", "pushforward", "require_nilpotent_cube"):
+        counting(name)
+    assert psi_A_symplectic_check(SD, cube_e1())
+    assert counts == {"cube_endomorphisms": 1}
+    counts.clear()
+    assert psi_A_connection_check(SD, cube_e1())
+    assert counts["pushforward"] == 4 + 4 * 4
+    assert counts["require_nilpotent_cube"] == 2

@@ -37,3 +37,20 @@ def test_dict_sub_matches_adding_the_negation_key_for_key():
         got = pure.dict_sub(a, b)
         assert list(got.items()) == list(want.items())
         assert all(not c.is_zero() for c in got.values())
+
+
+def test_dict_scale_by_int_fraction_and_gaussian_factors():
+    """A plain rational factor scales each coefficient as the Gaussian
+    rational it equals would, and a zero factor of any type leaves no
+    stored zero."""
+    rng = random.Random(3)
+    for _ in range(20):
+        a = random_dict(rng)
+        for c in (rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 6))):
+            got = pure.dict_scale(a, c)
+            assert got == pure.dict_scale(a, GaussianRational(c))
+            assert all(not v.is_zero() for v in got.values())
+            assert (got == {}) == (c == 0)
+    a = random_dict(rng)
+    for zero in (0, Fraction(0), GaussianRational(0)):
+        assert pure.dict_scale(a, zero) == {}
