@@ -1,1 +1,1 @@
-"""Sparse mode-dictionary kernels behind `fourier.FourierScalar` (see `pure`)."""
+"""Sparse-map kernels behind `series.SparseScalar` and the tensor types (see `pure`)."""

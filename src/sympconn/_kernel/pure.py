@@ -1,26 +1,30 @@
-"""Pure-Python kernels for sparse Fourier coefficient maps.
+"""Pure-Python kernels for sparse maps.
 
-A coefficient map is a dict from mode tuples (length 2n, ints) to nonzero
-GaussianRationals.  These loops dominate the runtime of every tensor
-operation.  `accumulate` is the one in-place sparse sum for maps of any
-values with `+` and `is_zero` (tensor components, Christoffel symbols).
+A sparse map is a dict from keys to nonzero values.  The sums, negation,
+scaling and products below serve any values with `+`, `-`, `*` and a truth
+value that is false exactly at zero: `Fraction` and `GaussianRational`
+coefficients, `series.SparseScalar` functions as tensor components and
+Christoffel symbols.  For products the keys are int tuples that add, as
+Fourier modes and polynomial exponents do.  `dict_derivative` and
+`dict_shift` are the Fourier-mode operations of `fourier.FourierScalar`.
+These loops dominate the runtime of every tensor operation.
 """
 
 
 def accumulate(acc, key, value):
     """acc[key] += value in place; zero values and cancelled entries are dropped."""
-    if value.is_zero():
+    if not value:
         return
     cur = acc.get(key)
     s = value if cur is None else cur + value
-    if s.is_zero():
-        del acc[key]
-    else:
+    if s:
         acc[key] = s
+    else:
+        del acc[key]
 
 
 def dict_add(a, b):
-    """Mode-wise sum; zero results are dropped."""
+    """Key-wise sum; zero results are dropped."""
     out = dict(a)
     for m, c in b.items():
         cur = out.get(m)
@@ -28,15 +32,15 @@ def dict_add(a, b):
             out[m] = c
         else:
             s = cur + c
-            if s.is_zero():
-                del out[m]
-            else:
+            if s:
                 out[m] = s
+            else:
+                del out[m]
     return out
 
 
 def dict_sub(a, b):
-    """Mode-wise difference, keys in the order of dict_add(a, dict_neg(b))."""
+    """Key-wise difference, keys in the order of dict_add(a, dict_neg(b))."""
     out = dict(a)
     for m, c in b.items():
         cur = out.get(m)
@@ -44,10 +48,10 @@ def dict_sub(a, b):
             out[m] = -c
         else:
             s = cur - c
-            if s.is_zero():
-                del out[m]
-            else:
+            if s:
                 out[m] = s
+            else:
+                del out[m]
     return out
 
 
@@ -56,14 +60,14 @@ def dict_neg(a):
 
 
 def dict_scale(a, c):
-    """Scale by a GaussianRational, int or Fraction factor."""
+    """Every value times the factor c; a zero factor gives the empty map."""
     if not c:
         return {}
     return {m: v * c for m, v in a.items()}
 
 
 def dict_convolve(a, b):
-    """Product of trigonometric polynomials: modes add, coefficients multiply."""
+    """Product of sparse sums over int-tuple keys: keys add, values multiply."""
     if len(a) > len(b):
         a, b = b, a
     out = {}
@@ -76,10 +80,10 @@ def dict_convolve(a, b):
                 out[m] = p
             else:
                 s = cur + p
-                if s.is_zero():
-                    del out[m]
-                else:
+                if s:
                     out[m] = s
+                else:
+                    del out[m]
     return out
 
 

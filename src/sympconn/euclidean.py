@@ -23,10 +23,16 @@ from .errors import (
     InternalInconsistency,
     PreconditionError,
 )
-from .invariant import StructureMapCurve, cube_is_symmetric
-from .linalg import is_zero_matrix, mat_mul
+from .invariant import (
+    StructureMapCurve,
+    add_rows_product,
+    cube_is_symmetric,
+    cube_matrices,
+    cube_rows,
+)
 from .rationals import Fraction
 from .series import (
+    SparseScalar,
     VectorField,
     exp_apply,
     exp_lie_connection,
@@ -35,85 +41,25 @@ from .series import (
 )
 
 
-class Poly:
-    """Polynomial in x^1..x^{2n} with rational coefficients, stored sparsely
-    as exponent tuple -> coefficient."""
+class Poly(SparseScalar):
+    """Polynomial in x^1..x^{2n}: exponent tuple -> Fraction coefficient."""
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, dim, coeffs=None):
-        self.dim = dim
-        clean = {}
-        for e, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[tuple(e)] = c
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim)
-
-    @classmethod
-    def constant(cls, dim, value):
-        return cls(dim, {(0,) * dim: Fraction(value)})
+    coeff_type = Fraction
 
     @classmethod
     def variable(cls, dim, a):
         e = tuple(1 if i == a else 0 for i in range(dim))
-        return cls(dim, {e: Fraction(1)})
-
-    def _check(self, other):
-        if self.dim != other.dim:
-            raise ConfigurationError("polynomial dim mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.dim, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly(self.dim, {e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        self._check(other)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.dim, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, s):
-        s = Fraction(s)
-        return Poly(self.dim, {e: s * c for e, c in self.coeffs.items()})
+        return cls(dim, {e: Fraction(1)}, _validated=True)
 
     def derivative(self, axis):
         out = {}
         for e, c in self.coeffs.items():
             k = e[axis]
             if k:
-                ee = tuple(x - 1 if i == axis else x for i, x in enumerate(e))
-                out[ee] = out.get(ee, Fraction(0)) + c * k
-        return Poly(self.dim, out)
+                out[tuple(x - 1 if i == axis else x for i, x in enumerate(e))] = c * k
+        return Poly(self.dim, out, _validated=True)
 
     def substitute(self, maps):
         """Evaluate at x^a = maps[a] (a list of Polys)."""
@@ -131,26 +77,9 @@ class Poly:
     def degree(self):
         return max((sum(e) for e in self.coeffs), default=0)
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_constant(self):
-        return all(not any(e) for e in self.coeffs)
-
     def is_real(self):
         """Always true: the coefficients are rational."""
         return True
-
-    def constant_part(self):
-        return self.coeffs.get((0,) * self.dim, Fraction(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         return f"Poly({self.dim}, {dict(sorted(self.coeffs.items()))})"
@@ -212,71 +141,41 @@ class PolyVectorField(VectorField):
 # -- the closed-form symplectomorphism psi^A ------------------------------------
 
 
-def cube_endomorphisms(sdata, cube):
-    """Matrices of A(e_a) from a lowered cube: (A(e_a))^p_b = omega^{cp} S_abc."""
-    dim = sdata.dim
-    hi = sdata.omega_hi
-    mats = []
-    for a in range(dim):
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        for b in range(dim):
-            for c in range(dim):
-                v = Fraction(cube[a][b][c])
-                if v:
-                    for p in range(dim):
-                        if hi[c][p]:
-                            m[p][b] += hi[c][p] * v
-        mats.append(tuple(tuple(row) for row in m))
-    return mats
-
-
 def require_nilpotent_cube(sdata, cube):
+    """Refuse a cube that is not fully symmetric or whose A(e_a) A(e_b) is
+    nonzero for some basis pair (a, b), the first in lexicographic order."""
     if not cube_is_symmetric(cube):
         raise PreconditionError("cube is not fully symmetric")
-    mats = cube_endomorphisms(sdata, cube)
+    rows = cube_rows(sdata, cube)
     for a, b in product(range(sdata.dim), repeat=2):
-        if not is_zero_matrix(mat_mul(mats[a], mats[b])):
+        acc = {}
+        add_rows_product(acc, rows[a], rows[b])
+        if any(acc.values()):
             raise PreconditionError(f"A(e_{a}) A(e_{b}) != 0: cube is not nilpotent")
-    return mats
 
 
 def psi_A(sdata, cube) -> PolyMap:
-    """psi^A(x) = x - (1/2) A(x) x for a nilpotent symmetric cube."""
-    mats = require_nilpotent_cube(sdata, cube)
-    dim = sdata.dim
-    half = Fraction(1, 2)
-    comps = []
-    for p in range(dim):
-        poly = Poly.variable(dim, p)
-        quad = {}
-        for a in range(dim):
-            for b in range(dim):
-                v = mats[a][p][b]
-                if v:
-                    e = [0] * dim
-                    e[a] += 1
-                    e[b] += 1
-                    e = tuple(e)
-                    quad[e] = quad.get(e, Fraction(0)) - half * v
-        comps.append(poly + Poly(dim, quad))
-    return PolyMap(comps)
+    """psi^A(x) = x - (1/2) A(x) x = x + X_A(x) for a nilpotent symmetric cube."""
+    require_nilpotent_cube(sdata, cube)
+    field = structure_field(sdata, cube)
+    return PolyMap([Poly.variable(sdata.dim, p) + c for p, c in enumerate(field.comps)])
 
 
 def psi_A_pushforward_constant(sdata, cube, x):
     """psi^A . X = X - A(.)X for a constant vector X (valid by nilpotency)."""
-    return _pushforward_constant(cube_endomorphisms(sdata, cube), x)
+    return _pushforward_constant(cube_rows(sdata, cube), x)
 
 
-def _pushforward_constant(mats, x):
-    """psi^A . X from the matrices A(e_a) of the cube."""
-    dim = len(mats)
+def _pushforward_constant(rows, x):
+    """psi^A . X from the sparse rows of the A(e_a) (`invariant.cube_rows`)."""
+    dim = len(rows)
     x = tuple(Fraction(v) for v in x)
     comps = []
     for p in range(dim):
         poly = Poly.constant(dim, x[p])
         lin = {}
         for a in range(dim):
-            v = sum(mats[a][p][b] * x[b] for b in range(dim))
+            v = sum(w * x[b] for b, w in rows[a].get(p, {}).items())
             if v:
                 e = tuple(1 if i == a else 0 for i in range(dim))
                 lin[e] = -v
@@ -288,9 +187,9 @@ def psi_A_symplectic_check(sdata, cube):
     """Omega(psi^A . X, psi^A . Y) = Omega(X, Y) on the constant basis."""
     dim = sdata.dim
     lo = sdata.omega_lo
-    mats = cube_endomorphisms(sdata, cube)
+    rows = cube_rows(sdata, cube)
     pushed = [
-        _pushforward_constant(mats, [1 if i == a else 0 for i in range(dim)])
+        _pushforward_constant(rows, [1 if i == a else 0 for i in range(dim)])
         for a in range(dim)
     ]
     for a, xa in enumerate(pushed):
@@ -326,7 +225,7 @@ def psi_A_connection_check(sdata, cube):
     """psi^A . nabla^0 = nabla^A on basis pairs, via exact transport through
     the polynomial inverse psi^{-A}."""
     dim = sdata.dim
-    mats = cube_endomorphisms(sdata, cube)
+    mats = cube_matrices(sdata, cube)
     fwd = psi_A(sdata, cube)
     bwd = psi_A(sdata, [[[-Fraction(cube[a][b][c]) for c in range(dim)] for b in range(dim)] for a in range(dim)])
     if not fwd.compose(bwd).is_identity() or not bwd.compose(fwd).is_identity():
@@ -350,23 +249,19 @@ def psi_A_connection_check(sdata, cube):
 
 def structure_field(sdata, cube) -> PolyVectorField:
     """X_A(x) = -(1/2) A(x) x as a quadratic polynomial field."""
-    mats = cube_endomorphisms(sdata, cube)
     dim = sdata.dim
     half = Fraction(1, 2)
-    comps = []
-    for p in range(dim):
-        quad = {}
-        for a in range(dim):
-            for b in range(dim):
-                v = mats[a][p][b]
-                if v:
-                    e = [0] * dim
-                    e[a] += 1
-                    e[b] += 1
-                    e = tuple(e)
-                    quad[e] = quad.get(e, Fraction(0)) - half * v
-        comps.append(Poly(dim, quad))
-    return PolyVectorField(comps)
+    quads = [{} for _ in range(dim)]
+    for a, rows in enumerate(cube_rows(sdata, cube)):
+        for p, row in rows.items():
+            quad = quads[p]
+            for b, v in row.items():
+                e = [0] * dim
+                e[a] += 1
+                e[b] += 1
+                e = tuple(e)
+                quad[e] = quad.get(e, 0) - half * v
+    return PolyVectorField([Poly(dim, quad) for quad in quads])
 
 
 def psi_At(b_curve: StructureMapCurve):

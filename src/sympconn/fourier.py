@@ -17,6 +17,7 @@ from ._kernel import pure as K
 from .errors import ConfigurationError
 from .linalg import inverse, mat_mul, mat_neg, matrix, transpose
 from .rationals import Fraction, GaussianRational, GR_ONE
+from .series import SparseScalar
 
 
 class SymplecticData:
@@ -74,42 +75,14 @@ class SymplecticData:
         return hash(self.omega_lo)
 
 
-def _as_coeff(c):
-    if isinstance(c, GaussianRational):
-        return c
-    return GaussianRational(c)
+class FourierScalar(SparseScalar):
+    """Sparse trigonometric polynomial: Fourier mode -> GaussianRational."""
 
+    __slots__ = ()
 
-class FourierScalar:
-    """Sparse trigonometric polynomial; immutable after construction."""
-
-    __slots__ = ("dim", "coeffs")
-
-    def __init__(self, dim, coeffs=None, _validated=False):
-        self.dim = dim
-        if coeffs is None:
-            coeffs = {}
-        if not _validated:
-            clean = {}
-            for m, c in coeffs.items():
-                m = tuple(int(x) for x in m)
-                if len(m) != dim:
-                    raise ConfigurationError("mode length != dim")
-                c = _as_coeff(c)
-                if not c.is_zero():
-                    clean[m] = c
-            coeffs = clean
-        self.coeffs = coeffs
+    coeff_type = GaussianRational
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim, {}, _validated=True)
-
-    @classmethod
-    def constant(cls, dim, value):
-        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def cosine(cls, dim, mode, amplitude=1):
@@ -139,35 +112,6 @@ class FourierScalar:
 
     # -- algebra -------------------------------------------------------------
 
-    def _check(self, other):
-        if self.dim != other.dim:
-            raise ConfigurationError("scalar dim mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return FourierScalar(self.dim, K.dict_add(self.coeffs, other.coeffs), _validated=True)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FourierScalar(self.dim, K.dict_sub(self.coeffs, other.coeffs), _validated=True)
-
-    def __neg__(self):
-        return FourierScalar(self.dim, K.dict_neg(self.coeffs), _validated=True)
-
-    def __mul__(self, other):
-        if isinstance(other, FourierScalar):
-            self._check(other)
-            return FourierScalar(
-                self.dim, K.dict_convolve(self.coeffs, other.coeffs), _validated=True
-            )
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        return FourierScalar(self.dim, K.dict_scale(self.coeffs, c), _validated=True)
-
     def derivative(self, axis):
         """Flat derivative d/dx^axis, mode-wise multiplication by i m_axis."""
         if not 0 <= axis < self.dim:
@@ -190,22 +134,12 @@ class FourierScalar:
     def coeff(self, mode):
         return self.coeffs.get(tuple(mode), GaussianRational(0))
 
-    def is_zero(self):
-        return not self.coeffs
-
     def is_real(self):
         for m, c in self.coeffs.items():
             neg = tuple(-x for x in m)
             if self.coeffs.get(neg) != c.conjugate():
                 return False
         return True
-
-    def is_constant(self):
-        return all(not any(m) for m in self.coeffs)
-
-    def constant_part(self):
-        """The zero-mode coefficient."""
-        return self.coeffs.get((0,) * self.dim, GaussianRational(0))
 
     def zero_mean(self):
         """The field minus its zero mode."""
@@ -216,17 +150,6 @@ class FourierScalar:
     def sorted_modes(self):
         return sorted(self.coeffs)
 
-    def __eq__(self, other):
-        if not isinstance(other, FourierScalar):
-            return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.coeffs.items())))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __repr__(self):
         terms = ", ".join(f"{m}: {c.re}+{c.im}i" for m, c in sorted(self.coeffs.items()))
         return f"FourierScalar({self.dim}, {{{terms}}})"
@@ -236,8 +159,7 @@ class TensorField:
     """Sparse covariant tensor field with FourierScalar components.
 
     symmetry_tag is advisory metadata ('none', 'fully_symmetric',
-    'curvature_type'); `is_fully_symmetric` and `is_curvature_type` verify
-    it exactly.
+    'curvature_type'); `symmetry_witness` verifies it exactly.
     """
 
     __slots__ = ("dim", "rank", "components", "symmetry_tag")
@@ -288,35 +210,20 @@ class TensorField:
 
     def __add__(self, other):
         self._check(other)
-        comps = dict(self.components)
-        for idx, f in other.components.items():
-            s = comps[idx] + f if idx in comps else f
-            if s.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = s
+        comps = K.dict_add(self.components, other.components)
         return TensorField(self.dim, self.rank, comps, self._tag_after(other), _validated=True)
 
     def __sub__(self, other):
         self._check(other)
-        comps = dict(self.components)
-        for idx, f in other.components.items():
-            s = comps[idx] - f if idx in comps else -f
-            if s.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = s
+        comps = K.dict_sub(self.components, other.components)
         return TensorField(self.dim, self.rank, comps, self._tag_after(other), _validated=True)
 
     def __neg__(self):
-        return TensorField(
-            self.dim, self.rank,
-            {i: -f for i, f in self.components.items()},
-            self.symmetry_tag, _validated=True,
-        )
+        comps = K.dict_neg(self.components)
+        return TensorField(self.dim, self.rank, comps, self.symmetry_tag, _validated=True)
 
     def scale(self, c):
-        comps = {i: f.scale(c) for i, f in self.components.items()}
+        comps = K.dict_scale(self.components, c)
         return TensorField(self.dim, self.rank, comps, self.symmetry_tag, _validated=True)
 
     def partial(self, axis):
@@ -328,7 +235,7 @@ class TensorField:
                 comps[idx] = d
         return TensorField(self.dim, self.rank, comps, "none", _validated=True)
 
-    def grad(self, sdata=None):
+    def grad(self):
         """Flat covariant derivative: rank+1 with the new index in slot 0."""
         comps = {}
         for a in range(self.dim):
@@ -349,23 +256,38 @@ class TensorField:
     def is_real(self):
         return all(f.is_real() for f in self.components.values())
 
+    def symmetry_witness(self, kind):
+        """The first (multi-index, permuted multi-index) pair, in sorted
+        order of the components, whose entries break the symmetry `kind`,
+        or None.  'fully_symmetric' compares every permutation;
+        'curvature_type' (rank 4 only) needs T_bacd = -T_abcd and
+        T_abdc = T_abcd; any other kind declares no symmetry."""
+        if kind == "fully_symmetric":
+            for idx in sorted(self.components):
+                f = self.components[idx]
+                for perm in permutations(idx):
+                    if self.get(perm) != f:
+                        return idx, perm
+        elif kind == "curvature_type":
+            if self.rank != 4:
+                raise ConfigurationError(
+                    f"symmetry 'curvature_type' needs rank 4, got rank {self.rank}"
+                )
+            for idx in sorted(self.components):
+                a, b, c, d = idx
+                f = self.components[idx]
+                if self.get((b, a, c, d)) != -f:
+                    return idx, (b, a, c, d)
+                if self.get((a, b, d, c)) != f:
+                    return idx, (a, b, d, c)
+        return None
+
     def is_fully_symmetric(self):
-        for idx, f in self.components.items():
-            for perm in permutations(idx):
-                if self.get(perm) != f:
-                    return False
-        return True
+        return self.symmetry_witness("fully_symmetric") is None
 
     def is_curvature_type(self):
         """Rank 4, antisymmetric in slots (0,1), symmetric in slots (2,3)."""
-        if self.rank != 4:
-            return False
-        for (a, b, c, d), f in self.components.items():
-            if self.get((b, a, c, d)) != -f:
-                return False
-            if self.get((a, b, d, c)) != f:
-                return False
-        return True
+        return self.rank == 4 and self.symmetry_witness("curvature_type") is None
 
     def __eq__(self, other):
         if not isinstance(other, TensorField):

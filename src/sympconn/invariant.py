@@ -20,6 +20,12 @@ cached on the curve.  From it come
   - the left side of the Ricci-type identity for (e_a, e_b, e_c), column c
     of 2(n+1) P_k[a, b];
   - the flatness theorem's R = 0 and B^t(X) B^t(Y) = 0.
+
+The algebra of one cube lives here as well: `cube_rows` gives the sparse
+rows of each A(e_a), `cube_matrices` their dense form and
+`add_rows_product` the sparse matrix product.  StructureMapCurve reads them
+for its matrices and product tables, and the R^(2n) model (`euclidean`)
+for psi^A, its nilpotency check and the structure field X_A.
 """
 
 from __future__ import annotations
@@ -60,6 +66,52 @@ def cube_is_zero(cube):
     return all(not x for plane in cube for row in plane for x in row)
 
 
+def cube_rows(sdata: SymplecticData, cube):
+    """Per basis direction a the nonzero rows {p: {b: entry}} of the matrix
+    of A(e_a) for a lowered cube: (A(e_a))^p_b = sum_c omega^{cp} cube[a][b][c]."""
+    dim = sdata.dim
+    hi = sdata.omega_hi
+    out = []
+    for plane in cube:
+        acc = {}
+        for b, line in enumerate(plane):
+            for c, v in enumerate(line):
+                if v:
+                    for p in range(dim):
+                        if hi[c][p]:
+                            acc[(p, b)] = acc.get((p, b), 0) + hi[c][p] * v
+        rows = {}
+        for (p, b), v in acc.items():
+            if v:
+                rows.setdefault(p, {})[b] = v
+        out.append(rows)
+    return out
+
+
+def cube_matrices(sdata: SymplecticData, cube):
+    """Per basis direction a the dense matrix of A(e_a) (see `cube_rows`)."""
+    dim = sdata.dim
+    mats = []
+    for rows in cube_rows(sdata, cube):
+        m = [[Fraction(0)] * dim for _ in range(dim)]
+        for p, row in rows.items():
+            for b, v in row.items():
+                m[p][b] = v
+        mats.append(tuple(tuple(line) for line in m))
+    return mats
+
+
+def add_rows_product(acc, left, right):
+    """acc[(i, j)] += (L R)_ij for two matrices given by their nonzero rows
+    {i: {l: entry}}; entries of acc may cancel to zero."""
+    if not right:
+        return
+    for i, row in left.items():
+        for l, v in row.items():
+            for j, w in right.get(l, {}).items():
+                acc[(i, j)] = acc.get((i, j), 0) + v * w
+
+
 class StructureMapCurve:
     """Per-order constant fully symmetric lowered cubes B-bar^(0..K)."""
 
@@ -89,41 +141,12 @@ class StructureMapCurve:
     def dim(self):
         return self.sdata.dim
 
-    def _rows(self, k):
-        """Per basis direction a the nonzero rows {p: {b: entry}} of the
-        matrix of B^(k)(e_a): (B(e_a))^p_b = sum_c omega^{cp} cube[a][b][c]."""
-        dim = self.dim
-        hi = self.sdata.omega_hi
-        out = []
-        for plane in self.cubes[k]:
-            acc = {}
-            for b, line in enumerate(plane):
-                for c, v in enumerate(line):
-                    if v:
-                        for p in range(dim):
-                            if hi[c][p]:
-                                acc[(p, b)] = acc.get((p, b), 0) + hi[c][p] * v
-            rows = {}
-            for (p, b), v in acc.items():
-                if v:
-                    rows.setdefault(p, {})[b] = v
-            out.append(rows)
-        return out
-
     def matrices(self, k):
         """Per basis direction a the dense matrix of B^(k)(e_a)."""
         if self._mats is None:
             self._mats = [None] * (self.cap + 1)
         if self._mats[k] is None:
-            dim = self.dim
-            mats = []
-            for rows in self._rows(k):
-                m = [[Fraction(0)] * dim for _ in range(dim)]
-                for p, row in rows.items():
-                    for b, v in row.items():
-                        m[p][b] = v
-                mats.append(tuple(tuple(line) for line in m))
-            self._mats[k] = mats
+            self._mats[k] = cube_matrices(self.sdata, self.cubes[k])
         return self._mats[k]
 
     def products(self, k):
@@ -136,18 +159,12 @@ class StructureMapCurve:
         if self._products is None:
             self._products = [None] * (self.cap + 1)
         if self._products[k] is None:
-            rows = [self._rows(p) for p in range(k + 1)]
+            rows = [cube_rows(self.sdata, self.cubes[p]) for p in range(k + 1)]
             table = {}
             for a, b in product(range(self.dim), repeat=2):
                 acc = {}
                 for p in range(k + 1):
-                    right = rows[k - p][b]
-                    if not right:
-                        continue
-                    for i, row in rows[p][a].items():
-                        for l, v in row.items():
-                            for j, w in right.get(l, {}).items():
-                                acc[(i, j)] = acc.get((i, j), 0) + v * w
+                    add_rows_product(acc, rows[p][a], rows[k - p][b])
                 acc = {ij: v for ij, v in acc.items() if v}
                 if acc:
                     table[(a, b)] = acc

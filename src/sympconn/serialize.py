@@ -12,10 +12,9 @@ Kinds: "connection_curve", "structure_map_curve", "symplecto_curve",
 from __future__ import annotations
 
 import json
-from itertools import permutations
 
 from .curvature import ConnectionCurve
-from .errors import InputError
+from .errors import ConfigurationError, InputError
 from .fourier import FourierScalar, SymplecticData, TensorField
 from .invariant import StructureMapCurve
 from .normalization import NormalizationResult
@@ -132,7 +131,10 @@ def tensor_from_json(obj, dim, context, expect_rank=None, expect_symmetry=None):
         if not f.is_zero():
             comps[key] = f
     t = TensorField(dim, rank, comps, symmetry_tag=tag, _validated=True)
-    witness = _symmetry_witness(t)
+    try:
+        witness = t.symmetry_witness(tag)
+    except ConfigurationError as exc:
+        _fail(f"{context}: {exc}")
     if witness is not None:
         idx, perm = witness
         _fail(
@@ -142,27 +144,6 @@ def tensor_from_json(obj, dim, context, expect_rank=None, expect_symmetry=None):
     if not t.is_real():
         _fail(f"{context}: field is not real")
     return t
-
-
-def _symmetry_witness(t: TensorField):
-    """First (idx, permuted idx) pair violating the declared symmetry."""
-    if t.symmetry_tag == "fully_symmetric":
-        for idx in sorted(t.components):
-            f = t.components[idx]
-            for perm in permutations(idx):
-                if t.get(perm) != f:
-                    return idx, perm
-    elif t.symmetry_tag == "curvature_type":
-        if t.rank != 4:
-            return next(iter(sorted(t.components)), (0,) * t.rank), None
-        for idx in sorted(t.components):
-            a, b, c, d = idx
-            f = t.components[idx]
-            if t.get((b, a, c, d)) != -f:
-                return idx, (b, a, c, d)
-            if t.get((a, b, d, c)) != f:
-                return idx, (a, b, d, c)
-    return None
 
 
 # -- connection curves -------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Vector fields and the truncated Lie-series calculus in the parameter t.
+"""Scalars, vector fields and the truncated Lie-series calculus in t.
 
-One construction serves both function algebras of the package: trigonometric
-polynomials on the torus (`symplecto.FourierVectorField`) and polynomials on
-R^(2n) (`euclidean.PolyVectorField`).  A field type names its scalar type and
-supplies two coordinate hooks; everything else lives here.
+One construction serves both function algebras of the package:
+trigonometric polynomials on the torus (`fourier.FourierScalar`,
+`symplecto.FourierVectorField`) and polynomials on R^(2n) (`euclidean.Poly`,
+`euclidean.PolyVectorField`).  Both scalar types are a `SparseScalar`, whose
+arithmetic is the sparse-map kernels of `_kernel.pure`; a scalar type adds
+its coefficient type and its derivative.  A field type names its scalar type
+and supplies two coordinate hooks; everything else lives here.
 
 Curves are plain lists of length cap + 1 indexed by t-order.  A generator
 ladder gens[0..cap] always has gens[0] = 0, so every exponential below is an
@@ -13,17 +16,109 @@ the cap.
 
 from __future__ import annotations
 
+from ._kernel import pure as K
 from ._kernel.pure import accumulate
 from .errors import ConfigurationError, InternalInconsistency
 from .rationals import Fraction
 
 
+class SparseScalar:
+    """A function as a sparse map key -> nonzero coefficient; immutable.
+
+    Keys are int tuples of length dim that add under products: Fourier
+    modes for `fourier.FourierScalar`, exponent vectors for `euclidean.Poly`.
+    A subclass sets `coeff_type`, its coefficient type, and supplies
+    `derivative`.  The checked constructor converts every coefficient to
+    `coeff_type` and drops zeros; `_validated=True` skips it for maps the
+    kernels built.  This is the contract `VectorField.scalar` names.
+    """
+
+    __slots__ = ("dim", "coeffs")
+
+    coeff_type = None
+
+    def __init__(self, dim, coeffs=None, _validated=False):
+        self.dim = dim
+        if coeffs is None:
+            coeffs = {}
+        if not _validated:
+            coeff_type = self.coeff_type
+            clean = {}
+            for m, c in coeffs.items():
+                m = tuple(int(x) for x in m)
+                if len(m) != dim:
+                    raise ConfigurationError("key length != dim")
+                if not isinstance(c, coeff_type):
+                    c = coeff_type(c)
+                if c:
+                    clean[m] = c
+            coeffs = clean
+        self.coeffs = coeffs
+
+    @classmethod
+    def zero(cls, dim):
+        return cls(dim, {}, _validated=True)
+
+    @classmethod
+    def constant(cls, dim, value):
+        return cls(dim, {(0,) * dim: value})
+
+    def _check(self, other):
+        if self.dim != other.dim:
+            raise ConfigurationError("scalar dim mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.dim, K.dict_add(self.coeffs, other.coeffs), _validated=True)
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(self.dim, K.dict_sub(self.coeffs, other.coeffs), _validated=True)
+
+    def __neg__(self):
+        return type(self)(self.dim, K.dict_neg(self.coeffs), _validated=True)
+
+    def __mul__(self, other):
+        if isinstance(other, SparseScalar):
+            self._check(other)
+            return type(self)(
+                self.dim, K.dict_convolve(self.coeffs, other.coeffs), _validated=True
+            )
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c):
+        return type(self)(self.dim, K.dict_scale(self.coeffs, c), _validated=True)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def is_constant(self):
+        return all(not any(m) for m in self.coeffs)
+
+    def constant_part(self):
+        """The coefficient at the zero key."""
+        return self.coeffs.get((0,) * self.dim, self.coeff_type(0))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.coeffs.items())))
+
+
 class VectorField:
     """Contravariant vector field whose components are `scalar` objects.
 
-    A subclass sets `scalar` (with `zero`, `constant`, `derivative`, `+`,
-    `-`, `*`, `scale`, `is_zero`, `is_real` and `is_constant`) and the two
-    coordinate hooks `merge_exponentials` solves with:
+    A subclass sets `scalar`, a `SparseScalar` type with `is_real`, and the
+    two coordinate hooks `merge_exponentials` solves with:
 
     - `test_function(dim, a)`: a scalar f_a; the f_a generate the function
       algebra, so two truncated automorphisms equal on every f_a are equal;
@@ -85,8 +180,8 @@ class VectorField:
         """[X, Y]^c = X(Y^c) - Y(X^c)."""
         return self.derive(other) - other.derive(self)
 
-    def is_symplectic(self, sdata):
-        """d(i(X)omega) = 0 for the constant form omega."""
+    def interior_omega(self, sdata):
+        """i(X)omega as the covector alpha_b = sum_a omega_ab X^a."""
         dim = self.dim
         lo = sdata.omega_lo
         alpha = []
@@ -96,6 +191,12 @@ class VectorField:
                 if lo[a][b]:
                     ab = ab + self.comps[a].scale(lo[a][b])
             alpha.append(ab)
+        return alpha
+
+    def is_symplectic(self, sdata):
+        """d(i(X)omega) = 0 for the constant form omega."""
+        dim = self.dim
+        alpha = self.interior_omega(sdata)
         for a in range(dim):
             for b in range(a + 1, dim):
                 if not (alpha[b].derivative(a) - alpha[a].derivative(b)).is_zero():

@@ -97,12 +97,7 @@ def hamiltonian_field(sdata: SymplecticData, f: FourierScalar) -> FourierVectorF
                 xc = xc + f.derivative(b).scale(hi[b][c])
         comps.append(xc)
     x = FourierVectorField(comps)
-    lo = sdata.omega_lo
-    for b in range(dim):
-        contr = FourierScalar.zero(dim)
-        for a in range(dim):
-            if lo[a][b]:
-                contr = contr + x.comps[a].scale(lo[a][b])
+    for b, contr in enumerate(x.interior_omega(sdata)):
         if contr != f.derivative(b):
             raise InternalInconsistency("i(X_f) omega != df after solving")
     return x
@@ -118,17 +113,8 @@ def affine_pullback_scalar(c_mat, d, f: FourierScalar) -> FourierScalar:
     out = {}
     for m, coeff in f.coeffs.items():
         q = sum(mi * di for mi, di in zip(m, d))
-        val = coeff * _phase(Fraction(q))
         mm = tuple(sum(c_mat[i][j] * m[i] for i in range(dim)) for j in range(dim))
-        cur = out.get(mm)
-        if cur is None:
-            out[mm] = val
-        else:
-            s = cur + val
-            if s.is_zero():
-                del out[mm]
-            else:
-                out[mm] = s
+        accumulate(out, mm, coeff * _phase(Fraction(q)))
     return FourierScalar(dim, out, _validated=True)
 
 

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sympconn.euclidean as euclidean
 
@@ -24,7 +27,14 @@ from sympconn.euclidean import (
 )
 from sympconn.fourier import SymplecticData
 from sympconn.generate import rank_one_ladder, validated_sum_ladder
-from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
+from sympconn.invariant import (
+    StructureMapCurve,
+    cube_is_symmetric,
+    cube_matrices,
+    rank_one_cube,
+    zero_cube,
+)
+from sympconn.linalg import is_zero_matrix, mat_mul
 from sympconn.series import exp_ad, merge_exponentials
 
 SD = SymplecticData.standard(4)
@@ -327,11 +337,158 @@ def test_psi_A_checks_push_each_basis_vector_once(monkeypatch):
 
         monkeypatch.setattr(euclidean, name, wrapper)
 
-    for name in ("cube_endomorphisms", "pushforward", "require_nilpotent_cube"):
+    for name in ("cube_rows", "pushforward", "require_nilpotent_cube"):
         counting(name)
     assert psi_A_symplectic_check(SD, cube_e1())
-    assert counts == {"cube_endomorphisms": 1}
+    assert counts == {"cube_rows": 1}
     counts.clear()
     assert psi_A_connection_check(SD, cube_e1())
     assert counts["pushforward"] == 4 + 4 * 4
     assert counts["require_nilpotent_cube"] == 2
+
+
+# -- the dense cube algebra, kept as a test-only reference ------------------------
+
+
+def reference_cube_endomorphisms(sdata, cube):
+    """Dense matrices of A(e_a) from a lowered cube: (A(e_a))^p_b = omega^{cp} S_abc."""
+    dim = sdata.dim
+    hi = sdata.omega_hi
+    mats = []
+    for a in range(dim):
+        m = [[Fraction(0)] * dim for _ in range(dim)]
+        for b in range(dim):
+            for c in range(dim):
+                v = Fraction(cube[a][b][c])
+                if v:
+                    for p in range(dim):
+                        if hi[c][p]:
+                            m[p][b] += hi[c][p] * v
+        mats.append(tuple(tuple(row) for row in m))
+    return mats
+
+
+def reference_require_nilpotent_cube(sdata, cube):
+    """The nilpotency check as dim^2 dense matrix products."""
+    if not cube_is_symmetric(cube):
+        raise PreconditionError("cube is not fully symmetric")
+    mats = reference_cube_endomorphisms(sdata, cube)
+    for a, b in product(range(sdata.dim), repeat=2):
+        if not is_zero_matrix(mat_mul(mats[a], mats[b])):
+            raise PreconditionError(f"A(e_{a}) A(e_{b}) != 0: cube is not nilpotent")
+
+
+def refusal(fn, *args):
+    try:
+        fn(*args)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def skewed_omega(dim):
+    """A non-standard symplectic form, so that omega^{-1} is not a signed
+    permutation; e_1..e_n stay pairwise omega-orthogonal, as the ladder
+    generators need."""
+    n = dim // 2
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(n):
+        rows[i][n + i], rows[n + i][i] = i + 1, -(i + 1)
+    rows[n][n + 1], rows[n + 1][n] = 2, -2
+    return SymplecticData(rows)
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_require_nilpotent_cube_matches_dense_reference(dim):
+    """Same verdict and same message as the dense products on ladder cubes
+    (nilpotent), sparse and dense random symmetric cubes (mostly not), sums
+    of two rank-one cubes that fail at later pairs, and a cube that is not
+    symmetric, for the standard and a skewed omega."""
+    rng = random.Random(dim)
+    for sd in (SymplecticData.standard(dim), skewed_omega(dim)):
+        cubes = [c for seed in range(2) for c in rank_one_ladder(sd, 2, seed=seed).cubes[1:]]
+        cubes += validated_sum_ladder(sd, 2, seed=1).cubes[1:]
+        cubes += [random_symmetric_cube(rng, dim) for _ in range(3)]
+        for _ in range(6):
+            sparse = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+            a, b, c = (rng.randrange(dim) for _ in range(3))
+            for i, j, k in {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
+                sparse[i][j][k] = Fraction(rng.randint(1, 3))
+            cubes.append(sparse)
+        n = dim // 2
+        for i in range(n):
+            unit = [tuple(Fraction(int(j == k)) for j in range(dim)) for k in (i, n + i)]
+            pair = [rank_one_cube(sd, v) for v in unit]
+            cubes.append([[[pair[0][x][y][z] + pair[1][x][y][z] for z in range(dim)]
+                           for y in range(dim)] for x in range(dim)])
+        skew = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        skew[0][1][2] = Fraction(1)
+        cubes.append(skew)
+        got = [refusal(require_nilpotent_cube, sd, c) for c in cubes]
+        assert got == [refusal(reference_require_nilpotent_cube, sd, c) for c in cubes]
+        assert None in got and len({g for g in got if g}) > 2
+        for c in cubes:
+            assert cube_matrices(sd, c) == reference_cube_endomorphisms(sd, c)
+
+
+# -- Poly against a plain dict-of-Fraction reference --------------------------------
+
+exponents = st.tuples(*[st.integers(0, 2)] * 4)
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+poly_dicts = st.dictionaries(exponents, fractions, max_size=5)
+
+
+def ref_clean(d):
+    return {e: Fraction(c) for e, c in d.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_derivative(a, axis):
+    return ref_clean({
+        tuple(x - (i == axis) for i, x in enumerate(e)): c * e[axis]
+        for e, c in a.items() if e[axis]
+    })
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_dicts, poly_dicts, fractions, st.integers(0, 3), st.integers(0, 5))
+def test_poly_arithmetic_matches_fraction_dict_reference(a, b, s, axis, shared):
+    """+ - * neg scale derivative as on plain dicts of Fractions, with
+    cancellation to the empty map, truth value, and == agreeing with hash."""
+    b = {**b, **{e: -c for e, c in list(a.items())[:shared]}}
+    pa, pb = Poly(4, a), Poly(4, b)
+    ra, rb = ref_clean(a), ref_clean(b)
+    neg_b = {e: -c for e, c in rb.items()}
+    assert pa.coeffs == ra
+    assert (pa + pb).coeffs == ref_add(ra, rb)
+    assert (pa - pb).coeffs == ref_add(ra, neg_b)
+    assert (-pb).coeffs == neg_b
+    assert (pa * pb).coeffs == ref_mul(ra, rb)
+    assert pa.scale(s).coeffs == ref_clean({e: c * s for e, c in ra.items()})
+    assert s * pa == pa * s == pa.scale(s)
+    assert pa.derivative(axis).coeffs == ref_derivative(ra, axis)
+    for p in (pa + pb, pa - pb, pa * pb, pa.scale(s), pa.derivative(axis)):
+        assert all(type(c) is Fraction and c for c in p.coeffs.values())
+        assert bool(p) == bool(p.coeffs) == (not p.is_zero())
+    assert (pa - pa).coeffs == {} and not pa - pa and pa + -pa == Poly.zero(4)
+    assert bool(pa) == bool(ra)
+    same = Poly(4, dict(reversed(list(a.items()))))
+    assert same == pa and hash(same) == hash(pa)
+    assert (pa == pb) == (ra == rb)
+    if pa == pb:
+        assert hash(pa) == hash(pb)

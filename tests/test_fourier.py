@@ -152,3 +152,22 @@ def test_subtraction_matches_adding_the_negation_key_for_key():
         y = FourierVectorField([t.get((0, 0, i)) for i in range(4)])
         assert x - y == x + (-y)
         assert (x - x).is_zero()
+
+
+def test_symmetry_witness_drives_both_predicates():
+    """The witness is the first broken entry in sorted order; the predicates
+    read it, and 'curvature_type' is refused for a rank other than 4."""
+    field = random_symmetric_field(random.Random(5), DIM, triples=3)
+    assert field.symmetry_witness("fully_symmetric") is None and field.is_fully_symmetric()
+    idx = max(i for i in field.components if len(set(i)) > 1)
+    comps = dict(field.components)
+    comps[idx] = comps[idx].scale(3)
+    broken = TensorField(DIM, 3, comps, _validated=True)
+    witness = broken.symmetry_witness("fully_symmetric")
+    assert witness[0] == min(i for i in comps if sorted(i) == sorted(idx))
+    assert broken.get(witness[0]) != broken.get(witness[1])
+    assert not broken.is_fully_symmetric()
+    assert broken.symmetry_witness("none") is None
+    with pytest.raises(ConfigurationError, match="needs rank 4, got rank 3"):
+        field.symmetry_witness("curvature_type")
+    assert not field.is_curvature_type()

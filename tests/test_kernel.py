@@ -54,3 +54,32 @@ def test_dict_scale_by_int_fraction_and_gaussian_factors():
     a = random_dict(rng)
     for zero in (0, Fraction(0), GaussianRational(0)):
         assert pure.dict_scale(a, zero) == {}
+
+
+def test_zero_test_is_the_truth_value_for_every_value_type():
+    """One set of loops serves Fraction, GaussianRational, FourierScalar and
+    Poly values: entries that cancel leave no key in any kernel."""
+    from sympconn.euclidean import Poly
+    from sympconn.fourier import FourierScalar
+
+    values = [
+        Fraction(2, 3),
+        GaussianRational(Fraction(1, 2), -1),
+        FourierScalar.cosine(4, (1, 0, -1, 0), 3) + FourierScalar.sine(4, (0, 2, 0, 0)),
+        Poly(4, {(1, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 0): 5}),
+    ]
+    for v in values:
+        assert v and not v - v
+        w = v + v
+        a = {(0,): v, (1,): v}
+        b = {(0,): v, (2,): w}
+        assert pure.dict_add(a, pure.dict_neg(b)) == {(1,): v, (2,): -w}
+        assert pure.dict_sub(a, b) == {(1,): v, (2,): -w}
+        assert pure.dict_add(b, {(0,): -v}) == {(2,): w}
+        acc = dict(a)
+        pure.accumulate(acc, (0,), -v)
+        pure.accumulate(acc, (3,), v - v)
+        assert acc == {(1,): v}
+        assert pure.dict_scale(a, 0) == {} and pure.dict_scale(a, 2) == {(0,): w, (1,): w}
+        square = pure.dict_convolve(a, {(0,): v, (1,): -v})
+        assert square == {(0,): v * v, (2,): -(v * v)}

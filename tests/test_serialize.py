@@ -128,3 +128,39 @@ def test_non_symplectic_omega_rejected():
     obj["omega"][0][2] = "0"
     with pytest.raises(InputError):
         from_json(obj)
+
+
+def _constant_entries(values):
+    return [{"idx": idx, "modes": [{"m": [0, 0, 0, 0], "c": {"re": re, "im": "0"}}]}
+            for idx, re in values]
+
+
+def test_symmetry_violations_name_the_first_sorted_pair():
+    """The exact texts for both declared symmetries: the witness is the
+    first violating entry in sorted index order."""
+    from sympconn.serialize import tensor_from_json
+
+    cases = [
+        ("curvature_type", [([1, 2, 3, 3], "1"), ([2, 1, 3, 3], "-1"),
+                            ([1, 2, 3, 4], "1/2"), ([2, 1, 3, 4], "-1/2")],
+         "idx [1, 2, 3, 4] disagrees with idx [1, 2, 4, 3]"),
+        ("curvature_type", [([2, 1, 3, 3], "-1"), ([1, 2, 3, 3], "-1")],
+         "idx [1, 2, 3, 3] disagrees with idx [2, 1, 3, 3]"),
+        ("fully_symmetric", [([1, 2, 2], "1"), ([2, 1, 2], "1"), ([2, 2, 1], "2")],
+         "idx [1, 2, 2] disagrees with idx [2, 2, 1]"),
+    ]
+    for tag, values, tail in cases:
+        obj = {"rank": len(values[0][0]), "symmetry": tag, "entries": _constant_entries(values)}
+        with pytest.raises(InputError) as exc:
+            tensor_from_json(obj, 4, "R order 2")
+        assert str(exc.value) == f"R order 2: symmetry {tag!r} violated, entry {tail}"
+
+
+@pytest.mark.parametrize("entries", [[], [([1, 2, 2], "1")]])
+def test_curvature_type_of_wrong_rank_is_an_input_error(entries):
+    from sympconn.serialize import tensor_from_json
+
+    obj = {"rank": 3, "symmetry": "curvature_type", "entries": _constant_entries(entries)}
+    with pytest.raises(InputError) as exc:
+        tensor_from_json(obj, 4, "R order 2")
+    assert str(exc.value) == "R order 2: symmetry 'curvature_type' needs rank 4, got rank 3"

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import sympconn.euclidean as euclidean
 from sympconn.euclidean import Poly, PolyVectorField
 from sympconn.fourier import FourierScalar, SymplecticData
-from sympconn.series import exp_ad, exp_apply, merge_exponentials
+from sympconn.series import SparseScalar, exp_ad, exp_apply, merge_exponentials
 from sympconn.symplecto import FourierVectorField, hamiltonian_field
 
 DIM = 4
@@ -138,3 +139,16 @@ def test_derive_and_bracket_match_their_formulas(case):
 def test_field_types_do_not_compare_equal():
     assert FourierVectorField.zero(DIM) != PolyVectorField.zero(DIM)
     assert FourierVectorField.zero(DIM) == FourierVectorField.constant(DIM, (0, 0, 0, 0))
+
+
+def test_scalar_types_share_one_sparse_arithmetic():
+    """Poly and FourierScalar inherit their arithmetic from SparseScalar, and
+    the R^(2n) model binds no dense copy of the cube algebra."""
+    shared = ("__init__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__",
+              "scale", "zero", "constant", "is_zero", "__bool__", "is_constant",
+              "constant_part", "__eq__", "__hash__")
+    for cls in (Poly, FourierScalar):
+        assert cls.__bases__ == (SparseScalar,)
+        assert not set(shared) & set(vars(cls))
+    for name in ("mat_mul", "cube_endomorphisms"):
+        assert not hasattr(euclidean, name)
