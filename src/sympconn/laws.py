@@ -33,6 +33,7 @@ from .generate import (
 )
 from .invariant import flatness_theorem_check, invariant_ricci_type_check
 from .moduli import (
+    _words_up_to,
     cheap_invariants,
     equivalence_semidecide,
     ModuliClassQuery,
@@ -140,7 +141,8 @@ def law_l6_psi_A(seed):
 
 def law_l7_moduli_action(seed):
     """sp_action is a group action preserving validity; planted witnesses
-    are recovered by the bounded search."""
+    are recovered by the bounded search, as words of length <= 2 that carry
+    a to the planted curve."""
     rng = random.Random(seed)
     sdata = SymplecticData.standard(4)
     a = rank_one_ladder(sdata, 2, seed=rng.randrange(2**30))
@@ -164,6 +166,10 @@ def law_l7_moduli_action(seed):
     verdict = equivalence_semidecide(ModuliClassQuery(a, moved, search_bound=2))
     if verdict.kind != "equivalent":
         return {"fail": "planted witness not recovered", "verdict": verdict.kind}
+    if sp_action(verdict.witness, a) != moved:
+        return {"fail": "witness does not carry a to the planted curve", "witness": verdict.witness}
+    if verdict.witness not in _words_up_to(gens, 4, 2):
+        return {"fail": "witness is not a word of length <= 2", "witness": verdict.witness}
     return None
 
 

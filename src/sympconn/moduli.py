@@ -11,7 +11,8 @@ bounded word search over a fixed generator set, with an explicit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby
+from math import lcm
 from operator import itemgetter
 
 from .curvature import ConnectionCurve, require_ricci_type
@@ -54,38 +55,119 @@ def require_valid(b_curve: StructureMapCurve):
         raise PreconditionError(f"invalid structure-map curve: {witness}")
 
 
+def _int_if_integral(x):
+    return int(x) if x.denominator == 1 else x
+
+
+def _inverse_terms(sdata: SymplecticData):
+    """Per (i, j) the nonzero terms (l, k, omega^{ik} omega_lj) of
+    (omega^{-1} C^T omega)_ij = sum_{k,l} omega^{ik} C_lk omega_lj."""
+    hi, lo = sdata.omega_hi, sdata.omega_lo
+    r = range(sdata.dim)
+    return [
+        [
+            [(l, k, _int_if_integral(hi[i][k] * lo[l][j]))
+             for k in r if hi[i][k] for l in r if lo[l][j]]
+            for j in r
+        ]
+        for i in r
+    ]
+
+
+def _symplectic_inverse(terms, c_mat):
+    """C^{-1} = omega^{-1} C^T omega, as ints, for an integral C with
+    C^T omega C = omega; terms is `_inverse_terms` of omega.
+
+    The caller has checked C, or built it from checked generators.  The
+    inverse of an integral symplectic matrix is integral, so a fraction here
+    is a bug.
+    """
+    c_inv = [[sum(w * c_mat[l][k] for l, k, w in t) for t in row] for row in terms]
+    if any(x.denominator != 1 for row in c_inv for x in row):
+        raise InternalInconsistency("inverse of an integral symplectic matrix is not integral")
+    return tuple(tuple(map(int, row)) for row in c_inv)
+
+
+def _scaled(cube, d):
+    """d * cube with every integral entry as an int."""
+    return tuple(
+        tuple(tuple(_int_if_integral(d * v) for v in line) for line in plane) for plane in cube
+    )
+
+
+def _cube_entries(cube):
+    """The nonzero entries (a, b, c, S_abc) of a cube."""
+    return [
+        (a, b, c, v)
+        for a, plane in enumerate(cube)
+        for b, line in enumerate(plane)
+        for c, v in enumerate(line)
+        if v
+    ]
+
+
+def _pullback(entries, c_inv):
+    """S'(e_p, e_q, e_r) = S(C^{-1} e_p, C^{-1} e_q, C^{-1} e_r) as a dense
+    cube, summed over the nonzero entries S_abc only."""
+    dim = len(c_inv)
+    # C^{-1} e_p = sum_a c_inv[a][p] e_a: per a the nonzero (p, c_inv[a][p])
+    cols = [[(p, x) for p, x in enumerate(row) if x] for row in c_inv]
+    new = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for a, b, c, v in entries:
+        for p, ca in cols[a]:
+            va = v * ca
+            for q, cb in cols[b]:
+                vv = va * cb
+                line = new[p][q]
+                for r, cc in cols[c]:
+                    line[r] += vv * cc
+    return tuple(tuple(tuple(line) for line in plane) for plane in new)
+
+
 def sp_action(c_mat, b_curve: StructureMapCurve) -> StructureMapCurve:
     """(C . B)(X) Y = C B(C^{-1} X) C^{-1} Y; on lowered cubes this is the
-    pullback of every slot by C^{-1} (C preserves omega)."""
+    pullback of every slot by C^{-1} (C preserves omega).
+
+    C must be an integral symplectic matrix for the curve's omega: a
+    non-integral entry or C^T omega C != omega raises PreconditionError.
+    C^{-1} is then omega^{-1} C^T omega, every cube is pulled back over its
+    nonzero entries, and the result is a validated StructureMapCurve.
+    """
     sdata = b_curve.sdata
-    dim = sdata.dim
-    c_mat = tuple(tuple(int(x) for x in row) for row in c_mat)
     cf = tuple(tuple(Fraction(x) for x in row) for row in c_mat)
-    if not sdata.is_symplectic_matrix(cf):
+    if any(x.denominator != 1 for row in cf for x in row) or not sdata.is_symplectic_matrix(cf):
         raise PreconditionError("matrix is not in the lattice symplectic group")
-    c_inv = inverse(cf)
-    cubes = []
-    for cube in b_curve.cubes:
-        new = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for a, b, c in product(range(dim), repeat=3):
-            v = cube[a][b][c]
-            if not v:
-                continue
-            # pullback: S'(e_p, e_q, e_r) = S(C^{-1} e_p, C^{-1} e_q, C^{-1} e_r)
-            for p in range(dim):
-                ca = c_inv[a][p]
-                if not ca:
-                    continue
-                for q in range(dim):
-                    cb = c_inv[b][q]
-                    if not cb:
-                        continue
-                    vv = v * ca * cb
-                    for r in range(dim):
-                        if c_inv[c][r]:
-                            new[p][q][r] += vv * c_inv[c][r]
-        cubes.append(new)
+    c_int = tuple(tuple(map(int, row)) for row in cf)
+    c_inv = _symplectic_inverse(_inverse_terms(sdata), c_int)
+    cubes = [_pullback(_cube_entries(cube), c_inv) for cube in b_curve.cubes]
     return StructureMapCurve(sdata, b_curve.cap, cubes)
+
+
+def _matcher_data(a: StructureMapCurve, b: StructureMapCurve):
+    """The arguments after C of `_moves_to` for the pair (a, b).
+
+    With d the common denominator of a's entries, d a and its pullback by
+    any integral C are integer cubes, so each word moves ints and compares
+    them with d b (an entry of d b that is not an int matches none).
+    """
+    d = lcm(*(v.denominator for cube in a.cubes for plane in cube for line in plane for v in line))
+    a_entries = [_cube_entries(_scaled(cube, d)) for cube in a.cubes]
+    return _inverse_terms(a.sdata), a_entries, [_scaled(cube, d) for cube in b.cubes]
+
+
+def _moves_to(c_mat, terms, a_entries, b_cubes):
+    """Whether the word C carries a to b, pulled back and compared one order
+    at a time: False at the first order whose cube differs.
+
+    The arguments after C come from `_matcher_data(a, b)`.  C comes from the
+    generator words of `_words_up_to`, so it is integral and symplectic and
+    is not re-checked here.
+    """
+    c_inv = _symplectic_inverse(terms, c_mat)
+    return all(
+        _pullback(entries, c_inv) == target
+        for entries, target in zip(a_entries, b_cubes)
+    )
 
 
 def cheap_invariants(b_curve: StructureMapCurve):
@@ -168,11 +250,12 @@ def sp_generators(sdata: SymplecticData):
         gens.append(blocks(a, zero, zero, d))
     out = []
     seen = set()
+    terms = _inverse_terms(sdata)
     for g in gens:
         gf = tuple(tuple(Fraction(x) for x in row) for row in g)
         if not sdata.is_symplectic_matrix(gf):
             raise InternalInconsistency("generator is not symplectic")
-        g_inv = tuple(tuple(int(x) for x in row) for row in inverse(gf))
+        g_inv = _symplectic_inverse(terms, g)
         for m in (g, g_inv):
             if m not in seen:
                 seen.add(m)
@@ -195,15 +278,16 @@ def _words_up_to(gens, dim, bound):
     than MAX_SEARCH_WORDS matrices are reached.
     """
     ident = tuple(tuple(int(x) for x in row) for row in mat_identity(dim))
+    # each generator as its nonzero (k, g_ik) per row i; (g m)_i = sum_k g_ik m_k
+    sparse = [[[(k, x) for k, x in enumerate(row) if x] for row in g] for g in gens]
     seen = {ident: 0}
     frontier = [ident]
     for depth in range(1, bound + 1):
         new_frontier = []
         for m in frontier:
-            for g in gens:
+            for g in sparse:
                 prod = tuple(
-                    tuple(sum(g[i][k] * m[k][j] for k in range(dim)) for j in range(dim))
-                    for i in range(dim)
+                    tuple(map(sum, zip(*[[x * v for v in m[k]] for k, x in row]))) for row in g
                 )
                 if prod not in seen:
                     if len(seen) == MAX_SEARCH_WORDS:
@@ -237,10 +321,17 @@ def equivalence_semidecide(query: ModuliClassQuery) -> EquivalenceVerdict:
 
     All words up to the bound are enumerated first; they are then tried one
     word length at a time, and the search stops after the first length that
-    holds a witness.  A bound exhaustion is an honest third verdict: the
-    curves may still be equivalent through a longer word.  A negative bound,
-    or one whose words number more than MAX_SEARCH_WORDS, raises
-    ConfigurationError before any word is tried.
+    holds a witness, returning the least matrix of that length.  A word is
+    tried without building a curve: with C^{-1} = omega^{-1} C^T omega, a's
+    cubes are pulled back one order at a time over their nonzero entries and
+    compared with b's, and the word is dropped at the first order that
+    differs.  The chosen witness is then verified once through the full
+    `sp_action(witness, a) == b`; a mismatch raises InternalInconsistency.
+
+    A bound exhaustion is an honest third verdict: the curves may still be
+    equivalent through a longer word.  A negative bound, or one whose words
+    number more than MAX_SEARCH_WORDS, raises ConfigurationError before any
+    word is tried.
     """
     a, b = query.a, query.b
     if query.search_bound < 0:
@@ -261,12 +352,16 @@ def equivalence_semidecide(query: ModuliClassQuery) -> EquivalenceVerdict:
         )
     gens = sp_generators(a.sdata)
     words = _words_up_to(gens, a.dim, query.search_bound)
+    data = _matcher_data(a, b)
     # words come in breadth-first order, so groupby yields one group per length
     for _, group in groupby(words.items(), key=itemgetter(1)):
-        witnesses = [m for m, _ in group if sp_action(m, a) == b]
+        witnesses = [m for m, _ in group if _moves_to(m, *data)]
         if witnesses:
             # the lexicographically least shortest witness, for determinism
-            return EquivalenceVerdict("equivalent", witness=min(witnesses))
+            witness = min(witnesses)
+            if sp_action(witness, a) != b:
+                raise InternalInconsistency(f"word search witness {witness} does not carry a to b")
+            return EquivalenceVerdict("equivalent", witness=witness)
     return EquivalenceVerdict("no_witness_within_bound", bound=query.search_bound)
 
 

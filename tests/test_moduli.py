@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from sympconn import moduli
-from sympconn.errors import ConfigurationError, PreconditionError
+from sympconn.errors import ConfigurationError, InternalInconsistency, PreconditionError
 from sympconn.fourier import SymplecticData
 from sympconn.generate import rank_one_ladder, validated_sum_ladder
 from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
+from sympconn.linalg import inverse, matrix
 from sympconn.moduli import (
     ModuliClassQuery,
     cheap_invariants,
@@ -22,10 +23,8 @@ IDENT = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
 
 def mat_mul_int(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )
+    r = range(len(a))
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in r) for j in r) for i in r)
 
 
 def test_generators_are_symplectic_and_closed_under_inverse():
@@ -62,6 +61,25 @@ def test_action_rejects_non_symplectic_matrix():
     bad = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(PreconditionError):
         sp_action(bad, a)
+
+
+@pytest.mark.parametrize("bad", [
+    # integral after truncation by int(): symplectic, and the identity on a
+    [[1, Fraction(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, Fraction(-1, 3), 1]],
+    [[1.7, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+])
+def test_action_rejects_non_integral_matrix(bad):
+    a = rank_one_ladder(SD, 2, seed=3)
+    with pytest.raises(PreconditionError, match="not in the lattice symplectic group"):
+        sp_action(bad, a)
+
+
+def test_action_accepts_integral_entries_of_any_type():
+    a = rank_one_ladder(SD, 2, seed=3)
+    g = sp_generators(SD)[1]
+    as_fractions = [[Fraction(x) for x in row] for row in g]
+    as_floats = [[float(x) for x in row] for row in g]
+    assert sp_action(as_fractions, a) == sp_action(as_floats, a) == sp_action(g, a)
 
 
 def test_self_equivalence_yields_identity_witness():
@@ -143,8 +161,15 @@ def _must_not_run(*args):
     raise AssertionError("the word search ran although it must not")
 
 
-def test_negative_bound_rejected(monkeypatch):
+def _forbid_moving_curves(monkeypatch):
+    """The search tries each word with the matcher `_moves_to` and verifies
+    its witness with `sp_action`; with both patched out, no curve moves."""
+    monkeypatch.setattr(moduli, "_moves_to", _must_not_run)
     monkeypatch.setattr(moduli, "sp_action", _must_not_run)
+
+
+def test_negative_bound_rejected(monkeypatch):
+    _forbid_moving_curves(monkeypatch)
     a = rank_one_ladder(SD, 2, seed=4)
     with pytest.raises(ConfigurationError, match=">= 0, got -1"):
         equivalence_semidecide(ModuliClassQuery(a, a, -1))
@@ -154,7 +179,7 @@ def test_huge_bound_hits_word_ceiling_before_any_action(monkeypatch):
     """10**9 would mean ~12**(10**9) words; the breadth-first enumeration
     stops once it holds MAX_SEARCH_WORDS matrices (during length 5 at dim
     4) and no curve is moved, although a == b has the length-0 witness."""
-    monkeypatch.setattr(moduli, "sp_action", _must_not_run)
+    _forbid_moving_curves(monkeypatch)
     a = rank_one_ladder(SD, 2, seed=4)
     with pytest.raises(ConfigurationError) as exc:
         equivalence_semidecide(ModuliClassQuery(a, a, 10**9))
@@ -199,17 +224,83 @@ def test_search_returns_the_exhaustive_minimum():
     assert verdict.witness == exhaustive[1]
 
 
+def test_search_verifies_its_witness_through_sp_action(monkeypatch):
+    """A matcher that accepts every word makes the identity the witness;
+    the full sp_action check of that witness must refuse it."""
+    a, b = _depth_one_pair()
+    monkeypatch.setattr(moduli, "_moves_to", lambda *args: True)
+    with pytest.raises(InternalInconsistency, match="does not carry a to b"):
+        equivalence_semidecide(ModuliClassQuery(a, b, 1))
+
+
 def test_search_tries_no_word_longer_than_the_witness(monkeypatch):
     a, b = _depth_one_pair()
     words = moduli._words_up_to(sp_generators(SD), 4, 3)
     tried = []
+    matcher = moduli._moves_to
 
-    def counting(m, curve):
+    def counting(m, *args):
         tried.append(m)
-        return sp_action(m, curve)
+        return matcher(m, *args)
 
-    monkeypatch.setattr(moduli, "sp_action", counting)
+    monkeypatch.setattr(moduli, "_moves_to", counting)
     verdict = equivalence_semidecide(ModuliClassQuery(a, b, 3))
     assert words[verdict.witness] == 1
     assert max(words[m] for m in tried) == 1
     assert len(tried) == sum(1 for depth in words.values() if depth <= 1) == 13
+
+
+def _scale_curve(curve, c):
+    return StructureMapCurve(
+        curve.sdata, curve.cap,
+        [[[[c * x for x in row] for row in plane] for plane in cube] for cube in curve.cubes],
+    )
+
+
+@pytest.mark.parametrize("dim, bound, divisor", [(4, 3, 1), (4, 3, 3), (6, 2, 3)])
+def test_matcher_agrees_with_sp_action_on_every_word(dim, bound, divisor):
+    """For every word up to the bound, the search's per-word matcher gives
+    sp_action(C, a) == b on a planted-equivalent pair, a scaled pair (5 a)
+    and a rank-one/sum pair, and its integral C^{-1} is linalg's inverse.
+    A divisor of 3 puts denominators into a, so the matcher scales it; the
+    sum ladder is halved, so d b then has entries that are not ints."""
+    sdata = SymplecticData.standard(dim)
+    gens = sp_generators(sdata)
+    words = moduli._words_up_to(gens, dim, bound)
+    assert len(words) == {4: 756, 6: 222}[dim]
+    a = _scale_curve(rank_one_ladder(sdata, 2, seed=5), Fraction(1, divisor))
+    planted = mat_mul_int(gens[2], gens[-1])
+    pairs = {
+        "planted": sp_action(planted, a),
+        "scaled": _scale_curve(a, 5),
+        "sum": _scale_curve(validated_sum_ladder(sdata, 2, seed=7), Fraction(1, 2)),
+    }
+    data = {name: moduli._matcher_data(a, b) for name, b in pairs.items()}
+    terms = moduli._inverse_terms(sdata)
+    found = {name: 0 for name in pairs}
+    for m in words:
+        assert moduli._symplectic_inverse(terms, m) == inverse(matrix(m))
+        moved = sp_action(m, a)
+        for name, b in pairs.items():
+            match = moduli._moves_to(m, *data[name])
+            assert match == (moved == b), (name, m)
+            found[name] += match
+    assert found["planted"] >= 1 and found["scaled"] == found["sum"] == 0
+
+
+def dense_pullback(cube, c_mat):
+    """S'(e_p, e_q, e_r) = S(C^{-1} e_p, C^{-1} e_q, C^{-1} e_r) over every
+    entry, one slot at a time, with C^{-1} from Gauss-Jordan."""
+    g = inverse(matrix(c_mat))
+    r = range(len(c_mat))
+    t = cube
+    t = [[[sum(g[m][i] * t[m][j][k] for m in r) for k in r] for j in r] for i in r]
+    t = [[[sum(g[m][j] * t[i][m][k] for m in r) for k in r] for j in r] for i in r]
+    t = [[[sum(g[m][k] * t[i][j][m] for m in r) for k in r] for j in r] for i in r]
+    return tuple(tuple(tuple(line) for line in plane) for plane in t)
+
+
+def test_sp_action_matches_a_dense_pullback():
+    a = _scale_curve(validated_sum_ladder(SD, 2, seed=7), Fraction(1, 3))
+    for m in moduli._words_up_to(sp_generators(SD), 4, 2):
+        assert sp_action(m, a).cubes == [dense_pullback(cube, m) for cube in a.cubes], m
