@@ -5,6 +5,8 @@ rational coefficients and modes m in Z^{2n} (angle period 2 pi).  Real
 fields satisfy c_{-m} = conj(c_m); the public constructors enforce this,
 and all documented operations preserve it.  Complex scalars (single modes
 e^{i x^a}) appear internally as test functions for logarithm extraction.
+`SymplecticData` holds omega and the one sparse check and integral inverse
+of the matrices in Sp(2n, Z) for it.
 
 Indices are 0-based internally; serialized files use 1-based indices.
 """
@@ -14,10 +16,14 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from ._kernel import pure as K
-from .errors import ConfigurationError
-from .linalg import inverse, mat_mul, mat_neg, matrix, transpose
+from .errors import ConfigurationError, InternalInconsistency
+from .linalg import inverse, mat_neg, matrix, transpose
 from .rationals import Fraction, GaussianRational, GR_ONE
 from .series import SparseScalar
+
+
+def _int_if_integral(x):
+    return int(x) if x.denominator == 1 else x
 
 
 class SymplecticData:
@@ -25,9 +31,14 @@ class SymplecticData:
 
     Conventions: omega_lo is omega_{ab}; omega_hi is the matrix omega^{ab}
     with sum_q omega^{pq} omega_{ql} = delta^p_l.
+
+    The symplectic group of omega lives here too: `is_symplectic_matrix` is
+    the one check of C^T omega C = omega and `symplectic_inverse` the one
+    integral inverse omega^{-1} C^T omega.  Both sum over the nonzero entries
+    of omega only, with term lists built once per omega on first use.
     """
 
-    __slots__ = ("dim", "omega_lo", "omega_hi")
+    __slots__ = ("dim", "omega_lo", "omega_hi", "_sp_terms")
 
     def __init__(self, omega_lo):
         omega_lo = matrix(omega_lo)
@@ -41,6 +52,7 @@ class SymplecticData:
         self.dim = dim
         self.omega_lo = omega_lo
         self.omega_hi = inverse(omega_lo)
+        self._sp_terms = None
 
     @classmethod
     def standard(cls, dim):
@@ -64,9 +76,44 @@ class SymplecticData:
         hi = self.omega_hi
         return [tuple(hi[p][j] for p in range(self.dim)) for j in range(self.dim)]
 
+    def _terms(self):
+        """The nonzero (l, j, omega_lj), and per (i, j) the nonzero
+        (l, k, omega^{ik} omega_lj) of (omega^{-1} C^T omega)_ij; integral
+        weights are ints."""
+        if self._sp_terms is None:
+            hi, lo, r = self.omega_hi, self.omega_lo, range(self.dim)
+            check = [(l, j, _int_if_integral(lo[l][j])) for l in r for j in r if lo[l][j]]
+            inv = [[[(l, k, _int_if_integral(hi[i][k] * w)) for k in r if hi[i][k]
+                     for l, jj, w in check if jj == j] for j in r] for i in r]
+            self._sp_terms = check, inv
+        return self._sp_terms
+
     def is_symplectic_matrix(self, c):
-        """C^T omega C = omega for the active omega."""
-        return mat_mul(mat_mul(transpose(c), self.omega_lo), c) == self.omega_lo
+        """C^T omega C = omega for a dim x dim C with int or Fraction entries
+        (the R^(2n) stabilizer's C is rational); any other shape is not.
+
+        (C^T omega C)_ab = sum_{l,j} C_la omega_lj C_jb over the nonzero
+        omega_lj.  Both sides are antisymmetric, so only a < b is compared."""
+        dim = self.dim
+        if len(c) != dim or any(len(row) != dim for row in c):
+            return False
+        check, _ = self._terms()
+        lo = self.omega_lo
+        return all(
+            sum(w * c[l][a] * c[j][b] for l, j, w in check) == lo[a][b]
+            for a in range(dim)
+            for b in range(a + 1, dim)
+        )
+
+    def symplectic_inverse(self, c):
+        """C^{-1} = omega^{-1} C^T omega, as ints, for an integral C that the
+        caller has checked or built from checked matrices.  Such a C has
+        determinant 1, so a fraction here is a bug."""
+        _, terms = self._terms()
+        c_inv = [[sum(w * c[l][k] for l, k, w in t) for t in row] for row in terms]
+        if any(x.denominator != 1 for row in c_inv for x in row):
+            raise InternalInconsistency("inverse of an integral symplectic matrix is not integral")
+        return tuple(tuple(map(int, row)) for row in c_inv)
 
     def __eq__(self, other):
         return isinstance(other, SymplecticData) and self.omega_lo == other.omega_lo

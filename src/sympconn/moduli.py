@@ -11,16 +11,17 @@ bounded word search over a fixed generator set, with an explicit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 from math import lcm
 from operator import itemgetter
 
 from .curvature import ConnectionCurve, require_ricci_type
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
-from .fourier import SymplecticData
+from .fourier import SymplecticData, _int_if_integral
 from .invariant import StructureMapCurve, embed_invariant
 from .linalg import identity as mat_identity
-from .linalg import inverse, rank
+from .linalg import rank
 from .rationals import Fraction
 
 
@@ -53,39 +54,6 @@ def require_valid(b_curve: StructureMapCurve):
     ok, witness = validity_check(b_curve)
     if not ok:
         raise PreconditionError(f"invalid structure-map curve: {witness}")
-
-
-def _int_if_integral(x):
-    return int(x) if x.denominator == 1 else x
-
-
-def _inverse_terms(sdata: SymplecticData):
-    """Per (i, j) the nonzero terms (l, k, omega^{ik} omega_lj) of
-    (omega^{-1} C^T omega)_ij = sum_{k,l} omega^{ik} C_lk omega_lj."""
-    hi, lo = sdata.omega_hi, sdata.omega_lo
-    r = range(sdata.dim)
-    return [
-        [
-            [(l, k, _int_if_integral(hi[i][k] * lo[l][j]))
-             for k in r if hi[i][k] for l in r if lo[l][j]]
-            for j in r
-        ]
-        for i in r
-    ]
-
-
-def _symplectic_inverse(terms, c_mat):
-    """C^{-1} = omega^{-1} C^T omega, as ints, for an integral C with
-    C^T omega C = omega; terms is `_inverse_terms` of omega.
-
-    The caller has checked C, or built it from checked generators.  The
-    inverse of an integral symplectic matrix is integral, so a fraction here
-    is a bug.
-    """
-    c_inv = [[sum(w * c_mat[l][k] for l, k, w in t) for t in row] for row in terms]
-    if any(x.denominator != 1 for row in c_inv for x in row):
-        raise InternalInconsistency("inverse of an integral symplectic matrix is not integral")
-    return tuple(tuple(map(int, row)) for row in c_inv)
 
 
 def _scaled(cube, d):
@@ -137,8 +105,7 @@ def sp_action(c_mat, b_curve: StructureMapCurve) -> StructureMapCurve:
     cf = tuple(tuple(Fraction(x) for x in row) for row in c_mat)
     if any(x.denominator != 1 for row in cf for x in row) or not sdata.is_symplectic_matrix(cf):
         raise PreconditionError("matrix is not in the lattice symplectic group")
-    c_int = tuple(tuple(map(int, row)) for row in cf)
-    c_inv = _symplectic_inverse(_inverse_terms(sdata), c_int)
+    c_inv = sdata.symplectic_inverse(tuple(tuple(map(int, row)) for row in cf))
     cubes = [_pullback(_cube_entries(cube), c_inv) for cube in b_curve.cubes]
     return StructureMapCurve(sdata, b_curve.cap, cubes)
 
@@ -152,10 +119,10 @@ def _matcher_data(a: StructureMapCurve, b: StructureMapCurve):
     """
     d = lcm(*(v.denominator for cube in a.cubes for plane in cube for line in plane for v in line))
     a_entries = [_cube_entries(_scaled(cube, d)) for cube in a.cubes]
-    return _inverse_terms(a.sdata), a_entries, [_scaled(cube, d) for cube in b.cubes]
+    return a.sdata, a_entries, [_scaled(cube, d) for cube in b.cubes]
 
 
-def _moves_to(c_mat, terms, a_entries, b_cubes):
+def _moves_to(c_mat, sdata, a_entries, b_cubes):
     """Whether the word C carries a to b, pulled back and compared one order
     at a time: False at the first order whose cube differs.
 
@@ -163,7 +130,7 @@ def _moves_to(c_mat, terms, a_entries, b_cubes):
     generator words of `_words_up_to`, so it is integral and symplectic and
     is not re-checked here.
     """
-    c_inv = _symplectic_inverse(terms, c_mat)
+    c_inv = sdata.symplectic_inverse(c_mat)
     return all(
         _pullback(entries, c_inv) == target
         for entries, target in zip(a_entries, b_cubes)
@@ -201,66 +168,50 @@ def cheap_invariants(b_curve: StructureMapCurve):
     return out
 
 
+@cache
 def sp_generators(sdata: SymplecticData):
     """A fixed generating set of Sp(2n, Z) for the standard block omega:
     the omega rotation S, the symmetric transvections T_B = [[I, B], [0, I]],
-    and GL(n, Z) block embeddings diag(A, (A^T)^{-1}); inverses included."""
+    and GL(n, Z) block embeddings diag(A, (A^T)^{-1}); inverses included.
+
+    Built once per omega, as a tuple: the order of its elements decides the
+    order of the search's words and so its witnesses."""
     if not sdata.is_standard():
         raise PreconditionError(
             "the documented generator set applies to the standard omega only"
         )
     n = sdata.n
-    dim = sdata.dim
 
     def blocks(a, b, c, d):
-        m = [[0] * dim for _ in range(dim)]
-        for i in range(n):
-            for j in range(n):
-                m[i][j] = a[i][j]
-                m[i][n + j] = b[i][j]
-                m[n + i][j] = c[i][j]
-                m[n + i][n + j] = d[i][j]
-        return tuple(tuple(row) for row in m)
+        return tuple(tuple(x + y) for x, y in zip(a + c, b + d))
 
-    eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    zero = [[0] * n for _ in range(n)]
-    gens = [blocks(zero, eye, [[-x for x in row] for row in eye], zero)]
-    for i in range(n):
-        for j in range(i, n):
-            b = [[0] * n for _ in range(n)]
-            b[i][j] = 1
-            b[j][i] = 1
-            gens.append(blocks(eye, b, zero, eye))
-    gl = []
-    if n >= 2:
-        t = [row[:] for row in eye]
-        t[0][1] = 1
-        gl.append(t)
-        perm = [row[:] for row in eye]
-        perm[0][0] = perm[1][1] = 0
-        perm[0][1] = perm[1][0] = 1
-        gl.append(perm)
-    flip = [row[:] for row in eye]
-    flip[0][0] = -1
-    gl.append(flip)
-    for a in gl:
-        af = tuple(tuple(Fraction(x) for x in row) for row in a)
-        a_inv_t = tuple(zip(*inverse(af)))
-        d = [[int(a_inv_t[i][j]) for j in range(n)] for i in range(n)]
-        gens.append(blocks(a, zero, zero, d))
+    def square(diagonal, *entries):
+        """diagonal * I_n with the given (i, j, value) entries set."""
+        m = [[diagonal * (i == j) for j in range(n)] for i in range(n)]
+        for i, j, v in entries:
+            m[i][j] = v
+        return m
+
+    eye, zero = square(1), square(0)
+    gens = [blocks(zero, eye, square(-1), zero)]
+    gens += [blocks(eye, square(0, (i, j, 1), (j, i, 1)), zero, eye)
+             for i in range(n) for j in range(i, n)]
+    # GL(n, Z) generators A with A^{-T} written out; the symplectic check
+    # below rejects a wrong one
+    swap = square(1, (0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+    gl = [(square(1, (0, 1, 1)), square(1, (1, 0, -1))), (swap, swap)] if n >= 2 else []
+    gl.append((square(1, (0, 0, -1)),) * 2)
+    gens += [blocks(a, zero, zero, a_inv_t) for a, a_inv_t in gl]
     out = []
     seen = set()
-    terms = _inverse_terms(sdata)
     for g in gens:
-        gf = tuple(tuple(Fraction(x) for x in row) for row in g)
-        if not sdata.is_symplectic_matrix(gf):
+        if not sdata.is_symplectic_matrix(g):
             raise InternalInconsistency("generator is not symplectic")
-        g_inv = _symplectic_inverse(terms, g)
-        for m in (g, g_inv):
+        for m in (g, sdata.symplectic_inverse(g)):
             if m not in seen:
                 seen.add(m)
                 out.append(m)
-    return out
+    return tuple(out)
 
 
 # Ceiling on the number of distinct matrices a word search enumerates.  All

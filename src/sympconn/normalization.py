@@ -92,20 +92,6 @@ def _real_constant(f: FourierScalar) -> Fraction:
     return c.re
 
 
-def _grad3(u: FourierScalar, dim) -> TensorField:
-    comp = {}
-    for p in range(dim):
-        dp = u.derivative(p)
-        for q in range(p, dim):
-            dpq = dp.derivative(q)
-            for r in range(q, dim):
-                g = dpq.derivative(r)
-                if g:
-                    for idx in {(p, q, r), (p, r, q), (q, p, r), (q, r, p), (r, p, q), (r, q, p)}:
-                        comp[idx] = g
-    return TensorField(dim, 3, comp, symmetry_tag="fully_symmetric", _validated=True)
-
-
 def _assert_order_invariant(bundle: CurvatureBundle, k):
     """The order-k Ricci data (r, u, b) of a Ricci-type curve whose lower
     orders are invariant must itself be invariant; a violation is a bug."""

@@ -11,7 +11,8 @@ and supplies two coordinate hooks; everything else lives here.
 Curves are plain lists of length cap + 1 indexed by t-order.  A generator
 ladder gens[0..cap] always has gens[0] = 0, so every exponential below is an
 exact finite sum: the j-th power of X_t has valuation >= j and vanishes past
-the cap.
+the cap.  Normal ordering (`merge_exponentials`) builds those powers one order
+at a time, so solving order k re-expands nothing below it.
 """
 
 from __future__ import annotations
@@ -355,35 +356,53 @@ def coordinate_tests(field, dim, cap):
     return [[field.test_function(dim, a)] + [zero] * cap for a in range(dim)]
 
 
-def order_from_mismatch(field, targets, currents, k):
-    """The order-k field Z^(k) with Z^(k)(f_a) = targets[a][k] - currents[a][k].
+def order_from_mismatch(field, diffs):
+    """The field Z with Z(f_a) = diffs[a] for every coordinate test f_a.
 
-    When currents = exp(Z_t) f_a with Z known below order k, this mismatch is
-    exactly Z^(k) f_a: every other contribution at order k is already in
-    currents."""
-    dim = len(targets)
-    return field([
-        field.component_from_mismatch(dim, a, targets[a][k] - currents[a][k])
-        for a in range(dim)
-    ])
+    When diffs[a] is the order-k mismatch between a target and exp(Z_t) f_a
+    with Z known below order k, this is Z^(k): every other contribution at
+    order k is already in the exponential."""
+    dim = len(diffs)
+    return field([field.component_from_mismatch(dim, a, diff) for a, diff in enumerate(diffs)])
 
 
 def merge_exponentials(sdata, gens_a, gens_b):
     """The generator ladder Z with exp(Z_t) = exp(A_t) exp(B_t) through the
     cap, solved order by order on the coordinate test functions (no BCH
-    series needed)."""
+    series needed), in one pass: f_a is constant in t, so the terms
+    Q_j = Z_t^j f_a / j! obey Q_j[k] = (1/j) sum_s Z^(s) Q_(j-1)[k-s], and
+    Z^(k) enters order k only through Q_1[k] = Z^(k) f_a.  Each order extends
+    the Q_j tables by one entry and reads Z^(k) from target[k] - sum_(j>=2)
+    Q_j[k].  Every order is asserted real and symplectic, and the result is
+    verified independently by exp_apply(Z, f_a) == target."""
     field = type(gens_a[0])
     dim, cap = gens_a[0].dim, len(gens_a) - 1
     tests = coordinate_tests(field, dim, cap)
     targets = [exp_apply(gens_a, exp_apply(gens_b, f)) for f in tests]
+    zero = field.scalar.zero(dim)
     z = [field.zero(dim)] * (cap + 1)
+    # tables[a][j][k] = Q_j[k] for f_a; Q_0 is f_a's test curve
+    tables = [[f] + [[zero] * (cap + 1) for _ in range(cap)] for f in tests]
     for k in range(1, cap + 1):
-        currents = [exp_apply(z, f) for f in tests]
-        z[k] = order_from_mismatch(field, targets, currents, k)
+        diffs = []
+        for q, target in zip(tables, targets):
+            current = zero
+            for j in range(2, k + 1):
+                acc = zero
+                for s in range(1, k - j + 2):
+                    prev = q[j - 1][k - s]
+                    if not z[s].is_zero() and not prev.is_zero():
+                        acc = acc + z[s].apply(prev)
+                q[j][k] = acc.scale(Fraction(1, j))
+                current = current + q[j][k]
+            diffs.append(target[k] - current)
+        z[k] = order_from_mismatch(field, diffs)
         if not z[k].is_real() or not z[k].is_symplectic(sdata):
             raise InternalInconsistency(
                 f"merged generator at order {k} is not a real symplectic field"
             )
+        for q in tables:
+            q[1][k] = z[k].apply(q[0][0])
     for f, target in zip(tests, targets):
         if exp_apply(z, f) != target:
             raise InternalInconsistency("normal ordering failed verification")

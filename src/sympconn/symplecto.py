@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fourier import FourierScalar, SymplecticData, TensorField, lower_last
 from .linalg import identity as mat_identity
-from .linalg import inverse, mat_vec
+from .linalg import mat_vec
 from .rationals import Fraction, GaussianRational
 from .series import (
     VectorField,
@@ -153,12 +153,18 @@ def affine_pullback_tensor(c_mat, d, t: TensorField) -> TensorField:
 
 
 class SymplectoCurve:
-    """psi_t = sigma^* o exp X_t with sigma(x) = C x + 2 pi d."""
+    """psi_t = sigma^* o exp X_t with sigma(x) = C x + 2 pi d.  validate=False
+    trusts the caller: C is in Sp(2n, Z) and every generator real symplectic."""
 
     __slots__ = ("sdata", "cap", "c_mat", "c_inv", "d", "gens")
 
     def __init__(self, sdata: SymplecticData, cap, c_mat, d, gens, validate=True):
         dim = sdata.dim
+        if validate:
+            if len(c_mat) != dim or any(len(row) != dim for row in c_mat) or len(d) != dim:
+                raise ConfigurationError("affine part has the wrong dimension")
+            if any(Fraction(x).denominator != 1 for row in c_mat for x in row):
+                raise ConfigurationError("linear part is not integral")
         c_mat = tuple(tuple(int(x) for x in row) for row in c_mat)
         d = tuple(Fraction(x) % 1 for x in d)
         gens = list(gens)
@@ -167,10 +173,7 @@ class SymplectoCurve:
         if len(gens) != cap + 1:
             raise ConfigurationError("need one generator per order 1..K")
         if validate:
-            if len(c_mat) != dim or len(d) != dim:
-                raise ConfigurationError("affine part has the wrong dimension")
-            cf = tuple(tuple(Fraction(x) for x in row) for row in c_mat)
-            if not sdata.is_symplectic_matrix(cf):
+            if not sdata.is_symplectic_matrix(c_mat):
                 raise ConfigurationError("linear part is not in Sp(2n, Z)")
             if not gens[0].is_zero():
                 raise ConfigurationError("generator curve must have valuation >= 1")
@@ -181,12 +184,7 @@ class SymplectoCurve:
                     raise ConfigurationError(f"order-{k} generator is not real")
                 if not g.is_symplectic(sdata):
                     raise ConfigurationError(f"order-{k} generator is not symplectic")
-        inv_frac = inverse(tuple(tuple(Fraction(x) for x in row) for row in c_mat))
-        c_inv = tuple(tuple(int(x) for x in row) for row in inv_frac)
-        if any(
-            Fraction(c_inv[i][j]) != inv_frac[i][j] for i in range(dim) for j in range(dim)
-        ):
-            raise InternalInconsistency("Sp(2n, Z) inverse is not integral")
+        c_inv = sdata.symplectic_inverse(c_mat)
         self.sdata = sdata
         self.cap = cap
         self.c_mat = c_mat
@@ -274,10 +272,7 @@ def invert(psi: SymplectoCurve) -> SymplectoCurve:
         conj_affine(psi.c_mat, psi.c_inv, psi.d, -g) if not g.is_zero() else g
         for g in psi.gens
     ]
-    d_inv = tuple(-x for x in mat_vec(
-        tuple(tuple(Fraction(v) for v in row) for row in psi.c_inv), psi.d
-    ))
-    return SymplectoCurve(psi.sdata, psi.cap, psi.c_inv, d_inv, gens)
+    return SymplectoCurve(psi.sdata, psi.cap, psi.c_inv, _neg_inv_translation(psi), gens)
 
 
 def act_on_vector_field(psi: SymplectoCurve, ycurve):
@@ -339,15 +334,12 @@ def compose(psi: SymplectoCurve, phi: SymplectoCurve) -> SymplectoCurve:
     if psi.sdata != phi.sdata or psi.cap != phi.cap:
         raise PreconditionError("composition needs matching omega and caps")
     sdata, cap = psi.sdata, psi.cap
-    cf = tuple(tuple(Fraction(x) for x in row) for row in phi.c_mat)
     c_new = tuple(
-        tuple(
-            sum(phi.c_mat[i][k] * psi.c_mat[k][j] for k in range(psi.dim))
-            for j in range(psi.dim)
-        )
-        for i in range(psi.dim)
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*psi.c_mat)) for row in phi.c_mat
     )
-    d_new = tuple(x + y for x, y in zip(mat_vec(cf, psi.d), phi.d))
+    if not sdata.is_symplectic_matrix(c_new):
+        raise InternalInconsistency("product of Sp(2n, Z) matrices is not symplectic")
+    d_new = tuple(x + y for x, y in zip(mat_vec(phi.c_mat, psi.d), phi.d))
     moved = [
         conj_affine(phi.c_inv, phi.c_mat, _neg_inv_translation(phi), g)
         if not g.is_zero()
@@ -355,13 +347,13 @@ def compose(psi: SymplectoCurve, phi: SymplectoCurve) -> SymplectoCurve:
         for g in psi.gens
     ]
     z = merge_exponentials(sdata, moved, phi.gens)
-    return SymplectoCurve(sdata, cap, c_new, d_new, z)
+    # merge_exponentials has asserted every order of z real and symplectic
+    return SymplectoCurve(sdata, cap, c_new, d_new, z, validate=False)
 
 
 def _neg_inv_translation(phi: SymplectoCurve):
     """Translation of sigma_phi^{-1}, i.e. -C^{-1} d."""
-    inv_frac = tuple(tuple(Fraction(v) for v in row) for row in phi.c_inv)
-    return tuple(-x for x in mat_vec(inv_frac, phi.d))
+    return tuple(-x for x in mat_vec(phi.c_inv, phi.d))
 
 
 def factorize(psi: SymplectoCurve):
@@ -377,13 +369,13 @@ def factorize(psi: SymplectoCurve):
     targets = [exp_apply(psi.gens, f) for f in tests]
     factors = []
     for k in range(1, cap + 1):
-        currents = []
-        for f in tests:
+        diffs = []
+        for f, target in zip(tests, targets):
             cur = f
             for gens_j in reversed(factors):
                 cur = exp_apply(gens_j, cur)
-            currents.append(cur)
-        yk = order_from_mismatch(FourierVectorField, targets, currents, k)
+            diffs.append(target[k] - cur[k])
+        yk = order_from_mismatch(FourierVectorField, diffs)
         if not yk.is_real() or not yk.is_symplectic(sdata):
             raise InternalInconsistency(
                 f"factor at order {k} is not a real symplectic field"

@@ -14,6 +14,8 @@ from sympconn.fourier import (
     raise_last,
 )
 from sympconn.generate import random_symmetric_field
+from sympconn.linalg import inverse, mat_mul, matrix, transpose
+from sympconn.moduli import _words_up_to, sp_generators
 from sympconn.rationals import GaussianRational
 
 DIM = 4
@@ -171,3 +173,100 @@ def test_symmetry_witness_drives_both_predicates():
     with pytest.raises(ConfigurationError, match="needs rank 4, got rank 3"):
         field.symmetry_witness("curvature_type")
     assert not field.is_curvature_type()
+
+
+# -- the symplectic group of omega -----------------------------------------------
+
+
+def dense_is_symplectic(sdata, c):
+    """The dense reference C^T omega C = omega, over ints where omega is."""
+    omega = tuple(tuple(int(x) if x.denominator == 1 else x for x in row)
+                  for row in sdata.omega_lo)
+    return mat_mul(mat_mul(transpose(c), omega), c) == omega
+
+
+def one_entry_changes(c, deltas=(1, -1)):
+    """C with one entry moved by one of the deltas, for every entry."""
+    for i, row in enumerate(c):
+        for j in range(len(row)):
+            for delta in deltas:
+                m = [list(r) for r in c]
+                m[i][j] += delta
+                yield tuple(tuple(r) for r in m)
+
+
+# P is unimodular, so omega' = (1/2) P^T omega P is a non-standard rational
+# omega whose symplectic group P^{-1} Sp(omega) P is again integral.
+P = ((1, 2, 0, 1), (0, 1, 1, 0), (0, 0, 1, 3), (0, 0, 0, 1))
+P_INV = tuple(tuple(int(x) for x in row) for row in inverse(matrix(P)))
+SD_RATIONAL = SymplecticData(
+    [[x / 2 for x in row] for row in mat_mul(mat_mul(transpose(matrix(P)),
+                                                     SymplecticData.standard(DIM).omega_lo),
+                                             matrix(P))]
+)
+
+
+def sp_words(sdata):
+    """The generator words of length <= 2, moved into sdata's group."""
+    words = _words_up_to(sp_generators(SymplecticData.standard(DIM)), DIM, 2)
+    if sdata.is_standard():
+        return list(words)
+    return [mat_mul(mat_mul(P_INV, w), P) for w in words]
+
+
+@pytest.mark.parametrize("sdata", [SymplecticData.standard(DIM), SD_RATIONAL],
+                         ids=["standard", "rational"])
+def test_sparse_check_agrees_with_the_dense_reference(sdata):
+    """On every word of length <= 2 and every one-entry +-1 change of one;
+    the changes include symplectic matrices (a diagonal entry of a
+    transvection's B) as well as non-symplectic ones."""
+    if not sdata.is_standard():
+        assert any(x.denominator != 1 for row in sdata.omega_lo for x in row)
+    verdicts = set()
+    for word in sp_words(sdata):
+        assert sdata.is_symplectic_matrix(word)
+        for c in one_entry_changes(word):
+            verdict = sdata.is_symplectic_matrix(c)
+            assert verdict == dense_is_symplectic(sdata, c), c
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_sparse_check_accepts_a_rational_stabilizer_matrix():
+    """The R^(2n) stabilizer's C need not be integral: diag(A, A^{-T}) and
+    [[I, B], [0, I]] with rational A and symmetric B, their product, and
+    every one-entry change of those by +-1 or +-1/2."""
+    sd = SymplecticData.standard(DIM)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a = ((2, third), (0, half))
+    a_inv_t = transpose(inverse(matrix(a)))
+    diag = tuple(tuple(x) for x in ((*a[0], 0, 0), (*a[1], 0, 0),
+                                    (0, 0, *a_inv_t[0]), (0, 0, *a_inv_t[1])))
+    shear = ((1, 0, half, third), (0, 1, third, -2), (0, 0, 1, 0), (0, 0, 0, 1))
+    verdicts = set()
+    for c in (diag, shear, mat_mul(diag, shear)):
+        assert sd.is_symplectic_matrix(c) and dense_is_symplectic(sd, c)
+        for m in one_entry_changes(c, (1, -1, half, -half)):
+            verdict = sd.is_symplectic_matrix(m)
+            assert verdict == dense_is_symplectic(sd, m), m
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("sdata", [SymplecticData.standard(DIM), SD_RATIONAL],
+                         ids=["standard", "rational"])
+def test_symplectic_inverse_is_the_gauss_jordan_inverse(sdata):
+    for word in sp_words(sdata):
+        c_inv = sdata.symplectic_inverse(word)
+        assert c_inv == inverse(matrix(word))
+        assert all(type(x) is int for row in c_inv for x in row)
+
+
+def test_sparse_check_refuses_a_matrix_of_the_wrong_shape():
+    """A dense product would zip the extra entry of a long row away."""
+    sd = SymplecticData.standard(DIM)
+    eye = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
+    assert sd.is_symplectic_matrix(eye)
+    assert not sd.is_symplectic_matrix([eye[0] + [0]] + eye[1:])
+    assert not sd.is_symplectic_matrix(eye[:-1])
+    assert not sd.is_symplectic_matrix([row[:-1] for row in eye])

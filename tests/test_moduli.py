@@ -39,6 +39,18 @@ def test_generators_are_symplectic_and_closed_under_inverse():
         assert any(mat_mul_int(g, h) == IDENT for h in gens)
 
 
+def test_generators_are_built_once_per_omega():
+    gens = sp_generators(SD)
+    assert type(gens) is tuple
+    assert sp_generators(SymplecticData.standard(4)) is gens
+
+
+def test_action_refuses_a_matrix_with_a_long_row():
+    a = rank_one_ladder(SD, 2, seed=3)
+    with pytest.raises(PreconditionError, match="^matrix is not in the lattice symplectic group$"):
+        sp_action((IDENT[0] + (0,),) + IDENT[1:], a)
+
+
 def test_action_is_a_group_action():
     a = rank_one_ladder(SD, 2, seed=3)
     gens = sp_generators(SD)
@@ -276,10 +288,9 @@ def test_matcher_agrees_with_sp_action_on_every_word(dim, bound, divisor):
         "sum": _scale_curve(validated_sum_ladder(sdata, 2, seed=7), Fraction(1, 2)),
     }
     data = {name: moduli._matcher_data(a, b) for name, b in pairs.items()}
-    terms = moduli._inverse_terms(sdata)
     found = {name: 0 for name in pairs}
     for m in words:
-        assert moduli._symplectic_inverse(terms, m) == inverse(matrix(m))
+        assert sdata.symplectic_inverse(m) == inverse(matrix(m))
         moved = sp_action(m, a)
         for name, b in pairs.items():
             match = moduli._moves_to(m, *data[name])

@@ -1,13 +1,24 @@
 """Laws of the truncated Lie-series calculus, on the torus and on R^(2n)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import sympconn.euclidean as euclidean
+import sympconn.series as series
+from sympconn.errors import InternalInconsistency
 from sympconn.euclidean import Poly, PolyVectorField
 from sympconn.fourier import FourierScalar, SymplecticData
-from sympconn.series import SparseScalar, exp_ad, exp_apply, merge_exponentials
+from sympconn.generate import random_real_scalar
+from sympconn.series import (
+    SparseScalar,
+    coordinate_tests,
+    exp_ad,
+    exp_apply,
+    merge_exponentials,
+    order_from_mismatch,
+)
 from sympconn.symplecto import FourierVectorField, hamiltonian_field
 
 DIM = 4
@@ -152,3 +163,83 @@ def test_scalar_types_share_one_sparse_arithmetic():
         assert not set(shared) & set(vars(cls))
     for name in ("mat_mul", "cube_endomorphisms"):
         assert not hasattr(euclidean, name)
+
+
+# -- one-pass normal ordering --------------------------------------------------
+
+
+def reference_merge_exponentials(sdata, gens_a, gens_b):
+    """Normal ordering as it was first written: exp(Z_t) f_a is re-expanded
+    from scratch at every order, and Z^(k) is read off the order-k mismatch."""
+    field = type(gens_a[0])
+    dim, cap = gens_a[0].dim, len(gens_a) - 1
+    tests = coordinate_tests(field, dim, cap)
+    targets = [exp_apply(gens_a, exp_apply(gens_b, f)) for f in tests]
+    z = [field.zero(dim)] * (cap + 1)
+    for k in range(1, cap + 1):
+        currents = [exp_apply(z, f) for f in tests]
+        z[k] = order_from_mismatch(field, [t[k] - c[k] for t, c in zip(targets, currents)])
+        if not z[k].is_real() or not z[k].is_symplectic(sdata):
+            raise InternalInconsistency(f"merged generator at order {k} is not real symplectic")
+    for f, target in zip(tests, targets):
+        if exp_apply(z, f) != target:
+            raise InternalInconsistency("normal ordering failed verification")
+    return z
+
+
+def random_torus_ladder(rng, sdata, cap):
+    """Hamiltonian fields of small random real potentials, some orders zero."""
+    gens = [FourierVectorField.zero(sdata.dim)]
+    for _ in range(cap):
+        f = random_real_scalar(rng, sdata.dim, max_modes=2, mode_bound=1)
+        if rng.random() < 0.25:
+            f = FourierScalar.zero(sdata.dim)
+        gens.append(hamiltonian_field(sdata, f))
+    return gens
+
+
+def random_poly_ladder(rng, cap):
+    """Hamiltonian fields of random polynomials of degree 1 to 3 on R^4."""
+    gens = [PolyVectorField.zero(DIM)]
+    for _ in range(cap):
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            expo = [0] * DIM
+            for _ in range(rng.randint(1, 3)):
+                expo[rng.randrange(DIM)] += 1
+            terms[tuple(expo)] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        gens.append(poly_hamiltonian_field(poly(terms)))
+    return gens
+
+
+@pytest.mark.parametrize("kind, dim", [("torus", 4), ("torus", 6), ("euclidean", 4)])
+def test_one_pass_merge_equals_the_re_expanding_reference(kind, dim):
+    rng = random.Random(f"merge-{kind}-{dim}")
+    sdata = SymplecticData.standard(dim)
+    for cap in range(1, 6):
+        for _ in range(2 if dim == 4 and cap < 5 else 1):
+            if kind == "torus":
+                a, b = random_torus_ladder(rng, sdata, cap), random_torus_ladder(rng, sdata, cap)
+            else:
+                a, b = random_poly_ladder(rng, cap), random_poly_ladder(rng, cap)
+            merged = merge_exponentials(sdata, a, b)
+            assert merged == reference_merge_exponentials(sdata, a, b), (kind, dim, cap)
+            assert merged[0].is_zero() and len(merged) == cap + 1
+
+
+@pytest.mark.parametrize("case", [torus_case, euclidean_case], ids=["torus", "euclidean"])
+def test_merge_makes_three_exp_apply_calls_per_coordinate(case, monkeypatch):
+    """2 dim exp_apply calls for the targets and dim for the verification,
+    whatever the cap: the orders in between re-expand nothing."""
+    calls = []
+
+    def counting(gens, fcurve):
+        calls.append(len(gens))
+        return exp_apply(gens, fcurve)
+
+    monkeypatch.setattr(series, "exp_apply", counting)
+    gens, other, _, _ = case()
+    for cap in range(1, len(gens)):
+        calls.clear()
+        merge_exponentials(SD, gens[:cap + 1], other[:cap + 1])
+        assert calls == [cap + 1] * (3 * DIM)

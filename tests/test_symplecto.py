@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from sympconn.curvature import curvature_curve
-from sympconn.errors import NonRepresentablePhase, PreconditionError
+import sympconn.moduli as moduli
+import sympconn.symplecto as symplecto
+from sympconn.errors import ConfigurationError, NonRepresentablePhase, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
 from sympconn.generate import rank_one_ladder, random_connection_curve, random_real_scalar
 from sympconn.invariant import embed_invariant
+from sympconn.linalg import inverse, matrix
 from sympconn.moduli import sp_generators
 from sympconn.symplecto import (
     FourierVectorField,
@@ -298,3 +301,40 @@ def test_action_makes_no_basis_transport(monkeypatch):
     assert calls == []
     assert moved.abar == reference_act_on_connection(psi, flat)
     assert calls
+
+
+def test_affine_part_refusals_come_before_any_int_conversion():
+    """int(1.5) is 1 and a dense product zips a long row's extra entry away,
+    so both would pass as the identity if converted first."""
+    eye = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
+    cases = [
+        ([[1.5, 0, 0, 0]] + eye[1:], [0] * DIM, "linear part is not integral"),
+        ([[Fraction(3, 2), 0, 0, 0]] + eye[1:], [0] * DIM, "linear part is not integral"),
+        ([[1, 0, 0, 0, 0]] + eye[1:], [0] * DIM, "affine part has the wrong dimension"),
+        (eye[:-1], [0] * DIM, "affine part has the wrong dimension"),
+        (eye, [0] * (DIM - 1), "affine part has the wrong dimension"),
+        ([[1, 1, 0, 0]] + eye[1:], [0] * DIM, "linear part is not in Sp(2n, Z)"),
+    ]
+    for c_mat, d, message in cases:
+        with pytest.raises(ConfigurationError) as err:
+            SymplectoCurve.affine(SD, 1, c_mat, d)
+        assert str(err.value) == message, (c_mat, d)
+    assert SymplectoCurve.affine(SD, 1, [[Fraction(2, 2), 0, 0, 0]] + eye[1:], [0] * DIM) \
+        == SymplectoCurve.identity(SD, 1)
+
+
+def test_compose_builds_what_the_checked_constructor_accepts():
+    """compose skips the constructor's checks; its result passes them."""
+    rng = random.Random(11)
+    ham = hamiltonian_witness(rng, SD, CAP, 3)
+    sigma = SymplectoCurve.affine(SD, CAP, sp_word(SD, (1, 0, 2)), (Fraction(1, 4), 0, 0, 0))
+    for psi in (compose(sigma, ham), compose(ham, sigma), compose(ham, invert(ham))):
+        assert SymplectoCurve(psi.sdata, psi.cap, psi.c_mat, psi.d, psi.gens) == psi
+        assert psi.c_inv == inverse(matrix(psi.c_mat))
+
+
+def test_symplectic_matrices_are_inverted_in_one_place():
+    """SymplectoCurve and moduli invert through SymplecticData, not by
+    Gauss-Jordan."""
+    for module in (symplecto, moduli):
+        assert not hasattr(module, "inverse")
