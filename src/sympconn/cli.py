@@ -44,7 +44,7 @@ from .invariant import StructureMapCurve, rank_one_cube, zero_cube
 from .moduli import ModuliClassQuery, equivalence_semidecide, validity_check
 from .normalization import normalize_curve
 from .rationals import rational_from_str
-from .serialize import dumps, load_path, omega_from_json, to_json
+from .serialize import dumps, json_text, load_path, omega_from_json, to_json
 from .symplecto import SymplectoCurve, act_on_connection
 
 EXIT_PASS = 0
@@ -224,7 +224,7 @@ def cmd_generate(args):
         "dim": dim,
         "cap": cap,
     }
-    text = json.dumps(obj, indent=1) + "\n"
+    text = json_text(obj)
     if args.out:
         _write_atomic(args.out, text)
         _emit({"command": "generate", "version": __version__,

@@ -9,8 +9,9 @@ All identities here are exact, order by order in t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from ._kernel.pure import accumulate
+from ._kernel.pure import accumulate, dict_sub
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
 from .fourier import (
     FourierScalar,
@@ -224,34 +225,107 @@ def ricci_from_curvature(r4: TensorFieldCurve, sdata: SymplecticData) -> TensorF
     return TensorFieldCurve(r4.cap, out)
 
 
-def ricci_part(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
-    """The five-term omega (x) ricci combination with prefactor -1/(2(n+1))."""
-    lo = sdata.omega_lo
-    dim = sdata.dim
+@lru_cache(maxsize=8)
+def _e_targets(sdata: SymplecticData):
+    """Per r entry (x, y) with x <= y, the (key, weight) pairs it adds to E
+    on the keys (a, b, c, d) with a < b and c <= d, weights summed per key
+    and scaled by -1/(2(n+1)).  For x < y the pairs of (y, x) are folded in,
+    which is exact because r is symmetric.  Depends on omega only, so it is
+    built once per omega."""
+    lo, dim = sdata.omega_lo, sdata.dim
     pref = Fraction(-1, 2 * (sdata.n + 1))
     entries = [(a, b, lo[a][b]) for a in range(dim) for b in range(dim) if lo[a][b]]
-    factors = {c for _, _, w in entries for c in (2 * w, w, -w)}
+    targets = {}
+    for x in range(dim):
+        for y in range(x, dim):
+            acc = {}
+            for xx, yy in {(x, y), (y, x)}:
+                for a, b, w in entries:
+                    for key, c in (
+                        ((a, b, xx, yy), 2 * w),  # 2 w(a,b) r(c,d)
+                        ((a, xx, b, yy), w),      # w(a,c) r(b,d)
+                        ((a, xx, yy, b), w),      # w(a,d) r(b,c)
+                        ((xx, a, b, yy), -w),     # -w(b,c) r(a,d)
+                        ((xx, a, yy, b), -w),     # -w(b,d) r(a,c)
+                    ):
+                        if key[0] < key[1] and key[2] <= key[3]:
+                            acc[key] = acc.get(key, 0) + c
+            targets[(x, y)] = tuple((key, pref * c) for key, c in acc.items() if c)
+    return targets
+
+
+def _fill_curvature_type(half, dim):
+    """The rank-4 field with T_bacd = -T_abcd and T_abdc = T_abcd whose
+    entries with a < b and c <= d are `half`; the (c, d) copies share the
+    immutable scalars."""
+    comps = {}
+    for (a, b, c, d), f in half.items():
+        g = -f
+        comps[(a, b, c, d)] = f
+        comps[(b, a, c, d)] = g
+        if c != d:
+            comps[(a, b, d, c)] = f
+            comps[(b, a, d, c)] = g
+    return TensorField(dim, 4, comps, "curvature_type", _validated=True)
+
+
+def _upper_half(t: TensorField):
+    """The entries of a rank-4 field with a < b and c <= d."""
+    return {k: f for k, f in t.components.items() if k[0] < k[1] and k[2] <= k[3]}
+
+
+def ricci_part(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
+    """The five-term omega (x) ricci combination with prefactor -1/(2(n+1)):
+    E_abcd = -(2 w_ab r_cd + w_ac r_bd + w_ad r_bc - w_bc r_ad - w_bd r_ac)
+             / (2(n+1)).
+
+    The formula is antisymmetric in (a, b) because omega is, and symmetric in
+    (c, d) when r is.  r is symmetric because every underline-A^(k) is fully
+    symmetric: -d_c A^c_ab is symmetric in (a, b), and the trace terms of
+    `ricci_curve` pair Tr A^(s)(e_a) A^(s')(e_b) with the (s', s) term.
+    This is asserted at every order (InternalInconsistency otherwise).  So E
+    is accumulated only on the keys with a < b and c <= d, reading r only on
+    x <= y, and the other keys are filled in by the two symmetries.
+    """
+    for k, t in enumerate(r2.orders):
+        if t.symmetry_witness("fully_symmetric") is not None:
+            raise InternalInconsistency(f"Ricci tensor is not symmetric at order {k}")
+    targets = _e_targets(sdata)
+    dim = sdata.dim
     out = []
     for t in r2.orders:
         acc = {}
         for (x, y), f in t.components.items():
+            if x > y:
+                continue
             # each distinct multiple of the component is scaled once
-            g = {c: f.scale(pref * c) for c in factors}
-            for a, b, w in entries:
-                accumulate(acc, (a, b, x, y), g[2 * w])   # 2 w(a,b) r(c,d)
-                accumulate(acc, (a, x, b, y), g[w])       # w(a,c) r(b,d)
-                accumulate(acc, (a, x, y, b), g[w])       # w(a,d) r(b,c)
-                accumulate(acc, (x, a, b, y), g[-w])      # -w(b,c) r(a,d)
-                accumulate(acc, (x, a, y, b), g[-w])      # -w(b,d) r(a,c)
-        out.append(TensorField(dim, 4, acc, "curvature_type", _validated=True))
+            scaled = {}
+            for key, c in targets[(x, y)]:
+                g = scaled.get(c)
+                if g is None:
+                    g = scaled[c] = f.scale(c)
+                accumulate(acc, key, g)
+        out.append(_fill_curvature_type(acc, dim))
     return TensorFieldCurve(r2.cap, out)
 
 
 def ew_split(r4: TensorFieldCurve, r2: TensorFieldCurve, sdata: SymplecticData):
-    """Split R into its ricci part E and the remainder W = R - E."""
+    """Split R into its ricci part E and the remainder W = R - E.
+
+    R is curvature type, as `curvature_curve` asserts (always on), and so is
+    E (see `ricci_part`), so W = R - E is formed on the keys with a < b and
+    c <= d only and filled in by the same symmetries."""
+    if r4.cap != r2.cap:
+        raise ConfigurationError("curve cap mismatch")
     e = ricci_part(r2, sdata)
-    w = r4 - e
-    return e, w
+    w = []
+    for rt, et in zip(r4.orders, e.orders):
+        if rt.symmetry_tag != "curvature_type":
+            raise ConfigurationError(
+                "ew_split needs R of curvature type, as curvature_curve returns"
+            )
+        w.append(_fill_curvature_type(dict_sub(_upper_half(rt), _upper_half(et)), sdata.dim))
+    return e, TensorFieldCurve(r4.cap, w)
 
 
 def ricci_type_verdict(w: TensorFieldCurve):

@@ -308,25 +308,46 @@ class TensorField:
         order of the components, whose entries break the symmetry `kind`,
         or None.  'fully_symmetric' compares every permutation;
         'curvature_type' (rank 4 only) needs T_bacd = -T_abcd and
-        T_abdc = T_abcd; any other kind declares no symmetry."""
+        T_abdc = T_abcd; any other kind declares no symmetry.
+
+        Each pair is compared once.  Components are visited in sorted order,
+        so a partner p < idx that is present was visited first and already
+        compared with idx (both relations are symmetric), and passed, or the
+        routine would have returned there; for p < idx only its presence is
+        tested.  A partner p > idx is compared in full, and p == idx passes
+        for the symmetric relations.  The (b, a) partner of an entry with
+        a = b is still compared, so a nonzero T_aacd is caught.  The witness
+        is the one a comparison of every pair from both sides returns."""
+        comps = self.components
         if kind == "fully_symmetric":
-            for idx in sorted(self.components):
-                f = self.components[idx]
+            for idx in sorted(comps):
+                f = comps[idx]
                 for perm in permutations(idx):
-                    if self.get(perm) != f:
+                    if perm > idx:
+                        if comps.get(perm) != f:
+                            return idx, perm
+                    elif perm < idx and perm not in comps:
                         return idx, perm
         elif kind == "curvature_type":
             if self.rank != 4:
                 raise ConfigurationError(
                     f"symmetry 'curvature_type' needs rank 4, got rank {self.rank}"
                 )
-            for idx in sorted(self.components):
+            for idx in sorted(comps):
                 a, b, c, d = idx
-                f = self.components[idx]
-                if self.get((b, a, c, d)) != -f:
-                    return idx, (b, a, c, d)
-                if self.get((a, b, d, c)) != f:
-                    return idx, (a, b, d, c)
+                f = comps[idx]
+                p = (b, a, c, d)
+                if p < idx:
+                    if p not in comps:
+                        return idx, p
+                elif comps.get(p) != -f:
+                    return idx, p
+                p = (a, b, d, c)
+                if p > idx:
+                    if comps.get(p) != f:
+                        return idx, p
+                elif p < idx and p not in comps:
+                    return idx, p
         return None
 
     def is_fully_symmetric(self):

@@ -33,17 +33,23 @@ ONE = Fraction(1)
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
-def rational_from_str(s: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction; decimals are not rationals here."""
+def _split_literal(s: str):
+    """Parse "p/q" or "p" into ints (p, q) with q > 0, not reduced; decimals
+    are not rationals here."""
     s = s.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"bad rational literal {s!r}")
     # the literal is checked: split it rather than parse it again as a string
     num, _, den = s.partition("/")
-    try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad rational literal {s!r}") from exc
+    num, den = int(num), int(den) if den else 1
+    if not den:
+        raise ValueError(f"bad rational literal {s!r}")
+    return num, den
+
+
+def rational_from_str(s: str) -> Fraction:
+    """Parse "p/q" or "p" into a Fraction; decimals are not rationals here."""
+    return Fraction(*_split_literal(s))
 
 
 def rational_to_str(q: Fraction) -> str:
@@ -79,6 +85,15 @@ def _lift(x):
     if isinstance(x, Fraction):
         return x.numerator, 0, x.denominator
     return None
+
+
+def gaussian_from_strs(re_str: str, im_str: str):
+    """Parse two rational literals (see `rational_from_str`) into the
+    GaussianRational re + i im, without a Fraction: a/b + i c/e is the
+    triple (a e, c b, b e), reduced by one three-argument gcd."""
+    a, b = _split_literal(re_str)
+    c, e = _split_literal(im_str)
+    return _reduced(a * e, c * b, b * e)
 
 
 class GaussianRational:
@@ -238,7 +253,7 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(rational_from_str(obj["re"]), rational_from_str(obj["im"]))
+        return gaussian_from_strs(obj["re"], obj["im"])
 
 
 GR_ZERO = GaussianRational(0, 0)

@@ -7,18 +7,22 @@ objects serialize to identical bytes.
 
 Kinds: "connection_curve", "structure_map_curve", "symplecto_curve",
 "normalization_result".
+
+Every curve file is written by one emitter, `json_text`, and read by
+`loads`, which checks each order of a curve once.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .curvature import ConnectionCurve
 from .errors import ConfigurationError, InputError
 from .fourier import FourierScalar, SymplecticData, TensorField
 from .invariant import StructureMapCurve
 from .normalization import NormalizationResult
-from .rationals import GaussianRational, rational_from_str, rational_to_str
+from .rationals import gaussian_from_strs, rational_from_str, rational_to_str
 from .symplecto import FourierVectorField, SymplectoCurve
 
 FORMAT_VERSION = 1
@@ -44,9 +48,26 @@ def _parse_rational(s, context):
 def _parse_gaussian(obj, context):
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         _fail(f"{context}: Gaussian rational must be {{re, im}}")
-    return GaussianRational(
-        _parse_rational(obj["re"], context), _parse_rational(obj["im"], context)
-    )
+    try:
+        return gaussian_from_strs(str(obj["re"]), str(obj["im"]))
+    except ValueError as exc:
+        _fail(f"{context}: {exc}")
+
+
+def _is_int(x):
+    """A JSON integer; JSON booleans are Python bools, which are not."""
+    return type(x) is int
+
+
+def _header(obj, kind):
+    """The (dim, cap) of a curve file: an even int dim >= 4 and an int cap >= 0."""
+    dim = _expect(obj, "dim", kind)
+    cap = _expect(obj, "cap", kind)
+    if not _is_int(dim) or dim < 4 or dim % 2:
+        _fail(f"{kind}: dim must be an even integer >= 4, got {dim!r}")
+    if not _is_int(cap) or cap < 0:
+        _fail(f"{kind}: bad cap {cap!r}")
+    return dim, cap
 
 
 # -- omega ----------------------------------------------------------------------
@@ -85,7 +106,7 @@ def scalar_from_json(obj, dim, context):
     coeffs = {}
     for i, entry in enumerate(obj):
         m = _expect(entry, "m", f"{context} mode {i + 1}")
-        if not isinstance(m, list) or len(m) != dim or not all(isinstance(x, int) for x in m):
+        if not isinstance(m, list) or len(m) != dim or not all(_is_int(x) for x in m):
             _fail(f"{context} mode {i + 1}: bad mode vector")
         m = tuple(m)
         if m in coeffs:
@@ -119,7 +140,7 @@ def tensor_from_json(obj, dim, context, expect_rank=None, expect_symmetry=None):
         if (
             not isinstance(idx, list)
             or len(idx) != rank
-            or not all(isinstance(a, int) and 1 <= a <= dim for a in idx)
+            or not all(_is_int(a) and 1 <= a <= dim for a in idx)
         ):
             _fail(f"{context} entry {i + 1}: bad index {idx!r} (1-based, rank {rank})")
         key = tuple(a - 1 for a in idx)
@@ -161,12 +182,10 @@ def connection_to_json(conn: ConnectionCurve):
 
 
 def connection_from_json(obj):
-    dim = _expect(obj, "dim", "connection_curve")
-    cap = _expect(obj, "cap", "connection_curve")
-    if not isinstance(dim, int) or dim < 4 or dim % 2:
-        _fail(f"connection_curve: dim must be an even integer >= 4, got {dim!r}")
-    if not isinstance(cap, int) or cap < 0:
-        _fail(f"connection_curve: bad cap {cap!r}")
+    """`tensor_from_json` checks every order's rank, index bounds, full
+    symmetry and reality, and the order-0 term is prepended as zero, so the
+    curve is built without checking them a second time."""
+    dim, cap = _header(obj, "connection_curve")
     sdata = omega_from_json(_expect(obj, "omega", "connection_curve"), dim)
     orders = _expect(obj, "A", "connection_curve")
     if not isinstance(orders, list) or len(orders) != cap:
@@ -177,7 +196,7 @@ def connection_from_json(obj):
         )
         for k, t in enumerate(orders)
     ]
-    return ConnectionCurve(sdata, cap, abar)
+    return ConnectionCurve(sdata, cap, abar, validate=False)
 
 
 # -- structure-map curves -----------------------------------------------------------
@@ -198,10 +217,7 @@ def structure_map_to_json(b: StructureMapCurve):
 
 
 def structure_map_from_json(obj):
-    dim = _expect(obj, "dim", "structure_map_curve")
-    cap = _expect(obj, "cap", "structure_map_curve")
-    if not isinstance(dim, int) or dim < 4 or dim % 2:
-        _fail(f"structure_map_curve: dim must be an even integer >= 4, got {dim!r}")
+    dim, cap = _header(obj, "structure_map_curve")
     sdata = omega_from_json(_expect(obj, "omega", "structure_map_curve"), dim)
     raw = _expect(obj, "cubes", "structure_map_curve")
     if not isinstance(raw, list) or len(raw) != cap + 1:
@@ -246,16 +262,16 @@ def symplecto_to_json(psi: SymplectoCurve):
 
 
 def symplecto_from_json(obj):
-    dim = _expect(obj, "dim", "symplecto_curve")
-    cap = _expect(obj, "cap", "symplecto_curve")
-    if not isinstance(dim, int) or dim < 4 or dim % 2:
-        _fail(f"symplecto_curve: dim must be an even integer >= 4, got {dim!r}")
+    dim, cap = _header(obj, "symplecto_curve")
     sdata = omega_from_json(_expect(obj, "omega", "symplecto_curve"), dim)
     c_mat = _expect(obj, "C", "symplecto_curve")
     if (
         not isinstance(c_mat, list)
         or len(c_mat) != dim
-        or any(len(r) != dim or not all(isinstance(x, int) for x in r) for r in c_mat)
+        or any(
+            not isinstance(r, list) or len(r) != dim or not all(_is_int(x) for x in r)
+            for r in c_mat
+        )
     ):
         _fail("symplecto_curve: C must be an integer matrix")
     d = _expect(obj, "d", "symplecto_curve")
@@ -324,14 +340,69 @@ def to_json(value):
     raise TypeError(f"no serialization for {type(value).__name__}")
 
 
+def _append_json(obj, parts, nl):
+    """Append the text of obj, whose line breaks are followed by nl."""
+    t = type(obj)
+    if t is str:
+        parts.append(encode_basestring_ascii(obj))
+    elif t is list:
+        if not obj:
+            parts.append("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _append_json(item, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif t is dict:
+        if not obj:
+            parts.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key, item in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _append_json(item, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif t is bool:
+        parts.append("true" if obj else "false")
+    elif t is int:
+        parts.append(int.__repr__(obj))
+    elif obj is None:
+        parts.append("null")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """`json.dumps(obj, indent=1) + "\\n"`, byte for byte, for a tree of str,
+    dict (str keys), list, int, bool and None; any other type raises
+    TypeError.  `json.dumps` with an indent runs the json module's
+    pure-Python encoder; this writes the same lines directly, with the C
+    string escaper that `json.dumps` uses by default (ensure_ascii)."""
+    parts = []
+    _append_json(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
 def dumps(value) -> str:
-    return json.dumps(to_json(value), indent=1) + "\n"
+    """The curve file text of a value: `json_text` of its `to_json` tree,
+    byte-identical to `json.dumps(to_json(value), indent=1) + "\\n"`."""
+    return json_text(to_json(value))
 
 
 def loads(text: str):
+    # a number literal longer than the interpreter's int digit limit raises
+    # a plain ValueError, of which JSONDecodeError is a subclass
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         _fail(f"not valid JSON: {exc}")
     return from_json(obj)
 

@@ -322,3 +322,16 @@ def test_curve_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_CURVE_WORK", work - 1)
     code, _, err = run(capsys, "check", str(p))
     assert code == 2 and f"estimated work {work} exceeds the ceiling of {work - 1}" in err
+
+
+def test_huge_json_integer_exit_2(tmp_path, capsys):
+    """A number literal past the interpreter's int digit limit is refused as
+    invalid JSON, not raised as a ValueError."""
+    p = write_moved(tmp_path)
+    text = p.read_text().replace('"cap": 3', '"cap": 1' + "0" * 5000, 1)
+    assert text != p.read_text()
+    p.write_text(text)
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert err.startswith("input error: not valid JSON: Exceeds the limit")
+    assert "Traceback" not in err

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sympconn import curvature
+from sympconn._kernel.pure import accumulate
 from sympconn.curvature import (
     bianchi_check,
     covariant_derivative,
@@ -198,3 +199,79 @@ def test_low_order_vanishing_on_ricci_type():
         assert bundle.R[k].is_zero()
         assert bundle.u[k].is_zero()
         assert bundle.b[k].is_zero()
+
+
+def old_ew_split(r4, r2, sdata):
+    """Reference: the five-term E accumulated on every index, W = R - E by
+    the full subtraction."""
+    lo, dim = sdata.omega_lo, sdata.dim
+    pref = Fraction(-1, 2 * (sdata.n + 1))
+    entries = [(a, b, lo[a][b]) for a in range(dim) for b in range(dim) if lo[a][b]]
+    e_orders = []
+    for t in r2.orders:
+        acc = {}
+        for (x, y), f in t.components.items():
+            for a, b, w in entries:
+                for key, c in (((a, b, x, y), 2 * w), ((a, x, b, y), w), ((a, x, y, b), w),
+                               ((x, a, b, y), -w), ((x, a, y, b), -w)):
+                    accumulate(acc, key, f.scale(pref * c))
+        e_orders.append(TensorField(dim, 4, acc, "curvature_type", _validated=True))
+    e = TensorFieldCurve(r2.cap, e_orders)
+    return e, r4 - e
+
+
+# P is unimodular, so (1/2) P^T omega P is a non-standard rational omega.
+_P = ((1, 2, 0, 1), (0, 1, 1, 0), (0, 0, 1, 3), (0, 0, 0, 1))
+SD_RATIONAL = SymplecticData([
+    [Fraction(sum(_P[k][i] * w * _P[l][j]
+                  for k, row in enumerate(SymplecticData.standard(4).omega_lo)
+                  for l, w in enumerate(row)), 2) for j in range(4)]
+    for i in range(4)
+])
+
+
+def _rational_omega_curve(seed):
+    from random import Random
+
+    from sympconn.generate import random_symmetric_field
+
+    rng = Random(seed)
+    return curvature.ConnectionCurve(
+        SD_RATIONAL, 2, [random_symmetric_field(rng, 4, triples=3) for _ in range(2)])
+
+
+EW_CURVES = [
+    ("random-dim4-seed3", lambda: random_connection_curve(3, dim=4, cap=3)),
+    ("random-dim4-seed13", lambda: random_connection_curve(13, dim=4, cap=2)),
+    ("random-dim6-seed2", lambda: random_connection_curve(2, dim=6, cap=2)),
+    ("conjugated-dim4", lambda: conjugated_flat_fixture(4)[2]),
+    ("conjugated-dim6", lambda: conjugated_flat_fixture(6, dim=6, cap=2)[2]),
+    ("rational-omega", lambda: _rational_omega_curve(7)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in EW_CURVES], ids=[n for n, _ in EW_CURVES])
+def test_ew_split_matches_the_full_index_reference(make):
+    conn = make()
+    r4, r2 = curvature_curve(conn), ricci_curve(conn)
+    e, w = ew_split(r4, r2, conn.sdata)
+    want_e, want_w = old_ew_split(r4, r2, conn.sdata)
+    assert e == want_e and w == want_w
+    assert [t.symmetry_tag for t in e.orders + w.orders] == [
+        t.symmetry_tag for t in want_e.orders + want_w.orders]
+    if make is EW_CURVES[-1][1]:
+        assert not conn.sdata.is_standard() and not w.is_zero()
+
+
+def test_ricci_part_asserts_a_symmetric_ricci_tensor():
+    """E is built on half its indices only because r is symmetric; a
+    non-symmetric r is a fault, never a wrong E."""
+    from sympconn.curvature import ricci_part
+    from sympconn.errors import InternalInconsistency
+
+    sd = SymplecticData.standard(4)
+    one = FourierScalar.constant(4, 1)
+    r2 = TensorFieldCurve(1, [TensorField.zero(4, 2),
+                              TensorField(4, 2, {(0, 1): one, (1, 0): one.scale(2)})])
+    with pytest.raises(InternalInconsistency, match="Ricci tensor is not symmetric at order 1"):
+        ricci_part(r2, sd)

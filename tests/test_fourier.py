@@ -270,3 +270,101 @@ def test_sparse_check_refuses_a_matrix_of_the_wrong_shape():
     assert not sd.is_symplectic_matrix([eye[0] + [0]] + eye[1:])
     assert not sd.is_symplectic_matrix(eye[:-1])
     assert not sd.is_symplectic_matrix([row[:-1] for row in eye])
+
+
+def old_symmetry_witness(t, kind):
+    """Reference: the routine that compares every pair from both sides."""
+    from itertools import permutations
+
+    if kind == "fully_symmetric":
+        for idx in sorted(t.components):
+            f = t.components[idx]
+            for perm in permutations(idx):
+                if t.get(perm) != f:
+                    return idx, perm
+    elif kind == "curvature_type":
+        if t.rank != 4:
+            raise ConfigurationError(
+                f"symmetry 'curvature_type' needs rank 4, got rank {t.rank}"
+            )
+        for idx in sorted(t.components):
+            a, b, c, d = idx
+            f = t.components[idx]
+            if t.get((b, a, c, d)) != -f:
+                return idx, (b, a, c, d)
+            if t.get((a, b, d, c)) != f:
+                return idx, (a, b, d, c)
+    return None
+
+
+def _small_scalar(rng):
+    f = FourierScalar.constant(DIM, Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+    if rng.random() < 0.5:
+        f = f + FourierScalar.cosine(DIM, (rng.randint(-1, 1), 1, 0, 0))
+    return f
+
+
+def _symmetric_rank4(rng):
+    """A random field with T_bacd = -T_abcd and T_abdc = T_abcd."""
+    comps = {}
+    for _ in range(rng.randint(1, 4)):
+        a, b = sorted(rng.sample(range(DIM), 2))
+        c, d = sorted(rng.randrange(DIM) for _ in range(2))
+        f = _small_scalar(rng)
+        comps[(a, b, c, d)] = comps[(a, b, d, c)] = f
+        comps[(b, a, c, d)] = comps[(b, a, d, c)] = -f
+    return comps
+
+
+def _perturb(rng, comps, rank):
+    """Delete, rescale, negate or add a few entries, or none."""
+    comps = dict(comps)
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        keys = sorted(comps)
+        move = rng.randrange(4)
+        if move == 0 and keys:
+            del comps[rng.choice(keys)]
+        elif move == 1 and keys:
+            k = rng.choice(keys)
+            comps[k] = comps[k].scale(rng.choice((2, 3, Fraction(1, 2))))
+        elif move == 2 and keys:
+            k = rng.choice(keys)
+            comps[k] = -comps[k]
+        else:
+            idx = tuple(rng.randrange(DIM) for _ in range(rank))
+            comps[idx] = _small_scalar(rng)
+    return TensorField(DIM, rank, comps, _validated=True)
+
+
+def test_symmetry_witness_matches_the_two_sided_reference():
+    """Comparing each pair once returns the witness of comparing every pair
+    from both sides, on perturbed rank-3 and rank-4 tensors, for every kind
+    (including the rank error of 'curvature_type' on rank 3)."""
+    rng = random.Random(2024)
+    found = set()
+    for trial in range(1500):
+        if trial % 2:
+            t = _perturb(rng, random_symmetric_field(rng, DIM, triples=3).components, 3)
+        else:
+            t = _perturb(rng, _symmetric_rank4(rng), 4)
+        for kind in ("fully_symmetric", "curvature_type", "none"):
+            try:
+                want = old_symmetry_witness(t, kind)
+            except ConfigurationError as exc:
+                with pytest.raises(ConfigurationError, match=str(exc)):
+                    t.symmetry_witness(kind)
+                continue
+            got = t.symmetry_witness(kind)
+            assert got == want, (kind, t.components)
+            found.add((t.rank, kind, want is None))
+    # both verdicts were met for each rank and declared symmetry
+    for rank in (3, 4):
+        assert {(rank, "fully_symmetric", True), (rank, "fully_symmetric", False)} <= found
+    assert {(4, "curvature_type", True), (4, "curvature_type", False)} <= found
+
+
+def test_curvature_type_catches_a_nonzero_diagonal_pair():
+    """T_aacd must vanish: its (b, a) partner is itself and is compared."""
+    t = TensorField(DIM, 4, {(1, 1, 0, 2): FourierScalar.constant(DIM, 1),
+                             (1, 1, 2, 0): FourierScalar.constant(DIM, 1)}, _validated=True)
+    assert t.symmetry_witness("curvature_type") == ((1, 1, 0, 2), (1, 1, 0, 2))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sympconn.fourier import FourierScalar
 from sympconn.rationals import (
     GaussianRational,
+    gaussian_from_strs,
     rational_from_str,
     rational_to_str,
 )
@@ -29,6 +30,26 @@ def test_rational_from_str_rejects_junk():
     for bad in ("", "1/0", "a/b", "1.5", "1/2/3"):
         with pytest.raises(ValueError):
             rational_from_str(bad)
+
+
+@given(st.integers(-60, 60), st.integers(1, 60), st.integers(-60, 60), st.integers(1, 60))
+def test_gaussian_from_strs_builds_the_canonical_triple(a, b, c, e):
+    """Unreduced literals, signs and surrounding space give the value the
+    two Fractions give, as a canonical triple."""
+    z = gaussian_from_strs(f" {a}/{b}", f"{'+' if c >= 0 else ''}{c}/{e} ")
+    assert z == GaussianRational(Fraction(a, b), Fraction(c, e))
+    assert z.d > 0 and gcd(z.p, z.q, z.d) == 1
+    assert gaussian_from_strs(str(a), str(c)) == GaussianRational(a, c)
+
+
+def test_gaussian_from_strs_refuses_as_rational_from_str():
+    for bad in ("", "1/0", "a/b", "1.5", "1/2/3"):
+        with pytest.raises(ValueError) as want:
+            rational_from_str(bad)
+        for args in ((bad, "0"), ("0", bad)):
+            with pytest.raises(ValueError) as got:
+                gaussian_from_strs(*args)
+            assert str(got.value) == str(want.value)
 
 
 @given(gaussians, gaussians, gaussians)

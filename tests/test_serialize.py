@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from sympconn.errors import InputError
 from sympconn.fourier import FourierScalar, SymplecticData
@@ -11,7 +13,7 @@ from sympconn.generate import (
     rank_one_ladder,
 )
 from sympconn.normalization import normalize_curve
-from sympconn.serialize import dumps, from_json, loads, to_json
+from sympconn.serialize import dumps, from_json, json_text, loads, to_json
 
 SD = SymplecticData.standard(4)
 
@@ -164,3 +166,138 @@ def test_curvature_type_of_wrong_rank_is_an_input_error(entries):
     with pytest.raises(InputError) as exc:
         tensor_from_json(obj, 4, "R order 2")
     assert str(exc.value) == "R order 2: symmetry 'curvature_type' needs rank 4, got rank 3"
+
+
+# -- the indent-1 emitter ------------------------------------------------------------
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=60)
+@given(json_trees)
+def test_json_text_is_json_dumps_indent_1(tree):
+    assert json_text(tree) == json.dumps(tree, indent=1) + "\n"
+
+
+def _curve_trees(seed):
+    """to_json trees of every kind from one seed: a random connection curve
+    with a provenance block, a rank-one ladder, and a normalization result
+    with its flat curve, symplecto witness and log."""
+    from sympconn.generate import random_connection_curve
+
+    try:
+        conn = random_connection_curve(seed, dim=4 + 2 * (seed % 2), cap=seed % 3)
+    except AssertionError:
+        # the generator's reality assertion: a sine drawn at the zero mode
+        assume(False)
+    result = normalize_curve(moved_fixture(seed % 5 + 1))
+    trees = [to_json(v) for v in (conn, rank_one_ladder(SD, 1 + seed % 3, seed=seed),
+                                  result, result.flat_curve, result.witness)]
+    # the generate command appends this block
+    trees[0]["provenance"] = {"generator": "random", "seed": seed, "dim": conn.dim,
+                              "cap": conn.cap}
+    return trees
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.integers(0, 10**6))
+def test_dumps_is_json_dumps_indent_1_on_every_kind(seed):
+    for tree in _curve_trees(seed):
+        assert json_text(tree) == json.dumps(tree, indent=1) + "\n"
+
+
+def test_generate_output_is_json_dumps_indent_1(capsys):
+    """The generate command's file, with its provenance block, is written by
+    the same emitter."""
+    from sympconn.cli import main
+
+    for argv in (["--kind", "random", "--seed", "3", "--order", "2"],
+                 ["--kind", "rank-one", "--vector", "1/2,0,0,-3", "--order", "1"]):
+        assert main(["generate", *argv]) == 0
+        out = capsys.readouterr().out
+        tree = json.loads(out)
+        assert "provenance" in tree
+        assert out == json.dumps(tree, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("leaf", [1.5, (1, 2), {1: "a"}, Fraction(1, 2)])
+def test_json_text_refuses_other_types(leaf):
+    with pytest.raises(TypeError):
+        json_text({"x": [leaf]})
+
+
+def test_json_text_writes_bool_as_bool():
+    tree = [True, False, 1, 0, None]
+    assert json_text(tree) == json.dumps(tree, indent=1) + "\n"
+
+
+# -- loads: each order checked once, and refusals ----------------------------------------
+
+
+def test_loads_checks_full_symmetry_once_per_order(monkeypatch):
+    from sympconn.fourier import TensorField
+
+    calls = []
+    real = TensorField.symmetry_witness
+
+    def counting(self, kind):
+        calls.append(kind)
+        return real(self, kind)
+
+    monkeypatch.setattr(TensorField, "symmetry_witness", counting)
+    for cap in (2, 3, 4):
+        _, _, moved = conjugated_flat_fixture(1, dim=4, cap=cap)
+        text = dumps(moved)
+        calls.clear()
+        assert loads(text) == moved
+        assert calls.count("fully_symmetric") == cap
+
+
+def _with(obj, path, value):
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+def _psi_json():
+    return to_json(normalize_curve(moved_fixture()).witness)
+
+
+REFUSALS = [
+    (lambda: _with(to_json(moved_fixture()), ["cap"], True),
+     "connection_curve: bad cap True"),
+    (lambda: _with(to_json(moved_fixture()), ["dim"], True),
+     "connection_curve: dim must be an even integer >= 4, got True"),
+    (lambda: _with(to_json(rank_one_ladder(SD, 1, seed=0)), ["cap"], "2"),
+     "structure_map_curve: bad cap '2'"),
+    (lambda: _with(to_json(rank_one_ladder(SD, 2, seed=0)), ["cap"], 2.0),
+     "structure_map_curve: bad cap 2.0"),
+    (lambda: _with(to_json(rank_one_ladder(SD, 1, seed=0)), ["cap"], -1),
+     "structure_map_curve: bad cap -1"),
+    (lambda: _with(_psi_json(), ["cap"], False),
+     "symplecto_curve: bad cap False"),
+    (lambda: _with(_psi_json(), ["dim"], 4.0),
+     "symplecto_curve: dim must be an even integer >= 4, got 4.0"),
+    (lambda: _with(_psi_json(), ["C", 0, 0], True),
+     "symplecto_curve: C must be an integer matrix"),
+    (lambda: _with(_psi_json(), ["C", 0], 1),
+     "symplecto_curve: C must be an integer matrix"),
+    (lambda: _with(to_json(moved_fixture()), ["A", 0, "entries", 0, "idx", 0], True),
+     "A order 1 entry 1: bad index [True, 1, 1] (1-based, rank 3)"),
+    (lambda: _with(to_json(moved_fixture()), ["A", 0, "entries", 0, "modes", 0, "m", 0], False),
+     "A order 1 entry 1 mode 1: bad mode vector"),
+]
+
+
+@pytest.mark.parametrize("make, message", REFUSALS, ids=range(len(REFUSALS)))
+def test_header_and_integer_fields_refuse_wrong_types(make, message):
+    with pytest.raises(InputError) as exc:
+        from_json(make())
+    assert str(exc.value) == message
