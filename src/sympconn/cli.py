@@ -28,18 +28,12 @@ from .curvature import (
 from .errors import (
     ConfigurationError,
     InputError,
-    InternalInconsistency,
     NotExactCube,
     PreconditionError,
     SympconnError,
 )
 from .fourier import FourierScalar, SymplecticData
-from .generate import (
-    conjugated_flat_fixture,
-    gradient_curve,
-    random_connection_curve,
-    rank_one_ladder,
-)
+from .generate import conjugated_flat_fixture, gradient_curve, random_connection_curve
 from .invariant import StructureMapCurve, rank_one_cube, zero_cube
 from .moduli import ModuliClassQuery, equivalence_semidecide, validity_check
 from .normalization import normalize_curve
@@ -192,13 +186,20 @@ def cmd_generate(args):
     if dim < 4 or dim % 2:
         raise InputError("dimension must be an even integer >= 4")
     if args.omega:
-        with open(args.omega, "r", encoding="utf-8") as fh:
-            sdata = omega_from_json(json.load(fh), dim)
+        try:
+            with open(args.omega, "r", encoding="utf-8") as fh:
+                omega = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read omega file {args.omega}: {exc}")
+        sdata = omega_from_json(omega, dim)
     else:
         sdata = SymplecticData.standard(dim)
     cap = args.order
     if args.kind == "rank-one":
-        v = tuple(rational_from_str(x) for x in args.vector.split(","))
+        try:
+            v = tuple(rational_from_str(x) for x in args.vector.split(","))
+        except ValueError as exc:
+            raise InputError(f"bad vector {args.vector!r}: {exc}")
         if len(v) != dim:
             raise InputError(f"vector needs {dim} entries")
         cubes = [zero_cube(dim)] + [rank_one_cube(sdata, v)] * cap
@@ -319,18 +320,12 @@ def main(argv=None):
     start = time.monotonic()
     try:
         code = args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConfigurationError as exc:
+    except (InputError, ConfigurationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (PreconditionError, NotExactCube) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except InternalInconsistency as exc:
-        print(f"internal assertion failed (this is a bug): {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except SympconnError as exc:
         print(f"internal assertion failed (this is a bug): {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -36,7 +36,7 @@ from .series import (
     VectorField,
     exp_apply,
     exp_lie_connection,
-    lie_action,
+    exp_terms,
     merge_exponentials,
 )
 
@@ -344,15 +344,15 @@ def invariant_gamma(b_curve: StructureMapCurve):
 
 def psi_At_connection_check(b_curve: StructureMapCurve):
     """psi_{A^t} . nabla^0 = nabla^{A^t}, plus (ad X_{A^t})^2 X = 0 on the
-    constant basis (the nilpotency the closed forms rely on)."""
+    constant basis (the nilpotency the closed forms rely on), read as the
+    `exp_terms` term Q_2 = (ad X_t)^2 e / 2, zero by valuation below cap 2."""
     gens = psi_At(b_curve)
     cap, dim, sdata = b_curve.cap, b_curve.dim, b_curve.sdata
     zero = PolyVectorField.zero(dim)
     for a in range(dim):
         e = PolyVectorField.constant(dim, [1 if i == a else 0 for i in range(dim)])
-        once = lie_action(VectorField.bracket, gens, [e] + [zero] * cap)
-        twice = lie_action(VectorField.bracket, gens, once)
-        if not all(f.is_zero() for f in twice):
+        q = exp_terms(VectorField.bracket, gens, [[e] + [zero] * cap])[0]
+        if cap >= 2 and not all(f.is_zero() for f in q[2]):
             raise InternalInconsistency("(ad X_{A^t})^2 != 0 on a constant field")
     acted = act_on_poly_connection(gens, cap, sdata, [dict() for _ in range(cap + 1)])
     want = invariant_gamma(b_curve)

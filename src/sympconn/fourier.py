@@ -273,15 +273,6 @@ class TensorField:
         comps = K.dict_scale(self.components, c)
         return TensorField(self.dim, self.rank, comps, self.symmetry_tag, _validated=True)
 
-    def partial(self, axis):
-        """Same-rank flat derivative of every component."""
-        comps = {}
-        for idx, f in self.components.items():
-            d = f.derivative(axis)
-            if not d.is_zero():
-                comps[idx] = d
-        return TensorField(self.dim, self.rank, comps, "none", _validated=True)
-
     def grad(self):
         """Flat covariant derivative: rank+1 with the new index in slot 0."""
         comps = {}

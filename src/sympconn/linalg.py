@@ -42,10 +42,6 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def trace(a):
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 

@@ -24,12 +24,6 @@ import re
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -256,6 +250,4 @@ class GaussianRational:
         return gaussian_from_strs(obj["re"], obj["im"])
 
 
-GR_ZERO = GaussianRational(0, 0)
 GR_ONE = GaussianRational(1, 0)
-GR_I = GaussianRational(0, 1)

@@ -325,6 +325,9 @@ def from_json(obj):
     parser = _PARSERS.get(kind)
     if parser is None:
         _fail(f"top level: unknown kind {kind!r}")
+    version = _expect(obj, "version", "top level")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        _fail(f"top level: unsupported version {version!r} (expected {FORMAT_VERSION})")
     return parser(obj)
 
 

@@ -11,8 +11,10 @@ and supplies two coordinate hooks; everything else lives here.
 Curves are plain lists of length cap + 1 indexed by t-order.  A generator
 ladder gens[0..cap] always has gens[0] = 0, so every exponential below is an
 exact finite sum: the j-th power of X_t has valuation >= j and vanishes past
-the cap.  Normal ordering (`merge_exponentials`) builds those powers one order
-at a time, so solving order k re-expands nothing below it.
+the cap.  One table, `exp_terms`, builds those powers one order at a time for
+`exp_apply`, `exp_ad` and normal ordering (`merge_exponentials`), so solving
+order k re-expands nothing below it.  Only `exp_lie_connection`, whose first
+term is affine in the connection, keeps its own series.
 """
 
 from __future__ import annotations
@@ -228,38 +230,54 @@ class VectorField:
 # -- truncated exponentials -----------------------------------------------------
 
 
-def lie_action(op, gens, curve):
-    """X_t acting on a curve per order: sum_{s=1..k} op(X^(s), Y^(k-s))."""
-    zero = type(curve[0]).zero(curve[0].dim)
-    out = []
-    for k in range(len(curve)):
-        acc = zero
-        for s in range(1, k + 1):
-            if not gens[s].is_zero() and not curve[k - s].is_zero():
-                acc = acc + op(gens[s], curve[k - s])
-        out.append(acc)
-    return out
+def exp_terms(op, gens, curves, solve=None):
+    """The terms Q_j = X_t^j c / j! of exp(X_t) c for each curve c, built one
+    order at a time: tables[i][j][k] = Q_j[k] for curves[i], with Q_0 = c and
+    Q_j[k] = (1/j) sum_s op(X^(s), Q_(j-1)[k-s]).  op is `VectorField.apply`
+    on scalar curves and `VectorField.bracket` on field curves.  Q_j has
+    valuation >= j, so j runs to the cap and s to k - j + 1.
+
+    solve(k, partials) is the normal-ordering hook.  gens[k] is zero on
+    entry; partials[i] is order k of exp(X_t) curves[i] without X^(k), and
+    gens[k] is set to solve's result before X^(k) c[0] is added to Q_1[k].
+    """
+    cap = len(gens) - 1
+    zero = type(curves[0][0]).zero(curves[0][0].dim)
+    tables = [[list(c)] + [[zero] * (cap + 1) for _ in range(cap)] for c in curves]
+    for k in range(1, cap + 1):
+        for q in tables:
+            for j in range(1, k + 1):
+                acc = zero
+                for s in range(1, k - j + 2):
+                    prev = q[j - 1][k - s]
+                    if not gens[s].is_zero() and not prev.is_zero():
+                        acc = acc + op(gens[s], prev)
+                q[j][k] = acc if j == 1 or acc is zero else acc.scale(Fraction(1, j))
+        if solve is not None:
+            gens[k] = solve(k, [_order_sum(q, k) for q in tables])
+            for q in tables:
+                q[1][k] = q[1][k] + op(gens[k], q[0][0])
+    return tables
 
 
-def _truncated_exp(op, gens, curve):
-    out = list(curve)
-    term = list(curve)
-    for j in range(1, len(curve)):
-        term = [g.scale(Fraction(1, j)) for g in lie_action(op, gens, term)]
-        if all(g.is_zero() for g in term):
-            break
-        out = [a + b for a, b in zip(out, term)]
-    return out
+def _order_sum(q, k):
+    """Order k of exp(X_t) c from its table: sum_j Q_j[k]."""
+    return sum((q[j][k] for j in range(1, k + 1) if not q[j][k].is_zero()), q[0][k])
+
+
+def _exp(op, gens, curve):
+    q = exp_terms(op, gens, [curve])[0]
+    return [_order_sum(q, k) for k in range(len(curve))]
 
 
 def exp_apply(gens, fcurve):
     """exp(X_t) applied to a scalar curve."""
-    return _truncated_exp(VectorField.apply, gens, fcurve)
+    return _exp(VectorField.apply, gens, fcurve)
 
 
 def exp_ad(gens, ycurve):
     """exp(ad X_t) Y for a vector-field curve Y."""
-    return _truncated_exp(VectorField.bracket, gens, ycurve)
+    return _exp(VectorField.bracket, gens, ycurve)
 
 
 # -- the action on connections -----------------------------------------------------
@@ -369,40 +387,26 @@ def order_from_mismatch(field, diffs):
 def merge_exponentials(sdata, gens_a, gens_b):
     """The generator ladder Z with exp(Z_t) = exp(A_t) exp(B_t) through the
     cap, solved order by order on the coordinate test functions (no BCH
-    series needed), in one pass: f_a is constant in t, so the terms
-    Q_j = Z_t^j f_a / j! obey Q_j[k] = (1/j) sum_s Z^(s) Q_(j-1)[k-s], and
-    Z^(k) enters order k only through Q_1[k] = Z^(k) f_a.  Each order extends
-    the Q_j tables by one entry and reads Z^(k) from target[k] - sum_(j>=2)
-    Q_j[k].  Every order is asserted real and symplectic, and the result is
-    verified independently by exp_apply(Z, f_a) == target."""
+    series needed), in one pass of `exp_terms`: f_a is constant in t, so
+    Z^(k) enters order k only through Q_1[k] = Z^(k) f_a, and Z^(k) is read
+    from target[k] minus the rest of order k.  Every order is asserted real
+    and symplectic, and the result is verified independently by
+    exp_apply(Z, f_a) == target."""
     field = type(gens_a[0])
     dim, cap = gens_a[0].dim, len(gens_a) - 1
     tests = coordinate_tests(field, dim, cap)
     targets = [exp_apply(gens_a, exp_apply(gens_b, f)) for f in tests]
-    zero = field.scalar.zero(dim)
-    z = [field.zero(dim)] * (cap + 1)
-    # tables[a][j][k] = Q_j[k] for f_a; Q_0 is f_a's test curve
-    tables = [[f] + [[zero] * (cap + 1) for _ in range(cap)] for f in tests]
-    for k in range(1, cap + 1):
-        diffs = []
-        for q, target in zip(tables, targets):
-            current = zero
-            for j in range(2, k + 1):
-                acc = zero
-                for s in range(1, k - j + 2):
-                    prev = q[j - 1][k - s]
-                    if not z[s].is_zero() and not prev.is_zero():
-                        acc = acc + z[s].apply(prev)
-                q[j][k] = acc.scale(Fraction(1, j))
-                current = current + q[j][k]
-            diffs.append(target[k] - current)
-        z[k] = order_from_mismatch(field, diffs)
-        if not z[k].is_real() or not z[k].is_symplectic(sdata):
+
+    def solve(k, partials):
+        zk = order_from_mismatch(field, [t[k] - p for t, p in zip(targets, partials)])
+        if not zk.is_real() or not zk.is_symplectic(sdata):
             raise InternalInconsistency(
                 f"merged generator at order {k} is not a real symplectic field"
             )
-        for q in tables:
-            q[1][k] = z[k].apply(q[0][0])
+        return zk
+
+    z = [field.zero(dim)] * (cap + 1)
+    exp_terms(VectorField.apply, z, tests, solve)
     for f, target in zip(tests, targets):
         if exp_apply(z, f) != target:
             raise InternalInconsistency("normal ordering failed verification")

@@ -359,30 +359,31 @@ def _neg_inv_translation(phi: SymplectoCurve):
 def factorize(psi: SymplectoCurve):
     """Split exp X_t into the ordered product exp(t Y1) o exp(t^2 Y2) o ...
 
-    Returns [(Y^(k), k)] for the nonzero factors, verified by re-composing
-    the product back into a single exponential and comparing ladders.
+    Returns [(Y^(k), k)] for the nonzero factors.  Once Y1..Y(k-1) are
+    peeled off, rest_a = exp(t^k Yk) o ... f_a, whose order k is Yk(f_a);
+    each solved factor is peeled off with one exp_apply per coordinate.  The
+    result is verified by re-composing the product back into a single
+    exponential and comparing ladders.
     """
     if not psi.has_identity_affine_part():
         raise PreconditionError("factorization requires the identity affine part")
     sdata, cap, dim = psi.sdata, psi.cap, psi.dim
-    tests = coordinate_tests(FourierVectorField, dim, cap)
-    targets = [exp_apply(psi.gens, f) for f in tests]
+    zero = FourierVectorField.zero(dim)
+    rest = [exp_apply(psi.gens, f) for f in coordinate_tests(FourierVectorField, dim, cap)]
     factors = []
     for k in range(1, cap + 1):
-        diffs = []
-        for f, target in zip(tests, targets):
-            cur = f
-            for gens_j in reversed(factors):
-                cur = exp_apply(gens_j, cur)
-            diffs.append(target[k] - cur[k])
-        yk = order_from_mismatch(FourierVectorField, diffs)
+        yk = order_from_mismatch(FourierVectorField, [r[k] for r in rest])
         if not yk.is_real() or not yk.is_symplectic(sdata):
             raise InternalInconsistency(
                 f"factor at order {k} is not a real symplectic field"
             )
-        gens_k = [FourierVectorField.zero(dim) for _ in range(cap + 1)]
+        gens_k = [zero] * (cap + 1)
         gens_k[k] = yk
         factors.append(gens_k)
+        if k < cap and not yk.is_zero():
+            peel = [zero] * (cap + 1)
+            peel[k] = -yk
+            rest = [exp_apply(peel, r) for r in rest]
     if not factors:
         return []
     recomposed = factors[0]

@@ -108,6 +108,32 @@ def test_generate_rejects_small_dimension(capsys):
     assert "even integer >= 4" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--kind", "random", "--omega", "{bad}"), "Expecting"),
+    (("--kind", "random", "--omega", "{missing}"), "No such file"),
+    (("--kind", "rank-one", "--vector", "1.5,0,0,0"), "bad vector '1.5,0,0,0'"),
+])
+def test_generate_input_errors_exit_2(tmp_path, capsys, argv, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[[0,1")
+    argv = [a.format(bad=bad, missing=tmp_path / "missing.json") for a in argv]
+    code, out, err = run(capsys, "generate", *argv)
+    assert code == 2 and out == ""
+    assert "input error: " in err and message in err
+    if "--omega" in argv:
+        assert "cannot read omega file" in err
+
+
+def test_check_refuses_other_format_version_exit_2(tmp_path, capsys):
+    p = write_moved(tmp_path)
+    obj = json.loads(p.read_text())
+    obj["version"] = 99
+    p.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert "unsupported version 99" in err
+
+
 def test_equiv_verdicts(tmp_path, capsys):
     a = rank_one_ladder(SD, 2, seed=5)
     g = sp_generators(SD)[2]

@@ -293,6 +293,14 @@ REFUSALS = [
      "A order 1 entry 1: bad index [True, 1, 1] (1-based, rank 3)"),
     (lambda: _with(to_json(moved_fixture()), ["A", 0, "entries", 0, "modes", 0, "m", 0], False),
      "A order 1 entry 1 mode 1: bad mode vector"),
+    (lambda: _with(to_json(moved_fixture()), ["version"], 99),
+     "top level: unsupported version 99 (expected 1)"),
+    (lambda: _with(to_json(rank_one_ladder(SD, 1, seed=0)), ["version"], True),
+     "top level: unsupported version True (expected 1)"),
+    (lambda: _with(_psi_json(), ["version"], "1"),
+     "top level: unsupported version '1' (expected 1)"),
+    (lambda: {k: v for k, v in to_json(moved_fixture()).items() if k != "version"},
+     "top level: missing field 'version'"),
 ]
 
 

@@ -13,6 +13,7 @@ from sympconn.fourier import FourierScalar, SymplecticData
 from sympconn.generate import random_real_scalar
 from sympconn.series import (
     SparseScalar,
+    VectorField,
     coordinate_tests,
     exp_ad,
     exp_apply,
@@ -243,3 +244,53 @@ def test_merge_makes_three_exp_apply_calls_per_coordinate(case, monkeypatch):
         calls.clear()
         merge_exponentials(SD, gens[:cap + 1], other[:cap + 1])
         assert calls == [cap + 1] * (3 * DIM)
+
+
+# -- the order-by-order exponential against the column form ---------------------
+
+
+def reference_lie_action(op, gens, curve):
+    """X_t acting on a whole curve: order k is sum_{s=1..k} op(X^(s), Y^(k-s))."""
+    zero = type(curve[0]).zero(curve[0].dim)
+    out = []
+    for k in range(len(curve)):
+        acc = zero
+        for s in range(1, k + 1):
+            if not gens[s].is_zero() and not curve[k - s].is_zero():
+                acc = acc + op(gens[s], curve[k - s])
+        out.append(acc)
+    return out
+
+
+def reference_exp(op, gens, curve):
+    """The exponential as first written, one whole-curve column per power:
+    term_j = (X_t term_(j-1)) / j, summed until a column vanishes."""
+    out = list(curve)
+    term = list(curve)
+    for j in range(1, len(curve)):
+        term = [g.scale(Fraction(1, j)) for g in reference_lie_action(op, gens, term)]
+        if all(g.is_zero() for g in term):
+            break
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
+@pytest.mark.parametrize("kind, dim", [("torus", 4), ("torus", 6), ("euclidean", 4)])
+def test_exp_apply_and_exp_ad_equal_the_column_reference(kind, dim):
+    """Random scalar and field curves, order 0 included, at caps 1 to 5."""
+    rng = random.Random(f"exp-{kind}-{dim}")
+    sdata = SymplecticData.standard(dim)
+    for cap in range(1, 6):
+        if kind == "torus":
+            gens = random_torus_ladder(rng, sdata, cap)
+            fields = random_torus_ladder(rng, sdata, cap)
+            scalars = [random_real_scalar(rng, dim, max_modes=2, mode_bound=1)
+                       for _ in range(cap + 1)]
+        else:
+            gens = random_poly_ladder(rng, cap)
+            fields = random_poly_ladder(rng, cap)
+            scalars = [g.comps[0] for g in random_poly_ladder(rng, cap)]
+        fields[0] = type(fields[0]).constant(dim, [rng.randint(-2, 2) for _ in range(dim)])
+        scalars[0] = scalars[0] + type(scalars[0]).constant(dim, 1)
+        assert exp_apply(gens, scalars) == reference_exp(VectorField.apply, gens, scalars)
+        assert exp_ad(gens, fields) == reference_exp(VectorField.bracket, gens, fields)

@@ -129,6 +129,26 @@ def test_factorize_recovers_ordered_product():
     assert rebuilt == psi
 
 
+def test_factorize_makes_at_most_one_exp_apply_per_coordinate_and_order(monkeypatch):
+    """dim calls for the targets and at most dim per solved factor: each
+    factor is peeled off the targets, earlier ones are not re-expanded."""
+    calls = []
+    original = symplecto.exp_apply
+
+    def counting(gens, fcurve):
+        calls.append(len(gens))
+        return original(gens, fcurve)
+
+    monkeypatch.setattr(symplecto, "exp_apply", counting)
+    for cap in range(1, 6):
+        psi = SymplectoCurve.from_hamiltonian(SD, cap, COS1, 1)
+        if cap >= 2:
+            psi = compose(psi, SymplectoCurve.from_hamiltonian(SD, cap, SIN12, 2))
+        calls.clear()
+        assert factorize(psi)
+        assert DIM <= len(calls) <= DIM * (cap + 1), (cap, len(calls))
+
+
 def test_factorize_requires_identity_affine_part():
     d = (Fraction(1, 2),) + (Fraction(0),) * (DIM - 1)
     ident_c = [[1 if i == j else 0 for j in range(DIM)] for i in range(DIM)]
