@@ -55,7 +55,12 @@ def _digest(path):
 def _load(path, want=None):
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
-    value = load_path(path)
+    try:
+        value = load_path(path)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if want is not None and not isinstance(value, want):
         raise InputError(
             f"{path}: expected a {want.__name__}, found {type(value).__name__}"

@@ -27,7 +27,6 @@ from .invariant import (
     StructureMapCurve,
     add_rows_product,
     cube_is_symmetric,
-    cube_matrices,
     cube_rows,
 )
 from .rationals import Fraction
@@ -183,6 +182,11 @@ def _pushforward_constant(rows, x):
     return PolyVectorField(comps)
 
 
+def _column(rows, b, dim):
+    """A(e_a) e_b, column b of the matrix given by its sparse rows."""
+    return [rows.get(p, {}).get(b, 0) for p in range(dim)]
+
+
 def psi_A_symplectic_check(sdata, cube):
     """Omega(psi^A . X, psi^A . Y) = Omega(X, Y) on the constant basis."""
     dim = sdata.dim
@@ -225,7 +229,7 @@ def psi_A_connection_check(sdata, cube):
     """psi^A . nabla^0 = nabla^A on basis pairs, via exact transport through
     the polynomial inverse psi^{-A}."""
     dim = sdata.dim
-    mats = cube_matrices(sdata, cube)
+    rows = cube_rows(sdata, cube)
     fwd = psi_A(sdata, cube)
     bwd = psi_A(sdata, [[[-Fraction(cube[a][b][c]) for c in range(dim)] for b in range(dim)] for a in range(dim)])
     if not fwd.compose(bwd).is_identity() or not bwd.compose(fwd).is_identity():
@@ -238,7 +242,7 @@ def psi_A_connection_check(sdata, cube):
             # nabla^0_{X} Y = directional derivative
             deriv = xa.derive(yb)
             moved = pushforward(fwd, bwd, deriv)
-            want = PolyVectorField.constant(dim, [mats[a][p][b] for p in range(dim)])
+            want = PolyVectorField.constant(dim, _column(rows[a], b, dim))
             if moved != want:
                 return False
     return True
@@ -333,10 +337,9 @@ def invariant_gamma(b_curve: StructureMapCurve):
     dim = b_curve.dim
     out = [dict() for _ in range(b_curve.cap + 1)]
     for k in range(b_curve.cap + 1):
-        mats = b_curve.matrices(k)
-        for a in range(dim):
+        for a, rows in enumerate(b_curve.rows(k)):
             for b in range(dim):
-                col = [mats[a][p][b] for p in range(dim)]
+                col = _column(rows, b, dim)
                 if any(col):
                     out[k][(a, b)] = PolyVectorField.constant(dim, col)
     return out

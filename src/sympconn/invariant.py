@@ -22,10 +22,12 @@ cached on the curve.  From it come
   - the flatness theorem's R = 0 and B^t(X) B^t(Y) = 0.
 
 The algebra of one cube lives here as well: `cube_rows` gives the sparse
-rows of each A(e_a), `cube_matrices` their dense form and
-`add_rows_product` the sparse matrix product.  StructureMapCurve reads them
-for its matrices and product tables, and the R^(2n) model (`euclidean`)
-for psi^A, its nilpotency check and the structure field X_A.
+rows {p: {b: entry}} of each A(e_a), the one form in which an endomorphism
+is read, and `add_rows_product` the sparse matrix product.
+StructureMapCurve caches the rows per order as rows(k) and builds its
+product tables from them; moduli reads them for the Sp-invariants, and the
+R^(2n) model (`euclidean`) for psi^A, its nilpotency check, the structure
+field X_A and the connection data Gamma(e_a, e_b) = A(e_a) e_b.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from itertools import product
 from .curvature import ConnectionCurve
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
 from .fourier import SymplecticData, TensorField
-from .linalg import is_zero_matrix
 from .rationals import Fraction
 
 
@@ -88,19 +89,6 @@ def cube_rows(sdata: SymplecticData, cube):
     return out
 
 
-def cube_matrices(sdata: SymplecticData, cube):
-    """Per basis direction a the dense matrix of A(e_a) (see `cube_rows`)."""
-    dim = sdata.dim
-    mats = []
-    for rows in cube_rows(sdata, cube):
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        for p, row in rows.items():
-            for b, v in row.items():
-                m[p][b] = v
-        mats.append(tuple(tuple(line) for line in m))
-    return mats
-
-
 def add_rows_product(acc, left, right):
     """acc[(i, j)] += (L R)_ij for two matrices given by their nonzero rows
     {i: {l: entry}}; entries of acc may cancel to zero."""
@@ -115,7 +103,7 @@ def add_rows_product(acc, left, right):
 class StructureMapCurve:
     """Per-order constant fully symmetric lowered cubes B-bar^(0..K)."""
 
-    __slots__ = ("sdata", "cap", "cubes", "_mats", "_products")
+    __slots__ = ("sdata", "cap", "cubes", "_rows", "_products")
 
     def __init__(self, sdata: SymplecticData, cap, cubes, validate=True):
         cubes = [_as_cube(sdata.dim, c) for c in cubes]
@@ -130,7 +118,7 @@ class StructureMapCurve:
         self.sdata = sdata
         self.cap = cap
         self.cubes = cubes
-        self._mats = None
+        self._rows = None
         self._products = None
 
     @classmethod
@@ -141,25 +129,26 @@ class StructureMapCurve:
     def dim(self):
         return self.sdata.dim
 
-    def matrices(self, k):
-        """Per basis direction a the dense matrix of B^(k)(e_a)."""
-        if self._mats is None:
-            self._mats = [None] * (self.cap + 1)
-        if self._mats[k] is None:
-            self._mats[k] = cube_matrices(self.sdata, self.cubes[k])
-        return self._mats[k]
+    def rows(self, k):
+        """Per basis direction a the sparse rows of B^(k)(e_a) (`cube_rows`),
+        built once per order and cached on the curve."""
+        if self._rows is None:
+            self._rows = [None] * (self.cap + 1)
+        if self._rows[k] is None:
+            self._rows[k] = cube_rows(self.sdata, self.cubes[k])
+        return self._rows[k]
 
     def products(self, k):
         """The order-k product table P_k[a, b] = sum_{p+q=k} B^(p)(e_a) B^(q)(e_b).
 
         Sparse: {(a, b): {(i, j): entry}} with nonzero entries only; a pair
-        whose sum vanishes has no key.  Built from the sparse rows of
-        B^(0..k)(e_a) and cached on the curve.
+        whose sum vanishes has no key.  Built from the cached rows(0..k) and
+        cached on the curve.
         """
         if self._products is None:
             self._products = [None] * (self.cap + 1)
         if self._products[k] is None:
-            rows = [cube_rows(self.sdata, self.cubes[p]) for p in range(k + 1)]
+            rows = [self.rows(p) for p in range(k + 1)]
             table = {}
             for a, b in product(range(self.dim), repeat=2):
                 acc = {}
@@ -205,39 +194,14 @@ def rank_one_cube(sdata: SymplecticData, v):
     )
 
 
-def _dense(dim, entries):
-    """The 2n x 2n matrix with the given sparse {(i, j): value} entries."""
-    m = [[Fraction(0)] * dim for _ in range(dim)]
-    for (i, j), v in entries.items():
-        m[i][j] += v
-    return tuple(tuple(row) for row in m)
-
-
-def invariant_curvature(B: StructureMapCurve):
-    """Per-order curvature endomorphisms R^(k)(e_a, e_b) as matrices, keyed
-    (a, b): the commutator sum over p + q = k, which is P_k[a, b] - P_k[b, a]."""
-    dim = B.dim
-    out = []
-    for k in range(B.cap + 1):
-        table = B.products(k)
-        order = {}
-        for a, b in product(range(dim), repeat=2):
-            diff = dict(table.get((a, b), {}))
-            for ij, v in table.get((b, a), {}).items():
-                diff[ij] = diff.get(ij, 0) - v
-            order[(a, b)] = _dense(dim, diff)
-        out.append(order)
-    return out
-
-
 def rho_curve(B: StructureMapCurve):
-    """rho^(k) = sum_{p+q=k} sum_i B^(p)(X^i) B^(q)(X_i) as matrices.
+    """rho^(k) = sum_{p+q=k} sum_i B^(p)(X^i) B^(q)(X_i), per order as the
+    sparse {(i, j): entry} map of `products`, zeros dropped.
 
     The dual pair is X^i = e_i with X_i solved from omega(X^i, X_j) =
     delta^i_j (the result is basis independent), so rho^(k) is
     sum_{i,b} (X_i)_b P_k[i, b].
     """
-    dim = B.dim
     lower = B.sdata.dual_basis()
     out = []
     for k in range(B.cap + 1):
@@ -247,7 +211,7 @@ def rho_curve(B: StructureMapCurve):
             if x:
                 for ij, v in entries.items():
                     acc[ij] = acc.get(ij, 0) + x * v
-        out.append(_dense(dim, acc))
+        out.append({ij: v for ij, v in acc.items() if v})
     return out
 
 
@@ -255,17 +219,20 @@ def _ricci_rhs(lo, rho):
     """The four-term right-hand side of the Ricci-type identity for every
     basis triple (X, Y, Z) = (e_a, e_b, e_c), sparse:
     {(a, b, c): {i: value}} for
-    omega(X,Y) rho Z + omega(X, rho Y) Z + omega(X,Z) rho Y + omega(X, rho Z) Y.
+    omega(X,Y) rho Z + omega(X, rho Y) Z + omega(X,Z) rho Y + omega(X, rho Z) Y,
+    with rho the sparse {(i, j): entry} map of `rho_curve`.
     """
-    dim = len(rho)
-    if is_zero_matrix(rho):
+    if not rho:
         return {}
-    cols = [{i: rho[i][c] for i in range(dim) if rho[i][c]} for c in range(dim)]
+    dim = len(lo)
+    cols = [{} for _ in range(dim)]
     # sigma[a][c] = omega(e_a, rho e_c)
-    sigma = [
-        [sum(lo[a][p] * rho[p][c] for p in range(dim)) for c in range(dim)]
-        for a in range(dim)
-    ]
+    sigma = [[0] * dim for _ in range(dim)]
+    for (p, c), v in rho.items():
+        cols[c][p] = v
+        for a in range(dim):
+            if lo[a][p]:
+                sigma[a][c] += lo[a][p] * v
     out = {}
     for a, b, c in product(range(dim), repeat=3):
         vec = {}

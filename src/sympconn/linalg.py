@@ -46,29 +46,11 @@ def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
-def inverse(a):
-    """Gauss-Jordan inverse; raises on singular input."""
-    n = len(a)
-    aug = [list(row) + list(e) for row, e in zip(a, identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ConfigurationError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def rank(rows):
-    """Rank of an arbitrary rational matrix (list of row tuples)."""
-    rows = [list(r) for r in rows if any(r)]
+def _reduce(rows, ncols):
+    """Gauss-Jordan elimination, in place, on the first ncols columns of a
+    list of row lists; returns the rank.  The first rank rows end up with a
+    1 in their pivot column and zeros above and below it."""
     r = 0
-    ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
@@ -84,3 +66,18 @@ def rank(rows):
         if r == len(rows):
             break
     return r
+
+
+def inverse(a):
+    """Gauss-Jordan inverse; raises on singular input."""
+    n = len(a)
+    aug = [list(row) + list(e) for row, e in zip(a, identity(n))]
+    if _reduce(aug, n) < n:
+        raise ConfigurationError("singular matrix")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def rank(rows):
+    """Rank of an arbitrary rational matrix (list of row tuples)."""
+    rows = [list(r) for r in rows if any(r)]
+    return _reduce(rows, len(rows[0]) if rows else 0)

@@ -30,16 +30,17 @@ def validity_check(b_curve: StructureMapCurve):
     sum_{p+q=k} A^(p)(X) A^(q)(Y) = 0 and A^(k)(X) Y = A^(k)(Y) X."""
     dim = b_curve.dim
     for k in range(b_curve.cap + 1):
-        mats = b_curve.matrices(k)
+        # A(e_a) e_b = sum_c omega^{c.} S_abc and omega is invertible, so
+        # A(e_a) e_b = A(e_b) e_a exactly when S_ab. = S_ba.
+        cube = b_curve.cubes[k]
         for a in range(dim):
             for b in range(dim):
-                for p in range(dim):
-                    if mats[a][p][b] != mats[b][p][a]:
-                        return False, {
-                            "identity": "A(X)Y = A(Y)X",
-                            "order": k,
-                            "pair": (a, b),
-                        }
+                if cube[a][b] != cube[b][a]:
+                    return False, {
+                        "identity": "A(X)Y = A(Y)X",
+                        "order": k,
+                        "pair": (a, b),
+                    }
         table = b_curve.products(k)
         if table:
             return False, {
@@ -148,15 +149,17 @@ def cheap_invariants(b_curve: StructureMapCurve):
             tuple(cube[a][b][c] for b in range(dim) for c in range(dim))
             for a in range(dim)
         )
-        mats = b_curve.matrices(k)
+        rows = b_curve.rows(k)
+        # row p of span_cols is row p of every A(e_a) side by side; the
+        # stacked matrix holds the nonzero rows of all the A(e_a)
         span_cols = tuple(
-            tuple(mats[a][p][b] for a in range(dim) for b in range(dim))
+            tuple(r.get(p, {}).get(b, 0) for r in rows for b in range(dim))
             for p in range(dim)
         )
         stacked = tuple(
-            tuple(mats[a][p][b] for b in range(dim))
-            for a in range(dim)
-            for p in range(dim)
+            tuple(row.get(b, 0) for b in range(dim))
+            for r in rows
+            for row in r.values()
         )
         out.append(
             {

@@ -151,9 +151,9 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     The witness is the composition of the per-order Hamiltonian steps
     (latest step outermost), and witness . input = embedded flat curve is
     asserted exactly, as is flatness of the resulting invariant curve and,
-    as a corollary, flatness of the input itself.
+    as a corollary, flatness of the input itself.  A curve that is not of
+    Ricci type is refused by the order-1 step; a cap-0 curve is flat.
     """
-    require_ricci_type(conn)
     sdata, cap = conn.sdata, conn.cap
     witness = SymplectoCurve.identity(sdata, cap)
     current = conn

@@ -1,5 +1,4 @@
 import json
-import sys
 
 import pytest
 
@@ -223,6 +222,23 @@ def test_corrupted_file_exit_2(tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "check", "no-such-file.json")
     assert code == 2
+    assert "input error: no such file: no-such-file.json" in err
+
+
+def test_directory_input_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert code == 2 and out == ""
+    assert f"input error: cannot read {tmp_path}: " in err
+    assert "Traceback" not in err
+
+
+def test_undecodable_input_exit_2(tmp_path, capsys):
+    p = tmp_path / "bom.json"
+    p.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert f"input error: {p}: not UTF-8 text" in err
+    assert "Traceback" not in err
 
 
 def test_act_with_affine_part_is_deterministic(tmp_path, capsys):

@@ -30,7 +30,7 @@ from sympconn.generate import rank_one_ladder, validated_sum_ladder
 from sympconn.invariant import (
     StructureMapCurve,
     cube_is_symmetric,
-    cube_matrices,
+    cube_rows,
     rank_one_cube,
     zero_cube,
 )
@@ -430,7 +430,13 @@ def test_require_nilpotent_cube_matches_dense_reference(dim):
         assert got == [refusal(reference_require_nilpotent_cube, sd, c) for c in cubes]
         assert None in got and len({g for g in got if g}) > 2
         for c in cubes:
-            assert cube_matrices(sd, c) == reference_cube_endomorphisms(sd, c)
+            rows = cube_rows(sd, c)
+            dense = [
+                tuple(tuple(r.get(p, {}).get(b, 0) for b in range(dim)) for p in range(dim))
+                for r in rows
+            ]
+            assert dense == reference_cube_endomorphisms(sd, c)
+            assert all(v for r in rows for row in r.values() for v in row.values())
 
 
 # -- Poly against a plain dict-of-Fraction reference --------------------------------

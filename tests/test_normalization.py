@@ -1,9 +1,8 @@
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from sympconn.curvature import ConnectionCurve, curvature_curve
+from sympconn.curvature import curvature_curve
 from sympconn.errors import NotExactCube, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
 from sympconn.generate import (
@@ -90,6 +89,16 @@ def test_non_ricci_type_refused_with_first_order():
     conn = random_connection_curve(3, dim=4, cap=2)
     with pytest.raises(PreconditionError, match="order 1"):
         normalize_curve(conn)
+
+
+def test_cap_zero_curve_normalizes_to_the_identity():
+    """No order-1 step runs at cap 0; the curve is nabla^0, which is flat."""
+    conn = random_connection_curve(3, dim=4, cap=0)
+    result = normalize_curve(conn)
+    assert result.witness.is_identity()
+    assert result.flat_curve.is_zero() and result.flat_curve.cap == 0
+    assert result.per_order_log == []
+    assert embed_invariant(result.flat_curve) == conn
 
 
 def test_recurrence_step_requires_settled_lower_orders():
