@@ -28,6 +28,7 @@ from .curvature import (
 from .errors import (
     ConfigurationError,
     InputError,
+    NonRepresentablePhase,
     NotExactCube,
     PreconditionError,
     SympconnError,
@@ -85,20 +86,24 @@ def _load_connection(path):
 
 
 def _write_atomic(path, text):
+    """Write through a temporary file in the target's directory, which is
+    removed if the write or the rename fails."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".sympconn-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".sympconn-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit(report):
-    json.dump(report, sys.stdout, indent=1, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(report))
 
 
 def _report(command, inputs, **body):
@@ -325,7 +330,7 @@ def main(argv=None):
     start = time.monotonic()
     try:
         code = args.fn(args)
-    except (InputError, ConfigurationError) as exc:
+    except (InputError, ConfigurationError, NonRepresentablePhase) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (PreconditionError, NotExactCube) as exc:

@@ -1,8 +1,13 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI:
-  InputError                -> 2  (malformed or invalid input files)
-  NegativeVerdict           -> 1  (a mathematical check answered "no")
+Exit-code mapping used by the CLI (a negative verdict, exit 1, is a return
+value, not an exception):
+  InputError, ConfigurationError,
+  NonRepresentablePhase     -> 2  (invalid or unwritable files, and input
+                                   the exact model cannot hold)
+  PreconditionError,
+  NotExactCube              -> 1  (refused: a mathematical precondition fails)
+  any other SympconnError,
   InternalInconsistency     -> 3  (an identity that must hold was violated;
                                    indicates a bug, never a data condition)
 """

@@ -25,9 +25,9 @@ from .errors import (
 )
 from .invariant import (
     StructureMapCurve,
-    add_rows_product,
     cube_is_symmetric,
     cube_rows,
+    zero_cube,
 )
 from .rationals import Fraction
 from .series import (
@@ -142,15 +142,19 @@ class PolyVectorField(VectorField):
 
 def require_nilpotent_cube(sdata, cube):
     """Refuse a cube that is not fully symmetric or whose A(e_a) A(e_b) is
-    nonzero for some basis pair (a, b), the first in lexicographic order."""
+    nonzero for some basis pair (a, b), the first in lexicographic order.
+
+    Returns the ladder (0, A, 0): its order-2 product table is the table of
+    the A(e_a) A(e_b), so it is empty here."""
     if not cube_is_symmetric(cube):
         raise PreconditionError("cube is not fully symmetric")
-    rows = cube_rows(sdata, cube)
-    for a, b in product(range(sdata.dim), repeat=2):
-        acc = {}
-        add_rows_product(acc, rows[a], rows[b])
-        if any(acc.values()):
-            raise PreconditionError(f"A(e_{a}) A(e_{b}) != 0: cube is not nilpotent")
+    zero = zero_cube(sdata.dim)
+    ladder = StructureMapCurve(sdata, 2, [zero, cube, zero], validate=False)
+    table = ladder.products(2)
+    if table:
+        a, b = min(table)
+        raise PreconditionError(f"A(e_{a}) A(e_{b}) != 0: cube is not nilpotent")
+    return ladder
 
 
 def psi_A(sdata, cube) -> PolyMap:
@@ -182,11 +186,6 @@ def _pushforward_constant(rows, x):
     return PolyVectorField(comps)
 
 
-def _column(rows, b, dim):
-    """A(e_a) e_b, column b of the matrix given by its sparse rows."""
-    return [rows.get(p, {}).get(b, 0) for p in range(dim)]
-
-
 def psi_A_symplectic_check(sdata, cube):
     """Omega(psi^A . X, psi^A . Y) = Omega(X, Y) on the constant basis."""
     dim = sdata.dim
@@ -208,44 +207,18 @@ def psi_A_symplectic_check(sdata, cube):
     return True
 
 
-def pushforward(psi: PolyMap, psi_inv: PolyMap, z: PolyVectorField) -> PolyVectorField:
-    """(psi . Z)(x) = D psi(psi^{-1} x) Z(psi^{-1} x); the caller supplies the
-    exact polynomial inverse (psi^{-A} for psi^A)."""
-    dim = z.dim
-    inv_comps = list(psi_inv.comps)
-    comps = []
-    for p in range(dim):
-        acc = Poly.zero(dim)
-        for b in range(dim):
-            dpb = psi.comps[p].derivative(b)
-            if dpb.is_zero() or z.comps[b].is_zero():
-                continue
-            acc = acc + dpb.substitute(inv_comps) * z.comps[b].substitute(inv_comps)
-        comps.append(acc)
-    return PolyVectorField(comps)
-
-
 def psi_A_connection_check(sdata, cube):
-    """psi^A . nabla^0 = nabla^A on basis pairs, via exact transport through
-    the polynomial inverse psi^{-A}."""
-    dim = sdata.dim
-    rows = cube_rows(sdata, cube)
-    fwd = psi_A(sdata, cube)
-    bwd = psi_A(sdata, [[[-Fraction(cube[a][b][c]) for c in range(dim)] for b in range(dim)] for a in range(dim)])
-    if not fwd.compose(bwd).is_identity() or not bwd.compose(fwd).is_identity():
-        raise InternalInconsistency("psi^{-A} is not the inverse of psi^A")
-    basis = [PolyVectorField.constant(dim, [1 if i == a else 0 for i in range(dim)])
-             for a in range(dim)]
-    pushed = [pushforward(bwd, fwd, e) for e in basis]
-    for a, xa in enumerate(pushed):
-        for b, yb in enumerate(pushed):
-            # nabla^0_{X} Y = directional derivative
-            deriv = xa.derive(yb)
-            moved = pushforward(fwd, bwd, deriv)
-            want = PolyVectorField.constant(dim, _column(rows[a], b, dim))
-            if moved != want:
-                return False
-    return True
+    """psi^A . nabla^0 = nabla^A, as `psi_At_connection_check` of the ladder
+    (0, A, 0) at cap 2.
+
+    Order 2 of exp(t X_A) on the coordinates is X_A(X_A(x)) / 2, and every
+    higher term of the flow or of the connection's Lie series is L_X or X
+    applied to an order-2 term.  Once it vanishes, psi^A = x + X_A(x) is
+    exp X_A at t = 1 and the truncated sums are exact there."""
+    ladder = require_nilpotent_cube(sdata, cube)
+    if not all(c.is_zero() for c in flow_coordinate_maps(psi_At(ladder), 2)[2].comps):
+        raise InternalInconsistency("exp X_A has a nonzero order-2 term on the coordinates")
+    return psi_At_connection_check(ladder)
 
 
 # -- the flow psi_{A^t} ----------------------------------------------------------
@@ -339,7 +312,7 @@ def invariant_gamma(b_curve: StructureMapCurve):
     for k in range(b_curve.cap + 1):
         for a, rows in enumerate(b_curve.rows(k)):
             for b in range(dim):
-                col = _column(rows, b, dim)
+                col = [rows.get(p, {}).get(b, 0) for p in range(dim)]
                 if any(col):
                     out[k][(a, b)] = PolyVectorField.constant(dim, col)
     return out

@@ -23,11 +23,12 @@ cached on the curve.  From it come
 
 The algebra of one cube lives here as well: `cube_rows` gives the sparse
 rows {p: {b: entry}} of each A(e_a), the one form in which an endomorphism
-is read, and `add_rows_product` the sparse matrix product.
-StructureMapCurve caches the rows per order as rows(k) and builds its
-product tables from them; moduli reads them for the Sp-invariants, and the
-R^(2n) model (`euclidean`) for psi^A, its nilpotency check, the structure
-field X_A and the connection data Gamma(e_a, e_b) = A(e_a) e_b.
+is read.  StructureMapCurve caches the rows per order as rows(k) and
+multiplies them, as sparse matrices, only inside its product tables;
+moduli reads the rows for the Sp-invariants, and the R^(2n) model
+(`euclidean`) for psi^A, the structure field X_A and the connection data
+Gamma(e_a, e_b) = A(e_a) e_b.  Its nilpotency check of one cube A is the
+order-2 product table of the ladder (0, A, 0).
 """
 
 from __future__ import annotations
@@ -89,17 +90,6 @@ def cube_rows(sdata: SymplecticData, cube):
     return out
 
 
-def add_rows_product(acc, left, right):
-    """acc[(i, j)] += (L R)_ij for two matrices given by their nonzero rows
-    {i: {l: entry}}; entries of acc may cancel to zero."""
-    if not right:
-        return
-    for i, row in left.items():
-        for l, v in row.items():
-            for j, w in right.get(l, {}).items():
-                acc[(i, j)] = acc.get((i, j), 0) + v * w
-
-
 class StructureMapCurve:
     """Per-order constant fully symmetric lowered cubes B-bar^(0..K)."""
 
@@ -151,9 +141,17 @@ class StructureMapCurve:
             rows = [self.rows(p) for p in range(k + 1)]
             table = {}
             for a, b in product(range(self.dim), repeat=2):
+                # acc[(i, j)] += (L R)_ij over the nonzero rows {i: {l: entry}}
+                # of L = B^(p)(e_a) and R = B^(k-p)(e_b)
                 acc = {}
                 for p in range(k + 1):
-                    add_rows_product(acc, rows[p][a], rows[k - p][b])
+                    right = rows[k - p][b]
+                    if not right:
+                        continue
+                    for i, row in rows[p][a].items():
+                        for l, v in row.items():
+                            for j, w in right.get(l, {}).items():
+                                acc[(i, j)] = acc.get((i, j), 0) + v * w
                 acc = {ij: v for ij, v in acc.items() if v}
                 if acc:
                     table[(a, b)] = acc

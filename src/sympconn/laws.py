@@ -117,7 +117,8 @@ def law_l5_low_order_vanishing(seed):
 
 def law_l6_psi_A(seed):
     """psi^A is symplectic, carries the flat connection to nabla^A, and
-    psi^{aA} o psi^{bA} = psi^{(a+b)A}."""
+    psi^{aA} o psi^{bA} = psi^{(a+b)A}, with psi^{-aA} the inverse of
+    psi^{aA}."""
     rng = random.Random(seed)
     sdata = SymplecticData.standard(4)
     ladder = rank_one_ladder(sdata, 1, seed=rng.randrange(2**30))
@@ -136,6 +137,8 @@ def law_l6_psi_A(seed):
     rhs = psi_A(sdata, scaled(a + b))
     if lhs.comps != rhs.comps:
         return {"fail": "psi^{aA} o psi^{bA} != psi^{(a+b)A}", "a": a, "b": b}
+    if not psi_A(sdata, scaled(a)).compose(psi_A(sdata, scaled(-a))).is_identity():
+        return {"fail": "psi^{aA} o psi^{-aA} != id", "a": a}
     return None
 
 

@@ -51,6 +51,12 @@ def rational_to_str(q: Fraction) -> str:
     return str(q)
 
 
+def _ratio_to_str(n, d):
+    """`rational_to_str(Fraction(n, d))` for ints n and d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 _new = object.__new__
 
 
@@ -243,7 +249,8 @@ class GaussianRational:
     # -- serialization ---------------------------------------------------
 
     def to_json(self):
-        return {"re": rational_to_str(self.re), "im": rational_to_str(self.im)}
+        """The `rational_to_str` texts of re and im, built without Fractions."""
+        return {"re": _ratio_to_str(self.p, self.d), "im": _ratio_to_str(self.q, self.d)}
 
     @classmethod
     def from_json(cls, obj):

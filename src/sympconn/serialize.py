@@ -348,7 +348,7 @@ def _append_json(obj, parts, nl):
     t = type(obj)
     if t is str:
         parts.append(encode_basestring_ascii(obj))
-    elif t is list:
+    elif t is list or t is tuple:
         if not obj:
             parts.append("[]")
             return
@@ -384,10 +384,11 @@ def _append_json(obj, parts, nl):
 
 def json_text(obj) -> str:
     """`json.dumps(obj, indent=1) + "\\n"`, byte for byte, for a tree of str,
-    dict (str keys), list, int, bool and None; any other type raises
-    TypeError.  `json.dumps` with an indent runs the json module's
-    pure-Python encoder; this writes the same lines directly, with the C
-    string escaper that `json.dumps` uses by default (ensure_ascii)."""
+    dict (str keys), list or tuple (both written as arrays), int, bool and
+    None; any other type raises TypeError.  `json.dumps` with an indent
+    runs the json module's pure-Python encoder; this writes the same lines
+    directly, with the C string escaper that `json.dumps` uses by default
+    (ensure_ascii)."""
     parts = []
     _append_json(obj, parts, "\n")
     parts.append("\n")
@@ -402,10 +403,11 @@ def dumps(value) -> str:
 
 def loads(text: str):
     # a number literal longer than the interpreter's int digit limit raises
-    # a plain ValueError, of which JSONDecodeError is a subclass
+    # a plain ValueError, of which JSONDecodeError is a subclass; nesting
+    # deeper than the interpreter's recursion limit raises RecursionError
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         _fail(f"not valid JSON: {exc}")
     return from_json(obj)
 

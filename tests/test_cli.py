@@ -377,3 +377,88 @@ def test_huge_json_integer_exit_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("input error: not valid JSON: Exceeds the limit")
     assert "Traceback" not in err
+
+
+def test_deeply_nested_json_exit_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: not valid JSON: maximum recursion depth exceeded")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target, message", [
+    ("somedir", "Is a directory"),
+    ("missing/a.json", "No such file or directory"),
+])
+def test_unwritable_out_exit_2_and_leaves_no_temporary_file(tmp_path, capsys, target,
+                                                            message):
+    (tmp_path / "somedir").mkdir()
+    out_p = tmp_path / target
+    code, out, err = run(capsys, "generate", "--kind", "random", "--seed", "1",
+                         "--out", str(out_p))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: cannot write {out_p}: {message}")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["somedir"]
+
+
+def test_act_with_non_gaussian_phase_exit_2(tmp_path, capsys):
+    """A translation by d = (1/3, 0, 0, 0) puts the phase e^(2 pi i m/3) on
+    a mode m with m_1 not divisible by 3, which is not a Gaussian rational:
+    the witness file is valid, but the model cannot hold its action."""
+    from fractions import Fraction
+
+    from sympconn.symplecto import SymplectoCurve
+
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    wit_p, curve_p = tmp_path / "wit.json", tmp_path / "curve.json"
+    dump_path(SymplectoCurve.affine(SD, 2, eye, (Fraction(1, 3), 0, 0, 0)), wit_p)
+    run(capsys, "generate", "--kind", "random", "--seed", "1", "--out", str(curve_p))
+    code, out, err = run(capsys, "act", str(wit_p), str(curve_p))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: phase e^(2 pi i ")
+    assert "is not a Gaussian rational" in err
+
+
+# sha256 of stdout, taken before reports were written by `json_text`:
+# (command, inputs) -> (exit code, stdout).  The invalid structure-map
+# curve's witness holds its pair as a tuple.
+PINNED_REPORTS = {
+    ("equiv", "a.json", "b.json", "--bound", "1"): (
+        0, "ff1b94e65f4b00f6f72b5fa61ba2abe4712425f69a86ac7983337b98c0c52328"),
+    ("equiv", "one.json", "two.json", "--bound", "1"): (
+        1, "95fc28ba46291507250493ca38fc5ddc9c38f41f457223556f8d622b16006f1f"),
+    ("check", "invalid.json"): (
+        1, "0f171c35c49abcaa67c8c535f49e0570b542c18be8b67fbb22c02875b25a5afb"),
+}
+
+
+def test_equiv_and_structure_map_check_reports_are_pinned(tmp_path, monkeypatch, capsys):
+    """An `equiv` witness, an `equiv` separating invariant and an invalid
+    structure-map curve's witness give the same bytes as before."""
+    import hashlib
+    from fractions import Fraction
+
+    from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
+
+    def e_vec(i):
+        return tuple(Fraction(int(j == i)) for j in range(4))
+
+    def cube_sum(*cubes):
+        return [[[sum(c[x][y][z] for c in cubes) for z in range(4)] for y in range(4)]
+                for x in range(4)]
+
+    monkeypatch.chdir(tmp_path)
+    a = rank_one_ladder(SD, 2, seed=5)
+    e1, e2, e3 = (rank_one_cube(SD, e_vec(i)) for i in range(3))
+    dump_path(a, "a.json")
+    dump_path(sp_action(sp_generators(SD)[0], a), "b.json")
+    dump_path(StructureMapCurve(SD, 1, [zero_cube(4), e1]), "one.json")
+    dump_path(StructureMapCurve(SD, 1, [zero_cube(4), cube_sum(e1, e2)]), "two.json")
+    dump_path(StructureMapCurve(SD, 3, [zero_cube(4), e1, e3, zero_cube(4)]), "invalid.json")
+    for argv, (want_code, want_out) in PINNED_REPORTS.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == want_code
+        assert hashlib.sha256(out.encode()).hexdigest() == want_out

@@ -309,44 +309,114 @@ def random_symmetric_cube(rng, dim):
     return cube
 
 
-@pytest.mark.parametrize("dim", [4, 6])
-def test_psi_A_symplectic_check_matches_per_pair_reference(dim):
-    """Same verdicts as the per-pair form on valid ladder cubes (True) and on
-    random symmetric, mostly non-nilpotent cubes (mostly False)."""
+def psi_A_check_cubes(dim):
+    """Valid ladder cubes (nilpotent) and random symmetric, mostly
+    non-nilpotent cubes."""
     sd = SymplecticData.standard(dim)
     rng = random.Random(dim)
     cubes = [c for seed in range(3) for c in rank_one_ladder(sd, 2, seed=seed).cubes[1:]]
     cubes += [c for c in validated_sum_ladder(sd, 2, seed=5).cubes[1:]]
     cubes += [random_symmetric_cube(rng, dim) for _ in range(8)]
+    return sd, cubes
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_psi_A_symplectic_check_matches_per_pair_reference(dim):
+    """Same verdicts as the per-pair form on valid ladder cubes (True) and on
+    random symmetric, mostly non-nilpotent cubes (mostly False)."""
+    sd, cubes = psi_A_check_cubes(dim)
     verdicts = [psi_A_symplectic_check(sd, c) for c in cubes]
     assert verdicts == [reference_psi_A_symplectic_check(sd, c) for c in cubes]
     assert True in verdicts and False in verdicts
 
 
-def test_psi_A_checks_push_each_basis_vector_once(monkeypatch):
-    """The symplectic check builds the cube's matrices once; the connection
-    check pushes each basis vector through psi^{-A} once (dim pushforwards,
-    then dim^2 for the covariant derivatives) and still checks nilpotency for
-    both psi^A and psi^{-A}."""
-    counts = {}
+def reference_pushforward(psi, psi_inv, z):
+    """(psi . Z)(x) = D psi(psi^{-1} x) Z(psi^{-1} x), given the exact
+    polynomial inverse psi_inv."""
+    dim = z.dim
+    inv_comps = list(psi_inv.comps)
+    comps = []
+    for p in range(dim):
+        acc = Poly.zero(dim)
+        for b in range(dim):
+            dpb = psi.comps[p].derivative(b)
+            if dpb.is_zero() or z.comps[b].is_zero():
+                continue
+            acc = acc + dpb.substitute(inv_comps) * z.comps[b].substitute(inv_comps)
+        comps.append(acc)
+    return PolyVectorField(comps)
 
-    def counting(name):
+
+def reference_psi_A_connection_check(sdata, cube):
+    """The former transport route: psi^A and psi^{-A} built as PolyMaps and
+    checked inverse to each other by substitution, the basis pushed back
+    through psi^{-A}, nabla^0_X Y formed, and the result pushed forward."""
+    dim = sdata.dim
+    rows = cube_rows(sdata, cube)
+    fwd = psi_A(sdata, cube)
+    bwd = psi_A(sdata, scaled(cube, -1))
+    assert fwd.compose(bwd).is_identity() and bwd.compose(fwd).is_identity()
+    basis = [PolyVectorField.constant(dim, [int(i == a) for i in range(dim)])
+             for a in range(dim)]
+    pushed = [reference_pushforward(bwd, fwd, e) for e in basis]
+    for a, xa in enumerate(pushed):
+        for b, yb in enumerate(pushed):
+            moved = reference_pushforward(fwd, bwd, xa.derive(yb))
+            want = [rows[a].get(p, {}).get(b, 0) for p in range(dim)]
+            if moved != PolyVectorField.constant(dim, want):
+                return False
+    return True
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the text of its PreconditionError."""
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_psi_A_connection_check_matches_transport_reference(dim):
+    """The cap-2 Lie-series check gives the same True or the same refusal
+    text as the transport route on the cubes of the symplectic check's
+    comparison and on a cube that is not symmetric."""
+    sd, cubes = psi_A_check_cubes(dim)
+    skew = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    skew[0][1][2] = Fraction(1)
+    cubes.append(skew)
+    got = [outcome(psi_A_connection_check, sd, c) for c in cubes]
+    assert got == [outcome(reference_psi_A_connection_check, sd, c) for c in cubes]
+    assert True in got and "cube is not fully symmetric" in got
+    assert any(isinstance(g, str) and "cube is not nilpotent" in g for g in got)
+
+
+def test_psi_A_checks_push_each_basis_vector_once(monkeypatch):
+    """The symplectic check builds the cube's rows once; the connection check
+    refuses a bad cube once and moves nabla^0 by one Lie-series action, of
+    the ladder (0, X_A, 0)."""
+    calls = {}
+
+    def recording(name):
         original = getattr(euclidean, name)
 
         def wrapper(*args):
-            counts[name] = counts.get(name, 0) + 1
+            calls.setdefault(name, []).append(args)
             return original(*args)
 
         monkeypatch.setattr(euclidean, name, wrapper)
 
-    for name in ("cube_rows", "pushforward", "require_nilpotent_cube"):
-        counting(name)
+    for name in ("cube_rows", "require_nilpotent_cube", "act_on_poly_connection"):
+        recording(name)
     assert psi_A_symplectic_check(SD, cube_e1())
-    assert counts == {"cube_rows": 1}
-    counts.clear()
+    assert list(calls) == ["cube_rows"] and len(calls["cube_rows"]) == 1
+    calls.clear()
     assert psi_A_connection_check(SD, cube_e1())
-    assert counts["pushforward"] == 4 + 4 * 4
-    assert counts["require_nilpotent_cube"] == 2
+    assert len(calls["require_nilpotent_cube"]) == 1
+    [(gens, cap, _, gamma)] = calls["act_on_poly_connection"]
+    zero = PolyVectorField.zero(4)
+    assert cap == 2 and gens == [zero, structure_field(SD, cube_e1()), zero]
+    assert gamma == [{}, {}, {}]
 
 
 # -- the dense cube algebra, kept as a test-only reference ------------------------

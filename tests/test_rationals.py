@@ -178,6 +178,16 @@ def test_to_json_matches_the_fraction_form(re, im):
     assert json.dumps(z.to_json()) == json.dumps(old)
 
 
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30), st.integers(1, 10**30),
+       st.integers(1, 10**6))
+def test_to_json_is_rational_to_str_of_the_parts(p, q, d, common):
+    """Large parts, and a real part over a smaller denominator than the
+    imaginary one, so that p shares a factor with the triple's d."""
+    for z in (GaussianRational(Fraction(p, d), Fraction(q, d)),
+              GaussianRational(Fraction(p, d), Fraction(q, d * common))):
+        assert z.to_json() == {"re": rational_to_str(z.re), "im": rational_to_str(z.im)}
+
+
 def test_to_json_literals():
     assert GaussianRational(Fraction(-3, 4), Fraction(1, 6)).to_json() == {"re": "-3/4", "im": "1/6"}
     assert GaussianRational(Fraction(10, 4), -2).to_json() == {"re": "5/2", "im": "-2"}
