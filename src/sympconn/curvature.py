@@ -18,7 +18,6 @@ from .fourier import (
     SymplecticData,
     TensorField,
     TensorFieldCurve,
-    lower_last,
     raise_last,
 )
 from .rationals import Fraction
@@ -144,41 +143,48 @@ def covariant_derivative(conn: ConnectionCurve, t_curve: TensorFieldCurve) -> Te
     return TensorFieldCurve(conn.cap, out)
 
 
-def curvature_mixed(conn: ConnectionCurve) -> TensorFieldCurve:
-    """Curvature endomorphism curve R^p_{abc} at key (a, b, c, p)."""
-    dim = conn.dim
-    mixed = conn.mixed
-    out = []
-    for k in range(conn.cap + 1):
-        acc = {}
-        # derivative part, antisymmetrized in the first two slots
-        for (b, c, p), f in mixed[k].components.items():
-            for a in range(dim):
-                d = f.derivative(a)
-                if not d.is_zero():
-                    accumulate(acc, (a, b, c, p), d)
-                    accumulate(acc, (b, a, c, p), -d)
-        # commutator part [A^(s)(X), A^(s')(Y)]
-        for s in range(1, k):
-            m1, m2 = mixed[s], mixed[k - s]
-            for (a, q, p), g1 in m1.components.items():
-                for (b, c, q2), g2 in m2.components.items():
-                    if q2 == q:
-                        prod = g1 * g2
-                        accumulate(acc, (a, b, c, p), prod)
-                        accumulate(acc, (b, a, c, p), -prod)
-        out.append(TensorField(dim, 4, acc, _validated=True))
-    return TensorFieldCurve(conn.cap, out)
+def _by_upper(m: TensorField):
+    """A mixed A^q_{zc} (key (z, c, q)) grouped as {q: [(z, c, A^q_{zc})]}."""
+    groups = {}
+    for (z, c, q), g in m.components.items():
+        groups.setdefault(q, []).append((z, c, g))
+    return groups
 
 
 def curvature_curve(conn: ConnectionCurve) -> TensorFieldCurve:
-    """Lowered curvature tensor curve R_{abcd}; verified curvature_type."""
-    lowered = curvature_mixed(conn).map(lambda t: lower_last(t, conn.sdata))
-    for k, t in enumerate(lowered.orders):
+    """Lowered curvature curve R_{abcd} = omega(R(e_a, e_b) e_c, e_d), built
+    on a < b only: omega is constant and each A^(s)(e_a) lies in sp(omega), so
+      R^(k)_{abcd} = d_a Abar^(k)_{bcd} - d_b Abar^(k)_{acd}
+        + sum_{s=1..k-1} sum_q (Abar^(s)_{aqd} A^(k-s)q_{bc} - Abar^(s)_{bqd} A^(k-s)q_{ac}),
+    and R_{bacd} = -R_{abcd} is filled in: first-pair antisymmetry holds by
+    construction.  Last-pair symmetry is not built in; `is_curvature_type`
+    checks it at every order, always on (InternalInconsistency otherwise)."""
+    dim, abar = conn.dim, conn.abar
+    by_upper = [_by_upper(m) for m in conn.mixed]
+    out = []
+    for k in range(conn.cap + 1):
+        acc = {}
+        for (x, c, d), f in abar[k].components.items():
+            for z in range(x):
+                accumulate(acc, (z, x, c, d), f.derivative(z))
+            for z in range(x + 1, dim):
+                accumulate(acc, (x, z, c, d), -f.derivative(z))
+        for s in range(1, k):
+            groups = by_upper[k - s]
+            for (x, q, d), g1 in abar[s].components.items():
+                for y, c, g2 in groups.get(q, ()):
+                    if x < y:
+                        accumulate(acc, (x, y, c, d), g1 * g2)
+                    elif y < x:
+                        accumulate(acc, (y, x, c, d), -(g1 * g2))
+        comps = dict(acc)
+        comps.update({(b, a, c, d): -f for (a, b, c, d), f in acc.items()})
+        t = TensorField(dim, 4, comps, _validated=True)
         if not t.is_curvature_type():
             raise InternalInconsistency(f"curvature symmetries violated at order {k}")
         t.symmetry_tag = "curvature_type"
-    return lowered
+        out.append(t)
+    return TensorFieldCurve(conn.cap, out)
 
 
 def ricci_curve(conn: ConnectionCurve) -> TensorFieldCurve:
@@ -371,9 +377,10 @@ def bianchi_check(conn: ConnectionCurve):
 
     * every underline-A^(s) is fully symmetric, i.e. the connection is
       torsion free; `ConnectionCurve` checks this when the curve is built;
-    * R is antisymmetric in its first pair of slots, and
-    * R is symmetric in its last pair; `curvature_curve` checks both
-      (`is_curvature_type`) and raises otherwise.
+    * R is antisymmetric in its first pair of slots, by construction in
+      `curvature_curve`, and
+    * R is symmetric in its last pair, which `curvature_curve` checks at
+      every order (`is_curvature_type`) and raises otherwise.
 
     A cyclic sum over three slots of a tensor antisymmetric in the last two
     of them is totally antisymmetric, so both sums are read only on index
@@ -386,18 +393,12 @@ def bianchi_check(conn: ConnectionCurve):
       U_{cd} = sum_q A^(s)q_{ec} R^(k-s)_{abqd},
     symmetric in (c, d), so it is read only for c <= d.  Only components
     R_{xy..} with x < y are visited, each with the directions z not in
-    {x, y}, and A^(s) is grouped by its upper index once per order s.
+    {x, y}, and A^(s) is grouped by its upper index (`_by_upper`) once.
     No rank-5 tensor is built.
     """
     r4 = conn.curvature
     triples = _triple_signs(conn.dim)
-    # A^(s)q_{zc} as {q: [(z, c, A)]}
-    by_upper = []
-    for m in conn.mixed:
-        groups = {}
-        for (z, c, q), g in m.components.items():
-            groups.setdefault(q, []).append((z, c, g))
-        by_upper.append(groups)
+    by_upper = [_by_upper(m) for m in conn.mixed]
     first = []
     for t in r4.orders:
         acc = {}

@@ -216,9 +216,10 @@ def psi_A_connection_check(sdata, cube):
     applied to an order-2 term.  Once it vanishes, psi^A = x + X_A(x) is
     exp X_A at t = 1 and the truncated sums are exact there."""
     ladder = require_nilpotent_cube(sdata, cube)
-    if not all(c.is_zero() for c in flow_coordinate_maps(psi_At(ladder), 2)[2].comps):
+    gens = psi_At(ladder)
+    if not all(c.is_zero() for c in flow_coordinate_maps(gens, 2)[2].comps):
         raise InternalInconsistency("exp X_A has a nonzero order-2 term on the coordinates")
-    return psi_At_connection_check(ladder)
+    return psi_At_connection_check(ladder, gens)
 
 
 # -- the flow psi_{A^t} ----------------------------------------------------------
@@ -318,11 +319,13 @@ def invariant_gamma(b_curve: StructureMapCurve):
     return out
 
 
-def psi_At_connection_check(b_curve: StructureMapCurve):
+def psi_At_connection_check(b_curve: StructureMapCurve, gens=None):
     """psi_{A^t} . nabla^0 = nabla^{A^t}, plus (ad X_{A^t})^2 X = 0 on the
     constant basis (the nilpotency the closed forms rely on), read as the
-    `exp_terms` term Q_2 = (ad X_t)^2 e / 2, zero by valuation below cap 2."""
-    gens = psi_At(b_curve)
+    `exp_terms` term Q_2 = (ad X_t)^2 e / 2, zero by valuation below cap 2.
+    gens is `psi_At(b_curve)`, built here unless the caller has it."""
+    if gens is None:
+        gens = psi_At(b_curve)
     cap, dim, sdata = b_curve.cap, b_curve.dim, b_curve.sdata
     zero = PolyVectorField.zero(dim)
     for a in range(dim):

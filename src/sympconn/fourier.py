@@ -444,9 +444,6 @@ class TensorFieldCurve:
     def __neg__(self):
         return TensorFieldCurve(self.cap, [-a for a in self.orders])
 
-    def map(self, fn):
-        return TensorFieldCurve(self.cap, [fn(t) for t in self.orders])
-
     def is_zero(self):
         return all(t.is_zero() for t in self.orders)
 

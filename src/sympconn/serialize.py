@@ -32,10 +32,19 @@ def _fail(msg):
     raise InputError(msg)
 
 
-def _expect(obj, key, context):
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _expect(obj, key, context, expected=None):
+    """obj[key] of a JSON object obj; with `expected`, a value of that type."""
     if not isinstance(obj, dict) or key not in obj:
         _fail(f"{context}: missing field {key!r}")
-    return obj[key]
+    value = obj[key]
+    if expected is not None and not isinstance(value, expected):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        _fail(f"{context}: field {key!r} must be {_JSON_TYPES[expected]}, got {got}")
+    return value
 
 
 def _parse_rational(s, context):
@@ -135,7 +144,7 @@ def tensor_from_json(obj, dim, context, expect_rank=None, expect_symmetry=None):
     if expect_symmetry is not None and tag != expect_symmetry:
         _fail(f"{context}: symmetry {tag!r}, expected {expect_symmetry!r}")
     comps = {}
-    for i, entry in enumerate(_expect(obj, "entries", context)):
+    for i, entry in enumerate(_expect(obj, "entries", context, list)):
         idx = _expect(entry, "idx", f"{context} entry {i + 1}")
         if (
             not isinstance(idx, list)
@@ -321,7 +330,7 @@ _PARSERS = {
 def from_json(obj):
     if not isinstance(obj, dict):
         _fail("top level: expected a JSON object")
-    kind = _expect(obj, "kind", "top level")
+    kind = _expect(obj, "kind", "top level", str)
     parser = _PARSERS.get(kind)
     if parser is None:
         _fail(f"top level: unknown kind {kind!r}")

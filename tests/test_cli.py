@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import time
 
 import pytest
 
@@ -241,6 +244,35 @@ def test_undecodable_input_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, got", [([], "an array"), ({}, "an object")],
+                         ids=["array", "object"])
+def test_kind_that_is_not_a_string_exit_2(tmp_path, capsys, kind, got):
+    p = write_moved(tmp_path)
+    obj = json.loads(p.read_text())
+    obj["kind"] = kind
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: top level: field 'kind' must be a string, got {got}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entries, got", [
+    (None, "null"), (7, "an integer"), (True, "a boolean"), (1.5, "a number"),
+    ("entries", "a string"),
+], ids=["null", "int", "bool", "float", "str"])
+def test_entries_that_are_not_an_array_exit_2(tmp_path, capsys, entries, got):
+    p = write_moved(tmp_path)
+    obj = json.loads(p.read_text())
+    obj["A"][1]["entries"] = entries
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith(
+        f"input error: A order 2: field 'entries' must be an array, got {got}")
+    assert "Traceback" not in err
+
+
 def test_act_with_affine_part_is_deterministic(tmp_path, capsys):
     """`act` with a witness sigma^* o psi_f(t), where sigma(x) = C x + 2 pi d
     has C = S T (two Sp(4, Z) generators) and d = (1/4, 0, 1/2, 0): two runs
@@ -402,6 +434,54 @@ def test_unwritable_out_exit_2_and_leaves_no_temporary_file(tmp_path, capsys, ta
     assert err.startswith(f"input error: cannot write {out_p}: {message}")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["somedir"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dim", "1000000", "dimension 1000000 exceeds the ceiling of 16"),
+    ("--order", "1000000000", "order 1000000000 exceeds the ceiling of 32"),
+])
+def test_generate_above_a_ceiling_exit_2(tmp_path, capsys, flag, value, message):
+    out_p = tmp_path / "big.json"
+    start = time.monotonic()
+    code, out, err = run(capsys, "generate", "--kind", "rank-one", flag, value,
+                         "--out", str(out_p))
+    assert time.monotonic() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {message}")
+    assert "Traceback" not in err
+    assert not out_p.exists()
+
+
+def test_generate_at_the_ceilings_is_accepted(capsys):
+    from sympconn.cli import MAX_GENERATE_DIM, MAX_GENERATE_ORDER
+
+    code, out, _ = run(capsys, "generate", "--kind", "gradient",
+                       "--dim", str(MAX_GENERATE_DIM), "--order", str(MAX_GENERATE_ORDER),
+                       "--mode", ",".join(["1"] + ["0"] * (MAX_GENERATE_DIM - 1)))
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["dim"], obj["cap"]) == (MAX_GENERATE_DIM, MAX_GENERATE_ORDER)
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def test_written_files_honour_the_umask(tmp_path, capsys, umask_022):
+    gen_p = tmp_path / "gen.json"
+    code, _, _ = run(capsys, "generate", "--kind", "random", "--seed", "1",
+                     "--out", str(gen_p))
+    assert code == 0
+    wit_p = tmp_path / "wit.json"
+    code, _, _ = run(capsys, "normalize", str(write_moved(tmp_path)), "--witness", str(wit_p))
+    assert code == 0
+    assert stat.S_IMODE(gen_p.stat().st_mode) == 0o644
+    assert stat.S_IMODE(wit_p.stat().st_mode) == 0o644
 
 
 def test_act_with_non_gaussian_phase_exit_2(tmp_path, capsys):

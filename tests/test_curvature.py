@@ -17,8 +17,14 @@ from sympconn.curvature import (
     ricci_curve,
     ricci_from_curvature,
 )
-from sympconn.errors import PreconditionError
-from sympconn.fourier import FourierScalar, SymplecticData, TensorField, TensorFieldCurve
+from sympconn.errors import InternalInconsistency, PreconditionError
+from sympconn.fourier import (
+    FourierScalar,
+    SymplecticData,
+    TensorField,
+    TensorFieldCurve,
+    lower_last,
+)
 from sympconn.generate import (
     conjugated_flat_fixture,
     gradient_curve,
@@ -230,14 +236,14 @@ SD_RATIONAL = SymplecticData([
 ])
 
 
-def _rational_omega_curve(seed):
+def _rational_omega_curve(seed, cap=2):
     from random import Random
 
     from sympconn.generate import random_symmetric_field
 
     rng = Random(seed)
     return curvature.ConnectionCurve(
-        SD_RATIONAL, 2, [random_symmetric_field(rng, 4, triples=3) for _ in range(2)])
+        SD_RATIONAL, cap, [random_symmetric_field(rng, 4, triples=3) for _ in range(cap)])
 
 
 EW_CURVES = [
@@ -275,3 +281,70 @@ def test_ricci_part_asserts_a_symmetric_ricci_tensor():
                               TensorField(4, 2, {(0, 1): one, (1, 0): one.scale(2)})])
     with pytest.raises(InternalInconsistency, match="Ricci tensor is not symmetric at order 1"):
         ricci_part(r2, sd)
+
+
+def reference_curvature_mixed(conn):
+    """The mixed curvature R^p_{abc} at key (a, b, c, p), accumulated on
+    every ordered (a, b) from the mixed difference tensors:
+    R^p_{abc} = d_a A^p_{bc} + sum_q A^(s)p_{aq} A^(k-s)q_{bc} - (a <-> b)."""
+    mixed = conn.mixed
+    out = []
+    for k in range(conn.cap + 1):
+        acc = {}
+        for (b, c, p), f in mixed[k].components.items():
+            for a in range(conn.dim):
+                d = f.derivative(a)
+                accumulate(acc, (a, b, c, p), d)
+                accumulate(acc, (b, a, c, p), -d)
+        for s in range(1, k):
+            for (a, q, p), g1 in mixed[s].components.items():
+                for (b, c, q2), g2 in mixed[k - s].components.items():
+                    if q2 == q:
+                        accumulate(acc, (a, b, c, p), g1 * g2)
+                        accumulate(acc, (b, a, c, p), -(g1 * g2))
+        out.append(TensorField(conn.dim, 4, acc, _validated=True))
+    return TensorFieldCurve(conn.cap, out)
+
+
+def reference_curvature_curve(conn):
+    """R_{abcd} = sum_p R^p_{abc} omega_{pd}: the mixed curvature, lowered."""
+    mixed = reference_curvature_mixed(conn)
+    return TensorFieldCurve(conn.cap, [lower_last(t, conn.sdata) for t in mixed.orders])
+
+
+CURVATURE_CURVES = [
+    (f"{kind}-dim{dim}-cap{cap}", make, dim, cap)
+    for dim in (4, 6)
+    for cap in (2, 3, 4)
+    for kind, make in (
+        ("random", lambda dim, cap: random_connection_curve(10 * dim + cap, dim=dim, cap=cap)),
+        ("conjugated", lambda dim, cap: conjugated_flat_fixture(dim + cap, dim=dim, cap=cap)[2]),
+    )
+] + [
+    (f"rational-omega-cap{cap}", lambda dim, cap: _rational_omega_curve(cap, cap), 4, cap)
+    for cap in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("make,dim,cap", [c[1:] for c in CURVATURE_CURVES],
+                         ids=[c[0] for c in CURVATURE_CURVES])
+def test_curvature_curve_matches_the_lowered_mixed_reference(make, dim, cap):
+    conn = make(dim, cap)
+    r4 = curvature_curve(conn)
+    want = reference_curvature_curve(conn)
+    assert r4 == want
+    assert [t.symmetry_tag for t in r4.orders] == ["curvature_type"] * (cap + 1)
+    assert all(t.is_curvature_type() for t in want.orders)
+    if conn.sdata is SD_RATIONAL:
+        assert not want.is_zero()
+
+
+def test_curvature_curve_checks_the_last_pair_symmetry():
+    """Only the first-pair antisymmetry is built in: a mixed tensor that is
+    not the raised Abar breaks R_abcd = R_abdc, which is always checked."""
+    conn = random_connection_curve(1, dim=4, cap=3)
+    orders = list(conn.mixed)
+    orders[1] = orders[1] + TensorField(4, 3, {(0, 0, 0): FourierScalar.constant(4, 1)})
+    conn._mixed = orders
+    with pytest.raises(InternalInconsistency, match="curvature symmetries violated at order 2$"):
+        curvature_curve(conn)

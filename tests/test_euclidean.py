@@ -570,3 +570,24 @@ def test_poly_arithmetic_matches_fraction_dict_reference(a, b, s, axis, shared):
     assert (pa == pb) == (ra == rb)
     if pa == pb:
         assert hash(pa) == hash(pb)
+
+
+def test_psi_A_connection_check_builds_the_generators_once(monkeypatch):
+    """The order-2 flow check and the Lie-series check share one ladder of
+    structure fields: 3 `structure_field` calls (orders 0, 1, 2) and one
+    validity check."""
+    counts = {}
+
+    def counting(name):
+        original = getattr(euclidean, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(euclidean, name, wrapper)
+
+    for name in ("structure_field", "validity_check_cubes"):
+        counting(name)
+    assert psi_A_connection_check(SD, cube_e1())
+    assert counts == {"structure_field": 3, "validity_check_cubes": 1}
