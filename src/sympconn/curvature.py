@@ -439,16 +439,6 @@ def bianchi_check(conn: ConnectionCurve):
     return {"first": first, "second": second, "ok": ok}
 
 
-def nabla_omega_curve(conn: ConnectionCurve) -> TensorFieldCurve:
-    """Covariant derivative of omega; identically zero for every valid curve."""
-    omega_field = TensorField.from_constant(conn.dim, 2, conn.sdata.omega_lo)
-    omega_curve = TensorFieldCurve(
-        conn.cap,
-        [omega_field] + [TensorField.zero(conn.dim, 2) for _ in range(conn.cap)],
-    )
-    return covariant_derivative(conn, omega_curve)
-
-
 def _rho_curve(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
     """Endomorphism rho with r(X, Y) = omega(X, rho Y); key (p, b) = rho^p_b."""
     hi = sdata.omega_hi

@@ -164,13 +164,9 @@ def psi_A(sdata, cube) -> PolyMap:
     return PolyMap([Poly.variable(sdata.dim, p) + c for p, c in enumerate(field.comps)])
 
 
-def psi_A_pushforward_constant(sdata, cube, x):
-    """psi^A . X = X - A(.)X for a constant vector X (valid by nilpotency)."""
-    return _pushforward_constant(cube_rows(sdata, cube), x)
-
-
 def _pushforward_constant(rows, x):
-    """psi^A . X from the sparse rows of the A(e_a) (`invariant.cube_rows`)."""
+    """psi^A . X = X - A(.)X for a constant vector X (valid by nilpotency),
+    from the sparse rows of the A(e_a) (`invariant.cube_rows`)."""
     dim = len(rows)
     x = tuple(Fraction(v) for v in x)
     comps = []

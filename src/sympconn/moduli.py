@@ -5,22 +5,22 @@ classify flat invariant connection curves on the torus; two are identified
 exactly when an element of Sp(2n, Z) carries one cube ladder to the other by
 pullback.  The group is infinite, so equivalence is only semi-decided: a
 bounded word search over a fixed generator set, with an explicit
-"no witness within bound" verdict when the search is exhausted.
+"no witness within bound" verdict when the search is exhausted.  It runs on
+ints, over a table of words and their inverses kept once per omega.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby
+from itertools import chain, groupby, product
 from math import lcm
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .curvature import ConnectionCurve, require_ricci_type
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
-from .fourier import SymplecticData, _int_if_integral
+from .fourier import SymplecticData
 from .invariant import StructureMapCurve, embed_invariant
-from .linalg import identity as mat_identity
 from .linalg import rank
 from .rationals import Fraction
 
@@ -57,40 +57,30 @@ def require_valid(b_curve: StructureMapCurve):
         raise PreconditionError(f"invalid structure-map curve: {witness}")
 
 
-def _scaled(cube, d):
-    """d * cube with every integral entry as an int."""
-    return tuple(
-        tuple(tuple(_int_if_integral(d * v) for v in line) for line in plane) for plane in cube
-    )
-
-
 def _cube_entries(cube):
-    """The nonzero entries (a, b, c, S_abc) of a cube."""
-    return [
-        (a, b, c, v)
+    """The nonzero entries {(a, b, c): S_abc} of a cube."""
+    return {
+        (a, b, c): v
         for a, plane in enumerate(cube)
         for b, line in enumerate(plane)
         for c, v in enumerate(line)
         if v
-    ]
+    }
 
 
 def _pullback(entries, c_inv):
-    """S'(e_p, e_q, e_r) = S(C^{-1} e_p, C^{-1} e_q, C^{-1} e_r) as a dense
-    cube, summed over the nonzero entries S_abc only."""
-    dim = len(c_inv)
+    """S' = S(C^{-1} ., C^{-1} ., C^{-1} .), from and to nonzero cube entries."""
     # C^{-1} e_p = sum_a c_inv[a][p] e_a: per a the nonzero (p, c_inv[a][p])
     cols = [[(p, x) for p, x in enumerate(row) if x] for row in c_inv]
-    new = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for a, b, c, v in entries:
+    new = {}
+    for (a, b, c), v in entries.items():
         for p, ca in cols[a]:
             va = v * ca
             for q, cb in cols[b]:
                 vv = va * cb
-                line = new[p][q]
                 for r, cc in cols[c]:
-                    line[r] += vv * cc
-    return tuple(tuple(tuple(line) for line in plane) for plane in new)
+                    new[p, q, r] = new.get((p, q, r), 0) + vv * cc
+    return {key: v for key, v in new.items() if v}
 
 
 def sp_action(c_mat, b_curve: StructureMapCurve) -> StructureMapCurve:
@@ -107,67 +97,63 @@ def sp_action(c_mat, b_curve: StructureMapCurve) -> StructureMapCurve:
     if any(x.denominator != 1 for row in cf for x in row) or not sdata.is_symplectic_matrix(cf):
         raise PreconditionError("matrix is not in the lattice symplectic group")
     c_inv = sdata.symplectic_inverse(tuple(tuple(map(int, row)) for row in cf))
-    cubes = [_pullback(_cube_entries(cube), c_inv) for cube in b_curve.cubes]
+    idx = range(b_curve.dim)
+    cubes = [[[[e.get((p, q, r), 0) for r in idx] for q in idx] for p in idx]
+             for e in (_pullback(_cube_entries(cube), c_inv) for cube in b_curve.cubes)]
     return StructureMapCurve(sdata, b_curve.cap, cubes)
+
+
+def _scaled(entries, d):
+    """d v for each nonzero entry v, an int num d // den where den divides d."""
+    return {
+        key: v.numerator * (d // v.denominator) if d % v.denominator == 0 else d * v
+        for key, v in entries.items()
+    }
 
 
 def _matcher_data(a: StructureMapCurve, b: StructureMapCurve):
     """The arguments after C of `_moves_to` for the pair (a, b).
 
     With d the common denominator of a's entries, d a and its pullback by
-    any integral C are integer cubes, so each word moves ints and compares
-    them with d b (an entry of d b that is not an int matches none).
+    any integral C are integer cubes, kept as their nonzero entries, so each
+    word moves ints and compares them with d b, where a non-int matches none.
     """
-    d = lcm(*(v.denominator for cube in a.cubes for plane in cube for line in plane for v in line))
-    a_entries = [_cube_entries(_scaled(cube, d)) for cube in a.cubes]
-    return a.sdata, a_entries, [_scaled(cube, d) for cube in b.cubes]
+    a_entries = [_cube_entries(cube) for cube in a.cubes]
+    d = lcm(*(v.denominator for entries in a_entries for v in entries.values()))
+    return (_word_table(sp_generators(a.sdata), a.dim)[1], [_scaled(e, d) for e in a_entries],
+            [_scaled(_cube_entries(cube), d) for cube in b.cubes])
 
 
-def _moves_to(c_mat, sdata, a_entries, b_cubes):
+def _moves_to(c_mat, inverses, a_entries, b_entries):
     """Whether the word C carries a to b, pulled back and compared one order
     at a time: False at the first order whose cube differs.
 
     The arguments after C come from `_matcher_data(a, b)`.  C comes from the
-    generator words of `_words_up_to`, so it is integral and symplectic and
-    is not re-checked here.
+    word table, so it is integral and symplectic and has its inverse there.
     """
-    c_inv = sdata.symplectic_inverse(c_mat)
+    c_inv = inverses[c_mat]
     return all(
         _pullback(entries, c_inv) == target
-        for entries, target in zip(a_entries, b_cubes)
+        for entries, target in zip(a_entries, b_entries)
     )
 
 
 def cheap_invariants(b_curve: StructureMapCurve):
     """Per-order Sp-invariants: rank of the flattened cube, dimension of
     span{A(e_a) e_b}, and the dimension of the common kernel of the A(e_a)."""
-    dim = b_curve.dim
+    idx = range(b_curve.dim)
     out = []
-    for k in range(b_curve.cap + 1):
-        cube = b_curve.cubes[k]
-        flat = tuple(
-            tuple(cube[a][b][c] for b in range(dim) for c in range(dim))
-            for a in range(dim)
-        )
+    for k, cube in enumerate(b_curve.cubes):
         rows = b_curve.rows(k)
         # row p of span_cols is row p of every A(e_a) side by side; the
         # stacked matrix holds the nonzero rows of all the A(e_a)
-        span_cols = tuple(
-            tuple(r.get(p, {}).get(b, 0) for r in rows for b in range(dim))
-            for p in range(dim)
-        )
-        stacked = tuple(
-            tuple(row.get(b, 0) for b in range(dim))
-            for r in rows
-            for row in r.values()
-        )
-        out.append(
-            {
-                "cube_rank": rank(flat),
-                "span_dim": rank(span_cols),
-                "common_kernel_dim": dim - rank(stacked),
-            }
-        )
+        span_cols = [[r.get(p, {}).get(b, 0) for r in rows for b in idx] for p in idx]
+        stacked = [[row.get(b, 0) for b in idx] for r in rows for row in r.values()]
+        out.append({
+            "cube_rank": rank([list(chain.from_iterable(plane)) for plane in cube]),
+            "span_dim": rank(span_cols),
+            "common_kernel_dim": b_curve.dim - rank(stacked),
+        })
     return out
 
 
@@ -224,35 +210,62 @@ def sp_generators(sdata: SymplecticData):
 MAX_SEARCH_WORDS = 10_000
 
 
-def _words_up_to(gens, dim, bound):
-    """Distinct matrices expressible as generator words of length <= L,
-    mapped to the length of the shortest word reaching them.
+def _times(g_rows, m):
+    """g m from the nonzero (k, g_ik) of each row of g: a row whose one entry
+    is 1 reuses a row of m, so most rows of a product are shared tuples."""
+    out = []
+    for row in g_rows:
+        if len(row) == 1 and row[0][1] == 1:
+            out.append(m[row[0][0]])
+            continue
+        acc = (0,) * len(m)
+        for k, x in row:
+            acc = map(add, acc, m[k] if x == 1 else [x * v for v in m[k]])
+        out.append(tuple(acc))
+    return tuple(out)
 
-    Enumerated breadth-first; raises ConfigurationError as soon as more
-    than MAX_SEARCH_WORDS matrices are reached.
-    """
-    ident = tuple(tuple(int(x) for x in row) for row in mat_identity(dim))
-    # each generator as its nonzero (k, g_ik) per row i; (g m)_i = sum_k g_ik m_k
-    sparse = [[[(k, x) for k, x in enumerate(row) if x] for row in g] for g in gens]
-    seen = {ident: 0}
-    frontier = [ident]
-    for depth in range(1, bound + 1):
-        new_frontier = []
-        for m in frontier:
-            for g in sparse:
-                prod = tuple(
-                    tuple(map(sum, zip(*[[x * v for v in m[k]] for k, x in row]))) for row in g
-                )
-                if prod not in seen:
-                    if len(seen) == MAX_SEARCH_WORDS:
-                        raise ConfigurationError(
-                            f"word search bound {bound} exceeds the ceiling of "
-                            f"{MAX_SEARCH_WORDS} words (reached at word length {depth})"
-                        )
-                    seen[prod] = depth
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return seen
+
+@cache
+def _word_table(gens, dim):
+    """The breadth-first word table of a generator set closed under inverses,
+    kept once per set and so, with `sp_generators`, once per omega and
+    process: levels[L] lists in search order the matrices whose shortest word
+    has length L, `inverses` maps each to its integral inverse, and `moves`
+    holds the rows of each g and of g^{-T}, as (g C)^{-T} = g^{-T} C^{-T}."""
+    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    rows = [[[(k, x) for k, x in enumerate(row) if x] for row in h] for h in gens]
+    rows_t = [[[(k, x) for k, x in enumerate(col) if x] for col in zip(*h)] for h in gens]
+    moves = [(r, next(t for h, t in zip(gens, rows_t) if _times(r, h) == ident)) for r in rows]
+    return [[ident]], {ident: ident}, moves
+
+
+def _words_up_to(gens, dim, bound):
+    """Distinct matrices expressible as generator words of length <= L, mapped
+    to the length of the shortest word reaching them, in breadth-first order:
+    a new mapping per call, read from the word table, which gains whole
+    levels as bounds need them.  Raises ConfigurationError once more than
+    MAX_SEARCH_WORDS matrices are reached."""
+    levels, inverses, moves = _word_table(gens, dim)
+    count = 0
+    for depth in range(bound + 1):
+        if depth == len(levels):
+            new = {}
+            for m, (rows, inv_t_rows) in product(levels[-1], moves):
+                prod = _times(rows, m)
+                if prod not in inverses and prod not in new:
+                    if count + len(new) == MAX_SEARCH_WORDS:
+                        break  # refused below; the partial level is dropped
+                    new[prod] = tuple(zip(*_times(inv_t_rows, tuple(zip(*inverses[m])))))
+            else:
+                levels.append(list(new))
+                inverses.update(new)
+        if depth == len(levels) or count + len(levels[depth]) > MAX_SEARCH_WORDS:
+            raise ConfigurationError(
+                f"word search bound {bound} exceeds the ceiling of "
+                f"{MAX_SEARCH_WORDS} words (reached at word length {depth})"
+            )
+        count += len(levels[depth])
+    return {m: depth for depth in range(bound + 1) for m in levels[depth]}
 
 
 @dataclass
@@ -273,12 +286,13 @@ class EquivalenceVerdict:
 def equivalence_semidecide(query: ModuliClassQuery) -> EquivalenceVerdict:
     """Cheap invariants first, then a bounded Sp(2n, Z) word search.
 
-    All words up to the bound are enumerated first; they are then tried one
-    word length at a time, and the search stops after the first length that
-    holds a witness, returning the least matrix of that length.  A word is
-    tried without building a curve: with C^{-1} = omega^{-1} C^T omega, a's
-    cubes are pulled back one order at a time over their nonzero entries and
-    compared with b's, and the word is dropped at the first order that
+    All words up to the bound are read from the per-omega word table; they
+    are then tried one word length at a time, and the search stops after the
+    first length that holds a witness, returning the least matrix of that
+    length.  A word is tried without building a curve: with C^{-1} from the
+    table, the integer cubes d a (d the common denominator of a's entries)
+    are pulled back one order at a time over their nonzero entries and
+    compared with d b, and the word is dropped at the first order that
     differs.  The chosen witness is then verified once through the full
     `sp_action(witness, a) == b`; a mismatch raises InternalInconsistency.
 

@@ -93,6 +93,8 @@ class SparseScalar:
         return self.scale(other)
 
     def scale(self, c):
+        if c == 1 or c == -1:  # immutable: share self, or negate without multiplying
+            return self if c == 1 else -self
         return type(self)(self.dim, K.dict_scale(self.coeffs, c), _validated=True)
 
     def is_zero(self):

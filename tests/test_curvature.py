@@ -12,7 +12,6 @@ from sympconn.curvature import (
     ew_split,
     extract_u_b,
     is_ricci_type,
-    nabla_omega_curve,
     require_ricci_type,
     ricci_curve,
     ricci_from_curvature,
@@ -38,6 +37,17 @@ def test_curvature_symmetries():
     for t in r4.orders:
         assert t.is_real()
         assert t.is_curvature_type()
+
+
+def nabla_omega_curve(conn):
+    """Covariant derivative of omega, as a test-only reference; identically
+    zero for every valid curve."""
+    omega_field = TensorField.from_constant(conn.dim, 2, conn.sdata.omega_lo)
+    omega_curve = TensorFieldCurve(
+        conn.cap,
+        [omega_field] + [TensorField.zero(conn.dim, 2) for _ in range(conn.cap)],
+    )
+    return covariant_derivative(conn, omega_curve)
 
 
 def test_omega_is_parallel():

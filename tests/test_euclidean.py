@@ -34,7 +34,6 @@ from sympconn.invariant import (
     rank_one_cube,
     zero_cube,
 )
-from sympconn.linalg import is_zero_matrix, mat_mul
 from sympconn.series import exp_ad, merge_exponentials
 
 SD = SymplecticData.standard(4)
@@ -278,15 +277,20 @@ def test_poly_action_matches_basis_transport_in_every_caller(monkeypatch):
     assert any(any(order) for acted in seen for order in acted)
 
 
+def psi_A_pushforward_constant(sdata, cube, x):
+    """psi^A . X = X - A(.)X for a constant vector X, from the cube."""
+    return euclidean._pushforward_constant(cube_rows(sdata, cube), x)
+
+
 def reference_psi_A_symplectic_check(sdata, cube):
     """The per-pair form: one psi_A_pushforward_constant per basis vector and
     per pair, as the check was first written."""
     dim = sdata.dim
     lo = sdata.omega_lo
     for a in range(dim):
-        xa = euclidean.psi_A_pushforward_constant(sdata, cube, [int(i == a) for i in range(dim)])
+        xa = psi_A_pushforward_constant(sdata, cube, [int(i == a) for i in range(dim)])
         for b in range(dim):
-            yb = euclidean.psi_A_pushforward_constant(sdata, cube, [int(i == b) for i in range(dim)])
+            yb = psi_A_pushforward_constant(sdata, cube, [int(i == b) for i in range(dim)])
             pairing = Poly.zero(dim)
             for p in range(dim):
                 for q in range(dim):
@@ -438,6 +442,15 @@ def reference_cube_endomorphisms(sdata, cube):
                             m[p][b] += hi[c][p] * v
         mats.append(tuple(tuple(row) for row in m))
     return mats
+
+
+def mat_mul(a, b):
+    """The dense matrix product, as a test-only reference."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def is_zero_matrix(a):
+    return all(not x for row in a for x in row)
 
 
 def reference_require_nilpotent_cube(sdata, cube):

@@ -14,7 +14,7 @@ from sympconn.fourier import (
     raise_last,
 )
 from sympconn.generate import random_symmetric_field
-from sympconn.linalg import inverse, mat_mul, matrix, transpose
+from sympconn.linalg import inverse, matrix, transpose
 from sympconn.moduli import _words_up_to, sp_generators
 from sympconn.rationals import GaussianRational
 
@@ -176,6 +176,11 @@ def test_symmetry_witness_drives_both_predicates():
 
 
 # -- the symplectic group of omega -----------------------------------------------
+
+
+def mat_mul(a, b):
+    """The dense matrix product, as a test-only reference."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def dense_is_symplectic(sdata, c):

@@ -315,3 +315,116 @@ def test_sp_action_matches_a_dense_pullback():
     a = _scale_curve(validated_sum_ladder(SD, 2, seed=7), Fraction(1, 3))
     for m in moduli._words_up_to(sp_generators(SD), 4, 2):
         assert sp_action(m, a).cubes == [dense_pullback(cube, m) for cube in a.cubes], m
+
+
+# -- the per-omega word table ---------------------------------------------------
+
+
+def reference_words_up_to(gens, dim, bound):
+    """The breadth-first enumeration rebuilt from scratch on every call, as
+    the search first ran it: {matrix: shortest word length}."""
+    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    seen = {ident: 0}
+    frontier = [ident]
+    for depth in range(1, bound + 1):
+        new_frontier = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul_int(g, m)
+                if prod not in seen:
+                    seen[prod] = depth
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return seen
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("order", [(3, 1, 2), (1, 3), (0, 2, 2, 3, 3), (3, 3)])
+def test_word_table_matches_the_reference_in_any_call_order(dim, order):
+    gens = sp_generators(SymplecticData.standard(dim))
+    moduli._word_table.cache_clear()
+    for bound in order:
+        got = moduli._words_up_to(gens, dim, bound)
+        assert list(got.items()) == list(reference_words_up_to(gens, dim, bound).items())
+
+
+def test_word_table_hands_out_a_new_mapping_on_every_call():
+    gens = sp_generators(SD)
+    words = moduli._words_up_to(gens, 4, 2)
+    expected = list(words.items())
+    words.clear()
+    assert list(moduli._words_up_to(gens, 4, 2).items()) == expected
+    again = moduli._words_up_to(gens, 4, 2)
+    again[IDENT] = 99
+    del again[next(m for m, depth in again.items() if depth == 2)]
+    assert list(moduli._words_up_to(gens, 4, 2).items()) == expected
+
+
+def _refusal(gens, bound):
+    with pytest.raises(ConfigurationError) as exc:
+        moduli._words_up_to(gens, 4, bound)
+    return str(exc.value)
+
+
+def test_a_refused_bound_leaves_the_word_table_whole(monkeypatch):
+    gens = sp_generators(SD)
+    reference = list(reference_words_up_to(gens, 4, 3).items())
+    moduli._word_table.cache_clear()
+    text = _refusal(gens, 5)
+    assert text == (f"word search bound 5 exceeds the ceiling of {moduli.MAX_SEARCH_WORDS} "
+                    f"words (reached at word length 5)")
+    # levels 0..4 (4570 words) are whole; no part of level 5 was kept
+    assert [len(level) for level in moduli._word_table(gens, 4)[0]] == [1, 12, 97, 646, 3814]
+    assert list(moduli._words_up_to(gens, 4, 3).items()) == reference
+    assert _refusal(gens, 5) == text
+
+    moduli._word_table.cache_clear()
+    monkeypatch.setattr(moduli, "MAX_SEARCH_WORDS", 100)
+    low = _refusal(gens, 3)
+    assert low == "word search bound 3 exceeds the ceiling of 100 words (reached at word length 2)"
+    assert [len(level) for level in moduli._word_table(gens, 4)[0]] == [1, 12]
+    assert _refusal(gens, 3) == low
+    monkeypatch.undo()
+    assert list(moduli._words_up_to(gens, 4, 3).items()) == reference
+    # a lower ceiling applies to levels the table already holds
+    monkeypatch.setattr(moduli, "MAX_SEARCH_WORDS", 100)
+    assert _refusal(gens, 3) == low
+    assert len(moduli._words_up_to(gens, 4, 1)) == 13
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_word_table_inverses_are_the_symplectic_inverses(dim):
+    sdata = SymplecticData.standard(dim)
+    gens = sp_generators(sdata)
+    words = moduli._words_up_to(gens, dim, 3 if dim == 4 else 2)
+    _, inverses, _ = moduli._word_table(gens, dim)
+    assert set(words) <= set(inverses)
+    for m, m_inv in inverses.items():
+        assert m_inv == sdata.symplectic_inverse(m)
+
+
+def reference_scaled(cube, d):
+    """d * cube with every integral entry as an int, by Fraction products."""
+    return tuple(
+        tuple(tuple(int(d * v) if (d * v).denominator == 1 else d * v for v in line)
+              for line in plane)
+        for plane in cube
+    )
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_integer_scaling_matches_the_fraction_form(dim):
+    sdata = SymplecticData.standard(dim)
+    curves = [_scale_curve(rank_one_ladder(sdata, 2, seed=5), Fraction(1, 3)),
+              _scale_curve(validated_sum_ladder(sdata, 2, seed=7), Fraction(1, 2)),
+              _scale_curve(validated_sum_ladder(sdata, 2, seed=7), Fraction(-5, 6))]
+    kinds = set()
+    for cube in (cube for curve in curves for cube in curve.cubes):
+        for d in (1, 2, 3, 6):
+            got = moduli._scaled(moduli._cube_entries(cube), d)
+            want = {key: v for key, v in moduli._cube_entries(reference_scaled(cube, d)).items()}
+            assert got == want
+            assert {key: type(v) for key, v in got.items()} == {
+                key: type(v) for key, v in want.items()}
+            kinds |= {type(v) for v in got.values()}
+    assert kinds == {int, Fraction}

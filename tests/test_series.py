@@ -294,3 +294,22 @@ def test_exp_apply_and_exp_ad_equal_the_column_reference(kind, dim):
         scalars[0] = scalars[0] + type(scalars[0]).constant(dim, 1)
         assert exp_apply(gens, scalars) == reference_exp(VectorField.apply, gens, scalars)
         assert exp_ad(gens, fields) == reference_exp(VectorField.bracket, gens, fields)
+
+
+def test_scale_by_plus_or_minus_one_multiplies_no_coefficient(monkeypatch):
+    """Scalars are immutable, so scale(1) is the scalar itself and scale(-1)
+    its negation; neither goes through the kernel's dict_scale."""
+    f = random_real_scalar(random.Random(3), DIM)
+    p = poly({(1, 0, 0, 0): Fraction(2, 3), (0, 2, 0, 1): -1})
+    assert not f.is_zero()
+
+    def forbidden(*args):
+        raise AssertionError("a factor of +1 or -1 was multiplied into each coefficient")
+
+    monkeypatch.setattr(series.K, "dict_scale", forbidden)
+    for g in (f, p):
+        for one in (1, Fraction(1)):
+            assert g.scale(one) is g and one * g is g and g * one is g
+        for minus_one in (-1, Fraction(-1)):
+            assert g.scale(minus_one) == -g
+            assert g.scale(minus_one).coeffs == {m: -c for m, c in g.coeffs.items()}
