@@ -20,12 +20,7 @@ from .curvature import (
 )
 from .errors import InternalInconsistency, NotExactCube, PreconditionError
 from .fourier import FourierScalar, TensorField
-from .invariant import (
-    StructureMapCurve,
-    embed_invariant,
-    flatness_theorem_check,
-    zero_cube,
-)
+from .invariant import StructureMapCurve, flatness_theorem_check, zero_cube
 from .rationals import Fraction, GaussianRational
 from .symplecto import SymplectoCurve, act_on_connection, compose
 
@@ -64,10 +59,12 @@ def potential_split(s: TensorField) -> PotentialSplit:
         s_bbb = s.get((b, b, b)).coeff(m)
         # (i m_b)^3 = -i m_b^3
         u_hat = s_bbb / (_I_CUBED * (m[b] ** 3))
+        # S_pqr(m) = (i m_p)(i m_q)(i m_r) U^(m) = (i^3 U^(m)) m_p m_q m_r
+        u_i_cubed = u_hat * _I_CUBED
         for p in range(dim):
             for q in range(p, dim):
                 for r in range(q, dim):
-                    want = u_hat * (_I_CUBED * (m[p] * m[q] * m[r]))
+                    want = u_i_cubed * (m[p] * m[q] * m[r])
                     if s.get((p, q, r)).coeff(m) != want:
                         raise NotExactCube(m, (p, q, r))
         if not u_hat.is_zero():
@@ -153,6 +150,16 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     asserted exactly, as is flatness of the resulting invariant curve and,
     as a corollary, flatness of the input itself.  A curve that is not of
     Ricci type is refused by the order-1 step; a cap-0 curve is flat.
+
+    The final check compares witness . input with the last stepped curve,
+    which is the embedded flat curve without building it again: step k
+    asserted that its order k is the constant cube_k and that orders below
+    k are unchanged, so every order k >= 1 of the last curve is
+    from_constant(cube_k), as in embed_invariant(flat).  Order 0 of
+    witness . input is zero (`act_on_connection` asserts it), so equality
+    pins order 0 of the last curve to zero as well.  What the check tests
+    is the composition: witness . input is one action of the composed
+    witness, while the last curve is the steps' actions applied one by one.
     """
     sdata, cap = conn.sdata, conn.cap
     witness = SymplectoCurve.identity(sdata, cap)
@@ -162,8 +169,7 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     for k in range(1, cap + 1):
         f_k, cube, current, step = recurrence_step(current, k)
         cubes[k] = cube
-        if not step.is_identity():
-            witness = compose(step, witness)
+        witness = compose(step, witness)
         log.append(
             {
                 "order": k,
@@ -177,7 +183,7 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
         sdata, cap, [zero_cube(sdata.dim)] + [cubes[k] for k in range(1, cap + 1)]
     )
     flatness_theorem_check(flat)
-    if act_on_connection(witness, conn) != embed_invariant(flat):
+    if act_on_connection(witness, conn) != current:
         raise InternalInconsistency("witness does not conjugate the input to the flat curve")
     if not all(t.is_zero() for t in conn.curvature.orders):
         raise InternalInconsistency(

@@ -330,9 +330,16 @@ def compose(psi: SymplectoCurve, phi: SymplectoCurve) -> SymplectoCurve:
 
     With sigma_psi^* exp(X) sigma_phi^* exp(Y) the affine parts collect to
     (sigma_phi o sigma_psi)^* and X is conjugated through sigma_phi^{-1}.
+    psi o id = psi and id o phi = phi exactly, so a side that is the
+    identity returns the other side itself, with no normal ordering; the
+    omega and cap check runs first either way.
     """
     if psi.sdata != phi.sdata or psi.cap != phi.cap:
         raise PreconditionError("composition needs matching omega and caps")
+    if phi.is_identity():
+        return psi
+    if psi.is_identity():
+        return phi
     sdata, cap = psi.sdata, psi.cap
     c_new = tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*psi.c_mat)) for row in phi.c_mat

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -255,3 +257,69 @@ def test_structure_maps_are_built_once_per_order(monkeypatch):
         curve.products(k)
     assert invariant_ricci_type_check(curve) == (True, None)
     assert len(calls) == curve.cap + 1
+
+
+def reference_cube_is_symmetric(cube):
+    """The two-transposition check over every triple, as a test-only
+    reference: (a b) and (b c) generate all orders of (a, b, c)."""
+    dim = len(cube)
+    for a, b, c in product(range(dim), repeat=3):
+        if cube[a][b][c] != cube[b][a][c] or cube[a][b][c] != cube[a][c][b]:
+            return False
+    return True
+
+
+def _random_symmetric_cube(rng, dim):
+    values = {}
+    for t in product(range(dim), repeat=3):
+        key = tuple(sorted(t))
+        if key not in values:
+            values[key] = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else 0
+    return [[[values[tuple(sorted((a, b, c)))] for c in range(dim)] for b in range(dim)]
+            for a in range(dim)]
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_cube_is_symmetric_agrees_with_the_transposition_check(dim):
+    rng = random.Random(dim)
+    verdicts = set()
+    for _ in range(40):
+        cube = _random_symmetric_cube(rng, dim)
+        for _ in range(rng.randint(0, 3)):
+            a, b, c = (rng.randrange(dim) for _ in range(3))
+            cube[a][b][c] += rng.choice([Fraction(1, 2), -1, 2])
+        want = reference_cube_is_symmetric(cube)
+        assert invariant.cube_is_symmetric(cube) is want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_cube_is_symmetric_catches_every_single_entry_change(dim):
+    """Changing one entry keeps the cube symmetric only on the diagonal
+    a = b = c; every other change is caught."""
+    cube = _random_symmetric_cube(random.Random(100 + dim), dim)
+    assert invariant.cube_is_symmetric(cube)
+    for a, b, c in product(range(dim), repeat=3):
+        old = cube[a][b][c]
+        cube[a][b][c] = old + Fraction(1, 7)
+        assert invariant.cube_is_symmetric(cube) is (a == b == c), (a, b, c)
+        cube[a][b][c] = old
+
+
+def test_unsorted_triples_are_counted_as_dim_cubed_minus_the_sorted_ones():
+    for dim in range(2, 9):
+        sorted_triples = (dim + 2) * (dim + 1) * dim // 6
+        assert len(invariant._unsorted_triples(dim)) == dim**3 - sorted_triples
+
+
+def test_structure_map_cubes_keep_fraction_entries_and_convert_the_rest():
+    sd = SymplecticData.standard(4)
+    half = Fraction(1, 2)
+    cube = [[[half if (a, b, c) == (1, 1, 1) else 0 for c in range(4)] for b in range(4)]
+            for a in range(4)]
+    curve = StructureMapCurve(sd, 1, [zero_cube(4), cube])
+    assert curve.cubes[1][1][1][1] is half
+    assert all(type(x) is Fraction for plane in curve.cubes[1] for row in plane for x in row)
+    assert curve == StructureMapCurve(sd, 1, [zero_cube(4), [[[Fraction(x) for x in row]
+                                                              for row in plane] for plane in cube]])

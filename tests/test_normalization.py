@@ -2,8 +2,10 @@ from itertools import product
 
 import pytest
 
+import sympconn.normalization as normalization
+import sympconn.symplecto as symplecto
 from sympconn.curvature import curvature_curve
-from sympconn.errors import NotExactCube, PreconditionError
+from sympconn.errors import InternalInconsistency, NotExactCube, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
 from sympconn.generate import (
     conjugated_flat_fixture,
@@ -145,3 +147,40 @@ def test_potential_split_reports_the_first_defect_of_the_full_check():
             potential_split(s)
         assert (err.value.mode, err.value.idx) == want
     assert defects
+
+
+def test_two_step_normalization_merges_once(monkeypatch):
+    """The witness starts as the identity, so composing the first step in
+    runs no normal ordering; the second step merges once."""
+    _, _, moved = conjugated_flat_fixture(5, dim=4, cap=2, orders=(1, 2))
+    calls = []
+    original = symplecto.merge_exponentials
+
+    def counting(sdata, gens_a, gens_b):
+        calls.append(1)
+        return original(sdata, gens_a, gens_b)
+
+    monkeypatch.setattr(symplecto, "merge_exponentials", counting)
+    result = normalize_curve(moved)
+    assert [entry["potential_support"] > 0 for entry in result.per_order_log] == [True, True]
+    assert len(calls) == 1
+    assert act_on_connection(result.witness, moved) == embed_invariant(result.flat_curve)
+
+
+@pytest.mark.parametrize("dropped", [1, 2])
+def test_a_witness_missing_a_step_fails_the_final_check(monkeypatch, dropped):
+    """The final check compares the witness's action with the stepped curve;
+    a witness that leaves one Hamiltonian step out must be caught there."""
+    _, _, moved = conjugated_flat_fixture(5, dim=4, cap=2, orders=(1, 2))
+    composed = []
+    original = normalization.compose
+
+    def dropping(psi, phi):
+        composed.append(psi)
+        return phi if len(composed) == dropped else original(psi, phi)
+
+    monkeypatch.setattr(normalization, "compose", dropping)
+    with pytest.raises(InternalInconsistency,
+                       match="^witness does not conjugate the input to the flat curve$"):
+        normalize_curve(moved)
+    assert len(composed) == 2

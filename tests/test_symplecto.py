@@ -8,7 +8,12 @@ import sympconn.moduli as moduli
 import sympconn.symplecto as symplecto
 from sympconn.errors import ConfigurationError, NonRepresentablePhase, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
-from sympconn.generate import rank_one_ladder, random_connection_curve, random_real_scalar
+from sympconn.generate import (
+    hamiltonian_steps,
+    rank_one_ladder,
+    random_connection_curve,
+    random_real_scalar,
+)
 from sympconn.invariant import embed_invariant
 from sympconn.linalg import inverse, matrix
 from sympconn.moduli import sp_generators
@@ -358,3 +363,53 @@ def test_symplectic_matrices_are_inverted_in_one_place():
     Gauss-Jordan."""
     for module in (symplecto, moduli):
         assert not hasattr(module, "inverse")
+
+
+def _counting_merges(monkeypatch):
+    """Count the normal orderings `compose` runs."""
+    calls = []
+    original = symplecto.merge_exponentials
+
+    def counting(sdata, gens_a, gens_b):
+        calls.append(1)
+        return original(sdata, gens_a, gens_b)
+
+    monkeypatch.setattr(symplecto, "merge_exponentials", counting)
+    return calls
+
+
+def test_compose_with_the_identity_returns_the_other_side(monkeypatch):
+    """psi o id = psi and id o phi = phi exactly: the other side itself is
+    returned and no normal ordering runs."""
+    calls = _counting_merges(monkeypatch)
+    ident = SymplectoCurve.identity(SD, CAP)
+    ham = SymplectoCurve.from_hamiltonian(SD, CAP, COS1 + SIN12, 2, Fraction(-1, 3))
+    sigma = SymplectoCurve.affine(SD, CAP, sp_word(SD, (1, 0, 2)), (Fraction(1, 4), 0, 0, 0))
+    both = compose(sigma, ham)
+    assert len(calls) == 1
+    for psi in (ham, sigma, both, ident):
+        assert compose(psi, ident) is psi
+        assert compose(ident, psi) is psi
+    assert len(calls) == 1
+
+
+def test_compose_with_the_identity_still_checks_omega_and_caps():
+    skewed = SymplecticData([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    psi = SymplectoCurve.from_hamiltonian(SD, CAP, COS1, 1)
+    for other in (SymplectoCurve.identity(SD, CAP + 1), SymplectoCurve.identity(skewed, CAP)):
+        for pair in ((psi, other), (other, psi)):
+            with pytest.raises(PreconditionError, match="matching omega and caps"):
+                compose(*pair)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_hamiltonian_steps_merge_once_per_step_after_the_first(monkeypatch, steps):
+    calls = _counting_merges(monkeypatch)
+    pairs = [(COS1, 1), (SIN12, 2), (COS1 + SIN12, 3)][:steps]
+    psi = hamiltonian_steps(SD, CAP, pairs)
+    assert len(calls) == steps - 1
+    flat = embed_invariant(rank_one_ladder(SD, CAP, seed=5))
+    moved = flat
+    for f, k in pairs:
+        moved = act_on_connection(SymplectoCurve.from_hamiltonian(SD, CAP, f, k), moved)
+    assert act_on_connection(psi, flat) == moved
