@@ -222,8 +222,9 @@ def run_law(law_id, seeds):
     if law_id not in LAWS:
         raise PreconditionError(f"unknown law {law_id!r}; registered: {sorted(LAWS)}")
     law = LAWS[law_id]
-    for seed in sorted(seeds):
+    seeds = sorted(seeds)
+    for seed in seeds:
         witness = law(seed)
         if witness is not None:
             return {"law": law_id, "pass": False, "seed": seed, "witness": witness}
-    return {"law": law_id, "pass": True, "seeds": len(list(seeds))}
+    return {"law": law_id, "pass": True, "seeds": len(seeds)}

@@ -20,8 +20,8 @@ from .curvature import (
 )
 from .errors import InternalInconsistency, NotExactCube, PreconditionError
 from .fourier import FourierScalar, TensorField
-from .invariant import StructureMapCurve, flatness_theorem_check, zero_cube
-from .rationals import Fraction, GaussianRational
+from .invariant import StructureMapCurve, flatness_theorem_check, from_connection_curve
+from .rationals import GaussianRational
 from .symplecto import SymplectoCurve, act_on_connection, compose
 
 _I_CUBED = GaussianRational(0, -1)  # (i)^3 = -i
@@ -29,14 +29,14 @@ _I_CUBED = GaussianRational(0, -1)  # (i)^3 = -i
 
 @dataclass
 class PotentialSplit:
-    """S = grad^3(U) + Q with U zero-mean and Q a constant cube."""
+    """S = grad^3(U) + Q with U zero-mean and Q the zero-mode part of S."""
 
     potential: FourierScalar
-    constant_cube: tuple
+    constant: TensorField
 
 
 def potential_split(s: TensorField) -> PotentialSplit:
-    """Split a fully symmetric rank-3 field into grad^3(U) + constant.
+    """Split a fully symmetric rank-3 field into grad^3(U) + Q.
 
     For each nonzero mode m, the candidate is read off one component with
     m_b != 0 via S_bbb(m) = (i m_b)^3 U^(m), then the component equations at
@@ -44,6 +44,8 @@ def potential_split(s: TensorField) -> PotentialSplit:
     symmetric first and so is grad^3(U), so these cover every component,
     and the lexicographically first failing triple is a sorted one.
     Failure raises NotExactCube with the offending mode and component.
+    Q keeps the zero-mode coefficient of each component of S as it is;
+    its reality is checked where the flat ladder is read off.
     """
     if s.rank != 3 or not s.is_fully_symmetric():
         raise PreconditionError("potential_split needs a fully symmetric rank-3 field")
@@ -72,21 +74,13 @@ def potential_split(s: TensorField) -> PotentialSplit:
     potential = FourierScalar(dim, u_coeffs, _validated=True)
     if not potential.is_real():
         raise NotExactCube(zero_mode, (0, 0, 0), "potential is not real")
-    cube = tuple(
-        tuple(
-            tuple(_real_constant(s.get((p, q, r))) for r in range(dim))
-            for q in range(dim)
-        )
-        for p in range(dim)
-    )
-    return PotentialSplit(potential, cube)
-
-
-def _real_constant(f: FourierScalar) -> Fraction:
-    c = f.constant_part()
-    if not c.is_real():
-        raise InternalInconsistency("constant part of a real field is not real")
-    return c.re
+    zero_part = {}
+    for idx, f in s.components.items():
+        c = f.coeffs.get(zero_mode)
+        if c is not None:
+            zero_part[idx] = FourierScalar(dim, {zero_mode: c}, _validated=True)
+    constant = TensorField(dim, 3, zero_part, "fully_symmetric", _validated=True)
+    return PotentialSplit(potential, constant)
 
 
 def _assert_order_invariant(bundle: CurvatureBundle, k):
@@ -102,9 +96,10 @@ def _assert_order_invariant(bundle: CurvatureBundle, k):
 def recurrence_step(conn: ConnectionCurve, k):
     """One normalization step at order k.
 
-    Returns (f_k, Q cube, updated curve, psi step) where f_k = -U^(k) and
-    the updated curve equals psi_{f_k}(t^k) . conn with invariant order-k
-    term Q.  Preconditions: orders < k invariant, curve Ricci type.
+    Returns (f_k, updated curve, psi step) where f_k = -U^(k) and the
+    updated curve equals psi_{f_k}(t^k) . conn with invariant order-k term
+    Q, the zero-mode part of conn.abar[k].  Preconditions: orders < k
+    invariant, curve Ricci type.
     """
     if not 1 <= k <= conn.cap:
         raise PreconditionError("step order must lie in 1..K")
@@ -122,8 +117,7 @@ def recurrence_step(conn: ConnectionCurve, k):
     else:
         step = SymplectoCurve.from_hamiltonian(conn.sdata, conn.cap, f_k, k)
         updated = act_on_connection(step, conn)
-    expected = TensorField.from_constant(conn.dim, 3, split.constant_cube, "fully_symmetric")
-    if updated.abar[k] != expected:
+    if updated.abar[k] != split.constant:
         raise InternalInconsistency(
             f"order-{k} term after the Hamiltonian step is not the constant part"
         )
@@ -132,7 +126,7 @@ def recurrence_step(conn: ConnectionCurve, k):
             raise InternalInconsistency(
                 f"the order-{k} step modified the settled order {p}"
             )
-    return f_k, split.constant_cube, updated, step
+    return f_k, updated, step
 
 
 @dataclass
@@ -151,24 +145,24 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     as a corollary, flatness of the input itself.  A curve that is not of
     Ricci type is refused by the order-1 step; a cap-0 curve is flat.
 
-    The final check compares witness . input with the last stepped curve,
+    The flat ladder is read off the last stepped curve once, by
+    `from_connection_curve`, which also refuses a constant part that is not
+    real.  The final check compares witness . input with that last curve,
     which is the embedded flat curve without building it again: step k
-    asserted that its order k is the constant cube_k and that orders below
-    k are unchanged, so every order k >= 1 of the last curve is
-    from_constant(cube_k), as in embed_invariant(flat).  Order 0 of
-    witness . input is zero (`act_on_connection` asserts it), so equality
-    pins order 0 of the last curve to zero as well.  What the check tests
-    is the composition: witness . input is one action of the composed
-    witness, while the last curve is the steps' actions applied one by one.
+    asserted that its order k is Q_k, the zero-mode part of the order-k
+    term it was given, and that orders below k are unchanged, so the last
+    curve is embed_invariant(flat).  Order 0 of witness . input is zero
+    (`act_on_connection` asserts it), so equality pins order 0 of the last
+    curve to zero as well.  What the check tests is the composition:
+    witness . input is one action of the composed witness, while the last
+    curve is the steps' actions applied one by one.
     """
     sdata, cap = conn.sdata, conn.cap
     witness = SymplectoCurve.identity(sdata, cap)
     current = conn
-    cubes = [None] * (cap + 1)
     log = []
     for k in range(1, cap + 1):
-        f_k, cube, current, step = recurrence_step(current, k)
-        cubes[k] = cube
+        f_k, current, step = recurrence_step(current, k)
         witness = compose(step, witness)
         log.append(
             {
@@ -179,9 +173,7 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
         )
     if not current.is_invariant():
         raise InternalInconsistency("normalized curve is not invariant at all orders")
-    flat = StructureMapCurve(
-        sdata, cap, [zero_cube(sdata.dim)] + [cubes[k] for k in range(1, cap + 1)]
-    )
+    flat = from_connection_curve(current)
     flatness_theorem_check(flat)
     if act_on_connection(witness, conn) != current:
         raise InternalInconsistency("witness does not conjugate the input to the flat curve")

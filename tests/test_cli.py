@@ -452,6 +452,38 @@ def test_generate_above_a_ceiling_exit_2(tmp_path, capsys, flag, value, message)
     assert not out_p.exists()
 
 
+@pytest.mark.parametrize("kind, order, floor", [
+    ("rank-one", "-1", 0),
+    ("gradient", "-1", 0),
+    ("random", "-1", 0),
+    ("conjugated", "-1", 2),
+    ("conjugated", "0", 2),
+    ("conjugated", "1", 2),
+])
+def test_generate_below_an_order_floor_exit_2(tmp_path, capsys, kind, order, floor):
+    """An --order the fixture cannot be built at is a bad flag, named as one."""
+    out_p = tmp_path / "small.json"
+    code, out, err = run(capsys, "generate", "--kind", kind, "--order", order,
+                         "--out", str(out_p))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: order {order} for --kind {kind} must be at least {floor}")
+    assert "Traceback" not in err
+    assert not out_p.exists()
+
+
+@pytest.mark.parametrize("kind", ["rank-one", "random"])
+def test_generate_at_order_zero_is_accepted(capsys, kind):
+    code, out, _ = run(capsys, "generate", "--kind", kind, "--order", "0")
+    assert code == 0
+    assert json.loads(out)["cap"] == 0
+
+
+def test_generate_conjugated_at_its_floor_is_accepted(capsys):
+    code, out, _ = run(capsys, "generate", "--kind", "conjugated", "--order", "2")
+    assert code == 0
+    assert json.loads(out)["cap"] == 2
+
+
 def test_generate_at_the_ceilings_is_accepted(capsys):
     from sympconn.cli import MAX_GENERATE_DIM, MAX_GENERATE_ORDER
 

@@ -5,10 +5,10 @@ from itertools import product
 import pytest
 
 import sympconn.invariant as invariant
-from sympconn.curvature import curvature_curve, is_ricci_type
+from sympconn.curvature import ConnectionCurve, curvature_curve, is_ricci_type
 from sympconn.errors import PreconditionError
-from sympconn.fourier import SymplecticData
-from sympconn.generate import rank_one_ladder, validated_sum_ladder
+from sympconn.fourier import FourierScalar, SymplecticData, TensorField
+from sympconn.generate import gradient_curve, rank_one_ladder, validated_sum_ladder
 from sympconn.invariant import (
     StructureMapCurve,
     embed_invariant,
@@ -22,6 +22,7 @@ from sympconn.invariant import (
 from sympconn.euclidean import validity_check_cubes
 from sympconn.linalg import transpose
 from sympconn.moduli import cheap_invariants, validity_check
+from sympconn.rationals import GaussianRational
 
 
 def e_vec(dim, a):
@@ -114,6 +115,22 @@ def test_embed_round_trip():
     ok, _, _ = is_ricci_type(conn)
     assert ok
     assert from_connection_curve(conn) == curve
+
+
+def test_from_connection_curve_refuses_a_curve_that_is_not_invariant():
+    sd = SymplecticData.standard(4)
+    conn = gradient_curve(sd, 1, FourierScalar.cosine(4, (1, 0, 0, 0)))
+    with pytest.raises(PreconditionError, match="^connection curve is not invariant$"):
+        from_connection_curve(conn)
+
+
+def test_from_connection_curve_refuses_an_imaginary_constant():
+    sd = SymplecticData.standard(4)
+    i_const = FourierScalar.constant(4, GaussianRational(0, 1))
+    t = TensorField(4, 3, {(0, 0, 0): i_const}, "fully_symmetric")
+    conn = ConnectionCurve(sd, 1, [t], validate=False)
+    with pytest.raises(PreconditionError, match="^invariant cube must be real$"):
+        from_connection_curve(conn)
 
 
 def invalid_ladder(sd, i):

@@ -17,6 +17,11 @@ def test_unknown_law_rejected():
         run_law("L99", SEEDS)
 
 
+def test_a_generator_of_seeds_is_counted_once():
+    """The seeds are read once: a one-shot iterable reports how many ran."""
+    assert run_law("L2", (s for s in range(3))) == {"law": "L2", "pass": True, "seeds": 3}
+
+
 def test_failure_reports_minimal_seed():
     """A deliberately failing pseudo-law must surface the smallest seed."""
     from sympconn import laws

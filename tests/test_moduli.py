@@ -68,6 +68,20 @@ def test_action_preserves_validity_and_invariants():
     assert cheap_invariants(moved) == cheap_invariants(a)
 
 
+def test_validity_check_names_a_broken_symmetry_of_a_x_y():
+    """S_012 = 1 alone is not symmetric in its first two slots, so
+    A(e_0) e_1 != A(e_1) e_0; the identity check reports that pair before
+    any product is formed."""
+    cube = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    cube[0][1][2] = 1
+    curve = StructureMapCurve(SD, 1, [cube], validate=False)
+    witness = {"identity": "A(X)Y = A(Y)X", "order": 1, "pair": (0, 1)}
+    assert validity_check(curve) == (False, witness)
+    with pytest.raises(PreconditionError) as err:
+        moduli.require_valid(curve)
+    assert str(err.value) == f"invalid structure-map curve: {witness}"
+
+
 def test_action_rejects_non_symplectic_matrix():
     a = rank_one_ladder(SD, 1, seed=0)
     bad = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

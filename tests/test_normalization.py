@@ -8,6 +8,7 @@ from sympconn.curvature import curvature_curve
 from sympconn.errors import InternalInconsistency, NotExactCube, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
 from sympconn.generate import (
+    conjugated_flat,
     conjugated_flat_fixture,
     gradient_curve,
     random_connection_curve,
@@ -30,7 +31,7 @@ def test_potential_split_recovers_planted_potential():
     conn = gradient_curve(SD, 2, COS1, 1)
     split = potential_split(conn.abar[1])
     assert split.potential == COS1
-    assert all(x == 0 for plane in split.constant_cube for row in plane for x in row)
+    assert split.constant.is_zero()
 
 
 def test_potential_split_keeps_constant_part():
@@ -38,9 +39,41 @@ def test_potential_split_keeps_constant_part():
     field = embed_invariant(ladder).abar[1] + gradient_curve(SD, 1, COS1, 1).abar[1]
     split = potential_split(field)
     assert split.potential == COS1
-    assert split.constant_cube == tuple(
-        tuple(tuple(row) for row in plane) for plane in ladder.cubes[1]
-    )
+    assert split.constant == embed_invariant(ladder).abar[1]
+
+
+COS_ALL = FourierScalar.cosine(4, (1, 1, 1, 1))
+
+
+def zero_modes_share_components(t):
+    """Whether t has a zero mode and every component holding one also holds
+    a nonzero mode."""
+    held = [f for f in t.components.values() if (0,) * t.dim in f.coeffs]
+    return bool(held) and all(len(f.coeffs) > 1 for f in held)
+
+
+def test_potential_split_keeps_only_the_zero_modes():
+    """grad^3 cos(x^1 + ... + x^4) reaches every component, so each nonzero
+    cube entry shares its component with nonzero modes; Q keeps the zero
+    modes alone."""
+    ladder = rank_one_ladder(SD, 1, seed=1)
+    field = embed_invariant(ladder).abar[1] + gradient_curve(SD, 1, COS_ALL, 1).abar[1]
+    assert zero_modes_share_components(field)
+    split = potential_split(field)
+    assert split.potential == COS_ALL
+    assert split.constant == embed_invariant(ladder).abar[1]
+
+
+def test_normalization_where_zero_modes_share_components():
+    """A flat ladder moved by psi_{cos(x^1 + ... + x^4)}(t): every component
+    of the order-1 term that holds a zero mode also holds nonzero modes, and
+    the step leaves exactly the zero modes."""
+    flat = rank_one_ladder(SD, 2, seed=1)
+    psi, moved = conjugated_flat(SD, 2, flat, [(COS_ALL, 1)])
+    assert zero_modes_share_components(moved.abar[1])
+    result = normalize_curve(moved)
+    assert result.flat_curve == flat
+    assert act_on_connection(result.witness, moved) == embed_invariant(flat)
 
 
 def test_potential_split_rejects_non_cube():
