@@ -8,7 +8,18 @@ Christoffel symbols.  For products the keys are int tuples that add, as
 Fourier modes and polynomial exponents do.  `dict_derivative` and
 `dict_shift` are the Fourier-mode operations of `fourier.FourierScalar`.
 These loops dominate the runtime of every tensor operation.
+
+`GaussianSums` is the one exact accumulator of the curvature calculus: a
+sum of many signed terms per key (Fourier coefficient maps, their products
+and their derivatives) kept as unreduced Gaussian-integer triples.  It reads
+a `GaussianRational`'s fields (p, q, d), the value (p + i q) / d, directly,
+so no `GaussianRational` and no gcd is made per term.
 """
+
+from math import gcd
+from operator import add
+
+from ..rationals import _reduced
 
 
 def accumulate(acc, key, value):
@@ -100,3 +111,91 @@ def dict_derivative(a, axis):
 def dict_shift(a, delta):
     """Multiply by the single mode e^{i delta.x}: all modes translate by delta."""
     return {tuple(x + y for x, y in zip(m, delta)): c for m, c in a.items()}
+
+
+class GaussianSums:
+    """Exact sums of Gaussian-rational coefficient maps, one sum per key.
+
+    Each key holds {mode: [p, q, d]}, the value (p + i q) / d with d > 0 and
+    no gcd taken.  A term with another denominator merges over the lcm of
+    the two, so the stored d is the lcm of the term denominators and stays
+    small.  Each adder takes an int `sign` (a factor such as -1 or 2) and
+    reads the fields (p, q, d) of the `GaussianRational` values of a
+    coefficient map.  `finish` reduces each sum once; `all_zero` is true
+    exactly when every sum vanishes.
+    """
+
+    __slots__ = ("sums",)
+
+    def __init__(self):
+        self.sums = {}
+
+    def _target(self, key):
+        t = self.sums.get(key)
+        if t is None:
+            t = self.sums[key] = {}
+        return t
+
+    def add(self, key, a, sign=1, weight=1):
+        """sums[key] += sign * weight * a, for a rational (int or Fraction)
+        weight."""
+        t = self._target(key)
+        n, w = sign * weight.numerator, weight.denominator
+        for m, c in a.items():
+            _merge(t, m, c.p * n, c.q * n, c.d * w)
+
+    def add_product(self, key, a, b, sign=1):
+        """sums[key] += sign * a b: keys add, coefficients multiply."""
+        t = self._target(key)
+        if len(a) > len(b):
+            a, b = b, a
+        right = [(m, c.p, c.q, c.d) for m, c in b.items()]
+        for m1, c in a.items():
+            p1, q1, d1 = sign * c.p, sign * c.q, c.d
+            for m2, p2, q2, d2 in right:
+                m = tuple(map(add, m1, m2))
+                _merge(t, m, p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
+
+    def add_derivative(self, key, a, axis, sign=1):
+        """sums[key] += sign * d a / d x^axis: the coefficient at mode m
+        times i m[axis]."""
+        t = self._target(key)
+        for m, c in a.items():
+            k = m[axis]
+            if k:
+                k *= sign
+                _merge(t, m, -c.q * k, c.p * k, c.d)
+
+    def all_zero(self):
+        return not any(p or q for t in self.sums.values() for p, q, _ in t.values())
+
+    def finish(self, scalar, dim):
+        """{key: scalar(dim, coefficients)} over the keys whose sum is not
+        zero; each coefficient is reduced once and zero modes are dropped."""
+        out = {}
+        for key, t in self.sums.items():
+            coeffs = {}
+            for m, (p, q, d) in t.items():
+                if p or q:
+                    coeffs[m] = _reduced(p, q, d)
+            if coeffs:
+                out[key] = scalar(dim, coeffs, _validated=True)
+        return out
+
+
+def _merge(t, m, p, q, d):
+    """t[m] += (p + i q) / d over the lcm of the denominators."""
+    cur = t.get(m)
+    if cur is None:
+        t[m] = [p, q, d]
+        return
+    cd = cur[2]
+    if cd == d:
+        cur[0] += p
+        cur[1] += q
+    else:
+        g = gcd(cd, d)
+        u, v = d // g, cd // g
+        cur[0] = cur[0] * u + p * v
+        cur[1] = cur[1] * u + q * v
+        cur[2] = cd * u

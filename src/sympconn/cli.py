@@ -211,8 +211,9 @@ def cmd_generate(args):
         raise InputError(f"dimension {dim} exceeds the ceiling of {MAX_GENERATE_DIM}")
     if args.order > MAX_GENERATE_ORDER:
         raise InputError(f"order {args.order} exceeds the ceiling of {MAX_GENERATE_ORDER}")
-    # the conjugated fixture's Hamiltonian steps sit at orders 1 and 2
-    floor = 2 if args.kind == "conjugated" else 0
+    # the conjugated fixture's Hamiltonian steps sit at orders 1 and 2, and
+    # the gradient curve's term at order 1
+    floor = {"conjugated": 2, "gradient": 1}.get(args.kind, 0)
     if args.order < floor:
         raise InputError(f"order {args.order} for --kind {args.kind} must be at least {floor}")
     if args.omega:

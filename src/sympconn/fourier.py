@@ -13,6 +13,7 @@ Indices are 0-based internally; serialized files use 1-based indices.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
 
 from ._kernel import pure as K
@@ -24,6 +25,14 @@ from .series import SparseScalar
 
 def _int_if_integral(x):
     return int(x) if x.denominator == 1 else x
+
+
+@lru_cache(maxsize=16)
+def _omega_inverse(omega_lo):
+    """omega^{-1}, one Gauss-Jordan elimination per omega while it is among
+    the 16 last used.  A singular omega raises, and a raised call is never
+    cached, so it is refused on every call."""
+    return inverse(omega_lo)
 
 
 class SymplecticData:
@@ -51,7 +60,7 @@ class SymplecticData:
             raise ConfigurationError("omega must be antisymmetric")
         self.dim = dim
         self.omega_lo = omega_lo
-        self.omega_hi = inverse(omega_lo)
+        self.omega_hi = _omega_inverse(omega_lo)
         self._sp_terms = None
 
     @classmethod

@@ -454,7 +454,8 @@ def test_generate_above_a_ceiling_exit_2(tmp_path, capsys, flag, value, message)
 
 @pytest.mark.parametrize("kind, order, floor", [
     ("rank-one", "-1", 0),
-    ("gradient", "-1", 0),
+    ("gradient", "-1", 1),
+    ("gradient", "0", 1),
     ("random", "-1", 0),
     ("conjugated", "-1", 2),
     ("conjugated", "0", 2),
@@ -482,6 +483,12 @@ def test_generate_conjugated_at_its_floor_is_accepted(capsys):
     code, out, _ = run(capsys, "generate", "--kind", "conjugated", "--order", "2")
     assert code == 0
     assert json.loads(out)["cap"] == 2
+
+
+def test_generate_gradient_at_its_floor_is_accepted(capsys):
+    code, out, _ = run(capsys, "generate", "--kind", "gradient", "--order", "1")
+    assert code == 0
+    assert json.loads(out)["cap"] == 1
 
 
 def test_generate_at_the_ceilings_is_accepted(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -358,3 +359,142 @@ def test_curvature_curve_checks_the_last_pair_symmetry():
     conn._mixed = orders
     with pytest.raises(InternalInconsistency, match="curvature symmetries violated at order 2$"):
         curvature_curve(conn)
+
+
+@pytest.mark.parametrize("upper", [3, 0], ids=["c>d", "c<d"])
+def test_curvature_curve_refuses_a_last_pair_entry_without_its_partner(upper):
+    """A mixed tensor with the single entry A^0_{1c} (not the raised Abar)
+    puts Abar_{00d} A^0_{1c} on R_{01cd} and nothing on R_{01dc}.  With
+    Abar_{000} only, that entry has c = 3 > d = 0; with Abar_{003} and its
+    permutations, the entry (0, 1, 0, 3) has c < d.  Either side alone is
+    caught."""
+    sd = SymplecticData.standard(4)
+    idx = (0, 0, 0) if upper == 3 else (0, 0, 3)
+    one = FourierScalar.constant(4, 1)
+    abar = TensorField(4, 3, {p: one for p in set(permutations(idx))})
+    conn = curvature.ConnectionCurve(sd, 2, [abar, TensorField.zero(4, 3)])
+    conn._mixed = [TensorField.zero(4, 3), TensorField(4, 3, {(1, upper, 0): one}),
+                   TensorField.zero(4, 3)]
+    with pytest.raises(InternalInconsistency, match="curvature symmetries violated at order 2$"):
+        curvature_curve(conn)
+
+
+def test_curvature_binds_no_term_by_term_kernel():
+    """Every sum in `curvature` goes through the one exact accumulator,
+    `GaussianSums`; no per-term Gaussian-rational kernel is bound there."""
+    for name in ("accumulate", "dict_convolve", "dict_neg"):
+        assert not hasattr(curvature, name)
+
+
+# -- the accumulator's sums against per-term GaussianRational copies -----------------
+
+
+def reference_ricci_curve(conn):
+    """`ricci_curve` as first written, summing FourierScalars with `accumulate`."""
+    mixed = conn.mixed
+    out = []
+    for k in range(conn.cap + 1):
+        acc = {}
+        for (a, b, q), f in mixed[k].components.items():
+            accumulate(acc, (a, b), -f.derivative(q))
+        for s in range(1, k):
+            for (a, q, p), g1 in mixed[s].components.items():
+                for (b, p2, q2), g2 in mixed[k - s].components.items():
+                    if p2 == p and q2 == q:
+                        accumulate(acc, (a, b), g1 * g2)
+        out.append(TensorField(conn.dim, 2, acc))
+    return TensorFieldCurve(conn.cap, out)
+
+
+def reference_covariant_derivative(conn, t_curve):
+    mixed = conn.mixed
+    out = []
+    for k in range(conn.cap + 1):
+        acc = {}
+        for idx, f in t_curve[k].components.items():
+            for a in range(conn.dim):
+                accumulate(acc, (a,) + idx, f.derivative(a))
+        for s in range(1, k + 1):
+            for (a, b, p), g in mixed[s].components.items():
+                for idx, f in t_curve[k - s].components.items():
+                    for j, bj in enumerate(idx):
+                        if bj == p:
+                            accumulate(acc, (a,) + idx[:j] + (b,) + idx[j + 1:], -(g * f))
+        out.append(TensorField(conn.dim, t_curve.rank + 1, acc))
+    return TensorFieldCurve(conn.cap, out)
+
+
+def reference_extract_u_b(conn):
+    """u, b and the three residual verdicts of `extract_u_b` from the same
+    formulas, each sum a FourierScalar `accumulate`."""
+    sdata, cap = conn.sdata, conn.cap
+    dim, n, hi, lo = sdata.dim, sdata.n, sdata.omega_hi, sdata.omega_lo
+    r2 = reference_ricci_curve(conn)
+    dr = reference_covariant_derivative(conn, r2)
+
+    def field(rank, terms):
+        acc = {}
+        for key, f in terms:
+            accumulate(acc, key, f)
+        return TensorField(dim, rank, acc)
+
+    u = TensorFieldCurve(cap, [
+        field(1, (((c,), f.scale(-hi[a][b])) for (a, b, c), f in t.components.items()))
+        for t in dr.orders])
+    du = reference_covariant_derivative(conn, u)
+    rho = [field(2, (((q, b), f.scale(hi[q][a])) for (a, b), f in t.components.items()
+                     for q in range(dim))) for t in r2.orders]
+    rho2 = [field(2, (((p, b), f * g) for s in range(k + 1)
+                      for (p, q), f in rho[s].components.items()
+                      for (q2, b), g in rho[k - s].components.items() if q2 == q))
+            for k in range(cap + 1)]
+    cconst = Fraction(1 + 2 * n, 2 * (1 + n))
+    b = TensorFieldCurve(cap, [
+        field(0, [((), f.scale(hi[a][bb])) for (a, bb), f in du[k].components.items()]
+              + [((), f.scale(-cconst)) for (p, q), f in rho2[k].components.items() if p == q]
+              ).scale(Fraction(-1, 2 * n))
+        for k in range(cap + 1)])
+    pairs = [(a, bb, lo[a][bb]) for a in range(dim) for bb in range(dim)]
+    res1 = [field(3, list(dr[k].components.items())
+                  + [(key, f.scale(w * Fraction(-1, 2 * n + 1)))
+                     for (c,), f in u[k].components.items() for a, bb, w in pairs
+                     for key in ((a, bb, c), (a, c, bb))]).is_zero()
+            for k in range(cap + 1)]
+    res2 = [field(2, list(du[k].components.items())
+                  + [((a, bcol), f.scale(lo[a][p] * cconst))
+                     for (p, bcol), f in rho2[k].components.items() for a in range(dim)]
+                  + [((a, bb), b[k].get(()).scale(-w)) for a, bb, w in pairs]).is_zero()
+            for k in range(cap + 1)]
+    ubar = [{l: sum((f.scale(hi[c][l]) for (c,), f in u[s].components.items()),
+                    FourierScalar.zero(dim)) for l in range(dim)} for s in range(cap + 1)]
+    res3 = [field(1, [((a,), b[k].get(()).derivative(a)) for a in range(dim)]
+                  + [((a,), (ubar[s][p] * f).scale(Fraction(-1, 1 + n)))
+                     for s in range(k + 1) for (p, a), f in r2[k - s].components.items()]
+                  ).is_zero()
+            for k in range(cap + 1)]
+    residuals = {"ricci_derivative": res1, "u_derivative": res2, "b_differential": res3}
+    residuals["ok"] = all(res1) and all(res2) and all(res3)
+    return u, b, residuals
+
+
+@pytest.mark.parametrize("make,dim,cap", [c[1:] for c in CURVATURE_CURVES],
+                         ids=[c[0] for c in CURVATURE_CURVES])
+def test_ricci_curve_matches_the_per_term_reference(make, dim, cap):
+    conn = make(dim, cap)
+    assert ricci_curve(conn) == reference_ricci_curve(conn)
+
+
+@pytest.mark.parametrize("name,make,dim,cap", CURVATURE_CURVES,
+                         ids=[c[0] for c in CURVATURE_CURVES])
+def test_extract_u_b_matches_the_per_term_reference(name, make, dim, cap):
+    """On the Ricci-type (conjugated) curves u, b vanish and every residual
+    does; on the others u and b are read off anyway and compared in full."""
+    conn = make(dim, cap)
+    r2 = ricci_curve(conn)
+    assert covariant_derivative(conn, r2) == reference_covariant_derivative(conn, r2)
+    u, b, residuals = extract_u_b(conn)
+    want_u, want_b, want_residuals = reference_extract_u_b(conn)
+    assert u == want_u and b == want_b
+    assert residuals == want_residuals
+    if not name.startswith("conjugated"):
+        assert not residuals["ok"] and not u.is_zero() and not b.is_zero()

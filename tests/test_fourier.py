@@ -95,6 +95,20 @@ def test_standard_omega_shape():
     assert sd.is_standard()
 
 
+def test_omega_inverse_is_computed_once_per_omega_and_bad_omegas_are_always_refused():
+    """omega^{-1} is shared by every SymplecticData of one omega, and a
+    refused omega is refused again on every call, not served from a cache."""
+    assert SymplecticData.standard(DIM).omega_hi is SymplecticData.standard(DIM).omega_hi
+    singular = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    symmetric = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    for _ in range(3):
+        with pytest.raises(ConfigurationError, match="singular matrix"):
+            SymplecticData(singular)
+        with pytest.raises(ConfigurationError, match="omega must be antisymmetric"):
+            SymplecticData(symmetric)
+    assert SymplecticData.standard(DIM).omega_hi == inverse(SymplecticData.standard(DIM).omega_lo)
+
+
 def test_raise_lower_are_inverse():
     sd = SymplecticData.standard(DIM)
     f = FourierScalar.cosine(DIM, (1, 0, 1, 0))

@@ -3,7 +3,11 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sympconn._kernel import pure
+from sympconn.fourier import FourierScalar, SymplecticData
 from sympconn.rationals import GaussianRational
 
 
@@ -83,3 +87,97 @@ def test_zero_test_is_the_truth_value_for_every_value_type():
         assert pure.dict_scale(a, 0) == {} and pure.dict_scale(a, 2) == {(0,): w, (1,): w}
         square = pure.dict_convolve(a, {(0,): v, (1,): -v})
         assert square == {(0,): v * v, (2,): -(v * v)}
+
+
+# -- the exact accumulator behind the curvature sums ----------------------------------
+
+# P is unimodular, so (1/2) P^T omega P is a non-standard rational omega; the
+# weights below are the nonzero entries of it and of its inverse, as the
+# curvature sums read them.
+_P = ((1, 2, 0, 1), (0, 1, 1, 0), (0, 0, 1, 3), (0, 0, 0, 1))
+_LO = SymplecticData.standard(4).omega_lo
+_OMEGA = SymplecticData([
+    [Fraction(sum(_P[k][i] * _LO[k][l] * _P[l][j] for k in range(4) for l in range(4)), 2)
+     for j in range(4)] for i in range(4)
+])
+WEIGHTS = sorted({x for m in (_OMEGA.omega_lo, _OMEGA.omega_hi) for row in m for x in row if x})
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6, 9)))
+_coeffs = st.builds(GaussianRational, _rationals, _rationals).filter(bool)
+_maps = st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), _coeffs, max_size=4)
+_terms = st.one_of(
+    st.tuples(st.just("add"), _maps, st.sampled_from(WEIGHTS + [1, -3])),
+    st.tuples(st.just("product"), _maps, _maps),
+    st.tuples(st.just("derivative"), _maps, st.integers(0, 1)),
+)
+_ops = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-2, -1, 1, 2)), _terms),
+                max_size=8)
+
+
+def _reference_term(term, sign):
+    """The term's coefficient map from plain Gaussian-rational arithmetic."""
+    kind, a, x = term
+    if kind == "add":
+        return {m: c * (sign * x) for m, c in a.items()}
+    if kind == "product":
+        return pure.dict_scale(pure.dict_convolve(a, x), sign)
+    return pure.dict_scale(pure.dict_derivative(a, x), sign)
+
+
+def _add_term(acc, key, term, sign):
+    kind, a, x = term
+    if kind == "add":
+        acc.add(key, a, sign, x)
+    elif kind == "product":
+        acc.add_product(key, a, x, sign)
+    else:
+        acc.add_derivative(key, a, x, sign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops, st.integers(0, 8))
+def test_gaussian_sums_match_plain_gaussian_rational_sums(ops, cancelled):
+    """Every adder, with every sign, against the same sums in GaussianRational
+    arithmetic; the first `cancelled` terms are added again with the opposite
+    sign, so modes and whole keys cancel to zero.  `finish` keeps no zero mode
+    and no empty key, and `all_zero` says whether anything is left."""
+    acc, want = pure.GaussianSums(), {}
+    for key, sign, term in ops + [(key, -sign, term) for key, sign, term in ops[:cancelled]]:
+        _add_term(acc, (key,), term, sign)
+        for m, c in _reference_term(term, sign).items():
+            pure.accumulate(want.setdefault((key,), {}), m, c)
+    want = {key: coeffs for key, coeffs in want.items() if coeffs}
+    got = acc.finish(FourierScalar, 2)
+    assert {key: f.coeffs for key, f in got.items()} == want
+    assert list(got) == [key for key in acc.sums if key in want]
+    assert acc.all_zero() == (not want)
+    if cancelled >= len(ops):
+        assert got == {} and acc.all_zero()
+
+
+def test_gaussian_sums_merge_over_the_lcm_of_the_denominators():
+    """A sum's denominator is the lcm of its terms' denominators: it does not
+    grow with the number of terms."""
+    acc = pure.GaussianSums()
+    halves = {(0, 0): GaussianRational(Fraction(1, 2), Fraction(1, 3))}
+    for w in (1, Fraction(1, 4), Fraction(5, 6), Fraction(-1, 4), 3) * 5:
+        acc.add("k", halves, 1, w)
+    (p, q, d), = acc.sums["k"].values()
+    assert d == 72  # lcm(6, 24, 36, 24, 6)
+    total = 5 * (1 + Fraction(5, 6) + 3)
+    assert acc.finish(FourierScalar, 2)["k"].coeffs == {(0, 0): GaussianRational(total / 2, total / 3)}
+
+
+def test_gaussian_sums_signs_of_the_product_and_derivative_adders():
+    """cos x times itself, and the derivative of sin x, with both signs."""
+    cos = FourierScalar.cosine(2, (1, 0)).coeffs
+    sin = FourierScalar.sine(2, (1, 0)).coeffs
+    for sign in (1, -1, 2):
+        acc = pure.GaussianSums()
+        acc.add_product("sq", cos, cos, sign)
+        acc.add_derivative("d", sin, 0, sign)
+        got = acc.finish(FourierScalar, 2)
+        half = Fraction(sign, 2)
+        # cos^2 = 1/2 + cos(2x)/2, d sin = cos
+        assert got["sq"] == FourierScalar.constant(2, half) + FourierScalar.cosine(2, (2, 0), half)
+        assert got["d"] == FourierScalar.cosine(2, (1, 0), sign)

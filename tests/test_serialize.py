@@ -158,6 +158,29 @@ def test_symmetry_violations_name_the_first_sorted_pair():
         assert str(exc.value) == f"R order 2: symmetry {tag!r} violated, entry {tail}"
 
 
+def test_reality_is_read_on_sorted_indices_after_the_symmetry_check():
+    """A fully symmetric field is tested for reality on its sorted indices
+    only; the texts of both refusals are unchanged."""
+    from sympconn.serialize import tensor_from_json
+
+    def entries(values):
+        return [{"idx": idx, "modes": [{"m": [0, 0, 0, 0], "c": {"re": "1", "im": im}}]}
+                for idx, im in values]
+
+    cases = [
+        # the non-real entry sits at an unsorted index and differs from its partner
+        ([([1, 1, 2], "0"), ([1, 2, 1], "0"), ([2, 1, 1], "1")],
+         "symmetry 'fully_symmetric' violated, entry idx [1, 1, 2] disagrees with idx [2, 1, 1]"),
+        ([([1, 2, 1], "1"), ([1, 1, 2], "1"), ([2, 1, 1], "1")], "field is not real"),
+    ]
+    for values, tail in cases:
+        obj = {"rank": 3, "symmetry": "fully_symmetric", "entries": entries(values)}
+        for _ in range(2):
+            with pytest.raises(InputError) as exc:
+                tensor_from_json(obj, 4, "A order 1")
+            assert str(exc.value) == f"A order 1: {tail}"
+
+
 @pytest.mark.parametrize("entries", [[], [([1, 2, 2], "1")]])
 def test_curvature_type_of_wrong_rank_is_an_input_error(entries):
     from sympconn.serialize import tensor_from_json
