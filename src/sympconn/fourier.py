@@ -353,10 +353,6 @@ class TensorField:
     def is_fully_symmetric(self):
         return self.symmetry_witness("fully_symmetric") is None
 
-    def is_curvature_type(self):
-        """Rank 4, antisymmetric in slots (0,1), symmetric in slots (2,3)."""
-        return self.rank == 4 and self.symmetry_witness("curvature_type") is None
-
     def __eq__(self, other):
         if not isinstance(other, TensorField):
             return NotImplemented

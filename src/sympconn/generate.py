@@ -132,12 +132,10 @@ def gradient_curve(sdata: SymplecticData, cap, f: FourierScalar, order=1):
 
 
 def hamiltonian_steps(sdata: SymplecticData, cap, scalars_with_orders):
-    """Compose psi_{f}(t^k) steps, latest outermost, from (f, k) pairs."""
-    psi = SymplectoCurve.identity(sdata, cap)
-    for f, k in scalars_with_orders:
-        step = SymplectoCurve.from_hamiltonian(sdata, cap, f, k)
-        psi = compose(step, psi)
-    return psi
+    """The psi_{f}(t^k) steps of the (f, k) pairs composed in one `compose`,
+    latest outermost; no pairs give the identity."""
+    steps = [SymplectoCurve.from_hamiltonian(sdata, cap, f, k) for f, k in scalars_with_orders]
+    return compose(*reversed(steps)) if steps else SymplectoCurve.identity(sdata, cap)
 
 
 def conjugated_flat(sdata: SymplecticData, cap, flat: StructureMapCurve,

@@ -194,12 +194,12 @@ def law_l8_factorize(seed):
     psi = SymplectoCurve.from_hamiltonian(sdata, cap, f.zero_mean(), 1)
     if not g.is_zero():
         psi = compose(SymplectoCurve.from_hamiltonian(sdata, cap, g, 2), psi)
-    factors = factorize(psi)  # verified internally against the original
-    rebuilt = SymplectoCurve.identity(sdata, cap)
-    for y, k in reversed(factors):
+    factors = []
+    for y, k in factorize(psi):  # verified internally against the original
         gens = [y.zero(4) for _ in range(cap + 1)]
         gens[k] = y
-        rebuilt = compose(SymplectoCurve.from_generators(sdata, cap, gens), rebuilt)
+        factors.append(SymplectoCurve.from_generators(sdata, cap, gens))
+    rebuilt = compose(*factors) if factors else SymplectoCurve.identity(sdata, cap)
     if rebuilt != psi:
         return {"fail": "factor product differs from the original"}
     return None

@@ -17,10 +17,9 @@ from itertools import chain, groupby, product
 from math import lcm
 from operator import add, itemgetter
 
-from .curvature import ConnectionCurve, require_ricci_type
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
 from .fourier import SymplecticData
-from .invariant import StructureMapCurve, embed_invariant
+from .invariant import StructureMapCurve
 from .linalg import rank
 from .rationals import Fraction
 
@@ -331,14 +330,3 @@ def equivalence_semidecide(query: ModuliClassQuery) -> EquivalenceVerdict:
                 raise InternalInconsistency(f"word search witness {witness} does not carry a to b")
             return EquivalenceVerdict("equivalent", witness=witness)
     return EquivalenceVerdict("no_witness_within_bound", bound=query.search_bound)
-
-
-def descend_check(b_curve: StructureMapCurve) -> ConnectionCurve:
-    """Embed as a torus-invariant connection curve and verify, on the torus
-    side, that a valid structure map really is flat and Ricci type."""
-    require_valid(b_curve)
-    conn = embed_invariant(b_curve)
-    require_ricci_type(conn)
-    if not all(t.is_zero() for t in conn.curvature.orders):
-        raise InternalInconsistency("valid structure map embeds to a curved curve")
-    return conn

@@ -139,8 +139,9 @@ class NormalizationResult:
 def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     """Conjugate a Ricci-type curve to a flat invariant one.
 
-    The witness is the composition of the per-order Hamiltonian steps
-    (latest step outermost), and witness . input = embedded flat curve is
+    The witness is the composition of the per-order Hamiltonian steps,
+    normal-ordered once: one n-factor `compose` of the steps, latest step
+    outermost, after the last step.  witness . input = embedded flat curve is
     asserted exactly, as is flatness of the resulting invariant curve and,
     as a corollary, flatness of the input itself.  A curve that is not of
     Ricci type is refused by the order-1 step; a cap-0 curve is flat.
@@ -154,16 +155,16 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     curve is embed_invariant(flat).  Order 0 of witness . input is zero
     (`act_on_connection` asserts it), so equality pins order 0 of the last
     curve to zero as well.  What the check tests is the composition:
-    witness . input is one action of the composed witness, while the last
-    curve is the steps' actions applied one by one.
+    witness . input is one action of the single merge of all steps, while
+    the last curve is the steps' actions applied one by one.
     """
     sdata, cap = conn.sdata, conn.cap
-    witness = SymplectoCurve.identity(sdata, cap)
+    steps = []
     current = conn
     log = []
     for k in range(1, cap + 1):
         f_k, current, step = recurrence_step(current, k)
-        witness = compose(step, witness)
+        steps.append(step)
         log.append(
             {
                 "order": k,
@@ -175,6 +176,7 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
         raise InternalInconsistency("normalized curve is not invariant at all orders")
     flat = from_connection_curve(current)
     flatness_theorem_check(flat)
+    witness = compose(*reversed(steps)) if steps else SymplectoCurve.identity(sdata, cap)
     if act_on_connection(witness, conn) != current:
         raise InternalInconsistency("witness does not conjugate the input to the flat curve")
     if not all(t.is_zero() for t in conn.curvature.orders):

@@ -12,9 +12,12 @@ Curves are plain lists of length cap + 1 indexed by t-order.  A generator
 ladder gens[0..cap] always has gens[0] = 0, so every exponential below is an
 exact finite sum: the j-th power of X_t has valuation >= j and vanishes past
 the cap.  One table, `exp_terms`, builds those powers one order at a time for
-`exp_apply`, `exp_ad` and normal ordering (`merge_exponentials`), so solving
-order k re-expands nothing below it.  Only `exp_lie_connection`, whose first
-term is affine in the connection, keeps its own series.
+`exp_apply`, `exp_ad` and normal ordering, so solving order k re-expands
+nothing below it.  Normal ordering, `merge_exponentials`, takes any number
+of factors: a product exp(L1_t) ... exp(Ln_t) becomes one exp(Z_t) in one
+pass, so a chain of factors is never merged two at a time.  Only
+`exp_lie_connection`, whose first term is affine in the connection, keeps
+its own series.
 """
 
 from __future__ import annotations
@@ -386,18 +389,24 @@ def order_from_mismatch(field, diffs):
     return field([field.component_from_mismatch(dim, a, diff) for a, diff in enumerate(diffs)])
 
 
-def merge_exponentials(sdata, gens_a, gens_b):
-    """The generator ladder Z with exp(Z_t) = exp(A_t) exp(B_t) through the
-    cap, solved order by order on the coordinate test functions (no BCH
-    series needed), in one pass of `exp_terms`: f_a is constant in t, so
-    Z^(k) enters order k only through Q_1[k] = Z^(k) f_a, and Z^(k) is read
-    from target[k] minus the rest of order k.  Every order is asserted real
-    and symplectic, and the result is verified independently by
+def merge_exponentials(sdata, *ladders):
+    """The generator ladder Z with exp(Z_t) = exp(L1_t) ... exp(Ln_t) through
+    the cap, for one or more ladders in that order, solved order by order on
+    the coordinate test functions (no BCH series needed).  The targets are
+    the nested exp_apply(L1, ... exp_apply(Ln, f_a)), innermost factor
+    first; Z then comes from one pass of `exp_terms`: f_a is constant in t,
+    so Z^(k) enters order k only through Q_1[k] = Z^(k) f_a, and Z^(k) is
+    read from target[k] minus the rest of order k.  Every order is asserted
+    real and symplectic, and the result is verified independently by
     exp_apply(Z, f_a) == target."""
-    field = type(gens_a[0])
-    dim, cap = gens_a[0].dim, len(gens_a) - 1
+    field = type(ladders[0][0])
+    dim, cap = ladders[0][0].dim, len(ladders[0]) - 1
     tests = coordinate_tests(field, dim, cap)
-    targets = [exp_apply(gens_a, exp_apply(gens_b, f)) for f in tests]
+    targets = []
+    for f in tests:
+        for gens in reversed(ladders):
+            f = exp_apply(gens, f)
+        targets.append(f)
 
     def solve(k, partials):
         zk = order_from_mismatch(field, [t[k] - p for t, p in zip(targets, partials)])

@@ -33,7 +33,6 @@ from .rationals import Fraction, GaussianRational
 from .series import (
     VectorField,
     coordinate_tests,
-    exp_ad,
     exp_apply,
     exp_lie_connection,
     merge_exponentials,
@@ -260,11 +259,6 @@ class SymplectoCurve:
     def __repr__(self):
         return f"SymplectoCurve(dim={self.dim}, cap={self.cap})"
 
-    # -- operator action on scalars ---------------------------------------------
-
-    def apply_to_scalar_curve(self, fcurve):
-        exp_part = exp_apply(self.gens, fcurve)
-        return [affine_pullback_scalar(self.c_mat, self.d, g) for g in exp_part]
 
 def invert(psi: SymplectoCurve) -> SymplectoCurve:
     """psi^{-1} = tau^* o exp(Ad_{sigma^*}(-X_t)) with tau = sigma^{-1}."""
@@ -273,15 +267,6 @@ def invert(psi: SymplectoCurve) -> SymplectoCurve:
         for g in psi.gens
     ]
     return SymplectoCurve(psi.sdata, psi.cap, psi.c_inv, _neg_inv_translation(psi), gens)
-
-
-def act_on_vector_field(psi: SymplectoCurve, ycurve):
-    """psi . Y = psi Y psi^{-1} = Ad_{sigma^*}(exp(ad X_t) Y), per order."""
-    cap = psi.cap
-    if len(ycurve) != cap + 1:
-        raise PreconditionError("vector-field curve cap mismatch")
-    moved = exp_ad(psi.gens, list(ycurve))
-    return [conj_affine(psi.c_mat, psi.c_inv, psi.d, y) for y in moved]
 
 
 def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionCurve:
@@ -325,37 +310,54 @@ def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionC
 # -- normal ordering -----------------------------------------------------------
 
 
-def compose(psi: SymplectoCurve, phi: SymplectoCurve) -> SymplectoCurve:
-    """Operator composition psi o phi, re-normal-ordered to sigma^* o exp Z_t.
+def compose(*psis: SymplectoCurve) -> SymplectoCurve:
+    """Operator composition psi_1 o ... o psi_n, normal-ordered once to
+    sigma^* o exp Z_t.
 
-    With sigma_psi^* exp(X) sigma_phi^* exp(Y) the affine parts collect to
-    (sigma_phi o sigma_psi)^* and X is conjugated through sigma_phi^{-1}.
-    psi o id = psi and id o phi = phi exactly, so a side that is the
-    identity returns the other side itself, with no normal ordering; the
-    omega and cap check runs first either way.
+    In sigma_1^* exp(X_1) ... sigma_n^* exp(X_n) the affine parts collect to
+    (sigma_n o ... o sigma_1)^*, and each X_i is conjugated through the
+    inverse of the affine part on its right, (sigma_n o ... o sigma_(i+1))^*,
+    which is skipped while that part is the identity; the moved ladders then
+    merge in one `merge_exponentials`.  The omega and cap check runs first,
+    over all factors.  Identity factors are exact no-ops and are dropped: if
+    none is left the first factor itself is returned, and if one is left that
+    factor itself, with no normal ordering, so psi o id is psi.
     """
-    if psi.sdata != phi.sdata or psi.cap != phi.cap:
+    if not psis:
+        raise PreconditionError("composition needs at least one factor")
+    sdata, cap = psis[0].sdata, psis[0].cap
+    if any(psi.sdata != sdata or psi.cap != cap for psi in psis):
         raise PreconditionError("composition needs matching omega and caps")
-    if phi.is_identity():
-        return psi
-    if psi.is_identity():
-        return phi
-    sdata, cap = psi.sdata, psi.cap
-    c_new = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*psi.c_mat)) for row in phi.c_mat
-    )
-    if not sdata.is_symplectic_matrix(c_new):
+    kept = [psi for psi in psis if not psi.is_identity()]
+    if len(kept) <= 1:
+        return kept[0] if kept else psis[0]
+    # rho = sigma_n o ... o sigma_(i+1), the affine part right of factor i
+    last = kept[-1]
+    moved = [last.gens]
+    c_rho, c_rho_inv, d_rho = last.c_mat, last.c_inv, last.d
+    rho_is_identity = last.has_identity_affine_part()
+    for psi in reversed(kept[:-1]):
+        if rho_is_identity:
+            moved.append(psi.gens)
+        else:
+            back = tuple(-x for x in mat_vec(c_rho_inv, d_rho))
+            moved.append([
+                conj_affine(c_rho_inv, c_rho, back, g) if not g.is_zero() else g
+                for g in psi.gens
+            ])
+        rho_is_identity = rho_is_identity and psi.has_identity_affine_part()
+        d_rho = tuple(x + y for x, y in zip(mat_vec(c_rho, psi.d), d_rho))
+        c_rho = _mat_mul(c_rho, psi.c_mat)
+        c_rho_inv = _mat_mul(psi.c_inv, c_rho_inv)
+    if not sdata.is_symplectic_matrix(c_rho):
         raise InternalInconsistency("product of Sp(2n, Z) matrices is not symplectic")
-    d_new = tuple(x + y for x, y in zip(mat_vec(phi.c_mat, psi.d), phi.d))
-    moved = [
-        conj_affine(phi.c_inv, phi.c_mat, _neg_inv_translation(phi), g)
-        if not g.is_zero()
-        else g
-        for g in psi.gens
-    ]
-    z = merge_exponentials(sdata, moved, phi.gens)
+    z = merge_exponentials(sdata, *reversed(moved))
     # merge_exponentials has asserted every order of z real and symplectic
-    return SymplectoCurve(sdata, cap, c_new, d_new, z, validate=False)
+    return SymplectoCurve(sdata, cap, c_rho, d_rho, z, validate=False)
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def _neg_inv_translation(phi: SymplectoCurve):
@@ -369,8 +371,8 @@ def factorize(psi: SymplectoCurve):
     Returns [(Y^(k), k)] for the nonzero factors.  Once Y1..Y(k-1) are
     peeled off, rest_a = exp(t^k Yk) o ... f_a, whose order k is Yk(f_a);
     each solved factor is peeled off with one exp_apply per coordinate.  The
-    result is verified by re-composing the product back into a single
-    exponential and comparing ladders.
+    result is verified by merging the factors, in order, back into a single
+    exponential with one `merge_exponentials` and comparing ladders.
     """
     if not psi.has_identity_affine_part():
         raise PreconditionError("factorization requires the identity affine part")
@@ -393,10 +395,7 @@ def factorize(psi: SymplectoCurve):
             rest = [exp_apply(peel, r) for r in rest]
     if not factors:
         return []
-    recomposed = factors[0]
-    for gens_k in factors[1:]:
-        recomposed = merge_exponentials(sdata, recomposed, gens_k)
-    if recomposed != psi.gens:
+    if merge_exponentials(sdata, *factors) != psi.gens:
         raise InternalInconsistency("factorization failed re-composition")
     return [
         (factors[k - 1][k], k)

@@ -24,6 +24,12 @@ modes = st.tuples(*[st.integers(-2, 2)] * DIM)
 amps = st.fractions(max_denominator=6)
 
 
+def is_curvature_type(t):
+    """Test-only reference: rank 4, antisymmetric in slots (0,1), symmetric
+    in slots (2,3)."""
+    return t.rank == 4 and t.symmetry_witness("curvature_type") is None
+
+
 @st.composite
 def real_scalars(draw):
     f = FourierScalar.zero(DIM)
@@ -186,7 +192,7 @@ def test_symmetry_witness_drives_both_predicates():
     assert broken.symmetry_witness("none") is None
     with pytest.raises(ConfigurationError, match="needs rank 4, got rank 3"):
         field.symmetry_witness("curvature_type")
-    assert not field.is_curvature_type()
+    assert not is_curvature_type(field)
 
 
 # -- the symplectic group of omega -----------------------------------------------

@@ -3,15 +3,15 @@ from fractions import Fraction
 import pytest
 
 from sympconn import moduli
+from sympconn.curvature import require_ricci_type
 from sympconn.errors import ConfigurationError, InternalInconsistency, PreconditionError
 from sympconn.fourier import SymplecticData
 from sympconn.generate import rank_one_ladder, validated_sum_ladder
-from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
+from sympconn.invariant import StructureMapCurve, embed_invariant, rank_one_cube, zero_cube
 from sympconn.linalg import inverse, matrix
 from sympconn.moduli import (
     ModuliClassQuery,
     cheap_invariants,
-    descend_check,
     equivalence_semidecide,
     sp_action,
     sp_generators,
@@ -176,6 +176,17 @@ def test_invalid_curve_rejected():
     good = rank_one_ladder(SD, 3, seed=1)
     with pytest.raises(PreconditionError):
         equivalence_semidecide(ModuliClassQuery(bad, good, 1))
+
+
+def descend_check(b_curve):
+    """Test-only reference: embed as a torus-invariant connection curve and
+    verify, on the torus side, that a valid structure map really is flat and
+    Ricci type."""
+    moduli.require_valid(b_curve)
+    conn = embed_invariant(b_curve)
+    require_ricci_type(conn)
+    assert all(t.is_zero() for t in conn.curvature.orders)
+    return conn
 
 
 def test_descend_check():

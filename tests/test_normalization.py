@@ -21,7 +21,8 @@ from sympconn.normalization import (
     recurrence_step,
 )
 from sympconn.rationals import GaussianRational
-from sympconn.symplecto import act_on_connection
+from sympconn.serialize import dumps
+from sympconn.symplecto import SymplectoCurve, act_on_connection, compose
 
 SD = SymplecticData.standard(4)
 COS1 = FourierScalar.cosine(4, (1, 0, 0, 0))
@@ -183,21 +184,44 @@ def test_potential_split_reports_the_first_defect_of_the_full_check():
 
 
 def test_two_step_normalization_merges_once(monkeypatch):
-    """The witness starts as the identity, so composing the first step in
-    runs no normal ordering; the second step merges once."""
+    """The two steps are normal-ordered together, in one merge."""
     _, _, moved = conjugated_flat_fixture(5, dim=4, cap=2, orders=(1, 2))
     calls = []
     original = symplecto.merge_exponentials
 
-    def counting(sdata, gens_a, gens_b):
+    def counting(sdata, *ladders):
         calls.append(1)
-        return original(sdata, gens_a, gens_b)
+        return original(sdata, *ladders)
 
     monkeypatch.setattr(symplecto, "merge_exponentials", counting)
     result = normalize_curve(moved)
     assert [entry["potential_support"] > 0 for entry in result.per_order_log] == [True, True]
     assert len(calls) == 1
     assert act_on_connection(result.witness, moved) == embed_invariant(result.flat_curve)
+
+
+def test_every_order_normalization_merges_once_into_the_step_by_step_witness(monkeypatch):
+    """Seven steps at cap 8 are normal-ordered in one merge, and the witness
+    is the one the compose-per-step loop builds, to the byte."""
+    _, _, moved = conjugated_flat_fixture(7, dim=4, cap=8, orders=tuple(range(1, 8)))
+    stepwise = SymplectoCurve.identity(SD, 8)
+    current = moved
+    for k in range(1, 9):
+        _, current, step = recurrence_step(current, k)
+        stepwise = compose(step, stepwise)
+    calls = []
+    original = symplecto.merge_exponentials
+
+    def counting(sdata, *ladders):
+        calls.append(len(ladders))
+        return original(sdata, *ladders)
+
+    monkeypatch.setattr(symplecto, "merge_exponentials", counting)
+    result = normalize_curve(moved)
+    assert sum(entry["potential_support"] > 0 for entry in result.per_order_log) == 7
+    assert calls == [7]
+    assert result.witness == stepwise
+    assert dumps(result.witness) == dumps(stepwise)
 
 
 @pytest.mark.parametrize("dropped", [1, 2])
@@ -208,12 +232,12 @@ def test_a_witness_missing_a_step_fails_the_final_check(monkeypatch, dropped):
     composed = []
     original = normalization.compose
 
-    def dropping(psi, phi):
-        composed.append(psi)
-        return phi if len(composed) == dropped else original(psi, phi)
+    def dropping(*psis):
+        composed.append(psis)
+        return original(*(psi for i, psi in enumerate(psis, 1) if i != dropped))
 
     monkeypatch.setattr(normalization, "compose", dropping)
     with pytest.raises(InternalInconsistency,
                        match="^witness does not conjugate the input to the flat curve$"):
         normalize_curve(moved)
-    assert len(composed) == 2
+    assert [len(psis) for psis in composed] == [2]

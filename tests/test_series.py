@@ -20,7 +20,8 @@ from sympconn.series import (
     merge_exponentials,
     order_from_mismatch,
 )
-from sympconn.symplecto import FourierVectorField, hamiltonian_field
+from sympconn.serialize import dumps
+from sympconn.symplecto import FourierVectorField, SymplectoCurve, hamiltonian_field
 
 DIM = 4
 CAP = 3
@@ -226,6 +227,87 @@ def test_one_pass_merge_equals_the_re_expanding_reference(kind, dim):
             merged = merge_exponentials(sdata, a, b)
             assert merged == reference_merge_exponentials(sdata, a, b), (kind, dim, cap)
             assert merged[0].is_zero() and len(merged) == cap + 1
+
+
+# -- n factors in one merge -----------------------------------------------------
+
+# a non-standard rational omega
+SD_RATIONAL = SymplecticData([
+    [0, Fraction(2, 3), 0, 0], [Fraction(-2, 3), 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0],
+])
+
+
+def folded_merge(sdata, ladders):
+    """The left fold of two-factor merges, exp(Z) = (exp(L1) exp(L2)) ..."""
+    merged = ladders[0]
+    for ladder in ladders[1:]:
+        merged = merge_exponentials(sdata, merged, ladder)
+    return merged
+
+
+def random_step_ladder(rng, sdata, cap):
+    """One Hamiltonian step: a ladder with a single nonzero order."""
+    gens = [FourierVectorField.zero(sdata.dim)] * (cap + 1)
+    f = FourierScalar.zero(sdata.dim)
+    while f.is_zero():
+        f = random_real_scalar(rng, sdata.dim, max_modes=2, mode_bound=1).zero_mean()
+    gens[rng.randint(1, cap)] = hamiltonian_field(sdata, f)
+    return gens
+
+
+def ladder_text(sdata, ladder):
+    return dumps(SymplectoCurve.from_generators(sdata, len(ladder) - 1, ladder))
+
+
+def poly_step_ladders(rng, cap, steps):
+    """Single-order Hamiltonian steps at the orders 1, 2, ... (cycling through
+    1..cap), with random Hamiltonians of degree 2 or 3 on R^4."""
+    out = []
+    for i in range(steps):
+        h = Poly.zero(DIM)
+        while h.degree() < 2:
+            expo = tuple(rng.randint(0, 2) for _ in range(DIM))
+            h = poly({expo: Fraction(rng.randint(1, 3), rng.randint(1, 2))})
+        step = [PolyVectorField.zero(DIM)] * (cap + 1)
+        step[1 + i % cap] = poly_hamiltonian_field(h)
+        out.append(step)
+    return out
+
+
+@pytest.mark.parametrize("sdata, caps", [
+    (SD, (2, 3, 4, 5)), (SymplecticData.standard(6), (2, 3, 4, 5)), (SD_RATIONAL, (2, 3, 4)),
+], ids=["dim4", "dim6", "rational"])
+def test_n_factor_merge_equals_the_binary_fold_on_the_torus(sdata, caps):
+    """Full random ladders at cap 2, Hamiltonian steps above it."""
+    rng = random.Random(f"n-factor-{sdata.omega_lo}")
+    reversals = 0
+    for cap in caps:
+        ladder = random_torus_ladder if cap == 2 else random_step_ladder
+        ladders = [ladder(rng, sdata, cap) for _ in range(5)]
+        for n in range(1, 6):
+            merged = merge_exponentials(sdata, *ladders[:n])
+            folded = folded_merge(sdata, ladders[:n])
+            assert merged == folded, (cap, n)
+            assert ladder_text(sdata, merged) == ladder_text(sdata, folded)
+            backwards = merge_exponentials(sdata, *reversed(ladders[:n]))
+            assert (backwards != merged) == (folded_merge(sdata, ladders[n - 1::-1]) != folded)
+            reversals += backwards != merged
+    assert reversals
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_n_factor_merge_equals_the_binary_fold_on_r2n(cap):
+    rng = random.Random(f"n-factor-poly-{cap}")
+    ladders = poly_step_ladders(rng, cap, 5)
+    reversals = 0
+    for n in range(1, 6):
+        merged = merge_exponentials(SD, *ladders[:n])
+        folded = folded_merge(SD, ladders[:n])
+        assert merged == folded, n
+        backwards = merge_exponentials(SD, *reversed(ladders[:n]))
+        assert (backwards != merged) == (folded_merge(SD, ladders[n - 1::-1]) != folded)
+        reversals += backwards != merged
+    assert reversals
 
 
 @pytest.mark.parametrize("case", [torus_case, euclidean_case], ids=["torus", "euclidean"])

@@ -5,6 +5,7 @@ import pytest
 
 from sympconn.curvature import curvature_curve
 import sympconn.moduli as moduli
+import sympconn.series as series
 import sympconn.symplecto as symplecto
 from sympconn.errors import ConfigurationError, NonRepresentablePhase, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
@@ -17,12 +18,14 @@ from sympconn.generate import (
 from sympconn.invariant import embed_invariant
 from sympconn.linalg import inverse, matrix
 from sympconn.moduli import sp_generators
+from sympconn.serialize import dumps
 from sympconn.symplecto import (
     FourierVectorField,
     SymplectoCurve,
     act_on_connection,
-    act_on_vector_field,
+    affine_pullback_scalar,
     compose,
+    conj_affine,
     factorize,
     hamiltonian_field,
     invert,
@@ -35,6 +38,22 @@ SD = SymplecticData.standard(DIM)
 
 COS1 = FourierScalar.cosine(DIM, (1, 0, 0, 0))
 SIN12 = FourierScalar.sine(DIM, (1, 1, 0, 0))
+
+
+# -- test-only references: psi acting on scalar and vector-field curves ----------
+
+
+def apply_to_scalar_curve(psi, fcurve):
+    """psi . f = sigma^*(exp(X_t) f) for psi = sigma^* o exp X_t."""
+    moved = series.exp_apply(psi.gens, fcurve)
+    return [affine_pullback_scalar(psi.c_mat, psi.d, g) for g in moved]
+
+
+def act_on_vector_field(psi, ycurve):
+    """psi . Y = psi Y psi^{-1} = Ad_{sigma^*}(exp(ad X_t) Y), per order."""
+    assert len(ycurve) == psi.cap + 1
+    moved = series.exp_ad(psi.gens, list(ycurve))
+    return [conj_affine(psi.c_mat, psi.c_inv, psi.d, y) for y in moved]
 
 
 def test_hamiltonian_field_is_symplectic():
@@ -82,7 +101,7 @@ def test_affine_action_on_modes():
     ident_c = [[1 if i == j else 0 for j in range(DIM)] for i in range(DIM)]
     sigma = SymplectoCurve.affine(SD, CAP, ident_c, d)
     f_curve = [COS1] + [FourierScalar.zero(DIM)] * CAP
-    out = sigma.apply_to_scalar_curve(f_curve)
+    out = apply_to_scalar_curve(sigma, f_curve)
     assert out[0] == COS1.scale(Fraction(-1))
 
 
@@ -92,7 +111,7 @@ def test_nonrepresentable_phase_rejected():
     sigma = SymplectoCurve.affine(SD, CAP, ident_c, d)
     f_curve = [COS1] + [FourierScalar.zero(DIM)] * CAP
     with pytest.raises(NonRepresentablePhase):
-        sigma.apply_to_scalar_curve(f_curve)
+        apply_to_scalar_curve(sigma, f_curve)
 
 
 def test_action_is_functorial_on_connections():
@@ -305,20 +324,17 @@ def test_action_with_affine_part_is_functorial():
 
 
 def test_action_makes_no_basis_transport(monkeypatch):
-    """act_on_connection runs no exp(ad X_t); the counter does see the
-    reference transport."""
-    import sympconn.series
-    import sympconn.symplecto
-
+    """act_on_connection runs no exp(ad X_t); symplecto does not even import
+    it, and the counter does see the reference transport."""
     calls = []
-    original = sympconn.series.exp_ad
+    original = series.exp_ad
 
     def counting_exp_ad(gens, ycurve):
         calls.append(1)
         return original(gens, ycurve)
 
-    monkeypatch.setattr(sympconn.series, "exp_ad", counting_exp_ad)
-    monkeypatch.setattr(sympconn.symplecto, "exp_ad", counting_exp_ad)
+    assert not hasattr(symplecto, "exp_ad")
+    monkeypatch.setattr(series, "exp_ad", counting_exp_ad)
     flat = embed_invariant(rank_one_ladder(SD, CAP, seed=3))
     sigma = SymplectoCurve.affine(SD, CAP, sp_word(SD, (0,)), (Fraction(1, 2), 0, 0, 0))
     psi = compose(sigma, SymplectoCurve.from_hamiltonian(SD, CAP, COS1, 1))
@@ -370,9 +386,9 @@ def _counting_merges(monkeypatch):
     calls = []
     original = symplecto.merge_exponentials
 
-    def counting(sdata, gens_a, gens_b):
+    def counting(sdata, *ladders):
         calls.append(1)
-        return original(sdata, gens_a, gens_b)
+        return original(sdata, *ladders)
 
     monkeypatch.setattr(symplecto, "merge_exponentials", counting)
     return calls
@@ -404,12 +420,80 @@ def test_compose_with_the_identity_still_checks_omega_and_caps():
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_hamiltonian_steps_merge_once_per_step_after_the_first(monkeypatch, steps):
+    """The steps are composed in one n-factor `compose`: a single step needs
+    no normal ordering, and any more merge once."""
     calls = _counting_merges(monkeypatch)
     pairs = [(COS1, 1), (SIN12, 2), (COS1 + SIN12, 3)][:steps]
     psi = hamiltonian_steps(SD, CAP, pairs)
-    assert len(calls) == steps - 1
+    assert len(calls) == (0 if steps == 1 else 1)
     flat = embed_invariant(rank_one_ladder(SD, CAP, seed=5))
     moved = flat
     for f, k in pairs:
         moved = act_on_connection(SymplectoCurve.from_hamiltonian(SD, CAP, f, k), moved)
     assert act_on_connection(psi, flat) == moved
+
+
+# -- n factors in one composition ------------------------------------------------
+
+
+def folded_compose(psis):
+    """The left fold of binary compositions, (psi_1 o psi_2) o ..."""
+    out = psis[0]
+    for psi in psis[1:]:
+        out = compose(out, psi)
+    return out
+
+
+def random_factor(rng):
+    """An affine word, a translation, a Hamiltonian step or the identity."""
+    eye = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
+    d = tuple(Fraction(rng.randrange(4), 4) for _ in range(DIM))
+    kind = rng.randrange(7)
+    if kind < 2:
+        word = tuple(rng.randrange(len(sp_generators(SD))) for _ in range(rng.randint(1, 3)))
+        return SymplectoCurve.affine(SD, CAP, sp_word(SD, word), d)
+    if kind == 2:
+        return SymplectoCurve.affine(SD, CAP, eye, d)
+    if kind == 3:
+        return SymplectoCurve.identity(SD, CAP)
+    f = random_real_scalar(rng, DIM, max_modes=2, mode_bound=1).zero_mean()
+    if f.is_zero():
+        f = COS1
+    coeff = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+    return SymplectoCurve.from_hamiltonian(SD, CAP, f, rng.randint(1, CAP), coeff)
+
+
+def test_n_factor_compose_equals_the_binary_fold():
+    """Both equal the factors applied one by one, innermost last, on the test
+    functions e^{i x^a}, which pins the affine parts and the conjugations."""
+    rng = random.Random("n-factor-compose")
+    tests = series.coordinate_tests(FourierVectorField, DIM, CAP)
+    for _ in range(8):
+        psis = [random_factor(rng) for _ in range(4)]
+        for n in range(1, 5):
+            composed = compose(*psis[:n])
+            folded = folded_compose(psis[:n])
+            assert composed == folded
+            assert dumps(composed) == dumps(folded)
+            for f in tests:
+                one_by_one = f
+                for psi in reversed(psis[:n]):
+                    one_by_one = apply_to_scalar_curve(psi, one_by_one)
+                assert apply_to_scalar_curve(composed, f) == one_by_one
+
+
+def test_n_factor_compose_drops_identity_factors(monkeypatch):
+    calls = _counting_merges(monkeypatch)
+    ident = SymplectoCurve.identity(SD, CAP)
+    ham = SymplectoCurve.from_hamiltonian(SD, CAP, COS1, 1)
+    sigma = SymplectoCurve.affine(SD, CAP, sp_word(SD, (1, 0, 2)), (Fraction(1, 4), 0, 0, 0))
+    assert compose(ident, ham, ident) is ham
+    assert compose(ident, ident, ident) is ident
+    assert compose(ham) is ham
+    assert calls == []
+    assert compose(ident, sigma, ident, ham) == compose(sigma, ham)
+    assert len(calls) == 2
+    with pytest.raises(PreconditionError, match="at least one factor"):
+        compose()
+    with pytest.raises(PreconditionError, match="matching omega and caps"):
+        compose(ham, ident, SymplectoCurve.identity(SD, CAP + 1))
