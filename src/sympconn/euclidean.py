@@ -23,12 +23,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionError,
 )
-from .invariant import (
-    StructureMapCurve,
-    cube_is_symmetric,
-    cube_rows,
-    zero_cube,
-)
+from .invariant import StructureMapCurve, cube_rows, integral_cube
 from .rationals import Fraction
 from .series import (
     SparseScalar,
@@ -146,10 +141,11 @@ def require_nilpotent_cube(sdata, cube):
 
     Returns the ladder (0, A, 0): its order-2 product table is the table of
     the A(e_a) A(e_b), so it is empty here."""
-    if not cube_is_symmetric(cube):
-        raise PreconditionError("cube is not fully symmetric")
-    zero = zero_cube(sdata.dim)
-    ladder = StructureMapCurve(sdata, 2, [zero, cube, zero], validate=False)
+    try:
+        ladder = StructureMapCurve.from_orders(
+            sdata, 2, [(1, {}), integral_cube(sdata.dim, cube), (1, {})])
+    except ConfigurationError:
+        raise PreconditionError("cube is not fully symmetric") from None
     table = ladder.products(2)
     if table:
         a, b = min(table)
@@ -159,8 +155,7 @@ def require_nilpotent_cube(sdata, cube):
 
 def psi_A(sdata, cube) -> PolyMap:
     """psi^A(x) = x - (1/2) A(x) x = x + X_A(x) for a nilpotent symmetric cube."""
-    require_nilpotent_cube(sdata, cube)
-    field = structure_field(sdata, cube)
+    field = _rows_field(sdata.dim, require_nilpotent_cube(sdata, cube).rows(1))
     return PolyMap([Poly.variable(sdata.dim, p) + c for p, c in enumerate(field.comps)])
 
 
@@ -186,7 +181,7 @@ def psi_A_symplectic_check(sdata, cube):
     """Omega(psi^A . X, psi^A . Y) = Omega(X, Y) on the constant basis."""
     dim = sdata.dim
     lo = sdata.omega_lo
-    rows = cube_rows(sdata, cube)
+    rows = cube_rows(sdata, integral_cube(dim, cube))
     pushed = [
         _pushforward_constant(rows, [1 if i == a else 0 for i in range(dim)])
         for a in range(dim)
@@ -223,10 +218,14 @@ def psi_A_connection_check(sdata, cube):
 
 def structure_field(sdata, cube) -> PolyVectorField:
     """X_A(x) = -(1/2) A(x) x as a quadratic polynomial field."""
-    dim = sdata.dim
+    return _rows_field(sdata.dim, cube_rows(sdata, integral_cube(sdata.dim, cube)))
+
+
+def _rows_field(dim, matrices):
+    """X_A from the sparse rows of the A(e_a) (`invariant.cube_rows`)."""
     half = Fraction(1, 2)
     quads = [{} for _ in range(dim)]
-    for a, rows in enumerate(cube_rows(sdata, cube)):
+    for a, rows in enumerate(matrices):
         for p, row in rows.items():
             quad = quads[p]
             for b, v in row.items():
@@ -245,7 +244,7 @@ def psi_At(b_curve: StructureMapCurve):
     order-by-order nilpotency) is checked first.
     """
     validity_check_cubes(b_curve)
-    return [structure_field(b_curve.sdata, c) for c in b_curve.cubes]
+    return [_rows_field(b_curve.dim, b_curve.rows(k)) for k in range(b_curve.cap + 1)]
 
 
 def validity_check_cubes(b_curve: StructureMapCurve):

@@ -14,7 +14,7 @@ Indices are 0-based internally; serialized files use 1-based indices.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 from ._kernel import pure as K
 from .errors import ConfigurationError, InternalInconsistency
@@ -240,19 +240,6 @@ class TensorField:
     @classmethod
     def zero(cls, dim, rank, symmetry_tag="none"):
         return cls(dim, rank, {}, symmetry_tag, _validated=True)
-
-    @classmethod
-    def from_constant(cls, dim, rank, array, symmetry_tag="none"):
-        """Dense rank-r nested sequence of rationals -> constant tensor field."""
-        comps = {}
-        for idx in product(range(dim), repeat=rank):
-            v = array
-            for a in idx:
-                v = v[a]
-            v = Fraction(v)
-            if v:
-                comps[idx] = FourierScalar.constant(dim, v)
-        return cls(dim, rank, comps, symmetry_tag, _validated=True)
 
     def get(self, idx):
         return self.components.get(tuple(idx), FourierScalar.zero(self.dim))

@@ -6,6 +6,13 @@ fully symmetric.  The central executable fact: if the Ricci-type identity
 holds order by order and 2n >= 4, then the curvature vanishes and
 B^t(X) B^t(Y) = 0 (any violation is an implementation bug, not data).
 
+A StructureMapCurve stores each order k once, as (den_k, entries_k): den_k
+is the least positive integer that makes den_k B^(k) integral, and
+entries_k maps every index triple, sorted or not, to its nonzero int in
+den_k B^(k).  den_k is an Sp(2n, Z) invariant: C and C^{-1} are integral,
+so pullback by either carries integral cubes to integral cubes.  Every
+reader works on this form; `cubes` is a dense read-only view of it.
+
 Every identity about products of structure maps is read off one table per
 order, StructureMapCurve.products(k):
 
@@ -22,35 +29,24 @@ cached on the curve.  From it come
   - the flatness theorem's R = 0 and B^t(X) B^t(Y) = 0.
 
 The algebra of one cube lives here as well: `cube_rows` gives the sparse
-rows {p: {b: entry}} of each A(e_a), the one form in which an endomorphism
-is read.  StructureMapCurve caches the rows per order as rows(k) and
-multiplies them, as sparse matrices, only inside its product tables;
-moduli reads the rows for the Sp-invariants, and the R^(2n) model
-(`euclidean`) for psi^A, the structure field X_A and the connection data
-Gamma(e_a, e_b) = A(e_a) e_b.  Its nilpotency check of one cube A is the
-order-2 product table of the ladder (0, A, 0).
+rows {p: {b: entry}} of each A(e_a) from the stored form, the one form in
+which an endomorphism is read.  StructureMapCurve caches the rows per
+order as rows(k) and multiplies them, as sparse matrices, only inside its
+product tables; moduli reads the rows for the Sp-invariants, and the
+R^(2n) model (`euclidean`) for psi^A, the structure field X_A and the
+connection data Gamma(e_a, e_b) = A(e_a) e_b.  Its nilpotency check of one
+cube A is the order-2 product table of the ladder (0, A, 0).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .curvature import ConnectionCurve
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
-from .fourier import SymplecticData, TensorField
+from .fourier import FourierScalar, SymplecticData, TensorField
 from .rationals import Fraction
-
-
-def _as_rational(x):
-    return x if type(x) is Fraction else Fraction(x)
-
-
-def _as_cube(dim, array):
-    return tuple(
-        tuple(tuple(_as_rational(array[a][b][c]) for c in range(dim)) for b in range(dim))
-        for a in range(dim)
-    )
 
 
 def zero_cube(dim):
@@ -60,78 +56,101 @@ def zero_cube(dim):
     )
 
 
-@lru_cache(maxsize=None)
-def _unsorted_triples(dim):
-    """Each index triple of a dim-cube that is not sorted, with its sorted form."""
-    return tuple(
-        (t, tuple(sorted(t))) for t in product(range(dim), repeat=3) if list(t) != sorted(t)
-    )
+def integral_form(values):
+    """(den, entries) of a map to nonzero rationals: den the least positive
+    integer with every den v integral, entries the map to those ints."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return den, {key: v.numerator * (den // v.denominator) for key, v in values.items()}
+
+
+def integral_cube(dim, cube):
+    """The stored form (den, entries) of a dense dim-cube of rationals."""
+    idx = range(dim)
+    return integral_form({(a, b, c): Fraction(x) for a in idx for b in idx for c in idx
+                          if (x := cube[a][b][c])})
+
+
+def _is_symmetric(entries):
+    """Whether the cube of the nonzero entries {(a, b, c): v} is fully
+    symmetric: every entry equals its (a b) and (b c) transposes, which
+    generate all orders of (a, b, c), so a missing entry is caught too."""
+    get = entries.get
+    return all(get((b, a, c)) == v and get((a, c, b)) == v for (a, b, c), v in entries.items())
 
 
 def cube_is_symmetric(cube):
-    """Whether cube[a][b][c] is the same for every order of (a, b, c): each
-    entry at an unsorted triple is compared once with the entry at the
-    sorted one, dim^3 - C(dim + 2, 3) comparisons."""
-    for (a, b, c), (p, q, r) in _unsorted_triples(len(cube)):
-        if cube[a][b][c] != cube[p][q][r]:
-            return False
-    return True
+    """Whether a dense cube is fully symmetric."""
+    return _is_symmetric(integral_cube(len(cube), cube)[1])
 
 
-def cube_is_zero(cube):
-    return all(not x for plane in cube for row in plane for x in row)
-
-
-def cube_rows(sdata: SymplecticData, cube):
+def cube_rows(sdata: SymplecticData, order):
     """Per basis direction a the nonzero rows {p: {b: entry}} of the matrix
-    of A(e_a) for a lowered cube: (A(e_a))^p_b = sum_c omega^{cp} cube[a][b][c]."""
-    dim = sdata.dim
-    hi = sdata.omega_hi
-    out = []
-    for plane in cube:
-        acc = {}
-        for b, line in enumerate(plane):
-            for c, v in enumerate(line):
-                if v:
-                    for p in range(dim):
-                        if hi[c][p]:
-                            acc[(p, b)] = acc.get((p, b), 0) + hi[c][p] * v
-        rows = {}
-        for (p, b), v in acc.items():
-            if v:
-                rows.setdefault(p, {})[b] = v
-        out.append(rows)
-    return out
+    of A(e_a) for a lowered cube in stored form (den, entries):
+    (A(e_a))^p_b = sum_c omega^{cp} S_abc, summed over the ints and divided
+    by den once, as a Fraction."""
+    den, entries = order
+    # per c the nonzero (p, omega^{cp}), an int where it is integral
+    hi = [[(p, int(x) if x.denominator == 1 else x) for p, x in enumerate(row) if x]
+          for row in sdata.omega_hi]
+    acc = [{} for _ in range(sdata.dim)]
+    for (a, b, c), v in entries.items():
+        for p, h in hi[c]:
+            row = acc[a].setdefault(p, {})
+            row[b] = row.get(b, 0) + h * v
+    return [{p: {b: Fraction(v, den) for b, v in row.items() if v}
+             for p, row in rows.items() if any(row.values())} for rows in acc]
 
 
 class StructureMapCurve:
-    """Per-order constant fully symmetric lowered cubes B-bar^(0..K)."""
+    """Per-order constant fully symmetric lowered cubes B-bar^(0..K), given
+    dense (orders 0..K, or 1..K after a zero order 0) and stored once per
+    order as `orders`, the list of (den_k, entries_k)."""
 
-    __slots__ = ("sdata", "cap", "cubes", "_rows", "_products")
+    __slots__ = ("sdata", "cap", "orders", "_cubes", "_rows", "_products")
 
     def __init__(self, sdata: SymplecticData, cap, cubes, validate=True):
-        cubes = [_as_cube(sdata.dim, c) for c in cubes]
-        if len(cubes) == cap:
-            cubes = [zero_cube(sdata.dim)] + cubes
-        if len(cubes) != cap + 1:
+        self._store(sdata, cap, [integral_cube(sdata.dim, c) for c in cubes], validate)
+
+    @classmethod
+    def from_orders(cls, sdata: SymplecticData, cap, orders):
+        """The validated curve of cubes already in stored form, as
+        `integral_form` makes them."""
+        curve = cls.__new__(cls)
+        curve._store(sdata, cap, orders, True)
+        return curve
+
+    def _store(self, sdata, cap, orders, validate):
+        if len(orders) == cap:
+            orders = [(1, {})] + orders
+        if len(orders) != cap + 1:
             raise ConfigurationError("need one cube per order 0..K")
         if validate:
-            for k, cube in enumerate(cubes):
-                if not cube_is_symmetric(cube):
+            for k, (_, entries) in enumerate(orders):
+                if not _is_symmetric(entries):
                     raise ConfigurationError(f"order-{k} cube is not fully symmetric")
         self.sdata = sdata
         self.cap = cap
-        self.cubes = cubes
+        self.orders = orders
+        self._cubes = None
         self._rows = None
         self._products = None
-
-    @classmethod
-    def zero(cls, sdata, cap):
-        return cls(sdata, cap, [zero_cube(sdata.dim) for _ in range(cap + 1)], validate=False)
 
     @property
     def dim(self):
         return self.sdata.dim
+
+    @property
+    def cubes(self):
+        """The dense cubes B-bar^(k)[a][b][c] as nested tuples of Fractions, in
+        a new list; read from `orders` once and cached."""
+        if self._cubes is None:
+            idx, zero = range(self.dim), Fraction(0)
+            self._cubes = [
+                tuple(tuple(tuple(Fraction(e[a, b, c], den) if (a, b, c) in e else zero
+                                  for c in idx) for b in idx) for a in idx)
+                for den, e in self.orders
+            ]
+        return list(self._cubes)
 
     def rows(self, k):
         """Per basis direction a the sparse rows of B^(k)(e_a) (`cube_rows`),
@@ -139,7 +158,7 @@ class StructureMapCurve:
         if self._rows is None:
             self._rows = [None] * (self.cap + 1)
         if self._rows[k] is None:
-            self._rows[k] = cube_rows(self.sdata, self.cubes[k])
+            self._rows[k] = cube_rows(self.sdata, self.orders[k])
         return self._rows[k]
 
     def products(self, k):
@@ -173,7 +192,7 @@ class StructureMapCurve:
         return self._products[k]
 
     def is_zero(self):
-        return all(cube_is_zero(c) for c in self.cubes)
+        return not any(entries for _, entries in self.orders)
 
     def __eq__(self, other):
         if not isinstance(other, StructureMapCurve):
@@ -181,7 +200,7 @@ class StructureMapCurve:
         return (
             self.sdata == other.sdata
             and self.cap == other.cap
-            and self.cubes == other.cubes
+            and self.orders == other.orders
         )
 
     def __repr__(self):
@@ -318,27 +337,28 @@ def flatness_theorem_check(B: StructureMapCurve):
 
 def embed_invariant(B: StructureMapCurve) -> ConnectionCurve:
     """The structure map as a torus connection curve with constant modes."""
-    abar = [
-        TensorField.from_constant(B.dim, 3, cube, "fully_symmetric")
-        for cube in B.cubes
-    ]
-    if not cube_is_zero(B.cubes[0]):
+    if B.orders[0][1]:
         raise PreconditionError("embedding requires a zero order-0 cube")
+    dim = B.dim
+    abar = [
+        TensorField(dim, 3, {key: FourierScalar.constant(dim, Fraction(entries[key], den))
+                             for key in sorted(entries)}, "fully_symmetric", _validated=True)
+        for den, entries in B.orders
+    ]
     return ConnectionCurve(B.sdata, B.cap, abar)
 
 
 def from_connection_curve(conn: ConnectionCurve) -> StructureMapCurve:
     """Extract the constant cubes of an invariant connection curve."""
-    dim = conn.dim
-    cubes = []
+    orders = []
     for t in conn.abar:
         if not t.is_constant():
             raise PreconditionError("connection curve is not invariant")
-        cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (a, b, c), f in t.components.items():
+        values = {}
+        for key, f in t.components.items():
             v = f.constant_part()
             if not v.is_real():
                 raise PreconditionError("invariant cube must be real")
-            cube[a][b][c] = v.re
-        cubes.append(cube)
-    return StructureMapCurve(conn.sdata, conn.cap, cubes)
+            values[key] = v.re
+        orders.append(integral_form(values))
+    return StructureMapCurve.from_orders(conn.sdata, conn.cap, orders)

@@ -7,14 +7,19 @@ pullback.  The group is infinite, so equivalence is only semi-decided: a
 bounded word search over a fixed generator set, with an explicit
 "no witness within bound" verdict when the search is exhausted.  It runs on
 ints, over a table of words and their inverses kept once per omega.
+
+Every cube is read in the integral form (den, entries) the curve stores
+(see `invariant`).  An integral symplectic C has an integral inverse, so
+pulling back by C^{-1} carries integral cubes to integral cubes and back:
+den is unchanged and only the ints move.  The action and the search's
+matcher therefore pull back ints and compare them, next to den.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, groupby, product
-from math import lcm
+from itertools import groupby, product
 from operator import add, itemgetter
 
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
@@ -27,19 +32,18 @@ from .rationals import Fraction
 def validity_check(b_curve: StructureMapCurve):
     """(flag, witness) for the two defining identities, order by order:
     sum_{p+q=k} A^(p)(X) A^(q)(Y) = 0 and A^(k)(X) Y = A^(k)(Y) X."""
-    dim = b_curve.dim
-    for k in range(b_curve.cap + 1):
+    for k, (_, entries) in enumerate(b_curve.orders):
         # A(e_a) e_b = sum_c omega^{c.} S_abc and omega is invertible, so
-        # A(e_a) e_b = A(e_b) e_a exactly when S_ab. = S_ba.
-        cube = b_curve.cubes[k]
-        for a in range(dim):
-            for b in range(dim):
-                if cube[a][b] != cube[b][a]:
-                    return False, {
-                        "identity": "A(X)Y = A(Y)X",
-                        "order": k,
-                        "pair": (a, b),
-                    }
+        # A(e_a) e_b = A(e_b) e_a exactly when S_ab. = S_ba.; the witness is
+        # the least such pair (a, b), which has a < b
+        bad = [(min(a, b), max(a, b)) for (a, b, c), v in entries.items()
+               if entries.get((b, a, c)) != v]
+        if bad:
+            return False, {
+                "identity": "A(X)Y = A(Y)X",
+                "order": k,
+                "pair": min(bad),
+            }
         table = b_curve.products(k)
         if table:
             return False, {
@@ -54,17 +58,6 @@ def require_valid(b_curve: StructureMapCurve):
     ok, witness = validity_check(b_curve)
     if not ok:
         raise PreconditionError(f"invalid structure-map curve: {witness}")
-
-
-def _cube_entries(cube):
-    """The nonzero entries {(a, b, c): S_abc} of a cube."""
-    return {
-        (a, b, c): v
-        for a, plane in enumerate(cube)
-        for b, line in enumerate(plane)
-        for c, v in enumerate(line)
-        if v
-    }
 
 
 def _pullback(entries, c_inv):
@@ -88,70 +81,54 @@ def sp_action(c_mat, b_curve: StructureMapCurve) -> StructureMapCurve:
 
     C must be an integral symplectic matrix for the curve's omega: a
     non-integral entry or C^T omega C != omega raises PreconditionError.
-    C^{-1} is then omega^{-1} C^T omega, every cube is pulled back over its
-    nonzero entries, and the result is a validated StructureMapCurve.
+    C^{-1} is then omega^{-1} C^T omega, integral, so every order keeps its
+    den and only its ints are pulled back, over the nonzero entries; the
+    result is a validated StructureMapCurve.
     """
     sdata = b_curve.sdata
     cf = tuple(tuple(Fraction(x) for x in row) for row in c_mat)
     if any(x.denominator != 1 for row in cf for x in row) or not sdata.is_symplectic_matrix(cf):
         raise PreconditionError("matrix is not in the lattice symplectic group")
     c_inv = sdata.symplectic_inverse(tuple(tuple(map(int, row)) for row in cf))
-    idx = range(b_curve.dim)
-    cubes = [[[[e.get((p, q, r), 0) for r in idx] for q in idx] for p in idx]
-             for e in (_pullback(_cube_entries(cube), c_inv) for cube in b_curve.cubes)]
-    return StructureMapCurve(sdata, b_curve.cap, cubes)
+    orders = [(den, _pullback(entries, c_inv)) for den, entries in b_curve.orders]
+    return StructureMapCurve.from_orders(sdata, b_curve.cap, orders)
 
 
-def _scaled(entries, d):
-    """d v for each nonzero entry v, an int num d // den where den divides d."""
-    return {
-        key: v.numerator * (d // v.denominator) if d % v.denominator == 0 else d * v
-        for key, v in entries.items()
-    }
+def _moves_to(c_mat, inverses, a: StructureMapCurve, b: StructureMapCurve):
+    """Whether the word C carries a to b, one order at a time: False at the
+    first order whose den differs from b's (C keeps den) or whose pulled-back
+    ints differ from b's.
 
-
-def _matcher_data(a: StructureMapCurve, b: StructureMapCurve):
-    """The arguments after C of `_moves_to` for the pair (a, b).
-
-    With d the common denominator of a's entries, d a and its pullback by
-    any integral C are integer cubes, kept as their nonzero entries, so each
-    word moves ints and compares them with d b, where a non-int matches none.
-    """
-    a_entries = [_cube_entries(cube) for cube in a.cubes]
-    d = lcm(*(v.denominator for entries in a_entries for v in entries.values()))
-    return (_word_table(sp_generators(a.sdata), a.dim)[1], [_scaled(e, d) for e in a_entries],
-            [_scaled(_cube_entries(cube), d) for cube in b.cubes])
-
-
-def _moves_to(c_mat, inverses, a_entries, b_entries):
-    """Whether the word C carries a to b, pulled back and compared one order
-    at a time: False at the first order whose cube differs.
-
-    The arguments after C come from `_matcher_data(a, b)`.  C comes from the
-    word table, so it is integral and symplectic and has its inverse there.
+    C comes from the word table `inverses`, so it is integral and symplectic
+    and has its inverse there.
     """
     c_inv = inverses[c_mat]
     return all(
-        _pullback(entries, c_inv) == target
-        for entries, target in zip(a_entries, b_entries)
+        den == b_den and _pullback(entries, c_inv) == b_entries
+        for (den, entries), (b_den, b_entries) in zip(a.orders, b.orders)
     )
 
 
 def cheap_invariants(b_curve: StructureMapCurve):
     """Per-order Sp-invariants: rank of the flattened cube, dimension of
     span{A(e_a) e_b}, and the dimension of the common kernel of the A(e_a)."""
-    idx = range(b_curve.dim)
+    dim = b_curve.dim
+    idx = range(dim)
     out = []
-    for k, cube in enumerate(b_curve.cubes):
+    for k, (_, entries) in enumerate(b_curve.orders):
         rows = b_curve.rows(k)
+        # the cube flattened to rows a, columns (b, c), scaled by den
+        flat = [[0] * dim * dim for _ in idx]
+        for (a, b, c), v in entries.items():
+            flat[a][b * dim + c] = v
         # row p of span_cols is row p of every A(e_a) side by side; the
         # stacked matrix holds the nonzero rows of all the A(e_a)
         span_cols = [[r.get(p, {}).get(b, 0) for r in rows for b in idx] for p in idx]
         stacked = [[row.get(b, 0) for b in idx] for r in rows for row in r.values()]
         out.append({
-            "cube_rank": rank([list(chain.from_iterable(plane)) for plane in cube]),
+            "cube_rank": rank(flat),
             "span_dim": rank(span_cols),
-            "common_kernel_dim": b_curve.dim - rank(stacked),
+            "common_kernel_dim": dim - rank(stacked),
         })
     return out
 
@@ -229,13 +206,16 @@ def _word_table(gens, dim):
     """The breadth-first word table of a generator set closed under inverses,
     kept once per set and so, with `sp_generators`, once per omega and
     process: levels[L] lists in search order the matrices whose shortest word
-    has length L, `inverses` maps each to its integral inverse, and `moves`
-    holds the rows of each g and of g^{-T}, as (g C)^{-T} = g^{-T} C^{-T}."""
+    has length L, `inverses` maps each to its integral inverse, `moves`
+    holds the rows of each g and of g^{-T}, as (g C)^{-T} = g^{-T} C^{-T},
+    and `reached` = [N] records that a refused enumeration of the next level
+    found N matrices of length <= len(levels), more than the ceiling then in
+    force (N = 0 while no refusal is known)."""
     ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     rows = [[[(k, x) for k, x in enumerate(row) if x] for row in h] for h in gens]
     rows_t = [[[(k, x) for k, x in enumerate(col) if x] for col in zip(*h)] for h in gens]
     moves = [(r, next(t for h, t in zip(gens, rows_t) if _times(r, h) == ident)) for r in rows]
-    return [[ident]], {ident: ident}, moves
+    return [[ident]], {ident: ident}, moves, [0]
 
 
 def _words_up_to(gens, dim, bound):
@@ -243,21 +223,26 @@ def _words_up_to(gens, dim, bound):
     to the length of the shortest word reaching them, in breadth-first order:
     a new mapping per call, read from the word table, which gains whole
     levels as bounds need them.  Raises ConfigurationError once more than
-    MAX_SEARCH_WORDS matrices are reached."""
-    levels, inverses, moves = _word_table(gens, dim)
+    MAX_SEARCH_WORDS matrices are reached; the table then keeps its whole
+    levels and the count it reached, so a repeat of a refused bound under
+    the same ceiling is refused without enumerating again."""
+    levels, inverses, moves, reached = _word_table(gens, dim)
     count = 0
     for depth in range(bound + 1):
-        if depth == len(levels):
+        if depth == len(levels) and reached[0] <= MAX_SEARCH_WORDS:
             new = {}
             for m, (rows, inv_t_rows) in product(levels[-1], moves):
                 prod = _times(rows, m)
                 if prod not in inverses and prod not in new:
                     if count + len(new) == MAX_SEARCH_WORDS:
-                        break  # refused below; the partial level is dropped
+                        # refused below; the partial level is dropped
+                        reached[0] = MAX_SEARCH_WORDS + 1
+                        break
                     new[prod] = tuple(zip(*_times(inv_t_rows, tuple(zip(*inverses[m])))))
             else:
                 levels.append(list(new))
                 inverses.update(new)
+                reached[0] = 0
         if depth == len(levels) or count + len(levels[depth]) > MAX_SEARCH_WORDS:
             raise ConfigurationError(
                 f"word search bound {bound} exceeds the ceiling of "
@@ -288,12 +273,13 @@ def equivalence_semidecide(query: ModuliClassQuery) -> EquivalenceVerdict:
     All words up to the bound are read from the per-omega word table; they
     are then tried one word length at a time, and the search stops after the
     first length that holds a witness, returning the least matrix of that
-    length.  A word is tried without building a curve: with C^{-1} from the
-    table, the integer cubes d a (d the common denominator of a's entries)
-    are pulled back one order at a time over their nonzero entries and
-    compared with d b, and the word is dropped at the first order that
-    differs.  The chosen witness is then verified once through the full
-    `sp_action(witness, a) == b`; a mismatch raises InternalInconsistency.
+    length.  A word is tried without building a curve, on the integral forms
+    the curves store: C keeps every den_k (C and C^{-1} are integral), so
+    at each order a's den must equal b's, and a's ints, pulled back by
+    C^{-1} from the table over their nonzero entries, must equal b's; the
+    word is dropped at the first order that differs.  The chosen witness is
+    then verified once through the full `sp_action(witness, a) == b`; a
+    mismatch raises InternalInconsistency.
 
     A bound exhaustion is an honest third verdict: the curves may still be
     equivalent through a longer word.  A negative bound, or one whose words
@@ -319,10 +305,10 @@ def equivalence_semidecide(query: ModuliClassQuery) -> EquivalenceVerdict:
         )
     gens = sp_generators(a.sdata)
     words = _words_up_to(gens, a.dim, query.search_bound)
-    data = _matcher_data(a, b)
+    inverses = _word_table(gens, a.dim)[1]
     # words come in breadth-first order, so groupby yields one group per length
     for _, group in groupby(words.items(), key=itemgetter(1)):
-        witnesses = [m for m, _ in group if _moves_to(m, *data)]
+        witnesses = [m for m, _ in group if _moves_to(m, inverses, a, b)]
         if witnesses:
             # the lexicographically least shortest witness, for determinism
             witness = min(witnesses)

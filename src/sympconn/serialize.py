@@ -22,7 +22,7 @@ from .errors import ConfigurationError, InputError
 from .fourier import FourierScalar, SymplecticData, TensorField
 from .invariant import StructureMapCurve
 from .normalization import NormalizationResult
-from .rationals import gaussian_from_strs, rational_from_str, rational_to_str
+from .rationals import _ratio_to_str, gaussian_from_strs, rational_from_str, rational_to_str
 from .symplecto import FourierVectorField, SymplectoCurve
 
 FORMAT_VERSION = 1
@@ -225,11 +225,16 @@ def structure_map_to_json(b: StructureMapCurve):
         "dim": b.dim,
         "cap": b.cap,
         "omega": omega_to_json(b.sdata),
-        "cubes": [
-            [[[rational_to_str(x) for x in row] for row in plane] for plane in cube]
-            for cube in b.cubes
-        ],
+        "cubes": [_cube_to_json(b.dim, order) for order in b.orders],
     }
+
+
+def _cube_to_json(dim, order):
+    """The dense array of "p/q" texts of a cube in stored form (den, entries)."""
+    den, entries = order
+    texts = {key: _ratio_to_str(v, den) for key, v in entries.items()}
+    idx = range(dim)
+    return [[[texts.get((a, b, c), "0") for c in idx] for b in idx] for a in idx]
 
 
 def structure_map_from_json(obj):
@@ -240,19 +245,13 @@ def structure_map_from_json(obj):
         _fail(f"structure_map_curve: need {cap + 1} cubes (orders 0..K)")
     cubes = []
     for k, cube in enumerate(raw):
-        try:
-            cubes.append(
-                [
-                    [[_parse_rational(x, f"cube {k}") for x in row] for row in plane]
-                    for plane in cube
-                ]
-            )
-        except TypeError:
+        if not (isinstance(cube, list) and all(
+                isinstance(p, list) and all(isinstance(r, list) for r in p) for p in cube)):
             _fail(f"structure_map_curve: cube {k} is not a rank-3 array")
-        if len(cubes[-1]) != dim or any(
-            len(p) != dim or any(len(r) != dim for r in p) for p in cubes[-1]
-        ):
+        if len(cube) != dim or any(len(p) != dim or any(len(r) != dim for r in p) for p in cube):
             _fail(f"structure_map_curve: cube {k} has wrong shape")
+        cubes.append([[[_parse_rational(x, f"cube {k}") for x in row] for row in plane]
+                      for plane in cube])
     try:
         return StructureMapCurve(sdata, cap, cubes)
     except Exception as exc:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import stat
 import time
 
@@ -581,3 +582,93 @@ def test_equiv_and_structure_map_check_reports_are_pinned(tmp_path, monkeypatch,
         code, out, _ = run(capsys, *argv)
         assert code == want_code
         assert hashlib.sha256(out.encode()).hexdigest() == want_out
+
+
+# -- a seeded mutation corpus of structure-map files ----------------------------
+
+HUGE = "1/" + "7" * 400
+
+
+def _entry(rng, obj):
+    """A random (order, a, b, c) of a file's cubes, order >= 1."""
+    dim = obj["dim"]
+    return (rng.randrange(1, len(obj["cubes"])),) + tuple(rng.randrange(dim) for _ in range(3))
+
+
+def _set(value, symmetric=False):
+    """The mutation that writes value at a random entry, or at all its
+    transposes."""
+    def mutate(rng, obj):
+        k, a, b, c = _entry(rng, obj)
+        for i, j, m in ({(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}
+                        if symmetric else {(a, b, c)}):
+            obj["cubes"][k][i][j][m] = value
+    return mutate
+
+
+def _asymmetric(rng, obj):
+    k, a, b, _ = _entry(rng, obj)
+    obj["cubes"][k][a][b][(a + 1) % obj["dim"]] = "7"
+
+
+def _short_row(rng, obj):
+    k, a, b, _ = _entry(rng, obj)
+    obj["cubes"][k][a][b].pop()
+
+
+def _row_as_string(rng, obj):
+    """A row written as one string of its digits, "0000" for a zero row."""
+    k, a, b, _ = _entry(rng, obj)
+    obj["cubes"][k][a][b] = "".join(x if len(x) == 1 else "1" for x in obj["cubes"][k][a][b])
+
+
+def _boolean_entry(rng, obj):
+    _set(rng.choice([True, False]))(rng, obj)
+
+
+# mutation -> (mutate, the exit codes it may give): a file that still holds
+# a symmetric ladder gets a verdict, 0 or 1, and any other exits 2
+STRUCTURE_MAP_MUTATIONS = {
+    "asymmetric entry": (_asymmetric, {2}),
+    "1/0": (_set("1/0"), {2}),
+    "huge denominator": (_set(HUGE), {0, 1, 2}),
+    "huge denominator, symmetric": (_set(HUGE, True), {0, 1}),
+    "huge numerator, symmetric": (_set("-" + HUGE[2:], True), {0, 1}),
+    "boolean entry": (_boolean_entry, {2}),
+    "boolean dim": (lambda rng, obj: obj.update(dim=True), {2}),
+    "boolean cap": (lambda rng, obj: obj.update(cap=False), {2}),
+    "boolean cube": (lambda rng, obj: obj["cubes"].__setitem__(_entry(rng, obj)[0], True), {2}),
+    "short row": (_short_row, {2}),
+    "row as a string": (_row_as_string, {2}),
+    "plane as a number": (lambda rng, obj: obj["cubes"][1].__setitem__(rng.randrange(4), 0), {2}),
+    "extra plane": (lambda rng, obj: obj["cubes"][1].append(obj["cubes"][1][0]), {2}),
+    "missing order": (lambda rng, obj: obj["cubes"].pop(rng.randrange(len(obj["cubes"]))), {2}),
+    "extra order": (lambda rng, obj: obj["cubes"].append(obj["cubes"][-1]), {2}),
+    "cubes as an object": (lambda rng, obj: obj.update(cubes={}), {2}),
+    "missing cubes": (lambda rng, obj: obj.pop("cubes"), {2}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(STRUCTURE_MAP_MUTATIONS))
+def test_mutated_structure_map_files_fail_cleanly(tmp_path, capsys, mutation):
+    """Seeded mutations of a valid rank-one file through `check` and `equiv`
+    in-process: the expected exit code, no traceback, stdout empty or one
+    JSON report, and each command well under a second."""
+    valid = tmp_path / "valid.json"
+    code, _, _ = run(capsys, "generate", "--kind", "rank-one", "--vector", "1,0,1/3,0",
+                     "--out", str(valid))
+    assert code == 0
+    mutate, codes = STRUCTURE_MAP_MUTATIONS[mutation]
+    rng = random.Random(f"structure-map-{mutation}")
+    for i in range(4):
+        obj = json.loads(valid.read_text())
+        mutate(rng, obj)
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(obj))
+        for argv in (["check", str(bad)], ["equiv", str(bad), str(valid)],
+                     ["equiv", str(valid), str(bad)]):
+            start = time.monotonic()
+            code, out, err = run(capsys, *argv)
+            assert time.monotonic() - start < 1.0, argv
+            assert code in codes and "Traceback" not in err, (argv, code, err)
+            assert out == "" or isinstance(json.loads(out), dict), (argv, out)

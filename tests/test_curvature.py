@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -46,10 +46,23 @@ def test_curvature_symmetries():
         assert is_curvature_type(t)
 
 
+def constant_tensor(dim, rank, array):
+    """A dense rank-r nested sequence of rationals as a constant tensor
+    field, as a test-only helper."""
+    comps = {}
+    for idx in product(range(dim), repeat=rank):
+        v = array
+        for a in idx:
+            v = v[a]
+        if v:
+            comps[idx] = FourierScalar.constant(dim, Fraction(v))
+    return TensorField(dim, rank, comps)
+
+
 def nabla_omega_curve(conn):
     """Covariant derivative of omega, as a test-only reference; identically
     zero for every valid curve."""
-    omega_field = TensorField.from_constant(conn.dim, 2, conn.sdata.omega_lo)
+    omega_field = constant_tensor(conn.dim, 2, conn.sdata.omega_lo)
     omega_curve = TensorFieldCurve(
         conn.cap,
         [omega_field] + [TensorField.zero(conn.dim, 2) for _ in range(conn.cap)],

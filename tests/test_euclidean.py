@@ -31,6 +31,7 @@ from sympconn.invariant import (
     StructureMapCurve,
     cube_is_symmetric,
     cube_rows,
+    integral_cube,
     rank_one_cube,
     zero_cube,
 )
@@ -279,7 +280,7 @@ def test_poly_action_matches_basis_transport_in_every_caller(monkeypatch):
 
 def psi_A_pushforward_constant(sdata, cube, x):
     """psi^A . X = X - A(.)X for a constant vector X, from the cube."""
-    return euclidean._pushforward_constant(cube_rows(sdata, cube), x)
+    return euclidean._pushforward_constant(cube_rows(sdata, integral_cube(sdata.dim, cube)), x)
 
 
 def reference_psi_A_symplectic_check(sdata, cube):
@@ -356,7 +357,7 @@ def reference_psi_A_connection_check(sdata, cube):
     checked inverse to each other by substitution, the basis pushed back
     through psi^{-A}, nabla^0_X Y formed, and the result pushed forward."""
     dim = sdata.dim
-    rows = cube_rows(sdata, cube)
+    rows = cube_rows(sdata, integral_cube(dim, cube))
     fwd = psi_A(sdata, cube)
     bwd = psi_A(sdata, scaled(cube, -1))
     assert fwd.compose(bwd).is_identity() and bwd.compose(fwd).is_identity()
@@ -513,7 +514,7 @@ def test_require_nilpotent_cube_matches_dense_reference(dim):
         assert got == [refusal(reference_require_nilpotent_cube, sd, c) for c in cubes]
         assert None in got and len({g for g in got if g}) > 2
         for c in cubes:
-            rows = cube_rows(sd, c)
+            rows = cube_rows(sd, integral_cube(dim, c))
             dense = [
                 tuple(tuple(r.get(p, {}).get(b, 0) for b in range(dim)) for p in range(dim))
                 for r in rows
@@ -587,7 +588,7 @@ def test_poly_arithmetic_matches_fraction_dict_reference(a, b, s, axis, shared):
 
 def test_psi_A_connection_check_builds_the_generators_once(monkeypatch):
     """The order-2 flow check and the Lie-series check share one ladder of
-    structure fields: 3 `structure_field` calls (orders 0, 1, 2) and one
+    structure fields: 3 `_rows_field` calls (orders 0, 1, 2) and one
     validity check."""
     counts = {}
 
@@ -600,7 +601,7 @@ def test_psi_A_connection_check_builds_the_generators_once(monkeypatch):
 
         monkeypatch.setattr(euclidean, name, wrapper)
 
-    for name in ("structure_field", "validity_check_cubes"):
+    for name in ("_rows_field", "validity_check_cubes"):
         counting(name)
     assert psi_A_connection_check(SD, cube_e1())
-    assert counts == {"structure_field": 3, "validity_check_cubes": 1}
+    assert counts == {"_rows_field": 3, "validity_check_cubes": 1}

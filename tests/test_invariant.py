@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -21,7 +23,8 @@ from sympconn.invariant import (
 )
 from sympconn.euclidean import validity_check_cubes
 from sympconn.linalg import transpose
-from sympconn.moduli import cheap_invariants, validity_check
+from sympconn import euclidean, moduli, serialize
+from sympconn.moduli import cheap_invariants, sp_action, sp_generators, validity_check
 from sympconn.rationals import GaussianRational
 
 
@@ -324,19 +327,209 @@ def test_cube_is_symmetric_catches_every_single_entry_change(dim):
         cube[a][b][c] = old
 
 
-def test_unsorted_triples_are_counted_as_dim_cubed_minus_the_sorted_ones():
-    for dim in range(2, 9):
-        sorted_triples = (dim + 2) * (dim + 1) * dim // 6
-        assert len(invariant._unsorted_triples(dim)) == dim**3 - sorted_triples
-
-
-def test_structure_map_cubes_keep_fraction_entries_and_convert_the_rest():
+def test_structure_map_cubes_read_back_as_the_fractions_given():
+    """Int and Fraction entries are stored as ints over the least
+    denominator and read back through `cubes` as Fractions."""
     sd = SymplecticData.standard(4)
     half = Fraction(1, 2)
     cube = [[[half if (a, b, c) == (1, 1, 1) else 0 for c in range(4)] for b in range(4)]
             for a in range(4)]
     curve = StructureMapCurve(sd, 1, [zero_cube(4), cube])
-    assert curve.cubes[1][1][1][1] is half
+    assert curve.orders == [(1, {}), (2, {(1, 1, 1): 1})]
+    assert curve.cubes[1][1][1][1] == half
     assert all(type(x) is Fraction for plane in curve.cubes[1] for row in plane for x in row)
     assert curve == StructureMapCurve(sd, 1, [zero_cube(4), [[[Fraction(x) for x in row]
                                                               for row in plane] for plane in cube]])
+
+
+# -- the stored form against the dense Fraction path -----------------------------
+
+
+def reference_as_cube(dim, array):
+    """The dense cube of Fractions, as the curve once stored it."""
+    r = range(dim)
+    return tuple(tuple(tuple(Fraction(array[a][b][c]) for c in r) for b in r) for a in r)
+
+
+def reference_rows(sdata, cube):
+    """The sparse rows of each A(e_a) by a walk over the dense cube."""
+    dim, hi = sdata.dim, sdata.omega_hi
+    out = []
+    for plane in cube:
+        rows = {}
+        for p in range(dim):
+            row = {b: v for b in range(dim)
+                   if (v := sum(hi[c][p] * plane[b][c] for c in range(dim) if hi[c][p]))}
+            if row:
+                rows[p] = row
+        out.append(rows)
+    return out
+
+
+def reference_pullback(cube, c_inv):
+    """S'(e_p, e_q, e_r) = S(C^{-1} e_p, C^{-1} e_q, C^{-1} e_r), dense, one
+    slot at a time, over the nonzero c_inv[m][i] of each column i."""
+    r = range(len(cube))
+    col = [[m for m in r if c_inv[m][i]] for i in r]
+    t = cube
+    t = [[[sum(c_inv[m][i] * t[m][j][k] for m in col[i]) for k in r] for j in r] for i in r]
+    t = [[[sum(c_inv[m][j] * t[i][m][k] for m in col[j]) for k in r] for j in r] for i in r]
+    t = [[[sum(c_inv[m][k] * t[i][j][m] for m in col[k]) for k in r] for j in r] for i in r]
+    return tuple(tuple(tuple(line) for line in plane) for plane in t)
+
+
+def reference_dumps(sdata, cap, cubes):
+    """The structure-map file text of dense cubes, through the json module."""
+    obj = {"kind": "structure_map_curve", "version": 1, "dim": sdata.dim, "cap": cap,
+           "omega": [[str(x) for x in row] for row in sdata.omega_lo],
+           "cubes": [[[[str(x) for x in line] for line in plane] for plane in cube]
+                     for cube in cubes]}
+    return json.dumps(obj, indent=1) + "\n"
+
+
+def least_denominator(cube):
+    return lcm(*(x.denominator for plane in cube for line in plane for x in line))
+
+
+def rational_omega(dim):
+    """A non-standard form with a non-integral inverse; e_1..e_n stay
+    pairwise omega-orthogonal, as the ladder generators need."""
+    n = dim // 2
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(n):
+        rows[i][n + i], rows[n + i][i] = Fraction(i + 1, 3), Fraction(-(i + 1), 3)
+    rows[n][n + 1], rows[n + 1][n] = Fraction(1, 2), Fraction(-1, 2)
+    return SymplecticData(rows)
+
+
+class DenseRowsCurve(StructureMapCurve):
+    """A curve whose rows come from the dense reference walk, so that its
+    product tables and Ricci-type check run on the reference rows."""
+
+    __slots__ = ()
+
+    def rows(self, k):
+        if self._rows is None:
+            self._rows = [reference_rows(self.sdata, cube) for cube in self.cubes]
+        return self._rows[k]
+
+
+def scaled_ladders(sd, scale):
+    def dense(curve):
+        return [[[[scale * x for x in line] for line in plane] for plane in cube]
+                for cube in curve.cubes]
+
+    return [dense(rank_one_ladder(sd, 2, seed=3)), dense(validated_sum_ladder(sd, 2, seed=4)),
+            dense(invalid_ladder(sd, 0))]
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_stored_form_matches_the_dense_fraction_reference(dim):
+    """Ladders scaled by 1/3 and -5/6: the dense view, the least
+    denominators (also after random generator words), the action, the file
+    text, and, under the standard and a rational omega, the rows, the
+    product tables and the Ricci-type check all agree with the dense
+    Fraction path."""
+    rng = random.Random(dim)
+    verdicts = set()
+    for sd in (SymplecticData.standard(dim), rational_omega(dim)):
+        gens = sp_generators(sd) if sd.is_standard() else None
+        for scale in (Fraction(1, 3), Fraction(-5, 6)):
+            for cubes in scaled_ladders(sd, scale):
+                cap = len(cubes) - 1
+                curve = StructureMapCurve(sd, cap, cubes)
+                ref = [reference_as_cube(dim, c) for c in cubes]
+                assert curve.cubes == ref
+                assert [den for den, _ in curve.orders] == [least_denominator(c) for c in ref]
+                for (den, entries), cube in zip(curve.orders, ref):
+                    assert entries == {(a, b, c): int(den * x) for a, plane in enumerate(cube)
+                                       for b, line in enumerate(plane)
+                                       for c, x in enumerate(line) if x}
+                assert serialize.dumps(curve) == reference_dumps(sd, cap, ref)
+                dense = DenseRowsCurve(sd, cap, cubes)
+                for k in range(cap + 1):
+                    assert curve.rows(k) == reference_rows(sd, ref[k])
+                    assert curve.products(k) == dense.products(k)
+                verdict = invariant_ricci_type_check(curve)
+                assert verdict == invariant_ricci_type_check(dense)
+                verdicts.add(verdict[0])
+                if gens is None:
+                    continue
+                for _ in range(2):
+                    word = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+                    for _ in range(rng.randint(1, 3)):
+                        g = rng.choice(gens)
+                        word = tuple(tuple(sum(g[i][m] * word[m][j] for m in range(dim))
+                                           for j in range(dim)) for i in range(dim))
+                    moved = sp_action(word, curve)
+                    assert [den for den, _ in moved.orders] == [den for den, _ in curve.orders]
+                    c_inv = sd.symplectic_inverse(word)
+                    assert moved.cubes == [reference_pullback(c, c_inv) for c in ref]
+                    assert [least_denominator(c) for c in moved.cubes] == [
+                        den for den, _ in moved.orders]
+    assert verdicts == {True, False}
+
+
+def reference_swap_witness(cube):
+    """The first (a, b) with S_ab. != S_ba., by the dense walk."""
+    dim = len(cube)
+    return next(((a, b) for a in range(dim) for b in range(dim) if cube[a][b] != cube[b][a]),
+                None)
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_validity_swap_witness_matches_the_dense_walk(dim):
+    """Cubes built unvalidated with a few entries changed or zeroed: the
+    A(X)Y = A(Y)X witness read from the stored entries is the dense walk's."""
+    rng = random.Random(50 + dim)
+    sd = SymplecticData.standard(dim)
+    witnesses = set()
+    for _ in range(40):
+        cube = _random_symmetric_cube(rng, dim)
+        for _ in range(rng.randint(1, 3)):
+            a, b, c = (rng.randrange(dim) for _ in range(3))
+            cube[a][b][c] = rng.choice([0, Fraction(1, 2), -1])
+        pair = reference_swap_witness(cube)
+        ok, witness = validity_check(StructureMapCurve(sd, 1, [zero_cube(dim), cube],
+                                                        validate=False))
+        if pair is None:
+            assert ok or witness["identity"] == "A(X)A(Y) = 0"
+        else:
+            assert (ok, witness) == (False, {"identity": "A(X)Y = A(Y)X", "order": 1,
+                                             "pair": pair})
+        witnesses.add(pair)
+    assert None in witnesses and len(witnesses) > 5
+
+
+def test_the_dense_cube_paths_are_gone():
+    """One stored form: the dense conversions, the moduli module's own
+    integer form and the dense constant-tensor constructor do not return."""
+    for name in ("_as_rational", "_as_cube", "cube_is_zero", "_unsorted_triples"):
+        assert not hasattr(invariant, name)
+    for name in ("_cube_entries", "_scaled", "_matcher_data"):
+        assert not hasattr(moduli, name)
+    assert not hasattr(TensorField, "from_constant")
+
+
+def test_psi_At_reads_the_rows_the_curve_caches(monkeypatch):
+    """psi_At builds each order's field from rows(k): at most one
+    `cube_rows` per order, under either module's name, and none on a
+    second call."""
+    calls = []
+
+    def counting(original):
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(invariant, "cube_rows", counting(invariant.cube_rows))
+    monkeypatch.setattr(euclidean, "cube_rows", counting(euclidean.cube_rows))
+    for cap in (1, 3):
+        valid = validated_sum_ladder(SymplecticData.standard(6), cap, seed=cap)
+        curve = StructureMapCurve.from_orders(valid.sdata, cap, list(valid.orders))
+        calls.clear()
+        fields = euclidean.psi_At(curve)
+        assert len(fields) == cap + 1 and len(calls) == cap + 1
+        calls.clear()
+        assert euclidean.psi_At(curve) == fields and calls == []

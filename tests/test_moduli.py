@@ -299,8 +299,8 @@ def test_matcher_agrees_with_sp_action_on_every_word(dim, bound, divisor):
     """For every word up to the bound, the search's per-word matcher gives
     sp_action(C, a) == b on a planted-equivalent pair, a scaled pair (5 a)
     and a rank-one/sum pair, and its integral C^{-1} is linalg's inverse.
-    A divisor of 3 puts denominators into a, so the matcher scales it; the
-    sum ladder is halved, so d b then has entries that are not ints."""
+    A divisor of 3 puts denominators into a, so some of its dens are 3;
+    the halved sum ladder has a den of 2 at dim 6."""
     sdata = SymplecticData.standard(dim)
     gens = sp_generators(sdata)
     words = moduli._words_up_to(gens, dim, bound)
@@ -312,13 +312,13 @@ def test_matcher_agrees_with_sp_action_on_every_word(dim, bound, divisor):
         "scaled": _scale_curve(a, 5),
         "sum": _scale_curve(validated_sum_ladder(sdata, 2, seed=7), Fraction(1, 2)),
     }
-    data = {name: moduli._matcher_data(a, b) for name, b in pairs.items()}
+    inverses = moduli._word_table(gens, dim)[1]
     found = {name: 0 for name in pairs}
     for m in words:
         assert sdata.symplectic_inverse(m) == inverse(matrix(m))
         moved = sp_action(m, a)
         for name, b in pairs.items():
-            match = moduli._moves_to(m, *data[name])
+            match = moduli._moves_to(m, inverses, a, b)
             assert match == (moved == b), (name, m)
             found[name] += match
     assert found["planted"] >= 1 and found["scaled"] == found["sum"] == 0
@@ -422,34 +422,59 @@ def test_word_table_inverses_are_the_symplectic_inverses(dim):
     sdata = SymplecticData.standard(dim)
     gens = sp_generators(sdata)
     words = moduli._words_up_to(gens, dim, 3 if dim == 4 else 2)
-    _, inverses, _ = moduli._word_table(gens, dim)
+    inverses = moduli._word_table(gens, dim)[1]
     assert set(words) <= set(inverses)
     for m, m_inv in inverses.items():
         assert m_inv == sdata.symplectic_inverse(m)
 
 
-def reference_scaled(cube, d):
-    """d * cube with every integral entry as an int, by Fraction products."""
-    return tuple(
-        tuple(tuple(int(d * v) if (d * v).denominator == 1 else d * v for v in line)
-              for line in plane)
-        for plane in cube
-    )
+def test_a_repeated_refusal_enumerates_nothing(monkeypatch):
+    """The word table records how far a refused enumeration got: the same
+    refusal again, or a longer bound under the same ceiling, makes no
+    matrix product, and the table keeps whole levels only, at most
+    MAX_SEARCH_WORDS matrices."""
+    gens = sp_generators(SD)
+    moduli._word_table.cache_clear()
+    text = _refusal(gens, 5)
+    levels, inverses, _, _ = moduli._word_table(gens, 4)
+    sizes = [len(level) for level in levels]
+    assert sum(sizes) == len(inverses) <= moduli.MAX_SEARCH_WORDS
+    calls = []
+    times = moduli._times
+
+    def counting(*args):
+        calls.append(args)
+        return times(*args)
+
+    monkeypatch.setattr(moduli, "_times", counting)
+    assert _refusal(gens, 5) == text
+    assert _refusal(gens, 9) == text.replace("bound 5", "bound 9")
+    assert calls == []
+    assert [len(level) for level in levels] == sizes and sum(sizes) == len(inverses)
+    assert len(moduli._words_up_to(gens, 4, 4)) == sum(sizes) and calls == []
 
 
-@pytest.mark.parametrize("dim", [4, 6])
-def test_integer_scaling_matches_the_fraction_form(dim):
-    sdata = SymplecticData.standard(dim)
-    curves = [_scale_curve(rank_one_ladder(sdata, 2, seed=5), Fraction(1, 3)),
-              _scale_curve(validated_sum_ladder(sdata, 2, seed=7), Fraction(1, 2)),
-              _scale_curve(validated_sum_ladder(sdata, 2, seed=7), Fraction(-5, 6))]
-    kinds = set()
-    for cube in (cube for curve in curves for cube in curve.cubes):
-        for d in (1, 2, 3, 6):
-            got = moduli._scaled(moduli._cube_entries(cube), d)
-            want = {key: v for key, v in moduli._cube_entries(reference_scaled(cube, d)).items()}
-            assert got == want
-            assert {key: type(v) for key, v in got.items()} == {
-                key: type(v) for key, v in want.items()}
-            kinds |= {type(v) for v in got.values()}
-    assert kinds == {int, Fraction}
+def test_a_halved_ladder_has_no_witness():
+    """B integral and B/2 have the same ints, the same cheap invariants and
+    different dens; every word keeps den, so the search ends without a
+    witness, and never with a witness that sp_action refuses."""
+    e0, e1 = ((1, 0, 0, 0), (0, 1, 0, 0))
+    b = StructureMapCurve(SD, 2, [zero_cube(4), rank_one_cube(SD, e0), rank_one_cube(SD, e1)])
+    half = _scale_curve(b, Fraction(1, 2))
+    assert [den for den, _ in b.orders] == [1, 1, 1]
+    assert [den for den, _ in half.orders] == [1, 2, 2]
+    assert [entries for _, entries in b.orders] == [entries for _, entries in half.orders]
+    assert cheap_invariants(b) == cheap_invariants(half)
+    for x, y in ((b, half), (half, b)):
+        verdict = equivalence_semidecide(ModuliClassQuery(x, y, 2))
+        assert (verdict.kind, verdict.bound) == ("no_witness_within_bound", 2)
+
+
+def test_action_refuses_a_cube_that_is_not_symmetric():
+    """An unvalidated curve with a cube that is not symmetric is refused by
+    the action's own validation, as a curve built from it would be."""
+    skew = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    skew[0][1][2] = 1
+    curve = StructureMapCurve(SD, 1, [zero_cube(4), skew], validate=False)
+    with pytest.raises(ConfigurationError, match="^order-1 cube is not fully symmetric$"):
+        sp_action(IDENT, curve)
