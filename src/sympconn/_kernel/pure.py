@@ -9,29 +9,19 @@ Fourier modes and polynomial exponents do.  `dict_derivative` and
 `dict_shift` are the Fourier-mode operations of `fourier.FourierScalar`.
 These loops dominate the runtime of every tensor operation.
 
-`GaussianSums` is the one exact accumulator of the curvature calculus: a
-sum of many signed terms per key (Fourier coefficient maps, their products
-and their derivatives) kept as unreduced Gaussian-integer triples.  It reads
-a `GaussianRational`'s fields (p, q, d), the value (p + i q) / d, directly,
-so no `GaussianRational` and no gcd is made per term.
+`GaussianSums` is the package's one exact accumulator, for both coefficient
+types: every sum of many signed terms per key (coefficient maps, their
+products and their derivatives) is kept as unreduced Gaussian-integer
+triples.  It reads a `GaussianRational`'s fields (p, q, d), the value
+(p + i q) / d, and a `Fraction` as (numerator, 0, denominator), so no gcd is
+taken per term; each sum is reduced once, to the coefficient type of its
+scalar, so a `Poly` gets `Fraction`s.
 """
 
 from math import gcd
 from operator import add
 
-from ..rationals import _reduced
-
-
-def accumulate(acc, key, value):
-    """acc[key] += value in place; zero values and cancelled entries are dropped."""
-    if not value:
-        return
-    cur = acc.get(key)
-    s = value if cur is None else cur + value
-    if s:
-        acc[key] = s
-    else:
-        del acc[key]
+from ..rationals import Fraction, _make
 
 
 def dict_add(a, b):
@@ -114,15 +104,15 @@ def dict_shift(a, delta):
 
 
 class GaussianSums:
-    """Exact sums of Gaussian-rational coefficient maps, one sum per key.
+    """Exact sums of coefficient maps, one sum per key.
 
     Each key holds {mode: [p, q, d]}, the value (p + i q) / d with d > 0 and
     no gcd taken.  A term with another denominator merges over the lcm of
     the two, so the stored d is the lcm of the term denominators and stays
     small.  Each adder takes an int `sign` (a factor such as -1 or 2) and
-    reads the fields (p, q, d) of the `GaussianRational` values of a
-    coefficient map.  `finish` reduces each sum once; `all_zero` is true
-    exactly when every sum vanishes.
+    reads the values of a coefficient map through `_gaussian`.  `finish`
+    reduces each sum once, to its scalar type's coefficient type;
+    `all_zero` is true exactly when every sum vanishes.
     """
 
     __slots__ = ("sums",)
@@ -141,7 +131,7 @@ class GaussianSums:
         weight."""
         t = self._target(key)
         n, w = sign * weight.numerator, weight.denominator
-        for m, c in a.items():
+        for m, c in _gaussian(a).items():
             _merge(t, m, c.p * n, c.q * n, c.d * w)
 
     def add_product(self, key, a, b, sign=1):
@@ -149,16 +139,16 @@ class GaussianSums:
         t = self._target(key)
         if len(a) > len(b):
             a, b = b, a
-        right = [(m, c.p, c.q, c.d) for m, c in b.items()]
-        for m1, c in a.items():
+        right = [(m, c.p, c.q, c.d) for m, c in _gaussian(b).items()]
+        for m1, c in _gaussian(a).items():
             p1, q1, d1 = sign * c.p, sign * c.q, c.d
             for m2, p2, q2, d2 in right:
                 m = tuple(map(add, m1, m2))
                 _merge(t, m, p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 
     def add_derivative(self, key, a, axis, sign=1):
-        """sums[key] += sign * d a / d x^axis: the coefficient at mode m
-        times i m[axis]."""
+        """sums[key] += sign * d a / d x^axis for a Fourier coefficient map:
+        the coefficient at mode m times i m[axis]."""
         t = self._target(key)
         for m, c in a.items():
             k = m[axis]
@@ -171,16 +161,30 @@ class GaussianSums:
 
     def finish(self, scalar, dim):
         """{key: scalar(dim, coefficients)} over the keys whose sum is not
-        zero; each coefficient is reduced once and zero modes are dropped."""
+        zero; each coefficient is reduced once, to `scalar.coeff_type`, and
+        zero modes are dropped.  A `Fraction` sum has q = 0 throughout."""
+        real = scalar.coeff_type is Fraction
         out = {}
         for key, t in self.sums.items():
             coeffs = {}
             for m, (p, q, d) in t.items():
                 if p or q:
-                    coeffs[m] = _reduced(p, q, d)
+                    g = gcd(p, q, d)
+                    coeffs[m] = Fraction(p, d) if real else _make(p // g, q // g, d // g)
             if coeffs:
                 out[key] = scalar(dim, coeffs, _validated=True)
         return out
+
+
+def _gaussian(a):
+    """A coefficient map with `GaussianRational` values, read once per map:
+    a `Fraction` map as the same numbers (numerator + i 0) / denominator,
+    which are canonical triples and need no gcd."""
+    for c in a.values():
+        if type(c) is Fraction:
+            return {m: _make(c.numerator, 0, c.denominator) for m, c in a.items()}
+        break
+    return a
 
 
 def _merge(t, m, p, q, d):

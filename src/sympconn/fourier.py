@@ -370,30 +370,23 @@ def raise_last(t: TensorField, sdata: SymplecticData) -> TensorField:
     the mixed tensor A^p_{ab} stored at key (a, b, p):
     A^p_{ab} = sum_c omega^{cp} A-bar_{abc}.
     """
-    hi = sdata.omega_hi
-    comps = {}
-    for idx, f in t.components.items():
-        c = idx[-1]
-        for p in range(t.dim):
-            w = hi[c][p]
-            if not w:
-                continue
-            K.accumulate(comps, idx[:-1] + (p,), f.scale(w))
-    return TensorField(t.dim, t.rank, comps, "none", _validated=True)
+    return _map_last(t, sdata.omega_hi)
 
 
 def lower_last(t: TensorField, sdata: SymplecticData) -> TensorField:
     """Inverse of raise_last: A-bar_{abc} = sum_p A^p_{ab} omega_{pc}."""
-    lo = sdata.omega_lo
-    comps = {}
+    return _map_last(t, sdata.omega_lo)
+
+
+def _map_last(t, w):
+    """The tensor with last index c taken to p with the weight w[c][p],
+    summed in one `GaussianSums`."""
+    rows = [[(p, _int_if_integral(x)) for p, x in enumerate(row) if x] for row in w]
+    acc = K.GaussianSums()
     for idx, f in t.components.items():
-        p = idx[-1]
-        for c in range(t.dim):
-            w = lo[p][c]
-            if not w:
-                continue
-            K.accumulate(comps, idx[:-1] + (c,), f.scale(w))
-    return TensorField(t.dim, t.rank, comps, "none", _validated=True)
+        for p, x in rows[idx[-1]]:
+            acc.add(idx[:-1] + (p,), f.coeffs, weight=x)
+    return TensorField(t.dim, t.rank, acc.finish(FourierScalar, t.dim), "none", _validated=True)
 
 
 class TensorFieldCurve:

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from .curvature import ConnectionCurve
 from .errors import ConfigurationError, InputError
 from .fourier import FourierScalar, SymplecticData, TensorField
-from .invariant import StructureMapCurve
+from .invariant import StructureMapCurve, integral_form
 from .normalization import NormalizationResult
 from .rationals import _ratio_to_str, gaussian_from_strs, rational_from_str, rational_to_str
 from .symplecto import FourierVectorField, SymplectoCurve
@@ -243,17 +243,20 @@ def structure_map_from_json(obj):
     raw = _expect(obj, "cubes", "structure_map_curve")
     if not isinstance(raw, list) or len(raw) != cap + 1:
         _fail(f"structure_map_curve: need {cap + 1} cubes (orders 0..K)")
-    cubes = []
+    orders = []
     for k, cube in enumerate(raw):
         if not (isinstance(cube, list) and all(
                 isinstance(p, list) and all(isinstance(r, list) for r in p) for p in cube)):
             _fail(f"structure_map_curve: cube {k} is not a rank-3 array")
         if len(cube) != dim or any(len(p) != dim or any(len(r) != dim for r in p) for p in cube):
             _fail(f"structure_map_curve: cube {k} has wrong shape")
-        cubes.append([[[_parse_rational(x, f"cube {k}") for x in row] for row in plane]
-                      for plane in cube])
+        # every entry is checked in order and only the nonzero ones are kept;
+        # "0", the common entry, is a valid literal and needs no parse
+        orders.append(integral_form({
+            (a, b, c): v for a, plane in enumerate(cube) for b, row in enumerate(plane)
+            for c, x in enumerate(row) if x != "0" and (v := _parse_rational(x, f"cube {k}"))}))
     try:
-        return StructureMapCurve(sdata, cap, cubes)
+        return StructureMapCurve.from_orders(sdata, cap, orders)
     except Exception as exc:
         _fail(f"structure_map_curve: {exc}")
 

@@ -17,13 +17,13 @@ nothing below it.  Normal ordering, `merge_exponentials`, takes any number
 of factors: a product exp(L1_t) ... exp(Ln_t) becomes one exp(Z_t) in one
 pass, so a chain of factors is never merged two at a time.  Only
 `exp_lie_connection`, whose first term is affine in the connection, keeps
-its own series.
+its own series, one copy for both scalar types.  X(f), i(X)omega and every
+term of that series are summed in `_kernel.pure.GaussianSums`.
 """
 
 from __future__ import annotations
 
 from ._kernel import pure as K
-from ._kernel.pure import accumulate
 from .errors import ConfigurationError, InternalInconsistency
 from .rationals import Fraction
 
@@ -173,12 +173,16 @@ class VectorField:
         return type(self)([c.scale(s) for c in self.comps])
 
     def apply(self, f):
-        """The derivation X(f) = sum_a X^a df/dx^a."""
-        out = self.scalar.zero(self.dim)
+        """The derivation X(f) = sum_a X^a df/dx^a, in one `GaussianSums`."""
+        acc = K.GaussianSums()
+        self.add_apply(acc, 0, f)
+        return acc.finish(self.scalar, self.dim).get(0) or self.scalar.zero(self.dim)
+
+    def add_apply(self, acc, key, f):
+        """acc[key] += X(f) for a `GaussianSums` acc."""
         for a, xa in enumerate(self.comps):
-            if not xa.is_zero():
-                out = out + xa * f.derivative(a)
-        return out
+            if xa.coeffs and (df := f.derivative(a).coeffs):
+                acc.add_product(key, xa.coeffs, df)
 
     def derive(self, other):
         """The flat derivative of a field, (X(Y^c))_c."""
@@ -190,16 +194,7 @@ class VectorField:
 
     def interior_omega(self, sdata):
         """i(X)omega as the covector alpha_b = sum_a omega_ab X^a."""
-        dim = self.dim
-        lo = sdata.omega_lo
-        alpha = []
-        for b in range(dim):
-            ab = self.scalar.zero(dim)
-            for a in range(dim):
-                if lo[a][b]:
-                    ab = ab + self.comps[a].scale(lo[a][b])
-            alpha.append(ab)
-        return alpha
+        return combine(self.comps, sdata.omega_lo)
 
     def is_symplectic(self, sdata):
         """d(i(X)omega) = 0 for the constant form omega."""
@@ -230,6 +225,19 @@ class VectorField:
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
+
+
+def combine(scalars, m):
+    """[sum_b m[b][c] scalars[b] for each column c of m], for rational
+    weights m[b][c], summed in one `GaussianSums`."""
+    acc = K.GaussianSums()
+    for row, f in zip(m, scalars):
+        for c, w in enumerate(row):
+            if w:
+                acc.add(c, f.coeffs, weight=w)
+    scalar, dim = type(scalars[0]), scalars[0].dim
+    sums = acc.finish(scalar, dim)
+    return [sums.get(c) or scalar.zero(dim) for c in range(len(m[0]))]
 
 
 # -- truncated exponentials -----------------------------------------------------
@@ -289,9 +297,9 @@ def exp_ad(gens, ycurve):
 
 
 class _LieData:
-    """The first and second flat derivatives of one generator X:
-    into[q] = [(r, d_r X^q)], outof[r] = [(q, -d_r X^q)] and
-    hessian = {(a, b, p): d_a d_b X^p}, all without zero entries."""
+    """The first and second flat derivatives of one generator X, as
+    coefficient maps: into[q] = [(r, d_r X^q)], outof[r] = [(q, d_r X^q)]
+    and hessian = {(a, b, p): d_a d_b X^p}, all without zero entries."""
 
     __slots__ = ("field", "into", "outof", "hessian")
 
@@ -306,68 +314,75 @@ class _LieData:
                 d = xq.derivative(r)
                 if d.is_zero():
                     continue
-                self.into[q].append((r, d))
-                self.outof[r].append((q, -d))
+                self.into[q].append((r, d.coeffs))
+                self.outof[r].append((q, d.coeffs))
                 for a in range(dim):
-                    accumulate(self.hessian, (a, r, q), d.derivative(a))
+                    h = d.derivative(a)
+                    if h:
+                        self.hessian[(a, r, q)] = h.coeffs
 
     def lie(self, gamma, acc):
-        """acc += L_X gamma for a (1,2) tensor gamma = {(a, b, p): G^p_ab}:
+        """acc += L_X gamma in a `GaussianSums`, for gamma = {(a, b, p): G^p_ab}:
         (L_X G)^p_ab = X(G^p_ab) - G^q_ab d_q X^p + G^p_qb d_a X^q
         + G^p_aq d_b X^q."""
         for (a, b, p), g in gamma.items():
-            accumulate(acc, (a, b, p), self.field.apply(g))
+            self.field.add_apply(acc, (a, b, p), g)
+            g = g.coeffs
             for r, d in self.outof[p]:
-                accumulate(acc, (a, b, r), g * d)
+                acc.add_product((a, b, r), g, d, -1)
             for r, d in self.into[a]:
-                accumulate(acc, (r, b, p), g * d)
+                acc.add_product((r, b, p), g, d)
             for r, d in self.into[b]:
-                accumulate(acc, (a, r, p), g * d)
+                acc.add_product((a, r, p), g, d)
 
 
 def exp_lie_connection(gens, gamma):
     """exp(L_{X_t}) acting on the connection curve d + Gamma_t.
 
     gamma[k] = {(a, b, p): Gamma^(k)p_ab}, the Christoffel symbols of order
-    k with nabla_{e_a} e_b = sum_p Gamma^p_ab e_p; the result has the same
-    shape.  On connections L_X is the affine derivation
+    k with nabla_{e_a} e_b = sum_p Gamma^p_ab e_p, as scalars of the
+    generators' scalar type; the result has the same shape.  On connections
+    L_X is the affine derivation
       L_X (d + Gamma) = d d X + L_X Gamma,
     with (d d X)^p_ab = d_a d_b X^p, so
-      exp(L_X) Gamma = Gamma + sum_{j>=1} (1/j!) L_X^(j-1) (d d X + L_X Gamma).
-    Every term is graded in t and the j-th has valuation >= j, so the sum is
-    exact at the cap.  Every component (a, b, p) is computed; symmetry in
-    (a, b) is a property of the result, not an assumption.
+      exp(L_X) Gamma = sum_j T_j / j!,  T_0 = Gamma,
+      T_1 = d d X + L_X Gamma,  T_j = L_X T_(j-1).
+    Every term is graded in t and T_j has valuation >= j, so the sum is
+    exact at the cap.  Each order of each T_j is one `GaussianSums`,
+    finished once because the next term takes its derivatives; each order
+    of the result is one more, into which every T_j is added with the
+    weight 1/j!.  Every component (a, b, p) is computed; symmetry in (a, b)
+    is a property of the result, not an assumption.
     """
-    data = [None] + [
-        None if g.is_zero() else _LieData(g) for g in gens[1:]
-    ]
+    scalar, dim = gens[0].scalar, gens[0].dim
+    data = [None] + [None if g.is_zero() else _LieData(g) for g in gens[1:]]
 
-    def lie(curve):
+    def lie(curve, ddx=False):
+        """Order by order L_{X_t} curve, plus d d X_t when ddx is set."""
         out = []
         for k in range(len(curve)):
-            acc = {}
+            acc = K.GaussianSums()
             for s in range(1, k + 1):
                 if data[s] is not None and curve[k - s]:
                     data[s].lie(curve[k - s], acc)
-            out.append(acc)
+            if ddx and data[k] is not None:
+                for idx, h in data[k].hessian.items():
+                    acc.add(idx, h)
+            out.append(acc.finish(scalar, dim))
         return out
 
-    term = lie(gamma)
-    for k, d in enumerate(data):
-        if d is not None:
-            for idx, f in d.hessian.items():
-                accumulate(term[k], idx, f)
-    out = [dict(order) for order in gamma]
-    for j in range(1, len(gamma)):
-        if j > 1:
-            inv = Fraction(1, j)
-            term = [{idx: f.scale(inv) for idx, f in order.items()} for order in lie(term)]
-        if not any(term):
-            break
-        for order, add in zip(out, term):
-            for idx, f in add.items():
-                accumulate(order, idx, f)
-    return out
+    sums = [K.GaussianSums() for _ in gamma]
+    term, weight = gamma, Fraction(1)
+    for j in range(len(gamma)):
+        if j:
+            term = lie(term, ddx=j == 1)
+            if not any(term):
+                break
+            weight /= j
+        for acc, order in zip(sums, term):
+            for idx, f in order.items():
+                acc.add(idx, f.coeffs, weight=weight)
+    return [acc.finish(scalar, dim) for acc in sums]
 
 
 # -- normal ordering -------------------------------------------------------------

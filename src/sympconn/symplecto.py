@@ -18,7 +18,7 @@ NonRepresentablePhase.
 
 from __future__ import annotations
 
-from ._kernel.pure import accumulate
+from ._kernel.pure import GaussianSums
 from .curvature import ConnectionCurve
 from .errors import (
     ConfigurationError,
@@ -28,10 +28,11 @@ from .errors import (
 )
 from .fourier import FourierScalar, SymplecticData, TensorField, lower_last
 from .linalg import identity as mat_identity
-from .linalg import mat_vec
+from .linalg import mat_vec, transpose
 from .rationals import Fraction, GaussianRational
 from .series import (
     VectorField,
+    combine,
     coordinate_tests,
     exp_apply,
     exp_lie_connection,
@@ -86,16 +87,7 @@ def hamiltonian_field(sdata: SymplecticData, f: FourierScalar) -> FourierVectorF
     The solution is re-substituted into the defining equation; a mismatch
     would mean omega_hi is not the inverse convention assumed here.
     """
-    dim = f.dim
-    hi = sdata.omega_hi
-    comps = []
-    for c in range(dim):
-        xc = FourierScalar.zero(dim)
-        for b in range(dim):
-            if hi[b][c]:
-                xc = xc + f.derivative(b).scale(hi[b][c])
-        comps.append(xc)
-    x = FourierVectorField(comps)
+    x = FourierVectorField(combine([f.derivative(b) for b in range(f.dim)], sdata.omega_hi))
     for b, contr in enumerate(x.interior_omega(sdata)):
         if contr != f.derivative(b):
             raise InternalInconsistency("i(X_f) omega != df after solving")
@@ -107,29 +99,22 @@ def hamiltonian_field(sdata: SymplecticData, f: FourierScalar) -> FourierVectorF
 
 def affine_pullback_scalar(c_mat, d, f: FourierScalar) -> FourierScalar:
     """sigma^* f = f o sigma for sigma(x) = C x + 2 pi d: the mode m term
-    becomes the mode C^T m term times the phase e^{2 pi i m.d}."""
+    becomes the mode C^T m term times the phase e^{2 pi i m.d}.  m -> C^T m
+    is a bijection and a phase is a unit, so no two terms meet and none is
+    zero."""
     dim = f.dim
-    out = {}
-    for m, coeff in f.coeffs.items():
-        q = sum(mi * di for mi, di in zip(m, d))
-        mm = tuple(sum(c_mat[i][j] * m[i] for i in range(dim)) for j in range(dim))
-        accumulate(out, mm, coeff * _phase(Fraction(q)))
-    return FourierScalar(dim, out, _validated=True)
+    return FourierScalar(dim, {
+        tuple(sum(c_mat[i][j] * m[i] for i in range(dim)) for j in range(dim)):
+            coeff * _phase(Fraction(sum(mi * di for mi, di in zip(m, d))))
+        for m, coeff in f.coeffs.items()
+    }, _validated=True)
 
 
 def conj_affine(c_mat, c_inv, d, x: FourierVectorField) -> FourierVectorField:
     """sigma^* X (sigma^*)^{-1} as a derivation:
     (Ad_{sigma^*} X)^b(x) = (C^{-1})^b_a X^a(C x + 2 pi d)."""
-    dim = x.dim
     pulled = [affine_pullback_scalar(c_mat, d, comp) for comp in x.comps]
-    comps = []
-    for b in range(dim):
-        cb = FourierScalar.zero(dim)
-        for a in range(dim):
-            if c_inv[b][a]:
-                cb = cb + pulled[a].scale(c_inv[b][a])
-        comps.append(cb)
-    return FourierVectorField(comps)
+    return FourierVectorField(combine(pulled, transpose(c_inv)))
 
 
 def affine_pullback_tensor(c_mat, d, t: TensorField) -> TensorField:
@@ -137,15 +122,15 @@ def affine_pullback_tensor(c_mat, d, t: TensorField) -> TensorField:
     (sigma^* T)_{a1..ar}(x) = sum C^{b1}_{a1} .. C^{br}_{ar} T_{b1..br}(C x + 2 pi d)."""
     dim = t.dim
     rows = [[(a, c) for a, c in enumerate(row) if c] for row in c_mat]
-    out = {}
+    acc = GaussianSums()
     for idx, f in t.components.items():
-        g = affine_pullback_scalar(c_mat, d, f)
+        g = affine_pullback_scalar(c_mat, d, f).coeffs
         terms = [((), 1)]
         for b in idx:
             terms = [(new + (a,), w * c) for new, w in terms for a, c in rows[b]]
         for new, w in terms:
-            accumulate(out, new, g if w == 1 else g.scale(w))
-    return TensorField(dim, t.rank, out, _validated=True)
+            acc.add(new, g, weight=w)
+    return TensorField(dim, t.rank, acc.finish(FourierScalar, dim), _validated=True)
 
 
 # -- the curve type ------------------------------------------------------------

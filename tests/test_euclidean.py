@@ -35,7 +35,9 @@ from sympconn.invariant import (
     rank_one_cube,
     zero_cube,
 )
-from sympconn.series import exp_ad, merge_exponentials
+from sympconn.series import exp_ad, exp_lie_connection, merge_exponentials
+
+from test_series import reference_exp_lie_connection
 
 SD = SymplecticData.standard(4)
 
@@ -245,6 +247,8 @@ def poly_hamiltonian_ladder(rng, sdata, cap, steps):
     (6, 2, 2, 5), (6, 2, 3, 6), (6, 3, 2, 7),
 ])
 def test_poly_action_matches_basis_transport(dim, cap, steps, seed):
+    """Also the Lie series itself against its per-term reference, on the
+    Christoffel symbols of the same connection."""
     rng = random.Random(seed)
     sdata = SymplecticData.standard(dim)
     gamma = random_poly_gamma(rng, dim, cap)
@@ -252,6 +256,13 @@ def test_poly_action_matches_basis_transport(dim, cap, steps, seed):
     acted = act_on_poly_connection(gens, cap, sdata, gamma)
     assert acted != gamma
     assert acted == reference_act_on_poly_connection(gens, cap, sdata, gamma)
+    symbols = [{(a, b, p): c for (a, b), field in order.items()
+                for p, c in enumerate(field.comps) if c} for order in gamma]
+    for ladder in (gens, [-g for g in gens]):
+        moved = exp_lie_connection(ladder, symbols)
+        assert moved == reference_exp_lie_connection(ladder, symbols)
+        assert all(type(c) is Fraction for order in moved for f in order.values()
+                   for c in f.coeffs.values())
 
 
 def test_poly_action_matches_basis_transport_in_every_caller(monkeypatch):

@@ -6,7 +6,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympconn import fourier, series, symplecto
 from sympconn._kernel import pure
+from sympconn.euclidean import Poly
 from sympconn.fourier import FourierScalar, SymplecticData
 from sympconn.rationals import GaussianRational
 
@@ -80,10 +82,6 @@ def test_zero_test_is_the_truth_value_for_every_value_type():
         assert pure.dict_add(a, pure.dict_neg(b)) == {(1,): v, (2,): -w}
         assert pure.dict_sub(a, b) == {(1,): v, (2,): -w}
         assert pure.dict_add(b, {(0,): -v}) == {(2,): w}
-        acc = dict(a)
-        pure.accumulate(acc, (0,), -v)
-        pure.accumulate(acc, (3,), v - v)
-        assert acc == {(1,): v}
         assert pure.dict_scale(a, 0) == {} and pure.dict_scale(a, 2) == {(0,): w, (1,): w}
         square = pure.dict_convolve(a, {(0,): v, (1,): -v})
         assert square == {(0,): v * v, (2,): -(v * v)}
@@ -144,8 +142,7 @@ def test_gaussian_sums_match_plain_gaussian_rational_sums(ops, cancelled):
     acc, want = pure.GaussianSums(), {}
     for key, sign, term in ops + [(key, -sign, term) for key, sign, term in ops[:cancelled]]:
         _add_term(acc, (key,), term, sign)
-        for m, c in _reference_term(term, sign).items():
-            pure.accumulate(want.setdefault((key,), {}), m, c)
+        want[(key,)] = pure.dict_add(want.get((key,), {}), _reference_term(term, sign))
     want = {key: coeffs for key, coeffs in want.items() if coeffs}
     got = acc.finish(FourierScalar, 2)
     assert {key: f.coeffs for key, f in got.items()} == want
@@ -153,6 +150,41 @@ def test_gaussian_sums_match_plain_gaussian_rational_sums(ops, cancelled):
     assert acc.all_zero() == (not want)
     if cancelled >= len(ops):
         assert got == {} and acc.all_zero()
+
+
+_fractions = _rationals.filter(bool)
+_fraction_maps = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _fractions,
+                                 max_size=4)
+_fraction_ops = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-2, -1, 1, 2)), st.one_of(
+    st.tuples(st.just("add"), _fraction_maps, st.sampled_from(WEIGHTS + [1, -3])),
+    st.tuples(st.just("product"), _fraction_maps, _fraction_maps),
+)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fraction_ops, st.integers(0, 8))
+def test_gaussian_sums_match_plain_fraction_sums(ops, cancelled):
+    """`Fraction` maps through `add` and `add_product`, with signs, rational
+    weights and cancellations as above, against the same sums in `Fraction`
+    arithmetic: `finish(Poly, dim)` gives `Fraction` coefficients, no zero
+    mode and no empty key."""
+    acc, want = pure.GaussianSums(), {}
+    for key, sign, term in ops + [(key, -sign, term) for key, sign, term in ops[:cancelled]]:
+        _add_term(acc, (key,), term, sign)
+        want[(key,)] = pure.dict_add(want.get((key,), {}), _reference_term(term, sign))
+    want = {key: coeffs for key, coeffs in want.items() if coeffs}
+    got = acc.finish(Poly, 2)
+    assert {key: f.coeffs for key, f in got.items()} == want
+    assert all(type(c) is Fraction and c for f in got.values() for c in f.coeffs.values())
+    assert all(type(f) is Poly and f.coeffs for f in got.values())
+    assert acc.all_zero() == (not want)
+
+
+def test_no_module_keeps_a_per_term_accumulator():
+    """`GaussianSums` is the one exact accumulator: the kernel defines no
+    per-term `accumulate`, and no module that sums binds one."""
+    for module in (pure, series, symplecto, fourier):
+        assert not hasattr(module, "accumulate")
 
 
 def test_gaussian_sums_merge_over_the_lcm_of_the_denominators():

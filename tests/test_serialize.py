@@ -11,6 +11,7 @@ from sympconn.generate import (
     conjugated_flat_fixture,
     hamiltonian_steps,
     rank_one_ladder,
+    validated_sum_ladder,
 )
 from sympconn.normalization import normalize_curve
 from sympconn.serialize import dumps, from_json, json_text, loads, to_json
@@ -31,6 +32,21 @@ def test_connection_round_trip():
 def test_structure_map_round_trip():
     curve = rank_one_ladder(SD, 3, seed=2)
     assert loads(dumps(curve)) == curve
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(-5, 6)])
+def test_sparse_structure_map_parse_round_trips_byte_identically(scale):
+    """A dim-8 cap-3 sum ladder, nearly all of whose 4 * 512 entries are
+    "0", reads back to the same stored orders and writes the same bytes."""
+    from sympconn.invariant import StructureMapCurve
+
+    ladder = validated_sum_ladder(SymplecticData.standard(8), 3, seed=4)
+    ladder = StructureMapCurve(ladder.sdata, 3, [[[[scale * x for x in row] for row in plane]
+                                                  for plane in cube] for cube in ladder.cubes])
+    text = dumps(ladder)
+    back = loads(text)
+    assert back.orders == ladder.orders and any(entries for _, entries in back.orders)
+    assert dumps(back) == text
 
 
 def test_symplecto_round_trip_with_affine_part():
