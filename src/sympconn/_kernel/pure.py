@@ -109,10 +109,12 @@ class GaussianSums:
     Each key holds {mode: [p, q, d]}, the value (p + i q) / d with d > 0 and
     no gcd taken.  A term with another denominator merges over the lcm of
     the two, so the stored d is the lcm of the term denominators and stays
-    small.  Each adder takes an int `sign` (a factor such as -1 or 2) and
-    reads the values of a coefficient map through `_gaussian`.  `finish`
-    reduces each sum once, to its scalar type's coefficient type;
-    `all_zero` is true exactly when every sum vanishes.
+    small.  Each adder takes an int `sign` (a factor such as -1 or 2), `add`
+    and `add_product` also a rational `weight` that scales the numerators
+    and denominators of the term, and each reads the values of a
+    coefficient map through `_gaussian`.  `finish` reduces each sum once,
+    to its scalar type's coefficient type; `all_zero` is true exactly when
+    every sum vanishes.
     """
 
     __slots__ = ("sums",)
@@ -134,14 +136,16 @@ class GaussianSums:
         for m, c in _gaussian(a).items():
             _merge(t, m, c.p * n, c.q * n, c.d * w)
 
-    def add_product(self, key, a, b, sign=1):
-        """sums[key] += sign * a b: keys add, coefficients multiply."""
+    def add_product(self, key, a, b, sign=1, weight=1):
+        """sums[key] += sign * weight * a b, for a rational weight: keys add,
+        coefficients multiply."""
         t = self._target(key)
         if len(a) > len(b):
             a, b = b, a
+        n, w = sign * weight.numerator, weight.denominator
         right = [(m, c.p, c.q, c.d) for m, c in _gaussian(b).items()]
         for m1, c in _gaussian(a).items():
-            p1, q1, d1 = sign * c.p, sign * c.q, c.d
+            p1, q1, d1 = n * c.p, n * c.q, w * c.d
             for m2, p2, q2, d2 in right:
                 m = tuple(map(add, m1, m2))
                 _merge(t, m, p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)

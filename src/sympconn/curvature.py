@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._kernel.pure import GaussianSums, dict_sub
+from ._kernel.pure import GaussianSums
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
 from .fourier import (
     FourierScalar,
@@ -281,22 +281,23 @@ def _e_targets(sdata: SymplecticData):
 
 def _fill_curvature_type(half, dim):
     """The rank-4 field with T_bacd = -T_abcd and T_abdc = T_abcd whose
-    entries with a < b and c <= d are `half`; the (c, d) copies share the
-    immutable scalars."""
+    entries with a < b and c <= d are `half`."""
     comps = {}
-    for (a, b, c, d), f in half.items():
-        g = -f
-        comps[(a, b, c, d)] = f
-        comps[(b, a, c, d)] = g
-        if c != d:
-            comps[(a, b, d, c)] = f
-            comps[(b, a, d, c)] = g
+    for key, f in half.items():
+        _put_curvature_type(comps, key, f, -f)
     return TensorField(dim, 4, comps, "curvature_type", _validated=True)
 
 
-def _upper_half(t: TensorField):
-    """The entries of a rank-4 field with a < b and c <= d."""
-    return {k: f for k, f in t.components.items() if k[0] < k[1] and k[2] <= k[3]}
+def _put_curvature_type(comps, key, f, g):
+    """comps gets f at key = (a, b, c, d), a < b and c <= d, and at its
+    (c, d) swap, and g = -f at the (a, b) swaps of both; the copies share
+    the immutable scalars."""
+    a, b, c, d = key
+    comps[key] = f
+    comps[(b, a, c, d)] = g
+    if c != d:
+        comps[(a, b, d, c)] = f
+        comps[(b, a, d, c)] = g
 
 
 def ricci_part(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
@@ -333,7 +334,10 @@ def ew_split(r4: TensorFieldCurve, r2: TensorFieldCurve, sdata: SymplecticData):
 
     R is curvature type, as `curvature_curve` asserts (always on), and so is
     E (see `ricci_part`), so W = R - E is formed on the keys with a < b and
-    c <= d only and filled in by the same symmetries."""
+    c <= d only and filled in by the same symmetries.  A key of R alone
+    shares R's scalars, its (b, a, c, d) negation included, and a key of E
+    alone shares E's pair swapped, since W = -E there; only a key of both is
+    subtracted and negated."""
     if r4.cap != r2.cap:
         raise ConfigurationError("curve cap mismatch")
     e = ricci_part(r2, sdata)
@@ -343,7 +347,21 @@ def ew_split(r4: TensorFieldCurve, r2: TensorFieldCurve, sdata: SymplecticData):
             raise ConfigurationError(
                 "ew_split needs R of curvature type, as curvature_curve returns"
             )
-        w.append(_fill_curvature_type(dict_sub(_upper_half(rt), _upper_half(et)), sdata.dim))
+        r, ee = rt.components, et.components
+        comps = {}
+        for key, f in r.items():
+            a, b, c, d = key
+            if a < b and c <= d:
+                x = ee.get(key)
+                if x is None:
+                    _put_curvature_type(comps, key, f, r[(b, a, c, d)])
+                elif f := f - x:
+                    _put_curvature_type(comps, key, f, -f)
+        for key, x in ee.items():
+            a, b, c, d = key
+            if a < b and c <= d and key not in r:
+                _put_curvature_type(comps, key, ee[(b, a, c, d)], x)
+        w.append(TensorField(sdata.dim, 4, comps, "curvature_type", _validated=True))
     return e, TensorFieldCurve(r4.cap, w)
 
 

@@ -325,7 +325,7 @@ def psi_At_connection_check(b_curve: StructureMapCurve, gens=None):
     zero = PolyVectorField.zero(dim)
     for a in range(dim):
         e = PolyVectorField.constant(dim, [1 if i == a else 0 for i in range(dim)])
-        q = exp_terms(VectorField.bracket, gens, [[e] + [zero] * cap])[0]
+        q = exp_terms(VectorField.add_bracket, gens, [[e] + [zero] * cap])[0]
         if cap >= 2 and not all(f.is_zero() for f in q[2]):
             raise InternalInconsistency("(ad X_{A^t})^2 != 0 on a constant field")
     acted = act_on_poly_connection(gens, cap, sdata, [dict() for _ in range(cap + 1)])

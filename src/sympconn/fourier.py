@@ -35,6 +35,11 @@ def _omega_inverse(omega_lo):
     return inverse(omega_lo)
 
 
+def _index_map(w):
+    rows = tuple(tuple((p, _int_if_integral(x)) for p, x in enumerate(row) if x) for row in w)
+    return rows, all(len(row) == 1 for row in rows)
+
+
 class SymplecticData:
     """Even dimension 2n >= 4 with a constant antisymmetric invertible omega.
 
@@ -44,10 +49,12 @@ class SymplecticData:
     The symplectic group of omega lives here too: `is_symplectic_matrix` is
     the one check of C^T omega C = omega and `symplectic_inverse` the one
     integral inverse omega^{-1} C^T omega.  Both sum over the nonzero entries
-    of omega only, with term lists built once per omega on first use.
+    of omega only, with term lists built once per omega on first use.  So
+    do the index maps by omega and omega^{-1} (`index_map`), which
+    `raise_last`, `lower_last` and `VectorField.is_symplectic` read.
     """
 
-    __slots__ = ("dim", "omega_lo", "omega_hi", "_sp_terms")
+    __slots__ = ("dim", "omega_lo", "omega_hi", "_sp_terms", "_index_maps")
 
     def __init__(self, omega_lo):
         omega_lo = matrix(omega_lo)
@@ -62,6 +69,7 @@ class SymplecticData:
         self.omega_lo = omega_lo
         self.omega_hi = _omega_inverse(omega_lo)
         self._sp_terms = None
+        self._index_maps = None
 
     @classmethod
     def standard(cls, dim):
@@ -96,6 +104,16 @@ class SymplecticData:
                      for l, jj, w in check if jj == j] for j in r] for i in r]
             self._sp_terms = check, inv
         return self._sp_terms
+
+    def index_map(self, upper):
+        """(rows, monomial) for omega^{ab} when upper, else omega_ab: rows[c]
+        lists the nonzero (p, w[c][p]), integral weights as ints.  monomial
+        is true when every row holds one entry, as for the standard omega;
+        w is invertible, so no two rows then share a column, and a map by w
+        moves each term to a place of its own.  Built once per omega."""
+        if self._index_maps is None:
+            self._index_maps = tuple(_index_map(w) for w in (self.omega_lo, self.omega_hi))
+        return self._index_maps[upper]
 
     def is_symplectic_matrix(self, c):
         """C^T omega C = omega for a dim x dim C with int or Fraction entries
@@ -370,18 +388,25 @@ def raise_last(t: TensorField, sdata: SymplecticData) -> TensorField:
     the mixed tensor A^p_{ab} stored at key (a, b, p):
     A^p_{ab} = sum_c omega^{cp} A-bar_{abc}.
     """
-    return _map_last(t, sdata.omega_hi)
+    return _map_last(t, *sdata.index_map(upper=True))
 
 
 def lower_last(t: TensorField, sdata: SymplecticData) -> TensorField:
     """Inverse of raise_last: A-bar_{abc} = sum_p A^p_{ab} omega_{pc}."""
-    return _map_last(t, sdata.omega_lo)
+    return _map_last(t, *sdata.index_map(upper=False))
 
 
-def _map_last(t, w):
-    """The tensor with last index c taken to p with the weight w[c][p],
-    summed in one `GaussianSums`."""
-    rows = [[(p, _int_if_integral(x)) for p, x in enumerate(row) if x] for row in w]
+def _map_last(t, rows, monomial):
+    """The tensor with last index c taken to p with the weight w[c][p], for
+    the rows of `SymplecticData.index_map`.  A monomial map moves each scalar
+    to its own key, times its weight (shared at 1, negated at -1); any other
+    is summed in one `GaussianSums`."""
+    if monomial:
+        comps = {}
+        for idx, f in t.components.items():
+            (p, x), = rows[idx[-1]]
+            comps[idx[:-1] + (p,)] = f.scale(x)
+        return TensorField(t.dim, t.rank, comps, "none", _validated=True)
     acc = K.GaussianSums()
     for idx, f in t.components.items():
         for p, x in rows[idx[-1]]:

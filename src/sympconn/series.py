@@ -17,8 +17,13 @@ nothing below it.  Normal ordering, `merge_exponentials`, takes any number
 of factors: a product exp(L1_t) ... exp(Ln_t) becomes one exp(Z_t) in one
 pass, so a chain of factors is never merged two at a time.  Only
 `exp_lie_connection`, whose first term is affine in the connection, keeps
-its own series, one copy for both scalar types.  X(f), i(X)omega and every
-term of that series are summed in `_kernel.pure.GaussianSums`.
+its own series, one copy for both scalar types.
+
+Every sum here goes into `_kernel.pure.GaussianSums` and is reduced once:
+X(f), [X, Y], i(X)omega, d(i(X)omega) for `is_symplectic`, each order of
+the `exp_terms` table (all of its terms, with the weight 1/j, through the
+adders `VectorField.add_apply` and `VectorField.add_bracket`) and every
+term of `exp_lie_connection`.
 """
 
 from __future__ import annotations
@@ -178,33 +183,52 @@ class VectorField:
         self.add_apply(acc, 0, f)
         return acc.finish(self.scalar, self.dim).get(0) or self.scalar.zero(self.dim)
 
-    def add_apply(self, acc, key, f):
-        """acc[key] += X(f) for a `GaussianSums` acc."""
+    def add_apply(self, acc, key, f, weight=1):
+        """acc[key] += weight X(f) for a `GaussianSums` acc and a rational
+        weight."""
         for a, xa in enumerate(self.comps):
             if xa.coeffs and (df := f.derivative(a).coeffs):
-                acc.add_product(key, xa.coeffs, df)
+                acc.add_product(key, xa.coeffs, df, weight=weight)
 
     def derive(self, other):
         """The flat derivative of a field, (X(Y^c))_c."""
         return type(self)([self.apply(c) for c in other.comps])
 
     def bracket(self, other):
-        """[X, Y]^c = X(Y^c) - Y(X^c)."""
-        return self.derive(other) - other.derive(self)
+        """[X, Y]^c = X(Y^c) - Y(X^c), in one `GaussianSums`."""
+        acc = K.GaussianSums()
+        self.add_bracket(acc, (), other)
+        return _fields(type(self), self.dim, acc).get(()) or type(self).zero(self.dim)
+
+    def add_bracket(self, acc, key, other, weight=1):
+        """acc[key + (c,)] += weight [X, Y]^c for every component c."""
+        for c, (xc, yc) in enumerate(zip(self.comps, other.comps)):
+            self.add_apply(acc, key + (c,), yc, weight)
+            other.add_apply(acc, key + (c,), xc, -weight)
 
     def interior_omega(self, sdata):
         """i(X)omega as the covector alpha_b = sum_a omega_ab X^a."""
         return combine(self.comps, sdata.omega_lo)
 
     def is_symplectic(self, sdata):
-        """d(i(X)omega) = 0 for the constant form omega."""
+        """d(i(X)omega) = 0 for the constant form omega: with
+        alpha_b = sum_c omega_cb X^c, every d_a alpha_b - d_b alpha_a with
+        a < b is summed in one `GaussianSums`.  The zero field is symplectic
+        at once."""
+        if self.is_zero():
+            return True
         dim = self.dim
-        alpha = self.interior_omega(sdata)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                if not (alpha[b].derivative(a) - alpha[a].derivative(b)).is_zero():
-                    return False
-        return True
+        rows, _ = sdata.index_map(upper=False)
+        acc = K.GaussianSums()
+        for c, xc in enumerate(self.comps):
+            if not xc.coeffs:
+                continue
+            grads = [xc.derivative(a).coeffs for a in range(dim)]
+            for b, w in rows[c]:
+                for a, d in enumerate(grads):
+                    if d and a != b:
+                        acc.add((a, b) if a < b else (b, a), d, weight=w if a < b else -w)
+        return acc.all_zero()
 
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)
@@ -246,9 +270,13 @@ def combine(scalars, m):
 def exp_terms(op, gens, curves, solve=None):
     """The terms Q_j = X_t^j c / j! of exp(X_t) c for each curve c, built one
     order at a time: tables[i][j][k] = Q_j[k] for curves[i], with Q_0 = c and
-    Q_j[k] = (1/j) sum_s op(X^(s), Q_(j-1)[k-s]).  op is `VectorField.apply`
-    on scalar curves and `VectorField.bracket` on field curves.  Q_j has
-    valuation >= j, so j runs to the cap and s to k - j + 1.
+    Q_j[k] = (1/j) sum_s op(X^(s), Q_(j-1)[k-s]).  op adds into a
+    `GaussianSums`, op(x, acc, key, y, weight) adding weight op(x, y) at key:
+    `VectorField.add_apply` on scalar curves and `VectorField.add_bracket`
+    on field curves.  Every term of order k, for every curve and every j,
+    goes into one accumulator with the weight 1/j, finished once.  Q_j has
+    valuation >= j, so j runs to the cap and s, over the nonzero generators
+    only, to k - j + 1.
 
     solve(k, partials) is the normal-ordering hook.  gens[k] is zero on
     entry; partials[i] is order k of exp(X_t) curves[i] without X^(k), and
@@ -257,20 +285,50 @@ def exp_terms(op, gens, curves, solve=None):
     cap = len(gens) - 1
     zero = type(curves[0][0]).zero(curves[0][0].dim)
     tables = [[list(c)] + [[zero] * (cap + 1) for _ in range(cap)] for c in curves]
+    weights = [None] + [Fraction(1, j) for j in range(1, cap + 1)]
+    live = [s for s in range(1, cap + 1) if not gens[s].is_zero()]
     for k in range(1, cap + 1):
-        for q in tables:
+        acc = K.GaussianSums()
+        for i, q in enumerate(tables):
             for j in range(1, k + 1):
-                acc = zero
-                for s in range(1, k - j + 2):
-                    prev = q[j - 1][k - s]
-                    if not gens[s].is_zero() and not prev.is_zero():
-                        acc = acc + op(gens[s], prev)
-                q[j][k] = acc if j == 1 or acc is zero else acc.scale(Fraction(1, j))
+                before = q[j - 1]
+                for s in live:
+                    if s > k - j + 1:
+                        break
+                    if not before[k - s].is_zero():
+                        op(gens[s], acc, (i, j), before[k - s], weights[j])
+        sums = _finish(acc, zero)
+        for i, q in enumerate(tables):
+            for j in range(1, k + 1):
+                q[j][k] = sums.get((i, j), zero)
         if solve is not None:
             gens[k] = solve(k, [_order_sum(q, k) for q in tables])
-            for q in tables:
-                q[1][k] = q[1][k] + op(gens[k], q[0][0])
+            if gens[k].is_zero():
+                continue
+            live.append(k)
+            acc = K.GaussianSums()
+            for i, q in enumerate(tables):
+                op(gens[k], acc, (i,), q[0][0], 1)
+            for (i,), f in _finish(acc, zero).items():
+                tables[i][1][k] = tables[i][1][k] + f
     return tables
+
+
+def _finish(acc, like):
+    """The sums of acc as values of like's type: {key: scalar} for a
+    scalar, {key: field} for a field (`_fields`)."""
+    if isinstance(like, VectorField):
+        return _fields(type(like), like.dim, acc)
+    return acc.finish(type(like), like.dim)
+
+
+def _fields(field, dim, acc):
+    """{key: field} from the sums at key + (c,) of each component c."""
+    zero = field.scalar.zero(dim)
+    comps = {}
+    for (*key, c), f in acc.finish(field.scalar, dim).items():
+        comps.setdefault(tuple(key), [zero] * dim)[c] = f
+    return {key: field(cs) for key, cs in comps.items()}
 
 
 def _order_sum(q, k):
@@ -285,12 +343,12 @@ def _exp(op, gens, curve):
 
 def exp_apply(gens, fcurve):
     """exp(X_t) applied to a scalar curve."""
-    return _exp(VectorField.apply, gens, fcurve)
+    return _exp(VectorField.add_apply, gens, fcurve)
 
 
 def exp_ad(gens, ycurve):
     """exp(ad X_t) Y for a vector-field curve Y."""
-    return _exp(VectorField.bracket, gens, ycurve)
+    return _exp(VectorField.add_bracket, gens, ycurve)
 
 
 # -- the action on connections -----------------------------------------------------
@@ -432,7 +490,7 @@ def merge_exponentials(sdata, *ladders):
         return zk
 
     z = [field.zero(dim)] * (cap + 1)
-    exp_terms(VectorField.apply, z, tests, solve)
+    exp_terms(VectorField.add_apply, z, tests, solve)
     for f, target in zip(tests, targets):
         if exp_apply(z, f) != target:
             raise InternalInconsistency("normal ordering failed verification")

@@ -10,7 +10,7 @@ from sympconn.cli import main
 from sympconn.generate import conjugated_flat_fixture, rank_one_ladder
 from sympconn.fourier import SymplecticData
 from sympconn.moduli import sp_action, sp_generators
-from sympconn.serialize import dump_path, load_path
+from sympconn.serialize import dump_path, dumps, load_path
 
 SD = SymplecticData.standard(4)
 
@@ -672,3 +672,186 @@ def test_mutated_structure_map_files_fail_cleanly(tmp_path, capsys, mutation):
             assert time.monotonic() - start < 1.0, argv
             assert code in codes and "Traceback" not in err, (argv, code, err)
             assert out == "" or isinstance(json.loads(out), dict), (argv, out)
+
+
+# -- a seeded mutation corpus of connection-curve and symplecto-curve files ------
+
+
+def _order_entry(rng, obj, distinct=False):
+    """A random order of a connection file's A and one of its entries, with
+    at least two distinct indices when asked."""
+    orders = [t for t in obj["A"] if any(len(set(e["idx"])) > distinct for e in t["entries"])]
+    t = rng.choice(orders)
+    return t, rng.choice([e for e in t["entries"] if len(set(e["idx"])) > distinct])
+
+
+def _permutations_of(t, entry):
+    return [e for e in t["entries"] if sorted(e["idx"]) == sorted(entry["idx"])]
+
+
+def _asymmetric_coefficient(rng, obj):
+    """One entry's coefficient changed, not its permutations'."""
+    _, e = _order_entry(rng, obj, distinct=True)
+    rng.choice(e["modes"])["c"]["re"] = "7"
+
+
+def _non_real_coefficient(rng, obj):
+    """The same mode of an entry and all its permutations set to 5i, whose
+    conjugate mode does not hold -5i."""
+    t, e = _order_entry(rng, obj)
+    i = rng.randrange(len(e["modes"]))
+    for p in _permutations_of(t, e):
+        p["modes"][i]["c"] = {"re": "0", "im": "5"}
+
+
+def _entry_removed(rng, obj):
+    """An entry and all its permutations removed: still a real symmetric curve."""
+    t, e = _order_entry(rng, obj)
+    for p in _permutations_of(t, e):
+        t["entries"].remove(p)
+
+
+def _entry_update(**fields):
+    def mutate(rng, obj):
+        _order_entry(rng, obj)[1].update(fields)
+    return mutate
+
+
+def _mode_update(**fields):
+    def mutate(rng, obj):
+        rng.choice(_order_entry(rng, obj)[1]["modes"]).update(fields)
+    return mutate
+
+
+def _duplicate_entry(rng, obj):
+    t, e = _order_entry(rng, obj)
+    t["entries"].append(e)
+
+
+def _duplicate_mode(rng, obj):
+    modes = _order_entry(rng, obj)[1]["modes"]
+    modes.append(modes[0])
+
+
+def _order_update(**fields):
+    def mutate(rng, obj):
+        rng.choice(obj["A"]).update(fields)
+    return mutate
+
+
+# mutation -> (mutate, the exit codes it may give): a file that still holds
+# a real symmetric connection curve gets a verdict, 0 or 1, and any other
+# exits 2
+CONNECTION_MUTATIONS = {
+    "asymmetric coefficient": (_asymmetric_coefficient, {2}),
+    "non-real coefficient": (_non_real_coefficient, {2}),
+    "entry removed with its permutations": (_entry_removed, {0, 1}),
+    "index 0": (_entry_update(idx=[0, 1, 1]), {2}),
+    "index past dim": (_entry_update(idx=[1, 1, 5]), {2}),
+    "index of rank 2": (_entry_update(idx=[1, 1]), {2}),
+    "index as a string": (_entry_update(idx="111"), {2}),
+    "duplicate entry": (_duplicate_entry, {2}),
+    "modes as an object": (_entry_update(modes={}), {2}),
+    "short mode": (_mode_update(m=[1, 0, 0]), {2}),
+    "huge mode": (_mode_update(m=[10 ** 30, 0, 0, 0]), {2}),
+    "duplicate mode": (_duplicate_mode, {2}),
+    "1/0 coefficient": (_mode_update(c={"re": "1/0", "im": "0"}), {2}),
+    "coefficient as a number": (_mode_update(c=1), {2}),
+    "rank 4": (_order_update(rank=4), {2}),
+    "no symmetry": (_order_update(symmetry="none"), {2}),
+    "missing order": (lambda rng, obj: obj["A"].pop(rng.randrange(len(obj["A"]))), {2}),
+    "boolean cap": (lambda rng, obj: obj.update(cap=True), {2}),
+    "symmetric omega": (lambda rng, obj: obj["omega"][2].__setitem__(0, "1"), {2}),
+    "singular omega": (lambda rng, obj: obj.update(omega=[["0"] * 4] * 4), {2}),
+    "symplecto kind": (lambda rng, obj: obj.update(kind="symplecto_curve"), {2}),
+}
+
+
+def _zero_generator_bent(rng, obj):
+    """A zero generator made the real field cos(x^2 + x^3) e_1, which is not
+    symplectic under the standard omega."""
+    k = next(k for k, g in enumerate(obj["X"]) if not any(g))
+    obj["X"][k][0] = [{"m": m, "c": {"re": "1/2", "im": "0"}}
+                      for m in ([0, -1, -1, 0], [0, 1, 1, 0])]
+
+
+def _generator_non_real(rng, obj):
+    comps = [c for g in obj["X"] for c in g if c]
+    rng.choice(rng.choice(comps))["c"]["im"] = "3"
+
+
+def _cap_lowered(rng, obj):
+    obj["X"].pop()
+    obj["cap"] -= 1
+
+
+SYMPLECTO_MUTATIONS = {
+    "zero generator bent": (_zero_generator_bent, {2}),
+    "non-real generator": (_generator_non_real, {2}),
+    "generator missing a component": (lambda rng, obj: rng.choice(obj["X"]).pop(), {2}),
+    "missing generator": (lambda rng, obj: obj["X"].pop(), {2}),
+    "C not symplectic": (lambda rng, obj: obj["C"][0].__setitem__(0, 2), {2}),
+    "C not integral": (lambda rng, obj: obj["C"][0].__setitem__(0, 1.5), {2}),
+    "boolean C entry": (lambda rng, obj: obj["C"][1].__setitem__(1, True), {2}),
+    "translation by a third": (lambda rng, obj: obj["d"].__setitem__(0, "1/3"), {0, 2}),
+    "translation 1/0": (lambda rng, obj: obj["d"].__setitem__(0, "1/0"), {2}),
+    "cap lowered": (_cap_lowered, {1}),
+    "connection kind": (lambda rng, obj: obj.update(kind="connection_curve"), {2}),
+}
+
+
+@pytest.fixture(scope="module")
+def curve_files():
+    """A valid Ricci-type connection curve and the symplectomorphism that
+    made it (cap 3, its order-3 generator zero), as file texts."""
+    _, psi, moved = conjugated_flat_fixture(1, dim=4, cap=3)
+    assert psi.gens[3].is_zero() and not psi.gens[1].is_zero()
+    return dumps(moved), dumps(psi)
+
+
+def _assert_fails_cleanly(capsys, argv, codes):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0, argv
+    assert code in codes and "Traceback" not in err, (argv, code, err)
+    assert out == "" or isinstance(json.loads(out), dict), (argv, out)
+    return code
+
+
+@pytest.mark.parametrize("mutation", sorted(CONNECTION_MUTATIONS))
+def test_mutated_connection_files_fail_cleanly(tmp_path, capsys, curve_files, mutation):
+    """Seeded mutations of a valid connection file through `check`,
+    `normalize` and `act` in-process: an allowed exit code, no traceback,
+    stdout empty or one JSON object, and each command well under a second."""
+    conn_text, psi_text = curve_files
+    psi = tmp_path / "psi.json"
+    psi.write_text(psi_text)
+    mutate, codes = CONNECTION_MUTATIONS[mutation]
+    rng = random.Random(f"connection-{mutation}")
+    for i in range(2):
+        obj = json.loads(conn_text)
+        mutate(rng, obj)
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(obj))
+        for argv in (["check", str(bad)], ["normalize", str(bad)], ["act", str(psi), str(bad)]):
+            _assert_fails_cleanly(capsys, argv, codes)
+
+
+@pytest.mark.parametrize("mutation", sorted(SYMPLECTO_MUTATIONS))
+def test_mutated_symplecto_files_fail_cleanly(tmp_path, capsys, curve_files, mutation):
+    """Seeded mutations of a valid symplectomorphism file, acting on the
+    valid connection file; `check` and `normalize` on it exit 2 whatever the
+    mutation, as it is not a connection curve."""
+    conn_text, psi_text = curve_files
+    conn = tmp_path / "conn.json"
+    conn.write_text(conn_text)
+    mutate, codes = SYMPLECTO_MUTATIONS[mutation]
+    rng = random.Random(f"symplecto-{mutation}")
+    for i in range(2):
+        obj = json.loads(psi_text)
+        mutate(rng, obj)
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(obj))
+        _assert_fails_cleanly(capsys, ["act", str(bad), str(conn)], codes)
+        for argv in (["check", str(bad)], ["normalize", str(bad)]):
+            _assert_fails_cleanly(capsys, argv, {2})

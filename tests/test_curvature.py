@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from sympconn import curvature
+from sympconn._kernel.pure import dict_sub
 from sympconn.curvature import (
     bianchi_check,
     covariant_derivative,
@@ -24,6 +25,7 @@ from sympconn.fourier import (
     TensorFieldCurve,
     lower_last,
 )
+from sympconn.serialize import json_text, tensor_to_json
 from sympconn.generate import (
     conjugated_flat_fixture,
     gradient_curve,
@@ -528,3 +530,78 @@ def test_extract_u_b_matches_the_per_term_reference(name, make, dim, cap):
     assert residuals == want_residuals
     if not name.startswith("conjugated"):
         assert not residuals["ok"] and not u.is_zero() and not b.is_zero()
+
+
+# -- W = R - E by shared scalars against the subtraction it replaced ------------------
+
+
+def dict_sub_ew_split(r4, r2, sdata):
+    """`ew_split` as it was: the a < b, c <= d halves of R and E subtracted
+    key-wise with `dict_sub`, and the difference filled in by the
+    curvature-type symmetries with fresh negations."""
+    def upper_half(t):
+        return {k: f for k, f in t.components.items() if k[0] < k[1] and k[2] <= k[3]}
+
+    e = curvature.ricci_part(r2, sdata)
+    w = [curvature._fill_curvature_type(dict_sub(upper_half(rt), upper_half(et)), sdata.dim)
+         for rt, et in zip(r4.orders, e.orders)]
+    return e, TensorFieldCurve(r4.cap, w)
+
+
+def mixed_r4(rng, r4, e):
+    """A curvature-type curve whose upper keys are E's value (which
+    cancels), E's plus R's or E doubled (present in both), absent where E
+    has one (E alone), or, where E has none, R's value or the constant 1
+    (R alone), with the four kinds counted."""
+    kinds = {"R": 0, "cancel": 0, "both": 0, "E": 0}
+    orders = []
+    for rt, et in zip(r4.orders, e.orders):
+        half = {}
+        for key, f in et.components.items():
+            if key[0] < key[1] and key[2] <= key[3]:
+                kind = rng.choice(["cancel", "both", "E"])
+                kinds[kind] += 1
+                if kind == "cancel":
+                    half[key] = f
+                elif kind == "both":
+                    g = rt.components.get(key, f)
+                    half[key] = f + g if f + g else f.scale(2)
+        for key in product(range(rt.dim), repeat=4):
+            if key[0] < key[1] and key[2] <= key[3] and key not in et.components:
+                f = rt.components.get(key) or rng.choice([None, FourierScalar.constant(rt.dim, 1)])
+                if f is not None:
+                    kinds["R"] += 1
+                    half[key] = f
+        orders.append(curvature._fill_curvature_type(half, rt.dim))
+    return TensorFieldCurve(r4.cap, orders), kinds
+
+
+@pytest.mark.parametrize("make", [lambda: random_connection_curve(3, dim=4, cap=3),
+                                  lambda: _rational_omega_curve(7)],
+                         ids=["standard", "rational"])
+def test_ew_split_equals_the_dict_sub_reference(make):
+    """By value, by bytes and by key order, on the curve's own R and on a
+    mixed R with keys of R alone, of E alone, of both, and keys that cancel;
+    W shares R's scalars at a key of R alone and E's at a key of E alone."""
+    from random import Random
+
+    conn = make()
+    sdata = conn.sdata
+    r4, r2 = curvature_curve(conn), ricci_curve(conn)
+    e = curvature.ricci_part(r2, sdata)
+    mixed, kinds = mixed_r4(Random(5), r4, e)
+    assert all(kinds.values()), kinds
+    for r in (r4, mixed):
+        got_e, got_w = ew_split(r, r2, sdata)
+        want_e, want_w = dict_sub_ew_split(r, r2, sdata)
+        assert got_e == want_e and got_w == want_w
+        for got, want, rt, et in zip(got_w.orders, want_w.orders, r.orders, got_e.orders):
+            assert json_text(tensor_to_json(got)) == json_text(tensor_to_json(want))
+            assert list(got.components) == list(want.components)
+            assert got.symmetry_tag == "curvature_type"
+            for (a, b, c, d), f in got.components.items():
+                if (a, b, c, d) not in et.components:
+                    assert f is rt.components[(a, b, c, d)]
+                elif (a, b, c, d) not in rt.components:
+                    assert f is et.components[(b, a, c, d)]
+    assert not ew_split(mixed, r2, sdata)[1].is_zero()

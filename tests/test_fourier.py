@@ -125,6 +125,60 @@ def test_raise_lower_are_inverse():
     assert lower_last(raise_last(t, sd), sd) == t
 
 
+# the standard omega, 2 omega (monomial, weights 2 and 1/2), an integral
+# omega with one entry in rows 0 and 3 and two in rows 1 and 2, and a
+# non-monomial rational omega (1/2) P^T omega P for a unimodular P
+_P = ((1, 2, 0, 1), (0, 1, 1, 0), (0, 0, 1, 3), (0, 0, 0, 1))
+_STANDARD = SymplecticData.standard(DIM)
+INDEX_MAP_OMEGAS = {
+    "standard": (_STANDARD, True),
+    "doubled": (SymplecticData([[2 * x for x in row] for row in _STANDARD.omega_lo]), True),
+    "mixed": (SymplecticData([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]), False),
+    "rational": (SymplecticData([
+        [Fraction(sum(_P[k][i] * _STANDARD.omega_lo[k][l] * _P[l][j]
+                      for k in range(DIM) for l in range(DIM)), 2) for j in range(DIM)]
+        for i in range(DIM)]), False),
+}
+
+
+def reference_map_last(t, w):
+    """sum_c w[c][p] T_{..c} at every (.., p), summed as scalars."""
+    comps = {}
+    for idx, f in t.components.items():
+        for p, x in enumerate(w[idx[-1]]):
+            if x:
+                key = idx[:-1] + (p,)
+                comps[key] = comps.get(key, FourierScalar.zero(t.dim)) + f.scale(x)
+    return TensorField(t.dim, t.rank, {k: f for k, f in comps.items() if f}, _validated=True)
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_MAP_OMEGAS))
+def test_index_maps_equal_the_accumulator_and_the_scalar_sums(name):
+    """raise_last and lower_last on random symmetric 3-tensors against the
+    accumulator path of `_map_last` and against plain scalar sums, under a
+    standard, a monomial non-unit and a non-monomial omega; a monomial map
+    shares a scalar at weight 1."""
+    from sympconn import fourier
+
+    sd, monomial = INDEX_MAP_OMEGAS[name]
+    assert sd.index_map(True)[1] == sd.index_map(False)[1] == monomial
+    rng = random.Random(f"index-maps-{name}")
+    shared = 0
+    for _ in range(6):
+        t = random_symmetric_field(rng, DIM, triples=3)
+        for upper, w, move in ((True, sd.omega_hi, raise_last), (False, sd.omega_lo, lower_last)):
+            got = move(t, sd)
+            rows, _ = sd.index_map(upper)
+            assert got == fourier._map_last(t, rows, False) == reference_map_last(t, w)
+            assert lower_last(raise_last(t, sd), sd) == t
+            for idx, f in t.components.items():
+                p, x = rows[idx[-1]][0]
+                if monomial and x == 1:
+                    assert got.components[idx[:-1] + (p,)] is f
+                    shared += 1
+    assert bool(shared) == (name == "standard")
+
+
 def test_mixed_tensor_is_trace_free():
     """omega-raising the last slot of a symmetric 3-tensor yields a
     trace-free endomorphism-valued 1-form: sum_p A^p_{pb} = 0."""

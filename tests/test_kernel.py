@@ -105,7 +105,7 @@ _coeffs = st.builds(GaussianRational, _rationals, _rationals).filter(bool)
 _maps = st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), _coeffs, max_size=4)
 _terms = st.one_of(
     st.tuples(st.just("add"), _maps, st.sampled_from(WEIGHTS + [1, -3])),
-    st.tuples(st.just("product"), _maps, _maps),
+    st.tuples(st.just("product"), _maps, st.tuples(_maps, st.sampled_from(WEIGHTS + [1, -3]))),
     st.tuples(st.just("derivative"), _maps, st.integers(0, 1)),
 )
 _ops = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-2, -1, 1, 2)), _terms),
@@ -118,7 +118,8 @@ def _reference_term(term, sign):
     if kind == "add":
         return {m: c * (sign * x) for m, c in a.items()}
     if kind == "product":
-        return pure.dict_scale(pure.dict_convolve(a, x), sign)
+        b, w = x
+        return pure.dict_scale(pure.dict_convolve(a, b), sign * w)
     return pure.dict_scale(pure.dict_derivative(a, x), sign)
 
 
@@ -127,7 +128,8 @@ def _add_term(acc, key, term, sign):
     if kind == "add":
         acc.add(key, a, sign, x)
     elif kind == "product":
-        acc.add_product(key, a, x, sign)
+        b, w = x
+        acc.add_product(key, a, b, sign, w)
     else:
         acc.add_derivative(key, a, x, sign)
 
@@ -135,8 +137,8 @@ def _add_term(acc, key, term, sign):
 @settings(max_examples=150, deadline=None)
 @given(_ops, st.integers(0, 8))
 def test_gaussian_sums_match_plain_gaussian_rational_sums(ops, cancelled):
-    """Every adder, with every sign, against the same sums in GaussianRational
-    arithmetic; the first `cancelled` terms are added again with the opposite
+    """Every adder, with every sign and, for `add` and `add_product`, rational
+    weights, against the same sums in GaussianRational arithmetic; the first `cancelled` terms are added again with the opposite
     sign, so modes and whole keys cancel to zero.  `finish` keeps no zero mode
     and no empty key, and `all_zero` says whether anything is left."""
     acc, want = pure.GaussianSums(), {}
@@ -157,7 +159,8 @@ _fraction_maps = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2))
                                  max_size=4)
 _fraction_ops = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-2, -1, 1, 2)), st.one_of(
     st.tuples(st.just("add"), _fraction_maps, st.sampled_from(WEIGHTS + [1, -3])),
-    st.tuples(st.just("product"), _fraction_maps, _fraction_maps),
+    st.tuples(st.just("product"), _fraction_maps,
+              st.tuples(_fraction_maps, st.sampled_from(WEIGHTS + [1, -3]))),
 )), max_size=8)
 
 

@@ -23,7 +23,8 @@ from sympconn.series import (
     merge_exponentials,
     order_from_mismatch,
 )
-from sympconn.serialize import dumps
+from sympconn.rationals import GaussianRational
+from sympconn.serialize import dumps, json_text, scalar_to_json
 from sympconn.symplecto import FourierVectorField, SymplectoCurve, hamiltonian_field
 
 DIM = 4
@@ -498,3 +499,148 @@ def test_exp_lie_connection_matches_the_per_term_reference_on_the_torus(dim):
         for x in gens:
             for f in (f for order in gamma for f in order.values()):
                 assert x.apply(f) == reference_apply(x, f)
+
+
+# -- one accumulator per order against the per-term table ------------------------
+
+
+def reference_exp_terms(op, gens, curves, solve=None):
+    """`exp_terms` as it was before each order went into one accumulator:
+    every Q_j[k] is summed term by term with `+` and then scaled by 1/j; op
+    is `VectorField.apply` or `VectorField.bracket`."""
+    cap = len(gens) - 1
+    zero = type(curves[0][0]).zero(curves[0][0].dim)
+    tables = [[list(c)] + [[zero] * (cap + 1) for _ in range(cap)] for c in curves]
+    for k in range(1, cap + 1):
+        for q in tables:
+            for j in range(1, k + 1):
+                acc = zero
+                for s in range(1, k - j + 2):
+                    prev = q[j - 1][k - s]
+                    if not gens[s].is_zero() and not prev.is_zero():
+                        acc = acc + op(gens[s], prev)
+                q[j][k] = acc if j == 1 or acc is zero else acc.scale(Fraction(1, j))
+        if solve is not None:
+            gens[k] = solve(k, [series._order_sum(q, k) for q in tables])
+            for q in tables:
+                q[1][k] = q[1][k] + op(gens[k], q[0][0])
+    return tables
+
+
+def reference_per_term_exp(op, gens, curve):
+    q = reference_exp_terms(op, gens, [curve])[0]
+    return [series._order_sum(q, k) for k in range(len(curve))]
+
+
+def reference_per_term_merge(sdata, *ladders):
+    """`merge_exponentials` on the per-term table, verification included."""
+    field = type(ladders[0][0])
+    dim, cap = ladders[0][0].dim, len(ladders[0]) - 1
+    tests = coordinate_tests(field, dim, cap)
+    targets = []
+    for f in tests:
+        for gens in reversed(ladders):
+            f = reference_per_term_exp(VectorField.apply, gens, f)
+        targets.append(f)
+
+    def solve(k, partials):
+        zk = order_from_mismatch(field, [t[k] - p for t, p in zip(targets, partials)])
+        assert zk.is_real() and reference_is_symplectic(zk, sdata)
+        return zk
+
+    z = [field.zero(dim)] * (cap + 1)
+    reference_exp_terms(VectorField.apply, z, tests, solve)
+    for f, target in zip(tests, targets):
+        assert reference_per_term_exp(VectorField.apply, z, f) == target
+    return z
+
+
+def reference_is_symplectic(x, sdata):
+    """`VectorField.is_symplectic` as first written: i(X)omega as scalars,
+    then d_a alpha_b - d_b alpha_a compared with zero pair by pair."""
+    alpha = series.combine(x.comps, sdata.omega_lo)
+    return all((alpha[b].derivative(a) - alpha[a].derivative(b)).is_zero()
+               for a in range(x.dim) for b in range(a + 1, x.dim))
+
+
+def curve_text(values):
+    """Bytes of a curve of values: `dumps` text of the Fourier modes of every
+    scalar on the torus, and on R^(2n) the repr of every `Poly`, which shows
+    the coefficient type."""
+    scalars = [[v] if isinstance(v, SparseScalar) else list(v.comps) for v in values]
+    if isinstance(scalars[0][0], Poly):
+        return repr(scalars)
+    return json_text([[scalar_to_json(f) for f in fs] for fs in scalars])
+
+
+@pytest.mark.parametrize("kind, dim", [("torus", 4), ("torus", 6), ("euclidean", 4)])
+def test_exp_and_merge_equal_the_per_term_table(kind, dim):
+    """exp_apply, exp_ad and merge_exponentials against the per-term table,
+    by value and by bytes, at caps 2 to 6; on the torus under the standard
+    and a rational omega, on R^(2n) with `Fraction` coefficients."""
+    rng = random.Random(f"per-term-{kind}-{dim}")
+    omegas = [SymplecticData.standard(dim)] + ([rational_omega(dim)] if kind == "torus" else [])
+    for sdata in omegas:
+        for cap in range(2, 7):
+            if kind == "torus":
+                gens, other, fields = (random_torus_ladder(rng, sdata, cap) for _ in range(3))
+                scalars = [random_real_scalar(rng, dim, max_modes=2, mode_bound=1)
+                           for _ in range(cap + 1)]
+            else:
+                gens, other, fields = (random_poly_ladder(rng, cap) for _ in range(3))
+                scalars = [g.comps[rng.randrange(dim)] for g in random_poly_ladder(rng, cap)]
+            fields[0] = type(fields[0]).constant(dim, [rng.randint(-2, 2) for _ in range(dim)])
+            scalars[0] = scalars[0] + type(scalars[0]).constant(dim, 1)
+            for got, want in (
+                (exp_apply(gens, scalars), reference_per_term_exp(VectorField.apply, gens, scalars)),
+                (exp_ad(gens, fields), reference_per_term_exp(VectorField.bracket, gens, fields)),
+                (merge_exponentials(sdata, gens, other), reference_per_term_merge(sdata, gens, other)),
+            ):
+                assert got == want, (sdata.omega_lo, cap)
+                assert curve_text(got) == curve_text(want)
+            if kind == "euclidean":
+                assert all(type(c) is Fraction for f in exp_apply(gens, scalars)
+                           for c in f.coeffs.values())
+
+
+def test_exp_terms_weights_each_power_by_one_over_j():
+    """A single constant generator X = e_0 at order 1 on f = e^{i x^0}:
+    Q_j[j] = X^j f / j! = i^j f / j!, so each 1/j weight shows in the table,
+    and the bracket of a field with itself vanishes."""
+    dim, cap = DIM, 6
+    e0 = FourierVectorField.constant(dim, (1, 0, 0, 0))
+    gens = [FourierVectorField.zero(dim), e0] + [FourierVectorField.zero(dim)] * (cap - 1)
+    f = FourierScalar.single_mode(dim, (1, 0, 0, 0))
+    q = series.exp_terms(VectorField.add_apply, gens, [[f] + [FourierScalar.zero(dim)] * cap])[0]
+    coeff = GaussianRational(1)
+    for j in range(1, cap + 1):
+        coeff = coeff * GaussianRational(0, 1) * Fraction(1, j)
+        assert q[j][j] == f.scale(coeff), j
+        assert all(q[j][k].is_zero() for k in range(cap + 1) if k != j)
+    x = hamiltonian_field(SD, FourierScalar.cosine(dim, (1, 1, 0, 0)))
+    assert x.bracket(x).is_zero()
+    assert x.bracket(e0) == -e0.bracket(x) and not x.bracket(e0).is_zero()
+
+
+@pytest.mark.parametrize("sdata", [SD, SymplecticData.standard(6), rational_omega(4),
+                                   rational_omega(6)], ids=["dim4", "dim6", "rational4",
+                                                            "rational6"])
+def test_is_symplectic_equals_the_scalar_reference(sdata):
+    """Hamiltonian fields are symplectic, random real fields mostly not, and
+    the verdict equals the reference's on both, on the torus and on R^(2n)."""
+    rng = random.Random(f"symplectic-{sdata.omega_lo}")
+    dim = sdata.dim
+    verdicts = set()
+    for _ in range(12):
+        h = random_real_scalar(rng, dim, max_modes=2, mode_bound=1)
+        noise = [random_real_scalar(rng, dim, max_modes=1, mode_bound=1) for _ in range(dim)]
+        for x in (hamiltonian_field(sdata, h), FourierVectorField(noise)):
+            assert x.is_symplectic(sdata) == reference_is_symplectic(x, sdata)
+            verdicts.add(x.is_symplectic(sdata))
+    if dim == DIM:
+        for x in random_poly_ladder(rng, 4)[1:]:
+            bent = PolyVectorField([x.comps[0] + poly({(0, 1, 0, 0): 1})] + list(x.comps[1:]))
+            for y in (x, bent):
+                assert y.is_symplectic(sdata) == reference_is_symplectic(y, sdata)
+    assert verdicts == {True, False}
+    assert FourierVectorField.zero(dim).is_symplectic(sdata)

@@ -497,3 +497,31 @@ def test_n_factor_compose_drops_identity_factors(monkeypatch):
         compose()
     with pytest.raises(PreconditionError, match="matching omega and caps"):
         compose(ham, ident, SymplectoCurve.identity(SD, CAP + 1))
+
+
+@pytest.mark.parametrize("sdata", [SD, SymplecticData([
+    [0, Fraction(2, 3), 0, 0], [Fraction(-2, 3), 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0],
+])], ids=["standard", "rational"])
+def test_symplecto_curve_refuses_a_bad_generator_beside_zero_ones(sdata):
+    """Zero generators pass at once; a nonzero one that is not real, or real
+    but not symplectic, is still refused at every order it is put."""
+    zero = FourierVectorField.zero(DIM)
+    complex_field = FourierVectorField([FourierScalar.single_mode(DIM, (1, 0, 0, 0))]
+                                       + [FourierScalar.zero(DIM)] * (DIM - 1))
+    # alpha = i(X) omega is omega_0b cos(x^1 + x^2) in the one slot b with
+    # omega_0b != 0 (2, or 1 under the rational omega), so d alpha != 0
+    bent = FourierVectorField([FourierScalar.cosine(DIM, (0, 1, 1, 0))]
+                              + [FourierScalar.zero(DIM)] * (DIM - 1))
+    good = hamiltonian_field(sdata, COS1 + SIN12)
+    assert zero.is_symplectic(sdata) and good.is_symplectic(sdata)
+    assert not bent.is_symplectic(sdata) and bent.is_real()
+    identity = tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM))
+    for k in range(1, CAP + 1):
+        for bad, why in ((complex_field, "not real"), (bent, "not symplectic")):
+            gens = [zero] * (CAP + 1)
+            gens[k] = bad
+            with pytest.raises(ConfigurationError, match=f"order-{k} generator is {why}"):
+                SymplectoCurve(sdata, CAP, identity, (0,) * DIM, gens)
+        gens = [zero] * (CAP + 1)
+        gens[k] = good
+        assert SymplectoCurve(sdata, CAP, identity, (0,) * DIM, gens).gens[k] == good
