@@ -16,8 +16,7 @@ are the truncated Lie-series calculus of `series`, applied to
 
 from __future__ import annotations
 
-from itertools import product
-
+from ._kernel.pure import GaussianSums
 from .errors import (
     ConfigurationError,
     InternalInconsistency,
@@ -159,43 +158,43 @@ def psi_A(sdata, cube) -> PolyMap:
     return PolyMap([Poly.variable(sdata.dim, p) + c for p, c in enumerate(field.comps)])
 
 
-def _pushforward_constant(rows, x):
-    """psi^A . X = X - A(.)X for a constant vector X (valid by nilpotency),
-    from the sparse rows of the A(e_a) (`invariant.cube_rows`)."""
-    dim = len(rows)
-    x = tuple(Fraction(v) for v in x)
-    comps = []
-    for p in range(dim):
-        poly = Poly.constant(dim, x[p])
-        lin = {}
-        for a in range(dim):
-            v = sum(w * x[b] for b, w in rows[a].get(p, {}).items())
-            if v:
-                e = tuple(1 if i == a else 0 for i in range(dim))
-                lin[e] = -v
-        comps.append(poly + Poly(dim, lin))
-    return PolyVectorField(comps)
-
-
 def psi_A_symplectic_check(sdata, cube):
-    """Omega(psi^A . X, psi^A . Y) = Omega(X, Y) on the constant basis."""
+    """Omega(psi^A . e_a, psi^A . e_b) = omega_ab on the constant basis.
+
+    psi^A . X = X - A(.)X for a constant X (valid by nilpotency), so
+    component p of psi^A . e_a is delta_pa - sum_c (A(e_c))^p_a x^c, read as
+    a coefficient map from the sparse rows of the A(e_c) (`cube_rows`).
+    Every pairing sum_pq omega_pq (psi . e_a)^p (psi . e_b)^q - omega_ab with
+    a < b goes into one `GaussianSums`, asked once whether all vanish.  The
+    pairs a < b suffice: the products commute and omega is antisymmetric,
+    so the (b, a) pairing is minus the (a, b) one, and the (a, a) pairing is
+    0 = omega_aa."""
     dim = sdata.dim
-    lo = sdata.omega_lo
     rows = cube_rows(sdata, integral_cube(dim, cube))
-    pushed = [
-        _pushforward_constant(rows, [1 if i == a else 0 for i in range(dim)])
-        for a in range(dim)
-    ]
-    for a, xa in enumerate(pushed):
-        for b, yb in enumerate(pushed):
-            pairing = Poly.zero(dim)
-            for p in range(dim):
-                for q in range(dim):
-                    if lo[p][q]:
-                        pairing = pairing + (xa.comps[p] * yb.comps[q]).scale(lo[p][q])
-            if pairing != Poly.constant(dim, lo[a][b]):
-                return False
-    return True
+    origin = (0,) * dim
+    units = [tuple(int(i == c) for i in range(dim)) for c in range(dim)]
+    # pushed[a][p] is the coefficient map of (psi^A . e_a)^p
+    one = {origin: Fraction(1)}
+    pushed = [[dict(one) if p == a else {} for p in range(dim)] for a in range(dim)]
+    for c, r in enumerate(rows):
+        for p, row in r.items():
+            for a, v in row.items():
+                pushed[a][p][units[c]] = -v
+    lo, _ = sdata.index_map(upper=False)
+    omega = sdata.omega_lo
+    acc = GaussianSums()
+    for a in range(dim):
+        xa = pushed[a]
+        for b in range(a + 1, dim):
+            yb = pushed[b]
+            for p, terms in enumerate(lo):
+                if xa[p]:
+                    for q, w in terms:
+                        if yb[q]:
+                            acc.add_product((a, b), xa[p], yb[q], weight=w)
+            if omega[a][b]:
+                acc.add((a, b), one, weight=-omega[a][b])
+    return acc.all_zero()
 
 
 def psi_A_connection_check(sdata, cube):
@@ -277,7 +276,9 @@ def act_on_poly_connection(gens, cap, sdata, gamma):
     stated), hence psi . nabla = exp(L_{-X_t}) nabla, computed by
     `series.exp_lie_connection`.  gamma[k][(a, b)] is the PolyVectorField
     nabla^(k)_{e_a} e_b (order 0 omitted, i.e. treated as the flat
-    directional derivative); the result has the same shape."""
+    directional derivative); the result has the same shape, with a field
+    built only for the pairs (a, b) the Lie series returns, in sorted
+    order."""
     dim = sdata.dim
     symbols = [{}] + [
         {
@@ -293,7 +294,7 @@ def act_on_poly_connection(gens, cap, sdata, gamma):
     out = []
     for order in moved:
         fields = {}
-        for a, b in product(range(dim), repeat=2):
+        for a, b in sorted({(a, b) for a, b, _ in order}):
             field = PolyVectorField([order.get((a, b, p), zero) for p in range(dim)])
             if not field.is_zero():
                 fields[(a, b)] = field
@@ -302,15 +303,21 @@ def act_on_poly_connection(gens, cap, sdata, gamma):
 
 
 def invariant_gamma(b_curve: StructureMapCurve):
-    """The connection data of nabla^{A^t}: constant Gamma(e_a, e_b) = A(e_a) e_b."""
+    """The connection data of nabla^{A^t}: constant Gamma(e_a, e_b) = A(e_a) e_b,
+    a field for each (a, b) whose column of A(e_a) is nonzero, in sorted
+    order, built from the nonzero entries of `b_curve.rows(k)`."""
     dim = b_curve.dim
+    origin = (0,) * dim
+    zero = Poly.zero(dim)
     out = [dict() for _ in range(b_curve.cap + 1)]
     for k in range(b_curve.cap + 1):
         for a, rows in enumerate(b_curve.rows(k)):
-            for b in range(dim):
-                col = [rows.get(p, {}).get(b, 0) for p in range(dim)]
-                if any(col):
-                    out[k][(a, b)] = PolyVectorField.constant(dim, col)
+            cols = {}
+            for p, row in rows.items():
+                for b, v in row.items():
+                    cols.setdefault(b, [zero] * dim)[p] = Poly(dim, {origin: v}, _validated=True)
+            for b in sorted(cols):
+                out[k][(a, b)] = PolyVectorField(cols[b])
     return out
 
 

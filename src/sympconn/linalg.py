@@ -17,13 +17,6 @@ def matrix(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def identity(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
 def transpose(a):
     return tuple(zip(*a))
 

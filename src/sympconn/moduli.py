@@ -6,7 +6,8 @@ exactly when an element of Sp(2n, Z) carries one cube ladder to the other by
 pullback.  The group is infinite, so equivalence is only semi-decided: a
 bounded word search over a fixed generator set, with an explicit
 "no witness within bound" verdict when the search is exhausted.  It runs on
-ints, over a table of words and their inverses kept once per omega.
+ints, over a table of words and their inverses kept per omega, for the
+last few omegas searched.
 
 Every cube is read in the integral form (den, entries) the curve stores
 (see `invariant`).  An integral symplectic C has an integral inverse, so
@@ -18,7 +19,7 @@ matcher therefore pull back ints and compare them, next to den.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import groupby, product
 from operator import add, itemgetter
 
@@ -201,16 +202,22 @@ def _times(g_rows, m):
     return tuple(out)
 
 
-@cache
+# The number of word tables kept at once, the least recently used released
+# first.  A search reads one table, so a few serve a process that moves
+# between a few omegas, and a process that asks many keeps only these.
+WORD_TABLES_KEPT = 4
+
+
+@lru_cache(maxsize=WORD_TABLES_KEPT)
 def _word_table(gens, dim):
     """The breadth-first word table of a generator set closed under inverses,
-    kept once per set and so, with `sp_generators`, once per omega and
-    process: levels[L] lists in search order the matrices whose shortest word
-    has length L, `inverses` maps each to its integral inverse, `moves`
-    holds the rows of each g and of g^{-T}, as (g C)^{-T} = g^{-T} C^{-T},
-    and `reached` = [N] records that a refused enumeration of the next level
-    found N matrices of length <= len(levels), more than the ceiling then in
-    force (N = 0 while no refusal is known)."""
+    kept per set and so, with `sp_generators`, per omega, for the
+    WORD_TABLES_KEPT sets used last: levels[L] lists in search order the
+    matrices whose shortest word has length L, `inverses` maps each to its
+    integral inverse, `moves` holds the rows of each g and of g^{-T}, as
+    (g C)^{-T} = g^{-T} C^{-T}, and `reached` = [N] records that a refused
+    enumeration of the next level found N matrices of length <= len(levels),
+    more than the ceiling then in force (N = 0 while no refusal is known)."""
     ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     rows = [[[(k, x) for k, x in enumerate(row) if x] for row in h] for h in gens]
     rows_t = [[[(k, x) for k, x in enumerate(col) if x] for col in zip(*h)] for h in gens]

@@ -332,8 +332,22 @@ def _fields(field, dim, acc):
 
 
 def _order_sum(q, k):
-    """Order k of exp(X_t) c from its table: sum_j Q_j[k]."""
-    return sum((q[j][k] for j in range(1, k + 1) if not q[j][k].is_zero()), q[0][k])
+    """Order k of exp(X_t) c from its table: sum_j Q_j[k], in one
+    `GaussianSums` when two or more terms are nonzero; a lone nonzero term
+    is returned as it is, and Q_0[k] when none is."""
+    terms = [q[j][k] for j in range(k + 1) if not q[j][k].is_zero()]
+    if len(terms) < 2:
+        return terms[0] if terms else q[0][k]
+    like = terms[0]
+    acc = K.GaussianSums()
+    for f in terms:
+        if isinstance(f, VectorField):
+            for c, fc in enumerate(f.comps):
+                if fc.coeffs:
+                    acc.add((c,), fc.coeffs)
+        else:
+            acc.add((), f.coeffs)
+    return _finish(acc, like).get(()) or type(like).zero(like.dim)
 
 
 def _exp(op, gens, curve):

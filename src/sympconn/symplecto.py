@@ -18,6 +18,8 @@ NonRepresentablePhase.
 
 from __future__ import annotations
 
+from functools import cache
+
 from ._kernel.pure import GaussianSums
 from .curvature import ConnectionCurve
 from .errors import (
@@ -27,7 +29,6 @@ from .errors import (
     PreconditionError,
 )
 from .fourier import FourierScalar, SymplecticData, TensorField, lower_last
-from .linalg import identity as mat_identity
 from .linalg import mat_vec, transpose
 from .rationals import Fraction, GaussianRational
 from .series import (
@@ -136,6 +137,13 @@ def affine_pullback_tensor(c_mat, d, t: TensorField) -> TensorField:
 # -- the curve type ------------------------------------------------------------
 
 
+@cache
+def _eye(dim):
+    """The dim x dim identity in ints, the form `SymplectoCurve.c_mat` keeps,
+    built once per dim."""
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+
+
 class SymplectoCurve:
     """psi_t = sigma^* o exp X_t with sigma(x) = C x + 2 pi d.  validate=False
     trusts the caller: C is in Sp(2n, Z) and every generator real symplectic."""
@@ -184,7 +192,7 @@ class SymplectoCurve:
         return cls(
             sdata,
             cap,
-            mat_identity(dim),
+            _eye(dim),
             (Fraction(0),) * dim,
             [FourierVectorField.zero(dim)] * (cap + 1),
             validate=False,
@@ -198,7 +206,7 @@ class SymplectoCurve:
     @classmethod
     def from_generators(cls, sdata, cap, gens):
         dim = sdata.dim
-        return cls(sdata, cap, mat_identity(dim), (Fraction(0),) * dim, gens)
+        return cls(sdata, cap, _eye(dim), (Fraction(0),) * dim, gens)
 
     @classmethod
     def from_hamiltonian(cls, sdata, cap, f: FourierScalar, order, coeff=1):
@@ -210,7 +218,7 @@ class SymplectoCurve:
         dim = sdata.dim
         gens = [FourierVectorField.zero(dim) for _ in range(cap + 1)]
         gens[order] = hamiltonian_field(sdata, f).scale(Fraction(coeff))
-        return cls(sdata, cap, mat_identity(dim), (Fraction(0),) * dim, gens)
+        return cls(sdata, cap, _eye(dim), (Fraction(0),) * dim, gens)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -221,13 +229,13 @@ class SymplectoCurve:
     def is_identity(self):
         dim = self.dim
         return (
-            self.c_mat == mat_identity(dim)
+            self.c_mat == _eye(dim)
             and all(x == 0 for x in self.d)
             and all(g.is_zero() for g in self.gens)
         )
 
     def has_identity_affine_part(self):
-        return self.c_mat == mat_identity(self.dim) and all(x == 0 for x in self.d)
+        return self.c_mat == _eye(self.dim) and all(x == 0 for x in self.d)
 
     def __eq__(self, other):
         """Equality of canonical forms sigma^* o exp X_t."""

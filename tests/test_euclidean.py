@@ -15,6 +15,7 @@ from sympconn.euclidean import (
     PolyVectorField,
     act_on_poly_connection,
     equivalence_Rn,
+    invariant_gamma,
     psi_A,
     psi_A_connection_check,
     psi_A_symplectic_check,
@@ -198,6 +199,73 @@ def reference_act_on_poly_connection(gens, cap, sdata, gamma):
     return out
 
 
+def reference_invariant_gamma(b_curve):
+    """The dense-constant form: a checked `PolyVectorField.constant` for
+    every (a, b) whose column of A(e_a) is nonzero, pairs in sorted order."""
+    dim = b_curve.dim
+    out = [dict() for _ in range(b_curve.cap + 1)]
+    for k in range(b_curve.cap + 1):
+        for a, rows in enumerate(b_curve.rows(k)):
+            for b in range(dim):
+                col = [rows.get(p, {}).get(b, 0) for p in range(dim)]
+                if any(col):
+                    out[k][(a, b)] = PolyVectorField.constant(dim, col)
+    return out
+
+
+def reference_all_pairs_action(gens, cap, sdata, gamma):
+    """The all-pairs form of `act_on_poly_connection`: a field for every one
+    of the dim^2 pairs (a, b), the zero ones dropped."""
+    dim = sdata.dim
+    symbols = [{}] + [
+        {(a, b, p): c for (a, b), field in order.items()
+         for p, c in enumerate(field.comps) if not c.is_zero()}
+        for order in gamma[1 : cap + 1]
+    ]
+    moved = exp_lie_connection([-g for g in gens], symbols)
+    zero = Poly.zero(dim)
+    out = []
+    for order in moved:
+        fields = {}
+        for a, b in product(range(dim), repeat=2):
+            field = PolyVectorField([order.get((a, b, p), zero) for p in range(dim)])
+            if not field.is_zero():
+                fields[(a, b)] = field
+        out.append(fields)
+    return out
+
+
+def same_with_key_order(got, want):
+    return got == want and [list(order) for order in got] == [list(order) for order in want]
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_gamma_and_action_match_the_dense_and_all_pairs_forms(dim):
+    """invariant_gamma against the dense-constant form and
+    act_on_poly_connection against the all-pairs form, by == and by key
+    order, on rank-one and sum ladders: the actions of
+    `psi_At_connection_check` (nabla^0 moved) and of `equivalence_Rn`
+    (nabla^{A^t} moved by the merged ladder), and a random Christoffel
+    curve moved by each ladder's flow."""
+    sd = SymplecticData.standard(dim)
+    cap = 3
+    rng = random.Random(dim)
+    ladders = [rank_one_ladder(sd, cap, seed=seed) for seed in range(2)]
+    ladders += [validated_sum_ladder(sd, cap, seed=seed) for seed in (1, 5)]
+    for a_curve, b_curve in zip(ladders, ladders[1:] + ladders[:1]):
+        gamma_a = invariant_gamma(a_curve)
+        assert same_with_key_order(gamma_a, reference_invariant_gamma(a_curve))
+        assert any(gamma_a)
+        gens_a = psi_At(a_curve)
+        merged = merge_exponentials(sd, [-g for g in gens_a], psi_At(b_curve))
+        flat = [dict() for _ in range(cap + 1)]
+        for gens, gamma in ((gens_a, flat), (merged, gamma_a),
+                            (gens_a, random_poly_gamma(rng, dim, cap))):
+            acted = act_on_poly_connection(gens, cap, sd, gamma)
+            assert same_with_key_order(acted, reference_all_pairs_action(gens, cap, sd, gamma))
+        assert acted != gamma
+
+
 def random_poly(rng, dim, terms=2, degree=2):
     out = {}
     for _ in range(terms):
@@ -290,8 +358,23 @@ def test_poly_action_matches_basis_transport_in_every_caller(monkeypatch):
 
 
 def psi_A_pushforward_constant(sdata, cube, x):
-    """psi^A . X = X - A(.)X for a constant vector X, from the cube."""
-    return euclidean._pushforward_constant(cube_rows(sdata, integral_cube(sdata.dim, cube)), x)
+    """psi^A . X = X - A(.)X for a constant vector X (valid by nilpotency),
+    from the sparse rows of the A(e_a), built through the checked Poly
+    constructors."""
+    dim = sdata.dim
+    rows = cube_rows(sdata, integral_cube(dim, cube))
+    x = tuple(Fraction(v) for v in x)
+    comps = []
+    for p in range(dim):
+        poly = Poly.constant(dim, x[p])
+        lin = {}
+        for a in range(dim):
+            v = sum(w * x[b] for b, w in rows[a].get(p, {}).items())
+            if v:
+                e = tuple(1 if i == a else 0 for i in range(dim))
+                lin[e] = -v
+        comps.append(poly + Poly(dim, lin))
+    return PolyVectorField(comps)
 
 
 def reference_psi_A_symplectic_check(sdata, cube):
@@ -336,7 +419,7 @@ def psi_A_check_cubes(dim):
     return sd, cubes
 
 
-@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("dim", [4, 6, 8])
 def test_psi_A_symplectic_check_matches_per_pair_reference(dim):
     """Same verdicts as the per-pair form on valid ladder cubes (True) and on
     random symmetric, mostly non-nilpotent cubes (mostly False)."""
@@ -344,6 +427,37 @@ def test_psi_A_symplectic_check_matches_per_pair_reference(dim):
     verdicts = [psi_A_symplectic_check(sd, c) for c in cubes]
     assert verdicts == [reference_psi_A_symplectic_check(sd, c) for c in cubes]
     assert True in verdicts and False in verdicts
+
+
+def test_psi_A_symplectic_check_sums_the_pairs_a_lt_b_in_one_accumulator(monkeypatch):
+    """One accumulator per check, asked once, holding sums at pairs a < b
+    only; a valid cube's accumulator holds every pair with omega_ab != 0,
+    for its constant."""
+    made = []
+
+    class Recording(euclidean.GaussianSums):
+        def __init__(self):
+            super().__init__()
+            self.asked = 0
+            made.append(self)
+
+        def all_zero(self):
+            self.asked += 1
+            return super().all_zero()
+
+    monkeypatch.setattr(euclidean, "GaussianSums", Recording)
+    for dim in (4, 6):
+        sd, cubes = psi_A_check_cubes(dim)
+        for cube in cubes:
+            made.clear()
+            verdict = psi_A_symplectic_check(sd, cube)
+            [acc] = made
+            assert acc.asked == 1
+            assert all(a < b for a, b in acc.sums)
+            if verdict:
+                lo = sd.omega_lo
+                paired = {(a, b) for a in range(dim) for b in range(a + 1, dim) if lo[a][b]}
+                assert paired <= set(acc.sums)
 
 
 def reference_pushforward(psi, psi_inv, z):

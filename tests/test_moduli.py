@@ -417,6 +417,33 @@ def test_a_refused_bound_leaves_the_word_table_whole(monkeypatch):
     assert len(moduli._words_up_to(gens, 4, 1)) == 13
 
 
+def test_word_tables_are_kept_for_the_last_omegas_only():
+    """Searches under more omegas than the cache keeps: the number of tables
+    held never passes the bound, a released table is rebuilt on its next
+    search, and every verdict and witness is the one a fresh cache gives."""
+    dims = (4, 6, 8, 10, 12)
+    assert len(dims) > moduli.WORD_TABLES_KEPT
+
+    def verdict(dim):
+        sdata = SymplecticData.standard(dim)
+        a = rank_one_ladder(sdata, 2, seed=5)
+        b = sp_action(sp_generators(sdata)[2], a)
+        v = equivalence_semidecide(ModuliClassQuery(a, b, 1))
+        assert moduli._word_table.cache_info().currsize <= moduli.WORD_TABLES_KEPT
+        return v.kind, v.witness
+
+    fresh = []
+    for dim in dims:
+        moduli._word_table.cache_clear()
+        fresh.append(verdict(dim))
+    moduli._word_table.cache_clear()
+    assert [verdict(dim) for dim in dims] == fresh
+    assert moduli._word_table.cache_info().currsize == moduli.WORD_TABLES_KEPT
+    # dim 4 was released by dim 12, and its search still finds its witness
+    assert [verdict(dim) for dim in dims] == fresh
+    assert all(kind == "equivalent" for kind, _ in fresh)
+
+
 @pytest.mark.parametrize("dim", [4, 6])
 def test_word_table_inverses_are_the_symplectic_inverses(dim):
     sdata = SymplecticData.standard(dim)
