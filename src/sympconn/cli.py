@@ -233,6 +233,8 @@ def cmd_generate(args):
             raise InputError(f"bad vector {args.vector!r}: {exc}")
         if len(v) != dim:
             raise InputError(f"vector needs {dim} entries")
+        if not any(v):
+            raise InputError(f"bad vector {args.vector!r}: a rank-one cube needs a nonzero vector")
         cubes = [zero_cube(dim)] + [rank_one_cube(sdata, v)] * cap
         value = StructureMapCurve(sdata, cap, cubes)
     elif args.kind == "gradient":

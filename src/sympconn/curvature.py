@@ -7,6 +7,11 @@ All identities here are exact, order by order in t.  Every sum over terms is
 one `GaussianSums` accumulator per order, which adds coefficient maps, their
 products and their derivatives as Gaussian-integer triples and reduces each
 coefficient once.
+
+The curvature-type tensors R, E and W (T_bacd = -T_abcd, T_abdc = T_abcd) are
+each stored as their half, the entries with a < b and c <= d, in a
+`CurvatureTypeField`; its readers apply the two rules, and the full
+`components` are built only when a reader outside this module asks for them.
 """
 
 from __future__ import annotations
@@ -96,12 +101,63 @@ class ConnectionCurve:
         return f"ConnectionCurve(dim={self.dim}, cap={self.cap})"
 
 
+class CurvatureTypeField(TensorField):
+    """A rank-4 field of curvature type stored as its half: the nonzero
+    entries T_abcd with a < b and c <= d.  Every other entry is read off by
+    T_bacd = -T_abcd and T_abdc = T_abcd, and T_aacd = 0.  The least key of
+    each orbit {(a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c)} is its
+    half key, so `is_zero` and `first_nonzero_witness` read the half and
+    agree with the full tensor.  `components`, the full dict, is built by
+    `_full_view` on first read and kept."""
+
+    __slots__ = ("half", "_full")
+
+    def __init__(self, dim, half):
+        self.dim = dim
+        self.rank = 4
+        self.symmetry_tag = "curvature_type"
+        self.half = half
+        self._full = None
+
+    @property
+    def components(self):
+        if self._full is None:
+            self._full = _full_view(self.half)
+        return self._full
+
+    def is_zero(self):
+        return not self.half
+
+    def first_nonzero_witness(self):
+        if not self.half:
+            return None
+        idx = min(self.half)
+        return idx, min(self.half[idx].coeffs)
+
+
+def _full_view(half):
+    """Every nonzero entry of the curvature-type tensor with the given half,
+    each half key followed by its (a, b) swap, its (c, d) swap and both; the
+    (c, d) swap shares the scalar of its half key."""
+    comps = {}
+    for key, f in half.items():
+        a, b, c, d = key
+        g = -f
+        comps[key] = f
+        comps[(b, a, c, d)] = g
+        if c != d:
+            comps[(a, b, d, c)] = f
+            comps[(b, a, d, c)] = g
+    return comps
+
+
 # Ceiling on `curve_work` for a curve the command line reads.  Random curves
-# on T^4 (three modes per order) reach it at cap 22; at cap 21 (187548)
-# `curvature_bundle` + `bianchi_check` take 1.2 s on a 2-vCPU VM, at cap 48
-# (863061) 15 s.  Curves whose terms share few modes cost less per unit: an
-# acted T^6 cap-3 curve at 1248192 takes 0.95 s.  The benchmark's inputs and
-# the curves the tests give the command line stay below 4000.
+# on T^4 (three modes per order) reach it at cap 22; at cap 21 (187548, seed
+# 7) `curvature_bundle` + `bianchi_check` take 0.6-0.7 s on a 2-vCPU VM, at
+# cap 48 (863061) 8 s.  Curves whose terms share few modes cost less per
+# unit: a T^6 cap-3 rank-one ladder moved by random three-mode Hamiltonians
+# at orders 1 and 2 scores 202055 and takes 0.08 s.  The benchmark's inputs
+# and the curves the tests give the command line stay below 4000.
 MAX_CURVE_WORK = 200_000
 
 
@@ -163,15 +219,13 @@ def curvature_curve(conn: ConnectionCurve) -> TensorFieldCurve:
     on a < b only: omega is constant and each A^(s)(e_a) lies in sp(omega), so
       R^(k)_{abcd} = d_a Abar^(k)_{bcd} - d_b Abar^(k)_{acd}
         + sum_{s=1..k-1} sum_q (Abar^(s)_{aqd} A^(k-s)q_{bc} - Abar^(s)_{bqd} A^(k-s)q_{ac}),
-    and R_{bacd} = -R_{abcd} is filled in: first-pair antisymmetry holds by
-    construction.  Last-pair symmetry is not built in, so it is checked at
-    every order, always on (InternalInconsistency otherwise), on the a < b
-    half that was built: R_abcd = R_abdc there.  This is the whole
-    curvature-type check of the filled tensor.  The half holds no key with
-    a = b, and the fill gives T_bacd = -T_abcd, so the filled tensor is of
-    curvature type exactly when its half is symmetric in (c, d).  R is then
-    filled from the half's entries with c <= d, the (a, b, d, c) entry
-    sharing the scalar of (a, b, c, d)."""
+    and first-pair antisymmetry, R_{bacd} = -R_{abcd}, holds by construction.
+    Last-pair symmetry is not built in, so it is checked at every order,
+    always on (InternalInconsistency otherwise), on the a < b half that was
+    built: R_abcd = R_abdc there.  This is the whole curvature-type check:
+    the half holds no key with a = b, and T_bacd = -T_abcd is how the other
+    keys are read.  Each order is returned as a `CurvatureTypeField` holding
+    the half's entries with c <= d."""
     dim, abar = conn.dim, conn.abar
     by_upper = [_by_upper(m) for m in conn.mixed]
     out = []
@@ -203,7 +257,7 @@ def curvature_curve(conn: ConnectionCurve) -> TensorFieldCurve:
                 ok = (a, b, d, c) in half
             if not ok:
                 raise InternalInconsistency(f"curvature symmetries violated at order {k}")
-        out.append(_fill_curvature_type(upper, dim))
+        out.append(CurvatureTypeField(dim, upper))
     return TensorFieldCurve(conn.cap, out)
 
 
@@ -279,27 +333,6 @@ def _e_targets(sdata: SymplecticData):
     return targets
 
 
-def _fill_curvature_type(half, dim):
-    """The rank-4 field with T_bacd = -T_abcd and T_abdc = T_abcd whose
-    entries with a < b and c <= d are `half`."""
-    comps = {}
-    for key, f in half.items():
-        _put_curvature_type(comps, key, f, -f)
-    return TensorField(dim, 4, comps, "curvature_type", _validated=True)
-
-
-def _put_curvature_type(comps, key, f, g):
-    """comps gets f at key = (a, b, c, d), a < b and c <= d, and at its
-    (c, d) swap, and g = -f at the (a, b) swaps of both; the copies share
-    the immutable scalars."""
-    a, b, c, d = key
-    comps[key] = f
-    comps[(b, a, c, d)] = g
-    if c != d:
-        comps[(a, b, d, c)] = f
-        comps[(b, a, d, c)] = g
-
-
 def ricci_part(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
     """The five-term omega (x) ricci combination with prefactor -1/(2(n+1)):
     E_abcd = -(2 w_ab r_cd + w_ac r_bd + w_ad r_bc - w_bc r_ad - w_bd r_ac)
@@ -310,8 +343,9 @@ def ricci_part(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
     symmetric: -d_c A^c_ab is symmetric in (a, b), and the trace terms of
     `ricci_curve` pair Tr A^(s)(e_a) A^(s')(e_b) with the (s', s) term.
     This is asserted at every order (InternalInconsistency otherwise).  So E
-    is accumulated only on the keys with a < b and c <= d, reading r only on
-    x <= y, and the other keys are filled in by the two symmetries.
+    is curvature type and is accumulated only on its half, the keys with
+    a < b and c <= d, reading r only on x <= y; it is returned as a
+    `CurvatureTypeField` per order.
     """
     for k, t in enumerate(r2.orders):
         if t.symmetry_witness("fully_symmetric") is not None:
@@ -325,7 +359,7 @@ def ricci_part(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
             if x <= y:
                 for key, c in targets[(x, y)]:
                     acc.add(key, f.coeffs, weight=c)
-        out.append(_fill_curvature_type(acc.finish(FourierScalar, dim), dim))
+        out.append(CurvatureTypeField(dim, acc.finish(FourierScalar, dim)))
     return TensorFieldCurve(r2.cap, out)
 
 
@@ -333,35 +367,31 @@ def ew_split(r4: TensorFieldCurve, r2: TensorFieldCurve, sdata: SymplecticData):
     """Split R into its ricci part E and the remainder W = R - E.
 
     R is curvature type, as `curvature_curve` asserts (always on), and so is
-    E (see `ricci_part`), so W = R - E is formed on the keys with a < b and
-    c <= d only and filled in by the same symmetries.  A key of R alone
-    shares R's scalars, its (b, a, c, d) negation included, and a key of E
-    alone shares E's pair swapped, since W = -E there; only a key of both is
-    subtracted and negated."""
+    E (see `ricci_part`); both are halves on the keys a < b, c <= d, and so
+    is W = R - E, subtracted half from half.  A key of R alone shares R's
+    scalar, a key of E alone holds E's negated, and a key of both holds the
+    difference when it is not zero."""
     if r4.cap != r2.cap:
         raise ConfigurationError("curve cap mismatch")
     e = ricci_part(r2, sdata)
     w = []
     for rt, et in zip(r4.orders, e.orders):
-        if rt.symmetry_tag != "curvature_type":
+        if not isinstance(rt, CurvatureTypeField):
             raise ConfigurationError(
-                "ew_split needs R of curvature type, as curvature_curve returns"
+                "ew_split needs R as the curvature-type half that curvature_curve returns"
             )
-        r, ee = rt.components, et.components
-        comps = {}
+        r, ee = rt.half, et.half
+        half = {}
         for key, f in r.items():
-            a, b, c, d = key
-            if a < b and c <= d:
-                x = ee.get(key)
-                if x is None:
-                    _put_curvature_type(comps, key, f, r[(b, a, c, d)])
-                elif f := f - x:
-                    _put_curvature_type(comps, key, f, -f)
+            x = ee.get(key)
+            if x is None:
+                half[key] = f
+            elif f := f - x:
+                half[key] = f
         for key, x in ee.items():
-            a, b, c, d = key
-            if a < b and c <= d and key not in r:
-                _put_curvature_type(comps, key, ee[(b, a, c, d)], x)
-        w.append(TensorField(sdata.dim, 4, comps, "curvature_type", _validated=True))
+            if key not in r:
+                half[key] = -x
+        w.append(CurvatureTypeField(sdata.dim, half))
     return e, TensorFieldCurve(r4.cap, w)
 
 
@@ -411,25 +441,26 @@ def bianchi_check(conn: ConnectionCurve):
     * R is antisymmetric in its first pair of slots, by construction in
       `curvature_curve`, and
     * R is symmetric in its last pair, which `curvature_curve` checks at
-      every order and raises otherwise.  It checks R_abcd = R_abdc on the
-      a < b half it builds; that half holds no key with a = b and the fill
-      gives T_bacd = -T_abcd, so the check is the full curvature-type check
-      of the filled R.
+      every order and raises otherwise, on the a < b half it builds.
 
+    So R is read from its half alone, the entries R_{xycd} with x < y and
+    c <= d: R_{xydc} is the same scalar, and R_{yx..} is minus R_{xy..}.
     A cyclic sum over three slots of a tensor antisymmetric in the last two
     of them is totally antisymmetric, so both sums are read only on index
-    triples e < a < b (a < b < c for the first).  In the second sum the
-    Gamma terms on the slots a and b cancel (A^q_{ea} is symmetric in e, a
-    and R_{qbcd} = -R_{bqcd}), which leaves the exterior covariant
+    triples e < a < b (a < b < c for the first).  The first sum takes
+    R_{xycd} at (c, d) and, when c < d, at (d, c) too.  In the second sum
+    the Gamma terms on the slots a and b cancel (A^q_{ea} is symmetric in e,
+    a and R_{qbcd} = -R_{bqcd}), which leaves the exterior covariant
     derivative d^nabla R:
       S^(k)_{eabcd} = sum_cyc d_e R^(k)_{abcd}
                       - sum_{s=1..k} sum_cyc (U_{cd} + U_{dc}),
       U_{cd} = sum_q A^(s)q_{ec} R^(k-s)_{abqd},
-    symmetric in (c, d), so it is read only for c <= d.  Only components
-    R_{xy..} with x < y are visited, each with the directions z not in
-    {x, y}, and A^(s) is grouped by its upper index (`_by_upper`) once.
-    No rank-5 tensor is built, and each sum is one exact `GaussianSums`
-    whose verdict is `all_zero`.
+    symmetric in (c, d), so it is read only for c <= d.  A half entry
+    R_{xyqd} feeds U through the upper index q and, when q < d, through d
+    as R_{xydq}.  Only components R_{xy..} with x < y are visited, each with
+    the directions z not in {x, y}, and A^(s) is grouped by its upper index
+    (`_by_upper`) once.  No rank-5 tensor is built, and each sum is one
+    exact `GaussianSums` whose verdict is `all_zero`.
     """
     r4 = conn.curvature
     triples = _triple_signs(conn.dim)
@@ -437,35 +468,35 @@ def bianchi_check(conn: ConnectionCurve):
     first = []
     for t in r4.orders:
         acc = GaussianSums()
-        for (x, y, c, d), f in t.components.items():
-            hit = triples[(x, y)].get(c) if x < y else None
-            if hit is not None:
-                tri, odd = hit
-                acc.add(tri + (d,), f.coeffs, -1 if odd else 1)
+        for (x, y, c, d), f in t.half.items():
+            place = triples[(x, y)]
+            for p, q in ((c, d), (d, c)) if c != d else ((c, d),):
+                hit = place.get(p)
+                if hit is not None:
+                    tri, odd = hit
+                    acc.add(tri + (q,), f.coeffs, -1 if odd else 1)
         first.append(acc.all_zero())
     second = []
     for k in range(conn.cap + 1):
         acc = GaussianSums()
-        for (x, y, c, d), f in r4[k].components.items():
-            if x < y and c <= d:
-                for z, (tri, odd) in triples[(x, y)].items():
-                    acc.add_derivative(tri + (c, d), f.coeffs, z, -1 if odd else 1)
+        for (x, y, c, d), f in r4[k].half.items():
+            for z, (tri, odd) in triples[(x, y)].items():
+                acc.add_derivative(tri + (c, d), f.coeffs, z, -1 if odd else 1)
         for s in range(1, k + 1):
             groups = by_upper[s]
-            for (x, y, q, d), f in r4[k - s].components.items():
-                if x >= y:
-                    continue
+            for (x, y, c1, c2), f in r4[k - s].half.items():
                 place = triples[(x, y)]
-                for z, c, g in groups.get(q, ()):
-                    hit = place.get(z)
-                    if hit is None:
-                        continue
-                    tri, odd = hit
-                    # a term of U_{cd}: S reads U_{cd} + U_{dc} at the sorted
-                    # pair, so it counts twice when c == d
-                    sign = 2 if c == d else 1
-                    acc.add_product(tri + ((c, d) if c < d else (d, c)), g.coeffs, f.coeffs,
-                                    sign if odd else -sign)
+                for q, d in ((c1, c2), (c2, c1)) if c1 != c2 else ((c1, c2),):
+                    for z, c, g in groups.get(q, ()):
+                        hit = place.get(z)
+                        if hit is None:
+                            continue
+                        tri, odd = hit
+                        # a term of U_{cd}: S reads U_{cd} + U_{dc} at the sorted
+                        # pair, so it counts twice when c == d
+                        sign = 2 if c == d else 1
+                        acc.add_product(tri + ((c, d) if c < d else (d, c)), g.coeffs, f.coeffs,
+                                        sign if odd else -sign)
         second.append(acc.all_zero())
     ok = all(first) and all(second)
     return {"first": first, "second": second, "ok": ok}

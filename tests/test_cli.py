@@ -127,6 +127,19 @@ def test_generate_input_errors_exit_2(tmp_path, capsys, argv, message):
         assert "cannot read omega file" in err
 
 
+def test_generate_rank_one_zero_vector_exit_2(tmp_path, capsys):
+    """A zero vector is malformed input, not a negative verdict: exit 2,
+    nothing on stdout and no --out file."""
+    out_p = tmp_path / "r1.json"
+    code, out, err = run(capsys, "generate", "--kind", "rank-one", "--vector", "0,0,0,0",
+                         "--out", str(out_p))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == (
+        "input error: bad vector '0,0,0,0': a rank-one cube needs a nonzero vector")
+    assert not out_p.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_refuses_other_format_version_exit_2(tmp_path, capsys):
     p = write_moved(tmp_path)
     obj = json.loads(p.read_text())
@@ -582,6 +595,20 @@ def test_equiv_and_structure_map_check_reports_are_pinned(tmp_path, monkeypatch,
         code, out, _ = run(capsys, *argv)
         assert code == want_code
         assert hashlib.sha256(out.encode()).hexdigest() == want_out
+
+
+def test_pinned_outputs_build_no_curvature_full_view(tmp_path, monkeypatch, capsys):
+    """`check` and `normalize` read the stored halves of R, E and W only:
+    the pinned outputs and reports keep their bytes with no full view of a
+    curvature-type field built."""
+    from references import count_full_views
+
+    calls = count_full_views(monkeypatch)
+    test_check_and_normalize_outputs_are_pinned(tmp_path, monkeypatch, capsys)
+    (tmp_path / "reports").mkdir()
+    test_equiv_and_structure_map_check_reports_are_pinned(tmp_path / "reports", monkeypatch,
+                                                          capsys)
+    assert calls == []
 
 
 # -- a seeded mutation corpus of structure-map files ----------------------------

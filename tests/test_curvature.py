@@ -16,6 +16,7 @@ from sympconn.curvature import (
     require_ricci_type,
     ricci_curve,
     ricci_from_curvature,
+    ricci_type_verdict,
 )
 from sympconn.errors import InternalInconsistency, PreconditionError
 from sympconn.fourier import (
@@ -32,23 +33,7 @@ from sympconn.generate import (
     random_connection_curve,
 )
 
-
-def accumulate(acc, key, value):
-    """acc[key] += value in place, dropping zeros: the per-term sum of the
-    references below, a test-only copy of the former kernel."""
-    if not value:
-        return
-    s = value if key not in acc else acc[key] + value
-    if s:
-        acc[key] = s
-    else:
-        del acc[key]
-
-
-def is_curvature_type(t):
-    """Test-only reference: rank 4, antisymmetric in slots (0,1), symmetric
-    in slots (2,3)."""
-    return t.rank == 4 and t.symmetry_witness("curvature_type") is None
+from references import accumulate, count_full_views, full_fill, is_curvature_type, upper_half
 
 
 def test_curvature_symmetries():
@@ -118,11 +103,13 @@ def _sum_vanishes(terms):
     return all(f.is_zero() for f in acc.values())
 
 
-def reference_bianchi(conn):
+def reference_bianchi(conn, r4=None):
     """Both identities from their defining sums, over every index: the cyclic
     sum of R_{abcd} over (a, b, c), and the cyclic sum over (e, a, b) of the
-    full rank-5 covariant derivative (nabla_e R)_{abcd}."""
-    r4 = conn.curvature
+    full rank-5 covariant derivative (nabla_e R)_{abcd}.  R is the curve's
+    own curvature unless a full-index r4 is given."""
+    if r4 is None:
+        r4 = conn.curvature
     first = [
         _sum_vanishes(
             (key, f)
@@ -163,12 +150,17 @@ def test_bianchi_check_matches_the_full_sums(make):
 
 
 def _perturb_curvature(conn, order, entries):
-    """Add entries {index: scalar} to the cached curvature at one order."""
+    """Add entries {index: scalar}, a curvature-type tensor, to the cached
+    curvature at one order: its entries with a < b and c <= d are added to
+    the half that the curvature stores."""
     r4 = conn.curvature
     delta = TensorField(conn.dim, 4, entries)
     assert is_curvature_type(delta)
     orders = list(r4.orders)
-    orders[order] = orders[order] + delta
+    half = dict(orders[order].half)
+    for key, f in upper_half(delta).items():
+        accumulate(half, key, f)
+    orders[order] = curvature.CurvatureTypeField(conn.dim, half)
     conn._curvature = TensorFieldCurve(conn.cap, orders)
 
 
@@ -539,11 +531,8 @@ def dict_sub_ew_split(r4, r2, sdata):
     """`ew_split` as it was: the a < b, c <= d halves of R and E subtracted
     key-wise with `dict_sub`, and the difference filled in by the
     curvature-type symmetries with fresh negations."""
-    def upper_half(t):
-        return {k: f for k, f in t.components.items() if k[0] < k[1] and k[2] <= k[3]}
-
     e = curvature.ricci_part(r2, sdata)
-    w = [curvature._fill_curvature_type(dict_sub(upper_half(rt), upper_half(et)), sdata.dim)
+    w = [full_fill(dict_sub(upper_half(rt), upper_half(et)), sdata.dim)
          for rt, et in zip(r4.orders, e.orders)]
     return e, TensorFieldCurve(r4.cap, w)
 
@@ -572,7 +561,7 @@ def mixed_r4(rng, r4, e):
                 if f is not None:
                     kinds["R"] += 1
                     half[key] = f
-        orders.append(curvature._fill_curvature_type(half, rt.dim))
+        orders.append(curvature.CurvatureTypeField(rt.dim, half))
     return TensorFieldCurve(r4.cap, orders), kinds
 
 
@@ -580,9 +569,9 @@ def mixed_r4(rng, r4, e):
                                   lambda: _rational_omega_curve(7)],
                          ids=["standard", "rational"])
 def test_ew_split_equals_the_dict_sub_reference(make):
-    """By value, by bytes and by key order, on the curve's own R and on a
-    mixed R with keys of R alone, of E alone, of both, and keys that cancel;
-    W shares R's scalars at a key of R alone and E's at a key of E alone."""
+    """By value, by bytes and by key order of the full view, on the curve's
+    own R and on a mixed R with keys of R alone, of E alone, of both, and
+    keys that cancel; W's half shares R's scalars at a key of R alone."""
     from random import Random
 
     conn = make()
@@ -599,9 +588,128 @@ def test_ew_split_equals_the_dict_sub_reference(make):
             assert json_text(tensor_to_json(got)) == json_text(tensor_to_json(want))
             assert list(got.components) == list(want.components)
             assert got.symmetry_tag == "curvature_type"
-            for (a, b, c, d), f in got.components.items():
-                if (a, b, c, d) not in et.components:
-                    assert f is rt.components[(a, b, c, d)]
-                elif (a, b, c, d) not in rt.components:
-                    assert f is et.components[(b, a, c, d)]
+            assert got.components == full_fill(got.half, got.dim).components
+            assert list(got.components) == list(full_fill(got.half, got.dim).components)
+            for key, f in got.half.items():
+                if key not in et.half:
+                    assert f is rt.half[key]
     assert not ew_split(mixed, r2, sdata)[1].is_zero()
+
+
+# -- the stored half against a test-only full fill -------------------------------------
+
+
+def _nonstandard_sdata(dim):
+    """(1/2) P^T J P for the unimodular P = 1 + the superdiagonal, a rational
+    omega that is not the standard one."""
+    j = SymplecticData.standard(dim).omega_lo
+    p = [[int(c in (r, r + 1)) for c in range(dim)] for r in range(dim)]
+    return SymplecticData([
+        [Fraction(sum(p[k][i] * j[k][l] * p[l][jj] for k in range(dim) for l in range(dim)), 2)
+         for jj in range(dim)]
+        for i in range(dim)
+    ])
+
+
+def _nonstandard_curve(seed, dim, cap=2):
+    from random import Random
+
+    from sympconn.generate import random_symmetric_field
+
+    sdata = _nonstandard_sdata(dim)
+    assert not sdata.is_standard()
+    rng = Random(seed)
+    return curvature.ConnectionCurve(
+        sdata, cap, [random_symmetric_field(rng, dim, triples=3) for _ in range(cap)])
+
+
+HALF_CURVES = [
+    (f"{kind}-dim{dim}", make, dim)
+    for dim in (4, 6)
+    for kind, make in (
+        ("random", lambda dim: random_connection_curve(dim + 31, dim=dim, cap=3)),
+        ("conjugated", lambda dim: conjugated_flat_fixture(dim + 5, dim=dim, cap=3)[2]),
+        ("nonstandard-omega", lambda dim: _nonstandard_curve(dim, dim)),
+    )
+]
+
+
+def _assert_readers_agree(t):
+    """Each reader of a stored half against the full fill of that half."""
+    assert isinstance(t, curvature.CurvatureTypeField)
+    assert all(k[0] < k[1] and k[2] <= k[3] and f for k, f in t.half.items())
+    full = full_fill(t.half, t.dim)
+    assert is_curvature_type(full)
+    assert t.components == full.components
+    assert list(t.components) == list(full.components)
+    assert json_text(tensor_to_json(t)) == json_text(tensor_to_json(full))
+    assert t.is_zero() == full.is_zero()
+    assert t.first_nonzero_witness() == full.first_nonzero_witness()
+
+
+def _perturbed_half(conn, order):
+    """The curve's cached curvature with a constant on R_{0123} and
+    cos(x^2 + x^3) added on R_{0122}, both on the stored half: the first
+    breaks the cyclic symmetry, the second d^nabla R = 0."""
+    dim = conn.dim
+    mode = tuple(int(i in (2, 3)) for i in range(dim))
+    orders = list(conn.curvature.orders)
+    half = dict(orders[order].half)
+    for key, f in (((0, 1, 2, 3), FourierScalar.constant(dim, 1)),
+                   ((0, 1, 2, 2), FourierScalar.cosine(dim, mode))):
+        accumulate(half, key, f)
+    orders[order] = curvature.CurvatureTypeField(dim, half)
+    conn._curvature = TensorFieldCurve(conn.cap, orders)
+
+
+@pytest.mark.parametrize("make,dim", [c[1:] for c in HALF_CURVES], ids=[c[0] for c in HALF_CURVES])
+def test_every_reader_of_the_half_agrees_with_the_full_fill(make, dim):
+    """R, E and W are stored as halves; is_zero, the witness, the full view,
+    ew_split and both Bianchi identities agree with the full fill of the
+    half, and R's full fill with the lowered mixed reference."""
+    conn = make(dim)
+    r4, r2 = curvature_curve(conn), ricci_curve(conn)
+    assert TensorFieldCurve(conn.cap, [full_fill(t.half, dim) for t in r4.orders]) == (
+        reference_curvature_curve(conn))
+    e, w = ew_split(r4, r2, conn.sdata)
+    want_e, _ = old_ew_split(r4, r2, conn.sdata)
+    for k in range(conn.cap + 1):
+        for t in (r4[k], e[k], w[k]):
+            _assert_readers_agree(t)
+        assert full_fill(e[k].half, dim) == want_e[k]
+        assert full_fill(w[k].half, dim) == full_fill(r4[k].half, dim) - full_fill(e[k].half, dim)
+    failing = [k for k in range(conn.cap + 1) if not full_fill(w[k].half, dim).is_zero()]
+    assert ricci_type_verdict(w) == (
+        (False, failing[0], full_fill(w[failing[0]].half, dim).first_nonzero_witness())
+        if failing else (True, None, None))
+    for perturb in (False, True):
+        if perturb:
+            _perturbed_half(conn, 2)
+        full = TensorFieldCurve(conn.cap, [full_fill(t.half, dim) for t in conn.curvature.orders])
+        report = bianchi_check(conn)
+        assert report == reference_bianchi(conn, full)
+        assert report["ok"] is not perturb
+
+
+def test_curvature_bundle_and_normalize_build_no_full_view(monkeypatch):
+    """`sympconn check` reads W.is_zero(), u, b and the residuals, and
+    `normalize` reads W, r, u and b: neither builds the full components of a
+    curvature-type field.  Serializing R does, once per field."""
+    from sympconn.normalization import normalize_curve
+
+    calls = count_full_views(monkeypatch)
+    for conn in (random_connection_curve(3, dim=4, cap=3),
+                 conjugated_flat_fixture(1, dim=4, cap=3)[2],
+                 conjugated_flat_fixture(2, dim=6, cap=2)[2]):
+        bundle = curvature_bundle(conn)
+        bianchi_check(conn)
+        if bundle.W.is_zero():
+            require_ricci_type(conn, bundle)
+    normalize_curve(conjugated_flat_fixture(1, dim=4, cap=3)[2])
+    with pytest.raises(PreconditionError):
+        normalize_curve(random_connection_curve(3, dim=4, cap=3))
+    assert calls == []
+    r4 = curvature_curve(random_connection_curve(3, dim=4, cap=3))
+    for t in r4.orders + r4.orders:
+        tensor_to_json(t)
+    assert len(calls) == r4.cap + 1

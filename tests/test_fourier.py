@@ -18,16 +18,12 @@ from sympconn.linalg import inverse, matrix, transpose
 from sympconn.moduli import _words_up_to, sp_generators
 from sympconn.rationals import GaussianRational
 
+from references import is_curvature_type
+
 DIM = 4
 
 modes = st.tuples(*[st.integers(-2, 2)] * DIM)
 amps = st.fractions(max_denominator=6)
-
-
-def is_curvature_type(t):
-    """Test-only reference: rank 4, antisymmetric in slots (0,1), symmetric
-    in slots (2,3)."""
-    return t.rank == 4 and t.symmetry_witness("curvature_type") is None
 
 
 @st.composite

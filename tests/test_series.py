@@ -27,6 +27,8 @@ from sympconn.rationals import GaussianRational
 from sympconn.serialize import dumps, json_text, scalar_to_json
 from sympconn.symplecto import FourierVectorField, SymplectoCurve, hamiltonian_field
 
+from references import accumulate
+
 DIM = 4
 CAP = 3
 SD = SymplecticData.standard(DIM)
@@ -402,18 +404,6 @@ def test_scale_by_plus_or_minus_one_multiplies_no_coefficient(monkeypatch):
 
 
 # -- the Lie series against the per-term sums it replaced ------------------------
-
-
-def accumulate(acc, key, value):
-    """acc[key] += value in place, dropping zeros: the per-term sum of the
-    references below, a test-only copy of the former kernel."""
-    if not value:
-        return
-    s = value if key not in acc else acc[key] + value
-    if s:
-        acc[key] = s
-    else:
-        del acc[key]
 
 
 def reference_apply(x, f):
