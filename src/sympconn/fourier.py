@@ -209,9 +209,12 @@ class FourierScalar(SparseScalar):
         return self.coeffs.get(tuple(mode), GaussianRational(0))
 
     def is_real(self):
-        for m, c in self.coeffs.items():
-            neg = tuple(-x for x in m)
-            if self.coeffs.get(neg) != c.conjugate():
+        """c(-m) = conj c(m) at every mode m: the triple (p, q, d) of c(-m)
+        is compared with (p, -q, d) of c(m), with no conjugate built."""
+        coeffs = self.coeffs
+        for m, c in coeffs.items():
+            o = coeffs.get(tuple([-x for x in m]))
+            if o is None or o.p != c.p or o.q != -c.q or o.d != c.d:
                 return False
         return True
 
@@ -306,7 +309,10 @@ class TensorField:
         return all(f.is_constant() for f in self.components.values())
 
     def is_real(self):
-        return all(f.is_real() for f in self.components.values())
+        """Every component is real, each distinct scalar object tested once:
+        a symmetric field shares one scalar across the keys of an orbit."""
+        distinct = {id(f): f for f in self.components.values()}
+        return all(f.is_real() for f in distinct.values())
 
     def symmetry_witness(self, kind):
         """The first (multi-index, permuted multi-index) pair, in sorted
@@ -329,7 +335,8 @@ class TensorField:
                 f = comps[idx]
                 for perm in permutations(idx):
                     if perm > idx:
-                        if comps.get(perm) != f:
+                        g = comps.get(perm)
+                        if g is not f and g != f:
                             return idx, perm
                     elif perm < idx and perm not in comps:
                         return idx, perm

@@ -9,12 +9,19 @@ Kinds: "connection_curve", "structure_map_curve", "symplecto_curve",
 "normalization_result".
 
 Every curve file is written by one emitter, `json_text`, and read by
-`loads`, which checks each order of a curve once.
+`loads`, which checks each order of a curve once.  `dumps` hands
+`json_text` each `FourierScalar` as a leaf, whose mode list it writes
+straight to text, once per scalar object and depth in a call: the keys of
+an index orbit share one scalar in generated and loaded curves.  `loads`
+parses a mode list once per orbit of a fully symmetric order; an entry
+whose raw mode list equals the first one read in its orbit, and holds no
+bool or float leaf, shares that entry's scalar.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .curvature import ConnectionCurve
@@ -89,11 +96,20 @@ def omega_to_json(sdata: SymplecticData):
 def omega_from_json(obj, dim, context="omega"):
     if not isinstance(obj, list) or len(obj) != dim:
         _fail(f"{context}: expected a {dim}x{dim} matrix")
-    rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
             _fail(f"{context}: row {i + 1} has wrong length")
-        rows.append(tuple(_parse_rational(x, f"{context}[{i + 1}]") for x in row))
+    return _omega_from_texts(tuple(tuple(map(str, row)) for row in obj), context)
+
+
+@lru_cache(maxsize=16)
+def _omega_from_texts(texts, context):
+    """The SymplecticData of the entry texts `_parse_rational` reads, one
+    per distinct omega while it is among the 16 last used.  A refused omega
+    raises, and a raised call is never cached, so it is refused on every
+    call."""
+    rows = [tuple(_parse_rational(x, f"{context}[{i + 1}]") for x in row)
+            for i, row in enumerate(texts)]
     try:
         return SymplecticData(tuple(rows))
     except Exception as exc:
@@ -109,31 +125,84 @@ def scalar_to_json(f: FourierScalar):
     ]
 
 
+def _scalar_text(f: FourierScalar, nl):
+    """The `json_text` of `scalar_to_json(f)` whose line breaks are followed
+    by nl, written from the mode list without building it."""
+    if not f.coeffs:
+        return "[]"
+    i1 = nl + " "
+    i2 = i1 + " "
+    i3 = i2 + " "
+    head = i1 + "{" + i2 + '"m": [' + i3
+    sep = "," + i3
+    re_ = i2 + "]," + i2 + '"c": {' + i3 + '"re": "'
+    im_ = '",' + i3 + '"im": "'
+    tail = '"' + i2 + "}" + i1 + "}"
+    return "[" + ",".join(
+        head + sep.join(map(str, m)) + re_ + _ratio_to_str(c.p, c.d) + im_
+        + _ratio_to_str(c.q, c.d) + tail
+        for m, c in sorted(f.coeffs.items())
+    ) + nl + "]"
+
+
+def _scalar_leaf(f: FourierScalar):
+    """The scalar itself, a leaf that `json_text` writes as its mode list."""
+    return f
+
+
 def scalar_from_json(obj, dim, context):
     if not isinstance(obj, list):
         _fail(f"{context}: expected a mode list")
     coeffs = {}
+    seen = set()
     for i, entry in enumerate(obj):
-        m = _expect(entry, "m", f"{context} mode {i + 1}")
+        where = f"{context} mode {i + 1}"
+        m = _expect(entry, "m", where)
         if not isinstance(m, list) or len(m) != dim or not all(_is_int(x) for x in m):
-            _fail(f"{context} mode {i + 1}: bad mode vector")
+            _fail(f"{where}: bad mode vector")
         m = tuple(m)
-        if m in coeffs:
+        if m in seen:
             _fail(f"{context}: duplicate mode {m}")
-        c = _parse_gaussian(_expect(entry, "c", f"{context} mode {i + 1}"), f"{context} mode {i + 1}")
+        seen.add(m)
+        c = _parse_gaussian(_expect(entry, "c", where), where)
         if not c.is_zero():
             coeffs[m] = c
     return FourierScalar(dim, coeffs, _validated=True)
 
 
-def tensor_to_json(t: TensorField):
-    entries = []
-    for idx in sorted(t.components):
-        f = t.components[idx]
-        if f.is_zero():
-            continue
-        entries.append({"idx": [a + 1 for a in idx], "modes": scalar_to_json(f)})
-    return {"rank": t.rank, "symmetry": t.symmetry_tag, "entries": entries}
+def _no_bool_or_float(modes):
+    """True only when no leaf of the raw mode list is a bool or a float.
+    Python's == equates True, 1.0 and 1, which the parser tells apart, so
+    two raw mode lists that are == parse alike when this holds.  It is
+    False also for a shape no written file has: a mode that is not an
+    object, a list of other than ints or an object of other than strings
+    inside a mode."""
+    for mode in modes:
+        if type(mode) is not dict:
+            return False
+        for v in mode.values():
+            t = type(v)
+            if t is list:
+                for x in v:
+                    if type(x) is not int:
+                        return False
+            elif t is dict:
+                for x in v.values():
+                    if type(x) is not str:
+                        return False
+            elif t is bool or t is float:
+                return False
+    return True
+
+
+def tensor_to_json(t: TensorField, scalar=scalar_to_json):
+    """The JSON tree of a tensor field, each nonzero scalar written by
+    `scalar`."""
+    comps = t.components
+    return {"rank": t.rank, "symmetry": t.symmetry_tag, "entries": [
+        {"idx": [a + 1 for a in idx], "modes": scalar(comps[idx])}
+        for idx in sorted(comps) if not comps[idx].is_zero()
+    ]}
 
 
 def tensor_from_json(obj, dim, context, expect_rank=None, expect_symmetry=None):
@@ -143,21 +212,36 @@ def tensor_from_json(obj, dim, context, expect_rank=None, expect_symmetry=None):
         _fail(f"{context}: rank {rank}, expected {expect_rank}")
     if expect_symmetry is not None and tag != expect_symmetry:
         _fail(f"{context}: symmetry {tag!r}, expected {expect_symmetry!r}")
+    # the first (raw mode list, scalar) read in each index orbit of a fully
+    # symmetric order, keyed by the sorted index
+    orbits = {} if tag == "fully_symmetric" else None
     comps = {}
+    seen = set()
     for i, entry in enumerate(_expect(obj, "entries", context, list)):
-        idx = _expect(entry, "idx", f"{context} entry {i + 1}")
+        where = f"{context} entry {i + 1}"
+        idx = _expect(entry, "idx", where)
         if (
             not isinstance(idx, list)
             or len(idx) != rank
             or not all(_is_int(a) and 1 <= a <= dim for a in idx)
         ):
-            _fail(f"{context} entry {i + 1}: bad index {idx!r} (1-based, rank {rank})")
+            _fail(f"{where}: bad index {idx!r} (1-based, rank {rank})")
         key = tuple(a - 1 for a in idx)
-        if key in comps:
+        if key in seen:
             _fail(f"{context}: duplicate index {idx}")
-        f = scalar_from_json(
-            _expect(entry, "modes", f"{context} entry {i + 1}"), dim, f"{context} entry {i + 1}"
-        )
+        seen.add(key)
+        modes = _expect(entry, "modes", where)
+        if orbits is None:
+            f = scalar_from_json(modes, dim, where)
+        else:
+            orbit = tuple(sorted(key))
+            first = orbits.get(orbit)
+            if first is not None and modes == first[0] and _no_bool_or_float(modes):
+                f = first[1]
+            else:
+                f = scalar_from_json(modes, dim, where)
+                if first is None:
+                    orbits[orbit] = modes, f
         if not f.is_zero():
             comps[key] = f
     t = TensorField(dim, rank, comps, symmetry_tag=tag, _validated=True)
@@ -186,14 +270,14 @@ def tensor_from_json(obj, dim, context, expect_rank=None, expect_symmetry=None):
 # -- connection curves -------------------------------------------------------------
 
 
-def connection_to_json(conn: ConnectionCurve):
+def connection_to_json(conn: ConnectionCurve, scalar=scalar_to_json):
     return {
         "kind": "connection_curve",
         "version": FORMAT_VERSION,
         "dim": conn.dim,
         "cap": conn.cap,
         "omega": omega_to_json(conn.sdata),
-        "A": [tensor_to_json(t) for t in conn.abar[1:]],
+        "A": [tensor_to_json(t, scalar) for t in conn.abar[1:]],
     }
 
 
@@ -264,7 +348,7 @@ def structure_map_from_json(obj):
 # -- symplectomorphism curves --------------------------------------------------------
 
 
-def symplecto_to_json(psi: SymplectoCurve):
+def symplecto_to_json(psi: SymplectoCurve, scalar=scalar_to_json):
     return {
         "kind": "symplecto_curve",
         "version": FORMAT_VERSION,
@@ -273,9 +357,7 @@ def symplecto_to_json(psi: SymplectoCurve):
         "omega": omega_to_json(psi.sdata),
         "C": [list(row) for row in psi.c_mat],
         "d": [rational_to_str(x) for x in psi.d],
-        "X": [
-            [scalar_to_json(c) for c in g.comps] for g in psi.gens[1:]
-        ],
+        "X": [[scalar(c) for c in g.comps] for g in psi.gens[1:]],
     }
 
 
@@ -317,12 +399,12 @@ def symplecto_from_json(obj):
 # -- normalization results ------------------------------------------------------------
 
 
-def normalization_to_json(res: NormalizationResult):
+def normalization_to_json(res: NormalizationResult, scalar=scalar_to_json):
     return {
         "kind": "normalization_result",
         "version": FORMAT_VERSION,
         "flat": structure_map_to_json(res.flat_curve),
-        "witness": symplecto_to_json(res.witness),
+        "witness": symplecto_to_json(res.witness, scalar),
         "log": res.per_order_log,
     }
 
@@ -349,23 +431,37 @@ def from_json(obj):
     return parser(obj)
 
 
-def to_json(value):
+def _tree(value, scalar):
+    """The JSON tree of a curve value, each FourierScalar written by
+    `scalar`."""
     if isinstance(value, ConnectionCurve):
-        return connection_to_json(value)
+        return connection_to_json(value, scalar)
     if isinstance(value, StructureMapCurve):
         return structure_map_to_json(value)
     if isinstance(value, SymplectoCurve):
-        return symplecto_to_json(value)
+        return symplecto_to_json(value, scalar)
     if isinstance(value, NormalizationResult):
-        return normalization_to_json(value)
+        return normalization_to_json(value, scalar)
     raise TypeError(f"no serialization for {type(value).__name__}")
 
 
-def _append_json(obj, parts, nl):
-    """Append the text of obj, whose line breaks are followed by nl."""
+def to_json(value):
+    """The plain JSON tree of a curve value: dicts, lists, str and int."""
+    return _tree(value, scalar_to_json)
+
+
+def _append_json(obj, parts, nl, texts):
+    """Append the text of obj, whose line breaks are followed by nl.  texts
+    maps (id, nl) of each scalar written so far to (scalar, text); holding
+    the scalar keeps its id from being reused within the call."""
     t = type(obj)
     if t is str:
         parts.append(encode_basestring_ascii(obj))
+    elif t is FourierScalar:
+        written = texts.get((id(obj), nl))
+        if written is None:
+            written = texts[id(obj), nl] = obj, _scalar_text(obj, nl)
+        parts.append(written[1])
     elif t is list or t is tuple:
         if not obj:
             parts.append("[]")
@@ -374,7 +470,7 @@ def _append_json(obj, parts, nl):
         sep = "[" + inner
         for item in obj:
             parts.append(sep)
-            _append_json(item, parts, inner)
+            _append_json(item, parts, inner, texts)
             sep = "," + inner
         parts.append(nl + "]")
     elif t is dict:
@@ -387,7 +483,7 @@ def _append_json(obj, parts, nl):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             parts.append(sep + encode_basestring_ascii(key) + ": ")
-            _append_json(item, parts, inner)
+            _append_json(item, parts, inner, texts)
             sep = "," + inner
         parts.append(nl + "}")
     elif t is bool:
@@ -403,20 +499,22 @@ def _append_json(obj, parts, nl):
 def json_text(obj) -> str:
     """`json.dumps(obj, indent=1) + "\\n"`, byte for byte, for a tree of str,
     dict (str keys), list or tuple (both written as arrays), int, bool and
-    None; any other type raises TypeError.  `json.dumps` with an indent
-    runs the json module's pure-Python encoder; this writes the same lines
-    directly, with the C string escaper that `json.dumps` uses by default
-    (ensure_ascii)."""
+    None; any other type raises TypeError.  A FourierScalar leaf is written
+    as its `scalar_to_json` mode list, once per scalar object and depth in
+    a call.  `json.dumps` with an indent runs the json module's pure-Python
+    encoder; this writes the same lines directly, with the C string escaper
+    that `json.dumps` uses by default (ensure_ascii)."""
     parts = []
-    _append_json(obj, parts, "\n")
+    _append_json(obj, parts, "\n", {})
     parts.append("\n")
     return "".join(parts)
 
 
 def dumps(value) -> str:
-    """The curve file text of a value: `json_text` of its `to_json` tree,
-    byte-identical to `json.dumps(to_json(value), indent=1) + "\\n"`."""
-    return json_text(to_json(value))
+    """The curve file text of a value, byte-identical to
+    `json.dumps(to_json(value), indent=1) + "\\n"`: `json_text` of its tree
+    with each FourierScalar left as a leaf."""
+    return json_text(_tree(value, _scalar_leaf))
 
 
 def loads(text: str):

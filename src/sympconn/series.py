@@ -108,6 +108,11 @@ class SparseScalar:
     def is_zero(self):
         return not self.coeffs
 
+    def axes(self):
+        """The axes a at which some key has a nonzero entry, ascending; the
+        derivative along any other axis is zero."""
+        return [a for a, column in enumerate(zip(*self.coeffs)) if any(column)]
+
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -186,9 +191,10 @@ class VectorField:
     def add_apply(self, acc, key, f, weight=1):
         """acc[key] += weight X(f) for a `GaussianSums` acc and a rational
         weight."""
-        for a, xa in enumerate(self.comps):
-            if xa.coeffs and (df := f.derivative(a).coeffs):
-                acc.add_product(key, xa.coeffs, df, weight=weight)
+        comps = self.comps
+        for a in f.axes():
+            if xa := comps[a].coeffs:
+                acc.add_product(key, xa, f.derivative(a).coeffs, weight=weight)
 
     def derive(self, other):
         """The flat derivative of a field, (X(Y^c))_c."""
@@ -217,16 +223,15 @@ class VectorField:
         at once."""
         if self.is_zero():
             return True
-        dim = self.dim
         rows, _ = sdata.index_map(upper=False)
         acc = K.GaussianSums()
         for c, xc in enumerate(self.comps):
             if not xc.coeffs:
                 continue
-            grads = [xc.derivative(a).coeffs for a in range(dim)]
+            grads = [(a, xc.derivative(a).coeffs) for a in xc.axes()]
             for b, w in rows[c]:
-                for a, d in enumerate(grads):
-                    if d and a != b:
+                for a, d in grads:
+                    if a != b:
                         acc.add((a, b) if a < b else (b, a), d, weight=w if a < b else -w)
         return acc.all_zero()
 
@@ -382,16 +387,12 @@ class _LieData:
         self.outof = [[] for _ in range(dim)]
         self.hessian = {}
         for q, xq in enumerate(x.comps):
-            for r in range(dim):
+            for r in xq.axes():
                 d = xq.derivative(r)
-                if d.is_zero():
-                    continue
                 self.into[q].append((r, d.coeffs))
                 self.outof[r].append((q, d.coeffs))
-                for a in range(dim):
-                    h = d.derivative(a)
-                    if h:
-                        self.hessian[(a, r, q)] = h.coeffs
+                for a in d.axes():
+                    self.hessian[(a, r, q)] = d.derivative(a).coeffs
 
     def lie(self, gamma, acc):
         """acc += L_X gamma in a `GaussianSums`, for gamma = {(a, b, p): G^p_ab}:

@@ -287,6 +287,42 @@ def test_entries_that_are_not_an_array_exit_2(tmp_path, capsys, entries, got):
     assert "Traceback" not in err
 
 
+def _repeated_mode(entry, zero_first):
+    """The entry's first mode written twice, one copy with coefficient 0."""
+    mode = entry["modes"][0]
+    zero = {"m": mode["m"], "c": {"re": "0", "im": "0"}}
+    entry["modes"][:1] = [zero, mode] if zero_first else [mode, zero]
+    return f"A order 1 entry 1: duplicate mode {tuple(mode['m'])}"
+
+
+def _repeated_index(order, zero_first):
+    """The order's first entry written twice, one copy with no modes."""
+    entry = order["entries"][0]
+    zero = {"idx": entry["idx"], "modes": []}
+    order["entries"][:1] = [zero, entry] if zero_first else [entry, zero]
+    return f"A order 1: duplicate index {entry['idx']}"
+
+
+@pytest.mark.parametrize("zero_first", [True, False], ids=["zero first", "zero last"])
+@pytest.mark.parametrize("repeat", ["mode", "index"])
+def test_a_repeat_is_refused_whatever_the_value_of_its_copies(tmp_path, capsys, repeat,
+                                                              zero_first):
+    """A repeated mode or index is refused whether or not a copy with a zero
+    coefficient (or no modes) comes first."""
+    p = write_moved(tmp_path)
+    obj = json.loads(p.read_text())
+    order = obj["A"][0]
+    if repeat == "mode":
+        message = _repeated_mode(order["entries"][0], zero_first)
+    else:
+        message = _repeated_index(order, zero_first)
+    p.write_text(json.dumps(obj))
+    for command in ("check", "normalize"):
+        code, out, err = run(capsys, command, str(p))
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == f"input error: {message}"
+
+
 def test_act_with_affine_part_is_deterministic(tmp_path, capsys):
     """`act` with a witness sigma^* o psi_f(t), where sigma(x) = C x + 2 pi d
     has C = S T (two Sp(4, Z) generators) and d = (1/4, 0, 1/2, 0): two runs

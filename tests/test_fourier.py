@@ -63,6 +63,42 @@ def test_reality_is_preserved(f):
     assert f.conjugate() == f
 
 
+@settings(max_examples=60)
+@given(real_scalars(), st.lists(st.tuples(modes, st.integers(-2, 2), st.integers(-2, 2),
+                                          st.integers(1, 3)), max_size=2))
+def test_is_real_is_the_comparison_with_the_built_conjugate(f, extra):
+    """The triple comparison agrees with c(-m) == conj c(m) on real scalars
+    and on scalars with a coefficient set at a mode, its partner or both."""
+    coeffs = dict(f.coeffs)
+    for m, p, q, d in extra:
+        coeffs[m] = GaussianRational(Fraction(p, d), Fraction(q, d))
+    g = FourierScalar(DIM, coeffs)
+    want = all(g.coeffs.get(tuple(-x for x in m)) == c.conjugate() for m, c in g.coeffs.items())
+    assert g.is_real() == want
+
+
+def test_field_reality_tests_each_distinct_scalar_once(monkeypatch):
+    """A generated symmetric field shares one scalar across each orbit, so
+    is_real tests one scalar per orbit; a non-real copy is still found."""
+    rng = random.Random(5)
+    field = random_symmetric_field(rng, DIM, triples=3)
+    calls = []
+    real = FourierScalar.is_real
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(FourierScalar, "is_real", counting)
+    assert field.is_real()
+    distinct = {id(f) for f in field.components.values()}
+    assert len(calls) == len(distinct) < len(field.components)
+    idx = max(field.components)
+    bent = dict(field.components)
+    bent[idx] = bent[idx] + FourierScalar.single_mode(DIM, (1, 0, 0, 0))
+    assert not TensorField(DIM, 3, bent).is_real()
+
+
 def test_zero_mode_cosine_and_sine():
     zero = (0,) * DIM
     assert FourierScalar.cosine(DIM, zero, Fraction(3, 2)) == FourierScalar.constant(

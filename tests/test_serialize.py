@@ -9,7 +9,9 @@ from sympconn.errors import InputError
 from sympconn.fourier import FourierScalar, SymplecticData
 from sympconn.generate import (
     conjugated_flat_fixture,
+    gradient_curve,
     hamiltonian_steps,
+    random_connection_curve,
     rank_one_ladder,
     validated_sum_ladder,
 )
@@ -349,3 +351,164 @@ def test_header_and_integer_fields_refuse_wrong_types(make, message):
     with pytest.raises(InputError) as exc:
         from_json(make())
     assert str(exc.value) == message
+
+
+# -- the direct mode-list writer ---------------------------------------------------------
+
+
+def _copied_per_key(conn):
+    """The curve with a distinct but equal scalar object at every key."""
+    from sympconn.curvature import ConnectionCurve
+    from sympconn.fourier import TensorField
+
+    return ConnectionCurve(conn.sdata, conn.cap, [
+        TensorField(t.dim, 3, {k: FourierScalar(f.dim, dict(f.coeffs), _validated=True)
+                               for k, f in t.components.items()}, "fully_symmetric")
+        for t in conn.abar])
+
+
+def _writer_values():
+    values = []
+    for dim in (4, 6):
+        sd = SymplecticData.standard(dim)
+        random_curve = random_connection_curve(3, dim=dim, cap=3)
+        _, psi, moved = conjugated_flat_fixture(2, dim=dim, cap=3)
+        cosine = FourierScalar.cosine(dim, (1, 0, 1) + (0,) * (dim - 3), Fraction(2, 3))
+        sine = FourierScalar.sine(dim, (0, 2) + (0,) * (dim - 2))
+        values += [random_curve, _copied_per_key(random_curve), moved, _copied_per_key(moved),
+                   psi, gradient_curve(sd, 2, cosine), gradient_curve(sd, 3, sine, order=2),
+                   validated_sum_ladder(sd, 2, seed=dim)]
+    result = normalize_curve(moved_fixture(3))
+    return values + [result, result.witness, result.flat_curve, rank_one_ladder(SD, 3, seed=5)]
+
+
+def test_dumps_is_json_dumps_of_to_json_on_every_kind_and_dim():
+    """The mode lists written straight from the scalars read as the plain
+    tree would: random, conjugated and gradient curves at dims 4 and 6, the
+    same curves with a distinct equal scalar at every key, symplecto
+    witnesses, normalization results and structure-map curves."""
+    for value in _writer_values():
+        assert dumps(value) == json.dumps(to_json(value), indent=1) + "\n", value
+
+
+def test_a_scalar_leaf_is_written_at_each_depth_it_sits():
+    """One scalar object at three depths of one tree, and the zero scalar,
+    are each written as their own mode list."""
+    from sympconn.serialize import scalar_to_json
+
+    f = (FourierScalar.cosine(4, (1, -2, 0, 1), Fraction(-3, 4))
+         + FourierScalar.sine(4, (0, 0, 1, 0), Fraction(5, 2)))
+    zero = FourierScalar.zero(4)
+    tree = [f, [f, zero], {"a": f, "b": [[f]]}, f]
+    plain = [scalar_to_json(f), [scalar_to_json(f), []],
+             {"a": scalar_to_json(f), "b": [[scalar_to_json(f)]]}, scalar_to_json(f)]
+    assert json_text(tree) == json.dumps(plain, indent=1) + "\n"
+
+
+# -- one parse per index orbit -------------------------------------------------------------
+
+
+def _orbit_entries(first, permuted):
+    """The entries [1, 1, 2], [1, 2, 1], [2, 1, 1] of a rank-3 order: the first
+    with the mode list `first`, the other two with `permuted`."""
+    return {"rank": 3, "symmetry": "fully_symmetric",
+            "entries": [{"idx": [1, 1, 2], "modes": first},
+                        {"idx": [1, 2, 1], "modes": permuted},
+                        {"idx": [2, 1, 1], "modes": permuted}]}
+
+
+def _cosine_modes(m0, re="1/2"):
+    return [{"m": [m0, 0, 0, 0], "c": {"re": re, "im": "0"}},
+            {"m": [-1, 0, 0, 0], "c": {"re": re, "im": "0"}}]
+
+
+def _constant_modes(re, im="0"):
+    return [{"m": [0, 0, 0, 0], "c": {"re": re, "im": im}}]
+
+
+@pytest.mark.parametrize("first, permuted, message", [
+    (_cosine_modes(1), _cosine_modes(True), "A order 1 entry 2 mode 1: bad mode vector"),
+    (_cosine_modes(1), _cosine_modes(1.0), "A order 1 entry 2 mode 1: bad mode vector"),
+    (_constant_modes(1), _constant_modes(True),
+     "A order 1 entry 2 mode 1: bad rational literal 'True'"),
+    (_constant_modes(1), _constant_modes(1.0),
+     "A order 1 entry 2 mode 1: bad rational literal '1.0'"),
+    (_constant_modes(1, 0), _constant_modes(1, False),
+     "A order 1 entry 2 mode 1: bad rational literal 'False'"),
+], ids=["true mode", "1.0 mode", "true re", "1.0 re", "false im"])
+def test_an_equal_entry_with_a_bool_or_float_leaf_is_parsed_and_refused(first, permuted, message):
+    """Python's == equates True, 1.0 and 1: a permuted entry == to the first
+    of its orbit is still refused with the parser's message when it holds a
+    bool or a float."""
+    from sympconn.serialize import tensor_from_json
+
+    assert permuted == first
+    with pytest.raises(InputError) as exc:
+        tensor_from_json(_orbit_entries(first, permuted), 4, "A order 1")
+    assert str(exc.value) == message
+
+
+def test_an_equal_value_written_differently_loads_to_an_equal_field():
+    from sympconn.serialize import tensor_from_json
+
+    def load(first, permuted):
+        return tensor_from_json(_orbit_entries(first, permuted), 4, "A order 1",
+                                expect_rank=3, expect_symmetry="fully_symmetric")
+
+    for first, permuted in ((_cosine_modes(1), _cosine_modes(1, "2/4")),
+                            (_cosine_modes(1, "2/4"), _cosine_modes(1)),
+                            (_constant_modes("1", 0), _constant_modes(" 1", "0/3"))):
+        t = load(first, permuted)
+        assert not t.is_zero() and t == load(first, first) == load(permuted, permuted)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: moved_fixture(4),
+    lambda: conjugated_flat_fixture(5, dim=6, cap=3)[2],
+    lambda: random_connection_curve(7, dim=4, cap=3),
+], ids=["conjugated T^4", "conjugated T^6", "random T^4"])
+def test_loads_parses_one_mode_list_per_index_orbit(monkeypatch, make):
+    """A generated file is parsed once per orbit (sorted index) of each
+    order: the permuted entries share the scalar of the first one read."""
+    from sympconn import serialize
+
+    conn = make()
+    text = dumps(conn)
+    orbits = sum(len({tuple(sorted(e["idx"])) for e in order["entries"]})
+                 for order in json.loads(text)["A"])
+    assert orbits < sum(len(order["entries"]) for order in json.loads(text)["A"])
+    calls = []
+    real = serialize.scalar_from_json
+
+    def counting(obj, dim, context):
+        calls.append(context)
+        return real(obj, dim, context)
+
+    monkeypatch.setattr(serialize, "scalar_from_json", counting)
+    back = loads(text)
+    assert len(calls) == orbits
+    assert back == conn and dumps(back) == text
+    for t in back.abar:
+        for idx, f in t.components.items():
+            assert f is t.components[tuple(sorted(idx))]
+
+
+# -- omega, parsed once per distinct text --------------------------------------------------
+
+
+def test_omega_is_built_once_per_text_and_refused_on_every_call():
+    from sympconn.serialize import omega_from_json
+
+    texts = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["-1", "0", "0", "0"],
+             ["0", "-1", "0", "0"]]
+    sd = omega_from_json(texts, 4)
+    assert sd == SD and omega_from_json([list(row) for row in texts], 4) is sd
+    # equal under == to the ints, but not a rational literal: refused each time
+    bools = [["0", "0", True, "0"]] + texts[1:]
+    singular = [["0"] * 4] * 4
+    for _ in range(3):
+        with pytest.raises(InputError) as exc:
+            omega_from_json(bools, 4)
+        assert str(exc.value) == "omega[1]: bad rational literal 'True'"
+        with pytest.raises(InputError, match="^omega: singular matrix"):
+            omega_from_json(singular, 4)

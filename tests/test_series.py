@@ -164,13 +164,28 @@ def test_scalar_types_share_one_sparse_arithmetic():
     """Poly and FourierScalar inherit their arithmetic from SparseScalar, and
     the R^(2n) model binds no dense copy of the cube algebra."""
     shared = ("__init__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__",
-              "scale", "zero", "constant", "is_zero", "__bool__", "is_constant",
+              "scale", "zero", "constant", "is_zero", "axes", "__bool__", "is_constant",
               "constant_part", "__eq__", "__hash__")
     for cls in (Poly, FourierScalar):
         assert cls.__bases__ == (SparseScalar,)
         assert not set(shared) & set(vars(cls))
     for name in ("mat_mul", "cube_endomorphisms"):
         assert not hasattr(euclidean, name)
+
+
+def test_axes_are_those_of_the_nonzero_derivatives():
+    """`axes` lists, ascending, exactly the axes along which the derivative
+    is nonzero, for both scalar types; X(f) and the Lie data differentiate
+    along those only."""
+    rng = random.Random("axes")
+    scalars = [Poly.zero(DIM), FourierScalar.zero(DIM), poly({(0, 0, 0, 0): 3}),
+               FourierScalar.constant(DIM, 2)]
+    for _ in range(30):
+        scalars.append(random_real_scalar(rng, DIM, max_modes=2, mode_bound=1))
+        exponents = [tuple(rng.randint(0, 1) for _ in range(DIM)) for _ in range(2)]
+        scalars.append(poly({e: Fraction(rng.randint(1, 5)) for e in exponents}))
+    for f in scalars:
+        assert f.axes() == [a for a in range(DIM) if not f.derivative(a).is_zero()], f
 
 
 # -- one-pass normal ordering --------------------------------------------------
