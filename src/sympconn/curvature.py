@@ -36,7 +36,7 @@ class ConnectionCurve:
 
     __slots__ = ("sdata", "cap", "abar", "_mixed", "_curvature")
 
-    def __init__(self, sdata: SymplecticData, cap, abar, validate=True):
+    def __init__(self, sdata: SymplecticData, cap, abar, validate=True, mixed=None):
         abar = list(abar)
         if len(abar) == cap:
             # orders 1..K given; prepend the zero order-0 term
@@ -58,7 +58,7 @@ class ConnectionCurve:
         self.sdata = sdata
         self.cap = cap
         self.abar = abar
-        self._mixed = None
+        self._mixed = mixed
         self._curvature = None
 
     @classmethod
@@ -73,7 +73,9 @@ class ConnectionCurve:
 
     @property
     def mixed(self):
-        """Per-order mixed tensors A^p_{ab} stored at key (a, b, p)."""
+        """Per-order mixed tensors A^p_{ab} stored at key (a, b, p): the
+        `raise_last` of each order, built on first read unless the caller
+        passed them in as `mixed`, for a curve it made by lowering them."""
         if self._mixed is None:
             self._mixed = [raise_last(t, self.sdata) for t in self.abar]
         return self._mixed
@@ -183,17 +185,23 @@ def covariant_derivative(conn: ConnectionCurve, t_curve: TensorFieldCurve) -> Te
     """
     if t_curve.cap != conn.cap:
         raise ConfigurationError("curve cap mismatch")
-    dim, rank = t_curve.dim, t_curve.rank
+    return TensorFieldCurve(conn.cap, _covariant_orders(conn, t_curve.orders, 0))
+
+
+def _covariant_orders(conn: ConnectionCurve, orders, start):
+    """Orders start..cap of `covariant_derivative` of the curve with the
+    given orders; order k reads orders k - s of the curve for s = 0..k."""
+    dim, rank = conn.dim, orders[0].rank
     mixed = conn.mixed
     out = []
-    for k in range(conn.cap + 1):
+    for k in range(start, conn.cap + 1):
         acc = GaussianSums()
-        for idx, f in t_curve[k].components.items():
+        for idx, f in orders[k].components.items():
             for a in range(dim):
                 acc.add_derivative((a,) + idx, f.coeffs, a)
         for s in range(1, k + 1):
             m = mixed[s]
-            base = t_curve[k - s]
+            base = orders[k - s]
             if m.is_zero() or base.is_zero():
                 continue
             for (a, b, p), g in m.components.items():
@@ -203,7 +211,7 @@ def covariant_derivative(conn: ConnectionCurve, t_curve: TensorFieldCurve) -> Te
                             key = (a,) + idx[:j] + (b,) + idx[j + 1 :]
                             acc.add_product(key, g.coeffs, f.coeffs, -1)
         out.append(_field(acc, dim, rank + 1))
-    return TensorFieldCurve(conn.cap, out)
+    return out
 
 
 def _by_upper(m: TensorField):
@@ -226,10 +234,16 @@ def curvature_curve(conn: ConnectionCurve) -> TensorFieldCurve:
     the half holds no key with a = b, and T_bacd = -T_abcd is how the other
     keys are read.  Each order is returned as a `CurvatureTypeField` holding
     the half's entries with c <= d."""
+    return TensorFieldCurve(conn.cap, _curvature_orders(conn, 0))
+
+
+def _curvature_orders(conn: ConnectionCurve, start):
+    """Orders start..cap of `curvature_curve`; order k reads A^(s) for
+    s <= k only."""
     dim, abar = conn.dim, conn.abar
     by_upper = [_by_upper(m) for m in conn.mixed]
     out = []
-    for k in range(conn.cap + 1):
+    for k in range(start, conn.cap + 1):
         acc = GaussianSums()
         for (x, c, d), f in abar[k].components.items():
             for z in range(x):
@@ -258,7 +272,7 @@ def curvature_curve(conn: ConnectionCurve) -> TensorFieldCurve:
             if not ok:
                 raise InternalInconsistency(f"curvature symmetries violated at order {k}")
         out.append(CurvatureTypeField(dim, upper))
-    return TensorFieldCurve(conn.cap, out)
+    return out
 
 
 def ricci_curve(conn: ConnectionCurve) -> TensorFieldCurve:
@@ -271,11 +285,17 @@ def ricci_curve(conn: ConnectionCurve) -> TensorFieldCurve:
     follows from the trace definition and is cross-checked against the
     independent omega-contraction of R in ricci_from_curvature.
     """
+    return TensorFieldCurve(conn.cap, _ricci_orders(conn, 0))
+
+
+def _ricci_orders(conn: ConnectionCurve, start):
+    """Orders start..cap of `ricci_curve`; order k reads A^(s) for s <= k
+    only."""
     dim = conn.dim
     mixed = conn.mixed
     by_upper = [_by_upper(m) for m in mixed]
     out = []
-    for k in range(conn.cap + 1):
+    for k in range(start, conn.cap + 1):
         acc = GaussianSums()
         for (a, b, q), f in mixed[k].components.items():
             acc.add_derivative((a, b), f.coeffs, q, -1)
@@ -287,7 +307,7 @@ def ricci_curve(conn: ConnectionCurve) -> TensorFieldCurve:
                     if p2 == p:
                         acc.add_product((a, b), g1.coeffs, g2.coeffs)
         out.append(_field(acc, dim, 2))
-    return TensorFieldCurve(conn.cap, out)
+    return out
 
 
 def ricci_from_curvature(r4: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
@@ -347,20 +367,26 @@ def ricci_part(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
     a < b and c <= d, reading r only on x <= y; it is returned as a
     `CurvatureTypeField` per order.
     """
-    for k, t in enumerate(r2.orders):
+    return TensorFieldCurve(r2.cap, _ricci_part_orders(r2.orders, sdata, 0))
+
+
+def _ricci_part_orders(orders, sdata: SymplecticData, start):
+    """`ricci_part` of the Ricci orders start, start + 1, ..., given as
+    `orders`."""
+    for k, t in enumerate(orders, start):
         if t.symmetry_witness("fully_symmetric") is not None:
             raise InternalInconsistency(f"Ricci tensor is not symmetric at order {k}")
     targets = _e_targets(sdata)
     dim = sdata.dim
     out = []
-    for t in r2.orders:
+    for t in orders:
         acc = GaussianSums()
         for (x, y), f in t.components.items():
             if x <= y:
                 for key, c in targets[(x, y)]:
                     acc.add(key, f.coeffs, weight=c)
         out.append(CurvatureTypeField(dim, acc.finish(FourierScalar, dim)))
-    return TensorFieldCurve(r2.cap, out)
+    return out
 
 
 def ew_split(r4: TensorFieldCurve, r2: TensorFieldCurve, sdata: SymplecticData):
@@ -374,8 +400,13 @@ def ew_split(r4: TensorFieldCurve, r2: TensorFieldCurve, sdata: SymplecticData):
     if r4.cap != r2.cap:
         raise ConfigurationError("curve cap mismatch")
     e = ricci_part(r2, sdata)
+    return e, TensorFieldCurve(r4.cap, _w_orders(r4.orders, e.orders, sdata.dim))
+
+
+def _w_orders(r_orders, e_orders, dim):
+    """W = R - E, order by order, for the orders of R and E given."""
     w = []
-    for rt, et in zip(r4.orders, e.orders):
+    for rt, et in zip(r_orders, e_orders):
         if not isinstance(rt, CurvatureTypeField):
             raise ConfigurationError(
                 "ew_split needs R as the curvature-type half that curvature_curve returns"
@@ -391,8 +422,8 @@ def ew_split(r4: TensorFieldCurve, r2: TensorFieldCurve, sdata: SymplecticData):
         for key, x in ee.items():
             if key not in r:
                 half[key] = -x
-        w.append(CurvatureTypeField(sdata.dim, half))
-    return e, TensorFieldCurve(r4.cap, w)
+        w.append(CurvatureTypeField(dim, half))
+    return w
 
 
 def ricci_type_verdict(w: TensorFieldCurve):
@@ -502,11 +533,12 @@ def bianchi_check(conn: ConnectionCurve):
     return {"first": first, "second": second, "ok": ok}
 
 
-def _rho_curve(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
-    """Endomorphism rho with r(X, Y) = omega(X, rho Y); key (p, b) = rho^p_b."""
+def _rho_orders(r_orders, sdata: SymplecticData):
+    """Endomorphism rho with r(X, Y) = omega(X, rho Y), for each order of r
+    given; key (p, b) = rho^p_b."""
     hi = sdata.omega_hi
     out = []
-    for t in r2.orders:
+    for t in r_orders:
         acc = GaussianSums()
         for (a, b), f in t.components.items():
             for q in range(sdata.dim):
@@ -514,20 +546,21 @@ def _rho_curve(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
                 if w:
                     acc.add((q, b), f.coeffs, weight=w)
         out.append(_field(acc, sdata.dim, 2))
-    return TensorFieldCurve(r2.cap, out)
+    return out
 
 
-def _endo_square(rho: TensorFieldCurve) -> TensorFieldCurve:
+def _endo_square_orders(rho, dim, start):
+    """Orders start..cap of rho^2 for the orders 0..cap of rho."""
     out = []
-    for k in range(rho.cap + 1):
+    for k in range(start, len(rho)):
         acc = GaussianSums()
         for s in range(k + 1):
             for (p, q), f in rho[s].components.items():
                 for (q2, b), g in rho[k - s].components.items():
                     if q2 == q:
                         acc.add_product((p, b), f.coeffs, g.coeffs)
-        out.append(_field(acc, rho.dim, 2))
-    return TensorFieldCurve(rho.cap, out)
+        out.append(_field(acc, dim, 2))
+    return out
 
 
 def extract_u_b(conn: ConnectionCurve, r2: TensorFieldCurve | None = None):
@@ -542,50 +575,67 @@ def extract_u_b(conn: ConnectionCurve, r2: TensorFieldCurve | None = None):
     All three defining equations are then re-verified exactly; a nonzero
     residual means the input was not Ricci type (or a convention fault).
     """
+    if r2 is None:
+        r2 = ricci_curve(conn)
+    u, b, flags = _u_b_orders(conn, r2.orders, [], 0)
+    return TensorFieldCurve(conn.cap, u), TensorFieldCurve(conn.cap, b), _residuals(*flags)
+
+
+_RESIDUAL_NAMES = ("ricci_derivative", "u_derivative", "b_differential")
+
+
+def _residuals(*flags):
+    """The residual verdicts per order of the three defining equations of
+    u and b, by name, and whether all of them hold."""
+    residuals = dict(zip(_RESIDUAL_NAMES, flags))
+    residuals["ok"] = all(all(v) for v in flags)
+    return residuals
+
+
+def _u_b_orders(conn: ConnectionCurve, r_orders, u_head, start):
+    """Orders start..cap of u, of b and of the three residual verdicts of
+    `extract_u_b`, from all orders of r and the orders of u below start
+    (u_head).  Order k of each reads orders <= k of r, u and A only."""
     sdata = conn.sdata
     dim, n = sdata.dim, sdata.n
     hi, lo = sdata.omega_hi, sdata.omega_lo
-    cap = conn.cap
 
-    if r2 is None:
-        r2 = ricci_curve(conn)
-    dr = covariant_derivative(conn, r2)
+    dr = _covariant_orders(conn, r_orders, start)
 
-    u_orders = []
-    for t in dr.orders:
+    u_new = []
+    for t in dr:
         acc = GaussianSums()
         for (a, b, c), f in t.components.items():
             w = hi[a][b]
             if w:
                 acc.add((c,), f.coeffs, weight=-w)
-        u_orders.append(_field(acc, dim, 1))
-    u = TensorFieldCurve(cap, u_orders)
+        u_new.append(_field(acc, dim, 1))
+    u = u_head + u_new
 
-    du = covariant_derivative(conn, u)
-    rho2 = _endo_square(_rho_curve(r2, sdata))
+    du = _covariant_orders(conn, u, start)
+    rho2 = _endo_square_orders(_rho_orders(r_orders, sdata), dim, start)
     cconst = Fraction(1 + 2 * n, 2 * (1 + n))
 
     # b = -(sum_ab omega^{ab} (nabla u)_{ab} - cconst Tr rho^2) / 2n
-    b_orders = []
-    for k in range(cap + 1):
+    b_new = []
+    for du_k, rho2_k in zip(du, rho2):
         acc = GaussianSums()
-        for (a, bb), f in du[k].components.items():
+        for (a, bb), f in du_k.components.items():
             w = hi[a][bb]
             if w:
                 acc.add((), f.coeffs, weight=w * Fraction(-1, 2 * n))
-        for (p, q), f in rho2[k].components.items():
+        for (p, q), f in rho2_k.components.items():
             if p == q:
                 acc.add((), f.coeffs, weight=cconst / (2 * n))
-        b_orders.append(_field(acc, dim, 0))
-    b = TensorFieldCurve(cap, b_orders)
+        b_new.append(_field(acc, dim, 0))
 
     # residual of (nabla r) equation
     res1 = []
-    for k in range(cap + 1):
+    for dr_k, u_k in zip(dr, u_new):
         acc = GaussianSums()
-        for idx, f in dr[k].components.items():
+        for idx, f in dr_k.components.items():
             acc.add(idx, f.coeffs)
-        for (c,), f in u[k].components.items():
+        for (c,), f in u_k.components.items():
             for a in range(dim):
                 for bb in range(dim):
                     w = lo[a][bb]
@@ -597,16 +647,16 @@ def extract_u_b(conn: ConnectionCurve, r2: TensorFieldCurve | None = None):
 
     # residual of (nabla u) equation
     res2 = []
-    for k in range(cap + 1):
+    for du_k, rho2_k, b_k in zip(du, rho2, b_new):
         acc = GaussianSums()
-        for idx, f in du[k].components.items():
+        for idx, f in du_k.components.items():
             acc.add(idx, f.coeffs)
-        for (p, bcol), f in rho2[k].components.items():
+        for (p, bcol), f in rho2_k.components.items():
             for a in range(dim):
                 w = lo[a][p]
                 if w:
                     acc.add((a, bcol), f.coeffs, weight=w * cconst)
-        b_k = b[k].get(()).coeffs
+        b_k = b_k.get(()).coeffs
         for a in range(dim):
             for bb in range(dim):
                 w = lo[a][bb]
@@ -616,7 +666,7 @@ def extract_u_b(conn: ConnectionCurve, r2: TensorFieldCurve | None = None):
 
     # residual of the differential-of-b equation; ubar_l = -omega^{cl} u_c / (1 + n)
     ubar = []
-    for t in u.orders:
+    for t in u:
         acc = GaussianSums()
         for (c,), f in t.components.items():
             for l in range(dim):
@@ -625,25 +675,19 @@ def extract_u_b(conn: ConnectionCurve, r2: TensorFieldCurve | None = None):
                     acc.add(l, f.coeffs, weight=w * Fraction(-1, 1 + n))
         ubar.append(acc.finish(FourierScalar, dim))
     res3 = []
-    for k in range(cap + 1):
+    for k, b_k in enumerate(b_new, start):
         acc = GaussianSums()
-        b_k = b[k].get(()).coeffs
+        b_k = b_k.get(()).coeffs
         for a in range(dim):
             acc.add_derivative((a,), b_k, a)
         for s in range(k + 1):
-            for (p, a), f in r2[k - s].components.items():
+            for (p, a), f in r_orders[k - s].components.items():
                 g = ubar[s].get(p)
                 if g is not None:
                     acc.add_product((a,), g.coeffs, f.coeffs)
         res3.append(acc.all_zero())
 
-    residuals = {
-        "ricci_derivative": res1,
-        "u_derivative": res2,
-        "b_differential": res3,
-    }
-    residuals["ok"] = all(all(v) for v in residuals.values() if isinstance(v, list))
-    return u, b, residuals
+    return u_new, b_new, (res1, res2, res3)
 
 
 @dataclass
@@ -659,20 +703,45 @@ class CurvatureBundle:
     residuals: dict | None
 
 
-def curvature_bundle(conn: ConnectionCurve) -> CurvatureBundle:
-    """Compute R, r, E, W; u and b too when the curve is of Ricci type."""
-    r4 = conn.curvature
-    r2 = ricci_curve(conn)
-    e, w = ew_split(r4, r2, conn.sdata)
-    if w.is_zero():
-        u, b, residuals = extract_u_b(conn, r2)
-        if not residuals["ok"]:
-            raise InternalInconsistency(
-                "u/b residuals nonzero on a Ricci-type curve"
-            )
-    else:
-        u = b = residuals = None
-    return CurvatureBundle(r4, r2, e, w, u, b, residuals)
+def curvature_bundle(conn: ConnectionCurve, carried: CurvatureBundle | None = None,
+                     start=0) -> CurvatureBundle:
+    """Compute R, r, E, W; u and b too when the curve is of Ricci type.
+
+    With `carried`, the bundle of a curve that agrees with conn below order
+    `start`, only orders start..cap are computed; the orders below start of
+    R, r, E, W, u, b and of the residual verdicts are carried's.  This is
+    exact: order j of each depends only on A^(s) for s <= j.  The checks of
+    a carried order ran when it was built, and those of the orders computed
+    here run as they do without a carry.  A start past the cap returns
+    carried itself.  Without a carry R is `conn.curvature`.
+    """
+    if carried is None:
+        start = 0
+    elif start > conn.cap:
+        return carried
+    cap, sdata = conn.cap, conn.sdata
+
+    def joined(name, new):
+        """A curve of carried's orders below start, then the new ones."""
+        return TensorFieldCurve(cap, getattr(carried, name).orders[:start] + new if start else new)
+
+    r4 = joined("R", _curvature_orders(conn, start)) if start else conn.curvature
+    r2 = joined("r", _ricci_orders(conn, start))
+    e = _ricci_part_orders(r2.orders[start:], sdata, start)
+    w = joined("W", _w_orders(r4.orders[start:], e, sdata.dim))
+    e = joined("E", e)
+    if not w.is_zero():
+        return CurvatureBundle(r4, r2, e, w, None, None, None)
+    if start and carried.u is None:
+        raise PreconditionError("the carried bundle has no u and b below the start order")
+    u, b, flags = _u_b_orders(conn, r2.orders, carried.u.orders[:start] if start else [], start)
+    residuals = _residuals(*(carried.residuals[name][:start] + new if start else new
+                             for name, new in zip(_RESIDUAL_NAMES, flags)))
+    if not residuals["ok"]:
+        raise InternalInconsistency(
+            "u/b residuals nonzero on a Ricci-type curve"
+        )
+    return CurvatureBundle(r4, r2, e, w, joined("u", u), joined("b", b), residuals)
 
 
 def require_ricci_type(conn: ConnectionCurve, bundle: CurvatureBundle | None = None):

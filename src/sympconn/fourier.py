@@ -13,7 +13,7 @@ Indices are 0-based internally; serialized files use 1-based indices.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import permutations
 
 from ._kernel import pure as K
@@ -72,8 +72,10 @@ class SymplecticData:
         self._index_maps = None
 
     @classmethod
+    @cache
     def standard(cls, dim):
-        """Block form omega(e_i, e_{n+i}) = 1 for i = 0..n-1."""
+        """Block form omega(e_i, e_{n+i}) = 1 for i = 0..n-1; one object
+        per dim, built on first use (a refused dim raises on every call)."""
         n = dim // 2
         rows = [[0] * dim for _ in range(dim)]
         for i in range(n):

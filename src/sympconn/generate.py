@@ -67,7 +67,8 @@ def random_connection_curve(seed, dim=4, cap=2, max_modes=3, mode_bound=2):
     sdata = SymplecticData.standard(dim)
     abar = [TensorField.zero(dim, 3, "fully_symmetric")]
     abar += [random_symmetric_field(rng, dim, max_modes, mode_bound) for _ in range(cap)]
-    return ConnectionCurve(sdata, cap, abar)
+    # random_symmetric_field asserts each order fully symmetric and real
+    return ConnectionCurve(sdata, cap, abar, validate=False)
 
 
 def omega_orthogonal_basis_vectors(sdata: SymplecticData):

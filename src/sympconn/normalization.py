@@ -93,20 +93,27 @@ def _assert_order_invariant(bundle: CurvatureBundle, k):
             )
 
 
-def recurrence_step(conn: ConnectionCurve, k):
+def recurrence_step(conn: ConnectionCurve, k, carried=None):
     """One normalization step at order k.
 
-    Returns (f_k, updated curve, psi step) where f_k = -U^(k) and the
+    Returns (f_k, updated curve, psi step, carry) where f_k = -U^(k) and the
     updated curve equals psi_{f_k}(t^k) . conn with invariant order-k term
     Q, the zero-mode part of conn.abar[k].  Preconditions: orders < k
     invariant, curve Ricci type.
+
+    carry = (bundle, start) holds this step's `curvature_bundle` and the
+    order below which it is also the bundle of the updated curve: k, since
+    the step asserts that no order below k moved, or past the cap when the
+    step is the identity and the updated curve is conn itself.  Passed as
+    `carried` to the step at order k + 1, it spares that step every bundle
+    order below k; order k, which this step moved, is computed again.
     """
     if not 1 <= k <= conn.cap:
         raise PreconditionError("step order must lie in 1..K")
     for p in range(1, k):
         if not conn.abar[p].is_constant():
             raise PreconditionError(f"order {p} must already be invariant")
-    bundle = curvature_bundle(conn)
+    bundle = curvature_bundle(conn, *carried) if carried else curvature_bundle(conn)
     require_ricci_type(conn, bundle)
     _assert_order_invariant(bundle, k)
     split = potential_split(conn.abar[k])
@@ -126,7 +133,7 @@ def recurrence_step(conn: ConnectionCurve, k):
             raise InternalInconsistency(
                 f"the order-{k} step modified the settled order {p}"
             )
-    return f_k, updated, step
+    return f_k, updated, step, (bundle, conn.cap + 1 if updated is conn else k)
 
 
 @dataclass
@@ -144,7 +151,10 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     outermost, after the last step.  witness . input = embedded flat curve is
     asserted exactly, as is flatness of the resulting invariant curve and,
     as a corollary, flatness of the input itself.  A curve that is not of
-    Ricci type is refused by the order-1 step; a cap-0 curve is flat.
+    Ricci type is refused by the order-1 step; a cap-0 curve is flat.  Each
+    step hands its curvature bundle to the next (see `recurrence_step`), so
+    the order-1 step builds every order and a later step at order k only
+    the orders k - 1..cap, or none after an identity step.
 
     The flat ladder is read off the last stepped curve once, by
     `from_connection_curve`, which also refuses a constant part that is not
@@ -161,9 +171,10 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     sdata, cap = conn.sdata, conn.cap
     steps = []
     current = conn
+    carry = None
     log = []
     for k in range(1, cap + 1):
-        f_k, current, step = recurrence_step(current, k)
+        f_k, current, step, carry = recurrence_step(current, k, carry)
         steps.append(step)
         log.append(
             {

@@ -355,19 +355,19 @@ def _order_sum(q, k):
     return _finish(acc, like).get(()) or type(like).zero(like.dim)
 
 
-def _exp(op, gens, curve):
-    q = exp_terms(op, gens, [curve])[0]
-    return [_order_sum(q, k) for k in range(len(curve))]
+def _exp(op, gens, curves):
+    """exp(X_t) applied to each curve, in one `exp_terms` pass."""
+    return [[_order_sum(q, k) for k in range(len(gens))] for q in exp_terms(op, gens, curves)]
 
 
 def exp_apply(gens, fcurve):
     """exp(X_t) applied to a scalar curve."""
-    return _exp(VectorField.add_apply, gens, fcurve)
+    return _exp(VectorField.add_apply, gens, [fcurve])[0]
 
 
 def exp_ad(gens, ycurve):
     """exp(ad X_t) Y for a vector-field curve Y."""
-    return _exp(VectorField.add_bracket, gens, ycurve)
+    return _exp(VectorField.add_bracket, gens, [ycurve])[0]
 
 
 # -- the action on connections -----------------------------------------------------
@@ -481,20 +481,19 @@ def merge_exponentials(sdata, *ladders):
     """The generator ladder Z with exp(Z_t) = exp(L1_t) ... exp(Ln_t) through
     the cap, for one or more ladders in that order, solved order by order on
     the coordinate test functions (no BCH series needed).  The targets are
-    the nested exp_apply(L1, ... exp_apply(Ln, f_a)), innermost factor
-    first; Z then comes from one pass of `exp_terms`: f_a is constant in t,
-    so Z^(k) enters order k only through Q_1[k] = Z^(k) f_a, and Z^(k) is
-    read from target[k] minus the rest of order k.  Every order is asserted
-    real and symplectic, and the result is verified independently by
-    exp_apply(Z, f_a) == target."""
+    the nested exp(L1_t) ... exp(Ln_t) f_a, one `exp_terms` pass per ladder
+    over all the tests, innermost ladder first; Z then comes from one pass
+    of `exp_terms`: f_a is constant in t, so Z^(k) enters order k only
+    through Q_1[k] = Z^(k) f_a, and Z^(k) is read from target[k] minus the
+    rest of order k.  Every order is asserted real and symplectic, and the
+    result is verified independently by one more `exp_terms` pass, of Z over
+    the tests, compared with the targets order by order."""
     field = type(ladders[0][0])
     dim, cap = ladders[0][0].dim, len(ladders[0]) - 1
     tests = coordinate_tests(field, dim, cap)
-    targets = []
-    for f in tests:
-        for gens in reversed(ladders):
-            f = exp_apply(gens, f)
-        targets.append(f)
+    targets = tests
+    for gens in reversed(ladders):
+        targets = _exp(VectorField.add_apply, gens, targets)
 
     def solve(k, partials):
         zk = order_from_mismatch(field, [t[k] - p for t, p in zip(targets, partials)])
@@ -506,7 +505,6 @@ def merge_exponentials(sdata, *ladders):
 
     z = [field.zero(dim)] * (cap + 1)
     exp_terms(VectorField.add_apply, z, tests, solve)
-    for f, target in zip(tests, targets):
-        if exp_apply(z, f) != target:
-            raise InternalInconsistency("normal ordering failed verification")
+    if _exp(VectorField.add_apply, z, tests) != targets:
+        raise InternalInconsistency("normal ordering failed verification")
     return z

@@ -176,7 +176,7 @@ class SymplectoCurve:
                     raise ConfigurationError(f"order-{k} generator is not real")
                 if not g.is_symplectic(sdata):
                     raise ConfigurationError(f"order-{k} generator is not symplectic")
-        c_inv = sdata.symplectic_inverse(c_mat)
+        c_inv = c_mat if c_mat == _eye(dim) else sdata.symplectic_inverse(c_mat)
         self.sdata = sdata
         self.cap = cap
         self.c_mat = c_mat
@@ -268,18 +268,25 @@ def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionC
     The exponential is `series.exp_lie_connection` on the mixed tensors
     A^p_ab; its result is lowered with omega and, unless sigma is the
     identity, pulled back through sigma as a covariant tensor (C is
-    symplectic, so lowering and pulling back commute).  The output is
-    verified fully symmetric and flat at order 0; a failure is fatal because
-    it would mean the action left the space of symplectic connection curves.
+    symplectic, so lowering and pulling back commute).  When sigma is the
+    identity the Lie series' output is the new curve's `mixed` as it is:
+    raising the last index of the lowered orders would give it back.  The
+    output is verified fully symmetric and flat at order 0; a failure is
+    fatal because it would mean the action left the space of symplectic
+    connection curves.  psi and the curve must share omega and the cap.
     """
     sdata, cap, dim = conn.sdata, conn.cap, conn.dim
-    if psi.cap != cap or psi.dim != dim:
-        raise PreconditionError("symplectomorphism and connection caps must match")
+    if psi.sdata != sdata or psi.cap != cap:
+        raise PreconditionError(
+            "symplectomorphism and connection need matching omega and caps"
+        )
     moved = exp_lie_connection(psi.gens, [m.components for m in conn.mixed])
     affine = not psi.has_identity_affine_part()
-    abar = []
+    abar, mixed = [], []
     for k, comp in enumerate(moved):
-        t = lower_last(TensorField(dim, 3, comp, _validated=True), sdata)
+        m = TensorField(dim, 3, comp, _validated=True)
+        mixed.append(m)
+        t = lower_last(m, sdata)
         if affine:
             t = affine_pullback_tensor(psi.c_mat, psi.d, t)
         if k == 0:
@@ -297,7 +304,8 @@ def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionC
             raise InternalInconsistency(f"acted connection lost reality at order {k}")
         t.symmetry_tag = "fully_symmetric"
         abar.append(t)
-    return ConnectionCurve(sdata, cap, abar, validate=False)
+    return ConnectionCurve(sdata, cap, abar, validate=False,
+                           mixed=None if affine else mixed)
 
 
 # -- normal ordering -----------------------------------------------------------

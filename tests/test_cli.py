@@ -215,6 +215,34 @@ def test_act_round_trip(tmp_path, capsys):
     assert load_path(acted_p) == embed_invariant(load_path(flat_p))
 
 
+def test_act_refuses_a_connection_of_another_omega(tmp_path, capsys):
+    """A witness for the standard omega acting on a curve of another omega
+    is refused like a cap mismatch, not reported as a broken action."""
+    p = write_moved(tmp_path, seed=1)
+    wit_p = tmp_path / "wit.json"
+    assert run(capsys, "normalize", str(p), "--witness", str(wit_p))[0] == 0
+    omega_p, grad_p = tmp_path / "omega.json", tmp_path / "grad.json"
+    omega_p.write_text("[[0,0,2,0],[0,0,0,1],[-2,0,0,0],[0,-1,0,0]]")
+    code, _, _ = run(capsys, "generate", "--kind", "gradient", "--omega", str(omega_p),
+                     "--order", "3", "--out", str(grad_p))
+    assert code == 0
+    code, out, err = run(capsys, "act", str(wit_p), str(grad_p))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "refused: symplectomorphism and connection need matching omega and caps\n")
+
+
+def test_act_refuses_a_connection_of_another_cap(tmp_path, capsys):
+    p = write_moved(tmp_path, seed=1, cap=3)
+    wit_p = tmp_path / "wit.json"
+    assert run(capsys, "normalize", str(p), "--witness", str(wit_p))[0] == 0
+    other = write_moved(tmp_path, seed=1, cap=2)
+    code, out, err = run(capsys, "act", str(wit_p), str(other))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "refused: symplectomorphism and connection need matching omega and caps\n")
+
+
 def test_corrupted_file_exit_2(tmp_path, capsys):
     p = write_moved(tmp_path)
     obj = json.loads(p.read_text())

@@ -13,7 +13,7 @@ from sympconn.fourier import (
     lower_last,
     raise_last,
 )
-from sympconn.generate import random_symmetric_field
+from sympconn.generate import random_connection_curve, random_symmetric_field
 from sympconn.linalg import inverse, matrix, transpose
 from sympconn.moduli import _words_up_to, sp_generators
 from sympconn.rationals import GaussianRational
@@ -115,6 +115,32 @@ def test_random_symmetric_field_with_zero_mode_is_real(seed, constant):
     field = random_symmetric_field(random.Random(seed), DIM)
     assert field.is_real() and field.is_fully_symmetric()
     assert field.get((0, 1, 2)).constant_part() == GaussianRational(constant)
+
+
+def test_the_standard_omega_is_one_object_per_dim():
+    """`standard` builds omega once per dim; a refused dim raises each time."""
+    assert SymplecticData.standard(4) is SymplecticData.standard(4)
+    assert SymplecticData.standard(6) is not SymplecticData.standard(4)
+    assert SymplecticData.standard(4).is_standard()
+    for _ in range(2):
+        for dim in (2, 5):
+            with pytest.raises(ConfigurationError, match="even and >= 4"):
+                SymplecticData.standard(dim)
+
+
+def test_random_connection_curve_checks_each_order_once(monkeypatch):
+    """The generator asserts each order fully symmetric and real, and the
+    curve is built without checking them again."""
+    calls = []
+    original = TensorField.is_fully_symmetric
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TensorField, "is_fully_symmetric", counting)
+    conn = random_connection_curve(5, dim=DIM, cap=3)
+    assert calls == conn.abar[1:]
 
 
 def test_partials_commute():

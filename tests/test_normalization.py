@@ -2,9 +2,10 @@ from itertools import product
 
 import pytest
 
+import sympconn.curvature as curvature
 import sympconn.normalization as normalization
 import sympconn.symplecto as symplecto
-from sympconn.curvature import curvature_curve
+from sympconn.curvature import ConnectionCurve, curvature_bundle, curvature_curve, extract_u_b
 from sympconn.errors import InternalInconsistency, NotExactCube, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
 from sympconn.generate import (
@@ -13,6 +14,7 @@ from sympconn.generate import (
     gradient_curve,
     random_connection_curve,
     rank_one_ladder,
+    standard_step_scalars,
 )
 from sympconn.invariant import embed_invariant
 from sympconn.normalization import (
@@ -207,7 +209,7 @@ def test_every_order_normalization_merges_once_into_the_step_by_step_witness(mon
     stepwise = SymplectoCurve.identity(SD, 8)
     current = moved
     for k in range(1, 9):
-        _, current, step = recurrence_step(current, k)
+        _, current, step, _ = recurrence_step(current, k)
         stepwise = compose(step, stepwise)
     calls = []
     original = symplecto.merge_exponentials
@@ -241,3 +243,118 @@ def test_a_witness_missing_a_step_fails_the_final_check(monkeypatch, dropped):
                        match="^witness does not conjugate the input to the flat curve$"):
         normalize_curve(moved)
     assert [len(psis) for psis in composed] == [2]
+
+
+# -- the curvature bundle carried across steps ----------------------------------
+
+SD_SKEW = SymplecticData([[0, 0, 2, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -1, 0, 0]])
+
+
+def every_order_fixture(sdata, dim, cap):
+    """A conjugated flat curve moved at every order 1..cap, so every step
+    moves its order."""
+    if sdata is None:
+        return conjugated_flat_fixture(7, dim=dim, cap=cap, orders=tuple(range(1, cap + 1)))[2]
+    flat = rank_one_ladder(sdata, cap, seed=3)
+    return conjugated_flat(sdata, cap, flat, standard_step_scalars(dim, range(1, cap + 1)))[1]
+
+
+def bundle_orders(bundle):
+    """R, r, E, W, u, b and the residual verdicts of a bundle, per order."""
+    curves = [bundle.R, bundle.r, bundle.E, bundle.W, bundle.u, bundle.b]
+    flags = [bundle.residuals[name] for name in
+             ("ricci_derivative", "u_derivative", "b_differential")]
+    return [[c[k] for c in curves] + [f[k] for f in flags] for k in range(bundle.R.cap + 1)]
+
+
+@pytest.mark.parametrize("sdata, dim, cap", [
+    (None, 4, 4), (None, 4, 8), (None, 6, 8), (SD_SKEW, 4, 4),
+], ids=["dim4_cap4", "dim4_cap8", "dim6_cap8", "skew_omega_cap4"])
+def test_the_carried_bundle_is_the_bundle_of_each_step_input(sdata, dim, cap):
+    """At every step the bundle built from the previous step's carry equals,
+    order by order, a fresh `curvature_bundle` of that step's input, built
+    from its lowered orders alone."""
+    current = every_order_fixture(sdata, dim, cap)
+    carry = None
+    for k in range(1, cap + 1):
+        _, updated, step, new_carry = recurrence_step(current, k, carry)
+        assert not step.is_identity()
+        fresh = curvature_bundle(ConnectionCurve(current.sdata, cap, current.abar, validate=False))
+        got, want = bundle_orders(new_carry[0]), bundle_orders(fresh)
+        for order in range(cap + 1):
+            assert got[order] == want[order], (k, order)
+        assert new_carry[0].residuals == fresh.residuals
+        current, carry = updated, new_carry
+
+
+def test_each_step_computes_each_bundle_order_from_k_minus_1_once(monkeypatch):
+    """Moves at orders 1 and 4 of a cap-5 curve: step 1 builds every order,
+    step 2 the orders 1..5, steps 3 and 4 follow identity steps and build
+    nothing, and step 5 builds the orders 4 and 5."""
+    _, _, moved = conjugated_flat_fixture(1, dim=4, cap=5, orders=(1, 4))
+    built = []
+    step_of = []
+    original_step = normalization.recurrence_step
+
+    def stepping(conn, k, carried=None):
+        step_of.append(k)
+        return original_step(conn, k, carried)
+
+    def counting(name, builder):
+        def wrapper(conn, *args):
+            out = builder(conn, *args)
+            start = args[-1]
+            built.extend((step_of[-1], name, order) for order in range(start, start + len(out)))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(normalization, "recurrence_step", stepping)
+    monkeypatch.setattr(curvature, "_curvature_orders",
+                        counting("R", curvature._curvature_orders))
+    monkeypatch.setattr(curvature, "_ricci_orders", counting("r", curvature._ricci_orders))
+    original_u_b = curvature._u_b_orders
+
+    def counting_u_b(conn, r_orders, u_head, start):
+        u, b, flags = original_u_b(conn, r_orders, u_head, start)
+        built.extend((step_of[-1], "u", order) for order in range(start, start + len(u)))
+        return u, b, flags
+
+    monkeypatch.setattr(curvature, "_u_b_orders", counting_u_b)
+    result = normalize_curve(moved)
+    assert [e["potential_support"] > 0 for e in result.per_order_log] == [
+        True, False, False, True, False]
+    want = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+            (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (5, 4), (5, 5)]
+    for name in ("R", "r", "u"):
+        assert [(step, order) for step, n, order in built if n == name] == want, name
+
+
+@pytest.mark.parametrize("seed, dim", [(3, 4), (4, 6)])
+def test_bundle_orders_from_a_start_equal_the_fresh_ones_on_curved_curves(seed, dim):
+    """Every bundle order vanishes on a curve that normalizes, so the
+    builders that start at an order are checked here on random, curved
+    curves.  Moved by psi_f(t^j), a curve's bundle from the unmoved curve's
+    below j equals its fresh bundle; so do u, b and the residual verdicts
+    from order j on, which `curvature_bundle` builds only for a Ricci-type
+    curve.  Orders up to j of the bundle are not moved by the step (the
+    bundle is natural and vanishes at order 0); order j + 1 is."""
+    cap = 4
+    conn = random_connection_curve(seed, dim=dim, cap=cap)
+    sdata = conn.sdata
+    before = curvature_bundle(conn)
+    f = FourierScalar.cosine(dim, (1, 1) + (0,) * (dim - 2))
+    for j in range(1, cap + 1):
+        moved = act_on_connection(SymplectoCurve.from_hamiltonian(sdata, cap, f, j), conn)
+        assert moved.abar[:j] == conn.abar[:j] and moved.abar[j] != conn.abar[j]
+        carried = curvature_bundle(moved, before, j)
+        fresh = curvature_bundle(ConnectionCurve(sdata, cap, moved.abar, validate=False))
+        assert carried.u is None and fresh.u is None
+        for name in ("R", "r", "E", "W"):
+            assert getattr(carried, name) == getattr(fresh, name), (j, name)
+        assert fresh.R.orders[:j + 1] == before.R.orders[:j + 1]
+        assert j == cap or fresh.R[j + 1] != before.R[j + 1]
+        u, b, residuals = extract_u_b(moved)
+        u_j, b_j, flags = curvature._u_b_orders(moved, fresh.r.orders, u.orders[:j], j)
+        assert (u_j, b_j) == (u.orders[j:], b.orders[j:])
+        assert list(flags) == [residuals[name][j:] for name in
+                               ("ricci_derivative", "u_derivative", "b_differential")]

@@ -60,3 +60,24 @@ def test_fixture_and_normalization_are_byte_identical(name):
         "result": sha(result),
     }
     assert got == PINS[name]
+
+
+# Every-order fixtures, moved at each order 1..cap (seed 7): the flat curve
+# and the witness of `normalize_curve`, pinned at commit c468bcf.
+EVERY_ORDER_PINS = {
+    (4, 4): ("8d425ff47f2f51374116858225755f08d9c57531f5d2ee50ba3978adb37fee2b",
+             "52c09689ee10d7cdd0c41dd83d47f4ccde5df592736edc48af4206c8f8102104"),
+    (4, 8): ("e37e55fb8d24680219d602701c5ba4d45d07b8b0254fe838cb90973bb5ffe443",
+             "8964e8ba780016fc7df8a92521d5e5a474df37fe339f9287f5c04d0c63e63937"),
+    (4, 12): ("9b7c5a9119135b4fe2886433ae00752f47a374b979c7260ed6e650dd270d82cf",
+              "a3bb9b01c5aabf13dec612e81bc0a5946b262816d6f0d3533dd9aec8d641b9c0"),
+    (6, 8): ("188775e4c920afebe1d4a72c16315f5c0f28fec6783183ecf1aeef6e3bc85dcc",
+             "64f4ada802a74b66b00cfee229a7288eb9d557f4144c5371fa0599a057676a24"),
+}
+
+
+@pytest.mark.parametrize("dim, cap", sorted(EVERY_ORDER_PINS))
+def test_every_order_normalization_is_byte_identical(dim, cap):
+    _, _, moved = conjugated_flat_fixture(7, dim=dim, cap=cap, orders=tuple(range(1, cap + 1)))
+    result = normalize_curve(moved)
+    assert (sha(result.flat_curve), sha(result.witness)) == EVERY_ORDER_PINS[(dim, cap)]

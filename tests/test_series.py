@@ -1,5 +1,6 @@
 """Laws of the truncated Lie-series calculus, on the torus and on R^(2n)."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -20,12 +21,13 @@ from sympconn.series import (
     exp_ad,
     exp_apply,
     exp_lie_connection,
+    exp_terms,
     merge_exponentials,
     order_from_mismatch,
 )
 from sympconn.rationals import GaussianRational
 from sympconn.serialize import dumps, json_text, scalar_to_json
-from sympconn.symplecto import FourierVectorField, SymplectoCurve, hamiltonian_field
+from sympconn.symplecto import FourierVectorField, SymplectoCurve, conj_affine, hamiltonian_field
 
 from references import accumulate
 
@@ -332,21 +334,53 @@ def test_n_factor_merge_equals_the_binary_fold_on_r2n(cap):
 
 
 @pytest.mark.parametrize("case", [torus_case, euclidean_case], ids=["torus", "euclidean"])
-def test_merge_makes_three_exp_apply_calls_per_coordinate(case, monkeypatch):
-    """2 dim exp_apply calls for the targets and dim for the verification,
+def test_merge_makes_one_exp_terms_pass_per_ladder_and_one_to_verify(case, monkeypatch):
+    """One `exp_terms` pass over all dim coordinate tests per ladder for the
+    targets, innermost first, one solving pass and one verifying pass,
     whatever the cap: the orders in between re-expand nothing."""
     calls = []
 
-    def counting(gens, fcurve):
-        calls.append(len(gens))
-        return exp_apply(gens, fcurve)
+    def counting(op, gens, curves, solve=None):
+        calls.append((len(gens), len(curves), solve is not None))
+        return exp_terms(op, gens, curves, solve)
 
-    monkeypatch.setattr(series, "exp_apply", counting)
+    monkeypatch.setattr(series, "exp_terms", counting)
     gens, other, _, _ = case()
     for cap in range(1, len(gens)):
         calls.clear()
         merge_exponentials(SD, gens[:cap + 1], other[:cap + 1])
-        assert calls == [cap + 1] * (3 * DIM)
+        assert calls == [(cap + 1, DIM, False)] * 2 + [(cap + 1, DIM, True), (cap + 1, DIM, False)]
+
+
+SHEAR = ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+SWAP = ((0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1))
+
+# sha256 of `ladder_text` of each merge, pinned at commit c468bcf
+MERGE_PINS = {
+    "one": "a311b96dea085e2d667e8903b1e37dda4e3c335db97f6c07e75598ca5e5f6eb9",
+    "two": "85d56638b851604a6495bd3dfffab28404bb2b1cc915e933ff07ae4a8a8523e6",
+    "three": "fed34fbb84ec8f90eea8f2f233fd7b12ee10a79af89ab178cdbb420575cd17d1",
+}
+
+
+def affine_moved(c, d, ladder):
+    """Each generator conjugated through the affine map x -> C x + 2 pi d,
+    as `compose` moves the factors left of an affine part."""
+    c_inv = SD.symplectic_inverse(c)
+    return [g if g.is_zero() else conj_affine(c, c_inv, d, g) for g in ladder]
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_PINS))
+def test_merge_of_one_two_and_three_ladders_is_byte_identical(name):
+    """Random cap-4 ladders, two of them moved through affine maps."""
+    assert SD.is_symplectic_matrix(SHEAR) and SD.is_symplectic_matrix(SWAP)
+    rng = random.Random("merge-pins")
+    a, b, c = (random_torus_ladder(rng, SD, 4) for _ in range(3))
+    b = affine_moved(SHEAR, (Fraction(1, 4), 0, Fraction(1, 2), 0), b)
+    c = affine_moved(SWAP, (0, Fraction(3, 4), 0, 0), c)
+    ladders = {"one": [a], "two": [a, b], "three": [c, a, b]}[name]
+    merged = merge_exponentials(SD, *ladders)
+    assert hashlib.sha256(ladder_text(SD, merged).encode()).hexdigest() == MERGE_PINS[name]
 
 
 # -- the order-by-order exponential against the column form ---------------------

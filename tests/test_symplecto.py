@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from sympconn.curvature import curvature_curve
+from sympconn.curvature import ConnectionCurve, curvature_curve
 import sympconn.moduli as moduli
 import sympconn.series as series
 import sympconn.symplecto as symplecto
 from sympconn.errors import ConfigurationError, NonRepresentablePhase, PreconditionError
-from sympconn.fourier import FourierScalar, SymplecticData, TensorField
+from sympconn.fourier import FourierScalar, SymplecticData, TensorField, raise_last
 from sympconn.generate import (
     hamiltonian_steps,
     rank_one_ladder,
     random_connection_curve,
     random_real_scalar,
+    random_symmetric_field,
 )
 from sympconn.invariant import embed_invariant
 from sympconn.linalg import inverse, matrix
@@ -379,6 +380,50 @@ def test_symplectic_matrices_are_inverted_in_one_place():
     Gauss-Jordan."""
     for module in (symplecto, moduli):
         assert not hasattr(module, "inverse")
+
+
+@pytest.mark.parametrize("sdata", [
+    SD,
+    SymplecticData([[0, 0, 2, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -1, 0, 0]]),
+    SymplecticData([[0, 0, 1, 1], [0, 0, 0, 1], [-1, 0, 0, 0], [-1, -1, 0, 0]]),
+], ids=["standard", "skew", "not_monomial"])
+def test_an_acted_curve_keeps_the_lie_series_output_as_its_mixed_tensors(sdata):
+    """With the identity affine part the acted curve's mixed tensors are the
+    Lie series' output, and they equal `raise_last` of its lowered orders;
+    a curve pulled back through sigma raises its own."""
+    rng = random.Random(f"kept-mixed-{sdata.omega_lo}")
+    abar = [random_symmetric_field(rng, DIM) for _ in range(CAP)]
+    conn = ConnectionCurve(sdata, CAP, abar)
+    psi = compose(SymplectoCurve.from_hamiltonian(sdata, CAP, COS1 + SIN12, 1),
+                  SymplectoCurve.from_hamiltonian(sdata, CAP, SIN12, 2))
+    acted = act_on_connection(psi, conn)
+    assert acted._mixed is not None
+    assert acted.mixed == [raise_last(t, sdata) for t in acted.abar]
+    assert any(not m.is_zero() for m in acted.mixed)
+    if sdata == SD:
+        sigma = SymplectoCurve.affine(SD, CAP, sp_word(SD, (1, 0, 2)), (Fraction(1, 4), 0, 0, 0))
+        pulled = act_on_connection(compose(sigma, psi), conn)
+        assert pulled._mixed is None
+        assert pulled.mixed == [raise_last(t, SD) for t in pulled.abar]
+
+
+def test_an_identity_linear_part_is_its_own_inverse(monkeypatch):
+    """A curve with identity linear part takes that matrix as its inverse
+    without `symplectic_inverse`; any other linear part is inverted."""
+    calls = []
+    original = SymplecticData.symplectic_inverse
+
+    def counting(self, c):
+        calls.append(c)
+        return original(self, c)
+
+    monkeypatch.setattr(SymplecticData, "symplectic_inverse", counting)
+    psi = SymplectoCurve.from_hamiltonian(SD, CAP, COS1, 1)
+    shifted = SymplectoCurve.affine(SD, CAP, psi.c_mat, (Fraction(1, 2), 0, 0, 0))
+    assert calls == [] and psi.c_inv == psi.c_mat == shifted.c_inv
+    c = sp_word(SD, (1, 0, 2))
+    assert SymplectoCurve.affine(SD, CAP, c, (0,) * DIM).c_inv == inverse(matrix(c))
+    assert len(calls) == 1
 
 
 def _counting_merges(monkeypatch):
