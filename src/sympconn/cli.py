@@ -40,7 +40,7 @@ from .moduli import ModuliClassQuery, equivalence_semidecide, validity_check
 from .normalization import normalize_curve
 from .rationals import rational_from_str
 from .serialize import dumps, json_text, load_path, omega_from_json, to_json
-from .symplecto import SymplectoCurve, act_on_connection
+from .symplecto import MAX_ACT_WORK, SymplectoCurve, act_on_connection, act_work
 
 EXIT_PASS = 0
 EXIT_NEGATIVE = 1
@@ -69,19 +69,23 @@ def _load(path, want=None):
     return value
 
 
-def _require_within_ceiling(path, conn):
-    """Refuse a connection curve whose curvature is too much work (exit 2)."""
-    work = curve_work(conn)
-    if work > MAX_CURVE_WORK:
+def _require_within_ceiling(path, work, ceiling, counted):
+    """Refuse an input whose estimated work passes its ceiling (exit 2)."""
+    if work > ceiling:
         raise InputError(
-            f"{path}: estimated work {work} exceeds the ceiling of {MAX_CURVE_WORK} "
-            "coefficient products (sum over k of nnz(A^(s)) nnz(A^(s')), s + s' = k)"
+            f"{path}: estimated work {work} exceeds the ceiling of {ceiling} "
+            f"coefficient products ({counted})"
         )
+
+
+def _require_curve_within_ceiling(path, conn):
+    _require_within_ceiling(path, curve_work(conn), MAX_CURVE_WORK,
+                            "sum over k of nnz(A^(s)) nnz(A^(s')), s + s' = k")
 
 
 def _load_connection(path):
     conn = _load(path, ConnectionCurve)
-    _require_within_ceiling(path, conn)
+    _require_curve_within_ceiling(path, conn)
     return conn
 
 
@@ -138,7 +142,7 @@ def cmd_check(args):
         return EXIT_PASS if ok else EXIT_NEGATIVE
     if not isinstance(value, ConnectionCurve):
         raise InputError(f"{args.input}: check expects a curve file")
-    _require_within_ceiling(args.input, value)
+    _require_curve_within_ceiling(args.input, value)
     bundle = curvature_bundle(value)
     bianchi = bianchi_check(value)
     w_orders = [t.is_zero() for t in bundle.W.orders]
@@ -290,6 +294,8 @@ def cmd_equiv(args):
 def cmd_act(args):
     psi = _load(args.psi, SymplectoCurve)
     conn = _load_connection(args.input)
+    _require_within_ceiling(args.psi, act_work(psi, conn), MAX_ACT_WORK,
+                            "dim^4 times the mode pairs of the Lie series on the curve")
     moved = act_on_connection(psi, conn)
     text = dumps(moved)
     if args.out:

@@ -8,6 +8,11 @@ one `GaussianSums` accumulator per order, which adds coefficient maps, their
 products and their derivatives as Gaussian-integer triples and reduces each
 coefficient once.
 
+`curvature_bundle` is the one builder of R, the Ricci curve r, E, W = R - E
+and, on a Ricci-type curve, u, b and their residual verdicts, each by a
+private loop over orders from a start order.  `ConnectionCurve.curvature`
+caches R alone, for `bianchi_check` and the flatness check of normalization.
+
 The curvature-type tensors R, E and W (T_bacd = -T_abcd, T_abdc = T_abcd) are
 each stored as their half, the entries with a < b and c <= d, in a
 `CurvatureTypeField`; its readers apply the two rules, and the full
@@ -34,7 +39,7 @@ from .rationals import Fraction
 class ConnectionCurve:
     """Flat base plus a truncated series of symmetric 3-tensor differences."""
 
-    __slots__ = ("sdata", "cap", "abar", "_mixed", "_curvature")
+    __slots__ = ("sdata", "cap", "abar", "_mixed", "_upper", "_curvature")
 
     def __init__(self, sdata: SymplecticData, cap, abar, validate=True, mixed=None):
         abar = list(abar)
@@ -59,6 +64,7 @@ class ConnectionCurve:
         self.cap = cap
         self.abar = abar
         self._mixed = mixed
+        self._upper = None
         self._curvature = None
 
     @classmethod
@@ -81,10 +87,19 @@ class ConnectionCurve:
         return self._mixed
 
     @property
+    def by_upper(self):
+        """Each order of `mixed` grouped by its upper index (`_by_upper`),
+        built on first read: R, r and the second Bianchi identity read it."""
+        if self._upper is None:
+            self._upper = [_by_upper(m) for m in self.mixed]
+        return self._upper
+
+    @property
     def curvature(self):
-        """The lowered curvature curve, `curvature_curve` computed once."""
+        """The lowered curvature curve R (`_curvature_orders` from order 0),
+        computed once."""
         if self._curvature is None:
-            self._curvature = curvature_curve(self)
+            self._curvature = TensorFieldCurve(self.cap, _curvature_orders(self, 0))
         return self._curvature
 
     def is_invariant(self):
@@ -177,20 +192,13 @@ def _field(acc: GaussianSums, dim, rank) -> TensorField:
     return TensorField(dim, rank, acc.finish(FourierScalar, dim), _validated=True)
 
 
-def covariant_derivative(conn: ConnectionCurve, t_curve: TensorFieldCurve) -> TensorFieldCurve:
-    """Covariant derivative of a covariant tensor curve; new slot first.
-
-    Order k output: flat derivative of the order-k coefficient minus the
-    usual Gamma term for every slot, Cauchy-mixed over the connection orders.
-    """
-    if t_curve.cap != conn.cap:
-        raise ConfigurationError("curve cap mismatch")
-    return TensorFieldCurve(conn.cap, _covariant_orders(conn, t_curve.orders, 0))
-
-
 def _covariant_orders(conn: ConnectionCurve, orders, start):
-    """Orders start..cap of `covariant_derivative` of the curve with the
-    given orders; order k reads orders k - s of the curve for s = 0..k."""
+    """Orders start..cap of the covariant derivative of the covariant tensor
+    curve with the given orders 0..cap, new slot first.
+
+    Order k: the flat derivative of the order-k coefficient minus the usual
+    Gamma term for every slot, Cauchy-mixed over the connection orders; it
+    reads orders k - s of the curve for s = 0..k."""
     dim, rank = conn.dim, orders[0].rank
     mixed = conn.mixed
     out = []
@@ -222,9 +230,10 @@ def _by_upper(m: TensorField):
     return groups
 
 
-def curvature_curve(conn: ConnectionCurve) -> TensorFieldCurve:
-    """Lowered curvature curve R_{abcd} = omega(R(e_a, e_b) e_c, e_d), built
-    on a < b only: omega is constant and each A^(s)(e_a) lies in sp(omega), so
+def _curvature_orders(conn: ConnectionCurve, start):
+    """Orders start..cap of the lowered curvature curve
+    R_{abcd} = omega(R(e_a, e_b) e_c, e_d), built on a < b only: omega is
+    constant and each A^(s)(e_a) lies in sp(omega), so
       R^(k)_{abcd} = d_a Abar^(k)_{bcd} - d_b Abar^(k)_{acd}
         + sum_{s=1..k-1} sum_q (Abar^(s)_{aqd} A^(k-s)q_{bc} - Abar^(s)_{bqd} A^(k-s)q_{ac}),
     and first-pair antisymmetry, R_{bacd} = -R_{abcd}, holds by construction.
@@ -233,15 +242,9 @@ def curvature_curve(conn: ConnectionCurve) -> TensorFieldCurve:
     built: R_abcd = R_abdc there.  This is the whole curvature-type check:
     the half holds no key with a = b, and T_bacd = -T_abcd is how the other
     keys are read.  Each order is returned as a `CurvatureTypeField` holding
-    the half's entries with c <= d."""
-    return TensorFieldCurve(conn.cap, _curvature_orders(conn, 0))
-
-
-def _curvature_orders(conn: ConnectionCurve, start):
-    """Orders start..cap of `curvature_curve`; order k reads A^(s) for
-    s <= k only."""
+    the half's entries with c <= d.  Order k reads A^(s) for s <= k only."""
     dim, abar = conn.dim, conn.abar
-    by_upper = [_by_upper(m) for m in conn.mixed]
+    by_upper = conn.by_upper
     out = []
     for k in range(start, conn.cap + 1):
         acc = GaussianSums()
@@ -275,25 +278,21 @@ def _curvature_orders(conn: ConnectionCurve, start):
     return out
 
 
-def ricci_curve(conn: ConnectionCurve) -> TensorFieldCurve:
-    """Ricci tensor curve r(X, Y) = Trace[Z -> R(X, Z)Y], expanded directly.
+def _ricci_orders(conn: ConnectionCurve, start):
+    """Orders start..cap of the Ricci tensor curve
+    r(X, Y) = Trace[Z -> R(X, Z)Y], expanded directly.
 
     Tracing the curvature formula gives, per order,
     r^(k)_ab = -sum_c d_c A^(k)c_ab + sum_{s+s'=k} Trace A^(s)(e_a) A^(s')(e_b);
     the term Trace[Z -> (grad_X A)(Z)Y] drops out because mixed symplectic
     difference tensors are trace free.  The sign of the derivative term
     follows from the trace definition and is cross-checked against the
-    independent omega-contraction of R in ricci_from_curvature.
+    independent omega-contraction of R in ricci_from_curvature.  Order k
+    reads A^(s) for s <= k only.
     """
-    return TensorFieldCurve(conn.cap, _ricci_orders(conn, 0))
-
-
-def _ricci_orders(conn: ConnectionCurve, start):
-    """Orders start..cap of `ricci_curve`; order k reads A^(s) for s <= k
-    only."""
     dim = conn.dim
     mixed = conn.mixed
-    by_upper = [_by_upper(m) for m in mixed]
+    by_upper = conn.by_upper
     out = []
     for k in range(start, conn.cap + 1):
         acc = GaussianSums()
@@ -353,33 +352,27 @@ def _e_targets(sdata: SymplecticData):
     return targets
 
 
-def ricci_part(r2: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
-    """The five-term omega (x) ricci combination with prefactor -1/(2(n+1)):
+def _ricci_part_orders(orders, sdata: SymplecticData, start):
+    """E for the Ricci orders start, start + 1, ..., given as `orders`: the
+    five-term omega (x) ricci combination with prefactor -1/(2(n+1)):
     E_abcd = -(2 w_ab r_cd + w_ac r_bd + w_ad r_bc - w_bc r_ad - w_bd r_ac)
              / (2(n+1)).
 
     The formula is antisymmetric in (a, b) because omega is, and symmetric in
     (c, d) when r is.  r is symmetric because every underline-A^(k) is fully
     symmetric: -d_c A^c_ab is symmetric in (a, b), and the trace terms of
-    `ricci_curve` pair Tr A^(s)(e_a) A^(s')(e_b) with the (s', s) term.
+    `_ricci_orders` pair Tr A^(s)(e_a) A^(s')(e_b) with the (s', s) term.
     This is asserted at every order (InternalInconsistency otherwise).  So E
     is curvature type and is accumulated only on its half, the keys with
     a < b and c <= d, reading r only on x <= y; it is returned as a
     `CurvatureTypeField` per order.
     """
-    return TensorFieldCurve(r2.cap, _ricci_part_orders(r2.orders, sdata, 0))
-
-
-def _ricci_part_orders(orders, sdata: SymplecticData, start):
-    """`ricci_part` of the Ricci orders start, start + 1, ..., given as
-    `orders`."""
-    for k, t in enumerate(orders, start):
-        if t.symmetry_witness("fully_symmetric") is not None:
-            raise InternalInconsistency(f"Ricci tensor is not symmetric at order {k}")
     targets = _e_targets(sdata)
     dim = sdata.dim
     out = []
-    for t in orders:
+    for k, t in enumerate(orders, start):
+        if t.symmetry_witness("fully_symmetric") is not None:
+            raise InternalInconsistency(f"Ricci tensor is not symmetric at order {k}")
         acc = GaussianSums()
         for (x, y), f in t.components.items():
             if x <= y:
@@ -389,28 +382,17 @@ def _ricci_part_orders(orders, sdata: SymplecticData, start):
     return out
 
 
-def ew_split(r4: TensorFieldCurve, r2: TensorFieldCurve, sdata: SymplecticData):
-    """Split R into its ricci part E and the remainder W = R - E.
-
-    R is curvature type, as `curvature_curve` asserts (always on), and so is
-    E (see `ricci_part`); both are halves on the keys a < b, c <= d, and so
-    is W = R - E, subtracted half from half.  A key of R alone shares R's
-    scalar, a key of E alone holds E's negated, and a key of both holds the
-    difference when it is not zero."""
-    if r4.cap != r2.cap:
-        raise ConfigurationError("curve cap mismatch")
-    e = ricci_part(r2, sdata)
-    return e, TensorFieldCurve(r4.cap, _w_orders(r4.orders, e.orders, sdata.dim))
-
-
 def _w_orders(r_orders, e_orders, dim):
-    """W = R - E, order by order, for the orders of R and E given."""
+    """W = R - E, the remainder of R past its Ricci part, order by order for
+    the orders of R and E given.
+
+    R is curvature type, as `_curvature_orders` asserts (always on), and so
+    is E (see `_ricci_part_orders`); both are halves on the keys a < b,
+    c <= d, and so is W, subtracted half from half.  A key of R alone shares
+    R's scalar, a key of E alone holds E's negated, and a key of both holds
+    the difference when it is not zero."""
     w = []
     for rt, et in zip(r_orders, e_orders):
-        if not isinstance(rt, CurvatureTypeField):
-            raise ConfigurationError(
-                "ew_split needs R as the curvature-type half that curvature_curve returns"
-            )
         r, ee = rt.half, et.half
         half = {}
         for key, f in r.items():
@@ -424,23 +406,6 @@ def _w_orders(r_orders, e_orders, dim):
                 half[key] = -x
         w.append(CurvatureTypeField(dim, half))
     return w
-
-
-def ricci_type_verdict(w: TensorFieldCurve):
-    """(flag, first failing order or None, nonzero witness or None) read
-    off the trace-free part W of the curvature."""
-    for k, t in enumerate(w.orders):
-        if not t.is_zero():
-            return False, k, t.first_nonzero_witness()
-    return True, None, None
-
-
-def is_ricci_type(conn: ConnectionCurve):
-    """(flag, first failing order or None, nonzero witness or None)."""
-    r4 = conn.curvature
-    r2 = ricci_curve(conn)
-    _, w = ew_split(r4, r2, conn.sdata)
-    return ricci_type_verdict(w)
 
 
 def _triple_signs(dim):
@@ -470,8 +435,8 @@ def bianchi_check(conn: ConnectionCurve):
     * every underline-A^(s) is fully symmetric, i.e. the connection is
       torsion free; `ConnectionCurve` checks this when the curve is built;
     * R is antisymmetric in its first pair of slots, by construction in
-      `curvature_curve`, and
-    * R is symmetric in its last pair, which `curvature_curve` checks at
+      `_curvature_orders`, and
+    * R is symmetric in its last pair, which `_curvature_orders` checks at
       every order and raises otherwise, on the a < b half it builds.
 
     So R is read from its half alone, the entries R_{xycd} with x < y and
@@ -490,12 +455,12 @@ def bianchi_check(conn: ConnectionCurve):
     R_{xyqd} feeds U through the upper index q and, when q < d, through d
     as R_{xydq}.  Only components R_{xy..} with x < y are visited, each with
     the directions z not in {x, y}, and A^(s) is grouped by its upper index
-    (`_by_upper`) once.  No rank-5 tensor is built, and each sum is one
-    exact `GaussianSums` whose verdict is `all_zero`.
+    once per curve (`ConnectionCurve.by_upper`).  No rank-5 tensor is built,
+    and each sum is one exact `GaussianSums` whose verdict is `all_zero`.
     """
     r4 = conn.curvature
     triples = _triple_signs(conn.dim)
-    by_upper = [_by_upper(m) for m in conn.mixed]
+    by_upper = conn.by_upper
     first = []
     for t in r4.orders:
         acc = GaussianSums()
@@ -563,9 +528,11 @@ def _endo_square_orders(rho, dim, start):
     return out
 
 
-def extract_u_b(conn: ConnectionCurve, r2: TensorFieldCurve | None = None):
-    """Solve for the 1-form and function curves of a Ricci-type curve; r2 is
-    its `ricci_curve`, computed here unless the caller has it.
+def _u_b_orders(conn: ConnectionCurve, r_orders, u_head, start):
+    """Orders start..cap of the 1-form curve u and the function curve b of a
+    Ricci-type curve, and of the residual verdicts of their three defining
+    equations, from all orders of r and the orders of u below start
+    (u_head).  Order k of each reads orders <= k of r, u and A only.
 
     The contraction constants below are derived once from the defining
     equations (with sum_q omega^{pq} omega_{ql} = delta and
@@ -575,27 +542,6 @@ def extract_u_b(conn: ConnectionCurve, r2: TensorFieldCurve | None = None):
     All three defining equations are then re-verified exactly; a nonzero
     residual means the input was not Ricci type (or a convention fault).
     """
-    if r2 is None:
-        r2 = ricci_curve(conn)
-    u, b, flags = _u_b_orders(conn, r2.orders, [], 0)
-    return TensorFieldCurve(conn.cap, u), TensorFieldCurve(conn.cap, b), _residuals(*flags)
-
-
-_RESIDUAL_NAMES = ("ricci_derivative", "u_derivative", "b_differential")
-
-
-def _residuals(*flags):
-    """The residual verdicts per order of the three defining equations of
-    u and b, by name, and whether all of them hold."""
-    residuals = dict(zip(_RESIDUAL_NAMES, flags))
-    residuals["ok"] = all(all(v) for v in flags)
-    return residuals
-
-
-def _u_b_orders(conn: ConnectionCurve, r_orders, u_head, start):
-    """Orders start..cap of u, of b and of the three residual verdicts of
-    `extract_u_b`, from all orders of r and the orders of u below start
-    (u_head).  Order k of each reads orders <= k of r, u and A only."""
     sdata = conn.sdata
     dim, n = sdata.dim, sdata.n
     hi, lo = sdata.omega_hi, sdata.omega_lo
@@ -703,21 +649,24 @@ class CurvatureBundle:
     residuals: dict | None
 
 
-def curvature_bundle(conn: ConnectionCurve, carried: CurvatureBundle | None = None,
-                     start=0) -> CurvatureBundle:
-    """Compute R, r, E, W; u and b too when the curve is of Ricci type.
+def curvature_bundle(conn: ConnectionCurve, carry=None) -> CurvatureBundle:
+    """R, r, E and W of a connection curve; u, b and the residual verdicts
+    of their defining equations too when the curve is of Ricci type (W
+    vanishes at every order), where a nonzero residual raises
+    InternalInconsistency.  The one builder of these curves.
 
-    With `carried`, the bundle of a curve that agrees with conn below order
-    `start`, only orders start..cap are computed; the orders below start of
-    R, r, E, W, u, b and of the residual verdicts are carried's.  This is
-    exact: order j of each depends only on A^(s) for s <= j.  The checks of
-    a carried order ran when it was built, and those of the orders computed
-    here run as they do without a carry.  A start past the cap returns
-    carried itself.  Without a carry R is `conn.curvature`.
+    carry = (bundle, start), as `normalization.recurrence_step` returns it,
+    holds the bundle of a curve that agrees with conn below order start.
+    Only orders start..cap are then computed; the orders below start of R,
+    r, E, W, u, b and of the residual verdicts are the carried bundle's.
+    This is exact: order j of each depends only on A^(s) for s <= j.  The
+    checks of a carried order ran when it was built, and those of the
+    orders computed here run as they do without a carry.  A start past the
+    cap returns the carried bundle itself.  Without a carry R is
+    `conn.curvature`.
     """
-    if carried is None:
-        start = 0
-    elif start > conn.cap:
+    carried, start = carry or (None, 0)
+    if start > conn.cap:
         return carried
     cap, sdata = conn.cap, conn.sdata
 
@@ -735,23 +684,24 @@ def curvature_bundle(conn: ConnectionCurve, carried: CurvatureBundle | None = No
     if start and carried.u is None:
         raise PreconditionError("the carried bundle has no u and b below the start order")
     u, b, flags = _u_b_orders(conn, r2.orders, carried.u.orders[:start] if start else [], start)
-    residuals = _residuals(*(carried.residuals[name][:start] + new if start else new
-                             for name, new in zip(_RESIDUAL_NAMES, flags)))
+    # the residual verdicts per order of the three defining equations, by
+    # name, and whether all of them hold
+    names = ("ricci_derivative", "u_derivative", "b_differential")
+    flags = [carried.residuals[name][:start] + new if start else new
+             for name, new in zip(names, flags)]
+    residuals = dict(zip(names, flags), ok=all(map(all, flags)))
     if not residuals["ok"]:
-        raise InternalInconsistency(
-            "u/b residuals nonzero on a Ricci-type curve"
-        )
+        raise InternalInconsistency("u/b residuals nonzero on a Ricci-type curve")
     return CurvatureBundle(r4, r2, e, w, joined("u", u), joined("b", b), residuals)
 
 
-def require_ricci_type(conn: ConnectionCurve, bundle: CurvatureBundle | None = None):
-    """Raise PreconditionError unless the curve is of Ricci type; with a
-    bundle of the same curve, its W is read instead of recomputing R."""
-    if bundle is None:
-        ok, order, witness = is_ricci_type(conn)
-    else:
-        ok, order, witness = ricci_type_verdict(bundle.W)
-    if not ok:
-        raise PreconditionError(
-            f"curve is not of Ricci type: first failing order {order}, witness {witness}"
-        )
+def require_ricci_type(bundle: CurvatureBundle):
+    """Raise PreconditionError unless the bundle's W vanishes at every
+    order, naming the first order where it does not and the first nonzero
+    entry there."""
+    for k, t in enumerate(bundle.W.orders):
+        if not t.is_zero():
+            raise PreconditionError(
+                f"curve is not of Ricci type: first failing order {k}, "
+                f"witness {t.first_nonzero_witness()}"
+            )

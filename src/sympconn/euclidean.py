@@ -215,13 +215,9 @@ def psi_A_connection_check(sdata, cube):
 # -- the flow psi_{A^t} ----------------------------------------------------------
 
 
-def structure_field(sdata, cube) -> PolyVectorField:
-    """X_A(x) = -(1/2) A(x) x as a quadratic polynomial field."""
-    return _rows_field(sdata.dim, cube_rows(sdata, integral_cube(sdata.dim, cube)))
-
-
 def _rows_field(dim, matrices):
-    """X_A from the sparse rows of the A(e_a) (`invariant.cube_rows`)."""
+    """X_A(x) = -(1/2) A(x) x, a quadratic polynomial field, from the sparse
+    rows of the A(e_a) (`invariant.cube_rows`)."""
     half = Fraction(1, 2)
     quads = [{} for _ in range(dim)]
     for a, rows in enumerate(matrices):

@@ -78,11 +78,6 @@ def _is_symmetric(entries):
     return all(get((b, a, c)) == v and get((a, c, b)) == v for (a, b, c), v in entries.items())
 
 
-def cube_is_symmetric(cube):
-    """Whether a dense cube is fully symmetric."""
-    return _is_symmetric(integral_cube(len(cube), cube)[1])
-
-
 def cube_rows(sdata: SymplecticData, order):
     """Per basis direction a the nonzero rows {p: {b: entry}} of the matrix
     of A(e_a) for a lowered cube in stored form (den, entries):

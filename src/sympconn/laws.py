@@ -12,9 +12,6 @@ from fractions import Fraction
 from .curvature import (
     bianchi_check,
     curvature_bundle,
-    curvature_curve,
-    ew_split,
-    ricci_curve,
     ricci_from_curvature,
 )
 from .errors import PreconditionError
@@ -53,13 +50,11 @@ import random
 def law_l1_decomposition(seed):
     """R = E + W exactly and the Ricci contraction of W vanishes per order."""
     conn = random_connection_curve(seed, dim=4, cap=2)
-    r4 = curvature_curve(conn)
-    r2 = ricci_curve(conn)
-    e, w = ew_split(r4, r2, conn.sdata)
+    bundle = curvature_bundle(conn)
     for k in range(conn.cap + 1):
-        if e[k] + w[k] != r4[k]:
+        if bundle.E[k] + bundle.W[k] != bundle.R[k]:
             return {"order": k, "fail": "R != E + W"}
-    trace_w = ricci_from_curvature(w, conn.sdata)
+    trace_w = ricci_from_curvature(bundle.W, conn.sdata)
     for k in range(conn.cap + 1):
         if not trace_w[k].is_zero():
             return {"order": k, "fail": "omega-trace of W nonzero"}

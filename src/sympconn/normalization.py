@@ -113,8 +113,8 @@ def recurrence_step(conn: ConnectionCurve, k, carried=None):
     for p in range(1, k):
         if not conn.abar[p].is_constant():
             raise PreconditionError(f"order {p} must already be invariant")
-    bundle = curvature_bundle(conn, *carried) if carried else curvature_bundle(conn)
-    require_ricci_type(conn, bundle)
+    bundle = curvature_bundle(conn, carried)
+    require_ricci_type(bundle)
     _assert_order_invariant(bundle, k)
     split = potential_split(conn.abar[k])
     f_k = -split.potential

@@ -210,7 +210,12 @@ class SymplectoCurve:
 
     @classmethod
     def from_hamiltonian(cls, sdata, cap, f: FourierScalar, order, coeff=1):
-        """psi_f(c t^k) = exp(c t^k X_f) with identity affine part."""
+        """psi_f(c t^k) = exp(c t^k X_f) with identity affine part.
+
+        The curve is built unvalidated.  Its one generator is real because f,
+        omega and c are, and symplectic because `hamiltonian_field` has
+        verified i(X_f) omega = df, which is closed; the identity is in
+        Sp(2n, Z) and order 0 is zero."""
         if not 1 <= order <= cap:
             raise PreconditionError("Hamiltonian order must lie in 1..K")
         if not f.is_real():
@@ -218,7 +223,7 @@ class SymplectoCurve:
         dim = sdata.dim
         gens = [FourierVectorField.zero(dim) for _ in range(cap + 1)]
         gens[order] = hamiltonian_field(sdata, f).scale(Fraction(coeff))
-        return cls(sdata, cap, _eye(dim), (Fraction(0),) * dim, gens)
+        return cls(sdata, cap, _eye(dim), (Fraction(0),) * dim, gens, validate=False)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -262,6 +267,56 @@ def invert(psi: SymplectoCurve) -> SymplectoCurve:
     return SymplectoCurve(psi.sdata, psi.cap, psi.c_inv, _neg_inv_translation(psi), gens)
 
 
+def _require_matching(psi: SymplectoCurve, conn: ConnectionCurve):
+    if psi.sdata != conn.sdata or psi.cap != conn.cap:
+        raise PreconditionError(
+            "symplectomorphism and connection need matching omega and caps"
+        )
+
+
+# Ceiling on `act_work` for a witness and a curve the command line reads.  On
+# a 2-vCPU VM, psi_f(t) with f four cosines of modes in [-3, 3]^4 acting on
+# the flat T^4 curve scores 280576 at cap 4 and takes 0.7-1.0 s; at cap 5
+# (741376) 3.0 s.  The same f on T^6 at cap 3 scores 425088 for 1.2 s, and
+# on T^8 at cap 2 262144 for 0.8 s.  The tests' other witnesses stay below
+# 20000.
+MAX_ACT_WORK = 300_000
+
+
+def act_work(psi: SymplectoCurve, conn: ConnectionCurve) -> int:
+    """dim^4 (a component (a, b, p) against the dim directions of dX) times
+    the mode pairs that the Lie series of `act_on_connection` multiplies.
+    Each X^(s) and each order of each term T_j (T_0 the curve, T_1 with the
+    Hessian of X) is read as the union of its components' modes; the pairs
+    of L_{X^(s)} T_(j-1)^(k-s) land on the sums, and equal sums meet, so the
+    count follows the series' growth.  It stops at the first product past
+    MAX_ACT_WORK, a lower bound then, and computes no coefficient."""
+    _require_matching(psi, conn)
+    cap, unit = conn.cap, conn.dim ** 4
+    gens = [set().union(*(f.coeffs for f in g.comps)) for g in psi.gens]
+    term = [set().union(*(f.coeffs for f in t.components.values())) for t in conn.abar]
+    moving = [s for s in range(1, cap + 1) if gens[s]]
+    work = 0
+    for j in range(1, cap + 1):
+        nxt = []
+        for k in range(cap + 1):
+            modes = set(gens[k]) if j == 1 else set()
+            for s in moving:
+                if s > k:
+                    break
+                xs, ts = gens[s], term[k - s]
+                if ts:
+                    work += unit * len(xs) * len(ts)
+                    if work > MAX_ACT_WORK:
+                        return work
+                    modes.update(tuple(a + b for a, b in zip(x, y)) for x in xs for y in ts)
+            nxt.append(modes)
+        term = nxt
+        if not any(term):
+            break
+    return work
+
+
 def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionCurve:
     """psi . nabla = sigma^*(exp(L_{X_t}) nabla) for psi = sigma^* o exp X_t.
 
@@ -275,11 +330,8 @@ def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionC
     fatal because it would mean the action left the space of symplectic
     connection curves.  psi and the curve must share omega and the cap.
     """
+    _require_matching(psi, conn)
     sdata, cap, dim = conn.sdata, conn.cap, conn.dim
-    if psi.sdata != sdata or psi.cap != cap:
-        raise PreconditionError(
-            "symplectomorphism and connection need matching omega and caps"
-        )
     moved = exp_lie_connection(psi.gens, [m.components for m in conn.mixed])
     affine = not psi.has_identity_affine_part()
     abar, mixed = [], []

@@ -1,6 +1,7 @@
 """Test-only references that more than one test module reads: per-term and
-full-index forms of what the package computes another way, and a counter
-on the curvature-type full view."""
+full-index forms of what the package computes another way, and counters
+on the curvature-type full view and on the grouping of mixed tensors by
+upper index."""
 
 from sympconn import curvature
 from sympconn.fourier import TensorField
@@ -53,3 +54,17 @@ def count_full_views(monkeypatch):
 
     monkeypatch.setattr(curvature, "_full_view", counted)
     return calls
+
+
+def count_groupings(monkeypatch):
+    """A list that gets each mixed tensor that `_by_upper` groups while the
+    monkeypatch lasts; holding them keeps their ids distinct."""
+    seen = []
+    group = curvature._by_upper
+
+    def counted(m):
+        seen.append(m)
+        return group(m)
+
+    monkeypatch.setattr(curvature, "_by_upper", counted)
+    return seen

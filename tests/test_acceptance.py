@@ -10,10 +10,6 @@ import pytest
 from sympconn.curvature import (
     bianchi_check,
     curvature_bundle,
-    curvature_curve,
-    ew_split,
-    is_ricci_type,
-    ricci_curve,
     ricci_from_curvature,
 )
 from sympconn.errors import InputError, PreconditionError
@@ -69,12 +65,10 @@ RANDOM_CORPUS = [random_connection_curve(seed, dim=4, cap=2) for seed in range(2
 def test_criterion_1_decomposition_law():
     budget = Budget(60)
     for conn in RANDOM_CORPUS:
-        r4 = curvature_curve(conn)
-        r2 = ricci_curve(conn)
-        e, w = ew_split(r4, r2, conn.sdata)
+        bundle = curvature_bundle(conn)
         for k in range(conn.cap + 1):
-            assert e[k] + w[k] == r4[k]
-        assert ricci_from_curvature(w, conn.sdata).is_zero()
+            assert bundle.E[k] + bundle.W[k] == bundle.R[k]
+        assert ricci_from_curvature(bundle.W, conn.sdata).is_zero()
     budget.check()
 
 
@@ -101,7 +95,7 @@ def test_criterion_3_invariant_flatness_theorem():
         assert ok, witness
         flatness_theorem_check(curve)  # asserts R = 0 and B(X)B(Y) = 0
         conn = embed_invariant(curve)
-        assert all(t.is_zero() for t in curvature_curve(conn).orders)
+        assert all(t.is_zero() for t in curvature_bundle(conn).R.orders)
     budget.check()
 
 
@@ -114,7 +108,7 @@ def test_criterion_4_main_theorem_round_trip():
         result = normalize_curve(moved)
         flatness_theorem_check(result.flat_curve)
         assert act_on_connection(result.witness, moved) == embed_invariant(result.flat_curve)
-        assert all(t.is_zero() for t in curvature_curve(moved).orders)
+        assert all(t.is_zero() for t in curvature_bundle(moved).R.orders)
     budget.check()
 
 
@@ -188,8 +182,8 @@ def test_criterion_8_negative_controls(tmp_path):
     budget = Budget(10)
     # non-Ricci-type curve refused with the correct first failing order
     conn = random_connection_curve(3, dim=4, cap=2)
-    ok, order, _ = is_ricci_type(conn)
-    assert not ok and order == 1
+    w = curvature_bundle(conn).W
+    assert next(k for k, t in enumerate(w.orders) if not t.is_zero()) == 1
     with pytest.raises(PreconditionError, match="first failing order 1"):
         normalize_curve(conn)
 

@@ -452,7 +452,7 @@ def test_oversized_curve_is_refused_exit_2(tmp_path, monkeypatch, capsys):
     def no_curvature(*args):
         raise AssertionError("curvature computed past the ceiling")
 
-    monkeypatch.setattr(curvature, "curvature_curve", no_curvature)
+    monkeypatch.setattr(curvature, "_curvature_orders", no_curvature)
     wit_p = tmp_path / "wit.json"
     dump_path(SymplectoCurve.identity(SD, 22), wit_p)
     for argv in (["check", str(p)], ["normalize", str(p)], ["act", str(wit_p), str(p)]):
@@ -473,6 +473,80 @@ def test_curve_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
     assert run(capsys, "check", str(p))[0] == 0
     monkeypatch.setattr(cli, "MAX_CURVE_WORK", work - 1)
     code, _, err = run(capsys, "check", str(p))
+    assert code == 2 and f"estimated work {work} exceeds the ceiling of {work - 1}" in err
+
+
+def write_cosine_pair(tmp_path, cap, nmodes):
+    """psi_f(t) for f a sum of nmodes cosines with modes in [-3, 3]^4 and
+    amplitudes 1-5 drawn by Random(1), and the flat T^4 curve (curve_work
+    0), both at the cap; returns their paths."""
+    from sympconn.curvature import ConnectionCurve
+    from sympconn.fourier import FourierScalar
+    from sympconn.symplecto import SymplectoCurve
+
+    rng = random.Random(1)
+    f = FourierScalar.zero(4)
+    for _ in range(nmodes):
+        mode = tuple(rng.randint(-3, 3) for _ in range(4))
+        f = f + FourierScalar.cosine(4, mode).scale(rng.randint(1, 5))
+    psi_p, flat_p = tmp_path / "psi.json", tmp_path / "flat.json"
+    dump_path(SymplectoCurve.from_hamiltonian(SD, cap, f, 1), psi_p)
+    dump_path(ConnectionCurve.flat(SD, cap), flat_p)
+    return psi_p, flat_p
+
+
+@pytest.mark.parametrize("nmodes", [4, 8])
+def test_act_past_the_witness_ceiling_is_refused_exit_2(tmp_path, monkeypatch, capsys, nmodes):
+    """At cap 8 the Lie series of psi_f(t) on the flat curve is estimated
+    past `MAX_ACT_WORK`: act exits 2 in under a second, before any series is
+    built, and writes no file."""
+    from sympconn import symplecto
+
+    psi_p, flat_p = write_cosine_pair(tmp_path, 8, nmodes)
+
+    def no_series(*args):
+        raise AssertionError("Lie series built past the ceiling")
+
+    monkeypatch.setattr(symplecto, "exp_lie_connection", no_series)
+    out_p = tmp_path / "o.json"
+    start = time.monotonic()
+    code, out, err = run(capsys, "act", str(psi_p), str(flat_p), "--out", str(out_p))
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {psi_p}: estimated work ")
+    assert ("exceeds the ceiling of 300000 coefficient products "
+            "(dim^4 times the mode pairs of the Lie series on the curve)\n") in err
+    assert not out_p.exists()
+
+
+def test_act_below_the_witness_ceiling_keeps_its_bytes(tmp_path, capsys):
+    """The cap-4 pair of four cosines scores 280576 and still acts, with
+    the bytes it had before the ceiling."""
+    import hashlib
+
+    from sympconn.symplecto import MAX_ACT_WORK, act_work
+
+    psi_p, flat_p = write_cosine_pair(tmp_path, 4, 4)
+    assert act_work(load_path(psi_p), load_path(flat_p)) == 280576 <= MAX_ACT_WORK
+    out_p = tmp_path / "o.json"
+    assert run(capsys, "act", str(psi_p), str(flat_p), "--out", str(out_p))[0] == 0
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (psi_p, out_p)] == [
+        "6a0b768eaf08ad5f91fc948cf96b90fad935d642fb6ba51ebb1a86ae8f5b7572",
+        "b0ffbf0629bda0fad7e6aff412e62b4175f527579fca9b284d7014c2c471ce22",
+    ]
+
+
+def test_witness_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
+    """The witness ceiling is inclusive, as the curve's is."""
+    from sympconn import cli
+    from sympconn.symplecto import act_work
+
+    psi_p, flat_p = write_cosine_pair(tmp_path, 2, 4)
+    work = act_work(load_path(psi_p), load_path(flat_p))
+    monkeypatch.setattr(cli, "MAX_ACT_WORK", work)
+    assert run(capsys, "act", str(psi_p), str(flat_p))[0] == 0
+    monkeypatch.setattr(cli, "MAX_ACT_WORK", work - 1)
+    code, _, err = run(capsys, "act", str(psi_p), str(flat_p))
     assert code == 2 and f"estimated work {work} exceeds the ceiling of {work - 1}" in err
 
 

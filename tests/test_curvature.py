@@ -7,16 +7,9 @@ from sympconn import curvature
 from sympconn._kernel.pure import dict_sub
 from sympconn.curvature import (
     bianchi_check,
-    covariant_derivative,
     curvature_bundle,
-    curvature_curve,
-    ew_split,
-    extract_u_b,
-    is_ricci_type,
     require_ricci_type,
-    ricci_curve,
     ricci_from_curvature,
-    ricci_type_verdict,
 )
 from sympconn.errors import InternalInconsistency, PreconditionError
 from sympconn.fourier import (
@@ -33,12 +26,19 @@ from sympconn.generate import (
     random_connection_curve,
 )
 
-from references import accumulate, count_full_views, full_fill, is_curvature_type, upper_half
+from references import (
+    accumulate,
+    count_full_views,
+    count_groupings,
+    full_fill,
+    is_curvature_type,
+    upper_half,
+)
 
 
 def test_curvature_symmetries():
     conn = random_connection_curve(11, dim=4, cap=2)
-    r4 = curvature_curve(conn)
+    r4 = curvature_bundle(conn).R
     for t in r4.orders:
         assert t.is_real()
         assert is_curvature_type(t)
@@ -65,7 +65,7 @@ def nabla_omega_curve(conn):
         conn.cap,
         [omega_field] + [TensorField.zero(conn.dim, 2) for _ in range(conn.cap)],
     )
-    return covariant_derivative(conn, omega_curve)
+    return TensorFieldCurve(conn.cap, curvature._covariant_orders(conn, omega_curve.orders, 0))
 
 
 def test_omega_is_parallel():
@@ -78,17 +78,16 @@ def test_ricci_matches_trace_of_curvature():
     of the full curvature: r_ab = sum_q R^q_{aqb}."""
     for seed in range(4):
         conn = random_connection_curve(seed, dim=4, cap=2)
-        assert ricci_curve(conn) == ricci_from_curvature(curvature_curve(conn), conn.sdata)
+        bundle = curvature_bundle(conn)
+        assert bundle.r == ricci_from_curvature(bundle.R, conn.sdata)
 
 
 def test_ew_reconstruction_and_trace_free_w():
     conn = random_connection_curve(13, dim=4, cap=2)
-    r4 = curvature_curve(conn)
-    r2 = ricci_curve(conn)
-    e, w = ew_split(r4, r2, conn.sdata)
+    bundle = curvature_bundle(conn)
     for k in range(conn.cap + 1):
-        assert e[k] + w[k] == r4[k]
-    assert ricci_from_curvature(w, conn.sdata).is_zero()
+        assert bundle.E[k] + bundle.W[k] == bundle.R[k]
+    assert ricci_from_curvature(bundle.W, conn.sdata).is_zero()
 
 
 def test_bianchi_identities():
@@ -124,7 +123,7 @@ def reference_bianchi(conn, r4=None):
             for (e, a, b, c, d), f in t.components.items()
             for key in ((e, a, b, c, d), (b, e, a, c, d), (a, b, e, c, d))
         )
-        for t in covariant_derivative(conn, r4).orders
+        for t in curvature._covariant_orders(conn, r4.orders, 0)
     ]
     return {"first": first, "second": second, "ok": all(first) and all(second)}
 
@@ -194,42 +193,52 @@ def test_bianchi_check_flags_a_curvature_without_the_cyclic_symmetry():
     assert not report["ok"]
 
 
+def test_bundle_and_bianchi_group_each_order_by_upper_index_once(monkeypatch):
+    """R, r and the second Bianchi identity read one grouping of each mixed
+    order, built once per curve."""
+    conn = random_connection_curve(5, dim=4, cap=3)
+    seen = count_groupings(monkeypatch)
+    curvature_bundle(conn)
+    bianchi_check(conn)
+    assert [id(m) for m in seen] == [id(m) for m in conn.mixed]
+
+
 def test_bianchi_check_builds_no_covariant_derivative(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("bianchi_check called covariant_derivative")
+        raise AssertionError("bianchi_check called _covariant_orders")
 
-    monkeypatch.setattr(curvature, "covariant_derivative", forbidden)
+    monkeypatch.setattr(curvature, "_covariant_orders", forbidden)
     assert bianchi_check(random_connection_curve(40, dim=4, cap=2))["ok"]
 
 
 def test_flat_curve_has_zero_curvature():
     flat, psi, moved = conjugated_flat_fixture(3)
-    assert all(t.is_zero() for t in curvature_curve(moved).orders)
+    assert all(t.is_zero() for t in curvature_bundle(moved).R.orders)
 
 
 def test_conjugated_flat_is_ricci_type_with_zero_u_b():
     _, _, moved = conjugated_flat_fixture(5)
-    ok, order, witness = is_ricci_type(moved)
-    assert ok and order is None and witness is None
-    u, b, residuals = extract_u_b(moved)
-    assert residuals["ok"]
-    assert u.is_zero()
-    assert b.is_zero()
+    bundle = curvature_bundle(moved)
+    assert bundle.W.is_zero()
+    assert require_ricci_type(bundle) is None
+    assert bundle.residuals["ok"]
+    assert bundle.u.is_zero()
+    assert bundle.b.is_zero()
 
 
 def test_gradient_curve_is_ricci_type():
     sd = SymplecticData.standard(4)
     conn = gradient_curve(sd, 2, FourierScalar.cosine(4, (1, 0, 0, 0)), 1)
-    ok, _, _ = is_ricci_type(conn)
-    assert ok
+    assert curvature_bundle(conn).W.is_zero()
 
 
 def test_require_ricci_type_names_failing_order():
     conn = random_connection_curve(3, dim=4, cap=2)  # generic: not Ricci type
-    ok, order, _ = is_ricci_type(conn)
-    assert not ok
+    bundle = curvature_bundle(conn)
+    assert not bundle.W.is_zero()
+    order = next(k for k, t in enumerate(bundle.W.orders) if not t.is_zero())
     with pytest.raises(PreconditionError, match=f"order {order}"):
-        require_ricci_type(conn)
+        require_ricci_type(bundle)
 
 
 def test_low_order_vanishing_on_ricci_type():
@@ -294,8 +303,8 @@ EW_CURVES = [
 @pytest.mark.parametrize("make", [m for _, m in EW_CURVES], ids=[n for n, _ in EW_CURVES])
 def test_ew_split_matches_the_full_index_reference(make):
     conn = make()
-    r4, r2 = curvature_curve(conn), ricci_curve(conn)
-    e, w = ew_split(r4, r2, conn.sdata)
+    bundle = curvature_bundle(conn)
+    r4, r2, e, w = bundle.R, bundle.r, bundle.E, bundle.W
     want_e, want_w = old_ew_split(r4, r2, conn.sdata)
     assert e == want_e and w == want_w
     assert [t.symmetry_tag for t in e.orders + w.orders] == [
@@ -307,15 +316,11 @@ def test_ew_split_matches_the_full_index_reference(make):
 def test_ricci_part_asserts_a_symmetric_ricci_tensor():
     """E is built on half its indices only because r is symmetric; a
     non-symmetric r is a fault, never a wrong E."""
-    from sympconn.curvature import ricci_part
-    from sympconn.errors import InternalInconsistency
-
     sd = SymplecticData.standard(4)
     one = FourierScalar.constant(4, 1)
-    r2 = TensorFieldCurve(1, [TensorField.zero(4, 2),
-                              TensorField(4, 2, {(0, 1): one, (1, 0): one.scale(2)})])
+    r2 = [TensorField.zero(4, 2), TensorField(4, 2, {(0, 1): one, (1, 0): one.scale(2)})]
     with pytest.raises(InternalInconsistency, match="Ricci tensor is not symmetric at order 1"):
-        ricci_part(r2, sd)
+        curvature._ricci_part_orders(r2, sd, 0)
 
 
 def reference_curvature_mixed(conn):
@@ -365,7 +370,7 @@ CURVATURE_CURVES = [
                          ids=[c[0] for c in CURVATURE_CURVES])
 def test_curvature_curve_matches_the_lowered_mixed_reference(make, dim, cap):
     conn = make(dim, cap)
-    r4 = curvature_curve(conn)
+    r4 = curvature_bundle(conn).R
     want = reference_curvature_curve(conn)
     assert r4 == want
     assert [t.symmetry_tag for t in r4.orders] == ["curvature_type"] * (cap + 1)
@@ -382,7 +387,7 @@ def test_curvature_curve_checks_the_last_pair_symmetry():
     orders[1] = orders[1] + TensorField(4, 3, {(0, 0, 0): FourierScalar.constant(4, 1)})
     conn._mixed = orders
     with pytest.raises(InternalInconsistency, match="curvature symmetries violated at order 2$"):
-        curvature_curve(conn)
+        curvature_bundle(conn)
 
 
 @pytest.mark.parametrize("upper", [3, 0], ids=["c>d", "c<d"])
@@ -400,7 +405,7 @@ def test_curvature_curve_refuses_a_last_pair_entry_without_its_partner(upper):
     conn._mixed = [TensorField.zero(4, 3), TensorField(4, 3, {(1, upper, 0): one}),
                    TensorField.zero(4, 3)]
     with pytest.raises(InternalInconsistency, match="curvature symmetries violated at order 2$"):
-        curvature_curve(conn)
+        curvature_bundle(conn)
 
 
 def test_curvature_binds_no_term_by_term_kernel():
@@ -414,7 +419,7 @@ def test_curvature_binds_no_term_by_term_kernel():
 
 
 def reference_ricci_curve(conn):
-    """`ricci_curve` as first written, summing FourierScalars with `accumulate`."""
+    """The Ricci curve as first written, summing FourierScalars with `accumulate`."""
     mixed = conn.mixed
     out = []
     for k in range(conn.cap + 1):
@@ -449,7 +454,7 @@ def reference_covariant_derivative(conn, t_curve):
 
 
 def reference_extract_u_b(conn):
-    """u, b and the three residual verdicts of `extract_u_b` from the same
+    """u, b and the three residual verdicts of `_u_b_orders` from the same
     formulas, each sum a FourierScalar `accumulate`."""
     sdata, cap = conn.sdata, conn.cap
     dim, n, hi, lo = sdata.dim, sdata.n, sdata.omega_hi, sdata.omega_lo
@@ -505,7 +510,7 @@ def reference_extract_u_b(conn):
                          ids=[c[0] for c in CURVATURE_CURVES])
 def test_ricci_curve_matches_the_per_term_reference(make, dim, cap):
     conn = make(dim, cap)
-    assert ricci_curve(conn) == reference_ricci_curve(conn)
+    assert curvature_bundle(conn).r == reference_ricci_curve(conn)
 
 
 @pytest.mark.parametrize("name,make,dim,cap", CURVATURE_CURVES,
@@ -514,9 +519,17 @@ def test_extract_u_b_matches_the_per_term_reference(name, make, dim, cap):
     """On the Ricci-type (conjugated) curves u, b vanish and every residual
     does; on the others u and b are read off anyway and compared in full."""
     conn = make(dim, cap)
-    r2 = ricci_curve(conn)
-    assert covariant_derivative(conn, r2) == reference_covariant_derivative(conn, r2)
-    u, b, residuals = extract_u_b(conn)
+    bundle = curvature_bundle(conn)
+    r2 = bundle.r
+    assert curvature._covariant_orders(conn, r2.orders, 0) == (
+        reference_covariant_derivative(conn, r2).orders)
+    if bundle.u is None:
+        u, b, flags = curvature._u_b_orders(conn, r2.orders, [], 0)
+        u, b = TensorFieldCurve(cap, u), TensorFieldCurve(cap, b)
+        residuals = dict(zip(("ricci_derivative", "u_derivative", "b_differential"), flags),
+                         ok=all(map(all, flags)))
+    else:
+        u, b, residuals = bundle.u, bundle.b, bundle.residuals
     want_u, want_b, want_residuals = reference_extract_u_b(conn)
     assert u == want_u and b == want_b
     assert residuals == want_residuals
@@ -528,10 +541,10 @@ def test_extract_u_b_matches_the_per_term_reference(name, make, dim, cap):
 
 
 def dict_sub_ew_split(r4, r2, sdata):
-    """`ew_split` as it was: the a < b, c <= d halves of R and E subtracted
+    """W = R - E as it was: the a < b, c <= d halves of R and E subtracted
     key-wise with `dict_sub`, and the difference filled in by the
     curvature-type symmetries with fresh negations."""
-    e = curvature.ricci_part(r2, sdata)
+    e = TensorFieldCurve(r2.cap, curvature._ricci_part_orders(r2.orders, sdata, 0))
     w = [full_fill(dict_sub(upper_half(rt), upper_half(et)), sdata.dim)
          for rt, et in zip(r4.orders, e.orders)]
     return e, TensorFieldCurve(r4.cap, w)
@@ -576,15 +589,17 @@ def test_ew_split_equals_the_dict_sub_reference(make):
 
     conn = make()
     sdata = conn.sdata
-    r4, r2 = curvature_curve(conn), ricci_curve(conn)
-    e = curvature.ricci_part(r2, sdata)
+    bundle = curvature_bundle(conn)
+    r4, r2, e = bundle.R, bundle.r, bundle.E
     mixed, kinds = mixed_r4(Random(5), r4, e)
     assert all(kinds.values()), kinds
     for r in (r4, mixed):
-        got_e, got_w = ew_split(r, r2, sdata)
+        got_w = TensorFieldCurve(r.cap, curvature._w_orders(r.orders, e.orders, sdata.dim))
+        if r is r4:
+            assert got_w == bundle.W
         want_e, want_w = dict_sub_ew_split(r, r2, sdata)
-        assert got_e == want_e and got_w == want_w
-        for got, want, rt, et in zip(got_w.orders, want_w.orders, r.orders, got_e.orders):
+        assert e == want_e and got_w == want_w
+        for got, want, rt, et in zip(got_w.orders, want_w.orders, r.orders, e.orders):
             assert json_text(tensor_to_json(got)) == json_text(tensor_to_json(want))
             assert list(got.components) == list(want.components)
             assert got.symmetry_tag == "curvature_type"
@@ -593,7 +608,7 @@ def test_ew_split_equals_the_dict_sub_reference(make):
             for key, f in got.half.items():
                 if key not in et.half:
                     assert f is rt.half[key]
-    assert not ew_split(mixed, r2, sdata)[1].is_zero()
+    assert not got_w.is_zero()  # W of the mixed R, the last one split
 
 
 # -- the stored half against a test-only full fill -------------------------------------
@@ -665,13 +680,14 @@ def _perturbed_half(conn, order):
 @pytest.mark.parametrize("make,dim", [c[1:] for c in HALF_CURVES], ids=[c[0] for c in HALF_CURVES])
 def test_every_reader_of_the_half_agrees_with_the_full_fill(make, dim):
     """R, E and W are stored as halves; is_zero, the witness, the full view,
-    ew_split and both Bianchi identities agree with the full fill of the
-    half, and R's full fill with the lowered mixed reference."""
+    W = R - E, the Ricci-type verdict and both Bianchi identities agree with
+    the full fill of the half, and R's full fill with the lowered mixed
+    reference."""
     conn = make(dim)
-    r4, r2 = curvature_curve(conn), ricci_curve(conn)
+    bundle = curvature_bundle(conn)
+    r4, r2, e, w = bundle.R, bundle.r, bundle.E, bundle.W
     assert TensorFieldCurve(conn.cap, [full_fill(t.half, dim) for t in r4.orders]) == (
         reference_curvature_curve(conn))
-    e, w = ew_split(r4, r2, conn.sdata)
     want_e, _ = old_ew_split(r4, r2, conn.sdata)
     for k in range(conn.cap + 1):
         for t in (r4[k], e[k], w[k]):
@@ -679,9 +695,14 @@ def test_every_reader_of_the_half_agrees_with_the_full_fill(make, dim):
         assert full_fill(e[k].half, dim) == want_e[k]
         assert full_fill(w[k].half, dim) == full_fill(r4[k].half, dim) - full_fill(e[k].half, dim)
     failing = [k for k in range(conn.cap + 1) if not full_fill(w[k].half, dim).is_zero()]
-    assert ricci_type_verdict(w) == (
-        (False, failing[0], full_fill(w[failing[0]].half, dim).first_nonzero_witness())
-        if failing else (True, None, None))
+    if failing:
+        witness = full_fill(w[failing[0]].half, dim).first_nonzero_witness()
+        with pytest.raises(PreconditionError) as refused:
+            require_ricci_type(bundle)
+        assert str(refused.value) == (
+            f"curve is not of Ricci type: first failing order {failing[0]}, witness {witness}")
+    else:
+        assert require_ricci_type(bundle) is None
     for perturb in (False, True):
         if perturb:
             _perturbed_half(conn, 2)
@@ -704,12 +725,12 @@ def test_curvature_bundle_and_normalize_build_no_full_view(monkeypatch):
         bundle = curvature_bundle(conn)
         bianchi_check(conn)
         if bundle.W.is_zero():
-            require_ricci_type(conn, bundle)
+            require_ricci_type(bundle)
     normalize_curve(conjugated_flat_fixture(1, dim=4, cap=3)[2])
     with pytest.raises(PreconditionError):
         normalize_curve(random_connection_curve(3, dim=4, cap=3))
     assert calls == []
-    r4 = curvature_curve(random_connection_curve(3, dim=4, cap=3))
+    r4 = curvature_bundle(random_connection_curve(3, dim=4, cap=3)).R
     for t in r4.orders + r4.orders:
         tensor_to_json(t)
     assert len(calls) == r4.cap + 1

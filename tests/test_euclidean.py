@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympconn.euclidean as euclidean
+import sympconn.invariant as invariant
 
 from sympconn.errors import PreconditionError
 from sympconn.euclidean import (
@@ -23,14 +24,12 @@ from sympconn.euclidean import (
     psi_At_connection_check,
     require_nilpotent_cube,
     stabilizer_check,
-    structure_field,
     validity_check_cubes,
 )
 from sympconn.fourier import SymplecticData
 from sympconn.generate import rank_one_ladder, validated_sum_ladder
 from sympconn.invariant import (
     StructureMapCurve,
-    cube_is_symmetric,
     cube_rows,
     integral_cube,
     rank_one_cube,
@@ -41,6 +40,11 @@ from sympconn.series import exp_ad, exp_lie_connection, merge_exponentials
 from test_series import reference_exp_lie_connection
 
 SD = SymplecticData.standard(4)
+
+
+def x_field(sdata, cube):
+    """X_A(x) = -(1/2) A(x) x of a dense cube, as the package builds it."""
+    return euclidean._rows_field(sdata.dim, cube_rows(sdata, integral_cube(sdata.dim, cube)))
 
 
 def e_vec(a):
@@ -98,7 +102,7 @@ def test_structure_field_flow_equals_psi_A():
     from sympconn.euclidean import flow_coordinate_maps
 
     cube = cube_e1()
-    gens = [PolyVectorField.zero(4), structure_field(SD, cube)]
+    gens = [PolyVectorField.zero(4), x_field(SD, cube)]
     maps = flow_coordinate_maps(gens, 1)
     closed = psi_A(SD, cube)
     assert maps[1] is not None
@@ -153,7 +157,7 @@ def test_stabilizer_affine_curve():
 
 def test_stabilizer_detects_moving_curve():
     ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    gens = [structure_field(SD, cube_e1()), PolyVectorField.zero(4)]
+    gens = [x_field(SD, cube_e1()), PolyVectorField.zero(4)]
     psi = PolySymplecto(SD, 2, ident, [Fraction(0)] * 4, gens)
     verdict, order = stabilizer_check(psi)
     assert verdict == "moves"
@@ -545,7 +549,7 @@ def test_psi_A_checks_push_each_basis_vector_once(monkeypatch):
     assert len(calls["require_nilpotent_cube"]) == 1
     [(gens, cap, _, gamma)] = calls["act_on_poly_connection"]
     zero = PolyVectorField.zero(4)
-    assert cap == 2 and gens == [zero, structure_field(SD, cube_e1()), zero]
+    assert cap == 2 and gens == [zero, x_field(SD, cube_e1()), zero]
     assert gamma == [{}, {}, {}]
 
 
@@ -581,7 +585,7 @@ def is_zero_matrix(a):
 
 def reference_require_nilpotent_cube(sdata, cube):
     """The nilpotency check as dim^2 dense matrix products."""
-    if not cube_is_symmetric(cube):
+    if not invariant._is_symmetric(integral_cube(sdata.dim, cube)[1]):
         raise PreconditionError("cube is not fully symmetric")
     mats = reference_cube_endomorphisms(sdata, cube)
     for a, b in product(range(sdata.dim), repeat=2):

@@ -21,12 +21,12 @@ from sympconn.euclidean import (
     psi_A,
     psi_At,
     require_nilpotent_cube,
+    _rows_field,
     stabilizer_check,
-    structure_field,
 )
 from sympconn.fourier import SymplecticData
 from sympconn.generate import rank_one_ladder, validated_sum_ladder
-from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
+from sympconn.invariant import StructureMapCurve, cube_rows, integral_cube, rank_one_cube, zero_cube
 
 SD4 = SymplecticData.standard(4)
 SD6 = SymplecticData.standard(6)
@@ -80,7 +80,7 @@ def test_psi_A_and_psi_At_pins():
         sha(psi_A(SD4, rank_one_cube(SD4, e_vec(4, 0)))),
         sha(psi_A(SD4, rank_one_ladder(SD4, 2, seed=3).cubes[2])),
         sha(psi_A(SD6, cube6)),
-        sha(structure_field(SD6, cube6)),
+        sha(_rows_field(6, cube_rows(SD6, integral_cube(6, cube6)))),
         sha(psi_At(rank_one_ladder(SD4, 3, seed=0))),
         sha(psi_At(validated_sum_ladder(SD6, 2, seed=1))),
     ]
@@ -102,7 +102,7 @@ def test_stabilizer_check_pins():
     translation = PolyVectorField([Poly.zero(4)] * 3 + [Poly.constant(4, -1)])
     stabilizing = PolySymplecto(SD4, 2, c, d, [affine, translation])
     ident = [[int(i == j) for j in range(4)] for i in range(4)]
-    x_a = structure_field(SD4, rank_one_cube(SD4, e_vec(4, 1)))
+    x_a = _rows_field(4, cube_rows(SD4, integral_cube(4, rank_one_cube(SD4, e_vec(4, 1)))))
     moving = PolySymplecto(SD4, 2, ident, [Fraction(0)] * 4, [PolyVectorField.zero(4), x_a])
     got = [sha(stabilizer_check(stabilizing)), sha(stabilizer_check(moving))]
     assert got == [

@@ -5,7 +5,7 @@ import pytest
 import sympconn.curvature as curvature
 import sympconn.normalization as normalization
 import sympconn.symplecto as symplecto
-from sympconn.curvature import ConnectionCurve, curvature_bundle, curvature_curve, extract_u_b
+from sympconn.curvature import ConnectionCurve, curvature_bundle
 from sympconn.errors import InternalInconsistency, NotExactCube, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
 from sympconn.generate import (
@@ -25,6 +25,8 @@ from sympconn.normalization import (
 from sympconn.rationals import GaussianRational
 from sympconn.serialize import dumps
 from sympconn.symplecto import SymplectoCurve, act_on_connection, compose
+
+from references import count_groupings
 
 SD = SymplecticData.standard(4)
 COS1 = FourierScalar.cosine(4, (1, 0, 0, 0))
@@ -120,7 +122,7 @@ def test_roundtrip_recovers_exactness():
         # the witness equation is asserted inside; re-check it here explicitly
         assert act_on_connection(result.witness, moved) == embed_invariant(result.flat_curve)
         # and normalization certifies flatness of the input itself
-        assert all(t.is_zero() for t in curvature_curve(moved).orders)
+        assert all(t.is_zero() for t in curvature_bundle(moved).R.orders)
 
 
 def test_non_ricci_type_refused_with_first_order():
@@ -259,6 +261,18 @@ def every_order_fixture(sdata, dim, cap):
     return conjugated_flat(sdata, cap, flat, standard_step_scalars(dim, range(1, cap + 1)))[1]
 
 
+def test_normalize_groups_each_order_of_each_step_curve_once(monkeypatch):
+    """Every step of an every-order fixture moves its curve, and each step's
+    curve groups its mixed orders by upper index once, for R and r alike:
+    cap + 1 groupings per step, no order grouped twice."""
+    cap = 4
+    conn = every_order_fixture(None, 4, cap)
+    seen = count_groupings(monkeypatch)
+    normalize_curve(conn)
+    assert len(seen) == cap * (cap + 1)
+    assert len({id(m) for m in seen}) == len(seen)
+
+
 def bundle_orders(bundle):
     """R, r, E, W, u, b and the residual verdicts of a bundle, per order."""
     curves = [bundle.R, bundle.r, bundle.E, bundle.W, bundle.u, bundle.b]
@@ -346,15 +360,14 @@ def test_bundle_orders_from_a_start_equal_the_fresh_ones_on_curved_curves(seed, 
     for j in range(1, cap + 1):
         moved = act_on_connection(SymplectoCurve.from_hamiltonian(sdata, cap, f, j), conn)
         assert moved.abar[:j] == conn.abar[:j] and moved.abar[j] != conn.abar[j]
-        carried = curvature_bundle(moved, before, j)
+        carried = curvature_bundle(moved, (before, j))
         fresh = curvature_bundle(ConnectionCurve(sdata, cap, moved.abar, validate=False))
         assert carried.u is None and fresh.u is None
         for name in ("R", "r", "E", "W"):
             assert getattr(carried, name) == getattr(fresh, name), (j, name)
         assert fresh.R.orders[:j + 1] == before.R.orders[:j + 1]
         assert j == cap or fresh.R[j + 1] != before.R[j + 1]
-        u, b, residuals = extract_u_b(moved)
-        u_j, b_j, flags = curvature._u_b_orders(moved, fresh.r.orders, u.orders[:j], j)
-        assert (u_j, b_j) == (u.orders[j:], b.orders[j:])
-        assert list(flags) == [residuals[name][j:] for name in
-                               ("ricci_derivative", "u_derivative", "b_differential")]
+        u, b, flags = curvature._u_b_orders(moved, fresh.r.orders, [], 0)
+        u_j, b_j, flags_j = curvature._u_b_orders(moved, fresh.r.orders, u[:j], j)
+        assert (u_j, b_j) == (u[j:], b[j:])
+        assert list(flags_j) == [f[j:] for f in flags]

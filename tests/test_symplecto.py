@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sympconn.curvature import ConnectionCurve, curvature_curve
+from sympconn.curvature import ConnectionCurve, curvature_bundle
 import sympconn.moduli as moduli
 import sympconn.series as series
 import sympconn.symplecto as symplecto
@@ -61,6 +61,26 @@ def test_hamiltonian_field_is_symplectic():
     x = hamiltonian_field(SD, COS1 + SIN12)
     assert x.is_real()
     assert x.is_symplectic(SD)
+
+
+def test_from_hamiltonian_refuses_a_non_real_hamiltonian():
+    f = FourierScalar.single_mode(4, (1, 0, 0, 0))
+    with pytest.raises(PreconditionError, match="^Hamiltonian must be real$"):
+        SymplectoCurve.from_hamiltonian(SD, CAP, f, 1)
+
+
+def test_from_hamiltonian_builds_a_real_symplectic_generator():
+    """The curve is built unvalidated; its one generator is real and
+    symplectic under the standard and a non-standard omega, so validating
+    it again gives the same curve."""
+    skew = SymplecticData([[0, 0, 2, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -1, 0, 0]])
+    for sdata in (SD, skew):
+        psi = SymplectoCurve.from_hamiltonian(sdata, CAP, COS1 + SIN12, 2, Fraction(-1, 3))
+        assert psi.has_identity_affine_part()
+        for k, g in enumerate(psi.gens):
+            assert g.is_real() and g.is_symplectic(sdata)
+            assert g.is_zero() is (k != 2)
+        assert SymplectoCurve(sdata, CAP, psi.c_mat, psi.d, psi.gens) == psi
 
 
 def test_hamiltonian_step_adds_grad3():
@@ -134,7 +154,7 @@ def test_action_preserves_flatness_and_symmetry():
     for t in moved.abar:
         assert t.is_fully_symmetric()
         assert t.is_real()
-    assert all(t.is_zero() for t in curvature_curve(moved).orders)
+    assert all(t.is_zero() for t in curvature_bundle(moved).R.orders)
     back = act_on_connection(invert(psi), moved)
     assert back.abar == flat.abar
 
