@@ -20,6 +20,7 @@ import time
 from . import __version__
 from .curvature import (
     MAX_CURVE_WORK,
+    WORK_PER_ORDER,
     ConnectionCurve,
     bianchi_check,
     curvature_bundle,
@@ -80,7 +81,8 @@ def _require_within_ceiling(path, work, ceiling, counted):
 
 def _require_curve_within_ceiling(path, conn):
     _require_within_ceiling(path, curve_work(conn), MAX_CURVE_WORK,
-                            "sum over k of nnz(A^(s)) nnz(A^(s')), s + s' = k")
+                            "sum over k of nnz(A^(s)) nnz(A^(s')), s + s' = k, "
+                            f"plus {WORK_PER_ORDER} per order")
 
 
 def _load_connection(path):

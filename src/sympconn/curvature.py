@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate as running_totals
 
 from ._kernel.pure import GaussianSums
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
@@ -169,22 +170,33 @@ def _full_view(half):
 
 
 # Ceiling on `curve_work` for a curve the command line reads.  Random curves
-# on T^4 (three modes per order) reach it at cap 22; at cap 21 (187548, seed
+# on T^4 (three modes per order) reach it at cap 22; at cap 21 (194148, seed
 # 7) `curvature_bundle` + `bianchi_check` take 0.6-0.7 s on a 2-vCPU VM, at
-# cap 48 (863061) 8 s.  Curves whose terms share few modes cost less per
+# cap 48 (877761) 8 s.  Curves whose terms share few modes cost less per
 # unit: a T^6 cap-3 rank-one ladder moved by random three-mode Hamiltonians
-# at orders 1 and 2 scores 202055 and takes 0.08 s.  The benchmark's inputs
-# and the curves the tests give the command line stay below 4000.
+# at orders 1 and 2 scores 203255 and takes 0.08 s.  The benchmark's inputs
+# and the curves the tests give the command line stay below 5000.
 MAX_CURVE_WORK = 200_000
+
+# What each order 0..cap adds to `curve_work`, whatever its terms: the loops
+# over orders and order pairs run even where every order is zero.  On the
+# same VM `sympconn normalize` of the flat T^4 curve, the slowest command on
+# it, takes 0.64 s at cap 600, so the flat curve reaches the ceiling at cap
+# 666.
+WORK_PER_ORDER = 300
 
 
 def curve_work(conn: ConnectionCurve) -> int:
     """Sum over k <= cap of nnz(A^(s)) nnz(A^(s')) over s + s' = k, where nnz
     counts the Fourier terms of all components: the coefficient products of
-    the order-k Gamma.Gamma terms of the curvature.  Cheap, and known before
-    any curvature is computed."""
+    the order-k Gamma.Gamma terms of the curvature; plus WORK_PER_ORDER per
+    order.  The pair sum runs over the nonzero orders s only, each against
+    the running total of nnz up to cap - s, so it is linear in the cap.
+    Cheap, and known before any curvature is computed."""
     nnz = [sum(len(f.coeffs) for f in t.components.values()) for t in conn.abar]
-    return sum(nnz[s] * nnz[k - s] for k in range(conn.cap + 1) for s in range(k + 1))
+    below = list(running_totals(nnz))
+    pairs = sum(n * below[conn.cap - s] for s, n in enumerate(nnz) if n)
+    return pairs + WORK_PER_ORDER * (conn.cap + 1)
 
 
 def _field(acc: GaussianSums, dim, rank) -> TensorField:
@@ -500,16 +512,16 @@ def bianchi_check(conn: ConnectionCurve):
 
 def _rho_orders(r_orders, sdata: SymplecticData):
     """Endomorphism rho with r(X, Y) = omega(X, rho Y), for each order of r
-    given; key (p, b) = rho^p_b."""
-    hi = sdata.omega_hi
+    given; key (p, b) = rho^p_b = sum_a omega^{pa} r_ab over the nonzero
+    omega^{pa}: column a of the antisymmetric omega^{-1} is its row a of
+    `SymplecticData.index_map` negated."""
+    cols = [[(q, -w) for q, w in row] for row in sdata.index_map(upper=True)[0]]
     out = []
     for t in r_orders:
         acc = GaussianSums()
         for (a, b), f in t.components.items():
-            for q in range(sdata.dim):
-                w = hi[q][a]
-                if w:
-                    acc.add((q, b), f.coeffs, weight=w)
+            for q, w in cols[a]:
+                acc.add((q, b), f.coeffs, weight=w)
         out.append(_field(acc, sdata.dim, 2))
     return out
 
@@ -528,6 +540,28 @@ def _endo_square_orders(rho, dim, start):
     return out
 
 
+@lru_cache(maxsize=8)
+def _u_b_weights(sdata: SymplecticData):
+    """The omega weights of `_u_b_orders`, each times its constant factor,
+    read off the nonzero rows of `SymplecticData.index_map` (ints where
+    integral) once per omega.  Both matrices are antisymmetric, so a column
+    is a row negated."""
+    n = sdata.n
+    hi, _ = sdata.index_map(upper=True)
+    lo, _ = sdata.index_map(upper=False)
+    cconst = Fraction(1 + 2 * n, 2 * (1 + n))
+    lo_terms = [(a, b, w) for a, row in enumerate(lo) for b, w in row]
+    return (
+        [{b: -w for b, w in row} for row in hi],  # -omega^{ab}
+        [{b: w * Fraction(-1, 2 * n) for b, w in row} for row in hi],
+        cconst / (2 * n),
+        [(a, b, w * Fraction(-1, 2 * n + 1)) for a, b, w in lo_terms],
+        [[(a, -w * cconst) for a, w in row] for row in lo],  # cconst omega_ap
+        [(a, b, -w) for a, b, w in lo_terms],
+        [[(l, w * Fraction(-1, 1 + n)) for l, w in row] for row in hi],
+    )
+
+
 def _u_b_orders(conn: ConnectionCurve, r_orders, u_head, start):
     """Orders start..cap of the 1-form curve u and the function curve b of a
     Ricci-type curve, and of the residual verdicts of their three defining
@@ -541,10 +575,16 @@ def _u_b_orders(conn: ConnectionCurve, r_orders, u_head, start):
       b   = -(omega^{ab} (nabla u)_{ab} - (1+2n)/(2(1+n)) Tr rho^2) / 2n
     All three defining equations are then re-verified exactly; a nonzero
     residual means the input was not Ricci type (or a convention fault).
+
+    Every contraction with omega or omega^{-1} runs over their nonzero
+    entries, with the weights of `_u_b_weights`, and no empty coefficient
+    map is added: a zero b^(k) adds no terms and a zero ubar^(s) no
+    products.  Each residual verdict is `all_zero` of the same sums as a
+    contraction over every entry would give.
     """
     sdata = conn.sdata
-    dim, n = sdata.dim, sdata.n
-    hi, lo = sdata.omega_hi, sdata.omega_lo
+    dim = sdata.dim
+    u_at, b_at, rho2_diag, res1_terms, rho2_cols, b_terms, ubar_rows = _u_b_weights(sdata)
 
     dr = _covariant_orders(conn, r_orders, start)
 
@@ -552,27 +592,26 @@ def _u_b_orders(conn: ConnectionCurve, r_orders, u_head, start):
     for t in dr:
         acc = GaussianSums()
         for (a, b, c), f in t.components.items():
-            w = hi[a][b]
+            w = u_at[a].get(b)
             if w:
-                acc.add((c,), f.coeffs, weight=-w)
+                acc.add((c,), f.coeffs, weight=w)
         u_new.append(_field(acc, dim, 1))
     u = u_head + u_new
 
     du = _covariant_orders(conn, u, start)
     rho2 = _endo_square_orders(_rho_orders(r_orders, sdata), dim, start)
-    cconst = Fraction(1 + 2 * n, 2 * (1 + n))
 
     # b = -(sum_ab omega^{ab} (nabla u)_{ab} - cconst Tr rho^2) / 2n
     b_new = []
     for du_k, rho2_k in zip(du, rho2):
         acc = GaussianSums()
         for (a, bb), f in du_k.components.items():
-            w = hi[a][bb]
+            w = b_at[a].get(bb)
             if w:
-                acc.add((), f.coeffs, weight=w * Fraction(-1, 2 * n))
+                acc.add((), f.coeffs, weight=w)
         for (p, q), f in rho2_k.components.items():
             if p == q:
-                acc.add((), f.coeffs, weight=cconst / (2 * n))
+                acc.add((), f.coeffs, weight=rho2_diag)
         b_new.append(_field(acc, dim, 0))
 
     # residual of (nabla r) equation
@@ -582,13 +621,9 @@ def _u_b_orders(conn: ConnectionCurve, r_orders, u_head, start):
         for idx, f in dr_k.components.items():
             acc.add(idx, f.coeffs)
         for (c,), f in u_k.components.items():
-            for a in range(dim):
-                for bb in range(dim):
-                    w = lo[a][bb]
-                    if w:
-                        w = w * Fraction(-1, 2 * n + 1)
-                        acc.add((a, bb, c), f.coeffs, weight=w)
-                        acc.add((a, c, bb), f.coeffs, weight=w)
+            for a, bb, w in res1_terms:
+                acc.add((a, bb, c), f.coeffs, weight=w)
+                acc.add((a, c, bb), f.coeffs, weight=w)
         res1.append(acc.all_zero())
 
     # residual of (nabla u) equation
@@ -598,16 +633,12 @@ def _u_b_orders(conn: ConnectionCurve, r_orders, u_head, start):
         for idx, f in du_k.components.items():
             acc.add(idx, f.coeffs)
         for (p, bcol), f in rho2_k.components.items():
-            for a in range(dim):
-                w = lo[a][p]
-                if w:
-                    acc.add((a, bcol), f.coeffs, weight=w * cconst)
-        b_k = b_k.get(()).coeffs
-        for a in range(dim):
-            for bb in range(dim):
-                w = lo[a][bb]
-                if w:
-                    acc.add((a, bb), b_k, weight=-w)
+            for a, w in rho2_cols[p]:
+                acc.add((a, bcol), f.coeffs, weight=w)
+        if b_k.components:
+            b_k = b_k.components[()].coeffs
+            for a, bb, w in b_terms:
+                acc.add((a, bb), b_k, weight=w)
         res2.append(acc.all_zero())
 
     # residual of the differential-of-b equation; ubar_l = -omega^{cl} u_c / (1 + n)
@@ -615,22 +646,22 @@ def _u_b_orders(conn: ConnectionCurve, r_orders, u_head, start):
     for t in u:
         acc = GaussianSums()
         for (c,), f in t.components.items():
-            for l in range(dim):
-                w = hi[c][l]
-                if w:
-                    acc.add(l, f.coeffs, weight=w * Fraction(-1, 1 + n))
+            for l, w in ubar_rows[c]:
+                acc.add(l, f.coeffs, weight=w)
         ubar.append(acc.finish(FourierScalar, dim))
     res3 = []
     for k, b_k in enumerate(b_new, start):
         acc = GaussianSums()
-        b_k = b_k.get(()).coeffs
-        for a in range(dim):
-            acc.add_derivative((a,), b_k, a)
+        if b_k.components:
+            b_k = b_k.components[()].coeffs
+            for a in range(dim):
+                acc.add_derivative((a,), b_k, a)
         for s in range(k + 1):
-            for (p, a), f in r_orders[k - s].components.items():
-                g = ubar[s].get(p)
-                if g is not None:
-                    acc.add_product((a,), g.coeffs, f.coeffs)
+            if ubar[s]:
+                for (p, a), f in r_orders[k - s].components.items():
+                    g = ubar[s].get(p)
+                    if g is not None:
+                        acc.add_product((a,), g.coeffs, f.coeffs)
         res3.append(acc.all_zero())
 
     return u_new, b_new, (res1, res2, res3)

@@ -27,7 +27,8 @@ from .rationals import Fraction
 from .series import (
     SparseScalar,
     VectorField,
-    exp_apply,
+    coordinate_tests,
+    exp_curves,
     exp_lie_connection,
     exp_terms,
     merge_exponentials,
@@ -255,12 +256,10 @@ def validity_check_cubes(b_curve: StructureMapCurve):
 
 def flow_coordinate_maps(gens, cap):
     """The formal flow as a curve of PolyMaps: order-k coefficient of
-    exp(X_t) applied to the coordinate functions."""
+    exp(X_t) applied to the coordinate functions, all of them in one
+    `exp_curves` pass."""
     dim = gens[0].dim
-    curves = [
-        exp_apply(gens, [Poly.variable(dim, p)] + [Poly.zero(dim)] * cap)
-        for p in range(dim)
-    ]
+    curves = exp_curves(VectorField.add_apply, gens, coordinate_tests(PolyVectorField, dim, cap))
     return [PolyMap([curves[p][k] for p in range(dim)]) for k in range(cap + 1)]
 
 
@@ -326,9 +325,9 @@ def psi_At_connection_check(b_curve: StructureMapCurve, gens=None):
         gens = psi_At(b_curve)
     cap, dim, sdata = b_curve.cap, b_curve.dim, b_curve.sdata
     zero = PolyVectorField.zero(dim)
-    for a in range(dim):
-        e = PolyVectorField.constant(dim, [1 if i == a else 0 for i in range(dim)])
-        q = exp_terms(VectorField.add_bracket, gens, [[e] + [zero] * cap])[0]
+    basis = [[PolyVectorField.constant(dim, [int(i == a) for i in range(dim)])] + [zero] * cap
+             for a in range(dim)]
+    for q in exp_terms(VectorField.add_bracket, gens, basis):
         if cap >= 2 and not all(f.is_zero() for f in q[2]):
             raise InternalInconsistency("(ad X_{A^t})^2 != 0 on a constant field")
     acted = act_on_poly_connection(gens, cap, sdata, [dict() for _ in range(cap + 1)])

@@ -54,7 +54,7 @@ class SymplecticData:
     `raise_last`, `lower_last` and `VectorField.is_symplectic` read.
     """
 
-    __slots__ = ("dim", "omega_lo", "omega_hi", "_sp_terms", "_index_maps")
+    __slots__ = ("dim", "omega_lo", "omega_hi", "_sp_terms", "_index_maps", "_hash")
 
     def __init__(self, omega_lo):
         omega_lo = matrix(omega_lo)
@@ -70,6 +70,9 @@ class SymplecticData:
         self.omega_hi = _omega_inverse(omega_lo)
         self._sp_terms = None
         self._index_maps = None
+        # omega is immutable and its Fractions hash slowly; the per-omega
+        # caches (`lru_cache` on a SymplecticData) hash it on every call
+        self._hash = hash(omega_lo)
 
     @classmethod
     @cache
@@ -148,7 +151,7 @@ class SymplecticData:
         return isinstance(other, SymplecticData) and self.omega_lo == other.omega_lo
 
     def __hash__(self):
-        return hash(self.omega_lo)
+        return self._hash
 
 
 class FourierScalar(SparseScalar):

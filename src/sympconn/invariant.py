@@ -85,8 +85,7 @@ def cube_rows(sdata: SymplecticData, order):
     by den once, as a Fraction."""
     den, entries = order
     # per c the nonzero (p, omega^{cp}), an int where it is integral
-    hi = [[(p, int(x) if x.denominator == 1 else x) for p, x in enumerate(row) if x]
-          for row in sdata.omega_hi]
+    hi, _ = sdata.index_map(upper=True)
     acc = [{} for _ in range(sdata.dim)]
     for (a, b, c), v in entries.items():
         for p, h in hi[c]:
@@ -137,14 +136,16 @@ class StructureMapCurve:
     @property
     def cubes(self):
         """The dense cubes B-bar^(k)[a][b][c] as nested tuples of Fractions, in
-        a new list; read from `orders` once and cached."""
+        a new list; read from `orders` once and cached, with one Fraction per
+        distinct entry value of an order."""
         if self._cubes is None:
             idx, zero = range(self.dim), Fraction(0)
-            self._cubes = [
-                tuple(tuple(tuple(Fraction(e[a, b, c], den) if (a, b, c) in e else zero
-                                  for c in idx) for b in idx) for a in idx)
-                for den, e in self.orders
-            ]
+            self._cubes = []
+            for den, e in self.orders:
+                value = {v: Fraction(v, den) for v in set(e.values())}
+                value[None] = zero
+                self._cubes.append(tuple(tuple(tuple(value[e.get((a, b, c))] for c in idx)
+                                               for b in idx) for a in idx))
         return list(self._cubes)
 
     def rows(self, k):

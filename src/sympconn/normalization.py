@@ -44,33 +44,46 @@ def potential_split(s: TensorField) -> PotentialSplit:
     symmetric first and so is grad^3(U), so these cover every component,
     and the lexicographically first failing triple is a sorted one.
     Failure raises NotExactCube with the offending mode and component.
+
+    The equations S_pqr(m) = i^3 U^(m) m_p m_q m_r read the stored
+    components and coefficients directly and are compared without division:
+    with S_bbb(m) = (X + iY) / d and D = d m_b^3, so that
+    i^3 U^(m) = (X + iY) / D, and k = m_p m_q m_r, a stored coefficient
+    (x + iy) / e matches when x D == X k e and y D == Y k e, and an absent
+    one when X k == Y k == 0.
     Q keeps the zero-mode coefficient of each component of S as it is;
     its reality is checked where the flat ladder is read off.
     """
     if s.rank != 3 or not s.is_fully_symmetric():
         raise PreconditionError("potential_split needs a fully symmetric rank-3 field")
-    dim = s.dim
+    dim, comps = s.dim, s.components
     zero_mode = (0,) * dim
     modes = set()
-    for f in s.components.values():
+    for f in comps.values():
         modes.update(f.coeffs)
     modes.discard(zero_mode)
+    triples = [(p, q, r) for p in range(dim) for q in range(p, dim) for r in range(q, dim)]
     u_coeffs = {}
     for m in sorted(modes):
         b = next(i for i, mi in enumerate(m) if mi)
-        s_bbb = s.get((b, b, b)).coeff(m)
-        # (i m_b)^3 = -i m_b^3
-        u_hat = s_bbb / (_I_CUBED * (m[b] ** 3))
-        # S_pqr(m) = (i m_p)(i m_q)(i m_r) U^(m) = (i^3 U^(m)) m_p m_q m_r
-        u_i_cubed = u_hat * _I_CUBED
-        for p in range(dim):
-            for q in range(p, dim):
-                for r in range(q, dim):
-                    want = u_i_cubed * (m[p] * m[q] * m[r])
-                    if s.get((p, q, r)).coeff(m) != want:
-                        raise NotExactCube(m, (p, q, r))
-        if not u_hat.is_zero():
-            u_coeffs[m] = u_hat
+        f = comps.get((b, b, b))
+        s_bbb = f.coeffs.get(m) if f is not None else None
+        x0, y0, den = (0, 0, 1) if s_bbb is None else (s_bbb.p, s_bbb.q, s_bbb.d * m[b] ** 3)
+        for idx in triples:
+            p, q, r = idx
+            k = m[p] * m[q] * m[r]
+            f = comps.get(idx)
+            c = f.coeffs.get(m) if f is not None else None
+            if c is None:
+                ok = not (x0 * k or y0 * k)
+            else:
+                e = c.d
+                ok = c.p * den == x0 * k * e and c.q * den == y0 * k * e
+            if not ok:
+                raise NotExactCube(m, idx)
+        if s_bbb is not None:
+            # (i m_b)^3 = -i m_b^3
+            u_coeffs[m] = s_bbb / (_I_CUBED * (m[b] ** 3))
     potential = FourierScalar(dim, u_coeffs, _validated=True)
     if not potential.is_real():
         raise NotExactCube(zero_mode, (0, 0, 0), "potential is not real")

@@ -42,9 +42,13 @@ class SparseScalar:
     `derivative`.  The checked constructor converts every coefficient to
     `coeff_type` and drops zeros; `_validated=True` skips it for maps the
     kernels built.  This is the contract `VectorField.scalar` names.
+
+    Because a scalar is immutable, `axes()` is computed once and kept in a
+    slot that the constructor leaves unset, so building a scalar costs
+    nothing more; `==` and `hash` read only `dim` and `coeffs`.
     """
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ("dim", "coeffs", "_axes")
 
     coeff_type = None
 
@@ -109,9 +113,13 @@ class SparseScalar:
         return not self.coeffs
 
     def axes(self):
-        """The axes a at which some key has a nonzero entry, ascending; the
-        derivative along any other axis is zero."""
-        return [a for a, column in enumerate(zip(*self.coeffs)) if any(column)]
+        """The axes a at which some key has a nonzero entry, as an ascending
+        tuple, computed once; the derivative along any other axis is zero."""
+        axes = getattr(self, "_axes", None)
+        if axes is None:
+            axes = self._axes = tuple([a for a, column in enumerate(zip(*self.coeffs))
+                                       if any(column)])
+        return axes
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -355,19 +363,20 @@ def _order_sum(q, k):
     return _finish(acc, like).get(()) or type(like).zero(like.dim)
 
 
-def _exp(op, gens, curves):
-    """exp(X_t) applied to each curve, in one `exp_terms` pass."""
+def exp_curves(op, gens, curves):
+    """exp(X_t) applied to each curve, in one `exp_terms` pass; op as
+    there."""
     return [[_order_sum(q, k) for k in range(len(gens))] for q in exp_terms(op, gens, curves)]
 
 
 def exp_apply(gens, fcurve):
     """exp(X_t) applied to a scalar curve."""
-    return _exp(VectorField.add_apply, gens, [fcurve])[0]
+    return exp_curves(VectorField.add_apply, gens, [fcurve])[0]
 
 
 def exp_ad(gens, ycurve):
     """exp(ad X_t) Y for a vector-field curve Y."""
-    return _exp(VectorField.add_bracket, gens, [ycurve])[0]
+    return exp_curves(VectorField.add_bracket, gens, [ycurve])[0]
 
 
 # -- the action on connections -----------------------------------------------------
@@ -422,10 +431,13 @@ def exp_lie_connection(gens, gamma):
       T_1 = d d X + L_X Gamma,  T_j = L_X T_(j-1).
     Every term is graded in t and T_j has valuation >= j, so the sum is
     exact at the cap.  Each order of each T_j is one `GaussianSums`,
-    finished once because the next term takes its derivatives; each order
-    of the result is one more, into which every T_j is added with the
-    weight 1/j!.  Every component (a, b, p) is computed; symmetry in (a, b)
-    is a property of the result, not an assumption.
+    finished once because the next term takes its derivatives.  An order of
+    the result that holds one nonzero term of weight 1 (Gamma alone, or T_1
+    alone on an empty Gamma order) is that term's scalars in a new dict;
+    every other order is one more `GaussianSums`, into which its T_j are
+    added in order of j with the weight 1/j!.  Every component (a, b, p) is
+    computed; symmetry in (a, b) is a property of the result, not an
+    assumption.
     """
     scalar, dim = gens[0].scalar, gens[0].dim
     data = [None] + [None if g.is_zero() else _LieData(g) for g in gens[1:]]
@@ -444,7 +456,7 @@ def exp_lie_connection(gens, gamma):
             out.append(acc.finish(scalar, dim))
         return out
 
-    sums = [K.GaussianSums() for _ in gamma]
+    parts = [[] for _ in gamma]  # per order, the nonzero (1/j!, T_j) in order of j
     term, weight = gamma, Fraction(1)
     for j in range(len(gamma)):
         if j:
@@ -452,10 +464,20 @@ def exp_lie_connection(gens, gamma):
             if not any(term):
                 break
             weight /= j
-        for acc, order in zip(sums, term):
+        for found, order in zip(parts, term):
+            if order:
+                found.append((weight, order))
+    out = []
+    for found in parts:
+        if len(found) == 1 and found[0][0] == 1:
+            out.append(dict(found[0][1]))
+            continue
+        acc = K.GaussianSums()
+        for weight, order in found:
             for idx, f in order.items():
                 acc.add(idx, f.coeffs, weight=weight)
-    return [acc.finish(scalar, dim) for acc in sums]
+        out.append(acc.finish(scalar, dim))
+    return out
 
 
 # -- normal ordering -------------------------------------------------------------
@@ -493,7 +515,7 @@ def merge_exponentials(sdata, *ladders):
     tests = coordinate_tests(field, dim, cap)
     targets = tests
     for gens in reversed(ladders):
-        targets = _exp(VectorField.add_apply, gens, targets)
+        targets = exp_curves(VectorField.add_apply, gens, targets)
 
     def solve(k, partials):
         zk = order_from_mismatch(field, [t[k] - p for t, p in zip(targets, partials)])
@@ -505,6 +527,6 @@ def merge_exponentials(sdata, *ladders):
 
     z = [field.zero(dim)] * (cap + 1)
     exp_terms(VectorField.add_apply, z, tests, solve)
-    if _exp(VectorField.add_apply, z, tests) != targets:
+    if exp_curves(VectorField.add_apply, z, tests) != targets:
         raise InternalInconsistency("normal ordering failed verification")
     return z

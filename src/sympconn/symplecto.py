@@ -88,9 +88,10 @@ def hamiltonian_field(sdata: SymplecticData, f: FourierScalar) -> FourierVectorF
     The solution is re-substituted into the defining equation; a mismatch
     would mean omega_hi is not the inverse convention assumed here.
     """
-    x = FourierVectorField(combine([f.derivative(b) for b in range(f.dim)], sdata.omega_hi))
+    df = [f.derivative(b) for b in range(f.dim)]
+    x = FourierVectorField(combine(df, sdata.omega_hi))
     for b, contr in enumerate(x.interior_omega(sdata)):
-        if contr != f.derivative(b):
+        if contr != df[b]:
             raise InternalInconsistency("i(X_f) omega != df after solving")
     return x
 

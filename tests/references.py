@@ -1,7 +1,8 @@
-"""Test-only references that more than one test module reads: per-term and
-full-index forms of what the package computes another way, and counters
-on the curvature-type full view and on the grouping of mixed tensors by
-upper index."""
+"""Test-only references: per-term and full-index forms of what the package
+computes another way, counters on the curvature-type full view and on the
+grouping of mixed tensors by upper index, and the forms of u and b, the
+potential split and the Lie series on connections that read every entry,
+which the sparse paths are compared with."""
 
 from sympconn import curvature
 from sympconn.fourier import TensorField
@@ -68,3 +69,198 @@ def count_groupings(monkeypatch):
 
     monkeypatch.setattr(curvature, "_by_upper", counted)
     return seen
+
+
+# -- the forms that read every entry, kept to compare the sparse paths with -------
+
+
+def u_b_orders_every_entry(conn, r_orders, u_head, start):
+    """`curvature._u_b_orders` as it read omega: every entry of omega and of
+    omega^{-1} tested per contraction, an empty coefficient map added for a
+    zero b^(k), and rho and rho^2 over every order pair."""
+    from fractions import Fraction
+
+    from sympconn._kernel.pure import GaussianSums
+    from sympconn.curvature import _covariant_orders, _field
+    from sympconn.fourier import FourierScalar
+
+    sdata = conn.sdata
+    dim, n = sdata.dim, sdata.n
+    hi, lo = sdata.omega_hi, sdata.omega_lo
+
+    dr = _covariant_orders(conn, r_orders, start)
+    u_new = []
+    for t in dr:
+        acc = GaussianSums()
+        for (a, b, c), f in t.components.items():
+            w = hi[a][b]
+            if w:
+                acc.add((c,), f.coeffs, weight=-w)
+        u_new.append(_field(acc, dim, 1))
+    u = u_head + u_new
+    du = _covariant_orders(conn, u, start)
+    rho = []
+    for t in r_orders:
+        acc = GaussianSums()
+        for (a, b), f in t.components.items():
+            for q in range(dim):
+                w = hi[q][a]
+                if w:
+                    acc.add((q, b), f.coeffs, weight=w)
+        rho.append(_field(acc, dim, 2))
+    rho2 = []
+    for k in range(start, len(rho)):
+        acc = GaussianSums()
+        for s in range(k + 1):
+            for (p, q), f in rho[s].components.items():
+                for (q2, b), g in rho[k - s].components.items():
+                    if q2 == q:
+                        acc.add_product((p, b), f.coeffs, g.coeffs)
+        rho2.append(_field(acc, dim, 2))
+    cconst = Fraction(1 + 2 * n, 2 * (1 + n))
+    b_new = []
+    for du_k, rho2_k in zip(du, rho2):
+        acc = GaussianSums()
+        for (a, bb), f in du_k.components.items():
+            w = hi[a][bb]
+            if w:
+                acc.add((), f.coeffs, weight=w * Fraction(-1, 2 * n))
+        for (p, q), f in rho2_k.components.items():
+            if p == q:
+                acc.add((), f.coeffs, weight=cconst / (2 * n))
+        b_new.append(_field(acc, dim, 0))
+    res1 = []
+    for dr_k, u_k in zip(dr, u_new):
+        acc = GaussianSums()
+        for idx, f in dr_k.components.items():
+            acc.add(idx, f.coeffs)
+        for (c,), f in u_k.components.items():
+            for a in range(dim):
+                for bb in range(dim):
+                    w = lo[a][bb]
+                    if w:
+                        w = w * Fraction(-1, 2 * n + 1)
+                        acc.add((a, bb, c), f.coeffs, weight=w)
+                        acc.add((a, c, bb), f.coeffs, weight=w)
+        res1.append(acc.all_zero())
+    res2 = []
+    for du_k, rho2_k, b_k in zip(du, rho2, b_new):
+        acc = GaussianSums()
+        for idx, f in du_k.components.items():
+            acc.add(idx, f.coeffs)
+        for (p, bcol), f in rho2_k.components.items():
+            for a in range(dim):
+                w = lo[a][p]
+                if w:
+                    acc.add((a, bcol), f.coeffs, weight=w * cconst)
+        b_k = b_k.get(()).coeffs
+        for a in range(dim):
+            for bb in range(dim):
+                w = lo[a][bb]
+                if w:
+                    acc.add((a, bb), b_k, weight=-w)
+        res2.append(acc.all_zero())
+    ubar = []
+    for t in u:
+        acc = GaussianSums()
+        for (c,), f in t.components.items():
+            for l in range(dim):
+                w = hi[c][l]
+                if w:
+                    acc.add(l, f.coeffs, weight=w * Fraction(-1, 1 + n))
+        ubar.append(acc.finish(FourierScalar, dim))
+    res3 = []
+    for k, b_k in enumerate(b_new, start):
+        acc = GaussianSums()
+        b_k = b_k.get(()).coeffs
+        for a in range(dim):
+            acc.add_derivative((a,), b_k, a)
+        for s in range(k + 1):
+            for (p, a), f in r_orders[k - s].components.items():
+                g = ubar[s].get(p)
+                if g is not None:
+                    acc.add_product((a,), g.coeffs, f.coeffs)
+        res3.append(acc.all_zero())
+    return u_new, b_new, (res1, res2, res3)
+
+
+def potential_split_by_lookup(s):
+    """`normalization.potential_split` as it read S: through `TensorField.get`
+    and `FourierScalar.coeff`, a zero scalar and a zero coefficient built for
+    each absent (triple, mode), each equation compared with a Gaussian
+    rational built for it."""
+    from sympconn.errors import NotExactCube, PreconditionError
+    from sympconn.fourier import FourierScalar
+    from sympconn.normalization import PotentialSplit
+    from sympconn.rationals import GaussianRational
+
+    i_cubed = GaussianRational(0, -1)
+    if s.rank != 3 or not s.is_fully_symmetric():
+        raise PreconditionError("potential_split needs a fully symmetric rank-3 field")
+    dim = s.dim
+    zero_mode = (0,) * dim
+    modes = set()
+    for f in s.components.values():
+        modes.update(f.coeffs)
+    modes.discard(zero_mode)
+    u_coeffs = {}
+    for m in sorted(modes):
+        b = next(i for i, mi in enumerate(m) if mi)
+        u_hat = s.get((b, b, b)).coeff(m) / (i_cubed * (m[b] ** 3))
+        u_i_cubed = u_hat * i_cubed
+        for p in range(dim):
+            for q in range(p, dim):
+                for r in range(q, dim):
+                    want = u_i_cubed * (m[p] * m[q] * m[r])
+                    if s.get((p, q, r)).coeff(m) != want:
+                        raise NotExactCube(m, (p, q, r))
+        if not u_hat.is_zero():
+            u_coeffs[m] = u_hat
+    potential = FourierScalar(dim, u_coeffs, _validated=True)
+    if not potential.is_real():
+        raise NotExactCube(zero_mode, (0, 0, 0), "potential is not real")
+    zero_part = {}
+    for idx, f in s.components.items():
+        c = f.coeffs.get(zero_mode)
+        if c is not None:
+            zero_part[idx] = FourierScalar(dim, {zero_mode: c}, _validated=True)
+    return PotentialSplit(potential, TensorField(dim, 3, zero_part, "fully_symmetric",
+                                                 _validated=True))
+
+
+def exp_lie_connection_summed(gens, gamma):
+    """`series.exp_lie_connection` with every order of the result summed in
+    one `GaussianSums`, a lone term of weight 1 included."""
+    from fractions import Fraction
+
+    from sympconn._kernel.pure import GaussianSums
+    from sympconn.series import _LieData
+
+    scalar, dim = gens[0].scalar, gens[0].dim
+    data = [None] + [None if g.is_zero() else _LieData(g) for g in gens[1:]]
+
+    def lie(curve, ddx=False):
+        out = []
+        for k in range(len(curve)):
+            acc = GaussianSums()
+            for s in range(1, k + 1):
+                if data[s] is not None and curve[k - s]:
+                    data[s].lie(curve[k - s], acc)
+            if ddx and data[k] is not None:
+                for idx, h in data[k].hessian.items():
+                    acc.add(idx, h)
+            out.append(acc.finish(scalar, dim))
+        return out
+
+    sums = [GaussianSums() for _ in gamma]
+    term, weight = gamma, Fraction(1)
+    for j in range(len(gamma)):
+        if j:
+            term = lie(term, ddx=j == 1)
+            if not any(term):
+                break
+            weight /= j
+        for acc, order in zip(sums, term):
+            for idx, f in order.items():
+                acc.add(idx, f.coeffs, weight=weight)
+    return [acc.finish(scalar, dim) for acc in sums]

@@ -437,7 +437,7 @@ def test_check_and_normalize_outputs_are_pinned(tmp_path, monkeypatch, capsys):
 
 
 def test_oversized_curve_is_refused_exit_2(tmp_path, monkeypatch, capsys):
-    """A random T^4 curve at cap 22 has curve_work 205716, just past the
+    """A random T^4 curve at cap 22 has curve_work 212616, just past the
     ceiling of 200000: check, normalize and act refuse it with exit 2 before
     computing any curvature."""
     from sympconn import curvature
@@ -447,7 +447,7 @@ def test_oversized_curve_is_refused_exit_2(tmp_path, monkeypatch, capsys):
     run(capsys, "generate", "--kind", "random", "--dim", "4", "--order", "22",
         "--seed", "7", "--out", str(p))
     conn = load_path(p)
-    assert curvature.curve_work(conn) == 205716 > curvature.MAX_CURVE_WORK == 200_000
+    assert curvature.curve_work(conn) == 212616 > curvature.MAX_CURVE_WORK == 200_000
 
     def no_curvature(*args):
         raise AssertionError("curvature computed past the ceiling")
@@ -462,13 +462,60 @@ def test_oversized_curve_is_refused_exit_2(tmp_path, monkeypatch, capsys):
         assert "exceeds the ceiling of 200000 coefficient products" in err
 
 
+def test_flat_curve_at_a_huge_cap_is_refused_exit_2_within_a_second(tmp_path, monkeypatch,
+                                                                    capsys):
+    """Every order of the flat T^4 curve is zero, yet the loops over orders
+    still run: at cap 20000 its work is 300 per order, past the ceiling, and
+    check, normalize and act each exit 2 in under a second, loading
+    included, before any curvature is computed.  act is given a cap-1
+    witness: the curve is refused as it is loaded, before the caps are
+    compared."""
+    from sympconn import curvature
+    from sympconn.curvature import ConnectionCurve
+    from sympconn.symplecto import SymplectoCurve
+
+    cap = 20000
+    p, wit_p = tmp_path / "flat.json", tmp_path / "wit.json"
+    dump_path(ConnectionCurve.flat(SD, cap), p)
+    dump_path(SymplectoCurve.identity(SD, 1), wit_p)
+
+    def no_curvature(*args):
+        raise AssertionError("curvature computed past the ceiling")
+
+    monkeypatch.setattr(curvature, "_curvature_orders", no_curvature)
+    for argv in (["check", str(p)], ["normalize", str(p)], ["act", str(wit_p), str(p)]):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1, argv[0]
+        assert (code, out) == (2, ""), argv[0]
+        assert (f"estimated work {300 * (cap + 1)} exceeds the ceiling of 200000 "
+                "coefficient products") in err
+
+
+def test_curve_work_is_the_sum_over_order_pairs_plus_a_term_per_order():
+    """The linear-time pair sum of `curve_work` equals the sum over all
+    pairs s + s' <= cap, on curves with zero and nonzero orders."""
+    from sympconn.curvature import WORK_PER_ORDER, ConnectionCurve, curve_work
+    from sympconn.fourier import TensorField
+    from sympconn.generate import random_connection_curve
+
+    for seed in range(6):
+        conn = random_connection_curve(seed, dim=4, cap=6)
+        abar = [t if random.Random(seed * 7 + k).random() < 0.5 else TensorField.zero(4, 3)
+                for k, t in enumerate(conn.abar[1:], 1)]
+        for c in (conn, ConnectionCurve(SD, 6, abar, validate=False)):
+            nnz = [sum(len(f.coeffs) for f in t.components.values()) for t in c.abar]
+            pairs = sum(nnz[s] * nnz[k - s] for k in range(7) for s in range(k + 1))
+            assert curve_work(c) == pairs + WORK_PER_ORDER * 7
+
+
 def test_curve_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
     """The ceiling is inclusive: a curve whose work equals it is checked."""
     from sympconn import cli, curvature
 
     p = write_moved(tmp_path)
     work = curvature.curve_work(load_path(p))
-    assert work == 147
+    assert work == 1347
     monkeypatch.setattr(cli, "MAX_CURVE_WORK", work)
     assert run(capsys, "check", str(p))[0] == 0
     monkeypatch.setattr(cli, "MAX_CURVE_WORK", work - 1)

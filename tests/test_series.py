@@ -178,7 +178,9 @@ def test_scalar_types_share_one_sparse_arithmetic():
 def test_axes_are_those_of_the_nonzero_derivatives():
     """`axes` lists, ascending, exactly the axes along which the derivative
     is nonzero, for both scalar types; X(f) and the Lie data differentiate
-    along those only."""
+    along those only.  They are computed once per scalar: a second read
+    returns the same tuple, equal to what a fresh copy of the scalar
+    computes, and neither `==` nor `hash` sees what a scalar has kept."""
     rng = random.Random("axes")
     scalars = [Poly.zero(DIM), FourierScalar.zero(DIM), poly({(0, 0, 0, 0): 3}),
                FourierScalar.constant(DIM, 2)]
@@ -187,7 +189,10 @@ def test_axes_are_those_of_the_nonzero_derivatives():
         exponents = [tuple(rng.randint(0, 1) for _ in range(DIM)) for _ in range(2)]
         scalars.append(poly({e: Fraction(rng.randint(1, 5)) for e in exponents}))
     for f in scalars:
-        assert f.axes() == [a for a in range(DIM) if not f.derivative(a).is_zero()], f
+        assert f.axes() == tuple(a for a in range(DIM) if not f.derivative(a).is_zero()), f
+        fresh = type(f)(DIM, dict(f.coeffs), _validated=True)
+        assert fresh == f and hash(fresh) == hash(f)
+        assert f.axes() is f.axes() and fresh.axes() == f.axes()
 
 
 # -- one-pass normal ordering --------------------------------------------------
