@@ -41,7 +41,13 @@ from .moduli import ModuliClassQuery, equivalence_semidecide, validity_check
 from .normalization import normalize_curve
 from .rationals import rational_from_str
 from .serialize import dumps, json_text, load_path, omega_from_json, to_json
-from .symplecto import MAX_ACT_WORK, SymplectoCurve, act_on_connection, act_work
+from .symplecto import (
+    MAX_ACT_WORK,
+    SymplectoCurve,
+    act_on_connection,
+    act_work,
+    require_matching,
+)
 
 EXIT_PASS = 0
 EXIT_NEGATIVE = 1
@@ -54,11 +60,11 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load(path, want=None):
+def _load(path, want=None, header=None):
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
     try:
-        value = load_path(path)
+        value = load_path(path, header)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -294,8 +300,11 @@ def cmd_equiv(args):
 
 
 def cmd_act(args):
-    psi = _load(args.psi, SymplectoCurve)
+    # the curve first, within its ceiling; then the witness, whose omega and
+    # cap must match the curve's before any of its generators is read
     conn = _load_connection(args.input)
+    psi = _load(args.psi, SymplectoCurve,
+                header=lambda sdata, cap: require_matching(sdata, cap, conn))
     _require_within_ceiling(args.psi, act_work(psi, conn), MAX_ACT_WORK,
                             "dim^4 times the mode pairs of the Lie series on the curve")
     moved = act_on_connection(psi, conn)

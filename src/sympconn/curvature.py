@@ -65,7 +65,7 @@ class ConnectionCurve:
         self.cap = cap
         self.abar = abar
         self._mixed = mixed
-        self._upper = None
+        self._upper = []
         self._curvature = None
 
     @classmethod
@@ -91,9 +91,23 @@ class ConnectionCurve:
     def by_upper(self):
         """Each order of `mixed` grouped by its upper index (`_by_upper`),
         built on first read: R, r and the second Bianchi identity read it."""
-        if self._upper is None:
-            self._upper = [_by_upper(m) for m in self.mixed]
-        return self._upper
+        return self._grouped(self.cap + 1)
+
+    def _grouped(self, n):
+        """The groupings of orders 0..n - 1, each order grouped once: a
+        grouping a `head` asked for first is kept for later reads."""
+        upper = self._upper
+        if len(upper) < n:
+            upper.extend(_by_upper(m) for m in self.mixed[len(upper):n])
+        return upper
+
+    def head(self, k):
+        """Orders 0..k as a curve of cap k, unvalidated, sharing this curve's
+        fields, mixed tensors and groupings; orders above k are not read."""
+        head = ConnectionCurve(self.sdata, k, self.abar[:k + 1], validate=False,
+                               mixed=self.mixed[:k + 1])
+        head._upper = self._grouped(k + 1)[:k + 1]
+        return head
 
     @property
     def curvature(self):
@@ -514,10 +528,13 @@ def _rho_orders(r_orders, sdata: SymplecticData):
     """Endomorphism rho with r(X, Y) = omega(X, rho Y), for each order of r
     given; key (p, b) = rho^p_b = sum_a omega^{pa} r_ab over the nonzero
     omega^{pa}: column a of the antisymmetric omega^{-1} is its row a of
-    `SymplecticData.index_map` negated."""
+    `SymplecticData.index_map` negated.  A zero order of r is its own rho."""
     cols = [[(q, -w) for q, w in row] for row in sdata.index_map(upper=True)[0]]
     out = []
     for t in r_orders:
+        if not t.components:
+            out.append(t)
+            continue
         acc = GaussianSums()
         for (a, b), f in t.components.items():
             for q, w in cols[a]:
@@ -644,6 +661,9 @@ def _u_b_orders(conn: ConnectionCurve, r_orders, u_head, start):
     # residual of the differential-of-b equation; ubar_l = -omega^{cl} u_c / (1 + n)
     ubar = []
     for t in u:
+        if not t.components:
+            ubar.append({})
+            continue
         acc = GaussianSums()
         for (c,), f in t.components.items():
             for l, w in ubar_rows[c]:
@@ -687,18 +707,15 @@ def curvature_bundle(conn: ConnectionCurve, carry=None) -> CurvatureBundle:
     InternalInconsistency.  The one builder of these curves.
 
     carry = (bundle, start), as `normalization.recurrence_step` returns it,
-    holds the bundle of a curve that agrees with conn below order start.
-    Only orders start..cap are then computed; the orders below start of R,
-    r, E, W, u, b and of the residual verdicts are the carried bundle's.
-    This is exact: order j of each depends only on A^(s) for s <= j.  The
-    checks of a carried order ran when it was built, and those of the
-    orders computed here run as they do without a carry.  A start past the
-    cap returns the carried bundle itself.  Without a carry R is
-    `conn.curvature`.
+    holds the bundle of a curve of cap start - 1 or more that agrees with
+    conn below order start.  Only orders start..cap are then computed; the
+    orders below start of R, r, E, W, u, b and of the residual verdicts are
+    the carried bundle's.  This is exact: order j of each depends only on
+    A^(s) for s <= j.  The checks of a carried order ran when it was built,
+    and those of the orders computed here run as they do without a carry.
+    Without a carry R is `conn.curvature`.
     """
     carried, start = carry or (None, 0)
-    if start > conn.cap:
-        return carried
     cap, sdata = conn.cap, conn.sdata
 
     def joined(name, new):

@@ -207,18 +207,30 @@ def rank_one_cube(sdata: SymplecticData, v):
     """S_{bcd} = omega(e_b, v) omega(e_c, v) omega(e_d, v) for v != 0.
 
     Always fully symmetric with B(X) B(Y) = 0, since the image of every
-    B(X) is the line through v and omega(B(Y) Z, v) = 0.
+    B(X) is the line through v and omega(B(Y) Z, v) = 0.  w = omega(., v)
+    is summed over the nonzero entries of omega and v, and only its nonzero
+    entries are multiplied; the rows and planes with no nonzero entry are
+    one shared zero row and plane.
     """
     v = tuple(Fraction(x) for x in v)
     if not any(v):
         raise PreconditionError("rank_one_cube needs a nonzero vector")
     dim = sdata.dim
-    lo = sdata.omega_lo
-    w = [sum(lo[b][p] * v[p] for p in range(dim)) for b in range(dim)]
-    return tuple(
-        tuple(tuple(w[b] * w[c] * w[d] for d in range(dim)) for c in range(dim))
-        for b in range(dim)
-    )
+    rows, _ = sdata.index_map(upper=False)
+    w = [(b, sum(x * v[p] for p, x in row if v[p])) for b, row in enumerate(rows)]
+    w = [(b, x) for b, x in w if x]
+    zero = Fraction(0)
+    zero_row = (zero,) * dim
+    cube = [(zero_row,) * dim] * dim
+    for b, x in w:
+        plane = [zero_row] * dim
+        for c, y in w:
+            xy, row = x * y, [zero] * dim
+            for d, z in w:
+                row[d] = xy * z
+            plane[c] = tuple(row)
+        cube[b] = tuple(plane)
+    return tuple(cube)
 
 
 def rho_curve(B: StructureMapCurve):

@@ -112,21 +112,26 @@ def recurrence_step(conn: ConnectionCurve, k, carried=None):
     Returns (f_k, updated curve, psi step, carry) where f_k = -U^(k) and the
     updated curve equals psi_{f_k}(t^k) . conn with invariant order-k term
     Q, the zero-mode part of conn.abar[k].  Preconditions: orders < k
-    invariant, curve Ricci type.
+    invariant, curve Ricci type through order k.
 
-    carry = (bundle, start) holds this step's `curvature_bundle` and the
-    order below which it is also the bundle of the updated curve: k, since
-    the step asserts that no order below k moved, or past the cap when the
-    step is the identity and the updated curve is conn itself.  Passed as
-    `carried` to the step at order k + 1, it spares that step every bundle
-    order below k; order k, which this step moved, is computed again.
+    The step reads the curvature bundle of the order-k head of conn
+    (`ConnectionCurve.head`), which is the bundle of conn at orders <= k:
+    order j of each of its curves reads A^(s) for s <= j only.  No order
+    above k of conn enters a bundle, so a curve whose W first fails at an
+    order j > k is refused by the step at order j.  carry = (bundle, start)
+    holds that head's bundle and the order below which it is also the
+    bundle of the updated curve: k, since the step asserts that no order
+    below k moved, or k + 1 when the step is the identity and the updated
+    curve is conn itself.  Passed as `carried` to the step at order k + 1,
+    it leaves that step the bundle orders k and k + 1 to compute, or order
+    k + 1 alone after an identity step.
     """
     if not 1 <= k <= conn.cap:
         raise PreconditionError("step order must lie in 1..K")
     for p in range(1, k):
         if not conn.abar[p].is_constant():
             raise PreconditionError(f"order {p} must already be invariant")
-    bundle = curvature_bundle(conn, carried)
+    bundle = curvature_bundle(conn.head(k), carried)
     require_ricci_type(bundle)
     _assert_order_invariant(bundle, k)
     split = potential_split(conn.abar[k])
@@ -141,12 +146,14 @@ def recurrence_step(conn: ConnectionCurve, k, carried=None):
         raise InternalInconsistency(
             f"order-{k} term after the Hamiltonian step is not the constant part"
         )
-    for p in range(1, k):
-        if updated.abar[p] != conn.abar[p]:
-            raise InternalInconsistency(
-                f"the order-{k} step modified the settled order {p}"
-            )
-    return f_k, updated, step, (bundle, conn.cap + 1 if updated is conn else k)
+    # an identity step returns conn itself, so there is nothing to compare
+    if updated is not conn:
+        for p in range(1, k):
+            if updated.abar[p] != conn.abar[p]:
+                raise InternalInconsistency(
+                    f"the order-{k} step modified the settled order {p}"
+                )
+    return f_k, updated, step, (bundle, k + 1 if updated is conn else k)
 
 
 @dataclass
@@ -160,14 +167,18 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     """Conjugate a Ricci-type curve to a flat invariant one.
 
     The witness is the composition of the per-order Hamiltonian steps,
-    normal-ordered once: one n-factor `compose` of the steps, latest step
-    outermost, after the last step.  witness . input = embedded flat curve is
-    asserted exactly, as is flatness of the resulting invariant curve and,
-    as a corollary, flatness of the input itself.  A curve that is not of
-    Ricci type is refused by the order-1 step; a cap-0 curve is flat.  Each
-    step hands its curvature bundle to the next (see `recurrence_step`), so
-    the order-1 step builds every order and a later step at order k only
-    the orders k - 1..cap, or none after an identity step.
+    normal-ordered once: one `compose` of the steps that move their curve
+    (f_k nonzero), latest step outermost, after the last step; the
+    identity when no step moves it.  An identity step is an exact no-op
+    of the composition, so leaving it out changes nothing.  witness . input
+    = embedded flat curve is asserted exactly, as is flatness of the
+    resulting invariant curve and, as a corollary, flatness of the input
+    itself.  A curve that is not of Ricci type is refused by the step at
+    its first order where W does not vanish, after the steps below it; a
+    cap-0 curve is flat.  Step k builds the bundle of its order-k head
+    only and hands it to the next step (see `recurrence_step`): the order-1
+    step builds orders 0 and 1, a later step at order k the orders k - 1
+    and k, or order k alone after an identity step.
 
     The flat ladder is read off the last stepped curve once, by
     `from_connection_curve`, which also refuses a constant part that is not
@@ -179,7 +190,8 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     (`act_on_connection` asserts it), so equality pins order 0 of the last
     curve to zero as well.  What the check tests is the composition:
     witness . input is one action of the single merge of all steps, while
-    the last curve is the steps' actions applied one by one.
+    the last curve is the steps' actions applied one by one.  It and the
+    flatness check of the input read every order of the input.
     """
     sdata, cap = conn.sdata, conn.cap
     steps = []
@@ -188,7 +200,8 @@ def normalize_curve(conn: ConnectionCurve) -> NormalizationResult:
     log = []
     for k in range(1, cap + 1):
         f_k, current, step, carry = recurrence_step(current, k, carry)
-        steps.append(step)
+        if not f_k.is_zero():
+            steps.append(step)
         log.append(
             {
                 "order": k,

@@ -361,9 +361,14 @@ def symplecto_to_json(psi: SymplectoCurve, scalar=scalar_to_json):
     }
 
 
-def symplecto_from_json(obj):
+def symplecto_from_json(obj, header=None):
+    """The SymplectoCurve of a parsed file; `header`, when given, is called
+    with the file's SymplecticData and cap before its affine part and its
+    generators are read, and may raise to refuse the file."""
     dim, cap = _header(obj, "symplecto_curve")
     sdata = omega_from_json(_expect(obj, "omega", "symplecto_curve"), dim)
+    if header is not None:
+        header(sdata, cap)
     c_mat = _expect(obj, "C", "symplecto_curve")
     if (
         not isinstance(c_mat, list)
@@ -418,7 +423,9 @@ _PARSERS = {
 }
 
 
-def from_json(obj):
+def from_json(obj, header=None):
+    """The curve value of a parsed file; `header` is passed to
+    `symplecto_from_json` and read by no other kind."""
     if not isinstance(obj, dict):
         _fail("top level: expected a JSON object")
     kind = _expect(obj, "kind", "top level", str)
@@ -428,6 +435,8 @@ def from_json(obj):
     version = _expect(obj, "version", "top level")
     if not _is_int(version) or version != FORMAT_VERSION:
         _fail(f"top level: unsupported version {version!r} (expected {FORMAT_VERSION})")
+    if parser is symplecto_from_json:
+        return parser(obj, header)
     return parser(obj)
 
 
@@ -517,7 +526,7 @@ def dumps(value) -> str:
     return json_text(_tree(value, _scalar_leaf))
 
 
-def loads(text: str):
+def loads(text: str, header=None):
     # a number literal longer than the interpreter's int digit limit raises
     # a plain ValueError, of which JSONDecodeError is a subclass; nesting
     # deeper than the interpreter's recursion limit raises RecursionError
@@ -525,12 +534,12 @@ def loads(text: str):
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         _fail(f"not valid JSON: {exc}")
-    return from_json(obj)
+    return from_json(obj, header)
 
 
-def load_path(path):
+def load_path(path, header=None):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        return loads(fh.read(), header)
 
 
 def dump_path(value, path):

@@ -268,8 +268,10 @@ def invert(psi: SymplectoCurve) -> SymplectoCurve:
     return SymplectoCurve(psi.sdata, psi.cap, psi.c_inv, _neg_inv_translation(psi), gens)
 
 
-def _require_matching(psi: SymplectoCurve, conn: ConnectionCurve):
-    if psi.sdata != conn.sdata or psi.cap != conn.cap:
+def require_matching(sdata: SymplecticData, cap, conn: ConnectionCurve):
+    """Refuse a symplectomorphism curve of the given omega and cap for conn
+    unless both match the curve's."""
+    if sdata != conn.sdata or cap != conn.cap:
         raise PreconditionError(
             "symplectomorphism and connection need matching omega and caps"
         )
@@ -292,7 +294,7 @@ def act_work(psi: SymplectoCurve, conn: ConnectionCurve) -> int:
     of L_{X^(s)} T_(j-1)^(k-s) land on the sums, and equal sums meet, so the
     count follows the series' growth.  It stops at the first product past
     MAX_ACT_WORK, a lower bound then, and computes no coefficient."""
-    _require_matching(psi, conn)
+    require_matching(psi.sdata, psi.cap, conn)
     cap, unit = conn.cap, conn.dim ** 4
     gens = [set().union(*(f.coeffs for f in g.comps)) for g in psi.gens]
     term = [set().union(*(f.coeffs for f in t.components.values())) for t in conn.abar]
@@ -331,7 +333,7 @@ def act_on_connection(psi: SymplectoCurve, conn: ConnectionCurve) -> ConnectionC
     fatal because it would mean the action left the space of symplectic
     connection curves.  psi and the curve must share omega and the cap.
     """
-    _require_matching(psi, conn)
+    require_matching(psi.sdata, psi.cap, conn)
     sdata, cap, dim = conn.sdata, conn.cap, conn.dim
     moved = exp_lie_connection(psi.gens, [m.components for m in conn.mixed])
     affine = not psi.has_identity_affine_part()

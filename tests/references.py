@@ -184,6 +184,21 @@ def u_b_orders_every_entry(conn, r_orders, u_head, start):
     return u_new, b_new, (res1, res2, res3)
 
 
+def rank_one_cube_dense(sdata, v):
+    """`invariant.rank_one_cube` as it summed and multiplied: w = omega(., v)
+    over every entry of omega, and S_bcd = w_b w_c w_d for every (b, c, d)."""
+    from sympconn.rationals import Fraction
+
+    v = tuple(Fraction(x) for x in v)
+    dim = sdata.dim
+    lo = sdata.omega_lo
+    w = [sum(lo[b][p] * v[p] for p in range(dim)) for b in range(dim)]
+    return tuple(
+        tuple(tuple(w[b] * w[c] * w[d] for d in range(dim)) for c in range(dim))
+        for b in range(dim)
+    )
+
+
 def potential_split_by_lookup(s):
     """`normalization.potential_split` as it read S: through `TensorField.get`
     and `FourierScalar.coeff`, a zero scalar and a zero coefficient built for

@@ -243,6 +243,47 @@ def test_act_refuses_a_connection_of_another_cap(tmp_path, capsys):
         "refused: symplectomorphism and connection need matching omega and caps\n")
 
 
+@pytest.mark.parametrize("other", ["cap", "omega"])
+def test_act_refuses_a_mismatched_witness_before_reading_its_generators(
+        tmp_path, monkeypatch, capsys, other):
+    """A cap-20000 identity witness for a cap-3 curve, or a cap-3 one of
+    another omega, is refused with the mismatch text from its header, after
+    the curve is read: no generator of the witness is built."""
+    from sympconn import serialize
+    from sympconn.symplecto import SymplectoCurve
+
+    p = write_moved(tmp_path, seed=1, cap=3)
+    wit_p = tmp_path / "wit.json"
+    if other == "cap":
+        dump_path(SymplectoCurve.identity(SD, 20000), wit_p)
+    else:
+        skew = SymplecticData([[0, 0, 2, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -1, 0, 0]])
+        dump_path(SymplectoCurve.identity(skew, 3), wit_p)
+
+    def no_generators(*args):
+        raise AssertionError("a witness generator was built")
+
+    monkeypatch.setattr(serialize, "FourierVectorField", no_generators)
+    code, out, err = run(capsys, "act", str(wit_p), str(p))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "refused: symplectomorphism and connection need matching omega and caps\n")
+
+
+def test_act_keeps_the_message_of_a_matching_malformed_witness(tmp_path, capsys):
+    """A witness whose omega and cap match the curve's but whose generator
+    is malformed is refused by the parser, exit 2, as before."""
+    p = write_moved(tmp_path, seed=1, cap=3)
+    wit_p = tmp_path / "wit.json"
+    assert run(capsys, "normalize", str(p), "--witness", str(wit_p))[0] == 0
+    obj = json.loads(wit_p.read_text())
+    obj["X"][1] = obj["X"][1][:3]
+    wit_p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "act", str(wit_p), str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: symplecto_curve: generator 2 needs 4 components\n")
+
+
 def test_corrupted_file_exit_2(tmp_path, capsys):
     p = write_moved(tmp_path)
     obj = json.loads(p.read_text())

@@ -56,6 +56,43 @@ def test_rank_one_cube_hand_value():
                 assert cube[a][b][c] == want
 
 
+def skew_omega(dim, mixed):
+    """The standard pairing of e_a with e_(a+n) weighted 1, 2, 1/2, ...;
+    with `mixed`, omega_12 = 1 too, so row 1 holds two entries.  Both are
+    nondegenerate: the extra entry adds no perfect matching to the
+    Pfaffian."""
+    n = dim // 2
+    lo = [[Fraction(0)] * dim for _ in range(dim)]
+    for a in range(n):
+        w = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))[a]
+        lo[a][a + n], lo[a + n][a] = w, -w
+    if mixed:
+        lo[0][1], lo[1][0] = Fraction(1), Fraction(-1)
+    return SymplecticData(lo)
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+@pytest.mark.parametrize("omega", ["standard", "skew", "mixed"])
+def test_rank_one_cube_equals_the_dense_formula(dim, omega):
+    """The cube built from the nonzero entries of w = omega(., v) equals the
+    dense formula on random rational vectors, zeros among their entries,
+    and every entry is a Fraction."""
+    from references import rank_one_cube_dense
+
+    sd = SymplecticData.standard(dim) if omega == "standard" else skew_omega(dim, omega == "mixed")
+    rng = random.Random(dim)
+    vectors = [e_vec(dim, a) for a in range(dim)]
+    while len(vectors) < dim + 12:
+        v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6
+                  else Fraction(0) for _ in range(dim))
+        if any(v):
+            vectors.append(v)
+    for v in vectors:
+        cube = rank_one_cube(sd, v)
+        assert cube == rank_one_cube_dense(sd, v)
+        assert all(type(x) is Fraction for plane in cube for row in plane for x in row)
+
+
 def test_rank_one_cube_is_valid():
     sd = SymplecticData.standard(4)
     curve = StructureMapCurve(sd, 1, [zero_cube(4), rank_one_cube(sd, e_vec(4, 0))])

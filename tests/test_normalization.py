@@ -262,14 +262,16 @@ def every_order_fixture(sdata, dim, cap):
 
 
 def test_normalize_groups_each_order_of_each_step_curve_once(monkeypatch):
-    """Every step of an every-order fixture moves its curve, and each step's
-    curve groups its mixed orders by upper index once, for R and r alike:
-    cap + 1 groupings per step, no order grouped twice."""
+    """Every step of an every-order fixture moves its curve, and each curve
+    groups each mixed order it reads by upper index once, for R and r
+    alike: the input all its cap + 1 orders (its own R is checked at the
+    end), the curve of step k >= 2 its head's orders 0..k only, no order
+    grouped twice."""
     cap = 4
     conn = every_order_fixture(None, 4, cap)
     seen = count_groupings(monkeypatch)
     normalize_curve(conn)
-    assert len(seen) == cap * (cap + 1)
+    assert len(seen) == (cap + 1) + sum(k + 1 for k in range(2, cap + 1))
     assert len({id(m) for m in seen}) == len(seen)
 
 
@@ -281,38 +283,68 @@ def bundle_orders(bundle):
     return [[c[k] for c in curves] + [f[k] for f in flags] for k in range(bundle.R.cap + 1)]
 
 
-@pytest.mark.parametrize("sdata, dim, cap", [
+EVERY_ORDER_CASES = pytest.mark.parametrize("sdata, dim, cap", [
     (None, 4, 4), (None, 4, 8), (None, 6, 8), (SD_SKEW, 4, 4),
 ], ids=["dim4_cap4", "dim4_cap8", "dim6_cap8", "skew_omega_cap4"])
+
+
+@EVERY_ORDER_CASES
 def test_the_carried_bundle_is_the_bundle_of_each_step_input(sdata, dim, cap):
-    """At every step the bundle built from the previous step's carry equals,
-    order by order, a fresh `curvature_bundle` of that step's input, built
-    from its lowered orders alone."""
+    """At every step the bundle built from the previous step's carry is the
+    bundle of the step input's order-k head: order by order it equals a
+    fresh `curvature_bundle` of that head, built from its lowered orders
+    alone, and it holds no order above k."""
     current = every_order_fixture(sdata, dim, cap)
     carry = None
     for k in range(1, cap + 1):
         _, updated, step, new_carry = recurrence_step(current, k, carry)
         assert not step.is_identity()
-        fresh = curvature_bundle(ConnectionCurve(current.sdata, cap, current.abar, validate=False))
+        assert new_carry[1] == k and new_carry[0].R.cap == k
+        head = ConnectionCurve(current.sdata, k, current.abar[:k + 1], validate=False)
+        fresh = curvature_bundle(head)
         got, want = bundle_orders(new_carry[0]), bundle_orders(fresh)
-        for order in range(cap + 1):
+        assert len(got) == len(want) == k + 1
+        for order in range(k + 1):
             assert got[order] == want[order], (k, order)
         assert new_carry[0].residuals == fresh.residuals
         current, carry = updated, new_carry
 
 
+@pytest.mark.parametrize("sdata, dim, cap", [
+    (None, 4, 6), (None, 6, 5), (SD_SKEW, 4, 4),
+], ids=["dim4_cap6", "dim6_cap5", "skew_omega_cap4"])
+def test_the_head_bundle_is_the_curve_bundle_through_order_k(sdata, dim, cap):
+    """The bundle of a step input's order-k head equals the bundle of the
+    whole step input at every order <= k: order j of R, r, E, W, u, b and of
+    the residual verdicts reads A^(s) for s <= j only."""
+    current = every_order_fixture(sdata, dim, cap)
+    for k in range(1, cap + 1):
+        whole = bundle_orders(curvature_bundle(
+            ConnectionCurve(current.sdata, cap, current.abar, validate=False)))
+        head = bundle_orders(curvature_bundle(current.head(k)))
+        assert head == whole[:k + 1], k
+        current = recurrence_step(current, k)[1]
+
+
 def test_each_step_computes_each_bundle_order_from_k_minus_1_once(monkeypatch):
-    """Moves at orders 1 and 4 of a cap-5 curve: step 1 builds every order,
-    step 2 the orders 1..5, steps 3 and 4 follow identity steps and build
-    nothing, and step 5 builds the orders 4 and 5."""
+    """Moves at orders 1 and 4 of a cap-5 curve: step 1 builds its head's
+    orders 0 and 1, step 2 the orders 1 and 2, steps 3 and 4 follow
+    identity steps and build their own order alone, and step 5 builds the
+    orders 4 and 5; no order above k is built at step k.  The input's own
+    R, read by the final flatness check, is built at every order once more."""
     _, _, moved = conjugated_flat_fixture(1, dim=4, cap=5, orders=(1, 4))
     built = []
     step_of = []
     original_step = normalization.recurrence_step
+    original_read = normalization.from_connection_curve
 
     def stepping(conn, k, carried=None):
         step_of.append(k)
         return original_step(conn, k, carried)
+
+    def reading(conn):
+        step_of.append("end")
+        return original_read(conn)
 
     def counting(name, builder):
         def wrapper(conn, *args):
@@ -323,6 +355,7 @@ def test_each_step_computes_each_bundle_order_from_k_minus_1_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(normalization, "recurrence_step", stepping)
+    monkeypatch.setattr(normalization, "from_connection_curve", reading)
     monkeypatch.setattr(curvature, "_curvature_orders",
                         counting("R", curvature._curvature_orders))
     monkeypatch.setattr(curvature, "_ricci_orders", counting("r", curvature._ricci_orders))
@@ -337,10 +370,99 @@ def test_each_step_computes_each_bundle_order_from_k_minus_1_once(monkeypatch):
     result = normalize_curve(moved)
     assert [e["potential_support"] > 0 for e in result.per_order_log] == [
         True, False, False, True, False]
-    want = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
-            (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (5, 4), (5, 5)]
-    for name in ("R", "r", "u"):
+    want = [(1, 0), (1, 1), (2, 1), (2, 2), (3, 3), (4, 4), (5, 4), (5, 5)]
+    assert [(step, order) for step, n, order in built if n == "R"] == want + [
+        ("end", order) for order in range(6)]
+    for name in ("r", "u"):
         assert [(step, order) for step, n, order in built if n == name] == want, name
+
+
+# Today's refusals of a curve that is not of Ricci type at one order j: the
+# dim-4 cap-4 fixture stepped at orders 1-3 (seed s) plus a random symmetric
+# field at order j (random.Random(100 s + j)), refused at step 1 when each
+# step read the whole curve.  Read per step on its head, the same curve is
+# refused by the step at order j with the same text.
+PINNED_REFUSALS = {
+    (0, 2): "first failing order 2, witness ((0, 1, 0, 0), (-1, 1, 1, 2))",
+    (0, 3): "first failing order 3, witness ((0, 1, 0, 0), (-2, 0, 1, 2))",
+    (0, 4): "first failing order 4, witness ((0, 1, 0, 2), (-1, -2, 0, -1))",
+    (1, 2): "first failing order 2, witness ((0, 1, 1, 2), (-2, -2, 1, -1))",
+    (1, 3): "first failing order 3, witness ((0, 1, 0, 2), (-2, 1, 1, 0))",
+    (1, 4): "first failing order 4, witness ((0, 1, 0, 1), (-2, -2, 0, 0))",
+    (2, 2): "first failing order 2, witness ((0, 1, 0, 2), (-1, -2, -2, 1))",
+    (2, 3): "first failing order 3, witness ((0, 1, 0, 2), (-2, 1, 2, 1))",
+    (2, 4): "first failing order 4, witness ((0, 1, 0, 2), (-1, -1, 0, 2))",
+    (3, 2): "first failing order 2, witness ((0, 1, 0, 0), (-1, -1, 0, -2))",
+    (3, 3): "first failing order 3, witness ((0, 1, 0, 1), (-2, -2, 0, -2))",
+    (3, 4): "first failing order 4, witness ((0, 1, 1, 2), (-2, -2, 0, 0))",
+    (4, 2): "first failing order 2, witness ((0, 1, 2, 2), (-1, 2, 1, -2))",
+    (4, 3): "first failing order 3, witness ((0, 1, 1, 2), (0, -1, 1, -2))",
+    (4, 4): "first failing order 4, witness ((0, 1, 0, 3), (-2, 1, -2, 2))",
+    (5, 2): "first failing order 2, witness ((0, 1, 0, 3), (-1, -1, 2, -1))",
+    (5, 3): "first failing order 3, witness ((0, 1, 1, 2), (-2, -2, 2, 0))",
+    (5, 4): "first failing order 4, witness ((0, 1, 0, 2), (-2, 1, 0, -2))",
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_refusal_keeps_its_order_and_witness(monkeypatch, seed):
+    """A curve broken at order j alone is refused with today's text, by the
+    step at order j, after the steps below it."""
+    import random
+
+    from sympconn.generate import random_symmetric_field
+
+    _, _, moved = conjugated_flat_fixture(seed, dim=4, cap=4, orders=(1, 2, 3))
+    steps = []
+    original_step = normalization.recurrence_step
+
+    def stepping(conn, k, carried=None):
+        steps.append(k)
+        return original_step(conn, k, carried)
+
+    monkeypatch.setattr(normalization, "recurrence_step", stepping)
+    for j in (2, 3, 4):
+        abar = list(moved.abar)
+        abar[j] = abar[j] + random_symmetric_field(random.Random(100 * seed + j), 4)
+        steps.clear()
+        with pytest.raises(PreconditionError) as err:
+            normalize_curve(ConnectionCurve(SD, 4, abar))
+        assert str(err.value) == "curve is not of Ricci type: " + PINNED_REFUSALS[seed, j]
+        assert steps == list(range(1, j + 1))
+
+
+def test_the_flat_curve_composes_no_step_and_builds_no_zero_rho(monkeypatch):
+    """Normalizing the flat curve hands `compose` no identity step to test
+    and sums no zero order of r into rho: the flat path stays linear in the
+    cap.  The witness is the identity, as before."""
+    calls = []
+    original = SymplectoCurve.is_identity
+
+    def counted(psi):
+        calls.append(psi)
+        return original(psi)
+
+    monkeypatch.setattr(SymplectoCurve, "is_identity", counted)
+    composed = []
+    original_compose = normalization.compose
+
+    def composing(*psis):
+        composed.append(psis)
+        return original_compose(*psis)
+
+    monkeypatch.setattr(normalization, "compose", composing)
+    result = normalize_curve(ConnectionCurve.flat(SD, 50))
+    assert composed == [] and calls == []
+    assert result.witness.is_identity()
+    assert dumps(result.witness) == dumps(SymplectoCurve.identity(SD, 50))
+
+    class NoSums:
+        def __init__(self):
+            raise AssertionError("a GaussianSums for a zero order of r")
+
+    zero = curvature_bundle(ConnectionCurve.flat(SD, 3)).r.orders
+    monkeypatch.setattr(curvature, "GaussianSums", NoSums)
+    assert curvature._rho_orders(zero, SD) == zero
 
 
 @pytest.mark.parametrize("seed, dim", [(3, 4), (4, 6)])
