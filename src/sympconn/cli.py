@@ -36,7 +36,14 @@ from .errors import (
 )
 from .fourier import FourierScalar, SymplecticData
 from .generate import conjugated_flat_fixture, gradient_curve, random_connection_curve
-from .invariant import StructureMapCurve, rank_one_cube, zero_cube
+from .invariant import (
+    MAX_STRUCTURE_WORK,
+    STRUCTURE_WORK_PER_ORDER,
+    StructureMapCurve,
+    rank_one_cube,
+    structure_work,
+    zero_cube,
+)
 from .moduli import ModuliClassQuery, equivalence_semidecide, validity_check
 from .normalization import normalize_curve
 from .rationals import rational_from_str
@@ -97,6 +104,18 @@ def _load_connection(path):
     return conn
 
 
+def _require_structure_map_within_ceiling(path, curve):
+    _require_within_ceiling(path, structure_work(curve), MAX_STRUCTURE_WORK,
+                            "sum over k of nnz(B^(p)) nnz(B^(q)), p + q = k, "
+                            f"plus {STRUCTURE_WORK_PER_ORDER} per order")
+
+
+def _load_structure_map(path):
+    curve = _load(path, StructureMapCurve)
+    _require_structure_map_within_ceiling(path, curve)
+    return curve
+
+
 def _write_atomic(path, text):
     """Write through a temporary file in the target's directory, which is
     removed if the write or the rename fails.  The file gets the mode a
@@ -144,6 +163,7 @@ def _first_nonzero_order(curve):
 def cmd_check(args):
     value = _load(args.input)
     if isinstance(value, StructureMapCurve):
+        _require_structure_map_within_ceiling(args.input, value)
         ok, witness = validity_check(value)
         _emit(_report("check", [args.input], kind="structure_map_curve",
                       valid=ok, witness=witness))
@@ -284,8 +304,8 @@ def cmd_generate(args):
 
 
 def cmd_equiv(args):
-    a = _load(args.a, StructureMapCurve)
-    b = _load(args.b, StructureMapCurve)
+    a = _load_structure_map(args.a)
+    b = _load_structure_map(args.b)
     verdict = equivalence_semidecide(ModuliClassQuery(a, b, args.bound))
     body = {"verdict": verdict.kind, "bound": args.bound}
     if verdict.witness is not None:

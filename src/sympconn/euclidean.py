@@ -164,14 +164,15 @@ def psi_A_symplectic_check(sdata, cube):
 
     psi^A . X = X - A(.)X for a constant X (valid by nilpotency), so
     component p of psi^A . e_a is delta_pa - sum_c (A(e_c))^p_a x^c, read as
-    a coefficient map from the sparse rows of the A(e_c) (`cube_rows`).
+    a coefficient map from the sparse int rows of the A(e_c) (`cube_rows`),
+    each divided by the row denominator as it becomes a coefficient.
     Every pairing sum_pq omega_pq (psi . e_a)^p (psi . e_b)^q - omega_ab with
     a < b goes into one `GaussianSums`, asked once whether all vanish.  The
     pairs a < b suffice: the products commute and omega is antisymmetric,
     so the (b, a) pairing is minus the (a, b) one, and the (a, a) pairing is
     0 = omega_aa."""
     dim = sdata.dim
-    rows = cube_rows(sdata, integral_cube(dim, cube))
+    den, rows = cube_rows(sdata, integral_cube(dim, cube))
     origin = (0,) * dim
     units = [tuple(int(i == c) for i in range(dim)) for c in range(dim)]
     # pushed[a][p] is the coefficient map of (psi^A . e_a)^p
@@ -180,7 +181,7 @@ def psi_A_symplectic_check(sdata, cube):
     for c, r in enumerate(rows):
         for p, row in r.items():
             for a, v in row.items():
-                pushed[a][p][units[c]] = -v
+                pushed[a][p][units[c]] = Fraction(-v, den)
     lo, _ = sdata.index_map(upper=False)
     omega = sdata.omega_lo
     acc = GaussianSums()
@@ -216,10 +217,11 @@ def psi_A_connection_check(sdata, cube):
 # -- the flow psi_{A^t} ----------------------------------------------------------
 
 
-def _rows_field(dim, matrices):
+def _rows_field(dim, order_rows):
     """X_A(x) = -(1/2) A(x) x, a quadratic polynomial field, from the sparse
-    rows of the A(e_a) (`invariant.cube_rows`)."""
-    half = Fraction(1, 2)
+    int rows of the A(e_a) over their denominator den (`invariant.cube_rows`):
+    each coefficient is summed in ints and divided by -2 den once."""
+    den, matrices = order_rows
     quads = [{} for _ in range(dim)]
     for a, rows in enumerate(matrices):
         for p, row in rows.items():
@@ -229,8 +231,10 @@ def _rows_field(dim, matrices):
                 e[a] += 1
                 e[b] += 1
                 e = tuple(e)
-                quad[e] = quad.get(e, 0) - half * v
-    return PolyVectorField([Poly(dim, quad) for quad in quads])
+                quad[e] = quad.get(e, 0) + v
+    den *= -2
+    return PolyVectorField([Poly(dim, {e: Fraction(v, den) for e, v in quad.items() if v},
+                                 _validated=True) for quad in quads])
 
 
 def psi_At(b_curve: StructureMapCurve):
@@ -300,17 +304,20 @@ def act_on_poly_connection(gens, cap, sdata, gamma):
 def invariant_gamma(b_curve: StructureMapCurve):
     """The connection data of nabla^{A^t}: constant Gamma(e_a, e_b) = A(e_a) e_b,
     a field for each (a, b) whose column of A(e_a) is nonzero, in sorted
-    order, built from the nonzero entries of `b_curve.rows(k)`."""
+    order, built from the nonzero entries of `b_curve.rows(k)`, each divided
+    by the row denominator."""
     dim = b_curve.dim
     origin = (0,) * dim
     zero = Poly.zero(dim)
     out = [dict() for _ in range(b_curve.cap + 1)]
     for k in range(b_curve.cap + 1):
-        for a, rows in enumerate(b_curve.rows(k)):
+        den, matrices = b_curve.rows(k)
+        for a, rows in enumerate(matrices):
             cols = {}
             for p, row in rows.items():
                 for b, v in row.items():
-                    cols.setdefault(b, [zero] * dim)[p] = Poly(dim, {origin: v}, _validated=True)
+                    cols.setdefault(b, [zero] * dim)[p] = Poly(dim, {origin: Fraction(v, den)},
+                                                               _validated=True)
             for b in sorted(cols):
                 out[k][(a, b)] = PolyVectorField(cols[b])
     return out

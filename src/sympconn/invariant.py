@@ -18,8 +18,11 @@ order, StructureMapCurve.products(k):
 
     P_k[a, b] = sum_{p+q=k} B^(p)(e_a) B^(q)(e_b),
 
-kept sparse (nonzero entries only; the matrices are almost all zero) and
-cached on the curve.  From it come
+kept sparse (nonzero Fraction entries only; the matrices are almost all
+zero) and cached on the curve.  It is summed in ints, over the order pairs
+whose cubes are both nonzero and the directions with a nonzero row, and
+each nonzero sum is divided once by D_k, the lcm of the row-denominator
+products.  From it come
   - validity, A^t(X) A^t(Y) = 0: P_k is empty (moduli.validity_check,
     euclidean.validity_check_cubes);
   - the curvature, R^(k)(e_a, e_b) = P_k[a, b] - P_k[b, a];
@@ -28,19 +31,27 @@ cached on the curve.  From it come
     of 2(n+1) P_k[a, b];
   - the flatness theorem's R = 0 and B^t(X) B^t(Y) = 0.
 
-The algebra of one cube lives here as well: `cube_rows` gives the sparse
-rows {p: {b: entry}} of each A(e_a) from the stored form, the one form in
+The algebra of one cube lives here as well: `cube_rows` gives, from the
+stored form, the sparse rows {p: {b: v}} of each A(e_a) as ints over one
+row denominator den_k L, with L the lcm of the denominators of omega^{-1}
+(1 for the standard omega, computed once per omega): the one form in
 which an endomorphism is read.  StructureMapCurve caches the rows per
-order as rows(k) and multiplies them, as sparse matrices, only inside its
-product tables; moduli reads the rows for the Sp-invariants, and the
-R^(2n) model (`euclidean`) for psi^A, the structure field X_A and the
-connection data Gamma(e_a, e_b) = A(e_a) e_b.  Its nilpotency check of one
-cube A is the order-2 product table of the ladder (0, A, 0).
+order as rows(k) and multiplies them, as sparse int matrices, only inside
+its product tables; moduli ranks the int rows for the Sp-invariants, and
+the R^(2n) model (`euclidean`) reads them for psi^A, the structure field
+X_A and the connection data Gamma(e_a, e_b) = A(e_a) e_b, dividing by the
+row denominator where it builds a coefficient.  Its nilpotency check of
+one cube A is the order-2 product table of the ladder (0, A, 0).
+
+`structure_work` estimates, from the stored entries alone, the work of
+the product tables; the command line refuses a curve past
+MAX_STRUCTURE_WORK.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate as running_totals, product
 from math import lcm
 
 from .curvature import ConnectionCurve
@@ -78,21 +89,61 @@ def _is_symmetric(entries):
     return all(get((b, a, c)) == v and get((a, c, b)) == v for (a, b, c), v in entries.items())
 
 
-def cube_rows(sdata: SymplecticData, order):
-    """Per basis direction a the nonzero rows {p: {b: entry}} of the matrix
-    of A(e_a) for a lowered cube in stored form (den, entries):
-    (A(e_a))^p_b = sum_c omega^{cp} S_abc, summed over the ints and divided
-    by den once, as a Fraction."""
-    den, entries = order
-    # per c the nonzero (p, omega^{cp}), an int where it is integral
+@lru_cache(maxsize=16)
+def _upper_ints(sdata: SymplecticData):
+    """(L, rows): L the lcm of the denominators of omega^{-1} (1 for the
+    standard omega), and per c the nonzero (p, L omega^{cp}) as ints; once
+    per omega while it is among the 16 last used."""
     hi, _ = sdata.index_map(upper=True)
+    scale = lcm(*(w.denominator for row in hi for _, w in row))
+    return scale, tuple(tuple((p, int(w * scale)) for p, w in row) for row in hi)
+
+
+def cube_rows(sdata: SymplecticData, order):
+    """(den, rows) for a lowered cube in stored form (den_k, entries): per
+    basis direction a the nonzero rows {p: {b: v}} of the matrix of A(e_a),
+    as ints over the one row denominator den = den_k L, with L the lcm of
+    the denominators of omega^{-1}: (A(e_a))^p_b = sum_c omega^{cp} S_abc
+    = v / den."""
+    den, entries = order
+    scale, hi = _upper_ints(sdata)
     acc = [{} for _ in range(sdata.dim)]
     for (a, b, c), v in entries.items():
         for p, h in hi[c]:
             row = acc[a].setdefault(p, {})
             row[b] = row.get(b, 0) + h * v
-    return [{p: {b: Fraction(v, den) for b, v in row.items() if v}
-             for p, row in rows.items() if any(row.values())} for rows in acc]
+    return den * scale, [{p: nz for p, row in rows.items()
+                          if (nz := {b: v for b, v in row.items() if v})} for rows in acc]
+
+
+# Ceiling on `structure_work` for a structure-map curve the command line
+# reads.  A dim-4 ladder with the rank-one cube on e_1 at every order, one
+# entry per order, costs the most per unit: it passes the ceiling at cap
+# 1146, and at cap 1145 (998740) `sympconn check` takes 0.4 s and `equiv
+# --bound 1` of the file with itself 0.9 s on a 2-vCPU VM.  Denser cubes
+# cost less per unit: a dim-8 ladder with omega(., v)^3 for v = (1, ..., 1),
+# 512 entries per order, scores 787632 at cap 3 and is checked in 0.03 s.
+# The tests' and the benchmark's ladders stay below 20000.
+MAX_STRUCTURE_WORK = 1_000_000
+
+# What each order 0..cap adds to `structure_work`, whatever its entries:
+# the loops over orders, the dense matrices of the Sp-invariants and the
+# reading of a dim^3 cube per order run on zero orders too.  At dim 16,
+# where those cost the most, `equiv` spends 0.2 ms per order after loading.
+STRUCTURE_WORK_PER_ORDER = 300
+
+
+def structure_work(curve) -> int:
+    """Sum over k <= cap of nnz_p nnz_q over p + q = k, where nnz_p counts
+    the stored entries of order p: a bound on the int products of the
+    order-k product table; plus STRUCTURE_WORK_PER_ORDER per order.  The
+    pair sum runs over the nonzero orders p only, each against the running
+    total of nnz up to cap - p, so it is linear in the cap, and it reads
+    the stored entries only, before any row is built."""
+    nnz = [len(entries) for _, entries in curve.orders]
+    below = list(running_totals(nnz))
+    pairs = sum(n * below[curve.cap - p] for p, n in enumerate(nnz) if n)
+    return pairs + STRUCTURE_WORK_PER_ORDER * (curve.cap + 1)
 
 
 class StructureMapCurve:
@@ -100,7 +151,7 @@ class StructureMapCurve:
     dense (orders 0..K, or 1..K after a zero order 0) and stored once per
     order as `orders`, the list of (den_k, entries_k)."""
 
-    __slots__ = ("sdata", "cap", "orders", "_cubes", "_rows", "_products")
+    __slots__ = ("sdata", "cap", "orders", "_cubes", "_rows", "_products", "_support")
 
     def __init__(self, sdata: SymplecticData, cap, cubes, validate=True):
         self._store(sdata, cap, [integral_cube(sdata.dim, c) for c in cubes], validate)
@@ -149,8 +200,9 @@ class StructureMapCurve:
         return list(self._cubes)
 
     def rows(self, k):
-        """Per basis direction a the sparse rows of B^(k)(e_a) (`cube_rows`),
-        built once per order and cached on the curve."""
+        """`cube_rows` of order k, (den, rows): the sparse int rows of each
+        B^(k)(e_a) over one row denominator, built once per order and
+        cached on the curve."""
         if self._rows is None:
             self._rows = [None] * (self.cap + 1)
         if self._rows[k] is None:
@@ -160,30 +212,53 @@ class StructureMapCurve:
     def products(self, k):
         """The order-k product table P_k[a, b] = sum_{p+q=k} B^(p)(e_a) B^(q)(e_b).
 
-        Sparse: {(a, b): {(i, j): entry}} with nonzero entries only; a pair
-        whose sum vanishes has no key.  Built from the cached rows(0..k) and
-        cached on the curve.
+        Sparse: {(a, b): {(i, j): entry}} with nonzero Fraction entries only,
+        keyed in sorted order; a pair whose sum vanishes has no key.  Summed
+        in ints over D_k, the lcm of den_p den_q over the order pairs (p, q)
+        whose cubes are both nonzero, the only pairs visited, and over the
+        directions a and b with a nonzero row; each nonzero sum is divided
+        by D_k once.  Cached on the curve, as is, per nonzero order, its row
+        denominator and its nonzero rows, read from rows(p).
         """
         if self._products is None:
             self._products = [None] * (self.cap + 1)
+            self._support = {}
+            for p, (_, entries) in enumerate(self.orders):
+                if entries:
+                    den, rows = self.rows(p)
+                    self._support[p] = den, [(a, r) for a, r in enumerate(rows) if r]
         if self._products[k] is None:
-            rows = [self.rows(p) for p in range(k + 1)]
+            support = self._support
+            terms = []
+            for p, (den, left) in support.items():
+                if p > k:
+                    break
+                if k - p in support:
+                    den_q, right = support[k - p]
+                    terms.append((den * den_q, left, right))
+            scale = lcm(*(d for d, _, _ in terms))
+            sums = {}
+            for d, left, right in terms:
+                s = scale // d
+                # sums[a, b][(i, j)] += s (L R)_ij over the nonzero rows
+                # {i: {l: v}} of L = B^(p)(e_a) and R = B^(q)(e_b)
+                for a, lrows in left:
+                    for b, rrows in right:
+                        acc = sums.get((a, b))
+                        for i, row in lrows.items():
+                            for l, v in row.items():
+                                col = rrows.get(l)
+                                if col:
+                                    if acc is None:
+                                        acc = sums[(a, b)] = {}
+                                    v *= s
+                                    for j, w in col.items():
+                                        acc[(i, j)] = acc.get((i, j), 0) + v * w
             table = {}
-            for a, b in product(range(self.dim), repeat=2):
-                # acc[(i, j)] += (L R)_ij over the nonzero rows {i: {l: entry}}
-                # of L = B^(p)(e_a) and R = B^(k-p)(e_b)
-                acc = {}
-                for p in range(k + 1):
-                    right = rows[k - p][b]
-                    if not right:
-                        continue
-                    for i, row in rows[p][a].items():
-                        for l, v in row.items():
-                            for j, w in right.get(l, {}).items():
-                                acc[(i, j)] = acc.get((i, j), 0) + v * w
-                acc = {ij: v for ij, v in acc.items() if v}
-                if acc:
-                    table[(a, b)] = acc
+            for ab in sorted(sums):
+                entries = {ij: Fraction(v, scale) for ij, v in sums[ab].items() if v}
+                if entries:
+                    table[ab] = entries
             self._products[k] = table
         return self._products[k]
 

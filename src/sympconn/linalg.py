@@ -30,7 +30,10 @@ def mat_neg(a):
 
 
 def _cleared(row):
-    """A rational row times the lcm of its denominators, as ints."""
+    """A rational row times the lcm of its denominators, as ints; a row of
+    ints as it is."""
+    if all(type(x) is int for x in row):
+        return list(row)
     d = lcm(*(x.denominator for x in row))
     return [x.numerator * (d // x.denominator) for x in row]
 
@@ -69,6 +72,7 @@ def inverse(a):
 
 
 def rank(rows):
-    """Rank of a rational matrix (list of row tuples), its rows cleared first."""
+    """Rank of a matrix of ints or rationals (list of row tuples), its rows
+    cleared first."""
     rows = [_cleared(r) for r in rows if any(r)]
     return _reduce(rows, len(rows[0]) if rows else 0)[0]

@@ -6,14 +6,18 @@ exactly when an element of Sp(2n, Z) carries one cube ladder to the other by
 pullback.  The group is infinite, so equivalence is only semi-decided: a
 bounded word search over a fixed generator set, with an explicit
 "no witness within bound" verdict when the search is exhausted.  It runs on
-ints, over a table of words and their inverses kept per omega, for the
-last few omegas searched.
+ints, over a table of words kept per omega, for the last few omegas
+searched: each word's integral inverse and the nonzero columns of that
+inverse, both built once, when the word's level is added.
 
 Every cube is read in the integral form (den, entries) the curve stores
 (see `invariant`).  An integral symplectic C has an integral inverse, so
 pulling back by C^{-1} carries integral cubes to integral cubes and back:
 den is unchanged and only the ints move.  The action and the search's
-matcher therefore pull back ints and compare them, next to den.
+matcher therefore pull back ints, over the nonzero entries and the
+nonzero columns of C^{-1}, and compare them, next to den.  The
+Sp-invariants are ranks of int matrices: the flattened cube and the int
+rows of `invariant.cube_rows`.
 """
 
 from __future__ import annotations
@@ -61,10 +65,19 @@ def require_valid(b_curve: StructureMapCurve):
         raise PreconditionError(f"invalid structure-map curve: {witness}")
 
 
-def _pullback(entries, c_inv):
-    """S' = S(C^{-1} ., C^{-1} ., C^{-1} .), from and to nonzero cube entries."""
-    # C^{-1} e_p = sum_a c_inv[a][p] e_a: per a the nonzero (p, c_inv[a][p])
-    cols = [[(p, x) for p, x in enumerate(row) if x] for row in c_inv]
+def _sparse(row):
+    return tuple((p, x) for p, x in enumerate(row) if x)
+
+
+def _columns(c_inv):
+    """The nonzero columns of C^{-1}, C^{-1} e_p = sum_a c_inv[a][p] e_a, read
+    per a as the nonzero (p, c_inv[a][p]): the form `_pullback` reads."""
+    return tuple(map(_sparse, c_inv))
+
+
+def _pullback(entries, cols):
+    """S' = S(C^{-1} ., C^{-1} ., C^{-1} .), from and to nonzero cube entries,
+    with C^{-1} given by its `_columns`."""
     new = {}
     for (a, b, c), v in entries.items():
         for p, ca in cols[a]:
@@ -83,49 +96,58 @@ def sp_action(c_mat, b_curve: StructureMapCurve) -> StructureMapCurve:
     C must be an integral symplectic matrix for the curve's omega: a
     non-integral entry or C^T omega C != omega raises PreconditionError.
     C^{-1} is then omega^{-1} C^T omega, integral, so every order keeps its
-    den and only its ints are pulled back, over the nonzero entries; the
-    result is a validated StructureMapCurve.
+    den and only its ints are pulled back, over the nonzero entries and the
+    nonzero columns of C^{-1}, read once per call; the result is a validated
+    StructureMapCurve.
     """
     sdata = b_curve.sdata
     cf = tuple(tuple(Fraction(x) for x in row) for row in c_mat)
     if any(x.denominator != 1 for row in cf for x in row) or not sdata.is_symplectic_matrix(cf):
         raise PreconditionError("matrix is not in the lattice symplectic group")
-    c_inv = sdata.symplectic_inverse(tuple(tuple(map(int, row)) for row in cf))
-    orders = [(den, _pullback(entries, c_inv)) for den, entries in b_curve.orders]
+    cols = _columns(sdata.symplectic_inverse(tuple(tuple(map(int, row)) for row in cf)))
+    orders = [(den, _pullback(entries, cols)) for den, entries in b_curve.orders]
     return StructureMapCurve.from_orders(sdata, b_curve.cap, orders)
 
 
-def _moves_to(c_mat, inverses, a: StructureMapCurve, b: StructureMapCurve):
+def _moves_to(c_mat, columns, a: StructureMapCurve, b: StructureMapCurve):
     """Whether the word C carries a to b, one order at a time: False at the
     first order whose den differs from b's (C keeps den) or whose pulled-back
     ints differ from b's.
 
-    C comes from the word table `inverses`, so it is integral and symplectic
-    and has its inverse there.
+    C comes from the word table, whose `columns` hold the nonzero columns of
+    its integral inverse.
     """
-    c_inv = inverses[c_mat]
+    cols = columns[c_mat]
     return all(
-        den == b_den and _pullback(entries, c_inv) == b_entries
+        den == b_den and _pullback(entries, cols) == b_entries
         for (den, entries), (b_den, b_entries) in zip(a.orders, b.orders)
     )
 
 
 def cheap_invariants(b_curve: StructureMapCurve):
     """Per-order Sp-invariants: rank of the flattened cube, dimension of
-    span{A(e_a) e_b}, and the dimension of the common kernel of the A(e_a)."""
+    span{A(e_a) e_b}, and the dimension of the common kernel of the A(e_a),
+    each the rank of an int matrix: scaling by den_k or by the row
+    denominator keeps every rank."""
     dim = b_curve.dim
     idx = range(dim)
     out = []
     for k, (_, entries) in enumerate(b_curve.orders):
-        rows = b_curve.rows(k)
+        _, rows = b_curve.rows(k)
         # the cube flattened to rows a, columns (b, c), scaled by den
         flat = [[0] * dim * dim for _ in idx]
         for (a, b, c), v in entries.items():
             flat[a][b * dim + c] = v
-        # row p of span_cols is row p of every A(e_a) side by side; the
-        # stacked matrix holds the nonzero rows of all the A(e_a)
-        span_cols = [[r.get(p, {}).get(b, 0) for r in rows for b in idx] for p in idx]
-        stacked = [[row.get(b, 0) for b in idx] for r in rows for row in r.values()]
+        # row p of span_cols is row p of every A(e_a) side by side, filled
+        # from the nonzero rows only; the stacked matrix holds the nonzero
+        # rows of all the A(e_a)
+        span_cols = [[0] * dim * dim for _ in idx]
+        stacked = []
+        for a, r in enumerate(rows):
+            for p, row in r.items():
+                for b, v in row.items():
+                    span_cols[p][a * dim + b] = v
+                stacked.append([row.get(b, 0) for b in idx])
         out.append({
             "cube_rank": rank(flat),
             "span_dim": rank(span_cols),
@@ -214,7 +236,9 @@ def _word_table(gens, dim):
     kept per set and so, with `sp_generators`, per omega, for the
     WORD_TABLES_KEPT sets used last: levels[L] lists in search order the
     matrices whose shortest word has length L, `inverses` maps each to its
-    integral inverse, `moves` holds the rows of each g and of g^{-T}, as
+    integral inverse and `columns` to the nonzero columns of that inverse
+    (`_columns`, what the search's matcher reads), both built as its level
+    is added, `moves` holds the rows of each g and of g^{-T}, as
     (g C)^{-T} = g^{-T} C^{-T}, and `reached` = [N] records that a refused
     enumeration of the next level found N matrices of length <= len(levels),
     more than the ceiling then in force (N = 0 while no refusal is known)."""
@@ -222,7 +246,7 @@ def _word_table(gens, dim):
     rows = [[[(k, x) for k, x in enumerate(row) if x] for row in h] for h in gens]
     rows_t = [[[(k, x) for k, x in enumerate(col) if x] for col in zip(*h)] for h in gens]
     moves = [(r, next(t for h, t in zip(gens, rows_t) if _times(r, h) == ident)) for r in rows]
-    return [[ident]], {ident: ident}, moves, [0]
+    return [[ident]], {ident: ident}, {ident: _columns(ident)}, moves, [0]
 
 
 def _words_up_to(gens, dim, bound):
@@ -233,7 +257,10 @@ def _words_up_to(gens, dim, bound):
     MAX_SEARCH_WORDS matrices are reached; the table then keeps its whole
     levels and the count it reached, so a repeat of a refused bound under
     the same ceiling is refused without enumerating again."""
-    levels, inverses, moves, reached = _word_table(gens, dim)
+    levels, inverses, columns, moves, reached = _word_table(gens, dim)
+    # each distinct row of the new inverses, and its nonzero entries, kept
+    # once: a few hundred rows serve thousands of words
+    shared = {}
     count = 0
     for depth in range(bound + 1):
         if depth == len(levels) and reached[0] <= MAX_SEARCH_WORDS:
@@ -245,10 +272,16 @@ def _words_up_to(gens, dim, bound):
                         # refused below; the partial level is dropped
                         reached[0] = MAX_SEARCH_WORDS + 1
                         break
-                    new[prod] = tuple(zip(*_times(inv_t_rows, tuple(zip(*inverses[m])))))
+                    inv = []
+                    for row in zip(*_times(inv_t_rows, tuple(zip(*inverses[m])))):
+                        if row not in shared:
+                            shared[row] = row, _sparse(row)
+                        inv.append(shared[row][0])
+                    new[prod] = tuple(inv)
             else:
                 levels.append(list(new))
                 inverses.update(new)
+                columns.update((m, tuple(shared[row][1] for row in inv)) for m, inv in new.items())
                 reached[0] = 0
         if depth == len(levels) or count + len(levels[depth]) > MAX_SEARCH_WORDS:
             raise ConfigurationError(
@@ -282,8 +315,9 @@ def equivalence_semidecide(query: ModuliClassQuery) -> EquivalenceVerdict:
     first length that holds a witness, returning the least matrix of that
     length.  A word is tried without building a curve, on the integral forms
     the curves store: C keeps every den_k (C and C^{-1} are integral), so
-    at each order a's den must equal b's, and a's ints, pulled back by
-    C^{-1} from the table over their nonzero entries, must equal b's; the
+    at each order a's den must equal b's, and a's ints, pulled back over
+    their nonzero entries by the nonzero columns of C^{-1} that the table
+    stores, must equal b's; the
     word is dropped at the first order that differs.  The chosen witness is
     then verified once through the full `sp_action(witness, a) == b`; a
     mismatch raises InternalInconsistency.
@@ -312,10 +346,10 @@ def equivalence_semidecide(query: ModuliClassQuery) -> EquivalenceVerdict:
         )
     gens = sp_generators(a.sdata)
     words = _words_up_to(gens, a.dim, query.search_bound)
-    inverses = _word_table(gens, a.dim)[1]
+    columns = _word_table(gens, a.dim)[2]
     # words come in breadth-first order, so groupby yields one group per length
     for _, group in groupby(words.items(), key=itemgetter(1)):
-        witnesses = [m for m, _ in group if _moves_to(m, inverses, a, b)]
+        witnesses = [m for m, _ in group if _moves_to(m, columns, a, b)]
         if witnesses:
             # the lexicographically least shortest witness, for determinism
             witness = min(witnesses)

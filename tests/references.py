@@ -4,6 +4,8 @@ grouping of mixed tensors by upper index, and the forms of u and b, the
 potential split and the Lie series on connections that read every entry,
 which the sparse paths are compared with."""
 
+from fractions import Fraction
+
 from sympconn import curvature
 from sympconn.fourier import TensorField
 
@@ -279,3 +281,11 @@ def exp_lie_connection_summed(gens, gamma):
             for idx, f in order.items():
                 acc.add(idx, f.coeffs, weight=weight)
     return [acc.finish(scalar, dim) for acc in sums]
+
+
+def fraction_rows(order_rows):
+    """The int rows (den, rows) of `invariant.cube_rows` as the rows of
+    Fractions they stand for: per a, {p: {b: v / den}}."""
+    den, rows = order_rows
+    return [{p: {b: Fraction(v, den) for b, v in row.items()} for p, row in r.items()}
+            for r in rows]

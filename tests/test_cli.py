@@ -564,6 +564,90 @@ def test_curve_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
     assert code == 2 and f"estimated work {work} exceeds the ceiling of {work - 1}" in err
 
 
+def write_rank_one_every_order(path, cap):
+    """The dim-4 ladder with the rank-one cube on e_1 at every order 1..cap:
+    one stored entry per order, so its structure_work is
+    cap (cap - 1) / 2 + 300 (cap + 1)."""
+    from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
+
+    cube = rank_one_cube(SD, (1, 0, 0, 0))
+    dump_path(StructureMapCurve(SD, cap, [zero_cube(4)] + [cube] * cap), path)
+
+
+def test_structure_map_past_the_ceiling_is_refused_exit_2(tmp_path, monkeypatch, capsys):
+    """At cap 1146 the rank-one ladder scores 1000185, just past the ceiling
+    of 1000000: check, and equiv with it as either file, exit 2 naming the
+    file and the ceiling, before any row of either curve is built."""
+    from sympconn import invariant
+
+    big, small = tmp_path / "big.json", tmp_path / "small.json"
+    write_rank_one_every_order(big, 1146)
+    write_rank_one_every_order(small, 3)
+    work = invariant.structure_work(load_path(big))
+    assert work == 1000185 > invariant.MAX_STRUCTURE_WORK == 1_000_000
+
+    def no_rows(*args):
+        raise AssertionError("rows built past the ceiling")
+
+    monkeypatch.setattr(invariant, "cube_rows", no_rows)
+    for argv in (["check", str(big)], ["equiv", str(big), str(small)],
+                 ["equiv", str(small), str(big), "--bound", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert (f"{big}: estimated work 1000185 exceeds the ceiling of 1000000 coefficient "
+                "products") in err
+
+
+def test_structure_map_below_the_ceiling_is_checked(tmp_path, capsys):
+    """One order less, cap 1145 scores 998740 and is checked: valid."""
+    from sympconn import invariant
+
+    p = tmp_path / "ladder.json"
+    write_rank_one_every_order(p, 1145)
+    assert invariant.structure_work(load_path(p)) == 998740
+    code, out, _ = run(capsys, "check", str(p))
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
+def test_structure_map_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
+    """The ceiling is inclusive, for check and for both files of equiv."""
+    from sympconn import cli, invariant
+
+    p = tmp_path / "ladder.json"
+    write_rank_one_every_order(p, 3)
+    work = invariant.structure_work(load_path(p))
+    assert work == 3 + 300 * 4
+    monkeypatch.setattr(cli, "MAX_STRUCTURE_WORK", work)
+    assert run(capsys, "check", str(p))[0] == 0
+    assert run(capsys, "equiv", str(p), str(p), "--bound", "1")[0] == 0
+    monkeypatch.setattr(cli, "MAX_STRUCTURE_WORK", work - 1)
+    for argv in (["check", str(p)], ["equiv", str(p), str(p)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and f"estimated work {work} exceeds the ceiling of {work - 1}" in err
+
+
+def test_structure_work_is_the_sum_over_order_pairs_plus_a_term_per_order():
+    """The linear-time pair sum of `structure_work` equals the sum over all
+    pairs p + q <= cap of the stored entry counts, on ladders with zero and
+    nonzero orders."""
+    from sympconn.invariant import (
+        STRUCTURE_WORK_PER_ORDER,
+        StructureMapCurve,
+        structure_work,
+        zero_cube,
+    )
+
+    for seed in range(6):
+        rng = random.Random(seed)
+        ladder = rank_one_ladder(SD, 6, seed=seed)
+        cubes = [c if rng.random() < 0.5 else zero_cube(4) for c in ladder.cubes]
+        curve = StructureMapCurve(SD, 6, cubes)
+        nnz = [len(entries) for _, entries in curve.orders]
+        assert any(nnz) and not all(nnz)
+        pairs = sum(nnz[p] * nnz[k - p] for k in range(7) for p in range(k + 1))
+        assert structure_work(curve) == pairs + STRUCTURE_WORK_PER_ORDER * 7
+
+
 def write_cosine_pair(tmp_path, cap, nmodes):
     """psi_f(t) for f a sum of nmodes cosines with modes in [-3, 3]^4 and
     amplitudes 1-5 drawn by Random(1), and the flat T^4 curve (curve_work

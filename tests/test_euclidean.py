@@ -37,6 +37,7 @@ from sympconn.invariant import (
 )
 from sympconn.series import exp_ad, exp_lie_connection, merge_exponentials
 
+from references import fraction_rows
 from test_series import reference_exp_lie_connection
 
 SD = SymplecticData.standard(4)
@@ -209,7 +210,7 @@ def reference_invariant_gamma(b_curve):
     dim = b_curve.dim
     out = [dict() for _ in range(b_curve.cap + 1)]
     for k in range(b_curve.cap + 1):
-        for a, rows in enumerate(b_curve.rows(k)):
+        for a, rows in enumerate(fraction_rows(b_curve.rows(k))):
             for b in range(dim):
                 col = [rows.get(p, {}).get(b, 0) for p in range(dim)]
                 if any(col):
@@ -366,7 +367,7 @@ def psi_A_pushforward_constant(sdata, cube, x):
     from the sparse rows of the A(e_a), built through the checked Poly
     constructors."""
     dim = sdata.dim
-    rows = cube_rows(sdata, integral_cube(dim, cube))
+    rows = fraction_rows(cube_rows(sdata, integral_cube(dim, cube)))
     x = tuple(Fraction(v) for v in x)
     comps = []
     for p in range(dim):
@@ -486,7 +487,7 @@ def reference_psi_A_connection_check(sdata, cube):
     checked inverse to each other by substitution, the basis pushed back
     through psi^{-A}, nabla^0_X Y formed, and the result pushed forward."""
     dim = sdata.dim
-    rows = cube_rows(sdata, integral_cube(dim, cube))
+    rows = fraction_rows(cube_rows(sdata, integral_cube(dim, cube)))
     fwd = psi_A(sdata, cube)
     bwd = psi_A(sdata, scaled(cube, -1))
     assert fwd.compose(bwd).is_identity() and bwd.compose(fwd).is_identity()
@@ -643,7 +644,7 @@ def test_require_nilpotent_cube_matches_dense_reference(dim):
         assert got == [refusal(reference_require_nilpotent_cube, sd, c) for c in cubes]
         assert None in got and len({g for g in got if g}) > 2
         for c in cubes:
-            rows = cube_rows(sd, integral_cube(dim, c))
+            rows = fraction_rows(cube_rows(sd, integral_cube(dim, c)))
             dense = [
                 tuple(tuple(r.get(p, {}).get(b, 0) for b in range(dim)) for p in range(dim))
                 for r in rows

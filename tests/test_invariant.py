@@ -27,6 +27,8 @@ from sympconn import euclidean, moduli, serialize
 from sympconn.moduli import cheap_invariants, sp_action, sp_generators, validity_check
 from sympconn.rationals import GaussianRational
 
+from references import fraction_rows
+
 
 def e_vec(dim, a):
     return tuple(Fraction(1) if i == a else Fraction(0) for i in range(dim))
@@ -445,6 +447,14 @@ def rational_omega(dim):
     return SymplecticData(rows)
 
 
+def as_int_rows(rows):
+    """Fraction rows in the (den, rows) form of `cube_rows`, over the lcm of
+    their own denominators rather than den_k L_omega."""
+    den = lcm(*(v.denominator for r in rows for row in r.values() for v in row.values()))
+    return den, [{p: {b: int(v * den) for b, v in row.items()} for p, row in r.items()}
+                 for r in rows]
+
+
 class DenseRowsCurve(StructureMapCurve):
     """A curve whose rows come from the dense reference walk, so that its
     product tables and Ricci-type check run on the reference rows."""
@@ -453,7 +463,7 @@ class DenseRowsCurve(StructureMapCurve):
 
     def rows(self, k):
         if self._rows is None:
-            self._rows = [reference_rows(self.sdata, cube) for cube in self.cubes]
+            self._rows = [as_int_rows(reference_rows(self.sdata, cube)) for cube in self.cubes]
         return self._rows[k]
 
 
@@ -491,7 +501,7 @@ def test_stored_form_matches_the_dense_fraction_reference(dim):
                 assert serialize.dumps(curve) == reference_dumps(sd, cap, ref)
                 dense = DenseRowsCurve(sd, cap, cubes)
                 for k in range(cap + 1):
-                    assert curve.rows(k) == reference_rows(sd, ref[k])
+                    assert fraction_rows(curve.rows(k)) == reference_rows(sd, ref[k])
                     assert curve.products(k) == dense.products(k)
                 verdict = invariant_ricci_type_check(curve)
                 assert verdict == invariant_ricci_type_check(dense)
@@ -511,6 +521,61 @@ def test_stored_form_matches_the_dense_fraction_reference(dim):
                     assert [least_denominator(c) for c in moved.cubes] == [
                         den for den, _ in moved.orders]
     assert verdicts == {True, False}
+
+
+def dense_table_entries(dense):
+    """`dense_products` as the sparse table form: nonzero entries only."""
+    out = {}
+    for key, m in dense.items():
+        entries = {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+        if entries:
+            out[key] = entries
+    return out
+
+
+def reference_rho(sd, dense):
+    """rho^(k) = sum_{i,b} (X_i)_b P_k[i, b] over the dense product table."""
+    dim, lower = sd.dim, sd.dual_basis()
+    acc = [[Fraction(0)] * dim for _ in range(dim)]
+    for (i, b), m in dense.items():
+        for p in range(dim):
+            for q in range(dim):
+                acc[p][q] += lower[i][b] * m[p][q]
+    return {(p, q): x for p, row in enumerate(acc) for q, x in enumerate(row) if x}
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_denominators_under_a_rational_omega_match_the_dense_reference(dim, seed):
+    """Random symmetric ladders with order k scaled by 1, 1/5, 2/7, 3/11 and
+    4/13, so their orders have different least denominators, under an omega
+    whose inverse is not integral: the rows are ints over den_k L_omega, and
+    the rows, product tables, rho and Ricci-type verdict equal the dense
+    Fraction reference.  At order 4 the pairs (1, 3), (2, 2) and (3, 1) have
+    different row-denominator products, so the table sums over their lcm."""
+    sd = rational_omega(dim)
+    scale_omega = lcm(*(x.denominator for row in sd.omega_hi for x in row))
+    assert scale_omega > 1
+    scales = [Fraction(1), Fraction(1, 5), Fraction(2, 7), Fraction(3, 11), Fraction(4, 13)]
+    base = random_symmetric_ladder(sd, 4, seed=100 * dim + seed)
+    cubes = [[[[scale * x for x in line] for line in plane] for plane in cube]
+             for scale, cube in zip(scales, base.cubes)]
+    curve = StructureMapCurve(sd, 4, cubes)
+    dens = [den for den, entries in curve.orders if entries]
+    assert len(set(dens)) == len(dens) == 4
+    dense_curve = DenseRowsCurve(sd, 4, cubes)
+    rho = rho_curve(curve)
+    nonzero_tables = 0
+    for k, (den, _) in enumerate(curve.orders):
+        ref = reference_as_cube(dim, cubes[k])
+        assert curve.rows(k)[0] == den * scale_omega
+        assert fraction_rows(curve.rows(k)) == reference_rows(sd, ref)
+        dense = dense_products(curve, k)
+        assert curve.products(k) == dense_table_entries(dense) == dense_curve.products(k)
+        assert rho[k] == reference_rho(sd, dense)
+        nonzero_tables += bool(curve.products(k))
+    assert nonzero_tables >= 2 and curve.products(4)
+    assert invariant_ricci_type_check(curve) == invariant_ricci_type_check(dense_curve)
 
 
 def reference_swap_witness(cube):

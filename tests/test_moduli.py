@@ -312,13 +312,13 @@ def test_matcher_agrees_with_sp_action_on_every_word(dim, bound, divisor):
         "scaled": _scale_curve(a, 5),
         "sum": _scale_curve(validated_sum_ladder(sdata, 2, seed=7), Fraction(1, 2)),
     }
-    inverses = moduli._word_table(gens, dim)[1]
+    columns = moduli._word_table(gens, dim)[2]
     found = {name: 0 for name in pairs}
     for m in words:
         assert sdata.symplectic_inverse(m) == inverse(matrix(m))
         moved = sp_action(m, a)
         for name, b in pairs.items():
-            match = moduli._moves_to(m, inverses, a, b)
+            match = moduli._moves_to(m, columns, a, b)
             assert match == (moved == b), (name, m)
             found[name] += match
     assert found["planted"] >= 1 and found["scaled"] == found["sum"] == 0
@@ -446,13 +446,18 @@ def test_word_tables_are_kept_for_the_last_omegas_only():
 
 @pytest.mark.parametrize("dim", [4, 6])
 def test_word_table_inverses_are_the_symplectic_inverses(dim):
+    """Every word's stored inverse is its symplectic inverse, and its stored
+    columns are the nonzero columns of that inverse: per a, the (p, x) with
+    x = (C^{-1})[a][p] nonzero, C^{-1} e_p = sum_a x e_a, in order of p."""
     sdata = SymplecticData.standard(dim)
     gens = sp_generators(sdata)
     words = moduli._words_up_to(gens, dim, 3 if dim == 4 else 2)
-    inverses = moduli._word_table(gens, dim)[1]
-    assert set(words) <= set(inverses)
+    _, inverses, columns, _, _ = moduli._word_table(gens, dim)
+    assert set(words) <= set(inverses) == set(columns)
     for m, m_inv in inverses.items():
         assert m_inv == sdata.symplectic_inverse(m)
+        assert columns[m] == tuple(tuple((p, x) for p, x in enumerate(row) if x)
+                                   for row in m_inv)
 
 
 def test_a_repeated_refusal_enumerates_nothing(monkeypatch):
@@ -463,7 +468,7 @@ def test_a_repeated_refusal_enumerates_nothing(monkeypatch):
     gens = sp_generators(SD)
     moduli._word_table.cache_clear()
     text = _refusal(gens, 5)
-    levels, inverses, _, _ = moduli._word_table(gens, 4)
+    levels, inverses, _, _, _ = moduli._word_table(gens, 4)
     sizes = [len(level) for level in levels]
     assert sum(sizes) == len(inverses) <= moduli.MAX_SEARCH_WORDS
     calls = []
