@@ -68,6 +68,9 @@ def _digest(path):
 
 
 def _load(path, want=None, header=None):
+    """The value in the file at path, of type want if given, refused (exit 2)
+    if a connection curve or a structure map whose work estimate passes its
+    ceiling."""
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
     try:
@@ -80,6 +83,14 @@ def _load(path, want=None, header=None):
         raise InputError(
             f"{path}: expected a {want.__name__}, found {type(value).__name__}"
         )
+    if isinstance(value, ConnectionCurve):
+        _require_within_ceiling(path, curve_work(value), MAX_CURVE_WORK,
+                                "sum over k of nnz(A^(s)) nnz(A^(s')), s + s' = k, "
+                                f"plus {WORK_PER_ORDER} per order")
+    elif isinstance(value, StructureMapCurve):
+        _require_within_ceiling(path, structure_work(value), MAX_STRUCTURE_WORK,
+                                "sum over k of nnz(B^(p)) nnz(B^(q)), p + q = k, "
+                                f"plus {STRUCTURE_WORK_PER_ORDER} per order")
     return value
 
 
@@ -90,30 +101,6 @@ def _require_within_ceiling(path, work, ceiling, counted):
             f"{path}: estimated work {work} exceeds the ceiling of {ceiling} "
             f"coefficient products ({counted})"
         )
-
-
-def _require_curve_within_ceiling(path, conn):
-    _require_within_ceiling(path, curve_work(conn), MAX_CURVE_WORK,
-                            "sum over k of nnz(A^(s)) nnz(A^(s')), s + s' = k, "
-                            f"plus {WORK_PER_ORDER} per order")
-
-
-def _load_connection(path):
-    conn = _load(path, ConnectionCurve)
-    _require_curve_within_ceiling(path, conn)
-    return conn
-
-
-def _require_structure_map_within_ceiling(path, curve):
-    _require_within_ceiling(path, structure_work(curve), MAX_STRUCTURE_WORK,
-                            "sum over k of nnz(B^(p)) nnz(B^(q)), p + q = k, "
-                            f"plus {STRUCTURE_WORK_PER_ORDER} per order")
-
-
-def _load_structure_map(path):
-    curve = _load(path, StructureMapCurve)
-    _require_structure_map_within_ceiling(path, curve)
-    return curve
 
 
 def _write_atomic(path, text):
@@ -163,14 +150,12 @@ def _first_nonzero_order(curve):
 def cmd_check(args):
     value = _load(args.input)
     if isinstance(value, StructureMapCurve):
-        _require_structure_map_within_ceiling(args.input, value)
         ok, witness = validity_check(value)
         _emit(_report("check", [args.input], kind="structure_map_curve",
                       valid=ok, witness=witness))
         return EXIT_PASS if ok else EXIT_NEGATIVE
     if not isinstance(value, ConnectionCurve):
         raise InputError(f"{args.input}: check expects a curve file")
-    _require_curve_within_ceiling(args.input, value)
     bundle = curvature_bundle(value)
     bianchi = bianchi_check(value)
     w_orders = [t.is_zero() for t in bundle.W.orders]
@@ -198,7 +183,7 @@ def cmd_check(args):
 
 
 def cmd_normalize(args):
-    conn = _load_connection(args.input)
+    conn = _load(args.input, ConnectionCurve)
     result = normalize_curve(conn)
     if args.out:
         _write_atomic(args.out, dumps(result.flat_curve))
@@ -304,8 +289,8 @@ def cmd_generate(args):
 
 
 def cmd_equiv(args):
-    a = _load_structure_map(args.a)
-    b = _load_structure_map(args.b)
+    a = _load(args.a, StructureMapCurve)
+    b = _load(args.b, StructureMapCurve)
     verdict = equivalence_semidecide(ModuliClassQuery(a, b, args.bound))
     body = {"verdict": verdict.kind, "bound": args.bound}
     if verdict.witness is not None:
@@ -322,7 +307,7 @@ def cmd_equiv(args):
 def cmd_act(args):
     # the curve first, within its ceiling; then the witness, whose omega and
     # cap must match the curve's before any of its generators is read
-    conn = _load_connection(args.input)
+    conn = _load(args.input, ConnectionCurve)
     psi = _load(args.psi, SymplectoCurve,
                 header=lambda sdata, cap: require_matching(sdata, cap, conn))
     _require_within_ceiling(args.psi, act_work(psi, conn), MAX_ACT_WORK,

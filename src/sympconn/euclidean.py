@@ -12,6 +12,12 @@ necessarily integral) composed with exp of a generator ladder, acting on
 polynomials as operators.  The exponentials, brackets and normal ordering
 are the truncated Lie-series calculus of `series`, applied to
 `PolyVectorField`, whose test functions are the coordinates x^a.
+
+A connection curve is d + Gamma_t, its Christoffel symbols held per order
+in the form `series.exp_lie_connection` moves, as on the torus:
+{(a, b, p): Poly} with nabla_{e_a} e_b = sum_p Gamma^p_ab e_p, nonzero
+entries only.  The curves start at nabla^0: psi_{A^t} refuses a ladder
+whose order-0 cube is nonzero, as `invariant.embed_invariant` does.
 """
 
 from __future__ import annotations
@@ -140,10 +146,11 @@ def require_nilpotent_cube(sdata, cube):
     nonzero for some basis pair (a, b), the first in lexicographic order.
 
     Returns the ladder (0, A, 0): its order-2 product table is the table of
-    the A(e_a) A(e_b), so it is empty here."""
+    the A(e_a) A(e_b), so it is empty here.  A cube of the wrong shape is
+    refused by `integral_cube`, before the symmetry check."""
+    order = integral_cube(sdata.dim, cube)
     try:
-        ladder = StructureMapCurve.from_orders(
-            sdata, 2, [(1, {}), integral_cube(sdata.dim, cube), (1, {})])
+        ladder = StructureMapCurve.from_orders(sdata, 2, [(1, {}), order, (1, {})])
     except ConfigurationError:
         raise PreconditionError("cube is not fully symmetric") from None
     table = ladder.products(2)
@@ -209,7 +216,8 @@ def psi_A_connection_check(sdata, cube):
     exp X_A at t = 1 and the truncated sums are exact there."""
     ladder = require_nilpotent_cube(sdata, cube)
     gens = psi_At(ladder)
-    if not all(c.is_zero() for c in flow_coordinate_maps(gens, 2)[2].comps):
+    flow = exp_curves(VectorField.add_apply, gens, coordinate_tests(PolyVectorField, sdata.dim, 2))
+    if not all(coordinate[2].is_zero() for coordinate in flow):
         raise InternalInconsistency("exp X_A has a nonzero order-2 term on the coordinates")
     return psi_At_connection_check(ladder, gens)
 
@@ -240,9 +248,14 @@ def _rows_field(dim, order_rows):
 def psi_At(b_curve: StructureMapCurve):
     """The generator ladder of psi_{A^t} = exp X_{A^t}.
 
-    Returns gens[0..K] with gens[k] = X_{A^(k)}; validity (symmetry and
-    order-by-order nilpotency) is checked first.
+    Returns gens[0..K] with gens[k] = X_{A^(k)}, gens[0] = 0.  A nonzero
+    order-0 cube is refused first: the curves start at nabla^0, and the
+    Lie series assume a generator ladder of valuation >= 1.  Validity
+    (order-by-order nilpotency; symmetry holds by construction) is checked
+    next.
     """
+    if b_curve.orders[0][1]:
+        raise PreconditionError("psi_{A^t} requires a zero order-0 cube")
     validity_check_cubes(b_curve)
     return [_rows_field(b_curve.dim, b_curve.rows(k)) for k in range(b_curve.cap + 1)]
 
@@ -258,68 +271,28 @@ def validity_check_cubes(b_curve: StructureMapCurve):
             )
 
 
-def flow_coordinate_maps(gens, cap):
-    """The formal flow as a curve of PolyMaps: order-k coefficient of
-    exp(X_t) applied to the coordinate functions, all of them in one
-    `exp_curves` pass."""
-    dim = gens[0].dim
-    curves = exp_curves(VectorField.add_apply, gens, coordinate_tests(PolyVectorField, dim, cap))
-    return [PolyMap([curves[p][k] for p in range(dim)]) for k in range(cap + 1)]
-
-
-def act_on_poly_connection(gens, cap, sdata, gamma):
-    """The flow of X_t acting on a connection curve on R^{2n}.
+def act_on_poly_connection(gens, gamma):
+    """The flow of X_t acting on the Christoffel symbols gamma of a
+    connection curve on R^{2n}, in the form of `series.exp_lie_connection`.
 
     Geometric pushforward convention: for the map psi = exp-flow of X_t,
     psi . Y = exp(ad(-X_t)) Y (so that psi^A . X = X - A(.)X holds as
-    stated), hence psi . nabla = exp(L_{-X_t}) nabla, computed by
-    `series.exp_lie_connection`.  gamma[k][(a, b)] is the PolyVectorField
-    nabla^(k)_{e_a} e_b (order 0 omitted, i.e. treated as the flat
-    directional derivative); the result has the same shape, with a field
-    built only for the pairs (a, b) the Lie series returns, in sorted
-    order."""
-    dim = sdata.dim
-    symbols = [{}] + [
-        {
-            (a, b, p): c
-            for (a, b), field in order.items()
-            for p, c in enumerate(field.comps)
-            if not c.is_zero()
-        }
-        for order in gamma[1 : cap + 1]
-    ]
-    moved = exp_lie_connection([-g for g in gens], symbols)
-    zero = Poly.zero(dim)
-    out = []
-    for order in moved:
-        fields = {}
-        for a, b in sorted({(a, b) for a, b, _ in order}):
-            field = PolyVectorField([order.get((a, b, p), zero) for p in range(dim)])
-            if not field.is_zero():
-                fields[(a, b)] = field
-        out.append(fields)
-    return out
+    stated), hence psi . nabla = exp(L_{-X_t}) nabla."""
+    return exp_lie_connection([-g for g in gens], gamma)
 
 
 def invariant_gamma(b_curve: StructureMapCurve):
-    """The connection data of nabla^{A^t}: constant Gamma(e_a, e_b) = A(e_a) e_b,
-    a field for each (a, b) whose column of A(e_a) is nonzero, in sorted
-    order, built from the nonzero entries of `b_curve.rows(k)`, each divided
-    by the row denominator."""
+    """The Christoffel symbols of nabla^{A^t}: per order {(a, b, p): Poly}
+    with the constant Gamma^p_ab = (A(e_a))^p_b, read from the nonzero int
+    entries of `b_curve.rows(k)`, each divided by the row denominator."""
     dim = b_curve.dim
     origin = (0,) * dim
-    zero = Poly.zero(dim)
-    out = [dict() for _ in range(b_curve.cap + 1)]
+    out = []
     for k in range(b_curve.cap + 1):
         den, matrices = b_curve.rows(k)
-        for a, rows in enumerate(matrices):
-            cols = {}
-            for p, row in rows.items():
-                for b, v in row.items():
-                    cols.setdefault(b, [zero] * dim)[p] = Poly(dim, {origin: Fraction(v, den)},
-                                                               _validated=True)
-            for b in sorted(cols):
-                out[k][(a, b)] = PolyVectorField(cols[b])
+        out.append({(a, b, p): Poly(dim, {origin: Fraction(v, den)}, _validated=True)
+                    for a, rows in enumerate(matrices)
+                    for p, row in rows.items() for b, v in row.items()})
     return out
 
 
@@ -330,16 +303,14 @@ def psi_At_connection_check(b_curve: StructureMapCurve, gens=None):
     gens is `psi_At(b_curve)`, built here unless the caller has it."""
     if gens is None:
         gens = psi_At(b_curve)
-    cap, dim, sdata = b_curve.cap, b_curve.dim, b_curve.sdata
+    cap, dim = b_curve.cap, b_curve.dim
     zero = PolyVectorField.zero(dim)
     basis = [[PolyVectorField.constant(dim, [int(i == a) for i in range(dim)])] + [zero] * cap
              for a in range(dim)]
     for q in exp_terms(VectorField.add_bracket, gens, basis):
         if cap >= 2 and not all(f.is_zero() for f in q[2]):
             raise InternalInconsistency("(ad X_{A^t})^2 != 0 on a constant field")
-    acted = act_on_poly_connection(gens, cap, sdata, [dict() for _ in range(cap + 1)])
-    want = invariant_gamma(b_curve)
-    return acted == want
+    return act_on_poly_connection(gens, [{}] * (cap + 1)) == invariant_gamma(b_curve)
 
 
 def equivalence_Rn(a_curve: StructureMapCurve, b_curve: StructureMapCurve):
@@ -350,15 +321,11 @@ def equivalence_Rn(a_curve: StructureMapCurve, b_curve: StructureMapCurve):
     """
     if a_curve.sdata != b_curve.sdata or a_curve.cap != b_curve.cap:
         raise PreconditionError("equivalence needs matching omega and caps")
-    sdata, cap = a_curve.sdata, a_curve.cap
-    gens_a = psi_At(a_curve)
-    gens_b = psi_At(b_curve)
-    neg_a = [-g for g in gens_a]
     # Pullbacks compose contravariantly: the map psi_{B^t} o psi_{-A^t} has
     # pullback exp(-X_{A^t}) exp(X_{B^t}), which is what gets merged.
-    merged = merge_exponentials(sdata, neg_a, gens_b)
-    acted = act_on_poly_connection(merged, cap, sdata, invariant_gamma(a_curve))
-    if acted != invariant_gamma(b_curve):
+    neg_a = [-g for g in psi_At(a_curve)]
+    merged = merge_exponentials(a_curve.sdata, neg_a, psi_At(b_curve))
+    if act_on_poly_connection(merged, invariant_gamma(a_curve)) != invariant_gamma(b_curve):
         raise InternalInconsistency(
             "psi_{B^t} o psi_{-A^t} does not carry nabla^{A^t} to nabla^{B^t}"
         )
@@ -378,6 +345,8 @@ class PolySymplecto:
         dim = sdata.dim
         c_mat = tuple(tuple(Fraction(x) for x in row) for row in c_mat)
         d = tuple(Fraction(x) for x in d)
+        if len(d) != dim:
+            raise ConfigurationError(f"translation needs {dim} entries")
         gens = list(gens)
         if len(gens) == cap:
             gens = [PolyVectorField.zero(dim)] + gens
@@ -410,25 +379,19 @@ def stabilizer_check(psi: PolySymplecto):
     generator would contradict the normal-form statement, so that case is an
     internal inconsistency, not a verdict.
     """
-    sdata, cap, dim = psi.sdata, psi.cap, psi.dim
+    cap, dim = psi.cap, psi.dim
     # The affine part always fixes nabla^0; only the exp factor can move it.
-    acted = act_on_poly_connection(psi.gens, cap, sdata, [dict() for _ in range(cap + 1)])
+    acted = act_on_poly_connection(psi.gens, [{}] * (cap + 1))
     for k in range(cap + 1):
         if acted[k]:
             return ("moves", k)
-    c_t = [None]
-    d_t = [None]
+    c_t, d_t = [], []
     for k in range(1, cap + 1):
-        g = psi.gens[k]
-        if any(c.degree() > 1 for c in g.comps):
+        comps = psi.gens[k].comps
+        if any(c.degree() > 1 for c in comps):
             raise InternalInconsistency(
-                f"order-{k} generator of a stabilizing curve is not affine"
-            )
-        mat = tuple(
-            tuple(g.comps[p].derivative(q).constant_part() for q in range(dim))
-            for p in range(dim)
-        )
-        vec = tuple(g.comps[p].constant_part() for p in range(dim))
-        c_t.append(mat)
-        d_t.append(vec)
-    return ("stabilizes", (psi.c_mat, psi.d, c_t[1:], d_t[1:]))
+                f"order-{k} generator of a stabilizing curve is not affine")
+        c_t.append(tuple(tuple(c.derivative(q).constant_part() for q in range(dim))
+                         for c in comps))
+        d_t.append(tuple(c.constant_part() for c in comps))
+    return ("stabilizes", (psi.c_mat, psi.d, c_t, d_t))

@@ -75,7 +75,11 @@ def integral_form(values):
 
 
 def integral_cube(dim, cube):
-    """The stored form (den, entries) of a dense dim-cube of rationals."""
+    """The stored form (den, entries) of a dense dim-cube of rationals; a
+    cube of any other shape is refused."""
+    if len(cube) != dim or any(len(plane) != dim or any(len(row) != dim for row in plane)
+                               for plane in cube):
+        raise ConfigurationError(f"a cube needs {dim} x {dim} x {dim} entries")
     idx = range(dim)
     return integral_form({(a, b, c): Fraction(x) for a in idx for b in idx for c in idx
                           if (x := cube[a][b][c])})

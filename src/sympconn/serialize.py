@@ -540,8 +540,3 @@ def loads(text: str, header=None):
 def load_path(path, header=None):
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read(), header)
-
-
-def dump_path(value, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(value))

@@ -9,27 +9,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curvature import (
+from sympconn.curvature import (
     bianchi_check,
     curvature_bundle,
     ricci_from_curvature,
 )
-from .errors import PreconditionError
-from .euclidean import (
+from sympconn.errors import PreconditionError
+from sympconn.euclidean import (
     psi_A,
     psi_A_connection_check,
     psi_A_symplectic_check,
 )
-from .fourier import SymplecticData
-from .generate import (
+from sympconn.fourier import SymplecticData
+from sympconn.generate import (
     conjugated_flat_fixture,
     random_connection_curve,
     random_real_scalar,
     rank_one_ladder,
     validated_sum_ladder,
 )
-from .invariant import flatness_theorem_check, invariant_ricci_type_check
-from .moduli import (
+from sympconn.invariant import flatness_theorem_check, invariant_ricci_type_check
+from sympconn.moduli import (
     _words_up_to,
     cheap_invariants,
     equivalence_semidecide,
@@ -38,7 +38,7 @@ from .moduli import (
     sp_generators,
     validity_check,
 )
-from .symplecto import (
+from sympconn.symplecto import (
     SymplectoCurve,
     compose,
     factorize,
@@ -90,7 +90,7 @@ def law_l3_invariant_flatness(seed):
 def law_l4_normalize_roundtrip(seed):
     """normalize_curve on a conjugated flat curve: flat invariant output,
     exact witness equation, and the input itself is flat through the cap."""
-    from .normalization import normalize_curve
+    from sympconn.normalization import normalize_curve
 
     _, _, moved = conjugated_flat_fixture(seed, dim=4, cap=3)
     normalize_curve(moved)  # all claims are asserted inside

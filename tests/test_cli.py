@@ -10,9 +10,14 @@ from sympconn.cli import main
 from sympconn.generate import conjugated_flat_fixture, rank_one_ladder
 from sympconn.fourier import SymplecticData
 from sympconn.moduli import sp_action, sp_generators
-from sympconn.serialize import dump_path, dumps, load_path
+from sympconn.serialize import dumps, load_path
 
 SD = SymplecticData.standard(4)
+
+
+def dump_path(value, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(value))
 
 
 def run(capsys, *argv):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import sympconn.euclidean as euclidean
 import sympconn.invariant as invariant
 
-from sympconn.errors import PreconditionError
+from sympconn.errors import ConfigurationError, PreconditionError
 from sympconn.euclidean import (
     Poly,
     PolySymplecto,
@@ -35,7 +35,14 @@ from sympconn.invariant import (
     rank_one_cube,
     zero_cube,
 )
-from sympconn.series import exp_ad, exp_lie_connection, merge_exponentials
+from sympconn.series import (
+    VectorField,
+    coordinate_tests,
+    exp_ad,
+    exp_curves,
+    exp_lie_connection,
+    merge_exponentials,
+)
 
 from references import fraction_rows
 from test_series import reference_exp_lie_connection
@@ -100,18 +107,16 @@ def test_require_nilpotent_rejects_bad_cube():
 def test_structure_field_flow_equals_psi_A():
     """The degree-1 flow of X_A = -1/2 A(x)x reproduces the closed form
     psi^A on coordinates (the Lie series terminates by nilpotency)."""
-    from sympconn.euclidean import flow_coordinate_maps
-
     cube = cube_e1()
     gens = [PolyVectorField.zero(4), x_field(SD, cube)]
-    maps = flow_coordinate_maps(gens, 1)
+    flow = exp_curves(VectorField.add_apply, gens, coordinate_tests(PolyVectorField, 4, 1))
     closed = psi_A(SD, cube)
-    assert maps[1] is not None
+    assert all(coordinate[1] is not None for coordinate in flow)
     # order-1 coefficient of the flow is X_A applied to x, i.e. the quadratic
     # part of psi^A
     for p in range(4):
         quad = {e: c for e, c in closed.comps[p].coeffs.items() if sum(e) == 2}
-        assert maps[1].comps[p].coeffs == quad or maps[1].comps[p].coeffs == {
+        assert flow[p][1].coeffs == quad or flow[p][1].coeffs == {
             e: c for e, c in quad.items()
         }
 
@@ -163,6 +168,45 @@ def test_stabilizer_detects_moving_curve():
     verdict, order = stabilizer_check(psi)
     assert verdict == "moves"
     assert order == 1
+
+
+def test_psi_At_refuses_a_nonzero_order_0_cube():
+    """The flow psi_{A^t} starts at nabla^0, so a ladder whose order-0 cube
+    is nonzero is refused, before its validity is checked: on its own, as
+    either side of equivalence_Rn, and by the connection check."""
+    e2 = rank_one_cube(SD, e_vec(1))
+    a = StructureMapCurve(SD, 2, [cube_e1(), e2, zero_cube(4)])
+    b = StructureMapCurve(SD, 2, [zero_cube(4), e2, zero_cube(4)])
+    invalid = StructureMapCurve(SD, 2, [cube_e1(), cube_e1(), rank_one_cube(SD, e_vec(2))])
+    message = "psi_{A^t} requires a zero order-0 cube"
+    for fn, args in ((psi_At, (a,)), (psi_At, (invalid,)), (psi_At_connection_check, (a,)),
+                     (equivalence_Rn, (a, a)), (equivalence_Rn, (a, b)),
+                     (equivalence_Rn, (b, a))):
+        with pytest.raises(PreconditionError) as exc:
+            fn(*args)
+        assert str(exc.value) == message
+    assert psi_At_connection_check(b)
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_a_cube_of_the_wrong_shape_is_refused_with_its_shape(size):
+    """Every reader of a dense cube refuses a 3- or 5-cube at dim 4 as a
+    configuration error naming the shape: no corner of it is read, and the
+    nilpotency check does not call it an asymmetric cube."""
+    cube = zero_cube(size)
+    ragged = list(zero_cube(4))
+    ragged[1] = ragged[1][:3]
+    for bad in (cube, ragged):
+        for fn in (require_nilpotent_cube, psi_A_symplectic_check, psi_A_connection_check, psi_A):
+            with pytest.raises(ConfigurationError, match=r"^a cube needs 4 x 4 x 4 entries$"):
+                fn(SD, bad)
+
+
+def test_poly_symplecto_refuses_a_translation_of_the_wrong_length():
+    ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    for d in ([0, 0], [0] * 5):
+        with pytest.raises(ConfigurationError, match=r"^translation needs 4 entries$"):
+            PolySymplecto(SD, 1, ident, d, [PolyVectorField.zero(4)])
 
 
 # -- the basis transport, kept as a test-only reference ---------------------------
@@ -240,6 +284,24 @@ def reference_all_pairs_action(gens, cap, sdata, gamma):
     return out
 
 
+def other_form(gamma):
+    """Christoffel data in its other form, order by order: the per-pair
+    {(a, b): PolyVectorField} of the references, a nonzero field per pair in
+    sorted order, from the package's {(a, b, p): Poly}, and back (nonzero
+    components only).  An empty order is the same in both forms."""
+    out = []
+    for order in gamma:
+        if any(len(key) == 3 for key in order):
+            zero = Poly.zero(next(iter(order.values())).dim)
+            out.append({(a, b): PolyVectorField([order.get((a, b, p), zero)
+                                                 for p in range(zero.dim)])
+                        for a, b in sorted({(a, b) for a, b, _ in order})})
+        else:
+            out.append({(a, b, p): c for (a, b), field in order.items()
+                        for p, c in enumerate(field.comps) if c})
+    return out
+
+
 def same_with_key_order(got, want):
     return got == want and [list(order) for order in got] == [list(order) for order in want]
 
@@ -259,15 +321,16 @@ def test_gamma_and_action_match_the_dense_and_all_pairs_forms(dim):
     ladders += [validated_sum_ladder(sd, cap, seed=seed) for seed in (1, 5)]
     for a_curve, b_curve in zip(ladders, ladders[1:] + ladders[:1]):
         gamma_a = invariant_gamma(a_curve)
-        assert same_with_key_order(gamma_a, reference_invariant_gamma(a_curve))
+        assert same_with_key_order(other_form(gamma_a), reference_invariant_gamma(a_curve))
         assert any(gamma_a)
         gens_a = psi_At(a_curve)
         merged = merge_exponentials(sd, [-g for g in gens_a], psi_At(b_curve))
         flat = [dict() for _ in range(cap + 1)]
         for gens, gamma in ((gens_a, flat), (merged, gamma_a),
-                            (gens_a, random_poly_gamma(rng, dim, cap))):
-            acted = act_on_poly_connection(gens, cap, sd, gamma)
-            assert same_with_key_order(acted, reference_all_pairs_action(gens, cap, sd, gamma))
+                            (gens_a, other_form(random_poly_gamma(rng, dim, cap)))):
+            acted = act_on_poly_connection(gens, gamma)
+            want = reference_all_pairs_action(gens, cap, sd, other_form(gamma))
+            assert same_with_key_order(other_form(acted), want)
         assert acted != gamma
 
 
@@ -326,11 +389,10 @@ def test_poly_action_matches_basis_transport(dim, cap, steps, seed):
     sdata = SymplecticData.standard(dim)
     gamma = random_poly_gamma(rng, dim, cap)
     gens = poly_hamiltonian_ladder(rng, sdata, cap, steps)
-    acted = act_on_poly_connection(gens, cap, sdata, gamma)
-    assert acted != gamma
-    assert acted == reference_act_on_poly_connection(gens, cap, sdata, gamma)
-    symbols = [{(a, b, p): c for (a, b), field in order.items()
-                for p, c in enumerate(field.comps) if c} for order in gamma]
+    symbols = other_form(gamma)
+    acted = act_on_poly_connection(gens, symbols)
+    assert acted != symbols
+    assert other_form(acted) == reference_act_on_poly_connection(gens, cap, sdata, gamma)
     for ladder in (gens, [-g for g in gens]):
         moved = exp_lie_connection(ladder, symbols)
         assert moved == reference_exp_lie_connection(ladder, symbols)
@@ -344,9 +406,11 @@ def test_poly_action_matches_basis_transport_in_every_caller(monkeypatch):
     original = euclidean.act_on_poly_connection
     seen = []
 
-    def compared(gens, cap, sdata, gamma):
-        acted = original(gens, cap, sdata, gamma)
-        assert acted == reference_act_on_poly_connection(gens, cap, sdata, gamma)
+    def compared(gens, gamma):
+        acted = original(gens, gamma)
+        sdata = SymplecticData.standard(gens[0].dim)
+        assert other_form(acted) == reference_act_on_poly_connection(
+            gens, len(gamma) - 1, sdata, other_form(gamma))
         seen.append(acted)
         return acted
 
@@ -548,8 +612,9 @@ def test_psi_A_checks_push_each_basis_vector_once(monkeypatch):
     calls.clear()
     assert psi_A_connection_check(SD, cube_e1())
     assert len(calls["require_nilpotent_cube"]) == 1
-    [(gens, cap, _, gamma)] = calls["act_on_poly_connection"]
+    [(gens, gamma)] = calls["act_on_poly_connection"]
     zero = PolyVectorField.zero(4)
+    cap = len(gamma) - 1
     assert cap == 2 and gens == [zero, x_field(SD, cube_e1()), zero]
     assert gamma == [{}, {}, {}]
 

@@ -8,7 +8,7 @@ import pytest
 
 import sympconn.invariant as invariant
 from sympconn.curvature import ConnectionCurve, curvature_bundle
-from sympconn.errors import PreconditionError
+from sympconn.errors import ConfigurationError, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
 from sympconn.generate import gradient_curve, rank_one_ladder, validated_sum_ladder
 from sympconn.invariant import (
@@ -93,6 +93,17 @@ def test_rank_one_cube_equals_the_dense_formula(dim, omega):
         cube = rank_one_cube(sd, v)
         assert cube == rank_one_cube_dense(sd, v)
         assert all(type(x) is Fraction for plane in cube for row in plane for x in row)
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_a_dense_cube_of_the_wrong_shape_is_refused(size):
+    """A 3- or 5-cube among dim-4 cubes is refused by name of the shape,
+    not cut to its corner nor read out of range."""
+    sd = SymplecticData.standard(4)
+    with pytest.raises(ConfigurationError, match=r"^a cube needs 4 x 4 x 4 entries$"):
+        StructureMapCurve(sd, 1, [zero_cube(4), zero_cube(size)])
+    with pytest.raises(ConfigurationError, match=r"^a cube needs 4 x 4 x 4 entries$"):
+        invariant.integral_cube(4, zero_cube(size))
 
 
 def test_rank_one_cube_is_valid():

@@ -1,7 +1,7 @@
 import pytest
 
 from sympconn.errors import PreconditionError
-from sympconn.laws import LAWS, run_law
+from laws import LAWS, run_law
 
 SEEDS = range(5)
 
@@ -24,7 +24,7 @@ def test_a_generator_of_seeds_is_counted_once():
 
 def test_failure_reports_minimal_seed():
     """A deliberately failing pseudo-law must surface the smallest seed."""
-    from sympconn import laws
+    import laws
 
     def bad_law(seed):
         return {"boom": seed} if seed >= 3 else None
@@ -40,7 +40,7 @@ def test_failure_reports_minimal_seed():
 
 def _l7_with_witness(monkeypatch, move):
     """Run L7 with the search's witness W replaced by move(W)."""
-    from sympconn import laws
+    import laws
 
     search = laws.equivalence_semidecide
 
@@ -72,7 +72,7 @@ def test_l7_rejects_a_witness_that_does_not_carry_a(monkeypatch):
 
 
 def test_l7_rejects_a_witness_longer_than_the_bound(monkeypatch):
-    from sympconn import laws
+    import laws
 
     monkeypatch.setattr(laws, "_words_up_to", lambda gens, dim, bound: {})
     report = _l7_with_witness(monkeypatch, lambda w: w)
