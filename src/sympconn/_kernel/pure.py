@@ -15,7 +15,10 @@ products and their derivatives) is kept as unreduced Gaussian-integer
 triples.  It reads a `GaussianRational`'s fields (p, q, d), the value
 (p + i q) / d, and a `Fraction` as (numerator, 0, denominator), so no gcd is
 taken per term; each sum is reduced once, to the coefficient type of its
-scalar, so a `Poly` gets `Fraction`s.
+scalar, so a `Poly` gets `Fraction`s.  Its one product loop,
+`add_times_terms`, multiplies a coefficient map by a term list: the other
+factor's coefficients for `add_product`, or a scalar's `derivative_terms`
+for X(f), so no derivative is built as a scalar.
 """
 
 from math import gcd
@@ -157,17 +160,25 @@ class GaussianSums:
     def add_product(self, key, a, b, sign=1, weight=1):
         """sums[key] += sign * weight * a b, for a rational weight: keys add,
         coefficients multiply."""
-        t = self._target(key)
         if len(a) > len(b):
             a, b = b, a
-        n, w = sign * weight.numerator, weight.denominator
-        right = [(m, c.p, c.q, c.d) for m, c in _gaussian(b).items()]
-        if not right:
+        self.add_times_terms(
+            key, a, [(m, c.p, c.q, c.d) for m, c in _gaussian(b).items()], sign, weight)
+
+    def add_times_terms(self, key, a, terms, sign=1, weight=1):
+        """sums[key] += sign * weight * a g for a coefficient map a and a
+        function g given as its unreduced terms (m, p, q, d), each the value
+        (p + i q) / d at key m with d > 0 and no two keys alike, as
+        `derivative_terms` of a scalar gives them: keys add, coefficients
+        multiply."""
+        t = self._target(key)
+        if not terms:
             return
-        plus = _ADDERS[len(right[0][0])]
+        n, w = sign * weight.numerator, weight.denominator
+        plus = _ADDERS[len(terms[0][0])]
         for m1, c in _gaussian(a).items():
             p1, q1, d1 = n * c.p, n * c.q, w * c.d
-            for m2, p2, q2, d2 in right:
+            for m2, p2, q2, d2 in terms:
                 m = plus(m1, m2)
                 _merge(t, m, p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 

@@ -22,7 +22,7 @@ each stored as their half, the entries with a < b and c <= d, in a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate as running_totals
 
 from ._kernel.pure import GaussianSums
@@ -434,10 +434,12 @@ def _w_orders(r_orders, e_orders, dim):
     return w
 
 
+@cache
 def _triple_signs(dim):
     """{(x, y): {z: (sorted (x, y, z), odd)}} for x < y and z not in {x, y};
     odd marks an odd permutation from (z, x, y) to sorted order, which
-    happens exactly when z lies between x and y."""
+    happens exactly when z lies between x and y.  Built once per dim; the
+    readers do not change it."""
     return {
         (x, y): {
             z: (tuple(sorted((x, y, z))), x < z < y)

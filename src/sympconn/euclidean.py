@@ -54,12 +54,15 @@ class Poly(SparseScalar):
         return cls(dim, {e: Fraction(1)}, _validated=True)
 
     def derivative(self, axis):
-        out = {}
-        for e, c in self.coeffs.items():
-            k = e[axis]
-            if k:
-                out[tuple(x - 1 if i == axis else x for i, x in enumerate(e))] = c * k
-        return Poly(self.dim, out, _validated=True)
+        return Poly(self.dim, {e: Fraction(num, den)
+                               for e, num, _, den in self.derivative_terms(axis)},
+                    _validated=True)
+
+    def derivative_terms(self, axis):
+        """The terms (e - e_axis, num e_axis, 0, den) of d/dx^axis, one per
+        monomial num / den x^e with e_axis > 0, unreduced."""
+        return [(e[:axis] + (k - 1,) + e[axis + 1:], c.numerator * k, 0, c.denominator)
+                for e, c in self.coeffs.items() if (k := e[axis])]
 
     def substitute(self, maps):
         """Evaluate at x^a = maps[a] (a list of Polys)."""

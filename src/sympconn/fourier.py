@@ -197,6 +197,11 @@ class FourierScalar(SparseScalar):
             raise ConfigurationError(f"derivative axis {axis} out of range")
         return FourierScalar(self.dim, K.dict_derivative(self.coeffs, axis), _validated=True)
 
+    def derivative_terms(self, axis):
+        """The terms (m, p, q, d) of d/dx^axis, unreduced: the coefficient
+        (p' + i q') / d at mode m times i m_axis is (-q' m_axis + i p' m_axis) / d."""
+        return [(m, -c.q * k, c.p * k, c.d) for m, c in self.coeffs.items() if (k := m[axis])]
+
     def shift_mode(self, delta):
         """Multiply by e^{i delta.x}."""
         return FourierScalar(self.dim, K.dict_shift(self.coeffs, tuple(delta)), _validated=True)

@@ -13,9 +13,9 @@ import random
 from .curvature import ConnectionCurve
 from .errors import InputError
 from .fourier import FourierScalar, SymplecticData, TensorField
-from .invariant import StructureMapCurve, embed_invariant, rank_one_cube, zero_cube
+from .invariant import StructureMapCurve, embed_invariant, integral_form, rank_one_entries
 from .moduli import require_valid
-from .rationals import Fraction, GaussianRational
+from .rationals import Fraction, GaussianRational, _reduced
 from .symplecto import SymplectoCurve, act_on_connection, compose
 
 
@@ -24,19 +24,31 @@ def _rng(seed) -> random.Random:
 
 
 def random_real_scalar(rng, dim, max_modes=3, mode_bound=2, zero_mean=True):
-    """A random real trigonometric polynomial with a small mode budget."""
+    """A random real trigonometric polynomial with a small mode budget: a
+    sum of terms a cos(m.x) or a sin(m.x), a = num / den, each written
+    straight as its canonical coefficients, a / 2 at m and -m for the
+    cosine and -i a / 2 at m, i a / 2 at -m for the sine.  At the zero mode
+    a cosine is the constant a and a sine is 0."""
     f = FourierScalar.zero(dim)
     for _ in range(rng.randint(1, max_modes)):
         m = tuple(rng.randint(-mode_bound, mode_bound) for _ in range(dim))
         if zero_mean and not any(m):
             continue
-        amp = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        if not amp:
+        num, den = rng.randint(-3, 3), rng.randint(1, 4)
+        if not num:
             continue
-        if rng.random() < Fraction(1, 2):
-            f = f + FourierScalar.cosine(dim, m, amp)
+        cosine = rng.random() < 0.5  # 1/2 is exact as a float
+        if not any(m):
+            if cosine:
+                f = f + FourierScalar(dim, {m: _reduced(num, 0, den)}, _validated=True)
+            continue
+        neg = tuple([-x for x in m])
+        if cosine:
+            half = _reduced(num, 0, 2 * den)
+            coeffs = {m: half, neg: half}
         else:
-            f = f + FourierScalar.sine(dim, m, amp)
+            coeffs = {m: _reduced(0, -num, 2 * den), neg: _reduced(0, num, 2 * den)}
+        f = f + FourierScalar(dim, coeffs, _validated=True)
     return f
 
 
@@ -82,40 +94,37 @@ def omega_orthogonal_basis_vectors(sdata: SymplecticData):
 
 
 def rank_one_ladder(sdata: SymplecticData, cap, seed=0, scale_range=3):
-    """A valid StructureMapCurve whose order-k cubes are rational multiples of
-    rank-one cubes on pairwise omega-orthogonal basis vectors."""
+    """A valid StructureMapCurve whose order-k cubes are integer multiples of
+    rank-one cubes on pairwise omega-orthogonal basis vectors, built in
+    stored form from the cubes' nonzero entries."""
     rng = _rng(seed)
     vecs = omega_orthogonal_basis_vectors(sdata)
-    cubes = [zero_cube(sdata.dim)]
+    orders = [(1, {})]
     for _ in range(cap):
         v = vecs[rng.randrange(len(vecs))]
-        c = Fraction(rng.randint(-scale_range, scale_range))
-        base = rank_one_cube(sdata, v)
-        cubes.append(
-            [[[c * x for x in row] for row in plane] for plane in base]
-        )
-    curve = StructureMapCurve(sdata, cap, cubes)
+        c = rng.randint(-scale_range, scale_range)
+        entries = rank_one_entries(sdata, v) if c else {}
+        orders.append(integral_form({key: c * x for key, x in entries.items()}))
+    curve = StructureMapCurve.from_orders(sdata, cap, orders)
     require_valid(curve)
     return curve
 
 
 def validated_sum_ladder(sdata: SymplecticData, cap, seed=0):
-    """Sums of rank-one cubes on distinct omega-orthogonal vectors, validated."""
+    """Sums of integer multiples of rank-one cubes on distinct
+    omega-orthogonal vectors, built in stored form and validated."""
     rng = _rng(seed)
     vecs = omega_orthogonal_basis_vectors(sdata)
-    cubes = [zero_cube(sdata.dim)]
+    orders = [(1, {})]
     for _ in range(cap):
-        cube = zero_cube(sdata.dim)
+        sums = {}
         for v in rng.sample(vecs, rng.randint(1, len(vecs))):
-            c = Fraction(rng.randint(-2, 2))
-            base = rank_one_cube(sdata, v)
-            cube = [
-                [[cube[a][b][d] + c * base[a][b][d] for d in range(sdata.dim)]
-                 for b in range(sdata.dim)]
-                for a in range(sdata.dim)
-            ]
-        cubes.append(cube)
-    curve = StructureMapCurve(sdata, cap, cubes)
+            c = rng.randint(-2, 2)
+            if c:
+                for key, x in rank_one_entries(sdata, v).items():
+                    sums[key] = sums.get(key, 0) + c * x
+        orders.append(integral_form({key: sums[key] for key in sorted(sums) if sums[key]}))
+    curve = StructureMapCurve.from_orders(sdata, cap, orders)
     require_valid(curve)
     return curve
 

@@ -291,13 +291,8 @@ def rank_one_cube(sdata: SymplecticData, v):
     entries are multiplied; the rows and planes with no nonzero entry are
     one shared zero row and plane.
     """
-    v = tuple(Fraction(x) for x in v)
-    if not any(v):
-        raise PreconditionError("rank_one_cube needs a nonzero vector")
     dim = sdata.dim
-    rows, _ = sdata.index_map(upper=False)
-    w = [(b, sum(x * v[p] for p, x in row if v[p])) for b, row in enumerate(rows)]
-    w = [(b, x) for b, x in w if x]
+    w = _rank_one_weights(sdata, v)
     zero = Fraction(0)
     zero_row = (zero,) * dim
     cube = [(zero_row,) * dim] * dim
@@ -310,6 +305,24 @@ def rank_one_cube(sdata: SymplecticData, v):
             plane[c] = tuple(row)
         cube[b] = tuple(plane)
     return tuple(cube)
+
+
+def rank_one_entries(sdata: SymplecticData, v):
+    """The nonzero entries {(b, c, d): S_bcd} of `rank_one_cube(sdata, v)`,
+    in index order, with no dense cube built."""
+    w = _rank_one_weights(sdata, v)
+    return {(b, c, d): x * y * z for b, x in w for c, y in w for d, z in w}
+
+
+def _rank_one_weights(sdata: SymplecticData, v):
+    """The nonzero entries (b, omega(e_b, v)) of w = omega(., v), in order of
+    b, summed over the nonzero entries of omega and v; v = 0 is refused."""
+    v = tuple(Fraction(x) for x in v)
+    if not any(v):
+        raise PreconditionError("rank_one_cube needs a nonzero vector")
+    rows, _ = sdata.index_map(upper=False)
+    w = [(b, sum(x * v[p] for p, x in row if v[p])) for b, row in enumerate(rows)]
+    return [(b, x) for b, x in w if x]
 
 
 def rho_curve(B: StructureMapCurve):

@@ -12,7 +12,9 @@ Every curve file is written by one emitter, `json_text`, and read by
 `loads`, which checks each order of a curve once.  `dumps` hands
 `json_text` each `FourierScalar` as a leaf, whose mode list it writes
 straight to text, once per scalar object and depth in a call: the keys of
-an index orbit share one scalar in generated and loaded curves.  `loads`
+an index orbit share one scalar in generated and loaded curves.  It hands
+each stored cube order (den, entries) of a structure map as a leaf too,
+whose dim^3 texts it writes with joins, not as nested lists.  `loads`
 parses a mode list once per orbit of a fully symmetric order; an entry
 whose raw mode list equals the first one read in its orbit, and holds no
 bool or float leaf, shares that entry's scalar.
@@ -302,23 +304,59 @@ def connection_from_json(obj):
 # -- structure-map curves -----------------------------------------------------------
 
 
-def structure_map_to_json(b: StructureMapCurve):
+def _cube_texts(dim, order):
+    """The "p/q" texts of a cube in stored form (den, entries), as one flat
+    list in index order (a, b, c)."""
+    den, entries = order
+    texts = {key: _ratio_to_str(v, den) for key, v in entries.items()}
+    idx = range(dim)
+    return [texts.get((a, b, c), "0") for a in idx for b in idx for c in idx]
+
+
+def _cube_to_json(dim, order):
+    """The dense array of "p/q" texts of a cube in stored form (den, entries)."""
+    flat = _cube_texts(dim, order)
+    return [[flat[(a * dim + b) * dim:(a * dim + b + 1) * dim] for b in range(dim)]
+            for a in range(dim)]
+
+
+class _CubeLeaf:
+    """A stored cube order left as a leaf of a tree, which `json_text`
+    writes as its dense array, straight to text."""
+
+    __slots__ = ("dim", "order")
+
+    def __init__(self, dim, order):
+        self.dim = dim
+        self.order = order
+
+
+def _cube_text(leaf, nl):
+    """The `json_text` of `_cube_to_json(leaf.dim, leaf.order)` whose line
+    breaks are followed by nl.  A "p/q" text needs no escape."""
+    dim = leaf.dim
+    i1 = nl + " "
+    i2 = i1 + " "
+    i3 = i2 + " "
+    texts = _cube_texts(dim, leaf.order)
+    head, sep, tail = i2 + "[" + i3 + '"', '",' + i3 + '"', '"' + i2 + "]"
+    rows = [head + sep.join(texts[r * dim:(r + 1) * dim]) + tail for r in range(dim * dim)]
+    planes = [i1 + "[" + ",".join(rows[a * dim:(a + 1) * dim]) + i1 + "]"
+              for a in range(dim)]
+    return "[" + ",".join(planes) + nl + "]"
+
+
+def structure_map_to_json(b: StructureMapCurve, cube=_cube_to_json):
+    """The JSON tree of a structure-map curve, each stored order written by
+    `cube(dim, order)`."""
     return {
         "kind": "structure_map_curve",
         "version": FORMAT_VERSION,
         "dim": b.dim,
         "cap": b.cap,
         "omega": omega_to_json(b.sdata),
-        "cubes": [_cube_to_json(b.dim, order) for order in b.orders],
+        "cubes": [cube(b.dim, order) for order in b.orders],
     }
-
-
-def _cube_to_json(dim, order):
-    """The dense array of "p/q" texts of a cube in stored form (den, entries)."""
-    den, entries = order
-    texts = {key: _ratio_to_str(v, den) for key, v in entries.items()}
-    idx = range(dim)
-    return [[[texts.get((a, b, c), "0") for c in idx] for b in idx] for a in idx]
 
 
 def structure_map_from_json(obj):
@@ -404,11 +442,12 @@ def symplecto_from_json(obj, header=None):
 # -- normalization results ------------------------------------------------------------
 
 
-def normalization_to_json(res: NormalizationResult, scalar=scalar_to_json):
+def normalization_to_json(res: NormalizationResult, scalar=scalar_to_json,
+                          cube=_cube_to_json):
     return {
         "kind": "normalization_result",
         "version": FORMAT_VERSION,
-        "flat": structure_map_to_json(res.flat_curve),
+        "flat": structure_map_to_json(res.flat_curve, cube),
         "witness": symplecto_to_json(res.witness, scalar),
         "log": res.per_order_log,
     }
@@ -440,23 +479,23 @@ def from_json(obj, header=None):
     return parser(obj)
 
 
-def _tree(value, scalar):
+def _tree(value, scalar, cube):
     """The JSON tree of a curve value, each FourierScalar written by
-    `scalar`."""
+    `scalar` and each stored cube order by `cube`."""
     if isinstance(value, ConnectionCurve):
         return connection_to_json(value, scalar)
     if isinstance(value, StructureMapCurve):
-        return structure_map_to_json(value)
+        return structure_map_to_json(value, cube)
     if isinstance(value, SymplectoCurve):
         return symplecto_to_json(value, scalar)
     if isinstance(value, NormalizationResult):
-        return normalization_to_json(value, scalar)
+        return normalization_to_json(value, scalar, cube)
     raise TypeError(f"no serialization for {type(value).__name__}")
 
 
 def to_json(value):
     """The plain JSON tree of a curve value: dicts, lists, str and int."""
-    return _tree(value, scalar_to_json)
+    return _tree(value, scalar_to_json, _cube_to_json)
 
 
 def _append_json(obj, parts, nl, texts):
@@ -471,6 +510,8 @@ def _append_json(obj, parts, nl, texts):
         if written is None:
             written = texts[id(obj), nl] = obj, _scalar_text(obj, nl)
         parts.append(written[1])
+    elif t is _CubeLeaf:
+        parts.append(_cube_text(obj, nl))
     elif t is list or t is tuple:
         if not obj:
             parts.append("[]")
@@ -510,7 +551,7 @@ def json_text(obj) -> str:
     dict (str keys), list or tuple (both written as arrays), int, bool and
     None; any other type raises TypeError.  A FourierScalar leaf is written
     as its `scalar_to_json` mode list, once per scalar object and depth in
-    a call.  `json.dumps` with an indent runs the json module's pure-Python
+    a call, and a stored cube leaf as its dense array.  `json.dumps` with an indent runs the json module's pure-Python
     encoder; this writes the same lines directly, with the C string escaper
     that `json.dumps` uses by default (ensure_ascii)."""
     parts = []
@@ -522,8 +563,8 @@ def json_text(obj) -> str:
 def dumps(value) -> str:
     """The curve file text of a value, byte-identical to
     `json.dumps(to_json(value), indent=1) + "\\n"`: `json_text` of its tree
-    with each FourierScalar left as a leaf."""
-    return json_text(_tree(value, _scalar_leaf))
+    with each FourierScalar and each stored cube order left as a leaf."""
+    return json_text(_tree(value, _scalar_leaf, _CubeLeaf))
 
 
 def loads(text: str, header=None):

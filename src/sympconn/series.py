@@ -39,9 +39,13 @@ class SparseScalar:
     Keys are int tuples of length dim that add under products: Fourier
     modes for `fourier.FourierScalar`, exponent vectors for `euclidean.Poly`.
     A subclass sets `coeff_type`, its coefficient type, and supplies
-    `derivative`.  The checked constructor converts every coefficient to
-    `coeff_type` and drops zeros; `_validated=True` skips it for maps the
-    kernels built.  This is the contract `VectorField.scalar` names.
+    `derivative` and `derivative_terms(axis)`, the terms (key, p, q, d) of
+    that derivative, each the value (p + i q) / d not yet reduced, which
+    `VectorField.add_apply` multiplies into a `GaussianSums` without
+    building the derivative.  The checked constructor converts every
+    coefficient to `coeff_type` and drops zeros; `_validated=True` skips it
+    for maps the kernels built.  This is the contract `VectorField.scalar`
+    names.
 
     Because a scalar is immutable, `axes()` is computed once and kept in a
     slot that the constructor leaves unset, so building a scalar costs
@@ -198,11 +202,11 @@ class VectorField:
 
     def add_apply(self, acc, key, f, weight=1):
         """acc[key] += weight X(f) for a `GaussianSums` acc and a rational
-        weight."""
+        weight: each X^a times the `derivative_terms` of f along a."""
         comps = self.comps
         for a in f.axes():
             if xa := comps[a].coeffs:
-                acc.add_product(key, xa, f.derivative(a).coeffs, weight=weight)
+                acc.add_times_terms(key, xa, f.derivative_terms(a), weight=weight)
 
     def derive(self, other):
         """The flat derivative of a field, (X(Y^c))_c."""

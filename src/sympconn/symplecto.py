@@ -145,6 +145,13 @@ def _eye(dim):
     return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
+@cache
+def _origin(dim):
+    """The zero translation, dim Fraction zeros, built once per dim; an
+    all-zero d is kept as this tuple."""
+    return (Fraction(0),) * dim
+
+
 class SymplectoCurve:
     """psi_t = sigma^* o exp X_t with sigma(x) = C x + 2 pi d.  validate=False
     trusts the caller: C is in Sp(2n, Z) and every generator real symplectic."""
@@ -159,7 +166,9 @@ class SymplectoCurve:
             if any(Fraction(x).denominator != 1 for row in c_mat for x in row):
                 raise ConfigurationError("linear part is not integral")
         c_mat = tuple(tuple(int(x) for x in row) for row in c_mat)
-        d = tuple(Fraction(x) % 1 for x in d)
+        d = tuple(d)
+        if d != _origin(dim):
+            d = tuple(Fraction(x) % 1 for x in d)
         gens = list(gens)
         if len(gens) == cap:
             gens = [FourierVectorField.zero(dim)] + gens
@@ -194,7 +203,7 @@ class SymplectoCurve:
             sdata,
             cap,
             _eye(dim),
-            (Fraction(0),) * dim,
+            _origin(dim),
             [FourierVectorField.zero(dim)] * (cap + 1),
             validate=False,
         )
@@ -207,7 +216,7 @@ class SymplectoCurve:
     @classmethod
     def from_generators(cls, sdata, cap, gens):
         dim = sdata.dim
-        return cls(sdata, cap, _eye(dim), (Fraction(0),) * dim, gens)
+        return cls(sdata, cap, _eye(dim), _origin(dim), gens)
 
     @classmethod
     def from_hamiltonian(cls, sdata, cap, f: FourierScalar, order, coeff=1):
@@ -224,7 +233,7 @@ class SymplectoCurve:
         dim = sdata.dim
         gens = [FourierVectorField.zero(dim) for _ in range(cap + 1)]
         gens[order] = hamiltonian_field(sdata, f).scale(Fraction(coeff))
-        return cls(sdata, cap, _eye(dim), (Fraction(0),) * dim, gens, validate=False)
+        return cls(sdata, cap, _eye(dim), _origin(dim), gens, validate=False)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -233,15 +242,10 @@ class SymplectoCurve:
         return self.sdata.dim
 
     def is_identity(self):
-        dim = self.dim
-        return (
-            self.c_mat == _eye(dim)
-            and all(x == 0 for x in self.d)
-            and all(g.is_zero() for g in self.gens)
-        )
+        return self.has_identity_affine_part() and all(g.is_zero() for g in self.gens)
 
     def has_identity_affine_part(self):
-        return self.c_mat == _eye(self.dim) and all(x == 0 for x in self.d)
+        return self.c_mat == _eye(self.dim) and not any(self.d)
 
     def __eq__(self, other):
         """Equality of canonical forms sigma^* o exp X_t."""
@@ -374,7 +378,10 @@ def compose(*psis: SymplectoCurve) -> SymplectoCurve:
     (sigma_n o ... o sigma_1)^*, and each X_i is conjugated through the
     inverse of the affine part on its right, (sigma_n o ... o sigma_(i+1))^*,
     which is skipped while that part is the identity; the moved ladders then
-    merge in one `merge_exponentials`.  The omega and cap check runs first,
+    merge in one `merge_exponentials`.  A factor's translation enters the
+    collected one only when it is nonzero, and its matrix the collected
+    matrices only when it is not the identity; the collected matrix is
+    checked symplectic on every call.  The omega and cap check runs first,
     over all factors.  Identity factors are exact no-ops and are dropped: if
     none is left the first factor itself is returned, and if one is left that
     factor itself, with no normal ordering, so psi o id is psi.
@@ -388,7 +395,7 @@ def compose(*psis: SymplectoCurve) -> SymplectoCurve:
     if len(kept) <= 1:
         return kept[0] if kept else psis[0]
     # rho = sigma_n o ... o sigma_(i+1), the affine part right of factor i
-    last = kept[-1]
+    last, eye = kept[-1], _eye(sdata.dim)
     moved = [last.gens]
     c_rho, c_rho_inv, d_rho = last.c_mat, last.c_inv, last.d
     rho_is_identity = last.has_identity_affine_part()
@@ -401,10 +408,14 @@ def compose(*psis: SymplectoCurve) -> SymplectoCurve:
                 conj_affine(c_rho_inv, c_rho, back, g) if not g.is_zero() else g
                 for g in psi.gens
             ])
-        rho_is_identity = rho_is_identity and psi.has_identity_affine_part()
-        d_rho = tuple(x + y for x, y in zip(mat_vec(c_rho, psi.d), d_rho))
-        c_rho = _mat_mul(c_rho, psi.c_mat)
-        c_rho_inv = _mat_mul(psi.c_inv, c_rho_inv)
+        # C_rho 0 = 0 and C I = C: a zero d or an identity C adds no work
+        shifted, linear = any(psi.d), psi.c_mat != eye
+        rho_is_identity = rho_is_identity and not (shifted or linear)
+        if shifted:
+            d_rho = tuple(x + y for x, y in zip(mat_vec(c_rho, psi.d), d_rho))
+        if linear:
+            c_rho = _mat_mul(c_rho, psi.c_mat)
+            c_rho_inv = _mat_mul(psi.c_inv, c_rho_inv)
     if not sdata.is_symplectic_matrix(c_rho):
         raise InternalInconsistency("product of Sp(2n, Z) matrices is not symplectic")
     z = merge_exponentials(sdata, *reversed(moved))

@@ -289,3 +289,72 @@ def fraction_rows(order_rows):
     den, rows = order_rows
     return [{p: {b: Fraction(v, den) for b, v in row.items()} for p, row in r.items()}
             for r in rows]
+
+
+def random_real_scalar_by_fractions(rng, dim, max_modes=3, mode_bound=2, zero_mean=True):
+    """`generate.random_real_scalar` as it drew a term: a Fraction amplitude,
+    compared `rng.random()` with Fraction(1, 2) and summed
+    `FourierScalar.cosine` or `FourierScalar.sine` of it."""
+    from sympconn.fourier import FourierScalar
+
+    f = FourierScalar.zero(dim)
+    for _ in range(rng.randint(1, max_modes)):
+        m = tuple(rng.randint(-mode_bound, mode_bound) for _ in range(dim))
+        if zero_mean and not any(m):
+            continue
+        amp = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        if not amp:
+            continue
+        if rng.random() < Fraction(1, 2):
+            f = f + FourierScalar.cosine(dim, m, amp)
+        else:
+            f = f + FourierScalar.sine(dim, m, amp)
+    return f
+
+
+def rank_one_ladder_dense(sdata, cap, seed=0, scale_range=3):
+    """`generate.rank_one_ladder` as it was built: dense Fraction multiples
+    of `invariant.rank_one_cube`, read back by the dense constructor."""
+    import random
+
+    from sympconn.generate import omega_orthogonal_basis_vectors
+    from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
+    from sympconn.moduli import require_valid
+
+    rng = random.Random(seed)
+    vecs = omega_orthogonal_basis_vectors(sdata)
+    cubes = [zero_cube(sdata.dim)]
+    for _ in range(cap):
+        v = vecs[rng.randrange(len(vecs))]
+        c = Fraction(rng.randint(-scale_range, scale_range))
+        base = rank_one_cube(sdata, v)
+        cubes.append([[[c * x for x in row] for row in plane] for plane in base])
+    curve = StructureMapCurve(sdata, cap, cubes)
+    require_valid(curve)
+    return curve
+
+
+def validated_sum_ladder_dense(sdata, cap, seed=0):
+    """`generate.validated_sum_ladder` as it was built: dense sums of
+    Fraction multiples of `invariant.rank_one_cube`."""
+    import random
+
+    from sympconn.generate import omega_orthogonal_basis_vectors
+    from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
+    from sympconn.moduli import require_valid
+
+    rng = random.Random(seed)
+    vecs = omega_orthogonal_basis_vectors(sdata)
+    dim = sdata.dim
+    cubes = [zero_cube(dim)]
+    for _ in range(cap):
+        cube = zero_cube(dim)
+        for v in rng.sample(vecs, rng.randint(1, len(vecs))):
+            c = Fraction(rng.randint(-2, 2))
+            base = rank_one_cube(sdata, v)
+            cube = [[[cube[a][b][d] + c * base[a][b][d] for d in range(dim)]
+                     for b in range(dim)] for a in range(dim)]
+        cubes.append(cube)
+    curve = StructureMapCurve(sdata, cap, cubes)
+    require_valid(curve)
+    return curve

@@ -13,7 +13,7 @@ from sympconn.fourier import (
     lower_last,
     raise_last,
 )
-from sympconn.generate import random_connection_curve, random_symmetric_field
+from sympconn.generate import random_connection_curve, random_real_scalar, random_symmetric_field
 from sympconn.linalg import inverse, matrix, transpose
 from sympconn.moduli import _words_up_to, sp_generators
 from sympconn.rationals import GaussianRational
@@ -505,3 +505,23 @@ def test_curvature_type_catches_a_nonzero_diagonal_pair():
     t = TensorField(DIM, 4, {(1, 1, 0, 2): FourierScalar.constant(DIM, 1),
                              (1, 1, 2, 0): FourierScalar.constant(DIM, 1)}, _validated=True)
     assert t.symmetry_witness("curvature_type") == ((1, 1, 0, 2), (1, 1, 0, 2))
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("zero_mean", [True, False])
+def test_random_real_scalar_equals_the_fraction_reference(dim, zero_mean):
+    """The canonical triples drawn directly equal the Fraction amplitudes
+    through `cosine` and `sine`, for seeds 0-99, and leave the random
+    stream where the reference leaves it.  Mode bound 0 draws only the zero
+    mode, where a cosine is a constant and a sine is 0."""
+    from references import random_real_scalar_by_fractions
+
+    for seed in range(100):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for bound in (2, 0, 1):
+            got = random_real_scalar(rng, dim, mode_bound=bound, zero_mean=zero_mean)
+            want = random_real_scalar_by_fractions(ref, dim, mode_bound=bound,
+                                                   zero_mean=zero_mean)
+            assert got == want, seed
+            assert got.is_real()
+        assert rng.getstate() == ref.getstate()

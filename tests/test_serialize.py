@@ -512,3 +512,36 @@ def test_omega_is_built_once_per_text_and_refused_on_every_call():
         assert str(exc.value) == "omega[1]: bad rational literal 'True'"
         with pytest.raises(InputError, match="^omega: singular matrix"):
             omega_from_json(singular, 4)
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_cube_leaves_are_written_as_json_dumps_of_the_dense_arrays(dim):
+    """Structure-map curves whose cubes `dumps` writes as leaves read as the
+    dense arrays of `to_json` would: zero orders, integral and non-integral
+    orders with mixed signs and denominators, a nonzero order 0, rank-one
+    and sum ladders, and normalization results (computed, and built around
+    such a curve)."""
+    from sympconn.invariant import StructureMapCurve, integral_form, rank_one_entries
+    from sympconn.normalization import NormalizationResult
+    from sympconn.symplecto import SymplectoCurve
+
+    sd = SymplecticData.standard(dim)
+    v = (1, Fraction(1, 2), 0, Fraction(-2, 3)) + (0,) * (dim - 5) + (3,)
+    mixed = {key: x * Fraction(5, 7) for key, x in rank_one_entries(sd, v).items()}
+    integral = {key: 2 * x for key, x in rank_one_entries(sd, (1,) + (0,) * (dim - 1)).items()}
+    both = dict(integral)
+    for key, x in mixed.items():
+        both[key] = both.get(key, 0) + x
+    orders = [integral_form(o) for o in ({}, mixed, {}, integral, both)]
+    curves = [StructureMapCurve.from_orders(sd, 4, orders),
+              StructureMapCurve.from_orders(sd, 4, [integral_form(mixed)] + orders[1:]),
+              StructureMapCurve.from_orders(sd, 0, [(1, {})]),
+              rank_one_ladder(sd, 3, seed=dim), validated_sum_ladder(sd, 3, seed=dim)]
+    assert any(den > 1 for den, _ in curves[0].orders)
+    _, _, moved = conjugated_flat_fixture(dim, dim=dim, cap=2)
+    step = SymplectoCurve.from_hamiltonian(
+        sd, 4, FourierScalar.cosine(dim, (1,) + (0,) * (dim - 1)), 2, Fraction(1, 3))
+    values = curves + [normalize_curve(moved),
+                       NormalizationResult(curves[0], step, [{"order": 1}])]
+    for value in values:
+        assert dumps(value) == json.dumps(to_json(value), indent=1) + "\n", value

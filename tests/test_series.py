@@ -688,3 +688,52 @@ def test_is_symplectic_equals_the_scalar_reference(sdata):
                 assert y.is_symplectic(sdata) == reference_is_symplectic(y, sdata)
     assert verdicts == {True, False}
     assert FourierVectorField.zero(dim).is_symplectic(sdata)
+
+
+def _fourier_apply_cases(rng):
+    """(X, f) on T^4: random real fields and scalars with mixed
+    denominators, a field with zero components and a constant scalar."""
+    def scalar():
+        return random_real_scalar(rng, DIM, max_modes=3, mode_bound=2, zero_mean=False)
+
+    cases = [(FourierVectorField([scalar() for _ in range(DIM)]), scalar()) for _ in range(6)]
+    sparse = FourierVectorField([scalar(), FourierScalar.zero(DIM), scalar(),
+                                 FourierScalar.zero(DIM)])
+    cases.append((sparse, scalar()))
+    cases.append((sparse, FourierScalar.constant(DIM, Fraction(3, 7))))
+    cases.append((FourierVectorField.zero(DIM), scalar()))
+    return cases
+
+
+def _poly_apply_cases():
+    """(X, f) on R^4, with a zero component, a constant and the zero scalar."""
+    gens, _, scalars, fields = euclidean_case()
+    x = PolyVectorField([poly({(0, 1, 0, 0): Fraction(2, 3)}), Poly.zero(DIM),
+                         poly({(1, 0, 0, 1): -1, (0, 0, 0, 0): Fraction(1, 4)}),
+                         Poly.zero(DIM)])
+    cubic = poly({(3, 0, 0, 0): Fraction(1, 3), (0, 1, 2, 0): Fraction(-5, 6)})
+    cases = [(g, f) for g in gens[1:] + fields for f in scalars + [cubic]]
+    return cases + [(x, cubic), (x, poly({(0, 0, 0, 0): Fraction(1, 2)}))]
+
+
+@pytest.mark.parametrize("weight", [1, 2, Fraction(-3, 5)], ids=["1", "2", "-3/5"])
+def test_add_apply_equals_the_sum_of_components_times_derivatives(weight):
+    """acc[key] += weight X(f) through `derivative_terms` equals
+    weight sum_a X^a df/dx^a built from `derivative` scalars, on the torus
+    and on R^4, for a constant f, zero components and a weight other than
+    1; a second call on the same key adds to the first."""
+    from sympconn._kernel.pure import GaussianSums
+
+    rng = random.Random(f"add-apply-{weight}")
+    for x, f in _fourier_apply_cases(rng) + _poly_apply_cases():
+        want = x.scalar.zero(DIM)
+        for a, xa in enumerate(x.comps):
+            want = want + xa * f.derivative(a)
+        acc = GaussianSums()
+        x.add_apply(acc, "k", f, weight)
+        got = acc.finish(x.scalar, DIM).get("k") or x.scalar.zero(DIM)
+        assert got == want.scale(weight), (x.comps, f)
+        x.add_apply(acc, "k", f, weight)
+        twice = acc.finish(x.scalar, DIM).get("k") or x.scalar.zero(DIM)
+        assert twice == want.scale(2 * weight)
+        assert x.apply(f) == want
