@@ -13,9 +13,10 @@ These loops dominate the runtime of every tensor operation.
 types: every sum of many signed terms per key (coefficient maps, their
 products and their derivatives) is kept as unreduced Gaussian-integer
 triples.  It reads a `GaussianRational`'s fields (p, q, d), the value
-(p + i q) / d, and a `Fraction` as (numerator, 0, denominator), so no gcd is
-taken per term; each sum is reduced once, to the coefficient type of its
-scalar, so a `Poly` gets `Fraction`s.  Its one product loop,
+(p + i q) / d, and a `Fraction` as (numerator, 0, denominator), after one
+type test per map, so no value is converted and no gcd is taken per term;
+each sum is reduced once, to the coefficient type of its scalar, so a
+`Poly` gets `Fraction`s.  Its one product loop,
 `add_times_terms`, multiplies a coefficient map by a term list: the other
 factor's coefficients for `add_product`, or a scalar's `derivative_terms`
 for X(f), so no derivative is built as a scalar.
@@ -130,12 +131,13 @@ class GaussianSums:
     Each key holds {mode: [p, q, d]}, the value (p + i q) / d with d > 0 and
     no gcd taken.  A term with another denominator merges over the lcm of
     the two, so the stored d is the lcm of the term denominators and stays
-    small.  Each adder takes an int `sign` (a factor such as -1 or 2), `add`
-    and `add_product` also a rational `weight` that scales the numerators
-    and denominators of the term, and each reads the values of a
-    coefficient map through `_gaussian`.  `finish` reduces each sum once,
-    to its scalar type's coefficient type; `all_zero` is true exactly when
-    every sum vanishes.
+    small.  Each adder takes an int `sign` (a factor such as -1 or 2) and,
+    but for `add_derivative`, a rational `weight` that scales the numerators
+    and denominators of the term.  A coefficient map's values are read as
+    they are, after one type test per map (`_is_real`): a `Fraction` as
+    (numerator, 0, denominator), a `GaussianRational` as its fields.
+    `finish` reduces each sum once, to its scalar type's coefficient type;
+    `all_zero` is true exactly when every sum vanishes.
     """
 
     __slots__ = ("sums",)
@@ -154,16 +156,32 @@ class GaussianSums:
         weight."""
         t = self._target(key)
         n, w = sign * weight.numerator, weight.denominator
-        for m, c in _gaussian(a).items():
-            _merge(t, m, c.p * n, c.q * n, c.d * w)
+        if _is_real(a):
+            for m, c in a.items():
+                _merge(t, m, c.numerator * n, 0, c.denominator * w)
+        else:
+            for m, c in a.items():
+                _merge(t, m, c.p * n, c.q * n, c.d * w)
+
+    def add_terms(self, key, terms, sign=1, weight=1):
+        """sums[key] += sign * weight * g for a function g given as its
+        unreduced terms (m, p, q, d), as `add_times_terms` takes them, and a
+        rational weight."""
+        t = self._target(key)
+        n, w = sign * weight.numerator, weight.denominator
+        for m, p, q, d in terms:
+            _merge(t, m, p * n, q * n, d * w)
 
     def add_product(self, key, a, b, sign=1, weight=1):
         """sums[key] += sign * weight * a b, for a rational weight: keys add,
         coefficients multiply."""
         if len(a) > len(b):
             a, b = b, a
-        self.add_times_terms(
-            key, a, [(m, c.p, c.q, c.d) for m, c in _gaussian(b).items()], sign, weight)
+        if _is_real(b):
+            terms = [(m, c.numerator, 0, c.denominator) for m, c in b.items()]
+        else:
+            terms = [(m, c.p, c.q, c.d) for m, c in b.items()]
+        self.add_times_terms(key, a, terms, sign, weight)
 
     def add_times_terms(self, key, a, terms, sign=1, weight=1):
         """sums[key] += sign * weight * a g for a coefficient map a and a
@@ -176,8 +194,12 @@ class GaussianSums:
             return
         n, w = sign * weight.numerator, weight.denominator
         plus = _ADDERS[len(terms[0][0])]
-        for m1, c in _gaussian(a).items():
-            p1, q1, d1 = n * c.p, n * c.q, w * c.d
+        real = _is_real(a)
+        for m1, c in a.items():
+            if real:
+                p1, q1, d1 = n * c.numerator, 0, w * c.denominator
+            else:
+                p1, q1, d1 = n * c.p, n * c.q, w * c.d
             for m2, p2, q2, d2 in terms:
                 m = plus(m1, m2)
                 _merge(t, m, p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
@@ -212,15 +234,13 @@ class GaussianSums:
         return out
 
 
-def _gaussian(a):
-    """A coefficient map with `GaussianRational` values, read once per map:
-    a `Fraction` map as the same numbers (numerator + i 0) / denominator,
-    which are canonical triples and need no gcd."""
+def _is_real(a):
+    """Whether a coefficient map holds `Fraction`s, told by its first value;
+    its values are then read as (numerator, 0, denominator), and otherwise
+    as the fields (p, q, d) of `GaussianRational`s."""
     for c in a.values():
-        if type(c) is Fraction:
-            return {m: _make(c.numerator, 0, c.denominator) for m, c in a.items()}
-        break
-    return a
+        return type(c) is Fraction
+    return False
 
 
 def _merge(t, m, p, q, d):

@@ -64,6 +64,18 @@ class Poly(SparseScalar):
         return [(e[:axis] + (k - 1,) + e[axis + 1:], c.numerator * k, 0, c.denominator)
                 for e, c in self.coeffs.items() if (k := e[axis])]
 
+    def second_derivative_terms(self, a, b):
+        """The terms (e - e_a - e_b, num k, 0, den) of d/dx^a d/dx^b, one per
+        monomial num / den x^e with k = e_b (e - e_b)_a > 0, unreduced."""
+        out = []
+        for e, c in self.coeffs.items():
+            if k := e[b] * (e[a] - (a == b)):
+                lowered = list(e)
+                lowered[a] -= 1
+                lowered[b] -= 1
+                out.append((tuple(lowered), c.numerator * k, 0, c.denominator))
+        return out
+
     def substitute(self, maps):
         """Evaluate at x^a = maps[a] (a list of Polys)."""
         if len(maps) != self.dim:

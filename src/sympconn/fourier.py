@@ -202,6 +202,12 @@ class FourierScalar(SparseScalar):
         (p' + i q') / d at mode m times i m_axis is (-q' m_axis + i p' m_axis) / d."""
         return [(m, -c.q * k, c.p * k, c.d) for m, c in self.coeffs.items() if (k := m[axis])]
 
+    def second_derivative_terms(self, a, b):
+        """The terms (m, p, q, d) of d/dx^a d/dx^b, unreduced: the coefficient
+        (p' + i q') / d at mode m times (i m_a)(i m_b) = -m_a m_b."""
+        return [(m, -c.p * k, -c.q * k, c.d) for m, c in self.coeffs.items()
+                if (k := m[a] * m[b])]
+
     def shift_mode(self, delta):
         """Multiply by e^{i delta.x}."""
         return FourierScalar(self.dim, K.dict_shift(self.coeffs, tuple(delta)), _validated=True)

@@ -11,7 +11,9 @@ is the least positive integer that makes den_k B^(k) integral, and
 entries_k maps every index triple, sorted or not, to its nonzero int in
 den_k B^(k).  den_k is an Sp(2n, Z) invariant: C and C^{-1} are integral,
 so pullback by either carries integral cubes to integral cubes.  Every
-reader works on this form; `cubes` is a dense read-only view of it.
+reader works on this form; `cubes` gives dense read-only views of it,
+`DenseCube`s that keep the order they were read from, so that
+`integral_cube` hands such a cube back as that order without a scan.
 
 Every identity about products of structure maps is read off one table per
 order, StructureMapCurve.products(k):
@@ -51,7 +53,7 @@ MAX_STRUCTURE_WORK.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate as running_totals, product
+from itertools import accumulate as running_totals, chain, product
 from math import lcm
 
 from .curvature import ConnectionCurve
@@ -74,15 +76,52 @@ def integral_form(values):
     return den, {key: v.numerator * (den // v.denominator) for key, v in values.items()}
 
 
+class DenseCube(tuple):
+    """A dense cube B-bar[a][b][c] of Fractions as nested tuples, read from a
+    stored order (den, entries), which it keeps as `stored`: handed back to
+    `integral_cube`, it gives that form without a read of its entries.  The
+    stored entries are shared, never copied: no reader mutates them."""
+
+    def __new__(cls, dim, order):
+        den, entries = order
+        value = {v: Fraction(v, den) for v in set(entries.values())}
+        flat = [Fraction(0)] * (dim * dim * dim)
+        for (a, b, c), v in entries.items():
+            flat[(a * dim + b) * dim + c] = value[v]
+        rows = [tuple(flat[i:i + dim]) for i in range(0, len(flat), dim)]
+        view = super().__new__(cls, (tuple(rows[i:i + dim]) for i in range(0, len(rows), dim)))
+        view.stored = order
+        return view
+
+
 def integral_cube(dim, cube):
-    """The stored form (den, entries) of a dense dim-cube of rationals; a
-    cube of any other shape is refused."""
+    """The stored form (den, entries) of a dense dim-cube of rationals.  A
+    `DenseCube` of that dim gives the form it was read from at once; any
+    other cube has its shape checked, a cube of any other shape being
+    refused, and every entry read: a float or a bool is refused, as it is
+    not an exact rational."""
+    if type(cube) is DenseCube and len(cube) == dim:
+        return cube.stored
     if len(cube) != dim or any(len(plane) != dim or any(len(row) != dim for row in plane)
                                for plane in cube):
         raise ConfigurationError(f"a cube needs {dim} x {dim} x {dim} entries")
-    idx = range(dim)
-    return integral_form({(a, b, c): Fraction(x) for a in idx for b in idx for c in idx
-                          if (x := cube[a][b][c])})
+    flat = list(chain.from_iterable(chain.from_iterable(cube)))
+    if not _EXACT_TYPES.issuperset(map(type, flat)):
+        for i, x in enumerate(flat):
+            if isinstance(x, (float, bool)):
+                raise ConfigurationError(f"cube entry {_slot(dim, i)} is a {type(x).__name__}, "
+                                         "not a rational")
+    return integral_form({_slot(dim, i): Fraction(x) for i, x in enumerate(flat) if x})
+
+
+# The entry types every dense cube can hold at no further check.
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _slot(dim, i):
+    """The index triple (a, b, c) of entry i of a flattened dim-cube."""
+    a, bc = divmod(i, dim * dim)
+    return (a, *divmod(bc, dim))
 
 
 def _is_symmetric(entries):
@@ -190,17 +229,11 @@ class StructureMapCurve:
 
     @property
     def cubes(self):
-        """The dense cubes B-bar^(k)[a][b][c] as nested tuples of Fractions, in
-        a new list; read from `orders` once and cached, with one Fraction per
-        distinct entry value of an order."""
+        """The dense cubes B-bar^(k)[a][b][c], each a `DenseCube` of Fractions
+        that keeps its stored order, in a new list; built from `orders` once
+        and cached, with one Fraction per distinct entry value of an order."""
         if self._cubes is None:
-            idx, zero = range(self.dim), Fraction(0)
-            self._cubes = []
-            for den, e in self.orders:
-                value = {v: Fraction(v, den) for v in set(e.values())}
-                value[None] = zero
-                self._cubes.append(tuple(tuple(tuple(value[e.get((a, b, c))] for c in idx)
-                                               for b in idx) for a in idx))
+            self._cubes = [DenseCube(self.dim, order) for order in self.orders]
         return list(self._cubes)
 
     def rows(self, k):

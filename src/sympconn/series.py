@@ -42,14 +42,17 @@ class SparseScalar:
     `derivative` and `derivative_terms(axis)`, the terms (key, p, q, d) of
     that derivative, each the value (p + i q) / d not yet reduced, which
     `VectorField.add_apply` multiplies into a `GaussianSums` without
-    building the derivative.  The checked constructor converts every
-    coefficient to `coeff_type` and drops zeros; `_validated=True` skips it
-    for maps the kernels built.  This is the contract `VectorField.scalar`
-    names.
+    building the derivative, and `second_derivative_terms(a, b)`, those of
+    d/dx^a d/dx^b, which the Lie series on connections reads.  The checked
+    constructor converts every coefficient to `coeff_type`, refusing a float
+    or a bool, and drops zeros; `_validated=True` skips it for maps the
+    kernels built.  This is the contract `VectorField.scalar` names.
 
-    Because a scalar is immutable, `axes()` is computed once and kept in a
-    slot that the constructor leaves unset, so building a scalar costs
-    nothing more; `==` and `hash` read only `dim` and `coeffs`.
+    Because a scalar is immutable, `axes()` is computed on its first read
+    and kept in the slot `_axes`, which the constructor sets to None: a read
+    of a set slot is a plain attribute read, where an unset one would raise
+    and catch an AttributeError.  `==` and `hash` read only `dim` and
+    `coeffs`.
     """
 
     __slots__ = ("dim", "coeffs", "_axes")
@@ -58,6 +61,7 @@ class SparseScalar:
 
     def __init__(self, dim, coeffs=None, _validated=False):
         self.dim = dim
+        self._axes = None
         if coeffs is None:
             coeffs = {}
         if not _validated:
@@ -68,6 +72,9 @@ class SparseScalar:
                 if len(m) != dim:
                     raise ConfigurationError("key length != dim")
                 if not isinstance(c, coeff_type):
+                    if isinstance(c, (float, bool)):
+                        raise ConfigurationError(
+                            f"coefficient at {m} is a {type(c).__name__}, not a rational")
                     c = coeff_type(c)
                 if c:
                     clean[m] = c
@@ -119,7 +126,7 @@ class SparseScalar:
     def axes(self):
         """The axes a at which some key has a nonzero entry, as an ascending
         tuple, computed once; the derivative along any other axis is zero."""
-        axes = getattr(self, "_axes", None)
+        axes = self._axes
         if axes is None:
             axes = self._axes = tuple([a for a, column in enumerate(zip(*self.coeffs))
                                        if any(column)])
@@ -240,11 +247,11 @@ class VectorField:
         for c, xc in enumerate(self.comps):
             if not xc.coeffs:
                 continue
-            grads = [(a, xc.derivative(a).coeffs) for a in xc.axes()]
+            grads = [(a, xc.derivative_terms(a)) for a in xc.axes()]
             for b, w in rows[c]:
                 for a, d in grads:
                     if a != b:
-                        acc.add((a, b) if a < b else (b, a), d, weight=w if a < b else -w)
+                        acc.add_terms((a, b) if a < b else (b, a), d, weight=w if a < b else -w)
         return acc.all_zero()
 
     def is_zero(self):
@@ -387,9 +394,11 @@ def exp_ad(gens, ycurve):
 
 
 class _LieData:
-    """The first and second flat derivatives of one generator X, as
-    coefficient maps: into[q] = [(r, d_r X^q)], outof[r] = [(q, d_r X^q)]
-    and hessian = {(a, b, p): d_a d_b X^p}, all without zero entries."""
+    """The first and second flat derivatives of one generator X, as the
+    unreduced terms of `derivative_terms` and `second_derivative_terms`:
+    into[q] = [(r, d_r X^q)], outof[r] = [(q, d_r X^q)] and
+    hessian = {(a, b, p): d_a d_b X^p}, all without empty term lists; no
+    derivative is built as a scalar."""
 
     __slots__ = ("field", "into", "outof", "hessian")
 
@@ -400,12 +409,14 @@ class _LieData:
         self.outof = [[] for _ in range(dim)]
         self.hessian = {}
         for q, xq in enumerate(x.comps):
-            for r in xq.axes():
-                d = xq.derivative(r)
-                self.into[q].append((r, d.coeffs))
-                self.outof[r].append((q, d.coeffs))
-                for a in d.axes():
-                    self.hessian[(a, r, q)] = d.derivative(a).coeffs
+            axes = xq.axes()
+            for r in axes:
+                d = xq.derivative_terms(r)
+                self.into[q].append((r, d))
+                self.outof[r].append((q, d))
+                for a in axes:
+                    if h := xq.second_derivative_terms(a, r):
+                        self.hessian[(a, r, q)] = h
 
     def lie(self, gamma, acc):
         """acc += L_X gamma in a `GaussianSums`, for gamma = {(a, b, p): G^p_ab}:
@@ -415,11 +426,11 @@ class _LieData:
             self.field.add_apply(acc, (a, b, p), g)
             g = g.coeffs
             for r, d in self.outof[p]:
-                acc.add_product((a, b, r), g, d, -1)
+                acc.add_times_terms((a, b, r), g, d, -1)
             for r, d in self.into[a]:
-                acc.add_product((r, b, p), g, d)
+                acc.add_times_terms((r, b, p), g, d)
             for r, d in self.into[b]:
-                acc.add_product((a, r, p), g, d)
+                acc.add_times_terms((a, r, p), g, d)
 
 
 def exp_lie_connection(gens, gamma):
@@ -456,7 +467,7 @@ def exp_lie_connection(gens, gamma):
                     data[s].lie(curve[k - s], acc)
             if ddx and data[k] is not None:
                 for idx, h in data[k].hessian.items():
-                    acc.add(idx, h)
+                    acc.add_terms(idx, h)
             out.append(acc.finish(scalar, dim))
         return out
 

@@ -265,7 +265,7 @@ def exp_lie_connection_summed(gens, gamma):
                     data[s].lie(curve[k - s], acc)
             if ddx and data[k] is not None:
                 for idx, h in data[k].hessian.items():
-                    acc.add(idx, h)
+                    acc.add_terms(idx, h)
             out.append(acc.finish(scalar, dim))
         return out
 
@@ -281,6 +281,19 @@ def exp_lie_connection_summed(gens, gamma):
             for idx, f in order.items():
                 acc.add(idx, f.coeffs, weight=weight)
     return [acc.finish(scalar, dim) for acc in sums]
+
+
+def as_gaussian(a):
+    """A coefficient map with `GaussianRational` values: a `Fraction` map as
+    the same numbers (numerator + i 0) / denominator, the form in which
+    `GaussianSums` once read every `Fraction` map; any other map as it is."""
+    from sympconn.rationals import _make
+
+    for c in a.values():
+        if type(c) is Fraction:
+            return {m: _make(c.numerator, 0, c.denominator) for m, c in a.items()}
+        break
+    return a
 
 
 def fraction_rows(order_rows):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import sympconn.euclidean as euclidean
 import sympconn.invariant as invariant
+import sympconn.rationals as rationals
+from sympconn._kernel import pure
 
 from sympconn.errors import ConfigurationError, PreconditionError
 from sympconn.euclidean import (
@@ -26,7 +28,7 @@ from sympconn.euclidean import (
     stabilizer_check,
     validity_check_cubes,
 )
-from sympconn.fourier import SymplecticData
+from sympconn.fourier import FourierScalar, SymplecticData
 from sympconn.generate import rank_one_ladder, validated_sum_ladder
 from sympconn.invariant import (
     StructureMapCurve,
@@ -200,6 +202,72 @@ def test_a_cube_of_the_wrong_shape_is_refused_with_its_shape(size):
         for fn in (require_nilpotent_cube, psi_A_symplectic_check, psi_A_connection_check, psi_A):
             with pytest.raises(ConfigurationError, match=r"^a cube needs 4 x 4 x 4 entries$"):
                 fn(SD, bad)
+
+
+def test_a_float_or_bool_cube_entry_is_refused_by_every_reader():
+    """0.1 and True in a dense cube are configuration errors naming the
+    entry, for every reader of a dense cube, not the rationals
+    3602879701896397/2^55 and 1."""
+    for bad, kind in ((0.1, "float"), (True, "bool")):
+        cube = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
+        cube[0][0][0] = bad
+        for fn in (require_nilpotent_cube, psi_A_symplectic_check, psi_A_connection_check, psi_A):
+            with pytest.raises(ConfigurationError,
+                               match=rf"^cube entry \(0, 0, 0\) is a {kind}, not a rational$"):
+                fn(SD, cube)
+
+
+def test_the_psi_A_checks_read_a_view_without_a_scan(monkeypatch):
+    """Both psi^A checks of a curve's own dense cube read its stored order
+    as it is: no entry of the dim^3 cube is scanned, and the nilpotency
+    ladder holds the very order the view keeps.  A plain copy of the same
+    cube is scanned, and gives the same verdicts."""
+    scans = []
+    scan = invariant.integral_form
+    monkeypatch.setattr(invariant, "integral_form", lambda values: scans.append(1) or scan(values))
+    cases = []
+    for dim in (4, 6, 8):
+        sd = SymplecticData.standard(dim)
+        for seed in range(3):
+            for make in (rank_one_ladder, validated_sum_ladder):
+                view = make(sd, 3, seed=seed).cubes[1]
+                cases.append((sd, view, tuple(tuple(tuple(r) for r in plane) for plane in view)))
+    for sd, view, _ in cases:
+        assert psi_A_symplectic_check(sd, view) and psi_A_connection_check(sd, view)
+        assert require_nilpotent_cube(sd, view).orders[1] is view.stored
+    assert scans == []
+    for sd, _, plain in cases:
+        assert psi_A_symplectic_check(sd, plain) and psi_A_connection_check(sd, plain)
+    assert len(scans) == 2 * len(cases)
+
+
+def test_the_R2n_checks_make_no_gaussian_rational(monkeypatch):
+    """`equivalence_Rn` and both psi^A checks on ladders at dims 4, 6 and 8
+    sum their `Fraction` maps as they are: no `GaussianRational` is made,
+    while a Fourier sum, as a control, makes some."""
+    made = []
+    make = rationals._make
+
+    def counted(p, q, d):
+        made.append((p, q, d))
+        return make(p, q, d)
+
+    monkeypatch.setattr(rationals, "_make", counted)
+    monkeypatch.setattr(pure, "_make", counted)
+    for dim in (4, 6, 8):
+        sd = SymplecticData.standard(dim)
+        for seed in range(2):
+            a, b = rank_one_ladder(sd, 3, seed=seed), validated_sum_ladder(sd, 3, seed=seed)
+            equivalence_Rn(a, b)
+            equivalence_Rn(b, a)
+            for ladder in (a, b):
+                assert psi_A_symplectic_check(sd, ladder.cubes[1])
+                assert psi_A_connection_check(sd, ladder.cubes[1])
+    assert made == []
+    acc = pure.GaussianSums()
+    acc.add((), FourierScalar.cosine(4, (1, 0, 0, 0)).coeffs, weight=Fraction(1, 3))
+    acc.finish(FourierScalar, 4)
+    assert made
 
 
 def test_poly_symplecto_refuses_a_translation_of_the_wrong_length():

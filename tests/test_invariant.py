@@ -10,7 +10,12 @@ import sympconn.invariant as invariant
 from sympconn.curvature import ConnectionCurve, curvature_bundle
 from sympconn.errors import ConfigurationError, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
-from sympconn.generate import gradient_curve, rank_one_ladder, validated_sum_ladder
+from sympconn.generate import (
+    conjugated_flat_fixture,
+    gradient_curve,
+    rank_one_ladder,
+    validated_sum_ladder,
+)
 from sympconn.invariant import (
     StructureMapCurve,
     embed_invariant,
@@ -25,6 +30,7 @@ from sympconn.euclidean import validity_check_cubes
 from sympconn.linalg import transpose
 from sympconn import euclidean, moduli, serialize
 from sympconn.moduli import cheap_invariants, sp_action, sp_generators, validity_check
+from sympconn.normalization import normalize_curve
 from sympconn.rationals import GaussianRational
 
 from references import fraction_rows
@@ -116,6 +122,25 @@ def test_generated_ladders_equal_the_dense_references(dim):
             assert [list(e.items()) for _, e in got.orders] == [
                 list(e.items()) for _, e in want.orders]
             assert serialize.dumps(got) == serialize.dumps(want)
+
+
+def test_a_float_or_bool_cube_entry_is_refused_by_its_slot():
+    """A float or a bool in a dense cube, zero or not, is refused as a
+    configuration error naming the entry, as the file parser refuses one;
+    int and Fraction entries are read as before."""
+    sd = SymplecticData.standard(4)
+    for bad, kind in ((0.1, "float"), (0.0, "float"), (True, "bool"), (False, "bool")):
+        cube = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
+        cube[1][2][3] = bad
+        message = rf"^cube entry \(1, 2, 3\) is a {kind}, not a rational$"
+        with pytest.raises(ConfigurationError, match=message):
+            invariant.integral_cube(4, cube)
+        with pytest.raises(ConfigurationError, match=message):
+            StructureMapCurve(sd, 1, [zero_cube(4), cube])
+    for value, order in ((3, (1, {(1, 2, 3): 3})), (Fraction(-2, 4), (2, {(1, 2, 3): -1})),
+                         (0, (1, {}))):
+        cube[1][2][3] = value
+        assert invariant.integral_cube(4, cube) == order
 
 
 @pytest.mark.parametrize("size", [3, 5])
@@ -508,6 +533,59 @@ def scaled_ladders(sd, scale):
 
     return [dense(rank_one_ladder(sd, 2, seed=3)), dense(validated_sum_ladder(sd, 2, seed=4)),
             dense(invalid_ladder(sd, 0))]
+
+
+def _plain(cube):
+    return tuple(tuple(tuple(row) for row in plane) for plane in cube)
+
+
+def _random_word(rng, gens, dim):
+    word = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    for _ in range(rng.randint(1, 3)):
+        g = rng.choice(gens)
+        word = tuple(tuple(sum(g[i][m] * word[m][j] for m in range(dim)) for j in range(dim))
+                     for i in range(dim))
+    return word
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_every_dense_view_keeps_the_stored_form_of_its_entries(dim):
+    """Over seeds 0-99, the curves of every constructor (dense cubes, dense
+    views, `from_orders`, `loads`, the two ladder generators, `sp_action`
+    and `normalize_curve`) give `cubes` as `DenseCube`s equal to their plain
+    nested-tuple copies, each keeping the very order it was read from, and
+    that order is what `integral_cube` reads off the plain copy."""
+    sd = SymplecticData.standard(dim)
+    gens = sp_generators(sd)
+    for seed in range(100):
+        rng = random.Random(seed)
+        cap = 2 + seed % 2
+        ladder = validated_sum_ladder(sd, cap, seed=seed)
+        scale = Fraction(rng.choice((-5, -1, 2, 3)), rng.randint(1, 6))
+        dense = [[[[scale * x for x in row] for row in plane] for plane in cube]
+                 for cube in ladder.cubes]
+        scaled = StructureMapCurve(sd, cap, dense)
+        curves = {
+            "dense": scaled,
+            "views": StructureMapCurve(sd, cap, ladder.cubes),
+            "from_orders": StructureMapCurve.from_orders(sd, cap, [
+                invariant.integral_form({key: scale * Fraction(v, den)
+                                         for key, v in entries.items()})
+                for den, entries in ladder.orders]),
+            "loads": serialize.loads(serialize.dumps(scaled)),
+            "rank_one_ladder": rank_one_ladder(sd, cap, seed=seed),
+            "validated_sum_ladder": ladder,
+            "sp_action": sp_action(_random_word(rng, gens, dim), scaled),
+            "normalize_curve": normalize_curve(
+                conjugated_flat_fixture(seed, dim, cap)[2]).flat_curve,
+        }
+        for name, curve in curves.items():
+            for k, view in enumerate(curve.cubes):
+                plain = _plain(view)
+                assert type(view) is invariant.DenseCube and view == plain
+                assert view.stored is curve.orders[k]
+                assert invariant.integral_cube(dim, view) is view.stored
+                assert view.stored == invariant.integral_cube(dim, plain), (name, seed, k)
 
 
 @pytest.mark.parametrize("dim", [4, 6, 8])

@@ -12,6 +12,8 @@ from sympconn.euclidean import Poly
 from sympconn.fourier import FourierScalar, SymplecticData
 from sympconn.rationals import GaussianRational
 
+from references import as_gaussian
+
 
 def random_dict(rng, entries=6, dim=4):
     out = {}
@@ -181,6 +183,50 @@ def test_gaussian_sums_match_plain_fraction_sums(ops, cancelled):
     assert all(type(c) is Fraction and c for f in got.values() for c in f.coeffs.values())
     assert all(type(f) is Poly and f.coeffs for f in got.values())
     assert acc.all_zero() == (not want)
+
+
+_term_lists = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.tuples(
+    st.integers(-6, 6).filter(bool), st.sampled_from((1, 2, 4, 6)))).map(
+        lambda terms: [(m, p, 0, d) for m, (p, d) in terms.items()])
+_any_weight = st.sampled_from(WEIGHTS + [1, -3, 2, Fraction(3, 2), Fraction(-1, 6)])
+_fraction_route_terms = st.one_of(
+    st.tuples(st.just("add"), _fraction_maps, _any_weight),
+    st.tuples(st.just("product"), _fraction_maps, st.tuples(_fraction_maps, _any_weight)),
+    st.tuples(st.just("times_terms"), _fraction_maps, st.tuples(_term_lists, _any_weight)),
+)
+_fraction_route_ops = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-2, -1, 1, 2)),
+                                         _fraction_route_terms), max_size=8)
+
+
+def _add_route_term(acc, key, term, sign, read):
+    """One adder call, each coefficient map passed through read first."""
+    kind, a, x = term
+    if kind == "add":
+        acc.add(key, read(a), sign, x)
+    elif kind == "product":
+        b, w = x
+        acc.add_product(key, read(a), read(b), sign, w)
+    else:
+        terms, w = x
+        acc.add_times_terms(key, read(a), terms, sign, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fraction_route_ops, st.integers(0, 8))
+def test_fraction_maps_are_summed_as_their_gaussian_copies_were(ops, cancelled):
+    """`Fraction` maps read as they are through `add`, `add_product` and
+    `add_times_terms`, with int and Fraction weights, signs, empty maps and
+    sums that cancel to zero, leave the same unreduced triples, key by key
+    and mode by mode in the same order, as the same maps first rebuilt as
+    `GaussianRational`s (`references.as_gaussian`), and finish equal."""
+    new, old = pure.GaussianSums(), pure.GaussianSums()
+    for key, sign, term in ops + [(key, -sign, term) for key, sign, term in ops[:cancelled]]:
+        _add_route_term(new, (key,), term, sign, lambda a: a)
+        _add_route_term(old, (key,), term, sign, as_gaussian)
+    assert [(key, list(t.items())) for key, t in new.sums.items()] == [
+        (key, list(t.items())) for key, t in old.sums.items()]
+    assert new.finish(Poly, 2) == old.finish(Poly, 2)
+    assert new.all_zero() == old.all_zero()
 
 
 def test_no_module_keeps_a_per_term_accumulator():

@@ -10,7 +10,7 @@ import pytest
 import sympconn.euclidean as euclidean
 import sympconn.series as series
 from sympconn.curvature import ConnectionCurve
-from sympconn.errors import InternalInconsistency
+from sympconn.errors import ConfigurationError, InternalInconsistency
 from sympconn.euclidean import Poly, PolyVectorField
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField
 from sympconn.generate import random_real_scalar, random_symmetric_field
@@ -173,6 +173,25 @@ def test_scalar_types_share_one_sparse_arithmetic():
         assert not set(shared) & set(vars(cls))
     for name in ("mat_mul", "cube_endomorphisms"):
         assert not hasattr(euclidean, name)
+
+
+def test_the_checked_constructor_refuses_float_and_bool_coefficients():
+    """A float or a bool coefficient, zero or not, is a configuration error
+    naming its key for both scalar types; int, Fraction and Gaussian
+    rational coefficients are converted as before and zeros dropped."""
+    for scalar in (Poly, FourierScalar):
+        for bad, kind in ((0.1, "float"), (0.5, "float"), (0.0, "float"), (True, "bool")):
+            message = rf"^coefficient at \(1, 0, 0, 0\) is a {kind}, not a rational$"
+            with pytest.raises(ConfigurationError, match=message):
+                scalar(DIM, {(1, 0, 0, 0): bad})
+    half = Fraction(1, 2)
+    assert Poly(DIM, {(1, 0, 0, 0): 2, (0, 1, 0, 0): half, (0, 0, 1, 0): 0}).coeffs == {
+        (1, 0, 0, 0): Fraction(2), (0, 1, 0, 0): half}
+    f = FourierScalar(DIM, {(1, 0, 0, 0): 2, (0, 1, 0, 0): half,
+                            (0, 0, 1, 0): GaussianRational(0, 1), (0, 0, 0, 1): 0})
+    assert f.coeffs == {(1, 0, 0, 0): GaussianRational(2), (0, 1, 0, 0): GaussianRational(half),
+                        (0, 0, 1, 0): GaussianRational(0, 1)}
+    assert all(type(c) is GaussianRational for c in f.coeffs.values())
 
 
 def test_axes_are_those_of_the_nonzero_derivatives():
