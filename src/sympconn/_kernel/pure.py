@@ -16,7 +16,9 @@ triples.  It reads a `GaussianRational`'s fields (p, q, d), the value
 (p + i q) / d, and a `Fraction` as (numerator, 0, denominator), after one
 type test per map, so no value is converted and no gcd is taken per term;
 each sum is reduced once, to the coefficient type of its scalar, so a
-`Poly` gets `Fraction`s.  Its one product loop,
+`Poly` gets `Fraction`s, and a Gaussian sum is reduced by
+`rationals._reduced`, the one place Gaussian rationals are reduced, which
+hands out one object per value.  Its one product loop,
 `add_times_terms`, multiplies a coefficient map by a term list: the other
 factor's coefficients for `add_product`, or a scalar's `derivative_terms`
 for X(f), so no derivative is built as a scalar.
@@ -24,7 +26,7 @@ for X(f), so no derivative is built as a scalar.
 
 from math import gcd
 
-from ..rationals import Fraction, _make
+from ..rationals import Fraction, _reduced
 
 
 class _Adders(dict):
@@ -219,16 +221,16 @@ class GaussianSums:
 
     def finish(self, scalar, dim):
         """{key: scalar(dim, coefficients)} over the keys whose sum is not
-        zero; each coefficient is reduced once, to `scalar.coeff_type`, and
-        zero modes are dropped.  A `Fraction` sum has q = 0 throughout."""
+        zero; each coefficient is reduced once, to `scalar.coeff_type`
+        (a Gaussian one through `rationals._reduced`), and zero modes are
+        dropped.  A `Fraction` sum has q = 0 throughout."""
         real = scalar.coeff_type is Fraction
         out = {}
         for key, t in self.sums.items():
             coeffs = {}
             for m, (p, q, d) in t.items():
                 if p or q:
-                    g = gcd(p, q, d)
-                    coeffs[m] = Fraction(p, d) if real else _make(p // g, q // g, d // g)
+                    coeffs[m] = Fraction(p, d) if real else _reduced(p, q, d)
             if coeffs:
                 out[key] = scalar(dim, coeffs, _validated=True)
         return out

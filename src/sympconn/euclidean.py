@@ -29,7 +29,8 @@ from .errors import (
     PreconditionError,
 )
 from .invariant import StructureMapCurve, cube_rows, integral_cube
-from .rationals import Fraction
+from .linalg import matrix
+from .rationals import Fraction, exact
 from .series import (
     SparseScalar,
     VectorField,
@@ -50,6 +51,8 @@ class Poly(SparseScalar):
 
     @classmethod
     def variable(cls, dim, a):
+        if type(a) is not int or not 0 <= a < dim:
+            raise ConfigurationError(f"variable index {a!r} is not an axis of R^{dim}")
         e = tuple(1 if i == a else 0 for i in range(dim))
         return cls(dim, {e: Fraction(1)}, _validated=True)
 
@@ -358,8 +361,8 @@ class PolySymplecto:
 
     def __init__(self, sdata, cap, c_mat, d, gens):
         dim = sdata.dim
-        c_mat = tuple(tuple(Fraction(x) for x in row) for row in c_mat)
-        d = tuple(Fraction(x) for x in d)
+        c_mat = matrix(c_mat)
+        d = tuple(Fraction(exact(x, "translation entry", a)) for a, x in enumerate(d))
         if len(d) != dim:
             raise ConfigurationError(f"translation needs {dim} entries")
         gens = list(gens)

@@ -19,7 +19,7 @@ from itertools import permutations
 from ._kernel import pure as K
 from .errors import ConfigurationError, InternalInconsistency
 from .linalg import inverse, mat_neg, matrix, transpose
-from .rationals import Fraction, GaussianRational, GR_ONE
+from .rationals import Fraction, GaussianRational, GR_ONE, exact
 from .series import SparseScalar
 
 
@@ -167,9 +167,10 @@ class FourierScalar(SparseScalar):
     def cosine(cls, dim, mode, amplitude=1):
         """amplitude * cos(m.x); the zero mode gives the constant amplitude."""
         mode = tuple(mode)
+        amplitude = Fraction(exact(amplitude, "amplitude"))
         if not any(mode):
-            return cls.constant(dim, Fraction(amplitude))
-        a = Fraction(amplitude) / 2
+            return cls.constant(dim, amplitude)
+        a = amplitude / 2
         neg = tuple(-x for x in mode)
         return cls(dim, {mode: GaussianRational(a), neg: GaussianRational(a)})
 
@@ -178,9 +179,10 @@ class FourierScalar(SparseScalar):
         """amplitude * sin(m.x) = amplitude (e^{imx} - e^{-imx}) / 2i; the
         zero mode gives 0."""
         mode = tuple(mode)
+        amplitude = Fraction(exact(amplitude, "amplitude"))
         if not any(mode):
             return cls.zero(dim)
-        a = Fraction(amplitude) / 2
+        a = amplitude / 2
         neg = tuple(-x for x in mode)
         return cls(dim, {mode: GaussianRational(0, -a), neg: GaussianRational(0, a)})
 
@@ -265,7 +267,8 @@ class TensorField:
             for idx, f in components.items():
                 idx = tuple(idx)
                 if not _validated:
-                    if len(idx) != rank or any(not 0 <= a < dim for a in idx):
+                    if len(idx) != rank or any(type(a) is not int or not 0 <= a < dim
+                                               for a in idx):
                         raise ConfigurationError(f"bad multi-index {idx}")
                     if f.dim != dim:
                         raise ConfigurationError("component dim mismatch")

@@ -59,7 +59,7 @@ from math import lcm
 from .curvature import ConnectionCurve
 from .errors import ConfigurationError, InternalInconsistency, PreconditionError
 from .fourier import FourierScalar, SymplecticData, TensorField
-from .rationals import Fraction
+from .rationals import Fraction, exact
 
 
 def zero_cube(dim):
@@ -98,8 +98,9 @@ def integral_cube(dim, cube):
     """The stored form (den, entries) of a dense dim-cube of rationals.  A
     `DenseCube` of that dim gives the form it was read from at once; any
     other cube has its shape checked, a cube of any other shape being
-    refused, and every entry read: a float or a bool is refused, as it is
-    not an exact rational."""
+    refused, and every entry read: one that `rationals.exact` refuses (a
+    float or a bool among them) is refused, as it is not an exact
+    rational."""
     if type(cube) is DenseCube and len(cube) == dim:
         return cube.stored
     if len(cube) != dim or any(len(plane) != dim or any(len(row) != dim for row in plane)
@@ -108,9 +109,7 @@ def integral_cube(dim, cube):
     flat = list(chain.from_iterable(chain.from_iterable(cube)))
     if not _EXACT_TYPES.issuperset(map(type, flat)):
         for i, x in enumerate(flat):
-            if isinstance(x, (float, bool)):
-                raise ConfigurationError(f"cube entry {_slot(dim, i)} is a {type(x).__name__}, "
-                                         "not a rational")
+            exact(x, "cube entry", _slot(dim, i))
     return integral_form({_slot(dim, i): Fraction(x) for i, x in enumerate(flat) if x})
 
 
@@ -350,7 +349,7 @@ def rank_one_entries(sdata: SymplecticData, v):
 def _rank_one_weights(sdata: SymplecticData, v):
     """The nonzero entries (b, omega(e_b, v)) of w = omega(., v), in order of
     b, summed over the nonzero entries of omega and v; v = 0 is refused."""
-    v = tuple(Fraction(x) for x in v)
+    v = tuple(Fraction(exact(x, "vector entry", a)) for a, x in enumerate(v))
     if not any(v):
         raise PreconditionError("rank_one_cube needs a nonzero vector")
     rows, _ = sdata.index_map(upper=False)

@@ -10,11 +10,14 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import ConfigurationError
-from .rationals import Fraction
+from .rationals import Fraction, exact
 
 
 def matrix(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """The rows as a matrix of Fractions; an entry that `rationals.exact`
+    refuses is a configuration error."""
+    return tuple(tuple(Fraction(exact(x, "matrix entry", (i, j))) for j, x in enumerate(row))
+                 for i, row in enumerate(rows))
 
 
 def transpose(a):

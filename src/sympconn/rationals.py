@@ -16,6 +16,28 @@ keep the invariant without one.  Integers and Fractions mix in directly,
 without a temporary Gaussian rational.  ``re`` and ``im`` are read-only
 Fractions, built on demand for serialization and the few real-valued
 readers.
+
+One object per value: every Gaussian rational the module computes (each
+operator, negation, conjugation, `times_i`, `GaussianSums.finish` and
+`gaussian_from_strs`) comes from a table keyed by the triple the
+constructor is given.  A miss in `_reduced` takes the gcd once and then
+both the given and the canonical triple map to the canonical object, so a
+repeated value costs one dict lookup, and equal coefficients are the same
+object while the table holds them; dict and tensor comparisons then stop at
+the identity test.  The table holds at most `_TABLE_LIMIT` entries and is
+cleared when full, and only triples whose three ints lie below
+`_ENTRY_BOUND` in absolute value are entered, so its memory is bounded
+whatever the coefficient heights; a larger value is built as it is.
+`gaussian_from_strs` keeps a second such table from (re, im) literal pairs
+of at most `_LITERAL_LIMIT` characters together to their value, and a
+refused literal enters nothing.  `GaussianRational(re, im)` builds a fresh
+object, and equality stays value-based, because values past the bound
+are not shared.  Sharing rests on immutability: no code outside this
+module stores to a Gaussian rational's `p`, `q` or `d`.
+
+`exact` is the package's one gate for exact numbers: an int, a `Fraction`
+or a `GaussianRational` passes, and anything else, floats and bools
+included, is a `ConfigurationError` naming the entry.
 """
 
 from __future__ import annotations
@@ -23,6 +45,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+
+from .errors import ConfigurationError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -59,22 +83,54 @@ def _ratio_to_str(n, d):
 
 _new = object.__new__
 
+_TABLE_LIMIT = 4096
+_ENTRY_BOUND = 1 << 63
+_LITERAL_LIMIT = 64
+
+# triple -> the canonical GaussianRational of its value; see the docstring.
+# It is cleared in place, never rebound, so its bound `get` stays valid.
+_values = {}
+_lookup = _values.get
+# (re, im) literal pair -> its GaussianRational
+_literals = {}
+
+
+def _enter(key, z):
+    """values[key] = z when the triple key is within the entry bound; a full
+    table is cleared first."""
+    p, q, d = key
+    if -_ENTRY_BOUND < p < _ENTRY_BOUND and -_ENTRY_BOUND < q < _ENTRY_BOUND and d < _ENTRY_BOUND:
+        if len(_values) >= _TABLE_LIMIT:
+            _values.clear()
+        _values[key] = z
+
 
 def _make(p, q, d):
-    """A GaussianRational from a triple that is already canonical."""
-    z = _new(GaussianRational)
-    z.p = p
-    z.q = q
-    z.d = d
+    """The GaussianRational of a triple that is already canonical: the
+    table's object for it, or a new one, entered within the bound."""
+    key = (p, q, d)
+    z = _lookup(key)
+    if z is None:
+        z = _new(GaussianRational)
+        z.p = p
+        z.q = q
+        z.d = d
+        _enter(key, z)
     return z
 
 
 def _reduced(p, q, d):
-    """A GaussianRational from any triple with d > 0."""
-    g = gcd(p, q, d)
-    if g != 1:
-        return _make(p // g, q // g, d // g)
-    return _make(p, q, d)
+    """The GaussianRational of any triple with d > 0; a miss takes the gcd
+    once and enters both the triple and its canonical form."""
+    key = (p, q, d)
+    z = _lookup(key)
+    if z is None:
+        g = gcd(p, q, d)
+        if g == 1:
+            return _make(p, q, d)
+        z = _make(p // g, q // g, d // g)
+        _enter(key, z)
+    return z
 
 
 def _lift(x):
@@ -90,10 +146,31 @@ def _lift(x):
 def gaussian_from_strs(re_str: str, im_str: str):
     """Parse two rational literals (see `rational_from_str`) into the
     GaussianRational re + i im, without a Fraction: a/b + i c/e is the
-    triple (a e, c b, b e), reduced by one three-argument gcd."""
-    a, b = _split_literal(re_str)
-    c, e = _split_literal(im_str)
-    return _reduced(a * e, c * b, b * e)
+    triple (a e, c b, b e), reduced by one three-argument gcd.  A pair of
+    at most `_LITERAL_LIMIT` characters is parsed once while the literal
+    table holds it."""
+    key = (re_str, im_str)
+    z = _literals.get(key)
+    if z is None:
+        a, b = _split_literal(re_str)
+        c, e = _split_literal(im_str)
+        z = _reduced(a * e, c * b, b * e)
+        if len(re_str) + len(im_str) <= _LITERAL_LIMIT:
+            if len(_literals) >= _TABLE_LIMIT:
+                _literals.clear()
+            _literals[key] = z
+    return z
+
+
+def exact(x, what, at=None):
+    """x itself if it is an exact number: an int, a `Fraction` or a
+    `GaussianRational`.  Anything else, floats and bools included, is a
+    `ConfigurationError` naming the entry: `what`, followed by `at` when
+    given, which is formatted only then."""
+    if type(x) in _EXACT_TYPES or isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    name = what if at is None else f"{what} {at}"
+    raise ConfigurationError(f"{name} is a {type(x).__name__}, not a rational")
 
 
 class GaussianRational:
@@ -106,7 +183,7 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self.p, self.q, self.d = re, im, 1
             return
-        re, im = Fraction(re), Fraction(im)
+        re, im = Fraction(exact(re, "real part")), Fraction(exact(im, "imaginary part"))
         rd, idn = re.denominator, im.denominator
         if rd == idn:
             self.p, self.q, self.d = re.numerator, im.numerator, rd
@@ -258,3 +335,5 @@ class GaussianRational:
 
 
 GR_ONE = GaussianRational(1, 0)
+
+_EXACT_TYPES = frozenset((int, Fraction, GaussianRational))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from ._kernel import pure as K
 from .errors import ConfigurationError, InternalInconsistency
-from .rationals import Fraction
+from .rationals import Fraction, exact
 
 
 class SparseScalar:
@@ -44,9 +44,11 @@ class SparseScalar:
     `VectorField.add_apply` multiplies into a `GaussianSums` without
     building the derivative, and `second_derivative_terms(a, b)`, those of
     d/dx^a d/dx^b, which the Lie series on connections reads.  The checked
-    constructor converts every coefficient to `coeff_type`, refusing a float
-    or a bool, and drops zeros; `_validated=True` skips it for maps the
-    kernels built.  This is the contract `VectorField.scalar` names.
+    constructor refuses a key entry that is not an int and any coefficient
+    that `rationals.exact` refuses (a float or a bool among them), converts
+    every coefficient to `coeff_type` and drops zeros; `_validated=True`
+    skips it for maps the kernels built.  This is the contract
+    `VectorField.scalar` names.
 
     Because a scalar is immutable, `axes()` is computed on its first read
     and kept in the slot `_axes`, which the constructor sets to None: a read
@@ -68,14 +70,14 @@ class SparseScalar:
             coeff_type = self.coeff_type
             clean = {}
             for m, c in coeffs.items():
-                m = tuple(int(x) for x in m)
+                m = tuple(m)
                 if len(m) != dim:
                     raise ConfigurationError("key length != dim")
+                for x in m:
+                    if type(x) is not int:
+                        raise ConfigurationError(f"key {m} has the entry {x!r}, not an int")
                 if not isinstance(c, coeff_type):
-                    if isinstance(c, (float, bool)):
-                        raise ConfigurationError(
-                            f"coefficient at {m} is a {type(c).__name__}, not a rational")
-                    c = coeff_type(c)
+                    c = coeff_type(exact(c, "coefficient at", m))
                 if c:
                     clean[m] = c
             coeffs = clean
@@ -183,7 +185,8 @@ class VectorField:
 
     @classmethod
     def constant(cls, dim, vector):
-        return cls([cls.scalar.constant(dim, Fraction(v)) for v in vector])
+        return cls([cls.scalar.constant(dim, Fraction(exact(v, "vector entry", a)))
+                    for a, v in enumerate(vector)])
 
     def __add__(self, other):
         if self.dim != other.dim:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fourier import FourierScalar, SymplecticData, TensorField, lower_last
 from .linalg import mat_vec, transpose
-from .rationals import Fraction, GaussianRational
+from .rationals import Fraction, GaussianRational, exact
 from .series import (
     VectorField,
     combine,
@@ -165,6 +165,11 @@ class SymplectoCurve:
                 raise ConfigurationError("affine part has the wrong dimension")
             if any(Fraction(x).denominator != 1 for row in c_mat for x in row):
                 raise ConfigurationError("linear part is not integral")
+            for i, row in enumerate(c_mat):
+                for j, x in enumerate(row):
+                    exact(x, "linear part entry", (i, j))
+            for a, x in enumerate(d):
+                exact(x, "translation entry", a)
         c_mat = tuple(tuple(int(x) for x in row) for row in c_mat)
         d = tuple(d)
         if d != _origin(dim):

@@ -244,16 +244,20 @@ def test_the_psi_A_checks_read_a_view_without_a_scan(monkeypatch):
 def test_the_R2n_checks_make_no_gaussian_rational(monkeypatch):
     """`equivalence_Rn` and both psi^A checks on ladders at dims 4, 6 and 8
     sum their `Fraction` maps as they are: no `GaussianRational` is made,
-    while a Fourier sum, as a control, makes some."""
+    while a Fourier sum, as a control, makes some.  Both constructors are
+    counted wherever they are bound, since a table hit in `_reduced` calls
+    no `_make`."""
     made = []
-    make = rationals._make
 
-    def counted(p, q, d):
-        made.append((p, q, d))
-        return make(p, q, d)
+    def counting(make):
+        def counted(p, q, d):
+            made.append((p, q, d))
+            return make(p, q, d)
+        return counted
 
-    monkeypatch.setattr(rationals, "_make", counted)
-    monkeypatch.setattr(pure, "_make", counted)
+    monkeypatch.setattr(rationals, "_make", counting(rationals._make))
+    monkeypatch.setattr(rationals, "_reduced", counting(rationals._reduced))
+    monkeypatch.setattr(pure, "_reduced", rationals._reduced)
     for dim in (4, 6, 8):
         sd = SymplecticData.standard(dim)
         for seed in range(2):
