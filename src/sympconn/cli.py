@@ -237,7 +237,7 @@ def cmd_generate(args):
         try:
             with open(args.omega, "r", encoding="utf-8") as fh:
                 omega = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise InputError(f"cannot read omega file {args.omega}: {exc}")
         sdata = omega_from_json(omega, dim)
     else:

@@ -54,7 +54,9 @@ class ConnectionCurve:
                 raise ConfigurationError("order-0 difference tensor must vanish")
             for k, t in enumerate(abar):
                 if t.dim != sdata.dim or t.rank != 3:
-                    raise ConfigurationError("difference tensors must be rank 3")
+                    raise ConfigurationError(
+                        f"order-{k} difference tensor must have dim {sdata.dim} and rank 3, "
+                        f"got dim {t.dim} and rank {t.rank}")
                 if not t.is_fully_symmetric():
                     raise ConfigurationError(
                         f"order-{k} difference tensor is not fully symmetric"
@@ -313,8 +315,8 @@ def _ricci_orders(conn: ConnectionCurve, start):
     the term Trace[Z -> (grad_X A)(Z)Y] drops out because mixed symplectic
     difference tensors are trace free.  The sign of the derivative term
     follows from the trace definition and is cross-checked against the
-    independent omega-contraction of R in ricci_from_curvature.  Order k
-    reads A^(s) for s <= k only.
+    independent omega-contraction of R, `ricci_from_curvature` in
+    tests/references.py.  Order k reads A^(s) for s <= k only.
     """
     dim = conn.dim
     mixed = conn.mixed
@@ -333,20 +335,6 @@ def _ricci_orders(conn: ConnectionCurve, start):
                         acc.add_product((a, b), g1.coeffs, g2.coeffs)
         out.append(_field(acc, dim, 2))
     return out
-
-
-def ricci_from_curvature(r4: TensorFieldCurve, sdata: SymplecticData) -> TensorFieldCurve:
-    """Independent path: trace the lowered curvature, r_ab = R^q_{aqb}."""
-    hi = sdata.omega_hi
-    out = []
-    for t in r4.orders:
-        acc = GaussianSums()
-        for (a, q, b, d), f in t.components.items():
-            w = hi[d][q]
-            if w:
-                acc.add((a, b), f.coeffs, weight=w)
-        out.append(_field(acc, sdata.dim, 2))
-    return TensorFieldCurve(r4.cap, out)
 
 
 @lru_cache(maxsize=8)

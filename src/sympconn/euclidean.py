@@ -30,7 +30,7 @@ from .errors import (
 )
 from .invariant import StructureMapCurve, cube_rows, integral_cube
 from .linalg import matrix
-from .rationals import Fraction, exact
+from .rationals import Fraction, exact_real
 from .series import (
     SparseScalar,
     VectorField,
@@ -79,19 +79,6 @@ class Poly(SparseScalar):
                 out.append((tuple(lowered), c.numerator * k, 0, c.denominator))
         return out
 
-    def substitute(self, maps):
-        """Evaluate at x^a = maps[a] (a list of Polys)."""
-        if len(maps) != self.dim:
-            raise ConfigurationError("substitution needs one polynomial per variable")
-        out = Poly.zero(self.dim)
-        for e, c in self.coeffs.items():
-            term = Poly.constant(self.dim, c)
-            for a, k in enumerate(e):
-                for _ in range(k):
-                    term = term * maps[a]
-            out = out + term
-        return out
-
     def degree(self):
         return max((sum(e) for e in self.coeffs), default=0)
 
@@ -101,39 +88,6 @@ class Poly(SparseScalar):
 
     def __repr__(self):
         return f"Poly({self.dim}, {dict(sorted(self.coeffs.items()))})"
-
-
-class PolyMap:
-    """A polynomial map R^{2n} -> R^{2n}; composition tracks degrees exactly."""
-
-    __slots__ = ("dim", "comps")
-
-    def __init__(self, comps):
-        comps = tuple(comps)
-        dim = comps[0].dim
-        if len(comps) != dim or any(c.dim != dim for c in comps):
-            raise ConfigurationError("map needs one component per coordinate")
-        self.dim = dim
-        self.comps = comps
-
-    @classmethod
-    def identity(cls, dim):
-        return cls([Poly.variable(dim, a) for a in range(dim)])
-
-    def compose(self, other: "PolyMap") -> "PolyMap":
-        """self o other."""
-        return PolyMap([c.substitute(list(other.comps)) for c in self.comps])
-
-    def is_identity(self):
-        return self == PolyMap.identity(self.dim)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMap):
-            return NotImplemented
-        return self.comps == other.comps
-
-    def __repr__(self):
-        return f"PolyMap(dim={self.dim}, deg={max(c.degree() for c in self.comps)})"
 
 
 class PolyVectorField(VectorField):
@@ -176,12 +130,6 @@ def require_nilpotent_cube(sdata, cube):
         a, b = min(table)
         raise PreconditionError(f"A(e_{a}) A(e_{b}) != 0: cube is not nilpotent")
     return ladder
-
-
-def psi_A(sdata, cube) -> PolyMap:
-    """psi^A(x) = x - (1/2) A(x) x = x + X_A(x) for a nilpotent symmetric cube."""
-    field = _rows_field(sdata.dim, require_nilpotent_cube(sdata, cube).rows(1))
-    return PolyMap([Poly.variable(sdata.dim, p) + c for p, c in enumerate(field.comps)])
 
 
 def psi_A_symplectic_check(sdata, cube):
@@ -362,7 +310,7 @@ class PolySymplecto:
     def __init__(self, sdata, cap, c_mat, d, gens):
         dim = sdata.dim
         c_mat = matrix(c_mat)
-        d = tuple(Fraction(exact(x, "translation entry", a)) for a, x in enumerate(d))
+        d = tuple(Fraction(exact_real(x, "translation entry", a)) for a, x in enumerate(d))
         if len(d) != dim:
             raise ConfigurationError(f"translation needs {dim} entries")
         gens = list(gens)

@@ -19,7 +19,7 @@ from itertools import permutations
 from ._kernel import pure as K
 from .errors import ConfigurationError, InternalInconsistency
 from .linalg import inverse, mat_neg, matrix, transpose
-from .rationals import Fraction, GaussianRational, GR_ONE, exact
+from .rationals import Fraction, GaussianRational, GR_ONE, exact_real
 from .series import SparseScalar
 
 
@@ -167,7 +167,7 @@ class FourierScalar(SparseScalar):
     def cosine(cls, dim, mode, amplitude=1):
         """amplitude * cos(m.x); the zero mode gives the constant amplitude."""
         mode = tuple(mode)
-        amplitude = Fraction(exact(amplitude, "amplitude"))
+        amplitude = Fraction(exact_real(amplitude, "amplitude"))
         if not any(mode):
             return cls.constant(dim, amplitude)
         a = amplitude / 2
@@ -179,7 +179,7 @@ class FourierScalar(SparseScalar):
         """amplitude * sin(m.x) = amplitude (e^{imx} - e^{-imx}) / 2i; the
         zero mode gives 0."""
         mode = tuple(mode)
-        amplitude = Fraction(exact(amplitude, "amplitude"))
+        amplitude = Fraction(exact_real(amplitude, "amplitude"))
         if not any(mode):
             return cls.zero(dim)
         a = amplitude / 2

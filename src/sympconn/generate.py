@@ -110,25 +110,6 @@ def rank_one_ladder(sdata: SymplecticData, cap, seed=0, scale_range=3):
     return curve
 
 
-def validated_sum_ladder(sdata: SymplecticData, cap, seed=0):
-    """Sums of integer multiples of rank-one cubes on distinct
-    omega-orthogonal vectors, built in stored form and validated."""
-    rng = _rng(seed)
-    vecs = omega_orthogonal_basis_vectors(sdata)
-    orders = [(1, {})]
-    for _ in range(cap):
-        sums = {}
-        for v in rng.sample(vecs, rng.randint(1, len(vecs))):
-            c = rng.randint(-2, 2)
-            if c:
-                for key, x in rank_one_entries(sdata, v).items():
-                    sums[key] = sums.get(key, 0) + c * x
-        orders.append(integral_form({key: sums[key] for key in sorted(sums) if sums[key]}))
-    curve = StructureMapCurve.from_orders(sdata, cap, orders)
-    require_valid(curve)
-    return curve
-
-
 def gradient_curve(sdata: SymplecticData, cap, f: FourierScalar, order=1):
     """The curve with A-bar at the given order equal to grad^3(f), zero else."""
     if not 1 <= order <= cap:

@@ -10,13 +10,13 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import ConfigurationError
-from .rationals import Fraction, exact
+from .rationals import Fraction, exact_real
 
 
 def matrix(rows):
-    """The rows as a matrix of Fractions; an entry that `rationals.exact`
+    """The rows as a matrix of Fractions; an entry that `rationals.exact_real`
     refuses is a configuration error."""
-    return tuple(tuple(Fraction(exact(x, "matrix entry", (i, j))) for j, x in enumerate(row))
+    return tuple(tuple(Fraction(exact_real(x, "matrix entry", (i, j))) for j, x in enumerate(row))
                  for i, row in enumerate(rows))
 
 

@@ -37,7 +37,9 @@ module stores to a Gaussian rational's `p`, `q` or `d`.
 
 `exact` is the package's one gate for exact numbers: an int, a `Fraction`
 or a `GaussianRational` passes, and anything else, floats and bools
-included, is a `ConfigurationError` naming the entry.
+included, is a `ConfigurationError` naming the entry.  `exact_real` is the
+gate of a door that reads a real number: it refuses a `GaussianRational`
+too, whatever its imaginary part, in the same way.
 """
 
 from __future__ import annotations
@@ -173,6 +175,15 @@ def exact(x, what, at=None):
     raise ConfigurationError(f"{name} is a {type(x).__name__}, not a rational")
 
 
+def exact_real(x, what, at=None):
+    """x itself if `exact` passes it and it is not a `GaussianRational`; a
+    Gaussian rational is a `ConfigurationError` naming the entry."""
+    if type(x) is GaussianRational:
+        name = what if at is None else f"{what} {at}"
+        raise ConfigurationError(f"{name} is a GaussianRational, not a real rational")
+    return exact(x, what, at)
+
+
 class GaussianRational:
     """A complex number (p + i q) / d with exact rational real and imaginary
     parts; see the module docstring for the invariant."""
@@ -183,7 +194,7 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self.p, self.q, self.d = re, im, 1
             return
-        re, im = Fraction(exact(re, "real part")), Fraction(exact(im, "imaginary part"))
+        re, im = Fraction(exact_real(re, "real part")), Fraction(exact_real(im, "imaginary part"))
         rd, idn = re.denominator, im.denominator
         if rd == idn:
             self.p, self.q, self.d = re.numerator, im.numerator, rd

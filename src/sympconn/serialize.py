@@ -5,8 +5,7 @@ All numbers are exact rational strings "p/q" (Gaussian rationals as
 Output ordering is canonical (entries sorted by index then mode), so equal
 objects serialize to identical bytes.
 
-Kinds: "connection_curve", "structure_map_curve", "symplecto_curve",
-"normalization_result".
+Kinds: "connection_curve", "structure_map_curve", "symplecto_curve".
 
 Every curve file is written by one emitter, `json_text`, and read by
 `loads`, which checks each order of a curve once.  `dumps` hands
@@ -30,7 +29,6 @@ from .curvature import ConnectionCurve
 from .errors import ConfigurationError, InputError
 from .fourier import FourierScalar, SymplecticData, TensorField
 from .invariant import StructureMapCurve, integral_form
-from .normalization import NormalizationResult
 from .rationals import _ratio_to_str, gaussian_from_strs, rational_from_str, rational_to_str
 from .symplecto import FourierVectorField, SymplectoCurve
 
@@ -439,20 +437,6 @@ def symplecto_from_json(obj, header=None):
         _fail(f"symplecto_curve: {exc}")
 
 
-# -- normalization results ------------------------------------------------------------
-
-
-def normalization_to_json(res: NormalizationResult, scalar=scalar_to_json,
-                          cube=_cube_to_json):
-    return {
-        "kind": "normalization_result",
-        "version": FORMAT_VERSION,
-        "flat": structure_map_to_json(res.flat_curve, cube),
-        "witness": symplecto_to_json(res.witness, scalar),
-        "log": res.per_order_log,
-    }
-
-
 # -- top level -------------------------------------------------------------------------
 
 _PARSERS = {
@@ -488,8 +472,6 @@ def _tree(value, scalar, cube):
         return structure_map_to_json(value, cube)
     if isinstance(value, SymplectoCurve):
         return symplecto_to_json(value, scalar)
-    if isinstance(value, NormalizationResult):
-        return normalization_to_json(value, scalar, cube)
     raise TypeError(f"no serialization for {type(value).__name__}")
 
 

@@ -12,8 +12,8 @@ Curves are plain lists of length cap + 1 indexed by t-order.  A generator
 ladder gens[0..cap] always has gens[0] = 0, so every exponential below is an
 exact finite sum: the j-th power of X_t has valuation >= j and vanishes past
 the cap.  One table, `exp_terms`, builds those powers one order at a time for
-`exp_apply`, `exp_ad` and normal ordering, so solving order k re-expands
-nothing below it.  Normal ordering, `merge_exponentials`, takes any number
+`exp_curves` and normal ordering, so solving order k re-expands nothing
+below it.  Normal ordering, `merge_exponentials`, takes any number
 of factors: a product exp(L1_t) ... exp(Ln_t) becomes one exp(Z_t) in one
 pass, so a chain of factors is never merged two at a time.  Only
 `exp_lie_connection`, whose first term is affine in the connection, keeps
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from ._kernel import pure as K
 from .errors import ConfigurationError, InternalInconsistency
-from .rationals import Fraction, exact
+from .rationals import Fraction, exact, exact_real
 
 
 class SparseScalar:
@@ -45,8 +45,10 @@ class SparseScalar:
     building the derivative, and `second_derivative_terms(a, b)`, those of
     d/dx^a d/dx^b, which the Lie series on connections reads.  The checked
     constructor refuses a key entry that is not an int and any coefficient
-    that `rationals.exact` refuses (a float or a bool among them), converts
-    every coefficient to `coeff_type` and drops zeros; `_validated=True`
+    that `rationals.exact` refuses (a float or a bool among them), or, for
+    the real `coeff_type` `Fraction`, that `rationals.exact_real` refuses (a
+    Gaussian rational too).  It converts every coefficient to
+    `coeff_type` and drops zeros; `_validated=True`
     skips it for maps the kernels built.  This is the contract
     `VectorField.scalar` names.
 
@@ -68,6 +70,7 @@ class SparseScalar:
             coeffs = {}
         if not _validated:
             coeff_type = self.coeff_type
+            gate = exact_real if coeff_type is Fraction else exact
             clean = {}
             for m, c in coeffs.items():
                 m = tuple(m)
@@ -77,7 +80,7 @@ class SparseScalar:
                     if type(x) is not int:
                         raise ConfigurationError(f"key {m} has the entry {x!r}, not an int")
                 if not isinstance(c, coeff_type):
-                    c = coeff_type(exact(c, "coefficient at", m))
+                    c = coeff_type(gate(c, "coefficient at", m))
                 if c:
                     clean[m] = c
             coeffs = clean
@@ -185,7 +188,7 @@ class VectorField:
 
     @classmethod
     def constant(cls, dim, vector):
-        return cls([cls.scalar.constant(dim, Fraction(exact(v, "vector entry", a)))
+        return cls([cls.scalar.constant(dim, Fraction(exact_real(v, "vector entry", a)))
                     for a, v in enumerate(vector)])
 
     def __add__(self, other):
@@ -217,16 +220,6 @@ class VectorField:
         for a in f.axes():
             if xa := comps[a].coeffs:
                 acc.add_times_terms(key, xa, f.derivative_terms(a), weight=weight)
-
-    def derive(self, other):
-        """The flat derivative of a field, (X(Y^c))_c."""
-        return type(self)([self.apply(c) for c in other.comps])
-
-    def bracket(self, other):
-        """[X, Y]^c = X(Y^c) - Y(X^c), in one `GaussianSums`."""
-        acc = K.GaussianSums()
-        self.add_bracket(acc, (), other)
-        return _fields(type(self), self.dim, acc).get(()) or type(self).zero(self.dim)
 
     def add_bracket(self, acc, key, other, weight=1):
         """acc[key + (c,)] += weight [X, Y]^c for every component c."""
@@ -381,16 +374,6 @@ def exp_curves(op, gens, curves):
     """exp(X_t) applied to each curve, in one `exp_terms` pass; op as
     there."""
     return [[_order_sum(q, k) for k in range(len(gens))] for q in exp_terms(op, gens, curves)]
-
-
-def exp_apply(gens, fcurve):
-    """exp(X_t) applied to a scalar curve."""
-    return exp_curves(VectorField.add_apply, gens, [fcurve])[0]
-
-
-def exp_ad(gens, ycurve):
-    """exp(ad X_t) Y for a vector-field curve Y."""
-    return exp_curves(VectorField.add_bracket, gens, [ycurve])[0]
 
 
 # -- the action on connections -----------------------------------------------------

@@ -30,15 +30,12 @@ from .errors import (
 )
 from .fourier import FourierScalar, SymplecticData, TensorField, lower_last
 from .linalg import mat_vec, transpose
-from .rationals import Fraction, GaussianRational, exact
+from .rationals import Fraction, GaussianRational, exact_real
 from .series import (
     VectorField,
     combine,
-    coordinate_tests,
-    exp_apply,
     exp_lie_connection,
     merge_exponentials,
-    order_from_mismatch,
 )
 
 _MINUS_I = GaussianRational(0, -1)
@@ -163,13 +160,15 @@ class SymplectoCurve:
         if validate:
             if len(c_mat) != dim or any(len(row) != dim for row in c_mat) or len(d) != dim:
                 raise ConfigurationError("affine part has the wrong dimension")
-            if any(Fraction(x).denominator != 1 for row in c_mat for x in row):
+            # a Gaussian rational is left to the gate below, which names it
+            if any(type(x) is not GaussianRational and Fraction(x).denominator != 1
+                   for row in c_mat for x in row):
                 raise ConfigurationError("linear part is not integral")
             for i, row in enumerate(c_mat):
                 for j, x in enumerate(row):
-                    exact(x, "linear part entry", (i, j))
+                    exact_real(x, "linear part entry", (i, j))
             for a, x in enumerate(d):
-                exact(x, "translation entry", a)
+                exact_real(x, "translation entry", a)
         c_mat = tuple(tuple(int(x) for x in row) for row in c_mat)
         d = tuple(d)
         if d != _origin(dim):
@@ -219,11 +218,6 @@ class SymplectoCurve:
         return cls(sdata, cap, c_mat, d, [FourierVectorField.zero(dim)] * (cap + 1))
 
     @classmethod
-    def from_generators(cls, sdata, cap, gens):
-        dim = sdata.dim
-        return cls(sdata, cap, _eye(dim), _origin(dim), gens)
-
-    @classmethod
     def from_hamiltonian(cls, sdata, cap, f: FourierScalar, order, coeff=1):
         """psi_f(c t^k) = exp(c t^k X_f) with identity affine part.
 
@@ -266,15 +260,6 @@ class SymplectoCurve:
 
     def __repr__(self):
         return f"SymplectoCurve(dim={self.dim}, cap={self.cap})"
-
-
-def invert(psi: SymplectoCurve) -> SymplectoCurve:
-    """psi^{-1} = tau^* o exp(Ad_{sigma^*}(-X_t)) with tau = sigma^{-1}."""
-    gens = [
-        conj_affine(psi.c_mat, psi.c_inv, psi.d, -g) if not g.is_zero() else g
-        for g in psi.gens
-    ]
-    return SymplectoCurve(psi.sdata, psi.cap, psi.c_inv, _neg_inv_translation(psi), gens)
 
 
 def require_matching(sdata: SymplecticData, cap, conn: ConnectionCurve):
@@ -430,58 +415,3 @@ def compose(*psis: SymplectoCurve) -> SymplectoCurve:
 
 def _mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
-
-
-def _neg_inv_translation(phi: SymplectoCurve):
-    """Translation of sigma_phi^{-1}, i.e. -C^{-1} d."""
-    return tuple(-x for x in mat_vec(phi.c_inv, phi.d))
-
-
-def factorize(psi: SymplectoCurve):
-    """Split exp X_t into the ordered product exp(t Y1) o exp(t^2 Y2) o ...
-
-    Returns [(Y^(k), k)] for the nonzero factors.  Once Y1..Y(k-1) are
-    peeled off, rest_a = exp(t^k Yk) o ... f_a, whose order k is Yk(f_a);
-    each solved factor is peeled off with one exp_apply per coordinate.  The
-    result is verified by merging the factors, in order, back into a single
-    exponential with one `merge_exponentials` and comparing ladders.
-    """
-    if not psi.has_identity_affine_part():
-        raise PreconditionError("factorization requires the identity affine part")
-    sdata, cap, dim = psi.sdata, psi.cap, psi.dim
-    zero = FourierVectorField.zero(dim)
-    rest = [exp_apply(psi.gens, f) for f in coordinate_tests(FourierVectorField, dim, cap)]
-    factors = []
-    for k in range(1, cap + 1):
-        yk = order_from_mismatch(FourierVectorField, [r[k] for r in rest])
-        if not yk.is_real() or not yk.is_symplectic(sdata):
-            raise InternalInconsistency(
-                f"factor at order {k} is not a real symplectic field"
-            )
-        gens_k = [zero] * (cap + 1)
-        gens_k[k] = yk
-        factors.append(gens_k)
-        if k < cap and not yk.is_zero():
-            peel = [zero] * (cap + 1)
-            peel[k] = -yk
-            rest = [exp_apply(peel, r) for r in rest]
-    if not factors:
-        return []
-    if merge_exponentials(sdata, *factors) != psi.gens:
-        raise InternalInconsistency("factorization failed re-composition")
-    return [
-        (factors[k - 1][k], k)
-        for k in range(1, cap + 1)
-        if not factors[k - 1][k].is_zero()
-    ]
-
-
-def one_param_group_check(sdata, cap, f: FourierScalar, order, a, b) -> bool:
-    """psi_f(a t^k) o psi_f(b t^k) == psi_f((a+b) t^k) through the cap."""
-    psi_a = SymplectoCurve.from_hamiltonian(sdata, cap, f, order, a)
-    psi_b = SymplectoCurve.from_hamiltonian(sdata, cap, f, order, b)
-    combined = compose(psi_a, psi_b)
-    ab = Fraction(a) + Fraction(b)
-    if ab == 0:
-        return combined.is_identity()
-    return combined == SymplectoCurve.from_hamiltonian(sdata, cap, f, order, ab)

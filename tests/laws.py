@@ -9,24 +9,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sympconn.curvature import (
-    bianchi_check,
-    curvature_bundle,
-    ricci_from_curvature,
-)
-from sympconn.errors import PreconditionError
-from sympconn.euclidean import (
-    psi_A,
-    psi_A_connection_check,
-    psi_A_symplectic_check,
-)
-from sympconn.fourier import SymplecticData
+from sympconn.curvature import bianchi_check, curvature_bundle
+from sympconn.errors import InternalInconsistency, PreconditionError
+from sympconn.euclidean import psi_A_connection_check, psi_A_symplectic_check
+from sympconn.fourier import FourierScalar, SymplecticData
 from sympconn.generate import (
     conjugated_flat_fixture,
     random_connection_curve,
     random_real_scalar,
     rank_one_ladder,
-    validated_sum_ladder,
 )
 from sympconn.invariant import flatness_theorem_check, invariant_ricci_type_check
 from sympconn.moduli import (
@@ -38,13 +29,17 @@ from sympconn.moduli import (
     sp_generators,
     validity_check,
 )
-from sympconn.symplecto import (
-    SymplectoCurve,
-    compose,
-    factorize,
-    one_param_group_check,
-)
+from sympconn.series import coordinate_tests, merge_exponentials, order_from_mismatch
+from sympconn.symplecto import FourierVectorField, SymplectoCurve, compose
 import random
+
+from references import (
+    exp_apply,
+    from_generators,
+    psi_A,
+    ricci_from_curvature,
+    validated_sum_ladder,
+)
 
 
 def law_l1_decomposition(seed):
@@ -171,6 +166,56 @@ def law_l7_moduli_action(seed):
     return None
 
 
+def factorize(psi: SymplectoCurve):
+    """Split exp X_t into the ordered product exp(t Y1) o exp(t^2 Y2) o ...
+
+    Returns [(Y^(k), k)] for the nonzero factors.  Once Y1..Y(k-1) are
+    peeled off, rest_a = exp(t^k Yk) o ... f_a, whose order k is Yk(f_a);
+    each solved factor is peeled off with one exp_apply per coordinate.  The
+    result is verified by merging the factors, in order, back into a single
+    exponential with one `merge_exponentials` and comparing ladders.
+    """
+    if not psi.has_identity_affine_part():
+        raise PreconditionError("factorization requires the identity affine part")
+    sdata, cap, dim = psi.sdata, psi.cap, psi.dim
+    zero = FourierVectorField.zero(dim)
+    rest = [exp_apply(psi.gens, f) for f in coordinate_tests(FourierVectorField, dim, cap)]
+    factors = []
+    for k in range(1, cap + 1):
+        yk = order_from_mismatch(FourierVectorField, [r[k] for r in rest])
+        if not yk.is_real() or not yk.is_symplectic(sdata):
+            raise InternalInconsistency(
+                f"factor at order {k} is not a real symplectic field"
+            )
+        gens_k = [zero] * (cap + 1)
+        gens_k[k] = yk
+        factors.append(gens_k)
+        if k < cap and not yk.is_zero():
+            peel = [zero] * (cap + 1)
+            peel[k] = -yk
+            rest = [exp_apply(peel, r) for r in rest]
+    if not factors:
+        return []
+    if merge_exponentials(sdata, *factors) != psi.gens:
+        raise InternalInconsistency("factorization failed re-composition")
+    return [
+        (factors[k - 1][k], k)
+        for k in range(1, cap + 1)
+        if not factors[k - 1][k].is_zero()
+    ]
+
+
+def one_param_group_check(sdata, cap, f: FourierScalar, order, a, b) -> bool:
+    """psi_f(a t^k) o psi_f(b t^k) == psi_f((a+b) t^k) through the cap."""
+    psi_a = SymplectoCurve.from_hamiltonian(sdata, cap, f, order, a)
+    psi_b = SymplectoCurve.from_hamiltonian(sdata, cap, f, order, b)
+    combined = compose(psi_a, psi_b)
+    ab = Fraction(a) + Fraction(b)
+    if ab == 0:
+        return combined.is_identity()
+    return combined == SymplectoCurve.from_hamiltonian(sdata, cap, f, order, ab)
+
+
 def law_l8_factorize(seed):
     """Hamiltonian flows form one-parameter groups; factorize recovers an
     ordered product that re-composes to the original exponential."""
@@ -193,7 +238,7 @@ def law_l8_factorize(seed):
     for y, k in factorize(psi):  # verified internally against the original
         gens = [y.zero(4) for _ in range(cap + 1)]
         gens[k] = y
-        factors.append(SymplectoCurve.from_generators(sdata, cap, gens))
+        factors.append(from_generators(sdata, cap, gens))
     rebuilt = compose(*factors) if factors else SymplectoCurve.identity(sdata, cap)
     if rebuilt != psi:
         return {"fail": "factor product differs from the original"}

@@ -2,12 +2,30 @@
 computes another way, counters on the curvature-type full view and on the
 grouping of mixed tensors by upper index, and the forms of u and b, the
 potential split and the Lie series on connections that read every entry,
-which the sparse paths are compared with."""
+which the sparse paths are compared with; and the forms that no command and
+no benchmark workload runs: the omega-trace of R, the polynomial map psi^A,
+the sum ladders, exp(X_t) on scalar and field curves, the bracket and the
+inverse of a symplectomorphism curve."""
 
+import random
 from fractions import Fraction
 
 from sympconn import curvature
-from sympconn.fourier import TensorField
+from sympconn._kernel.pure import GaussianSums
+from sympconn.curvature import _covariant_orders, _field
+from sympconn.errors import ConfigurationError, NotExactCube, PreconditionError
+from sympconn.euclidean import Poly, PolyVectorField, _rows_field, require_nilpotent_cube
+from sympconn.fourier import FourierScalar, TensorField, TensorFieldCurve
+from sympconn.generate import _rng, omega_orthogonal_basis_vectors
+from sympconn.invariant import (
+    StructureMapCurve, integral_form, rank_one_cube, rank_one_entries, zero_cube,
+)
+from sympconn.linalg import mat_vec
+from sympconn.moduli import require_valid
+from sympconn.normalization import PotentialSplit
+from sympconn.rationals import GaussianRational, _make
+from sympconn.series import VectorField, _LieData, _fields, exp_curves
+from sympconn.symplecto import SymplectoCurve, _eye, _origin, conj_affine
 
 
 def accumulate(acc, key, value):
@@ -80,12 +98,6 @@ def u_b_orders_every_entry(conn, r_orders, u_head, start):
     """`curvature._u_b_orders` as it read omega: every entry of omega and of
     omega^{-1} tested per contraction, an empty coefficient map added for a
     zero b^(k), and rho and rho^2 over every order pair."""
-    from fractions import Fraction
-
-    from sympconn._kernel.pure import GaussianSums
-    from sympconn.curvature import _covariant_orders, _field
-    from sympconn.fourier import FourierScalar
-
     sdata = conn.sdata
     dim, n = sdata.dim, sdata.n
     hi, lo = sdata.omega_hi, sdata.omega_lo
@@ -189,8 +201,6 @@ def u_b_orders_every_entry(conn, r_orders, u_head, start):
 def rank_one_cube_dense(sdata, v):
     """`invariant.rank_one_cube` as it summed and multiplied: w = omega(., v)
     over every entry of omega, and S_bcd = w_b w_c w_d for every (b, c, d)."""
-    from sympconn.rationals import Fraction
-
     v = tuple(Fraction(x) for x in v)
     dim = sdata.dim
     lo = sdata.omega_lo
@@ -206,11 +216,6 @@ def potential_split_by_lookup(s):
     and `FourierScalar.coeff`, a zero scalar and a zero coefficient built for
     each absent (triple, mode), each equation compared with a Gaussian
     rational built for it."""
-    from sympconn.errors import NotExactCube, PreconditionError
-    from sympconn.fourier import FourierScalar
-    from sympconn.normalization import PotentialSplit
-    from sympconn.rationals import GaussianRational
-
     i_cubed = GaussianRational(0, -1)
     if s.rank != 3 or not s.is_fully_symmetric():
         raise PreconditionError("potential_split needs a fully symmetric rank-3 field")
@@ -248,11 +253,6 @@ def potential_split_by_lookup(s):
 def exp_lie_connection_summed(gens, gamma):
     """`series.exp_lie_connection` with every order of the result summed in
     one `GaussianSums`, a lone term of weight 1 included."""
-    from fractions import Fraction
-
-    from sympconn._kernel.pure import GaussianSums
-    from sympconn.series import _LieData
-
     scalar, dim = gens[0].scalar, gens[0].dim
     data = [None] + [None if g.is_zero() else _LieData(g) for g in gens[1:]]
 
@@ -287,8 +287,6 @@ def as_gaussian(a):
     """A coefficient map with `GaussianRational` values: a `Fraction` map as
     the same numbers (numerator + i 0) / denominator, the form in which
     `GaussianSums` once read every `Fraction` map; any other map as it is."""
-    from sympconn.rationals import _make
-
     for c in a.values():
         if type(c) is Fraction:
             return {m: _make(c.numerator, 0, c.denominator) for m, c in a.items()}
@@ -308,8 +306,6 @@ def random_real_scalar_by_fractions(rng, dim, max_modes=3, mode_bound=2, zero_me
     """`generate.random_real_scalar` as it drew a term: a Fraction amplitude,
     compared `rng.random()` with Fraction(1, 2) and summed
     `FourierScalar.cosine` or `FourierScalar.sine` of it."""
-    from sympconn.fourier import FourierScalar
-
     f = FourierScalar.zero(dim)
     for _ in range(rng.randint(1, max_modes)):
         m = tuple(rng.randint(-mode_bound, mode_bound) for _ in range(dim))
@@ -328,12 +324,6 @@ def random_real_scalar_by_fractions(rng, dim, max_modes=3, mode_bound=2, zero_me
 def rank_one_ladder_dense(sdata, cap, seed=0, scale_range=3):
     """`generate.rank_one_ladder` as it was built: dense Fraction multiples
     of `invariant.rank_one_cube`, read back by the dense constructor."""
-    import random
-
-    from sympconn.generate import omega_orthogonal_basis_vectors
-    from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
-    from sympconn.moduli import require_valid
-
     rng = random.Random(seed)
     vecs = omega_orthogonal_basis_vectors(sdata)
     cubes = [zero_cube(sdata.dim)]
@@ -350,12 +340,6 @@ def rank_one_ladder_dense(sdata, cap, seed=0, scale_range=3):
 def validated_sum_ladder_dense(sdata, cap, seed=0):
     """`generate.validated_sum_ladder` as it was built: dense sums of
     Fraction multiples of `invariant.rank_one_cube`."""
-    import random
-
-    from sympconn.generate import omega_orthogonal_basis_vectors
-    from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
-    from sympconn.moduli import require_valid
-
     rng = random.Random(seed)
     vecs = omega_orthogonal_basis_vectors(sdata)
     dim = sdata.dim
@@ -371,3 +355,157 @@ def validated_sum_ladder_dense(sdata, cap, seed=0):
     curve = StructureMapCurve(sdata, cap, cubes)
     require_valid(curve)
     return curve
+
+
+# -- forms that only the tests read, kept out of the package --------------------
+
+
+def e_vec(dim, a):
+    """The standard basis vector e_a of Q^dim, as Fractions."""
+    return tuple(Fraction(int(i == a)) for i in range(dim))
+
+
+def mat_mul(a, b):
+    """The dense matrix product, as a test-only reference."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def ricci_from_curvature(r4, sdata):
+    """Independent path: trace the lowered curvature, r_ab = R^q_{aqb}."""
+    hi = sdata.omega_hi
+    out = []
+    for t in r4.orders:
+        acc = GaussianSums()
+        for (a, q, b, d), f in t.components.items():
+            w = hi[d][q]
+            if w:
+                acc.add((a, b), f.coeffs, weight=w)
+        out.append(_field(acc, sdata.dim, 2))
+    return TensorFieldCurve(r4.cap, out)
+
+
+def validated_sum_ladder(sdata, cap, seed=0):
+    """Sums of integer multiples of rank-one cubes on distinct
+    omega-orthogonal vectors, built in stored form and validated."""
+    rng = _rng(seed)
+    vecs = omega_orthogonal_basis_vectors(sdata)
+    orders = [(1, {})]
+    for _ in range(cap):
+        sums = {}
+        for v in rng.sample(vecs, rng.randint(1, len(vecs))):
+            c = rng.randint(-2, 2)
+            if c:
+                for key, x in rank_one_entries(sdata, v).items():
+                    sums[key] = sums.get(key, 0) + c * x
+        orders.append(integral_form({key: sums[key] for key in sorted(sums) if sums[key]}))
+    curve = StructureMapCurve.from_orders(sdata, cap, orders)
+    require_valid(curve)
+    return curve
+
+
+def substitute(poly, maps):
+    """A `Poly` evaluated at x^a = maps[a] (a list of Polys)."""
+    if len(maps) != poly.dim:
+        raise ConfigurationError("substitution needs one polynomial per variable")
+    out = Poly.zero(poly.dim)
+    for e, c in poly.coeffs.items():
+        term = Poly.constant(poly.dim, c)
+        for a, k in enumerate(e):
+            for _ in range(k):
+                term = term * maps[a]
+        out = out + term
+    return out
+
+
+class PolyMap:
+    """A polynomial map R^{2n} -> R^{2n}; composition tracks degrees exactly."""
+
+    __slots__ = ("dim", "comps")
+
+    def __init__(self, comps):
+        comps = tuple(comps)
+        dim = comps[0].dim
+        if len(comps) != dim or any(c.dim != dim for c in comps):
+            raise ConfigurationError("map needs one component per coordinate")
+        self.dim = dim
+        self.comps = comps
+
+    @classmethod
+    def identity(cls, dim):
+        return cls([Poly.variable(dim, a) for a in range(dim)])
+
+    def compose(self, other: "PolyMap") -> "PolyMap":
+        """self o other."""
+        return PolyMap([substitute(c, list(other.comps)) for c in self.comps])
+
+    def is_identity(self):
+        return self == PolyMap.identity(self.dim)
+
+    def __eq__(self, other):
+        if not isinstance(other, PolyMap):
+            return NotImplemented
+        return self.comps == other.comps
+
+    def __repr__(self):
+        return f"PolyMap(dim={self.dim}, deg={max(c.degree() for c in self.comps)})"
+
+
+def psi_A(sdata, cube) -> PolyMap:
+    """psi^A(x) = x - (1/2) A(x) x = x + X_A(x) for a nilpotent symmetric cube."""
+    field = _rows_field(sdata.dim, require_nilpotent_cube(sdata, cube).rows(1))
+    return PolyMap([Poly.variable(sdata.dim, p) + c for p, c in enumerate(field.comps)])
+
+
+def canon(x):
+    """Canonical text of a result for a pin: polynomial terms sorted by
+    exponent, dicts by key."""
+    if isinstance(x, Poly):
+        return "P" + repr(sorted((e, str(c)) for e, c in x.coeffs.items()))
+    if isinstance(x, (PolyVectorField, PolyMap)):
+        return type(x).__name__ + canon(list(x.comps))
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(canon(v) for v in x) + "]"
+    if isinstance(x, dict):
+        return "{" + ",".join(f"{k!r}:{canon(v)}" for k, v in sorted(x.items())) + "}"
+    if isinstance(x, Fraction):
+        return str(x)
+    return repr(x)
+
+
+def exp_apply(gens, fcurve):
+    """exp(X_t) applied to a scalar curve."""
+    return exp_curves(VectorField.add_apply, gens, [fcurve])[0]
+
+
+def exp_ad(gens, ycurve):
+    """exp(ad X_t) Y for a vector-field curve Y."""
+    return exp_curves(VectorField.add_bracket, gens, [ycurve])[0]
+
+
+def derive(x, y):
+    """The flat derivative of a field, (X(Y^c))_c."""
+    return type(x)([x.apply(c) for c in y.comps])
+
+
+def bracket(x, y):
+    """[X, Y]^c = X(Y^c) - Y(X^c), in one `GaussianSums`."""
+    acc = GaussianSums()
+    x.add_bracket(acc, (), y)
+    return _fields(type(x), x.dim, acc).get(()) or type(x).zero(x.dim)
+
+
+def from_generators(sdata, cap, gens):
+    """The curve exp X_t of a generator ladder, with the identity affine part."""
+    dim = sdata.dim
+    return SymplectoCurve(sdata, cap, _eye(dim), _origin(dim), gens)
+
+
+def invert(psi):
+    """psi^{-1} = tau^* o exp(Ad_{sigma^*}(-X_t)) with tau = sigma^{-1}, whose
+    translation is -C^{-1} d."""
+    gens = [
+        conj_affine(psi.c_mat, psi.c_inv, psi.d, -g) if not g.is_zero() else g
+        for g in psi.gens
+    ]
+    back = tuple(-x for x in mat_vec(psi.c_inv, psi.d))
+    return SymplectoCurve(psi.sdata, psi.cap, psi.c_inv, back, gens)

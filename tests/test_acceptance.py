@@ -7,15 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from sympconn.curvature import (
-    bianchi_check,
-    curvature_bundle,
-    ricci_from_curvature,
-)
+from sympconn.curvature import bianchi_check, curvature_bundle
 from sympconn.errors import InputError, PreconditionError
 from sympconn.euclidean import (
     equivalence_Rn,
-    psi_A,
     psi_A_connection_check,
     psi_A_symplectic_check,
 )
@@ -24,7 +19,6 @@ from sympconn.generate import (
     conjugated_flat_fixture,
     random_connection_curve,
     rank_one_ladder,
-    validated_sum_ladder,
 )
 from sympconn.invariant import (
     StructureMapCurve,
@@ -44,6 +38,8 @@ from sympconn.moduli import (
 from sympconn.normalization import normalize_curve
 from sympconn.serialize import dumps, from_json, to_json
 from sympconn.symplecto import act_on_connection
+
+from references import psi_A, ricci_from_curvature, validated_sum_ladder
 
 SD4 = SymplecticData.standard(4)
 SD6 = SymplecticData.standard(6)

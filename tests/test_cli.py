@@ -120,11 +120,13 @@ def test_generate_rejects_small_dimension(capsys):
     (("--kind", "random", "--omega", "{bad}"), "Expecting"),
     (("--kind", "random", "--omega", "{missing}"), "No such file"),
     (("--kind", "rank-one", "--vector", "1.5,0,0,0"), "bad vector '1.5,0,0,0'"),
+    (("--kind", "random", "--omega", "{deep}"), "maximum recursion depth exceeded"),
 ])
 def test_generate_input_errors_exit_2(tmp_path, capsys, argv, message):
-    bad = tmp_path / "bad.json"
+    bad, deep = tmp_path / "bad.json", tmp_path / "deep.json"
     bad.write_text("[[0,1")
-    argv = [a.format(bad=bad, missing=tmp_path / "missing.json") for a in argv]
+    deep.write_text("[" * 200000 + "]" * 200000)
+    argv = [a.format(bad=bad, deep=deep, missing=tmp_path / "missing.json") for a in argv]
     code, out, err = run(capsys, "generate", *argv)
     assert code == 2 and out == ""
     assert "input error: " in err and message in err

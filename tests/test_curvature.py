@@ -9,9 +9,8 @@ from sympconn.curvature import (
     bianchi_check,
     curvature_bundle,
     require_ricci_type,
-    ricci_from_curvature,
 )
-from sympconn.errors import InternalInconsistency, PreconditionError
+from sympconn.errors import ConfigurationError, InternalInconsistency, PreconditionError
 from sympconn.fourier import (
     FourierScalar,
     SymplecticData,
@@ -32,6 +31,7 @@ from references import (
     count_groupings,
     full_fill,
     is_curvature_type,
+    ricci_from_curvature,
     upper_half,
 )
 
@@ -80,6 +80,17 @@ def test_ricci_matches_trace_of_curvature():
         conn = random_connection_curve(seed, dim=4, cap=2)
         bundle = curvature_bundle(conn)
         assert bundle.r == ricci_from_curvature(bundle.R, conn.sdata)
+
+
+@pytest.mark.parametrize("dim, rank", [(6, 3), (4, 2)], ids=["dim", "rank"])
+def test_a_difference_tensor_of_the_wrong_shape_is_refused_naming_its_order(dim, rank):
+    """A dim-6 field on a dim-4 omega and a rank-2 field are each refused
+    with the order, the dim and rank wanted and the dim and rank given."""
+    with pytest.raises(ConfigurationError) as err:
+        curvature.ConnectionCurve(SymplecticData.standard(4), 2,
+                                  [TensorField.zero(4, 3), TensorField.zero(dim, rank)])
+    assert str(err.value) == ("order-2 difference tensor must have dim 4 and rank 3, "
+                              f"got dim {dim} and rank {rank}")
 
 
 def test_ew_reconstruction_and_trace_free_w():

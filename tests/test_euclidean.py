@@ -19,7 +19,6 @@ from sympconn.euclidean import (
     act_on_poly_connection,
     equivalence_Rn,
     invariant_gamma,
-    psi_A,
     psi_A_connection_check,
     psi_A_symplectic_check,
     psi_At,
@@ -29,7 +28,7 @@ from sympconn.euclidean import (
     validity_check_cubes,
 )
 from sympconn.fourier import FourierScalar, SymplecticData
-from sympconn.generate import rank_one_ladder, validated_sum_ladder
+from sympconn.generate import rank_one_ladder
 from sympconn.invariant import (
     StructureMapCurve,
     cube_rows,
@@ -40,13 +39,12 @@ from sympconn.invariant import (
 from sympconn.series import (
     VectorField,
     coordinate_tests,
-    exp_ad,
     exp_curves,
     exp_lie_connection,
     merge_exponentials,
 )
 
-from references import fraction_rows
+from references import derive, exp_ad, fraction_rows, mat_mul, psi_A, substitute, validated_sum_ladder
 from test_series import reference_exp_lie_connection
 
 SD = SymplecticData.standard(4)
@@ -305,7 +303,7 @@ def reference_act_on_poly_connection(gens, cap, sdata, gamma):
             for k in range(cap + 1):
                 acc = PolyVectorField.zero(dim)
                 for s in range(k + 1):
-                    acc = acc + xa[s].derive(yb[k - s])
+                    acc = acc + derive(xa[s], yb[k - s])
                 for s in range(1, k + 1):
                     for u in range(k - s + 1):
                         xu, yv = xa[u], yb[k - s - u]
@@ -613,7 +611,7 @@ def reference_pushforward(psi, psi_inv, z):
             dpb = psi.comps[p].derivative(b)
             if dpb.is_zero() or z.comps[b].is_zero():
                 continue
-            acc = acc + dpb.substitute(inv_comps) * z.comps[b].substitute(inv_comps)
+            acc = acc + substitute(dpb, inv_comps) * substitute(z.comps[b], inv_comps)
         comps.append(acc)
     return PolyVectorField(comps)
 
@@ -632,7 +630,7 @@ def reference_psi_A_connection_check(sdata, cube):
     pushed = [reference_pushforward(bwd, fwd, e) for e in basis]
     for a, xa in enumerate(pushed):
         for b, yb in enumerate(pushed):
-            moved = reference_pushforward(fwd, bwd, xa.derive(yb))
+            moved = reference_pushforward(fwd, bwd, derive(xa, yb))
             want = [rows[a].get(p, {}).get(b, 0) for p in range(dim)]
             if moved != PolyVectorField.constant(dim, want):
                 return False
@@ -710,11 +708,6 @@ def reference_cube_endomorphisms(sdata, cube):
                             m[p][b] += hi[c][p] * v
         mats.append(tuple(tuple(row) for row in m))
     return mats
-
-
-def mat_mul(a, b):
-    """The dense matrix product, as a test-only reference."""
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def is_zero_matrix(a):

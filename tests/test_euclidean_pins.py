@@ -14,45 +14,26 @@ import pytest
 from sympconn.errors import PreconditionError
 from sympconn.euclidean import (
     Poly,
-    PolyMap,
     PolySymplecto,
     PolyVectorField,
     equivalence_Rn,
-    psi_A,
     psi_At,
     require_nilpotent_cube,
     _rows_field,
     stabilizer_check,
 )
 from sympconn.fourier import SymplecticData
-from sympconn.generate import rank_one_ladder, validated_sum_ladder
+from sympconn.generate import rank_one_ladder
 from sympconn.invariant import StructureMapCurve, cube_rows, integral_cube, rank_one_cube, zero_cube
+
+from references import canon, e_vec, psi_A, validated_sum_ladder
 
 SD4 = SymplecticData.standard(4)
 SD6 = SymplecticData.standard(6)
 
 
-def canon(x):
-    """Canonical text: polynomial terms sorted by exponent, dicts by key."""
-    if isinstance(x, Poly):
-        return "P" + repr(sorted((e, str(c)) for e, c in x.coeffs.items()))
-    if isinstance(x, (PolyVectorField, PolyMap)):
-        return type(x).__name__ + canon(list(x.comps))
-    if isinstance(x, (list, tuple)):
-        return "[" + ",".join(canon(v) for v in x) + "]"
-    if isinstance(x, dict):
-        return "{" + ",".join(f"{k!r}:{canon(v)}" for k, v in sorted(x.items())) + "}"
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(x)
-
-
 def sha(x):
     return hashlib.sha256(canon(x).encode()).hexdigest()
-
-
-def e_vec(dim, a):
-    return tuple(Fraction(int(i == a)) for i in range(dim))
 
 
 def summed(*cubes):

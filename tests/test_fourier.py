@@ -18,7 +18,7 @@ from sympconn.linalg import inverse, matrix, transpose
 from sympconn.moduli import _words_up_to, sp_generators
 from sympconn.rationals import GaussianRational
 
-from references import is_curvature_type
+from references import is_curvature_type, mat_mul
 
 DIM = 4
 
@@ -308,11 +308,6 @@ def test_symmetry_witness_drives_both_predicates():
 
 
 # -- the symplectic group of omega -----------------------------------------------
-
-
-def mat_mul(a, b):
-    """The dense matrix product, as a test-only reference."""
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def dense_is_symplectic(sdata, c):

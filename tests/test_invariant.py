@@ -14,7 +14,6 @@ from sympconn.generate import (
     conjugated_flat_fixture,
     gradient_curve,
     rank_one_ladder,
-    validated_sum_ladder,
 )
 from sympconn.invariant import (
     StructureMapCurve,
@@ -33,16 +32,7 @@ from sympconn.moduli import cheap_invariants, sp_action, sp_generators, validity
 from sympconn.normalization import normalize_curve
 from sympconn.rationals import GaussianRational
 
-from references import fraction_rows
-
-
-def e_vec(dim, a):
-    return tuple(Fraction(1) if i == a else Fraction(0) for i in range(dim))
-
-
-def mat_mul(a, b):
-    """The dense matrix product, as a test-only reference."""
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+from references import e_vec, fraction_rows, mat_mul, validated_sum_ladder
 
 
 def reference_endomorphisms(curve, k):

@@ -6,13 +6,10 @@ import pytest
 from sympconn import moduli
 from sympconn.errors import ConfigurationError
 from sympconn.fourier import SymplecticData
-from sympconn.generate import rank_one_ladder, validated_sum_ladder
+from sympconn.generate import rank_one_ladder
 from sympconn.linalg import inverse, rank
 
-
-def mat_mul(a, b):
-    """The dense matrix product, as a test-only reference."""
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+from references import mat_mul, validated_sum_ladder
 
 
 def identity(n):

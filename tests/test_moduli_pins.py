@@ -13,20 +13,11 @@ from fractions import Fraction
 import pytest
 
 from sympconn.fourier import SymplecticData
-from sympconn.generate import rank_one_ladder, validated_sum_ladder
+from sympconn.generate import rank_one_ladder
 from sympconn.invariant import StructureMapCurve, rank_one_cube, zero_cube
 from sympconn.moduli import ModuliClassQuery, equivalence_semidecide, sp_action, sp_generators
 
-
-def canon(x):
-    """Canonical text: dicts by sorted key, everything else by repr."""
-    if isinstance(x, dict):
-        return "{" + ",".join(f"{k!r}:{canon(v)}" for k, v in sorted(x.items())) + "}"
-    if isinstance(x, (list, tuple)):
-        return "[" + ",".join(canon(v) for v in x) + "]"
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(x)
+from references import canon, e_vec, validated_sum_ladder
 
 
 def verdicts_sha(pairs, bounds):
@@ -72,10 +63,6 @@ def planted_pairs(dim):
 ])
 def test_planted_pair_verdict_pins(dim, pin):
     assert verdicts_sha(planted_pairs(dim), range(4)) == pin
-
-
-def e_vec(dim, i):
-    return tuple(Fraction(int(j == i)) for j in range(dim))
 
 
 def test_scaled_and_cube_rank_verdict_pins():

@@ -1,13 +1,16 @@
 """Byte-identity pins for the normalization recursion and its fixtures:
-sha256 of `serialize.dumps` of each result, taken at commit 1527931."""
+sha256 of `serialize.dumps` of each result, taken at commit 1527931.  A
+whole result is pinned as the object that `dumps` wrote for it then, with
+its flat curve, witness and per-order log."""
 
 import hashlib
+import json
 
 import pytest
 
 from sympconn.generate import conjugated_flat_fixture
 from sympconn.normalization import normalize_curve
-from sympconn.serialize import dumps
+from sympconn.serialize import FORMAT_VERSION, dumps, to_json
 
 FIXTURES = {
     "dim4_cap4": dict(seed=11, dim=4, cap=4),
@@ -47,6 +50,13 @@ def sha(value):
     return hashlib.sha256(dumps(value).encode()).hexdigest()
 
 
+def result_sha(result):
+    tree = {"kind": "normalization_result", "version": FORMAT_VERSION,
+            "flat": to_json(result.flat_curve), "witness": to_json(result.witness),
+            "log": result.per_order_log}
+    return hashlib.sha256((json.dumps(tree, indent=1) + "\n").encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_and_normalization_are_byte_identical(name):
     flat, psi, moved = conjugated_flat_fixture(**FIXTURES[name])
@@ -57,7 +67,7 @@ def test_fixture_and_normalization_are_byte_identical(name):
         "moved": sha(moved),
         "result_flat": sha(result.flat_curve),
         "result_witness": sha(result.witness),
-        "result": sha(result),
+        "result": result_sha(result),
     }
     assert got == PINS[name]
 

@@ -474,6 +474,9 @@ NUMBER_DOORS = [
                              [PolyVectorField.zero(DIM)])),
 ]
 
+# the doors that read a Fourier coefficient, which may be a Gaussian rational
+GAUSSIAN_DOORS = {"FourierScalar coefficient", "FourierScalar.constant", "FourierScalar.single_mode"}
+
 # (name, builder) pairs: each builder puts its argument in a key or an index
 KEY_DOORS = [
     ("Poly key", lambda x: Poly(DIM, {(x, 0, 0, 0): 1})),
@@ -490,8 +493,16 @@ KEY_DOORS = [
 def test_every_public_constructor_refuses_a_float_or_a_bool(name, build):
     """Each door that reads a number refuses a float or a bool, zero or not,
     with a configuration error that names the entry; the int 1 builds.  A
-    non-integral linear part is refused as such before the gate."""
+    non-integral linear part is refused as such before the gate.  A door
+    that reads a real number refuses the Gaussian rationals 1 and i in the
+    same way; the Fourier coefficient doors build with both."""
     build(1)
+    for z in (GaussianRational(1), GaussianRational(0, 1)):
+        if name in GAUSSIAN_DOORS:
+            build(z)
+        else:
+            with pytest.raises(ConfigurationError, match=r" is a GaussianRational, not a real rational$"):
+                build(z)
     for bad in (1.0, 0.0, True, False):
         with pytest.raises(ConfigurationError, match=rf" is a {type(bad).__name__}, not a rational$"):
             build(bad)

@@ -5,18 +5,28 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from sympconn import serialize
+from sympconn.cli import main
+from sympconn.curvature import ConnectionCurve
 from sympconn.errors import InputError
-from sympconn.fourier import FourierScalar, SymplecticData
+from sympconn.fourier import FourierScalar, SymplecticData, TensorField
 from sympconn.generate import (
     conjugated_flat_fixture,
     gradient_curve,
     hamiltonian_steps,
     random_connection_curve,
     rank_one_ladder,
-    validated_sum_ladder,
+)
+from sympconn.invariant import (
+    StructureMapCurve, embed_invariant, integral_form, rank_one_cube, rank_one_entries, zero_cube,
 )
 from sympconn.normalization import normalize_curve
-from sympconn.serialize import dumps, from_json, json_text, loads, to_json
+from sympconn.serialize import (
+    dumps, from_json, json_text, loads, omega_from_json, scalar_to_json, tensor_from_json, to_json,
+)
+from sympconn.symplecto import SymplectoCurve, compose
+
+from references import validated_sum_ladder
 
 SD = SymplecticData.standard(4)
 
@@ -40,8 +50,6 @@ def test_structure_map_round_trip():
 def test_sparse_structure_map_parse_round_trips_byte_identically(scale):
     """A dim-8 cap-3 sum ladder, nearly all of whose 4 * 512 entries are
     "0", reads back to the same stored orders and writes the same bytes."""
-    from sympconn.invariant import StructureMapCurve
-
     ladder = validated_sum_ladder(SymplecticData.standard(8), 3, seed=4)
     ladder = StructureMapCurve(ladder.sdata, 3, [[[[scale * x for x in row] for row in plane]
                                                   for plane in cube] for cube in ladder.cubes])
@@ -52,8 +60,6 @@ def test_sparse_structure_map_parse_round_trips_byte_identically(scale):
 
 
 def test_symplecto_round_trip_with_affine_part():
-    from sympconn.symplecto import SymplectoCurve, compose
-
     c = [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     d = [Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(0)]
     psi = compose(
@@ -73,8 +79,6 @@ def test_serialization_is_byte_deterministic():
 def test_golden_rank_one_layout():
     """Entries are 1-based and sorted; for the rank-one ladder on e_1 the
     only entry at order 1 is idx [3, 3, 3] with constant coefficient -1."""
-    from sympconn.invariant import StructureMapCurve, embed_invariant, rank_one_cube, zero_cube
-
     v = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(4))
     curve = StructureMapCurve(SD, 1, [zero_cube(4), rank_one_cube(SD, v)])
     obj = to_json(embed_invariant(curve))
@@ -83,14 +87,6 @@ def test_golden_rank_one_layout():
     ]
     cube_obj = to_json(curve)
     assert cube_obj["cubes"][1][2][2][2] == "-1"
-
-
-def test_normalization_result_serializes():
-    result = normalize_curve(moved_fixture())
-    obj = json.loads(dumps(result))
-    assert obj["kind"] == "normalization_result"
-    assert from_json(obj["flat"]) == result.flat_curve
-    assert from_json(obj["witness"]) == result.witness
 
 
 def test_unknown_kind_rejected():
@@ -158,8 +154,6 @@ def _constant_entries(values):
 def test_symmetry_violations_name_the_first_sorted_pair():
     """The exact texts for both declared symmetries: the witness is the
     first violating entry in sorted index order."""
-    from sympconn.serialize import tensor_from_json
-
     cases = [
         ("curvature_type", [([1, 2, 3, 3], "1"), ([2, 1, 3, 3], "-1"),
                             ([1, 2, 3, 4], "1/2"), ([2, 1, 3, 4], "-1/2")],
@@ -179,8 +173,6 @@ def test_symmetry_violations_name_the_first_sorted_pair():
 def test_reality_is_read_on_sorted_indices_after_the_symmetry_check():
     """A fully symmetric field is tested for reality on its sorted indices
     only; the texts of both refusals are unchanged."""
-    from sympconn.serialize import tensor_from_json
-
     def entries(values):
         return [{"idx": idx, "modes": [{"m": [0, 0, 0, 0], "c": {"re": "1", "im": im}}]}
                 for idx, im in values]
@@ -201,8 +193,6 @@ def test_reality_is_read_on_sorted_indices_after_the_symmetry_check():
 
 @pytest.mark.parametrize("entries", [[], [([1, 2, 2], "1")]])
 def test_curvature_type_of_wrong_rank_is_an_input_error(entries):
-    from sympconn.serialize import tensor_from_json
-
     obj = {"rank": 3, "symmetry": "curvature_type", "entries": _constant_entries(entries)}
     with pytest.raises(InputError) as exc:
         tensor_from_json(obj, 4, "R order 2")
@@ -228,10 +218,8 @@ def test_json_text_is_json_dumps_indent_1(tree):
 
 def _curve_trees(seed):
     """to_json trees of every kind from one seed: a random connection curve
-    with a provenance block, a rank-one ladder, and a normalization result
-    with its flat curve, symplecto witness and log."""
-    from sympconn.generate import random_connection_curve
-
+    with a provenance block, a rank-one ladder, and the flat curve and
+    symplecto witness of a normalization."""
     try:
         conn = random_connection_curve(seed, dim=4 + 2 * (seed % 2), cap=seed % 3)
     except AssertionError:
@@ -239,7 +227,7 @@ def _curve_trees(seed):
         assume(False)
     result = normalize_curve(moved_fixture(seed % 5 + 1))
     trees = [to_json(v) for v in (conn, rank_one_ladder(SD, 1 + seed % 3, seed=seed),
-                                  result, result.flat_curve, result.witness)]
+                                  result.flat_curve, result.witness)]
     # the generate command appends this block
     trees[0]["provenance"] = {"generator": "random", "seed": seed, "dim": conn.dim,
                               "cap": conn.cap}
@@ -256,8 +244,6 @@ def test_dumps_is_json_dumps_indent_1_on_every_kind(seed):
 def test_generate_output_is_json_dumps_indent_1(capsys):
     """The generate command's file, with its provenance block, is written by
     the same emitter."""
-    from sympconn.cli import main
-
     for argv in (["--kind", "random", "--seed", "3", "--order", "2"],
                  ["--kind", "rank-one", "--vector", "1/2,0,0,-3", "--order", "1"]):
         assert main(["generate", *argv]) == 0
@@ -282,8 +268,6 @@ def test_json_text_writes_bool_as_bool():
 
 
 def test_loads_checks_full_symmetry_once_per_order(monkeypatch):
-    from sympconn.fourier import TensorField
-
     calls = []
     real = TensorField.symmetry_witness
 
@@ -358,9 +342,6 @@ def test_header_and_integer_fields_refuse_wrong_types(make, message):
 
 def _copied_per_key(conn):
     """The curve with a distinct but equal scalar object at every key."""
-    from sympconn.curvature import ConnectionCurve
-    from sympconn.fourier import TensorField
-
     return ConnectionCurve(conn.sdata, conn.cap, [
         TensorField(t.dim, 3, {k: FourierScalar(f.dim, dict(f.coeffs), _validated=True)
                                for k, f in t.components.items()}, "fully_symmetric")
@@ -379,14 +360,14 @@ def _writer_values():
                    psi, gradient_curve(sd, 2, cosine), gradient_curve(sd, 3, sine, order=2),
                    validated_sum_ladder(sd, 2, seed=dim)]
     result = normalize_curve(moved_fixture(3))
-    return values + [result, result.witness, result.flat_curve, rank_one_ladder(SD, 3, seed=5)]
+    return values + [result.witness, result.flat_curve, rank_one_ladder(SD, 3, seed=5)]
 
 
 def test_dumps_is_json_dumps_of_to_json_on_every_kind_and_dim():
     """The mode lists written straight from the scalars read as the plain
     tree would: random, conjugated and gradient curves at dims 4 and 6, the
     same curves with a distinct equal scalar at every key, symplecto
-    witnesses, normalization results and structure-map curves."""
+    witnesses and structure-map curves."""
     for value in _writer_values():
         assert dumps(value) == json.dumps(to_json(value), indent=1) + "\n", value
 
@@ -394,8 +375,6 @@ def test_dumps_is_json_dumps_of_to_json_on_every_kind_and_dim():
 def test_a_scalar_leaf_is_written_at_each_depth_it_sits():
     """One scalar object at three depths of one tree, and the zero scalar,
     are each written as their own mode list."""
-    from sympconn.serialize import scalar_to_json
-
     f = (FourierScalar.cosine(4, (1, -2, 0, 1), Fraction(-3, 4))
          + FourierScalar.sine(4, (0, 0, 1, 0), Fraction(5, 2)))
     zero = FourierScalar.zero(4)
@@ -440,8 +419,6 @@ def test_an_equal_entry_with_a_bool_or_float_leaf_is_parsed_and_refused(first, p
     """Python's == equates True, 1.0 and 1: a permuted entry == to the first
     of its orbit is still refused with the parser's message when it holds a
     bool or a float."""
-    from sympconn.serialize import tensor_from_json
-
     assert permuted == first
     with pytest.raises(InputError) as exc:
         tensor_from_json(_orbit_entries(first, permuted), 4, "A order 1")
@@ -449,8 +426,6 @@ def test_an_equal_entry_with_a_bool_or_float_leaf_is_parsed_and_refused(first, p
 
 
 def test_an_equal_value_written_differently_loads_to_an_equal_field():
-    from sympconn.serialize import tensor_from_json
-
     def load(first, permuted):
         return tensor_from_json(_orbit_entries(first, permuted), 4, "A order 1",
                                 expect_rank=3, expect_symmetry="fully_symmetric")
@@ -470,8 +445,6 @@ def test_an_equal_value_written_differently_loads_to_an_equal_field():
 def test_loads_parses_one_mode_list_per_index_orbit(monkeypatch, make):
     """A generated file is parsed once per orbit (sorted index) of each
     order: the permuted entries share the scalar of the first one read."""
-    from sympconn import serialize
-
     conn = make()
     text = dumps(conn)
     orbits = sum(len({tuple(sorted(e["idx"])) for e in order["entries"]})
@@ -497,8 +470,6 @@ def test_loads_parses_one_mode_list_per_index_orbit(monkeypatch, make):
 
 
 def test_omega_is_built_once_per_text_and_refused_on_every_call():
-    from sympconn.serialize import omega_from_json
-
     texts = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["-1", "0", "0", "0"],
              ["0", "-1", "0", "0"]]
     sd = omega_from_json(texts, 4)
@@ -519,12 +490,8 @@ def test_cube_leaves_are_written_as_json_dumps_of_the_dense_arrays(dim):
     """Structure-map curves whose cubes `dumps` writes as leaves read as the
     dense arrays of `to_json` would: zero orders, integral and non-integral
     orders with mixed signs and denominators, a nonzero order 0, rank-one
-    and sum ladders, and normalization results (computed, and built around
-    such a curve)."""
-    from sympconn.invariant import StructureMapCurve, integral_form, rank_one_entries
-    from sympconn.normalization import NormalizationResult
-    from sympconn.symplecto import SymplectoCurve
-
+    and sum ladders, and the flat curve and witness of a normalization,
+    with a Hamiltonian step beside them."""
     sd = SymplecticData.standard(dim)
     v = (1, Fraction(1, 2), 0, Fraction(-2, 3)) + (0,) * (dim - 5) + (3,)
     mixed = {key: x * Fraction(5, 7) for key, x in rank_one_entries(sd, v).items()}
@@ -541,7 +508,7 @@ def test_cube_leaves_are_written_as_json_dumps_of_the_dense_arrays(dim):
     _, _, moved = conjugated_flat_fixture(dim, dim=dim, cap=2)
     step = SymplectoCurve.from_hamiltonian(
         sd, 4, FourierScalar.cosine(dim, (1,) + (0,) * (dim - 1)), 2, Fraction(1, 3))
-    values = curves + [normalize_curve(moved),
-                       NormalizationResult(curves[0], step, [{"order": 1}])]
+    result = normalize_curve(moved)
+    values = curves + [result.flat_curve, result.witness, step]
     for value in values:
         assert dumps(value) == json.dumps(to_json(value), indent=1) + "\n", value

@@ -22,7 +22,6 @@ from sympconn.generate import (
     random_connection_curve,
     random_symmetric_field,
     rank_one_ladder,
-    validated_sum_ladder,
 )
 from sympconn.normalization import normalize_curve, potential_split
 from sympconn.serialize import dumps
@@ -32,6 +31,7 @@ from references import (
     exp_lie_connection_summed,
     potential_split_by_lookup,
     u_b_orders_every_entry,
+    validated_sum_ladder,
 )
 from test_curvature import _nonstandard_sdata
 from test_normalization import SD_SKEW, every_order_fixture

@@ -10,6 +10,7 @@ import sympconn.symplecto as symplecto
 from sympconn.errors import ConfigurationError, NonRepresentablePhase, PreconditionError
 from sympconn.fourier import FourierScalar, SymplecticData, TensorField, raise_last
 from sympconn.generate import (
+    gradient_curve,
     hamiltonian_steps,
     rank_one_ladder,
     random_connection_curve,
@@ -27,11 +28,13 @@ from sympconn.symplecto import (
     affine_pullback_scalar,
     compose,
     conj_affine,
-    factorize,
     hamiltonian_field,
-    invert,
-    one_param_group_check,
 )
+
+import laws
+import references
+from laws import factorize, one_param_group_check
+from references import derive, from_generators, invert
 
 DIM = 4
 CAP = 3
@@ -46,14 +49,14 @@ SIN12 = FourierScalar.sine(DIM, (1, 1, 0, 0))
 
 def apply_to_scalar_curve(psi, fcurve):
     """psi . f = sigma^*(exp(X_t) f) for psi = sigma^* o exp X_t."""
-    moved = series.exp_apply(psi.gens, fcurve)
+    moved = references.exp_apply(psi.gens, fcurve)
     return [affine_pullback_scalar(psi.c_mat, psi.d, g) for g in moved]
 
 
 def act_on_vector_field(psi, ycurve):
     """psi . Y = psi Y psi^{-1} = Ad_{sigma^*}(exp(ad X_t) Y), per order."""
     assert len(ycurve) == psi.cap + 1
-    moved = series.exp_ad(psi.gens, list(ycurve))
+    moved = references.exp_ad(psi.gens, list(ycurve))
     return [conj_affine(psi.c_mat, psi.c_inv, psi.d, y) for y in moved]
 
 
@@ -85,10 +88,6 @@ def test_from_hamiltonian_builds_a_real_symplectic_generator():
 
 def test_hamiltonian_step_adds_grad3():
     """psi_f(t^k) acting on the flat connection has A-bar^(k) = grad^3 f."""
-    from sympconn.generate import gradient_curve
-
-    from sympconn.curvature import ConnectionCurve
-
     for k in (1, 2):
         psi = SymplectoCurve.from_hamiltonian(SD, CAP, COS1, k)
         flat = ConnectionCurve.flat(SD, CAP)
@@ -170,7 +169,7 @@ def test_factorize_recovers_ordered_product():
     for y, k in reversed(factors):
         gens = [y.zero(DIM) for _ in range(CAP + 1)]
         gens[k] = y
-        rebuilt = compose(SymplectoCurve.from_generators(SD, CAP, gens), rebuilt)
+        rebuilt = compose(from_generators(SD, CAP, gens), rebuilt)
     assert rebuilt == psi
 
 
@@ -178,13 +177,13 @@ def test_factorize_makes_at_most_one_exp_apply_per_coordinate_and_order(monkeypa
     """dim calls for the targets and at most dim per solved factor: each
     factor is peeled off the targets, earlier ones are not re-expanded."""
     calls = []
-    original = symplecto.exp_apply
+    original = laws.exp_apply
 
     def counting(gens, fcurve):
         calls.append(len(gens))
         return original(gens, fcurve)
 
-    monkeypatch.setattr(symplecto, "exp_apply", counting)
+    monkeypatch.setattr(laws, "exp_apply", counting)
     for cap in range(1, 6):
         psi = SymplectoCurve.from_hamiltonian(SD, cap, COS1, 1)
         if cap >= 2:
@@ -207,8 +206,6 @@ def test_factorize_at_cap_zero_has_no_factors():
 
 
 def test_act_on_vector_field_respects_composition():
-    from sympconn.symplecto import FourierVectorField
-
     y = FourierVectorField(
         [COS1, SIN12, FourierScalar.zero(DIM), FourierScalar.zero(DIM)]
     )
@@ -246,7 +243,7 @@ def reference_act_on_connection(psi, conn):
             for k in range(cap + 1):
                 acc = FourierVectorField.zero(dim)
                 for s in range(k + 1):
-                    acc = acc + xa[s].derive(yb[k - s])
+                    acc = acc + derive(xa[s], yb[k - s])
                 for s in range(1, k + 1):
                     for u in range(k - s + 1):
                         xu, yv = xa[u], yb[k - s - u]
@@ -348,14 +345,14 @@ def test_action_makes_no_basis_transport(monkeypatch):
     """act_on_connection runs no exp(ad X_t); symplecto does not even import
     it, and the counter does see the reference transport."""
     calls = []
-    original = series.exp_ad
+    original = references.exp_ad
 
     def counting_exp_ad(gens, ycurve):
         calls.append(1)
         return original(gens, ycurve)
 
     assert not hasattr(symplecto, "exp_ad")
-    monkeypatch.setattr(series, "exp_ad", counting_exp_ad)
+    monkeypatch.setattr(references, "exp_ad", counting_exp_ad)
     flat = embed_invariant(rank_one_ladder(SD, CAP, seed=3))
     sigma = SymplectoCurve.affine(SD, CAP, sp_word(SD, (0,)), (Fraction(1, 2), 0, 0, 0))
     psi = compose(sigma, SymplectoCurve.from_hamiltonian(SD, CAP, COS1, 1))
